@@ -22,8 +22,8 @@
 //     which tees the normal console reporter and captures every run's
 //     real_time/cpu_time (plus items_per_second when set).
 //
-// Header-only on purpose: bench targets link different library sets and this
-// must not drag a new one in.
+// Header-only: bench targets link different library sets, and every one of
+// them already reaches ps_support, which holds the JSON writer.
 #ifndef BENCH_BENCH_JSON_H_
 #define BENCH_BENCH_JSON_H_
 
@@ -32,6 +32,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "src/support/json.h"
 
 namespace pkrusafe {
 namespace bench {
@@ -54,14 +56,18 @@ class BenchJsonWriter {
       std::fprintf(stderr, "bench_json: cannot open %s\n", path.c_str());
       return false;
     }
-    std::fprintf(out, "{\"kind\":\"pkru_safe_bench\",\"version\":1,\"bench\":\"%s\",\"results\":[",
-                 name_.c_str());
-    for (size_t i = 0; i < results_.size(); ++i) {
-      const Result& r = results_[i];
-      std::fprintf(out, "%s{\"name\":\"%s\",\"value\":%.17g,\"unit\":\"%s\"}",
-                   i == 0 ? "" : ",", Escaped(r.name).c_str(), r.value, r.unit.c_str());
+    std::string text;
+    json::Writer w(&text);
+    w.BeginObject().Key("kind").String("pkru_safe_bench").Key("version").Int(1);
+    w.Key("bench").String(name_).Key("results").BeginArray();
+    for (const Result& r : results_) {
+      char value[32];
+      std::snprintf(value, sizeof(value), "%.17g", r.value);
+      w.BeginObject().Key("name").String(r.name).Key("value").Number(value);
+      w.Key("unit").String(r.unit).EndObject();
     }
-    std::fprintf(out, "]}\n");
+    w.EndArray().EndObject();
+    std::fprintf(out, "%s\n", text.c_str());
     std::fclose(out);
     std::printf("wrote %zu result(s) to %s\n", results_.size(), path.c_str());
     return true;
@@ -80,20 +86,6 @@ class BenchJsonWriter {
     const char* dir = std::getenv("PKRUSAFE_BENCH_OUT_DIR");
     std::string path = dir != nullptr && dir[0] != '\0' ? std::string(dir) + "/" : std::string();
     return path + "BENCH_" + name_ + ".json";
-  }
-
-  // Benchmark names can contain '/' and ':' but never need full JSON
-  // escaping beyond quotes/backslashes.
-  static std::string Escaped(const std::string& text) {
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-      if (c == '"' || c == '\\') {
-        out.push_back('\\');
-      }
-      out.push_back(c);
-    }
-    return out;
   }
 
   std::string name_;

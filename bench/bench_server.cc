@@ -24,6 +24,7 @@
 #include "src/mpk/backend_factory.h"
 #include "src/runtime/runtime.h"
 #include "src/server/sandbox_server.h"
+#include "src/support/json.h"
 
 namespace {
 
@@ -67,8 +68,9 @@ bool RunCase(BackendKind backend, int tenants, bench::BenchJsonWriter* out) {
   std::vector<std::string> requests;
   requests.reserve(tenants);
   for (int t = 0; t < tenants; ++t) {
-    requests.push_back("{\"tenant\":\"tenant-" + std::to_string(t) +
-                       "\",\"script\":\"" + kScript + "\"}");
+    json::Writer w(&requests.emplace_back());
+    w.BeginObject().Key("tenant").String("tenant-" + std::to_string(t));
+    w.Key("script").String(kScript).EndObject();
   }
   for (int warm = 0; warm < kWarmupPerTenant; ++warm) {
     for (const std::string& request : requests) {

@@ -31,8 +31,9 @@
 #                                   # tenants on both backends)
 #   scripts/check.sh gateintegrity  # PKRU-flow lints over the corpus (clean
 #                                   # modules prove, seeded violations fail),
-#                                   # SARIF export, and link-time check-binary
-#                                   # over the built tools
+#                                   # SARIF export, link-time check-binary
+#                                   # over the built tools, and no TEXTREL in
+#                                   # any built tool or bench
 #   scripts/check.sh matrix         # plain + asan + tsan + lint + crash
 #                                   # + faultstress + contprof + vpkey
 #                                   # + gateintegrity
@@ -288,10 +289,11 @@ run_gateintegrity() {
   # top-level corpus module gate-balanced (exit 0, even with notes escalated)
   # and reject every seeded violation module. The link-time half: check-binary
   # must find only sanctioned, registered wrpkru sites in the built tools,
-  # cross-checked against the explicit-gate module's IR inventory.
+  # cross-checked against the explicit-gate module's IR inventory, and no
+  # built executable may need text relocations (the gate registry is
+  # read-only and PC-relative). Builds everything so no stale binary is read.
   cmake -B build -S . -DPKRUSAFE_SANITIZE=""
-  cmake --build build -j "$(nproc)" \
-    --target pkrusafe_lint pkrusafe_run msrun analysis_test gate_agreement_test
+  cmake --build build -j "$(nproc)"
   local lint=build/tools/pkrusafe_lint
   for ir in examples/ir/*.ir; do
     echo "-- prove: $ir"
@@ -309,6 +311,18 @@ run_gateintegrity() {
   echo "-- check-binary: built tools vs IR gate inventory"
   "$lint" check-binary build/tools/pkrusafe_run examples/ir/explicit_gates.ir
   "$lint" check-binary build/tools/msrun
+  echo "-- textrel: executables under build/tools and build/bench"
+  local exe textrel=0
+  for exe in build/tools/* build/bench/*; do
+    [[ -f "$exe" && -x "$exe" ]] || continue
+    if readelf -d "$exe" | grep -q TEXTREL; then
+      echo "text relocations in $exe" >&2
+      textrel=1
+    fi
+  done
+  if [[ "$textrel" -ne 0 ]]; then
+    exit 1
+  fi
   ctest --test-dir build --output-on-failure \
     -R 'PkruFlow|GateIntegrity|Sarif|GateAgreement|tool_lint_check_binary'
   echo "gateintegrity check OK"

@@ -10,35 +10,6 @@ namespace analysis {
 
 namespace {
 
-std::string JsonEscape(std::string_view text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        escaped += "\\\"";
-        break;
-      case '\\':
-        escaped += "\\\\";
-        break;
-      case '\n':
-        escaped += "\\n";
-        break;
-      case '\t':
-        escaped += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          escaped += StrFormat("\\u%04x", c);
-        } else {
-          escaped += c;
-        }
-        break;
-    }
-  }
-  return escaped;
-}
-
 std::string Location(const Finding& f) {
   if (f.function.empty()) {
     return "";
@@ -51,6 +22,30 @@ std::string Location(const Finding& f) {
     loc += StrFormat("#%d", f.instr_index);
   }
   return loc;
+}
+
+struct SeverityCounts {
+  size_t errors = 0;
+  size_t warnings = 0;
+  size_t notes = 0;
+};
+
+SeverityCounts CountBySeverity(const std::vector<Finding>& findings) {
+  SeverityCounts counts;
+  for (const Finding& f : findings) {
+    switch (f.severity) {
+      case Severity::kError:
+        ++counts.errors;
+        break;
+      case Severity::kWarning:
+        ++counts.warnings;
+        break;
+      case Severity::kNote:
+        ++counts.notes;
+        break;
+    }
+  }
+  return counts;
 }
 
 }  // namespace
@@ -93,77 +88,45 @@ void RenderFindingsText(std::ostream& out, const std::vector<Finding>& findings)
       out << "  hint: " << f.fix_hint << "\n";
     }
   }
-  size_t errors = 0;
-  size_t warnings = 0;
-  size_t notes = 0;
-  for (const Finding& f : findings) {
-    switch (f.severity) {
-      case Severity::kError:
-        ++errors;
-        break;
-      case Severity::kWarning:
-        ++warnings;
-        break;
-      case Severity::kNote:
-        ++notes;
-        break;
-    }
-  }
+  const SeverityCounts counts = CountBySeverity(findings);
   out << StrFormat("%zu finding(s): %zu error(s), %zu warning(s), %zu note(s)\n", findings.size(),
-                   errors, warnings, notes);
+                   counts.errors, counts.warnings, counts.notes);
 }
 
 void RenderFindingsJson(std::ostream& out, const std::vector<Finding>& findings,
-                        const std::string& extra_summary) {
-  out << "{\"findings\":[";
-  bool first = true;
+                        const std::function<void(json::Writer&)>& extend_summary) {
+  std::string text;
+  json::Writer w(&text);
+  w.BeginObject().Key("findings").BeginArray();
   for (const Finding& f : findings) {
-    if (!first) {
-      out << ",";
-    }
-    first = false;
-    out << "{\"severity\":\"" << SeverityName(f.severity) << "\"";
-    out << ",\"rule\":\"" << JsonEscape(f.rule) << "\"";
+    w.BeginObject().Key("severity").String(SeverityName(f.severity)).Key("rule").String(f.rule);
     if (!f.function.empty()) {
-      out << ",\"function\":\"" << JsonEscape(f.function) << "\"";
+      w.Key("function").String(f.function);
     }
     if (!f.block.empty()) {
-      out << ",\"block\":\"" << JsonEscape(f.block) << "\"";
+      w.Key("block").String(f.block);
     }
     if (f.instr_index >= 0) {
-      out << ",\"instr\":" << f.instr_index;
+      w.Key("instr").Int(f.instr_index);
     }
     if (f.site.has_value()) {
-      out << ",\"site\":\"" << f.site->ToString() << "\"";
+      w.Key("site").String(f.site->ToString());
     }
-    out << ",\"message\":\"" << JsonEscape(f.message) << "\"";
+    w.Key("message").String(f.message);
     if (!f.fix_hint.empty()) {
-      out << ",\"hint\":\"" << JsonEscape(f.fix_hint) << "\"";
+      w.Key("hint").String(f.fix_hint);
     }
-    out << "}";
+    w.EndObject();
   }
-  size_t errors = 0;
-  size_t warnings = 0;
-  size_t notes = 0;
-  for (const Finding& f : findings) {
-    switch (f.severity) {
-      case Severity::kError:
-        ++errors;
-        break;
-      case Severity::kWarning:
-        ++warnings;
-        break;
-      case Severity::kNote:
-        ++notes;
-        break;
-    }
+  const SeverityCounts counts = CountBySeverity(findings);
+  w.EndArray().Key("summary").BeginObject();
+  w.Key("errors").Uint(counts.errors).Key("warnings").Uint(counts.warnings);
+  w.Key("notes").Uint(counts.notes);
+  if (extend_summary) {
+    extend_summary(w);
   }
-  out << "],\"summary\":{\"errors\":" << errors << ",\"warnings\":" << warnings
-      << ",\"notes\":" << notes;
-  if (!extra_summary.empty()) {
-    out << "," << extra_summary;
-  }
-  out << "}}\n";
+  w.EndObject().EndObject();
+  out << text << "\n";
 }
 
 void RenderFindingsSarif(std::ostream& out, const std::vector<Finding>& findings,
@@ -177,55 +140,45 @@ void RenderFindingsSarif(std::ostream& out, const std::vector<Finding>& findings
   }
   std::sort(rules.begin(), rules.end());
 
-  out << "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\","
-      << "\"version\":\"2.1.0\",\"runs\":[{";
-  out << "\"tool\":{\"driver\":{\"name\":\"pkrusafe_lint\","
-      << "\"informationUri\":\"https://github.com/pkru-safe\",\"rules\":[";
-  for (size_t i = 0; i < rules.size(); ++i) {
-    if (i > 0) {
-      out << ",";
-    }
-    out << "{\"id\":\"" << JsonEscape(rules[i]) << "\"}";
+  std::string text;
+  json::Writer w(&text);
+  w.BeginObject().Key("$schema").String("https://json.schemastore.org/sarif-2.1.0.json");
+  w.Key("version").String("2.1.0").Key("runs").BeginArray().BeginObject();
+  w.Key("tool").BeginObject().Key("driver").BeginObject().Key("name").String("pkrusafe_lint");
+  w.Key("informationUri").String("https://github.com/pkru-safe").Key("rules").BeginArray();
+  for (const std::string& rule : rules) {
+    w.BeginObject().Key("id").String(rule).EndObject();
   }
-  out << "]}},\"results\":[";
-  bool first = true;
+  w.EndArray().EndObject().EndObject().Key("results").BeginArray();
   for (const Finding& f : findings) {
-    if (!first) {
-      out << ",";
-    }
-    first = false;
     const auto rule_it = std::find(rules.begin(), rules.end(), f.rule);
-    out << "{\"ruleId\":\"" << JsonEscape(f.rule) << "\"";
-    out << ",\"ruleIndex\":" << (rule_it - rules.begin());
-    out << ",\"level\":\"" << SeverityName(f.severity) << "\"";
-    std::string text = f.message;
+    w.BeginObject().Key("ruleId").String(f.rule).Key("ruleIndex").Int(rule_it - rules.begin());
+    w.Key("level").String(SeverityName(f.severity));
+    std::string message = f.message;
     if (f.site.has_value()) {
-      text += " (site " + f.site->ToString() + ")";
+      message += " (site " + f.site->ToString() + ")";
     }
     if (!f.fix_hint.empty()) {
-      text += " | hint: " + f.fix_hint;
+      message += " | hint: " + f.fix_hint;
     }
-    out << ",\"message\":{\"text\":\"" << JsonEscape(text) << "\"}";
+    w.Key("message").BeginObject().Key("text").String(message).EndObject();
     const std::string loc = Location(f);
     if (!loc.empty() || !artifact.empty()) {
-      out << ",\"locations\":[{";
-      bool inner = false;
+      w.Key("locations").BeginArray().BeginObject();
       if (!artifact.empty()) {
-        out << "\"physicalLocation\":{\"artifactLocation\":{\"uri\":\"" << JsonEscape(artifact)
-            << "\"}}";
-        inner = true;
+        w.Key("physicalLocation").BeginObject().Key("artifactLocation").BeginObject();
+        w.Key("uri").String(artifact).EndObject().EndObject();
       }
       if (!loc.empty()) {
-        if (inner) {
-          out << ",";
-        }
-        out << "\"logicalLocations\":[{\"fullyQualifiedName\":\"" << JsonEscape(loc) << "\"}]";
+        w.Key("logicalLocations").BeginArray().BeginObject();
+        w.Key("fullyQualifiedName").String(loc).EndObject().EndArray();
       }
-      out << "}]";
+      w.EndObject().EndArray();
     }
-    out << "}";
+    w.EndObject();
   }
-  out << "]}]}\n";
+  w.EndArray().EndObject().EndArray().EndObject();
+  out << text << "\n";
 }
 
 }  // namespace analysis

@@ -9,12 +9,14 @@
 #ifndef SRC_ANALYSIS_DIAGNOSTICS_H_
 #define SRC_ANALYSIS_DIAGNOSTICS_H_
 
+#include <functional>
 #include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/runtime/alloc_id.h"
+#include "src/support/json.h"
 
 namespace pkrusafe {
 namespace analysis {
@@ -56,10 +58,10 @@ class DiagnosticSink {
 void RenderFindingsText(std::ostream& out, const std::vector<Finding>& findings);
 
 // One JSON object: {"findings": [...], "summary": {"errors": N, ...}}.
-// `extra_summary` is spliced verbatim into the summary object (used by
-// pkrusafe_lint for the precision metric); pass "" for none.
+// `extend_summary`, when set, writes further summary members after the counts
+// (pkrusafe_lint adds its precision metric there).
 void RenderFindingsJson(std::ostream& out, const std::vector<Finding>& findings,
-                        const std::string& extra_summary = "");
+                        const std::function<void(json::Writer&)>& extend_summary = {});
 
 // SARIF 2.1.0 (one run, driver "pkrusafe_lint"): each distinct rule id
 // becomes a reportingDescriptor, each finding a result whose logical

@@ -84,9 +84,9 @@ Result<BinaryGateReport> ScanBinaryGates(const std::string& path) {
     return std::string(shstrtab + section.sh_name);
   };
 
-  // Virtual-address -> file-offset windows. Registry entries hold link-time
-  // vaddrs (`.quad 1f`), which for PIE binaries match sh_addr as-is: both
-  // sides are pre-relocation link-time addresses.
+  // Virtual-address -> file-offset windows. Registry entries (`.long 1f - .`)
+  // decode to link-time vaddrs, which for PIE binaries match sh_addr as-is:
+  // both sides are pre-relocation link-time addresses.
   std::vector<ExecWindow> windows;
   const Elf64_Shdr* registry = nullptr;
   for (const Elf64_Shdr& section : sections) {
@@ -103,14 +103,20 @@ Result<BinaryGateReport> ScanBinaryGates(const std::string& path) {
   report.has_registry = true;
 
   if (registry->sh_type == SHT_NOBITS || registry->sh_offset + registry->sh_size > size ||
-      registry->sh_size % sizeof(uint64_t) != 0) {
+      registry->sh_size % sizeof(int32_t) != 0) {
     return InvalidArgumentError(path + ": malformed " + std::string(kGateRegistrySection) +
                                 " section");
   }
 
-  report.registered = registry->sh_size / sizeof(uint64_t);
-  report.registry_vaddrs.resize(report.registered);
-  std::memcpy(report.registry_vaddrs.data(), data + registry->sh_offset, registry->sh_size);
+  // Entry i sits at sh_addr + 4*i and holds the gate's offset from itself.
+  report.registered = registry->sh_size / sizeof(int32_t);
+  report.registry_vaddrs.reserve(report.registered);
+  for (size_t i = 0; i < report.registered; ++i) {
+    int32_t delta = 0;
+    std::memcpy(&delta, data + registry->sh_offset + i * sizeof(int32_t), sizeof(delta));
+    report.registry_vaddrs.push_back(registry->sh_addr + i * sizeof(int32_t) +
+                                     static_cast<uint64_t>(static_cast<int64_t>(delta)));
+  }
 
   std::set<size_t> sanctioned_offsets;
   for (const GadgetHit& hit : report.hits) {

@@ -13,8 +13,9 @@
 //     sanctioned iff the gate marker (the Garmr-style re-check sequence)
 //     immediately follows;
 //   * the gate-site registry: the hardware backend's WrPkru emits, next to
-//     each inlined wrpkru copy, one pointer to it in the .pkru_gate_sites
-//     section — an authoritative list of the gates the TCB meant to emit.
+//     each inlined wrpkru copy, one PC-relative entry locating it in the
+//     .pkru_gate_sites section — an authoritative list of the gates the TCB
+//     meant to emit.
 //
 // CheckGateIntegrity demands a bijection between the two (every registered
 // site is marker-verified at its registered address, every sanctioned hit is
@@ -52,7 +53,8 @@ struct BinaryGateReport {
   size_t unsanctioned = 0;  // wrpkru without the marker (gadgets)
   size_t xrstor = 0;
 
-  // Registry cross-check. `registered` counts registry entries;
+  // Registry cross-check. `registered` counts registry entries, each a 4-byte
+  // offset from the entry's own address, decoded into `registry_vaddrs`;
   // `registered_unverified` are entries whose address is NOT a sanctioned
   // scanner hit (dropped/overwritten/marker-stripped gate); `sanctioned_
   // unregistered` are sanctioned hits the registry does not claim

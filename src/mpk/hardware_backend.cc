@@ -46,15 +46,16 @@ void WrPkru(uint32_t value) {
   // byte sequence in .text is a reportable gadget.
   //
   // Each emitted copy also registers its own address in the .pkru_gate_sites
-  // ELF section (one pointer per inlined instance), giving the link-time
-  // gate-integrity check (src/analysis/gate_integrity.h) an authoritative
-  // inventory to cross-check the byte scan against: every registered site
-  // must carry the marker, and every marker-verified wrpkru must be
-  // registered.
+  // ELF section, giving the link-time gate-integrity check
+  // (src/analysis/gate_integrity.h) an authoritative inventory to cross-check
+  // the byte scan against: every registered site must carry the marker, and
+  // every marker-verified wrpkru must be registered. Each entry is 4 bytes
+  // holding the gate's offset from the entry itself, so the read-only section
+  // needs no load-time relocation in a PIE (no DT_TEXTREL).
   __asm__ volatile(
       ".pushsection .pkru_gate_sites,\"a\",@progbits\n\t"
-      ".balign 8\n\t"
-      ".quad 1f\n\t"
+      ".balign 4\n\t"
+      ".long 1f - .\n\t"
       ".popsection\n"
       "1:\n\t"
       ".byte 0x0f,0x01,0xef\n\t"

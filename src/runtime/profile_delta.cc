@@ -83,26 +83,6 @@ Result<std::string> HexDecode(std::string_view hex) {
   return out;
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 ProfileDelta ProfileDelta::Between(const Profile& base, const Profile& current,
@@ -218,14 +198,14 @@ Result<ProfileDelta> ProfileDelta::DecodeBinary(std::string_view bytes) {
 }
 
 std::string ProfileDelta::ToJsonLine() const {
-  const std::string payload = EncodeBinary();
-  return StrFormat(
-      "{\"kind\":\"pkru_safe_profile_delta\",\"v\":1,\"epoch\":\"%s\","
-      "\"ir_hash\":\"0x%016llx\",\"seq\":%llu,\"sites\":%zu,\"payload\":\"%s\"}",
-      JsonEscape(epoch_).c_str(),
-      static_cast<unsigned long long>(ir_hash_),
-      static_cast<unsigned long long>(sequence_), entries_.size(),
-      HexEncode(payload).c_str());
+  std::string out;
+  json::Writer w(&out);
+  w.BeginObject().Key("kind").String("pkru_safe_profile_delta").Key("v").Int(1);
+  w.Key("epoch").String(epoch_);
+  w.Key("ir_hash").String(StrFormat("0x%016llx", static_cast<unsigned long long>(ir_hash_)));
+  w.Key("seq").Uint(sequence_).Key("sites").Uint(entries_.size());
+  w.Key("payload").String(HexEncode(EncodeBinary())).EndObject();
+  return out;
 }
 
 Result<ProfileDelta> ProfileDelta::FromJsonLine(std::string_view line) {

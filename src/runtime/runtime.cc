@@ -329,15 +329,26 @@ FaultResolution PkruSafeRuntime::OnMpkFault(const MpkFault& fault) {
   }
   // First-fault latching: once the (site, page) pair is recorded, downgrade
   // the page to the shared key so the site stops paying a signal round-trip
-  // per access. Only pages FULLY covered by the faulting object may latch —
-  // a page shared with a neighboring object must keep faulting, or that
-  // neighbor's site could go unrecorded and the latched profile's site set
-  // would diverge from the unlatched one.
-  const uintptr_t fault_page = PageDown(fault.address);
+  // per access.
+  if (!LatchCoveredPage(PageDown(fault.address), record, /*window_filter=*/nullptr)) {
+    return FaultResolution::kRetryAllowed;
+  }
+  LatchedFaultCounter()->Increment();
+  return FaultResolution::kRetryAndLatch;
+}
+
+bool PkruSafeRuntime::LatchCoveredPage(
+    uintptr_t fault_page, const ProvenanceTracker::Record& record,
+    const std::unordered_set<AllocId, AllocIdHasher>* window_filter) {
+  // Only pages FULLY covered by the faulting object may latch — a page
+  // shared with a neighboring object must keep faulting, or that neighbor's
+  // site could go unrecorded (in profiling, the latched profile's site set
+  // would diverge from the unlatched one; in sampling, the neighbor could
+  // slip past the candidate check).
   const uintptr_t covered_lo = PageUp(record.base);
   const uintptr_t covered_hi = PageDown(record.base + record.size);
   if (fault_page < covered_lo || fault_page + kPageSize > covered_hi) {
-    return FaultResolution::kRetryAllowed;
+    return false;
   }
   // Backends whose single-step window is process-wide (mprotect re-opens the
   // page for every thread; hardware page tags are global) let concurrent
@@ -350,7 +361,8 @@ FaultResolution PkruSafeRuntime::OnMpkFault(const MpkFault& fault) {
     const int n = provenance_.RecordsInRangeForSignal(fault_page, fault_page + 2 * kPageSize,
                                                       window, kMaxWindowRecords);
     for (int i = 0; i < n; ++i) {
-      if (window[i].id == record.id) {
+      if (window[i].id == record.id ||
+          (window_filter != nullptr && window_filter->find(window[i].id) == window_filter->end())) {
         continue;
       }
       recorder_.RecordFault(window[i].id);
@@ -358,8 +370,7 @@ FaultResolution PkruSafeRuntime::OnMpkFault(const MpkFault& fault) {
     }
   }
   backend_->NoteLatchedRange(fault_page, fault_page + kPageSize);
-  LatchedFaultCounter()->Increment();
-  return FaultResolution::kRetryAndLatch;
+  return true;
 }
 
 FaultResolution PkruSafeRuntime::OnSampledEnforcingFault(const MpkFault& fault) {
@@ -399,30 +410,11 @@ FaultResolution PkruSafeRuntime::OnSampledEnforcingFault(const MpkFault& fault) 
     return FaultResolution::kRetryAllowed;
   }
   // Out of the sample (or over budget): open the page so it stops costing a
-  // signal round-trip — but only when the faulting object fully covers it. A
-  // page shared with another object must keep faulting, or that neighbor
-  // could slip past the candidate check unrecorded (same rule as profiling
-  // latch mode).
-  const uintptr_t covered_lo = PageUp(record.base);
-  const uintptr_t covered_hi = PageDown(record.base + record.size);
-  if (fault_page < covered_lo || fault_page + kPageSize > covered_hi) {
+  // signal round-trip, if the faulting object fully covers it. Window re-records
+  // stay inside the candidate set.
+  if (!LatchCoveredPage(fault_page, record, &sampling_candidates_)) {
     return FaultResolution::kRetryAllowed;
   }
-  if (backend_->has_process_wide_step_window()) {
-    constexpr int kMaxWindowRecords = 16;
-    ProvenanceTracker::Record window[kMaxWindowRecords];
-    const int n = provenance_.RecordsInRangeForSignal(fault_page, fault_page + 2 * kPageSize,
-                                                      window, kMaxWindowRecords);
-    for (int i = 0; i < n; ++i) {
-      if (window[i].id == record.id ||
-          sampling_candidates_.find(window[i].id) == sampling_candidates_.end()) {
-        continue;
-      }
-      recorder_.RecordFault(window[i].id);
-      StepWindowMissCounter()->Increment();
-    }
-  }
-  backend_->NoteLatchedRange(fault_page, fault_page + kPageSize);
   (in_sample ? SampledAutolatchedCounter() : SampledLatchedCounter())->Increment();
   return FaultResolution::kRetryAndLatch;
 }

@@ -196,6 +196,13 @@ class PkruSafeRuntime {
   // The sampled-profiling arm of OnMpkFault (enforcing mode, budget_ set).
   // kDeny means the fault falls through to the ordinary denial accounting.
   FaultResolution OnSampledEnforcingFault(const MpkFault& fault);
+  // The latch step both fault paths share: opens `fault_page` for good when
+  // `record`'s object fully covers it, first re-recording the other tracked
+  // sites in a process-wide step window (only those in `window_filter` when
+  // it is non-null). Returns false, latching nothing, for a partly covered
+  // page. Async-signal-safe.
+  bool LatchCoveredPage(uintptr_t fault_page, const ProvenanceTracker::Record& record,
+                        const std::unordered_set<AllocId, AllocIdHasher>* window_filter);
 
   // Whether trusted allocations should register provenance records: always
   // in profiling mode (the paper's pipeline), and additionally whenever the

@@ -1,7 +1,8 @@
 #include "src/runtime/site_stats.h"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "src/support/json.h"
 
 namespace pkrusafe {
 
@@ -175,29 +176,22 @@ std::vector<SiteHeapStats::SiteTotals> SiteHeapStats::TopKByLiveBytes(size_t k, 
 }
 
 std::string SiteStatsToJson(const std::vector<SiteHeapStats::SiteTotals>& sites) {
-  std::string out = "{\"kind\":\"pkru_safe_site_stats\",\"version\":1,\"sites\":[";
-  bool first = true;
-  char buffer[256];
+  std::string out;
+  json::Writer w(&out);
+  w.BeginObject().Key("kind").String("pkru_safe_site_stats").Key("version").Int(1);
+  w.Key("sites").BeginArray();
   for (const SiteHeapStats::SiteTotals& totals : sites) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += "{\"id\":\"" + totals.site.ToString() + "\"";
+    w.BeginObject().Key("id").String(totals.site.ToString());
     static constexpr const char* kDomainNames[2] = {"trusted", "untrusted"};
     for (int d = 0; d < 2; ++d) {
-      std::snprintf(buffer, sizeof(buffer),
-                    ",\"%s\":{\"live_bytes\":%lld,\"live_objects\":%lld,"
-                    "\"total_bytes\":%llu,\"total_objects\":%llu}",
-                    kDomainNames[d], static_cast<long long>(totals.live_bytes[d]),
-                    static_cast<long long>(totals.live_objects[d]),
-                    static_cast<unsigned long long>(totals.total_bytes[d]),
-                    static_cast<unsigned long long>(totals.total_objects[d]));
-      out += buffer;
+      w.Key(kDomainNames[d]).BeginObject();
+      w.Key("live_bytes").Int(totals.live_bytes[d]).Key("live_objects").Int(totals.live_objects[d]);
+      w.Key("total_bytes").Uint(totals.total_bytes[d]);
+      w.Key("total_objects").Uint(totals.total_objects[d]).EndObject();
     }
-    out += '}';
+    w.EndObject();
   }
-  out += "]}";
+  w.EndArray().EndObject();
   return out;
 }
 

@@ -9,9 +9,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "src/support/string_util.h"
-#include "src/telemetry/export.h"
-
 namespace pkrusafe {
 namespace server {
 
@@ -53,17 +50,18 @@ Result<json::Value> ServerClient::Call(const std::string& tenant, const std::str
   if (fd_ < 0) {
     return FailedPreconditionError("not connected");
   }
-  std::string request = StrFormat("{\"tenant\":\"%s\",\"script\":\"%s\"",
-                                  telemetry::JsonEscape(tenant).c_str(),
-                                  telemetry::JsonEscape(script).c_str());
+  std::string request;
+  json::Writer w(&request);
+  w.BeginObject().Key("tenant").String(tenant).Key("script").String(script);
   if (!warm.empty()) {
-    request += ",\"warm\":[";
-    for (size_t i = 0; i < warm.size(); ++i) {
-      request += (i > 0 ? ",\"" : "\"") + telemetry::JsonEscape(warm[i]) + "\"";
+    w.Key("warm").BeginArray();
+    for (const std::string& name : warm) {
+      w.String(name);
     }
-    request += "]";
+    w.EndArray();
   }
-  request += "}\n";
+  w.EndObject();
+  request += "\n";
 
   size_t sent = 0;
   while (sent < request.size()) {

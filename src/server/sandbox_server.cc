@@ -14,7 +14,6 @@
 #include "src/jsvm/vm.h"
 #include "src/support/json.h"
 #include "src/support/string_util.h"
-#include "src/telemetry/export.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
 
@@ -22,8 +21,6 @@ namespace pkrusafe {
 namespace server {
 
 namespace {
-
-using telemetry::JsonEscape;
 
 // Registry-backed metrics: the Sampler picks these up like any other
 // counter, so requests/s and request-latency percentiles come out of the
@@ -36,6 +33,14 @@ struct ServerMetrics {
   telemetry::Counter* rejected = nullptr;
   telemetry::Histogram* request_ns = nullptr;
 };
+
+// {"ok":false,"error":...}: a request refused before it reached a tenant.
+std::string ErrorResponse(std::string_view error) {
+  std::string response;
+  json::Writer w(&response);
+  w.BeginObject().Key("ok").Bool(false).Key("error").String(error).EndObject();
+  return response;
+}
 
 ServerMetrics& Metrics() {
   static ServerMetrics metrics = [] {
@@ -260,7 +265,7 @@ void SandboxServer::ServeConnection(int fd) {
       continue;
     }
     if (buffer.size() > options_.max_request_bytes) {
-      (void)WriteAll(fd, "{\"ok\":false,\"error\":\"request line too large\"}\n");
+      (void)WriteAll(fd, ErrorResponse("request line too large") + "\n");
       return;
     }
     // Bounded wait so an idle connection never wedges Stop(): the worker
@@ -297,7 +302,7 @@ std::string SandboxServer::HandleRequestLine(const std::string& line) {
       std::lock_guard lock(stats_mu_);
       ++stats_.rejected;
     }
-    return StrFormat("{\"ok\":false,\"error\":\"%s\"}", JsonEscape(error).c_str());
+    return ErrorResponse(error);
   };
 
   auto parsed = json::Parse(line);
@@ -332,9 +337,11 @@ std::string SandboxServer::HandleRequestLine(const std::string& line) {
       std::lock_guard lock(stats_mu_);
       ++stats_.rejected;
     }
-    return StrFormat("{\"ok\":false,\"tenant\":\"%s\",\"error\":\"%s\",\"dead\":true}",
-                     JsonEscape(tenant).c_str(),
-                     JsonEscape(session.status().message()).c_str());
+    std::string response;
+    json::Writer w(&response);
+    w.BeginObject().Key("ok").Bool(false).Key("tenant").String(tenant);
+    w.Key("error").String(session.status().message()).Key("dead").Bool(true).EndObject();
+    return response;
   }
 
   const RequestOutcome outcome = RunInTenant(*session, script);
@@ -352,32 +359,26 @@ std::string SandboxServer::HandleRequestLine(const std::string& line) {
     }
   }
   std::string response;
+  json::Writer w(&response);
+  w.BeginObject().Key("ok").Bool(outcome.ok).Key("tenant").String(tenant);
   if (outcome.ok) {
     Metrics().ok->Increment();
-    std::string prints = "[";
-    for (size_t i = 0; i < outcome.prints.size(); ++i) {
-      prints += (i > 0 ? ",\"" : "\"") + JsonEscape(outcome.prints[i]) + "\"";
+    w.Key("result").String(outcome.result).Key("prints").BeginArray();
+    for (const std::string& printed : outcome.prints) {
+      w.String(printed);
     }
-    prints += "]";
-    response = StrFormat(
-        "{\"ok\":true,\"tenant\":\"%s\",\"result\":\"%s\",\"prints\":%s,\"latency_ns\":%llu}",
-        JsonEscape(tenant).c_str(), JsonEscape(outcome.result).c_str(), prints.c_str(),
-        static_cast<unsigned long long>(outcome.latency_ns));
-  } else if (outcome.violation) {
-    Metrics().violations->Increment();
-    registry_->Kill(*session);
-    WriteCrashReport(tenant, (*session)->library, PermissionDeniedError(outcome.error));
-    response = StrFormat(
-        "{\"ok\":false,\"tenant\":\"%s\",\"error\":\"%s\",\"dead\":true,\"latency_ns\":%llu}",
-        JsonEscape(tenant).c_str(), JsonEscape(outcome.error).c_str(),
-        static_cast<unsigned long long>(outcome.latency_ns));
+    w.EndArray();
   } else {
-    Metrics().script_errors->Increment();
-    response = StrFormat(
-        "{\"ok\":false,\"tenant\":\"%s\",\"error\":\"%s\",\"dead\":false,\"latency_ns\":%llu}",
-        JsonEscape(tenant).c_str(), JsonEscape(outcome.error).c_str(),
-        static_cast<unsigned long long>(outcome.latency_ns));
+    if (outcome.violation) {
+      Metrics().violations->Increment();
+      registry_->Kill(*session);
+      WriteCrashReport(tenant, (*session)->library, PermissionDeniedError(outcome.error));
+    } else {
+      Metrics().script_errors->Increment();
+    }
+    w.Key("error").String(outcome.error).Key("dead").Bool(outcome.violation);
   }
+  w.Key("latency_ns").Uint(outcome.latency_ns).EndObject();
   // The request slot is released only after the LAST touch of the session —
   // the kill and crash report above included. While it is held the sweep
   // cannot retire the session or hand its name to a successor, so the kill
@@ -460,12 +461,13 @@ void SandboxServer::WriteCrashReport(const std::string& tenant, LibraryId librar
   }
   // Same shape the flight recorder emits, produced from normal context: the
   // sim backend contains the violation as a Status, no signal ever fires.
-  out << StrFormat(
-      "{\"kind\":\"pkru_safe_crash_report\",\"reason\":\"tenant compartment violation\","
-      "\"signal\":0,\"tenant\":\"%s\",\"library\":%u,\"error\":\"%s\","
-      "\"ts_ns\":%llu}\n",
-      JsonEscape(tenant).c_str(), library, JsonEscape(status.message()).c_str(),
-      static_cast<unsigned long long>(telemetry::NowNs()));
+  std::string report;
+  json::Writer w(&report);
+  w.BeginObject().Key("kind").String("pkru_safe_crash_report");
+  w.Key("reason").String("tenant compartment violation").Key("signal").Int(0);
+  w.Key("tenant").String(tenant).Key("library").Uint(library).Key("error").String(status.message());
+  w.Key("ts_ns").Uint(telemetry::NowNs()).EndObject();
+  out << report << "\n";
 }
 
 SandboxServer::Stats SandboxServer::stats() const {

@@ -302,5 +302,91 @@ Result<Value> ParsePrefix(std::string_view text, size_t* consumed) {
   return value;
 }
 
+namespace {
+
+void AppendEscaped(std::string* out, std::string_view text) {
+  // Copies runs of bytes that need no escape in one append each.
+  size_t run = 0;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out->append(text.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out->append("\\\""); break;
+      case '\\': out->append("\\\\"); break;
+      case '\n': out->append("\\n"); break;
+      case '\r': out->append("\\r"); break;
+      case '\t': out->append("\\t"); break;
+      default: {
+        static constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out->append(escape, sizeof(escape));
+      }
+    }
+  }
+  out->append(text.data() + run, text.size() - run);
+}
+
+}  // namespace
+
+std::string JsonEscape(std::string_view text) {
+  std::string escaped;
+  escaped.reserve(text.size());
+  AppendEscaped(&escaped, text);
+  return escaped;
+}
+
+void Writer::Separate() {
+  if (need_comma_) {
+    out_->push_back(',');
+  }
+  need_comma_ = true;
+}
+
+Writer& Writer::Open(char bracket) {
+  Separate();
+  out_->push_back(bracket);
+  need_comma_ = false;
+  return *this;
+}
+
+Writer& Writer::Close(char bracket) {
+  out_->push_back(bracket);
+  need_comma_ = true;
+  return *this;
+}
+
+Writer& Writer::Key(std::string_view key) {
+  String(key);
+  out_->push_back(':');
+  need_comma_ = false;
+  return *this;
+}
+
+Writer& Writer::String(std::string_view value) {
+  Separate();
+  out_->push_back('"');
+  AppendEscaped(out_, value);
+  out_->push_back('"');
+  return *this;
+}
+
+Writer& Writer::Number(std::string_view text) {
+  Separate();
+  out_->append(text);
+  return *this;
+}
+
+Writer& Writer::LineBreak() {
+  if (need_comma_) {
+    out_->append(",\n");
+    need_comma_ = false;
+  }
+  return *this;
+}
+
 }  // namespace json
 }  // namespace pkrusafe

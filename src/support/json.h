@@ -1,14 +1,18 @@
-// Minimal JSON value model and recursive-descent parser.
+// JSON for the pipeline's machine-readable artifacts: a small value model
+// with a recursive-descent parser, and the one writer every emitter uses.
 //
-// The observability layer emits JSON in several places (crash reports,
-// sampler JSONL rows, site-attribution dumps, stats snapshots) and the tools
-// and tests need to read it back without an external dependency. This parser
-// covers the full JSON grammar the emitters use: objects, arrays, strings
-// with the common escapes, integer/double numbers, booleans and null.
+// The parser covers the full grammar the emitters produce: objects, arrays,
+// strings with the common escapes, integer/double numbers, booleans and
+// null. Numbers are kept in three views (int64/uint64/double) because the
+// crash reporter writes full 64-bit addresses and counters that do not
+// round-trip through double.
 //
-// Numbers are kept in three views (int64/uint64/double) because the crash
-// reporter writes full 64-bit addresses and counters that do not round-trip
-// through double.
+// Writer appends compact JSON to a caller-owned std::string and places the
+// commas itself, so emitters (findings and SARIF, stats and traces, sampler
+// rows, server responses, profile deltas, bench results) say only what they
+// write. Its string escaper is the only one in the tree; the flight recorder
+// keeps its own allocation-free arena writer because it runs in a signal
+// handler.
 #ifndef SRC_SUPPORT_JSON_H_
 #define SRC_SUPPORT_JSON_H_
 
@@ -75,6 +79,51 @@ Result<Value> Parse(std::string_view text);
 // Parses one JSON value from the front of `text`, returning how many bytes
 // were consumed via `consumed` — the JSONL helper ("one object per line").
 Result<Value> ParsePrefix(std::string_view text, size_t* consumed);
+
+// Returns `text` escaped for use inside a JSON string literal (quotes not
+// included): `"`, `\`, \n, \r and \t get their short escapes, other bytes
+// below 0x20 become \u00XX, and everything else (UTF-8 included) passes
+// through.
+std::string JsonEscape(std::string_view text);
+
+// Streaming writer over a caller-owned string. Calls nest like the JSON they
+// produce: inside an object every value follows a Key(). The writer inserts
+// the separating commas; it does not check that the calls are well formed.
+//
+//   std::string out;
+//   json::Writer w(&out);
+//   w.BeginObject().Key("ok").Bool(true).Key("prints").BeginArray();
+//   for (const std::string& p : prints) w.String(p);
+//   w.EndArray().EndObject();
+class Writer {
+ public:
+  explicit Writer(std::string* out) : out_(out) {}
+
+  Writer& BeginObject() { return Open('{'); }
+  Writer& EndObject() { return Close('}'); }
+  Writer& BeginArray() { return Open('['); }
+  Writer& EndArray() { return Close(']'); }
+  Writer& Key(std::string_view key);
+  Writer& String(std::string_view value);
+  Writer& Int(int64_t value) { return Number(std::to_string(value)); }
+  Writer& Uint(uint64_t value) { return Number(std::to_string(value)); }
+  Writer& Bool(bool value) { return Number(value ? "true" : "false"); }
+  Writer& Null() { return Number("null"); }
+  // Number text the caller already formatted (e.g. "%.3f"), appended as is.
+  Writer& Number(std::string_view text);
+  // Starts the next element on a new line, after its comma. A no-op at the
+  // start of a container.
+  Writer& LineBreak();
+
+ private:
+  // Writes the comma owed before a new key or element.
+  void Separate();
+  Writer& Open(char bracket);
+  Writer& Close(char bracket);
+
+  std::string* out_;
+  bool need_comma_ = false;
+};
 
 }  // namespace json
 }  // namespace pkrusafe

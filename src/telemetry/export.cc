@@ -23,24 +23,36 @@ std::string TsMicros(uint64_t ns) {
   return buffer;
 }
 
-// One Chrome trace event object. `ph` is the event phase ("B", "E", "i").
-void WriteEventPrefix(std::ostream& out, const TraceEvent& event, const char* name,
-                      const char* cat, const char* ph) {
-  out << "{\"name\":\"" << name << "\",\"cat\":\"" << cat << "\",\"ph\":\"" << ph
-      << "\",\"ts\":" << TsMicros(event.timestamp_ns) << ",\"pid\":1,\"tid\":" << event.tid;
+std::string Hex(const char* format, uint64_t value) {
+  char buffer[24];
+  std::snprintf(buffer, sizeof(buffer), format, value);
+  return buffer;
 }
 
-void WriteOneEvent(std::ostream& out, const TraceEvent& event) {
+// Opens one Chrome trace event object. `ph` is the event phase ("B", "E",
+// "i"); the caller adds its fields and closes the object.
+void BeginEvent(json::Writer& w, const TraceEvent& event, const char* name, const char* cat,
+                const char* ph) {
+  w.BeginObject().Key("name").String(name).Key("cat").String(cat).Key("ph").String(ph);
+  w.Key("ts").Number(TsMicros(event.timestamp_ns)).Key("pid").Int(1).Key("tid").Uint(event.tid);
+}
+
+// Opens an instant event's thread-scoped "args" object.
+void BeginInstant(json::Writer& w, const TraceEvent& event, const char* name, const char* cat) {
+  BeginEvent(w, event, name, cat, "i");
+  w.Key("s").String("t").Key("args").BeginObject();
+}
+
+void WriteOneEvent(json::Writer& w, const TraceEvent& event) {
   switch (event.type) {
     case TraceEventType::kGateEnter: {
       // Entering U opens the "untrusted" slice; entering T (callback) opens
       // a nested "trusted" slice on the same thread track.
       const bool to_untrusted =
           event.detail == static_cast<uint8_t>(TraceDirection::kTrustedToUntrusted);
-      WriteEventPrefix(out, event, to_untrusted ? "untrusted" : "trusted", "gate", "B");
-      char pkru[16];
-      std::snprintf(pkru, sizeof(pkru), "0x%08" PRIx64, event.b);
-      out << ",\"args\":{\"depth\":" << event.a << ",\"pkru\":\"" << pkru << "\"}}";
+      BeginEvent(w, event, to_untrusted ? "untrusted" : "trusted", "gate", "B");
+      w.Key("args").BeginObject().Key("depth").Uint(event.a);
+      w.Key("pkru").String(Hex("0x%08" PRIx64, event.b)).EndObject().EndObject();
       return;
     }
     case TraceEventType::kGateExit: {
@@ -48,141 +60,97 @@ void WriteOneEvent(std::ostream& out, const TraceEvent& event) {
       // closes the "untrusted" slice.
       const bool closes_untrusted =
           event.detail == static_cast<uint8_t>(TraceDirection::kUntrustedToTrusted);
-      WriteEventPrefix(out, event, closes_untrusted ? "untrusted" : "trusted", "gate", "E");
-      out << "}";
+      BeginEvent(w, event, closes_untrusted ? "untrusted" : "trusted", "gate", "E");
+      w.EndObject();
       return;
     }
     case TraceEventType::kFaultServiced:
     case TraceEventType::kFaultDenied: {
       const bool serviced = event.type == TraceEventType::kFaultServiced;
-      WriteEventPrefix(out, event, serviced ? "mpk_fault_serviced" : "mpk_fault_denied",
-                       "fault", "i");
-      char addr[24];
-      std::snprintf(addr, sizeof(addr), "0x%" PRIx64, event.a);
-      out << ",\"s\":\"t\",\"args\":{\"address\":\"" << addr << "\",\"access\":\""
-          << AccessKindLabel(event.detail) << "\",\"pkey\":" << event.b << "}}";
+      BeginInstant(w, event, serviced ? "mpk_fault_serviced" : "mpk_fault_denied", "fault");
+      w.Key("address").String(Hex("0x%" PRIx64, event.a));
+      w.Key("access").String(AccessKindLabel(event.detail)).Key("pkey").Uint(event.b);
+      w.EndObject().EndObject();
       return;
     }
     case TraceEventType::kAlloc: {
-      WriteEventPrefix(out, event, "alloc", "heap", "i");
+      BeginInstant(w, event, "alloc", "heap");
       const bool untrusted_pool = (event.detail & 1) != 0;
-      out << ",\"s\":\"t\",\"args\":{\"pool\":\"" << (untrusted_pool ? "M_U" : "M_T")
-          << "\",\"size\":" << event.a;
+      w.Key("pool").String(untrusted_pool ? "M_U" : "M_T").Key("size").Uint(event.a);
       if ((event.detail & 2) != 0) {
-        out << ",\"site\":\"" << (event.b >> 32) << ":" << (event.b & 0xFFFFFFFFull) << ":"
-            << event.c << "\"";
+        w.Key("site").String(std::to_string(event.b >> 32) + ":" +
+                             std::to_string(event.b & 0xFFFFFFFFull) + ":" +
+                             std::to_string(event.c));
       }
-      out << "}}";
+      w.EndObject().EndObject();
       return;
     }
     case TraceEventType::kRealloc: {
-      WriteEventPrefix(out, event, "realloc", "heap", "i");
-      out << ",\"s\":\"t\",\"args\":{\"size\":" << event.a << "}}";
+      BeginInstant(w, event, "realloc", "heap");
+      w.Key("size").Uint(event.a).EndObject().EndObject();
       return;
     }
     case TraceEventType::kFree: {
-      WriteEventPrefix(out, event, "free", "heap", "i");
-      char addr[24];
-      std::snprintf(addr, sizeof(addr), "0x%" PRIx64, event.a);
-      out << ",\"s\":\"t\",\"args\":{\"address\":\"" << addr << "\"}}";
+      BeginInstant(w, event, "free", "heap");
+      w.Key("address").String(Hex("0x%" PRIx64, event.a)).EndObject().EndObject();
       return;
     }
     case TraceEventType::kPkruWrite: {
-      WriteEventPrefix(out, event, "pkru_write", "pkru", "i");
-      char pkru[16];
-      std::snprintf(pkru, sizeof(pkru), "0x%08" PRIx64, event.a);
-      out << ",\"s\":\"t\",\"args\":{\"value\":\"" << pkru << "\"}}";
+      BeginInstant(w, event, "pkru_write", "pkru");
+      w.Key("value").String(Hex("0x%08" PRIx64, event.a)).EndObject().EndObject();
       return;
     }
   }
   // Unknown event type (future reader of an old writer): emit a marker so
   // the trace stays valid JSON.
-  WriteEventPrefix(out, event, "unknown", "telemetry", "i");
-  out << "}";
+  BeginEvent(w, event, "unknown", "telemetry", "i");
+  w.EndObject();
 }
 
 }  // namespace
 
-std::string JsonEscape(std::string_view text) {
-  std::string escaped;
-  escaped.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        escaped += "\\\"";
-        break;
-      case '\\':
-        escaped += "\\\\";
-        break;
-      case '\n':
-        escaped += "\\n";
-        break;
-      case '\r':
-        escaped += "\\r";
-        break;
-      case '\t':
-        escaped += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          escaped += buffer;
-        } else {
-          escaped += c;
-        }
-    }
-  }
-  return escaped;
-}
-
 void WriteChromeTrace(std::ostream& out, const std::vector<TraceEvent>& events) {
-  out << "{\"traceEvents\":[";
-  bool first = true;
+  // Flushed per event so a full trace never sits in memory twice.
+  std::string text;
+  json::Writer w(&text);
+  w.BeginObject().Key("traceEvents").BeginArray();
   for (const TraceEvent& event : events) {
-    if (!first) {
-      out << ",\n";
-    }
-    first = false;
-    WriteOneEvent(out, event);
+    WriteOneEvent(w.LineBreak(), event);
+    out << text;
+    text.clear();
   }
-  out << "],\"displayTimeUnit\":\"ns\"}\n";
+  w.EndArray().Key("displayTimeUnit").String("ns").EndObject();
+  out << text << "\n";
 }
 
 void WriteStatsJson(std::ostream& out, const MetricsSnapshot& snapshot) {
-  out << "{\"counters\":{";
-  bool first = true;
+  std::string text;
+  json::Writer w(&text);
+  w.BeginObject().Key("counters").BeginObject();
   for (const auto& [name, value] : snapshot.counters) {
-    out << (first ? "" : ",") << "\"" << JsonEscape(name) << "\":" << value;
-    first = false;
+    w.Key(name).Uint(value);
   }
-  out << "},\"gauges\":{";
-  first = true;
+  w.EndObject().Key("gauges").BeginObject();
   for (const auto& [name, value] : snapshot.gauges) {
-    out << (first ? "" : ",") << "\"" << JsonEscape(name) << "\":" << value;
-    first = false;
+    w.Key(name).Int(value);
   }
-  out << "},\"histograms\":{";
-  first = true;
+  w.EndObject().Key("histograms").BeginObject();
   for (const auto& [name, data] : snapshot.histograms) {
-    out << (first ? "" : ",") << "\"" << JsonEscape(name) << "\":{\"count\":" << data.count
-        << ",\"sum\":" << data.sum << ",\"buckets\":[";
+    w.Key(name).BeginObject().Key("count").Uint(data.count).Key("sum").Uint(data.sum);
+    w.Key("buckets").BeginArray();
     for (size_t i = 0; i < data.bucket_counts.size(); ++i) {
-      if (i != 0) {
-        out << ",";
-      }
-      out << "{\"le\":";
+      w.BeginObject().Key("le");
       if (i < data.bounds.size()) {
-        out << data.bounds[i];
+        w.Uint(data.bounds[i]);
       } else {
-        out << "\"+Inf\"";
+        w.String("+Inf");
       }
-      out << ",\"count\":" << data.bucket_counts[i] << "}";
+      w.Key("count").Uint(data.bucket_counts[i]).EndObject();
     }
-    out << "]}";
-    first = false;
+    w.EndArray().EndObject();
   }
-  out << "}}\n";
+  w.EndObject().EndObject();
+  out << text << "\n";
 }
 
 void WriteStatsText(std::ostream& out, const MetricsSnapshot& snapshot) {

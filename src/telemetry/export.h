@@ -13,9 +13,9 @@
 
 #include <iosfwd>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "src/support/json.h"
 #include "src/support/status.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/trace_ring.h"
@@ -23,9 +23,8 @@
 namespace pkrusafe {
 namespace telemetry {
 
-// Escapes `text` for inclusion inside a JSON string literal (quotes not
-// included).
-std::string JsonEscape(std::string_view text);
+// The support escaper, kept reachable under its older telemetry:: name.
+using json::JsonEscape;
 
 // {"traceEvents":[...],"displayTimeUnit":"ns"} — timestamps converted to
 // microseconds (Chrome's `ts` unit) with nanosecond precision retained in

@@ -2,8 +2,8 @@
 
 #include <chrono>
 
+#include "src/support/json.h"
 #include "src/support/string_util.h"
-#include "src/telemetry/export.h"
 #include "src/telemetry/telemetry.h"
 
 namespace pkrusafe {
@@ -73,12 +73,10 @@ std::string Sampler::FormatSampleLine(uint64_t ts_ms, double interval_s,
                                       const MetricsSnapshot& previous,
                                       const MetricsSnapshot& current) {
   std::string out;
-  out.append(StrFormat("{\"ts_ms\":%llu,\"interval_s\":%s",
-                       static_cast<unsigned long long>(ts_ms),
-                       FormatDouble(interval_s).c_str()));
+  json::Writer w(&out);
+  w.BeginObject().Key("ts_ms").Uint(ts_ms).Key("interval_s").Number(FormatDouble(interval_s));
 
-  out.append(",\"counters\":{");
-  bool first = true;
+  w.Key("counters").BeginObject();
   for (const auto& [name, total] : current.counters) {
     uint64_t prev = 0;
     if (auto it = previous.counters.find(name); it != previous.counters.end()) {
@@ -86,46 +84,30 @@ std::string Sampler::FormatSampleLine(uint64_t ts_ms, double interval_s,
     }
     const uint64_t delta = total >= prev ? total - prev : total;
     const double rate = interval_s > 0 ? static_cast<double>(delta) / interval_s : 0.0;
-    if (!first) {
-      out.push_back(',');
-    }
-    first = false;
-    out.append(StrFormat("\"%s\":{\"total\":%llu,\"rate\":%s}", JsonEscape(name).c_str(),
-                         static_cast<unsigned long long>(total), FormatDouble(rate).c_str()));
+    w.Key(name).BeginObject().Key("total").Uint(total);
+    w.Key("rate").Number(FormatDouble(rate)).EndObject();
   }
-  out.append("}");
+  w.EndObject();
 
-  out.append(",\"gauges\":{");
-  first = true;
+  w.Key("gauges").BeginObject();
   for (const auto& [name, value] : current.gauges) {
-    if (!first) {
-      out.push_back(',');
-    }
-    first = false;
-    out.append(StrFormat("\"%s\":%lld", JsonEscape(name).c_str(), static_cast<long long>(value)));
+    w.Key(name).Int(value);
   }
-  out.append("}");
+  w.EndObject();
 
-  out.append(",\"histograms\":{");
-  first = true;
+  w.Key("histograms").BeginObject();
   for (const auto& [name, data] : current.histograms) {
     const MetricsSnapshot::HistogramData* prev = nullptr;
     if (auto it = previous.histograms.find(name); it != previous.histograms.end()) {
       prev = &it->second;
     }
     const MetricsSnapshot::HistogramData delta = HistogramDelta(data, prev);
-    if (!first) {
-      out.push_back(',');
-    }
-    first = false;
-    out.append(StrFormat("\"%s\":{\"count\":%llu,\"p50\":%s,\"p90\":%s,\"p99\":%s}",
-                         JsonEscape(name).c_str(),
-                         static_cast<unsigned long long>(delta.count),
-                         FormatDouble(HistogramPercentile(delta, 0.50)).c_str(),
-                         FormatDouble(HistogramPercentile(delta, 0.90)).c_str(),
-                         FormatDouble(HistogramPercentile(delta, 0.99)).c_str()));
+    w.Key(name).BeginObject().Key("count").Uint(delta.count);
+    w.Key("p50").Number(FormatDouble(HistogramPercentile(delta, 0.50)));
+    w.Key("p90").Number(FormatDouble(HistogramPercentile(delta, 0.90)));
+    w.Key("p99").Number(FormatDouble(HistogramPercentile(delta, 0.99))).EndObject();
   }
-  out.append("}}");
+  w.EndObject().EndObject();
   return out;
 }
 

@@ -23,6 +23,7 @@ namespace {
 volatile uint8_t g_opaque_zero = 0;
 
 constexpr uint64_t kTextVaddr = 0x401000;
+constexpr uint64_t kRegistryVaddr = 0x402000;
 
 std::vector<uint8_t> Nops(size_t n) { return std::vector<uint8_t>(n, 0x90); }
 
@@ -46,10 +47,17 @@ size_t AppendGate(std::vector<uint8_t>& text, bool with_marker = true) {
 
 struct MiniElf {
   std::vector<uint8_t> text;
+  // Gate vaddrs the registry claims; Write() encodes each as the hardware
+  // backend does, a 4-byte offset from the entry's own address.
   std::vector<uint64_t> registry;
   bool include_registry_section = true;
 
   std::string Write(const std::string& name) const {
+    std::vector<int32_t> entries;
+    for (size_t i = 0; i < registry.size(); ++i) {
+      entries.push_back(static_cast<int32_t>(registry[i] - (kRegistryVaddr + 4 * i)));
+    }
+
     // "\0.text\0.pkru_gate_sites\0.shstrtab\0"
     std::string strtab("\0.text\0.pkru_gate_sites\0.shstrtab\0", 34);
     const uint32_t name_text = 1;
@@ -59,7 +67,7 @@ struct MiniElf {
     auto align8 = [](size_t v) { return (v + 7) & ~size_t{7}; };
     const size_t text_off = 0x100;
     const size_t reg_off = align8(text_off + text.size());
-    const size_t str_off = reg_off + registry.size() * sizeof(uint64_t);
+    const size_t str_off = reg_off + entries.size() * sizeof(int32_t);
     const size_t sh_off = align8(str_off + strtab.size());
     const size_t num_sections = include_registry_section ? 4 : 3;
 
@@ -81,7 +89,9 @@ struct MiniElf {
     std::memcpy(image.data(), &ehdr, sizeof(ehdr));
 
     std::memcpy(image.data() + text_off, text.data(), text.size());
-    std::memcpy(image.data() + reg_off, registry.data(), registry.size() * sizeof(uint64_t));
+    if (!entries.empty()) {  // memcpy from an empty vector's null data() is UB
+      std::memcpy(image.data() + reg_off, entries.data(), entries.size() * sizeof(int32_t));
+    }
     std::memcpy(image.data() + str_off, strtab.data(), strtab.size());
 
     std::vector<Elf64_Shdr> shdrs(num_sections, Elf64_Shdr{});
@@ -96,10 +106,10 @@ struct MiniElf {
       shdrs[next].sh_name = name_registry;
       shdrs[next].sh_type = SHT_PROGBITS;
       shdrs[next].sh_flags = SHF_ALLOC;
-      shdrs[next].sh_addr = 0x402000;
+      shdrs[next].sh_addr = kRegistryVaddr;
       shdrs[next].sh_offset = reg_off;
-      shdrs[next].sh_size = registry.size() * sizeof(uint64_t);
-      shdrs[next].sh_addralign = 8;
+      shdrs[next].sh_size = entries.size() * sizeof(int32_t);
+      shdrs[next].sh_addralign = 4;
       ++next;
     }
     shdrs[next].sh_name = name_strtab;

@@ -244,7 +244,9 @@ TEST(LintTest, TextRenderingNamesRuleSeverityAndHint) {
 TEST(LintTest, JsonRenderingCarriesFindingsAndSummary) {
   Linted l(kBoundaryModule, /*insert_gates=*/false);
   std::ostringstream out;
-  RenderFindingsJson(out, l.sink.findings(), "\"precision\":{\"ratio\":1.0}");
+  RenderFindingsJson(out, l.sink.findings(), [](json::Writer& w) {
+    w.Key("precision").BeginObject().Key("ratio").Number("1.0").EndObject();
+  });
   const std::string json = out.str();
   EXPECT_NE(json.find("\"rule\":\"missing-gate\""), std::string::npos);
   EXPECT_NE(json.find("\"severity\":\"error\""), std::string::npos);

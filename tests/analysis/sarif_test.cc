@@ -1,26 +1,27 @@
 // SARIF 2.1.0 exporter tests: structural checks on the generated document
-// plus a byte-for-byte golden comparison over a seeded-violation module, so
-// any drift in the export format is a visible diff.
+// plus byte-for-byte golden comparisons (SARIF over a seeded-violation
+// module, findings JSON and SARIF over a corpus module run through every
+// lint), so any drift in the export formats is a visible diff.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 
 #include "src/analysis/diagnostics.h"
+#include "src/analysis/lint.h"
 #include "src/analysis/pkru_flow.h"
+#include "src/analysis/points_to.h"
 #include "src/ir/parser.h"
 #include "src/passes/alloc_id_pass.h"
 #include "src/passes/gate_insertion_pass.h"
 #include "src/passes/pass.h"
+#include "src/support/string_util.h"
+#include "tests/golden_file.h"
 
 #ifndef PKRUSAFE_EXAMPLES_IR_DIR
 #error "build must define PKRUSAFE_EXAMPLES_IR_DIR"
-#endif
-#ifndef PKRUSAFE_TEST_GOLDEN_DIR
-#error "build must define PKRUSAFE_TEST_GOLDEN_DIR"
 #endif
 
 namespace pkrusafe {
@@ -103,16 +104,40 @@ TEST(SarifTest, GoldenFileOverSeededViolationModule) {
   std::ostringstream out;
   RenderFindingsSarif(out, sink.findings(), "nested_enter.ir");
 
-  const std::string golden_path =
-      std::string(PKRUSAFE_TEST_GOLDEN_DIR) + "/nested_enter.sarif";
-  if (std::getenv("PKRUSAFE_REGOLDEN") != nullptr) {
-    std::ofstream regen(golden_path, std::ios::binary);
-    regen << out.str();
-    GTEST_SKIP() << "regenerated " << golden_path;
-  }
-  EXPECT_EQ(out.str(), ReadFile(golden_path))
-      << "SARIF output drifted from " << golden_path
-      << "; rerun with PKRUSAFE_REGOLDEN=1 if the change is intentional";
+  golden::ExpectMatches(out.str(), "nested_enter.sarif");
+}
+
+// The corpus module pkrusafe_lint's JSON test runs: trusted-leak findings
+// carrying a function, block, instruction, site and hint.
+TEST(FindingsGoldenTest, CallbacksModuleJsonAndSarif) {
+  auto module =
+      ParseModule(ReadFile(std::string(PKRUSAFE_EXAMPLES_IR_DIR) + "/callbacks.ir"));
+  ASSERT_TRUE(module.ok()) << module.status().ToString();
+  PassManager pm;
+  pm.Add(std::make_unique<AllocIdPass>());
+  pm.Add(std::make_unique<GateInsertionPass>());
+  ASSERT_TRUE(pm.Run(*module).ok());
+  PointsToAnalysis points_to(&*module);
+  ASSERT_TRUE(points_to.Run().ok());
+
+  DiagnosticSink sink;
+  RunAllLints(*module, points_to, nullptr, sink);
+  ASSERT_TRUE(RunPkruFlowLints(*module, &points_to, sink).ok());
+  ASSERT_FALSE(sink.empty());
+
+  // The summary extension as pkrusafe_lint writes it with a profile.
+  const size_t static_sites = points_to.SharedSites().size();
+  std::ostringstream findings;
+  RenderFindingsJson(findings, sink.findings(), [static_sites](json::Writer& w) {
+    w.Key("precision").BeginObject().Key("static_sites").Uint(static_sites);
+    w.Key("dynamic_sites").Uint(3).Key("ratio").Number(StrFormat("%.3f", static_sites / 3.0));
+    w.EndObject();
+  });
+  golden::ExpectMatches(findings.str(), "callbacks.json");
+
+  std::ostringstream sarif;
+  RenderFindingsSarif(sarif, sink.findings(), "callbacks.ir");
+  golden::ExpectMatches(sarif.str(), "callbacks.sarif");
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "gtest/gtest.h"
 #include "src/runtime/profile.h"
 #include "src/support/rng.h"
+#include "tests/golden_file.h"
 
 namespace pkrusafe {
 namespace {
@@ -73,6 +74,12 @@ TEST(ProfileDeltaTest, JsonLineRoundTrip) {
   EXPECT_EQ(decoded->ir_hash(), 0x1234u);
   EXPECT_EQ(decoded->sequence(), 7u);
   EXPECT_EQ(decoded->entries(), delta.entries());
+}
+
+TEST(ProfileDeltaTest, JsonLineMatchesGolden) {
+  const ProfileDelta delta = MakeDelta("canary \"q\" \\ \x01 \xc3\xa9", 0xdeadbeefcafef00dULL, 42,
+                                       {{{0, 0, 0}, 1}, {{100, 50, 2}, 12}});
+  golden::ExpectMatches(delta.ToJsonLine() + "\n", "profile_delta.jsonl");
 }
 
 TEST(ProfileDeltaTest, FuzzRoundTrip) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/support/json.h"
+#include "tests/golden_file.h"
 
 namespace pkrusafe {
 namespace {
@@ -132,6 +133,21 @@ TEST_F(SiteHeapStatsTest, JsonRoundTrips) {
   EXPECT_EQ(first.GetString("id"), "1:2:3");
   EXPECT_EQ(first.Find("untrusted")->GetInt("live_bytes"), 64);
   EXPECT_EQ(first.Find("trusted")->GetInt("live_bytes"), 0);
+}
+
+TEST(SiteStatsJsonTest, MatchesGolden) {
+  SiteHeapStats::SiteTotals first;
+  first.site = AllocId{1, 2, 3};
+  first.live_bytes[SiteHeapStats::kUntrusted] = 64;
+  first.live_objects[SiteHeapStats::kUntrusted] = 1;
+  first.total_bytes[SiteHeapStats::kUntrusted] = 4096;
+  first.total_objects[SiteHeapStats::kUntrusted] = 9;
+  SiteHeapStats::SiteTotals second;
+  second.site = AllocId{4, 0, 6};
+  second.live_bytes[SiteHeapStats::kTrusted] = -32;
+  second.live_objects[SiteHeapStats::kTrusted] = -1;
+  second.total_bytes[SiteHeapStats::kTrusted] = 18446744073709551615ull;
+  golden::ExpectMatches(SiteStatsToJson({first, second}) + "\n", "site_stats.json");
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 // under TSan — it exercises the accept loop, worker pool, sweep thread, and
 // registry against each other.
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
+#include <sstream>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -21,6 +24,7 @@
 #include "src/support/json.h"
 #include "src/telemetry/crash_report.h"
 #include "src/telemetry/export.h"
+#include "tests/golden_file.h"
 
 namespace pkrusafe {
 namespace server {
@@ -44,6 +48,21 @@ json::Value MustParse(const std::string& line) {
   auto parsed = json::Parse(line);
   EXPECT_TRUE(parsed.ok()) << line;
   return parsed.ok() ? *parsed : json::Value();
+}
+
+// Replaces each run of hex digits that follows `prefix` with N: timings,
+// timestamps and heap addresses are the only bytes of a response that vary
+// from run to run.
+std::string Mask(std::string text, const std::string& prefix) {
+  for (size_t at = text.find(prefix); at != std::string::npos; at = text.find(prefix, at + 1)) {
+    const size_t begin = at + prefix.size();
+    size_t end = begin;
+    while (end < text.size() && std::isxdigit(static_cast<unsigned char>(text[end]))) {
+      ++end;
+    }
+    text.replace(begin, end - begin, "N");
+  }
+  return text;
 }
 
 TEST(SandboxServerTest, ServesScriptsAndReportsResults) {
@@ -407,6 +426,79 @@ TEST(SandboxServerTest, WarmHintsPrefaultTheNextBatch) {
   const VpkeyStats after = (*server)->compartments().vpkey_stats();
   EXPECT_EQ(after.misses, before.misses);  // batch ran entirely on hits
   EXPECT_GT(after.hits, before.hits);
+}
+
+// Every response shape, byte for byte: ok, script error, violation (and
+// its crash report), dead-tenant refusal and the three parse-time rejects.
+TEST(SandboxServerTest, ResponsesMatchGolden) {
+  auto runtime = MakeSimRuntime();
+  ASSERT_NE(runtime, nullptr);
+  SandboxServerOptions options;
+  options.enable_vulnerability = true;
+  options.crash_dir = ::testing::TempDir();
+  auto server = SandboxServer::Create(runtime.get(), options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  const char* requests[] = {
+      R"({"tenant":"alice","script":"let x = 6 * 7; print(x); print(\"a\\\"b\"); return \"r\";"})",
+      R"({"tenant":"alice","script":"let = ;"})",
+      R"({"tenant":"evil","script":"__poke(secret_addr(), 255);"})",
+      R"({"tenant":"evil","script":"let b = 2;"})",
+      "not json",
+      R"({"script":"1;"})",
+      R"({"tenant":"../x","script":"1;"})",
+  };
+  std::string responses;
+  for (const char* request : requests) {
+    const std::string response = (*server)->HandleRequestLine(request);
+    responses += Mask(Mask(response, "\"latency_ns\":"), "write of 0x") + "\n";
+  }
+  golden::ExpectMatches(responses, "responses.jsonl");
+
+  std::ifstream report_file(options.crash_dir + "/crash-evil.json", std::ios::binary);
+  ASSERT_TRUE(report_file.good());
+  std::ostringstream report;
+  report << report_file.rdbuf();
+  golden::ExpectMatches(Mask(Mask(report.str(), "\"ts_ns\":"), "write of 0x"),
+                        "crash_report.json");
+}
+
+// Strings a script controls (its prints, its result, the compiler's echo of
+// a bad token) reach the client escaped and parse back unchanged.
+TEST(SandboxServerTest, HostileStringsRoundTripThroughResponses) {
+  auto runtime = MakeSimRuntime();
+  ASSERT_NE(runtime, nullptr);
+  auto server = SandboxServer::Create(runtime.get(), SandboxServerOptions{});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  // In the script source: a raw 0x01 byte, then \" and \\ escapes.
+  const std::string literal = "\"A\x01\\\"B\\\\C\"";
+  const std::string value = "A\x01\"B\\C";
+  const auto request = [](const std::string& script) {
+    std::string line;
+    json::Writer w(&line);
+    w.BeginObject().Key("tenant").String("t").Key("script").String(script).EndObject();
+    return line;
+  };
+
+  const std::string ok_line =
+      (*server)->HandleRequestLine(request("let s = " + literal + "; print(s); return s;"));
+  const json::Value ok = MustParse(ok_line);
+  EXPECT_TRUE(BoolField(ok, "ok")) << ok_line;
+  ASSERT_NE(ok.Find("prints"), nullptr) << ok_line;
+  ASSERT_EQ(ok.Find("prints")->AsArray().size(), 1u) << ok_line;
+  EXPECT_EQ(ok.Find("prints")->AsArray()[0].AsString(), value);
+  EXPECT_EQ(ok.GetString("result"), value);
+
+  // No jsvm compile error echoes a whole string literal, but the lexer echoes
+  // the one character it cannot place: here a raw 0x01 and a backslash.
+  for (const std::string stray : {"\x01", "\\"}) {
+    const std::string bad_line = (*server)->HandleRequestLine(request("let a = 1; " + stray));
+    const json::Value bad = MustParse(bad_line);
+    EXPECT_FALSE(BoolField(bad, "ok")) << bad_line;
+    EXPECT_FALSE(BoolField(bad, "dead")) << bad_line;
+    EXPECT_EQ(bad.GetString("error"), "line 1: unexpected character '" + stray + "'");
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 namespace pkrusafe {
 namespace json {
@@ -99,6 +101,81 @@ TEST(JsonTest, ParsePrefixFramesJsonl) {
   auto second = ParsePrefix(std::string_view(two_rows).substr(consumed), &consumed);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->GetInt("a"), 2);
+}
+
+TEST(JsonWriterTest, PlacesCommasAndNests) {
+  std::string out;
+  Writer w(&out);
+  w.BeginObject().Key("a").Int(-3).Key("b").Uint(UINT64_MAX).Key("c").Bool(true);
+  w.Key("d").Null().Key("e").Number("0.500").Key("empty_obj").BeginObject().EndObject();
+  w.Key("empty_arr").BeginArray().EndArray().Key("arr").BeginArray();
+  w.Int(1).BeginObject().Key("x").String("y").EndObject().BeginArray().EndArray().Bool(false);
+  w.EndArray().EndObject();
+  EXPECT_EQ(out,
+            R"({"a":-3,"b":18446744073709551615,"c":true,"d":null,"e":0.500,"empty_obj":{},)"
+            R"("empty_arr":[],"arr":[1,{"x":"y"},[],false]})");
+}
+
+TEST(JsonWriterTest, LineBreakSplitsElementsButNotTheFirst) {
+  std::string out;
+  Writer w(&out);
+  w.BeginArray();
+  for (int i = 0; i < 3; ++i) {
+    w.LineBreak().Int(i);
+  }
+  w.EndArray();
+  EXPECT_EQ(out, "[0,\n1,\n2]");
+}
+
+TEST(JsonWriterTest, AppendsToExistingText) {
+  std::string out = "row: ";
+  Writer(&out).BeginObject().Key("k").String("v").EndObject();
+  EXPECT_EQ(out, R"(row: {"k":"v"})");
+}
+
+TEST(JsonWriterTest, EscapesWithShortFormsAndLowercaseHex) {
+  EXPECT_EQ(JsonEscape("q\"b\\n\nr\rt\t/\x01\x1f\x7f"),
+            "q\\\"b\\\\n\\nr\\rt\\t/\\u0001\\u001f\x7f");
+  EXPECT_EQ(JsonEscape("plain"), "plain");
+  EXPECT_EQ(JsonEscape(""), "");
+}
+
+// Every string the writer emits, as key or value, parses back to itself.
+TEST(JsonWriterTest, HostileStringsRoundTripThroughTheParser) {
+  std::vector<std::string> table;
+  for (int c = 0x01; c <= 0x1f; ++c) {
+    table.emplace_back(1, static_cast<char>(c));
+    table.push_back("a" + std::string(1, static_cast<char>(c)) + "b");
+  }
+  for (const char* s : {"\"", "\\", "/", "\x7f", "\\\"", "\"\\\"\\", "\\u0041", "</script>",
+                        "caf\xc3\xa9", "\xe6\x97\xa5\xe6\x9c\xac", "\xf0\x9f\x94\x91",
+                        "mixed \x01\"\\/\x7f\xc3\xa9\xf0\x9f\x94\x91\n\r\t end", ""}) {
+    table.emplace_back(s);
+  }
+  std::string all;
+  for (const std::string& s : table) {
+    all += s;
+  }
+  table.push_back(all);
+
+  for (const std::string& s : table) {
+    std::string out;
+    Writer w(&out);
+    w.BeginObject().Key(s).String(s).Key("list").BeginArray().String(s).String(s).EndArray();
+    w.EndObject();
+    auto parsed = Parse(out);
+    ASSERT_TRUE(parsed.ok()) << out << ": " << parsed.status().ToString();
+    EXPECT_EQ(parsed->GetString(s, "<missing>"), s) << out;
+    const Value* list = parsed->Find("list");
+    ASSERT_NE(list, nullptr) << out;
+    ASSERT_EQ(list->AsArray().size(), 2u) << out;
+    EXPECT_EQ(list->AsArray()[0].AsString(), s) << out;
+    EXPECT_EQ(list->AsArray()[1].AsString(), s) << out;
+    // Nothing below 0x20 survives unescaped into the document.
+    for (const char c : out) {
+      EXPECT_GE(static_cast<unsigned char>(c), 0x20) << out;
+    }
+  }
 }
 
 }  // namespace

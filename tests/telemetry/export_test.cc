@@ -9,7 +9,9 @@
 #include <vector>
 
 #include "src/telemetry/metrics.h"
+#include "src/telemetry/sampler.h"
 #include "src/telemetry/trace_ring.h"
+#include "tests/golden_file.h"
 
 namespace pkrusafe {
 namespace telemetry {
@@ -306,6 +308,41 @@ TEST(StatsTextTest, ListsEveryMetricKind) {
   EXPECT_NE(text.find("depth = 2"), std::string::npos);
   EXPECT_NE(text.find("histogram lat: count=1 sum=4 mean=4"), std::string::npos);
   EXPECT_NE(text.find("le 10: 1"), std::string::npos);
+}
+
+// Byte goldens for the exporters over fixed inputs: every metric kind, a
+// name that needs escaping, a negative gauge and a +Inf bucket.
+MetricsSnapshot FixedSnapshot(uint64_t scale) {
+  MetricsSnapshot snapshot;
+  snapshot.counters["gate.crossings"] = 160 * scale;
+  snapshot.counters["odd \"name\"\\\x01"] = 3 * scale;
+  snapshot.gauges["heap.live"] = 4096;
+  snapshot.gauges["pool.delta"] = -7;
+  MetricsSnapshot::HistogramData lat;
+  lat.bounds = {10, 20, 1000};
+  lat.bucket_counts = {6 * scale, 4 * scale, 1 * scale, scale};
+  lat.count = 12 * scale;
+  lat.sum = 4321 * scale;
+  snapshot.histograms["lat_ns"] = lat;
+  return snapshot;
+}
+
+TEST(EmitterGoldenTest, StatsJson) {
+  std::ostringstream out;
+  WriteStatsJson(out, FixedSnapshot(2));
+  golden::ExpectMatches(out.str(), "stats.json");
+}
+
+TEST(EmitterGoldenTest, SampleLine) {
+  const std::string line =
+      Sampler::FormatSampleLine(1234, 2.5, FixedSnapshot(1), FixedSnapshot(3));
+  golden::ExpectMatches(line + "\n", "sample_line.jsonl");
+}
+
+TEST(EmitterGoldenTest, ChromeTrace) {
+  std::ostringstream out;
+  WriteChromeTrace(out, SampleEvents());
+  golden::ExpectMatches(out.str(), "chrome_trace.json");
 }
 
 }  // namespace

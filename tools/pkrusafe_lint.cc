@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <sstream>
@@ -151,7 +152,7 @@ int main(int argc, char** argv) {
   }
 
   analysis::DiagnosticSink sink;
-  std::string extra_summary;
+  std::function<void(json::Writer&)> extra_summary;
 
   if (check_binary) {
     analysis::GateInventory inventory;
@@ -219,9 +220,11 @@ int main(int argc, char** argv) {
       const double ratio = dynamic_sites == 0 ? 0.0
                                               : static_cast<double>(static_sites) /
                                                     static_cast<double>(dynamic_sites);
-      extra_summary = StrFormat(
-          "\"precision\":{\"static_sites\":%zu,\"dynamic_sites\":%zu,\"ratio\":%.3f}",
-          static_sites, dynamic_sites, ratio);
+      extra_summary = [static_sites, dynamic_sites, ratio](json::Writer& w) {
+        w.Key("precision").BeginObject().Key("static_sites").Uint(static_sites);
+        w.Key("dynamic_sites").Uint(dynamic_sites).Key("ratio").Number(StrFormat("%.3f", ratio));
+        w.EndObject();
+      };
       if (format == "text") {
         if (dynamic_sites == 0) {
           std::printf("precision: %zu static site(s), empty dynamic profile\n", static_sites);
@@ -231,7 +234,9 @@ int main(int argc, char** argv) {
         }
       }
     } else {
-      extra_summary = StrFormat("\"precision\":{\"static_sites\":%zu}", static_sites);
+      extra_summary = [static_sites](json::Writer& w) {
+        w.Key("precision").BeginObject().Key("static_sites").Uint(static_sites).EndObject();
+      };
       if (format == "text") {
         std::printf("static profile: %zu shared site(s), %zu abstract object(s), %d "
                     "iteration(s)\n",

@@ -26,6 +26,7 @@
 #include "src/mpk/backend_factory.h"
 #include "src/runtime/runtime.h"
 #include "src/server/sandbox_server.h"
+#include "src/support/json.h"
 #include "src/telemetry/sampler.h"
 
 namespace {
@@ -168,17 +169,14 @@ int main(int argc, char** argv) {
 
   if (print_stats) {
     const server::SandboxServer::Stats stats = (*server)->stats();
-    std::printf(
-        "{\"requests\":%llu,\"ok\":%llu,\"script_errors\":%llu,\"violations\":%llu,"
-        "\"rejected\":%llu,\"tenants_created\":%llu,\"tenants_released\":%llu,"
-        "\"tenants_killed\":%llu}\n",
-        static_cast<unsigned long long>(stats.requests), static_cast<unsigned long long>(stats.ok),
-        static_cast<unsigned long long>(stats.script_errors),
-        static_cast<unsigned long long>(stats.violations),
-        static_cast<unsigned long long>(stats.rejected),
-        static_cast<unsigned long long>(stats.tenants.created),
-        static_cast<unsigned long long>(stats.tenants.released),
-        static_cast<unsigned long long>(stats.tenants.killed));
+    std::string line;
+    json::Writer w(&line);
+    w.BeginObject().Key("requests").Uint(stats.requests).Key("ok").Uint(stats.ok);
+    w.Key("script_errors").Uint(stats.script_errors).Key("violations").Uint(stats.violations);
+    w.Key("rejected").Uint(stats.rejected).Key("tenants_created").Uint(stats.tenants.created);
+    w.Key("tenants_released").Uint(stats.tenants.released);
+    w.Key("tenants_killed").Uint(stats.tenants.killed).EndObject();
+    std::printf("%s\n", line.c_str());
   }
   return 0;
 }

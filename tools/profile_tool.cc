@@ -203,16 +203,14 @@ Status SaveArtifactAtomically(const ProfileArtifact& artifact, const std::string
 
 // The kPolicyUpdate frame payload pushed back to producers.
 std::string PolicyUpdateJson(const char* action, const std::vector<AllocId>& sites) {
-  std::string payload = "{\"kind\":\"pkru_safe_policy_update\",\"action\":\"";
-  payload += action;
-  payload += "\",\"sites\":[";
-  for (size_t i = 0; i < sites.size(); ++i) {
-    if (i > 0) {
-      payload.push_back(',');
-    }
-    payload += "\"" + sites[i].ToString() + "\"";
+  std::string payload;
+  json::Writer w(&payload);
+  w.BeginObject().Key("kind").String("pkru_safe_policy_update").Key("action").String(action);
+  w.Key("sites").BeginArray();
+  for (const AllocId& site : sites) {
+    w.String(site.ToString());
   }
-  payload += "]}";
+  w.EndArray().EndObject();
   return payload;
 }
 
