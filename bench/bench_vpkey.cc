@@ -14,6 +14,13 @@
 //     resident and the policies tie; past the slot count LFU keeps the hot
 //     set resident through cold sweeps while LRU lets the sweep flush it.
 //
+//  3. Does a key miss get slower as a long-lived process releases
+//     libraries (the churn case)? Re-tag µs per miss is measured after 0
+//     and after 20,000 released libraries on every available backend. A
+//     backend re-tag publishes every tagged range in the process, so the
+//     cost stays flat only while released pools are recycled instead of
+//     accumulating.
+//
 // Writes BENCH_vpkey.json via the shared emitter.
 #include <chrono>
 #include <cstdio>
@@ -22,6 +29,7 @@
 #include <vector>
 
 #include "bench/bench_json.h"
+#include "src/mpk/backend_factory.h"
 #include "src/mpk/sim_backend.h"
 #include "src/multidomain/multi_compartment.h"
 #include "src/runtime/call_gate.h"
@@ -191,6 +199,53 @@ AblationResult RunAblation(int compartments, EvictionPolicy policy) {
   return result;
 }
 
+constexpr int kChurnLive = 8;  // twice the slots: every entry misses
+constexpr int kChurnMisses = 2000;
+constexpr int kChurnReleased = 20000;
+
+// Re-tag µs per key miss among kChurnLive round-robin libraries, after
+// `released` libraries were registered, used and released, on a fresh
+// backend named as --backend= takes it. Negative when the backend is
+// unavailable here.
+double MeasureRetagUsPerMiss(const char* backend_name, int released) {
+  auto backend = CreateMpkBackend(*ParseBackendKind(backend_name));
+  if (!backend.ok()) {
+    return -1;
+  }
+  (*backend)->WritePkru(PkruValue::AllowAll());
+  MultiCompartmentConfig config = SmallPools(EvictionPolicy::kLru);
+  config.library_pool_bytes = size_t{256} << 10;
+  config.max_hw_slots = kChurnLive / 2;
+  auto mc = MultiCompartment::Create(backend->get(), config);
+  if (!mc.ok()) {
+    std::fprintf(stderr, "%s: %s\n", backend_name, mc.status().ToString().c_str());
+    return -1;
+  }
+  for (int i = 0; i < released; ++i) {
+    auto id = (*mc)->RegisterLibrary("released");
+    if (!id.ok() || (*mc)->AllocateIn(*id, 64) == nullptr || !(*mc)->ReleaseLibrary(*id).ok()) {
+      std::fprintf(stderr, "%s: session %d failed\n", backend_name, i);
+      return -1;
+    }
+  }
+  std::vector<LibraryId> live;
+  for (int i = 0; i < kChurnLive; ++i) {
+    live.push_back(*(*mc)->RegisterLibrary("live" + std::to_string(i)));
+  }
+  for (int i = 0; i < 2 * kChurnLive; ++i) {  // first-touch work out of the timing
+    MultiCompartment::Scope warm(**mc, live[i % kChurnLive]);
+  }
+  const VpkeyStats before = (*mc)->vpkey_stats();
+  for (int i = 0; i < kChurnMisses; ++i) {
+    MultiCompartment::Scope scope(**mc, live[i % kChurnLive]);
+  }
+  const VpkeyStats after = (*mc)->vpkey_stats();
+  const uint64_t misses = after.misses - before.misses;
+  return misses == 0 ? -1
+                     : static_cast<double>(after.retag_ns - before.retag_ns) / 1e3 /
+                           static_cast<double>(misses);
+}
+
 }  // namespace
 
 int main() {
@@ -227,6 +282,25 @@ int main() {
       out.Add("evictions" + tag, static_cast<double>(r.evictions), "count");
       out.Add("retag_mb" + tag, r.retag_mb, "MiB");
     }
+  }
+
+  std::printf("\nchurn: re-tag cost per miss, %d live libraries over %d slots\n", kChurnLive,
+              kChurnLive / 2);
+  std::printf("%10s %16s %16s %8s\n", "backend", "released:0 us",
+              ("released:" + std::to_string(kChurnReleased) + " us").c_str(), "ratio");
+  for (const char* name : {"sim", "mprotect", "hardware"}) {
+    const double fresh = MeasureRetagUsPerMiss(name, 0);
+    if (fresh < 0) {
+      std::printf("%10s %16s\n", name, "unavailable");
+      continue;
+    }
+    const double churned = MeasureRetagUsPerMiss(name, kChurnReleased);
+    std::printf("%10s %16.2f %16.2f %7.2fx\n", name, fresh, churned, churned / fresh);
+    const std::string tag = std::string("/backend:") + name;
+    out.Add("retag_us_per_miss" + tag + "/released:0", fresh, "us");
+    out.Add("retag_us_per_miss" + tag + "/released:" + std::to_string(kChurnReleased), churned,
+            "us");
+    out.Add("retag_growth_ratio" + tag, churned / fresh, "x");
   }
   out.Write();
   return 0;

@@ -207,13 +207,15 @@ run_vpkey() {
   # The virtual-pkey cache's lock-free pin fast path races eviction by
   # design (hazard-pointer protocol, see src/multidomain/pin_registry.h), so
   # the multidomain suite — including the stress tests that hammer pins
-  # against forced evictions — runs under ThreadSanitizer, along with the
-  # publication protocol of the lock-free library table.
+  # against forced evictions and release/reuse of library entries — runs
+  # under ThreadSanitizer, along with the publication protocol of the
+  # lock-free library table. ctest -R is case-sensitive: the pattern names
+  # the gtest suites, not the binary.
   cmake -B build/check-tsan -S . -DPKRUSAFE_SANITIZE=thread
   cmake --build build/check-tsan -j "$(nproc)" \
     --target multidomain_test support_test multidomain_sandbox
   ctest --test-dir build/check-tsan --output-on-failure \
-    -R 'multidomain|StableIndexArray|example_multidomain'
+    -R 'Vpkey|Multidomain|MultiCompartment|StableIndexArray|example_multidomain'
   echo "-- vpkey: 32 tenants past the 16-key hardware limit"
   build/check-tsan/examples/multidomain_sandbox --libraries=32 --backend=sim
   build/check-tsan/examples/multidomain_sandbox --libraries=32 --backend=mprotect \

@@ -38,9 +38,8 @@ Result<std::unique_ptr<MultiCompartment>> MultiCompartment::Create(
   VpkeyConfig vpkey_config;
   vpkey_config.policy = config.eviction_policy;
   vpkey_config.max_hw_slots = config.max_hw_slots;
-  vpkey_config.always_deny = {mc->trusted_key_};
-  vpkey_config.always_deny.insert(vpkey_config.always_deny.end(), config.extra_deny.begin(),
-                                  config.extra_deny.end());
+  vpkey_config.always_deny = config.extra_deny;
+  vpkey_config.always_deny.push_back(mc->trusted_key_);
   PS_ASSIGN_OR_RETURN(mc->vpkeys_, VirtualPkeyTable::Create(backend, vpkey_config));
 
   // Make sure the foreign-free counter exists before any crash report could
@@ -62,34 +61,53 @@ Result<LibraryId> MultiCompartment::RegisterLibrary(const std::string& name) {
   std::lock_guard lock(mu_);
   PS_ASSIGN_OR_RETURN(const VirtualKeyId vkey, vpkeys_->AllocateVirtualKey());
 
-  auto arena = Arena::Create(config_.library_pool_bytes);
-  if (!arena.ok()) {
-    // Without the release this slot of the (virtual) key space would burn
-    // forever — the pre-virtualization bug permanently lost one of the 15
-    // hardware keys here.
-    (void)vpkeys_->ReleaseVirtualKey(vkey);
-    return arena.status();
+  // Every failure below releases the key: without that this slot of the
+  // (virtual) key space would burn forever — the pre-virtualization bug
+  // permanently lost one of the 15 hardware keys here.
+  const bool recycled = !free_ids_.empty();
+  Library* library;
+  LibraryId id;
+  if (recycled) {
+    id = free_ids_.back();
+    library = &LibraryAt(id);
+  } else {
+    library = libraries_.Claim();
+    if (library == nullptr) {
+      (void)vpkeys_->ReleaseVirtualKey(vkey);
+      return ResourceExhaustedError("library table full");
+    }
+    id = static_cast<LibraryId>(libraries_.size() + 1);
+    // A claimed slot whose registration failed below keeps its pool for the
+    // next claim of the same slot.
+    if (library->arena == nullptr) {
+      auto arena = Arena::Create(config_.library_pool_bytes);
+      if (!arena.ok()) {
+        (void)vpkeys_->ReleaseVirtualKey(vkey);
+        return arena.status();
+      }
+      library->heap = std::make_unique<FreeListHeap>(arena->get());
+      library->arena = std::move(*arena);
+    }
   }
-  const Status tag = vpkeys_->TagRange(vkey, (*arena)->base(), (*arena)->reserved_bytes());
+  // A recycled pool's pages already carry the evicted key (release re-tags
+  // a resident pool out), so this only binds the range to the new key.
+  const Status tag =
+      vpkeys_->TagRange(vkey, library->arena->base(), library->arena->reserved_bytes());
   if (!tag.ok()) {
     (void)vpkeys_->ReleaseVirtualKey(vkey);
     return tag;
   }
-
-  Library* library = libraries_.Claim();
-  if (library == nullptr) {
-    (void)vpkeys_->ReleaseVirtualKey(vkey);
-    return ResourceExhaustedError("library table full");
-  }
   library->name = name;
-  library->vkey = vkey;
-  library->heap = std::make_unique<FreeListHeap>(arena->get());
-  library->arena = std::move(*arena);
+  library->vkey.store(vkey, std::memory_order_relaxed);
   library->live_heap.store(library->heap.get(), std::memory_order_release);
-  // Publish after the entry is complete: lock-free readers that observe the
-  // new count see a fully-built Library.
-  libraries_.Publish();
-  return static_cast<LibraryId>(libraries_.size());
+  if (recycled) {
+    free_ids_.pop_back();
+  } else {
+    // Publish after the entry is complete: lock-free readers that observe
+    // the new count see a fully-built Library.
+    libraries_.Publish();
+  }
+  return id;
 }
 
 Status MultiCompartment::ReleaseLibrary(LibraryId library) {
@@ -106,12 +124,17 @@ Status MultiCompartment::ReleaseLibrary(LibraryId library) {
   // success the vpkey layer re-tags any resident pool pages to the shared
   // evicted key before recycling the id, so the dying pool is locked from
   // the instant the key is gone.
-  PS_RETURN_IF_ERROR(vpkeys_->ReleaseVirtualKey(entry.vkey));
+  PS_RETURN_IF_ERROR(vpkeys_->ReleaseVirtualKey(entry.vkey.load(std::memory_order_relaxed)));
   // Dead to lock-free scanners first, then return the pool's pages. The
-  // heap/arena objects stay behind (retired in place, see Library) so a
-  // scan that loaded live_heap a moment ago still reads valid memory.
+  // heap/arena objects stay (see Library), so a scan that loaded live_heap a
+  // moment ago still reads valid memory.
   entry.live_heap.store(nullptr, std::memory_order_release);
-  return entry.arena->DecommitAll();
+  // A pool whose pages could not be dropped is never handed to another
+  // library: it would expose this one's data.
+  PS_RETURN_IF_ERROR(entry.arena->DecommitAll());
+  entry.heap->Reset();
+  free_ids_.push_back(library);
+  return Status::Ok();
 }
 
 Status MultiCompartment::PrefaultWorkingSet(const std::vector<LibraryId>& working_set) {
@@ -127,7 +150,10 @@ Status MultiCompartment::PrefaultWorkingSet(const std::vector<LibraryId>& workin
     // PolicyFor faults the key into a hardware slot without pinning it —
     // exactly the warm-up wanted here. It can still be evicted before the
     // batch runs; that only costs the fault-in this call tried to hoist.
-    PS_RETURN_IF_ERROR(vpkeys_->PolicyFor(entry.vkey).status());
+    // (An id released and reused in between warms its new holder: harmless
+    // for a hint.)
+    PS_RETURN_IF_ERROR(
+        vpkeys_->PolicyFor(entry.vkey.load(std::memory_order_relaxed)).status());
   }
   return Status::Ok();
 }
@@ -203,14 +229,14 @@ PkruValue MultiCompartment::PolicyFor(LibraryId library) {
     return PkruValue::AllowAll();
   }
   std::lock_guard lock(mu_);
-  auto mask = vpkeys_->PolicyFor(LibraryAt(library).vkey);
+  auto mask = vpkeys_->PolicyFor(LibraryAt(library).vkey.load(std::memory_order_relaxed));
   PS_CHECK(mask.ok()) << "PolicyFor(" << library << "): " << mask.status().ToString();
   return *mask;
 }
 
 void MultiCompartment::EnterLibrary(LibraryId library) {
   PS_CHECK_GE(library, 1u);
-  const VirtualKeyId vkey = LibraryAt(library).vkey;
+  const VirtualKeyId vkey = LibraryAt(library).vkey.load(std::memory_order_relaxed);
   // Resident key: pin with no lock and no RMW — this is the path the
   // ≤10%-over-legacy acceptance bar measures. Evicted (or racing an
   // eviction): fall into the locked fault-in.
@@ -242,27 +268,23 @@ void MultiCompartment::ExitLibrary() {
 size_t MultiCompartment::library_count() const { return libraries_.size(); }
 
 size_t MultiCompartment::live_library_count() const {
-  const size_t total = libraries_.size();
-  size_t live = 0;
-  for (size_t i = 0; i < total; ++i) {
-    const Library* library = libraries_.at(i);
-    if (library != nullptr && library->live_heap.load(std::memory_order_acquire) != nullptr) {
-      ++live;
-    }
-  }
-  return live;
+  std::lock_guard lock(mu_);
+  return libraries_.size() - free_ids_.size();
 }
 
-std::string MultiCompartment::library_name(LibraryId id) const { return LibraryAt(id).name; }
+std::string MultiCompartment::library_name(LibraryId id) const {
+  std::lock_guard lock(mu_);
+  return LibraryAt(id).name;
+}
 
 PkeyId MultiCompartment::key_of(LibraryId id) const {
   std::lock_guard lock(mu_);
-  return vpkeys_->CurrentHardwareKey(LibraryAt(id).vkey);
+  return vpkeys_->CurrentHardwareKey(LibraryAt(id).vkey.load(std::memory_order_relaxed));
 }
 
 bool MultiCompartment::library_resident(LibraryId id) const {
   std::lock_guard lock(mu_);
-  return vpkeys_->IsResident(LibraryAt(id).vkey);
+  return vpkeys_->IsResident(LibraryAt(id).vkey.load(std::memory_order_relaxed));
 }
 
 VpkeyStats MultiCompartment::vpkey_stats() const {

@@ -32,6 +32,25 @@
 // racing scans over other libraries stay safe throughout.
 // transition_count() is maintained lossily for the same reason and may
 // undercount under concurrency.
+//
+// Recycling: a released library's id, pool reservation and heap object go
+// on a free list, and the next RegisterLibrary takes them back with a fresh
+// virtual key. Table entries, reserved pools and tagged ranges are therefore
+// bounded by the peak number of live libraries, not by every registration a
+// long-lived server ever made — which keeps each eviction's re-tag (whose
+// backend cost grows with the tagged ranges in the process) flat. Three
+// consequences:
+//
+//   * A pointer into a released pool is dangling, as with any freed memory:
+//     the pages were decommitted and read zero, and once the pool is
+//     recycled the same address may hold the next holder's objects. A stale
+//     LibraryId likewise names the next holder once it is reused.
+//   * library_count() counts table entries (peak live libraries), not ids
+//     ever minted.
+//   * Entries are rewritten on reuse. The fields lock-free readers touch are
+//     written so racing readers stay clean under ThreadSanitizer: `vkey` is
+//     atomic, `live_heap` publishes the heap (and the pool stays the same
+//     object for the entry's lifetime), and `name` is read under the mutex.
 #ifndef SRC_MULTIDOMAIN_MULTI_COMPARTMENT_H_
 #define SRC_MULTIDOMAIN_MULTI_COMPARTMENT_H_
 
@@ -89,23 +108,24 @@ class MultiCompartment {
   MultiCompartment(const MultiCompartment&) = delete;
   MultiCompartment& operator=(const MultiCompartment&) = delete;
 
-  // Registers an untrusted library: mints its virtual key, reserves and tags
-  // its private pool. The count is unbounded — libraries beyond the hardware
+  // Registers an untrusted library: mints its virtual key and tags its
+  // private pool — a released library's pool when one is free, else a newly
+  // reserved one. The count is unbounded — libraries beyond the hardware
   // slot capacity time-share slots through eviction.
   Result<LibraryId> RegisterLibrary(const std::string& name);
 
   // Tears down a dead tenant's compartment: returns its virtual key (and
-  // hardware slot, if resident) to the cache and its pool pages to the OS.
-  // Registration used to be append-only, so long-lived servers leaked one
-  // key and one pool reservation per evicted session.
+  // hardware slot, if resident) to the cache and its pool pages to the OS,
+  // then puts the id, pool reservation and heap on the free list for the
+  // next RegisterLibrary (see "Recycling" above).
   //
   // Quarantine contract: a key still pinned by an in-flight EnterLibrary
   // refuses release with FailedPrecondition and NOTHING is torn down — the
   // caller keeps the session quarantined and retries once its requests
-  // drain. After success the id is dead forever (ids are never reused);
+  // drain. After success the id is dead until it is handed out again;
   // racing ownership scans on other threads stay safe, but EnterLibrary /
   // AllocateIn on the released id are caller bugs (the former dies, the
-  // latter returns nullptr).
+  // latter returns nullptr until the id is reused).
   Status ReleaseLibrary(LibraryId library);
 
   // Faults the working set's virtual keys into hardware slots ahead of a
@@ -155,8 +175,10 @@ class MultiCompartment {
   // resident keys.
   PkruValue PolicyFor(LibraryId library);
 
+  // Library table entries: the peak number of live libraries, since released
+  // entries are reused before the table grows.
   size_t library_count() const;
-  // Registered minus released (library_count() counts every id ever minted).
+  // Registered minus released.
   size_t live_library_count() const;
   std::string library_name(LibraryId id) const;
   PkeyId trusted_key() const { return trusted_key_; }
@@ -171,23 +193,23 @@ class MultiCompartment {
 
  private:
   struct Library {
-    std::string name;
-    VirtualKeyId vkey = 0;
+    std::string name;  // guarded by mu_ (rewritten on reuse)
+    // Read lock-free by EnterLibrary; rewritten under mu_ on reuse.
+    std::atomic<VirtualKeyId> vkey{0};
+    // Created with the entry and kept for its lifetime: release decommits
+    // the arena and resets the heap in place, reuse re-tags the same arena.
     std::unique_ptr<Arena> arena;
     std::unique_ptr<FreeListHeap> heap;
     // Lock-free scanner view of `heap`: non-null while the library is live,
-    // null once released. The heap and arena objects are retired in place
-    // (never destroyed — table entries are permanent and the objects are a
-    // few hundred bytes; the pool's pages are decommitted), so a scanner
-    // that loaded the pointer just before a release still dereferences a
-    // valid heap over a valid reservation.
+    // null while released. A scanner that loaded the pointer just before a
+    // release still dereferences a valid heap over a valid reservation.
     std::atomic<FreeListHeap*> live_heap{nullptr};
   };
 
   MultiCompartment(MpkBackend* backend, MultiCompartmentConfig config)
       : backend_(backend), config_(config) {}
 
-  // Lock-free: entries are immutable once published.
+  // Lock-free: published entries are never moved or freed.
   PS_ALWAYS_INLINE Library& LibraryAt(LibraryId id) {
     PS_CHECK_GE(id, 1u);
     Library* library = libraries_.at(id - 1);
@@ -206,11 +228,13 @@ class MultiCompartment {
   std::unique_ptr<Arena> shared_arena_;
   std::unique_ptr<FreeListHeap> shared_heap_;
 
-  // Guards registration (the libraries_ writer side) and every vpkeys_
-  // mutation: fault-in, eviction, release, stats. Reads of published
-  // Library entries and the vpkey pin fast path take no lock.
+  // Guards registration (the libraries_ writer side), free_ids_ and every
+  // vpkeys_ mutation: fault-in, eviction, release, stats. Lock-free reads of
+  // published Library entries and the vpkey pin fast path take no lock.
   mutable std::mutex mu_;
   StableIndexArray<Library> libraries_;
+  // Released ids whose entries wait for reuse.
+  std::vector<LibraryId> free_ids_;
   std::unique_ptr<VirtualPkeyTable> vpkeys_;
 
   // Lossy (plain load+store): the transition fast path pays no RMW. Exact

@@ -172,13 +172,7 @@ Result<VirtualKeyId> VirtualPkeyTable::AllocateVirtualKey() {
   if (!free_ids_.empty()) {
     id = free_ids_.back();
     free_ids_.pop_back();
-    // Atomics are pinned in place, so recycled ids reset field by field.
-    state = states_.at(id);
-    state->slot.store(kNoSlot, std::memory_order_relaxed);
-    state->mask.store(0, std::memory_order_relaxed);
-    state->last_use.store(0, std::memory_order_relaxed);
-    state->uses.store(0, std::memory_order_relaxed);
-    state->ranges.clear();
+    state = states_.at(id);  // reset by ReleaseVirtualKey
   } else {
     state = states_.Claim();
     if (state == nullptr) {
@@ -212,6 +206,11 @@ Status VirtualPkeyTable::ReleaseVirtualKey(VirtualKeyId vkey) {
     PS_RETURN_IF_ERROR(unbound);
   }
   retired_uses_ += state->uses.load(std::memory_order_relaxed);
+  // Atomics are pinned in place, so the id is reset for reuse field by field
+  // (the slot is already kNoSlot).
+  state->mask.store(0, std::memory_order_relaxed);
+  state->last_use.store(0, std::memory_order_relaxed);
+  state->uses.store(0, std::memory_order_relaxed);
   state->alive = false;
   state->ranges.clear();
   free_ids_.push_back(vkey);

@@ -182,4 +182,12 @@ HeapStats FreeListHeap::stats() const {
   return stats_;
 }
 
+void FreeListHeap::Reset() {
+  std::lock_guard lock(mutex_);
+  spans_.Reset();
+  nonempty_.fill(0);
+  retained_.fill(0);
+  stats_ = HeapStats{};
+}
+
 }  // namespace pkrusafe

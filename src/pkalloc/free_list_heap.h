@@ -57,6 +57,13 @@ class FreeListHeap {
 
   HeapStats stats() const;
 
+  // Returns the heap to its just-constructed state after the arena dropped
+  // every chunk (Arena::DecommitAll): the span table, bins and stats lived in
+  // or described pages that are already gone, so nothing is freed. Pointers
+  // handed out before are dangling. Lets a compartment pool be recycled in
+  // place instead of building a new heap object per tenant.
+  void Reset();
+
  private:
   void* AllocateSmall(size_t class_index);
   void* AllocateLarge(size_t size);

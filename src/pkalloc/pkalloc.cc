@@ -95,11 +95,29 @@ Result<std::unique_ptr<PkAllocator>> PkAllocator::Create(MpkBackend* backend,
   // Tag the whole trusted reservation once: every page the trusted heap will
   // ever use carries the key from the start, so no allocation-time tagging
   // is needed (and no page can be handed out untagged).
-  PS_RETURN_IF_ERROR(
-      backend->TagRange((*trusted)->base(), (*trusted)->reserved_bytes(), *key));
+  const Status tagged =
+      backend->TagRange((*trusted)->base(), (*trusted)->reserved_bytes(), *key);
+  if (!tagged.ok()) {
+    trusted->reset();  // unmap before the key can be handed out again
+    (void)backend->FreeKey(*key);
+    return tagged;
+  }
 
   return std::unique_ptr<PkAllocator>(new PkAllocator(
       backend, std::move(*trusted), std::move(*untrusted), *key, config));
+}
+
+PkAllocator::~PkAllocator() {
+  // Member destruction order (caches, heaps, pools), run early so the pools
+  // are unmapped before the key is freed.
+  central_[0].reset();
+  central_[1].reset();
+  fast_untrusted_heap_.reset();
+  untrusted_heap_.reset();
+  trusted_heap_.reset();
+  untrusted_arena_.reset();
+  trusted_arena_.reset();
+  (void)backend_->FreeKey(trusted_key_);
 }
 
 void* PkAllocator::Allocate(Domain domain, size_t size) {

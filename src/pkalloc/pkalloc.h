@@ -57,6 +57,11 @@ class PkAllocator {
   static Result<std::unique_ptr<PkAllocator>> Create(MpkBackend* backend,
                                                      const PkAllocatorConfig& config = {});
 
+  // Unmaps both pools, then returns the trusted key to the backend — in that
+  // order, so no page still carries the key when the backend can hand it out
+  // again.
+  ~PkAllocator();
+
   PkAllocator(const PkAllocator&) = delete;
   PkAllocator& operator=(const PkAllocator&) = delete;
 

@@ -107,6 +107,16 @@ class SpanTable {
 
   size_t size() const { return live_; }
 
+  // Forgets every span without touching the slot storage. Only for an arena
+  // that has already dropped its chunks (Arena::DecommitAll): the storage
+  // chunk went with them, and the next Insert allocates a fresh one.
+  void Reset() {
+    slots_ = nullptr;
+    capacity_ = 0;
+    used_ = 0;
+    live_ = 0;
+  }
+
  private:
   enum SlotState : uint8_t { kEmpty = 0, kTombstone = 1, kLive = 2 };
 

@@ -122,8 +122,9 @@ void TenantRegistry::WarmTenants(const std::vector<std::string>& names) {
     }
   }
   if (!working_set.empty()) {
-    // Hints are best-effort: released-in-between ids are skipped by
-    // PrefaultWorkingSet itself, and errors never fail a request.
+    // Hints are best-effort: an id released in between is skipped by
+    // PrefaultWorkingSet itself (or, once reused, warms its new holder), and
+    // errors never fail a request.
     (void)mc_->PrefaultWorkingSet(working_set);
   }
 }

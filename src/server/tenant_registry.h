@@ -17,10 +17,9 @@
 // which point every access by the releasing worker happened-before (its
 // decrement is a release store after its last touch of the session). So a
 // released session has no readers and is destroyed on the spot: tenant
-// churn costs no registry memory. (MultiCompartment's library table does
-// keep one small retired entry per id ever registered — ids are never
-// reused — which bounds a server's lifetime session count by memory, not by
-// keys or pool pages.)
+// churn costs no registry memory. MultiCompartment recycles the released
+// library (id, pool and heap) for the next session, so its tables stay
+// bounded by the peak number of live sessions as well.
 //
 // The registry also turns tenant names into working-set hints: WarmTenants
 // resolves live sessions and pre-faults their virtual keys ahead of a

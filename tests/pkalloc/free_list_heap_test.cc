@@ -152,6 +152,25 @@ TEST_F(FreeListHeapTest, RetainedSpanAbsorbsAllocFreePingPong) {
   EXPECT_EQ(heap_->stats().spans_released, released_before);
 }
 
+TEST_F(FreeListHeapTest, ResetAfterDecommitStartsOverAtThePoolBase) {
+  // Live small and large blocks, and a span table grown past its first
+  // chunk, all vanish with the decommit; the reset heap must not touch any
+  // of that state again.
+  void* first = heap_->Allocate(64);
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_NE(heap_->Allocate(static_cast<size_t>(i % 3 == 0 ? 100000 : 48)), nullptr);
+  }
+  ASSERT_TRUE(arena_->DecommitAll().ok());
+  heap_->Reset();
+  EXPECT_EQ(heap_->stats().alloc_calls, 0u);
+  EXPECT_EQ(heap_->stats().live_bytes, 0u);
+  auto* again = static_cast<uint64_t*>(heap_->Allocate(64));
+  EXPECT_EQ(again, first);
+  EXPECT_EQ(*again, 0u);
+  heap_->Free(again);
+  EXPECT_EQ(heap_->stats().live_bytes, 0u);
+}
+
 using FreeListHeapDeathTest = FreeListHeapTest;
 
 // Regression: a double free used to splice the block onto the free list
