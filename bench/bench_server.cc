@@ -1,17 +1,25 @@
 // Multi-tenant sandbox server throughput and request-latency bench
 // (bench_server): requests/s plus p50/p99 per-request latency at 1, 8, and
-// 32 concurrent tenants, on both the sim and mprotect backends.
+// 32 concurrent tenants, for recurring and unique script texts, on the sim
+// and mprotect backends and on hardware MPK when the CPU has PKU.
 //
 // Requests go through the full server path in-process (HandleRequestLine:
-// JSON parse -> tenant registry -> call gate -> tenant compartment -> jsvm
-// run), which is exactly what a connection worker executes minus socket I/O
-// — so the numbers isolate the enforcement and lifecycle cost rather than
-// loopback TCP noise. Requests round-robin across the tenant set: at 32
-// tenants every request lands on a different compartment than the last,
-// which on both backends forces the virtual-key cache through its
-// fault-in/eviction path (the >16-tenant regime the vpkey layer exists
-// for), and each request touches the tenant's private scratch so the
-// tenant's own key is exercised, not just the shared heap.
+// JSON parse -> tenant registry -> compiled-program cache -> call gate ->
+// tenant compartment -> jsvm run), which is exactly what a connection
+// worker executes minus socket I/O — so the numbers isolate the
+// enforcement, compile and lifecycle cost rather than loopback TCP noise.
+// Requests round-robin across the tenant set: at 32 tenants every request
+// lands on a different compartment than the last, which forces the
+// virtual-key cache through its fault-in/eviction path (the >16-tenant
+// regime the vpkey layer exists for), and each request touches the
+// tenant's private scratch so the tenant's own key is exercised, not just
+// the shared heap.
+//
+// scripts:recurring sends one script text throughout, so after warm-up
+// every request is a compiled-program cache hit; scripts:unique folds the
+// request number into the text, so no request is ever admitted to the
+// cache and every one is compiled. Each row also reports the cache's hit
+// ratio over its timed requests (server.compile_cache.* counters).
 //
 // Writes BENCH_server.json via the shared emitter.
 #include <algorithm>
@@ -25,6 +33,7 @@
 #include "src/runtime/runtime.h"
 #include "src/server/sandbox_server.h"
 #include "src/support/json.h"
+#include "src/telemetry/metrics.h"
 
 namespace {
 
@@ -33,9 +42,12 @@ using namespace pkrusafe;  // NOLINT: bench brevity
 constexpr int kWarmupPerTenant = 3;
 constexpr int kRequests = 1500;
 
-// A small but non-trivial script: arithmetic, a loop, locals.
-constexpr const char* kScript =
-    "let s = 0; let i = 0; while (i < 40) { s = s + i * i; i = i + 1; } print(s);";
+// A small but non-trivial script: arithmetic, a loop, locals. The unique
+// variant starts the sum at the request number instead of 0.
+std::string Script(bool unique, uint64_t request) {
+  return "let s = " + std::to_string(unique ? request : 0) +
+         "; let i = 0; while (i < 40) { s = s + i * i; i = i + 1; } print(s);";
+}
 
 double NowNs() {
   return static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -43,13 +55,13 @@ double NowNs() {
                                  .count());
 }
 
-const char* BackendName(BackendKind kind) {
-  return kind == BackendKind::kSim ? "sim" : "mprotect";
+uint64_t CounterValue(const char* name) {
+  return telemetry::MetricsRegistry::Global().GetOrCreateCounter(name)->value();
 }
 
-bool RunCase(BackendKind backend, int tenants, bench::BenchJsonWriter* out) {
+bool RunCase(const char* backend_name, int tenants, bool unique, bench::BenchJsonWriter* out) {
   RuntimeConfig config;
-  config.backend = backend;
+  config.backend = *ParseBackendKind(backend_name);
   config.mode = RuntimeMode::kEnforcing;
   auto runtime = PkruSafeRuntime::Create(std::move(config));
   if (!runtime.ok()) {
@@ -65,25 +77,27 @@ bool RunCase(BackendKind backend, int tenants, bench::BenchJsonWriter* out) {
     return false;
   }
 
+  // Request lines are built before the timed loop; request i goes to
+  // tenant i % tenants, the warm-up's requests first.
+  const int warmup = kWarmupPerTenant * tenants;
   std::vector<std::string> requests;
-  requests.reserve(tenants);
-  for (int t = 0; t < tenants; ++t) {
+  requests.reserve(warmup + kRequests);
+  for (int i = 0; i < warmup + kRequests; ++i) {
     json::Writer w(&requests.emplace_back());
-    w.BeginObject().Key("tenant").String("tenant-" + std::to_string(t));
-    w.Key("script").String(kScript).EndObject();
+    w.BeginObject().Key("tenant").String("tenant-" + std::to_string(i % tenants));
+    w.Key("script").String(Script(unique, static_cast<uint64_t>(i))).EndObject();
   }
-  for (int warm = 0; warm < kWarmupPerTenant; ++warm) {
-    for (const std::string& request : requests) {
-      (void)(*server)->HandleRequestLine(request);
-    }
+  for (int i = 0; i < warmup; ++i) {
+    (void)(*server)->HandleRequestLine(requests[i]);
   }
 
+  const uint64_t hits_before = CounterValue("server.compile_cache.hits");
   std::vector<double> latencies_ns;
   latencies_ns.reserve(kRequests);
   const double start = NowNs();
-  for (int i = 0; i < kRequests; ++i) {
+  for (int i = warmup; i < warmup + kRequests; ++i) {
     const double before = NowNs();
-    const std::string response = (*server)->HandleRequestLine(requests[i % tenants]);
+    const std::string response = (*server)->HandleRequestLine(requests[i]);
     latencies_ns.push_back(NowNs() - before);
     if (response.find("\"ok\":true") == std::string::npos) {
       std::fprintf(stderr, "bench_server: request failed: %s\n", response.c_str());
@@ -91,6 +105,8 @@ bool RunCase(BackendKind backend, int tenants, bench::BenchJsonWriter* out) {
     }
   }
   const double elapsed_ns = NowNs() - start;
+  const double hit_ratio =
+      static_cast<double>(CounterValue("server.compile_cache.hits") - hits_before) / kRequests;
 
   std::sort(latencies_ns.begin(), latencies_ns.end());
   const auto pct = [&](int p) {
@@ -98,13 +114,14 @@ bool RunCase(BackendKind backend, int tenants, bench::BenchJsonWriter* out) {
         std::min(latencies_ns.size() - 1, latencies_ns.size() * p / 100);
     return latencies_ns[index];
   };
-  const std::string prefix =
-      std::string(BackendName(backend)) + "/tenants:" + std::to_string(tenants);
+  const std::string prefix = std::string(backend_name) + "/tenants:" + std::to_string(tenants) +
+                             (unique ? "/scripts:unique" : "/scripts:recurring");
   out->Add(prefix + "/requests_per_sec", kRequests / (elapsed_ns / 1e9), "req/s");
   out->Add(prefix + "/p50_ns", pct(50), "ns");
   out->Add(prefix + "/p99_ns", pct(99), "ns");
-  std::printf("%-22s %10.0f req/s   p50 %8.0f ns   p99 %8.0f ns\n", prefix.c_str(),
-              kRequests / (elapsed_ns / 1e9), pct(50), pct(99));
+  out->Add(prefix + "/compile_cache_hit_ratio", hit_ratio, "ratio");
+  std::printf("%-42s %10.0f req/s   p50 %8.0f ns   p99 %8.0f ns   hits %5.3f\n", prefix.c_str(),
+              kRequests / (elapsed_ns / 1e9), pct(50), pct(99), hit_ratio);
   return true;
 }
 
@@ -112,10 +129,16 @@ bool RunCase(BackendKind backend, int tenants, bench::BenchJsonWriter* out) {
 
 int main() {
   bench::BenchJsonWriter out("server");
-  for (BackendKind backend : {BackendKind::kSim, BackendKind::kMprotect}) {
+  for (const char* backend : {"sim", "mprotect", "hardware"}) {
+    if (!CreateMpkBackend(*ParseBackendKind(backend)).ok()) {
+      std::printf("%-42s unavailable\n", backend);
+      continue;
+    }
     for (int tenants : {1, 8, 32}) {
-      if (!RunCase(backend, tenants, &out)) {
-        return 1;
+      for (bool unique : {false, true}) {
+        if (!RunCase(backend, tenants, unique, &out)) {
+          return 1;
+        }
       }
     }
   }

@@ -10,7 +10,8 @@
 #   scripts/check.sh crash          # end-to-end crash forensics: an enforced
 #                                   # violation must leave a parseable report
 #   scripts/check.sh faultstress    # multithreaded profiling-fault stress
-#                                   # (mprotect backend) under ThreadSanitizer
+#                                   # (mprotect backend) under ThreadSanitizer,
+#                                   # the contended-lookup test 100x over
 #   scripts/check.sh contprof       # continuous profiling: budget + delta +
 #                                   # aggregator tests under ThreadSanitizer,
 #                                   # then the overhead bench (BENCH_contprof)
@@ -28,7 +29,8 @@
 #                                   # pool vs sweep vs violator kill), a live
 #                                   # pkrusafe_serve round trip over the
 #                                   # socket, then BENCH_server (1/8/32
-#                                   # tenants on both backends)
+#                                   # tenants, recurring vs unique scripts,
+#                                   # sim/mprotect/hardware)
 #   scripts/check.sh gateintegrity  # PKRU-flow lints over the corpus (clean
 #                                   # modules prove, seeded violations fail),
 #                                   # SARIF export, link-time check-binary
@@ -129,6 +131,10 @@ run_faultstress() {
   cmake --build build/check-tsan -j "$(nproc)" --target mpk_test runtime_test
   ctest --test-dir build/check-tsan --output-on-failure \
     -R 'FaultConcurrency|FaultSignal|Churn|ProfileRecorder|ConcurrencyTest'
+  # Four threads' provenance lookups contend for one lock: every fault must
+  # still reach the profile, every time.
+  ctest --test-dir build/check-tsan --output-on-failure --repeat until-fail:100 \
+    -R 'ConcurrencyTest\.ProfilingFaultsFromManyThreadsAreAllRecorded'
   echo "faultstress check OK"
 }
 
@@ -278,10 +284,12 @@ run_server() {
   exec 3<&- 3>&-
   wait "$serve_pid"
   grep -q '"violations":1' "$out/serve.log"
+  grep -q '"server.compile_cache.hits":' "$out/serve.log"
   grep -q '"kind":"pkru_safe_crash_report"' "$out/crash-evil.json"
 
   PKRUSAFE_BENCH_OUT_DIR="$out" build/bench/bench_server
   grep -q '"bench":"server"' "$out/BENCH_server.json"
+  grep -q 'scripts:recurring/compile_cache_hit_ratio' "$out/BENCH_server.json"
   echo "server check OK"
 }
 

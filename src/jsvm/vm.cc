@@ -19,14 +19,25 @@ Status Vm::Load(std::string_view source) {
   if (!compiled.ok()) {
     return compiled.status();
   }
-  program_ = std::move(*compiled);
+  return Load(std::make_shared<const CompiledProgram>(std::move(*compiled)));
+}
+
+Status Vm::Load(std::shared_ptr<const CompiledProgram> program) {
+  program_ = nullptr;
+  if (program == nullptr) {
+    return InvalidArgumentError("no program to load");
+  }
+  if (program->host_names != host_names_) {
+    return FailedPreconditionError(
+        "program was compiled against other host functions than this Vm registers");
+  }
 
   // Intern constants: numbers stay immediate, strings become heap objects
   // rooted for the program's lifetime.
   interned_.clear();
-  interned_.resize(program_.functions.size());
-  for (size_t f = 0; f < program_.functions.size(); ++f) {
-    for (const BcConstant& constant : program_.functions[f].constants) {
+  interned_.resize(program->functions.size());
+  for (size_t f = 0; f < program->functions.size(); ++f) {
+    for (const BcConstant& constant : program->functions[f].constants) {
       if (std::holds_alternative<double>(constant)) {
         interned_[f].push_back(Value::Number(std::get<double>(constant)));
       } else {
@@ -38,30 +49,30 @@ Status Vm::Load(std::string_view source) {
       }
     }
   }
-  globals_.assign(program_.global_names.size(), Value::Null());
+  globals_.assign(program->global_names.size(), Value::Null());
   stack_.clear();
   locals_.clear();
   frames_.clear();
-  loaded_ = true;
+  program_ = std::move(program);
   return Status::Ok();
 }
 
 Result<Value> Vm::Run() {
-  if (!loaded_) {
+  if (program_ == nullptr) {
     return FailedPreconditionError("no program loaded");
   }
   return Execute(0, {});
 }
 
 Result<Value> Vm::CallFunction(const std::string& name, const std::vector<Value>& args) {
-  if (!loaded_) {
+  if (program_ == nullptr) {
     return FailedPreconditionError("no program loaded");
   }
-  for (size_t i = 0; i < program_.functions.size(); ++i) {
-    if (program_.functions[i].name == name) {
-      if (program_.functions[i].arity != args.size()) {
+  for (size_t i = 0; i < program_->functions.size(); ++i) {
+    if (program_->functions[i].name == name) {
+      if (program_->functions[i].arity != args.size()) {
         return InvalidArgumentError(StrFormat("%s expects %u args", name.c_str(),
-                                              program_.functions[i].arity));
+                                              program_->functions[i].arity));
       }
       return Execute(static_cast<uint32_t>(i), args);
     }
@@ -172,7 +183,7 @@ Result<Value> Vm::Execute(uint32_t function_index, const std::vector<Value>& arg
 
   // Set up the frame for the entry function.
   {
-    const CompiledFunction& fn = program_.functions[function_index];
+    const CompiledFunction& fn = program_->functions[function_index];
     locals_.resize(locals_.size() + fn.num_locals, Value::Null());
     for (size_t i = 0; i < args.size(); ++i) {
       locals_[entry_locals + i] = args[i];
@@ -201,7 +212,7 @@ Result<Value> Vm::Execute(uint32_t function_index, const std::vector<Value>& arg
 
     switch (instr.op) {
       case Op::kConst: {
-        const size_t fn_index = static_cast<size_t>(frame.fn - program_.functions.data());
+        const size_t fn_index = static_cast<size_t>(frame.fn - program_->functions.data());
         stack_.push_back(interned_[fn_index][instr.a]);
         break;
       }
@@ -381,7 +392,7 @@ Result<Value> Vm::Execute(uint32_t function_index, const std::vector<Value>& arg
         }
         break;
       case Op::kCall: {
-        const CompiledFunction& callee = program_.functions[instr.a];
+        const CompiledFunction& callee = program_->functions[instr.a];
         const size_t base = locals_.size();
         locals_.resize(base + callee.num_locals, Value::Null());
         for (uint32_t i = 0; i < instr.b; ++i) {

@@ -45,13 +45,20 @@ class Vm {
   Vm(const Vm&) = delete;
   Vm& operator=(const Vm&) = delete;
 
-  // Host functions must be registered before Compile (they participate in
+  // Host functions must be registered before Load (they participate in
   // name resolution).
   void RegisterHost(const std::string& name, HostFn fn);
 
-  // Parses + compiles `source` against the registered host functions and
-  // loads it, interning constants and resetting globals.
+  // Parses + compiles `source` against the registered host functions, then
+  // loads the result as below.
   Status Load(std::string_view source);
+
+  // Loads an already compiled program, which may be shared with other Vms:
+  // the program is immutable, while interned string constants and globals
+  // are this Vm's own (its heap, its M_U objects). Refuses a program
+  // compiled against host names other than the registered ones, since its
+  // kCallHost indices would then reach the wrong functions.
+  Status Load(std::shared_ptr<const CompiledProgram> program);
 
   // Runs the top-level code.
   Result<Value> Run();
@@ -90,8 +97,7 @@ class Vm {
   JsHeap heap_;
   std::vector<std::string> host_names_;
   std::vector<HostFn> host_fns_;
-  CompiledProgram program_;
-  bool loaded_ = false;
+  std::shared_ptr<const CompiledProgram> program_;  // null until a Load succeeds
 
   // Interned constant values per function (parallel to constants pools).
   std::vector<std::vector<Value>> interned_;

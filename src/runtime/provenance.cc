@@ -1,5 +1,9 @@
 #include "src/runtime/provenance.h"
 
+#include <sched.h>
+
+#include "src/telemetry/telemetry.h"
+
 namespace pkrusafe {
 
 Status ProvenanceTracker::OnAlloc(const void* ptr, size_t size, AllocId id) {
@@ -41,9 +45,35 @@ std::optional<ProvenanceTracker::Record> ProvenanceTracker::Lookup(uintptr_t add
   return interval->value;
 }
 
+bool ProvenanceTracker::TryLockForSignal() const {
+  // try_lock, NowNs (clock_gettime) and sched_yield are plain atomics and
+  // syscalls: safe in a signal handler, where blocking in lock() could
+  // deadlock on a mutex the interrupted thread holds. Each round spins
+  // first, so a holder running on another CPU is caught between its
+  // back-to-back holds; the yield between rounds lets a preempted holder run.
+  uint64_t deadline = 0;
+  while (true) {
+    for (int spin = 0; spin < kSignalLockSpins; ++spin) {
+      if (mutex_.try_lock()) {
+        return true;
+      }
+#if defined(__x86_64__)
+      __builtin_ia32_pause();
+#endif
+    }
+    const uint64_t now = telemetry::NowNs();
+    if (deadline == 0) {
+      deadline = now + kSignalLockBudgetNs;
+    } else if (now >= deadline) {
+      return false;
+    }
+    sched_yield();
+  }
+}
+
 bool ProvenanceTracker::LookupForSignal(uintptr_t addr, bool* found, Record* record) const {
   *found = false;
-  if (!mutex_.try_lock()) {
+  if (!TryLockForSignal()) {
     return false;
   }
   auto interval = objects_.Find(addr);
@@ -57,7 +87,7 @@ bool ProvenanceTracker::LookupForSignal(uintptr_t addr, bool* found, Record* rec
 
 int ProvenanceTracker::RecordsInRangeForSignal(uintptr_t lo, uintptr_t hi, Record* out,
                                                int max) const {
-  if (!mutex_.try_lock()) {
+  if (!TryLockForSignal()) {
     return -1;
   }
   int written = 0;

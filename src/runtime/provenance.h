@@ -41,18 +41,21 @@ class ProvenanceTracker {
   // The record owning `addr` (any interior address), if tracked.
   std::optional<Record> Lookup(uintptr_t addr) const;
 
-  // Crash-path variant: attempts the lookup with try_lock so it cannot
-  // deadlock when the faulting thread died inside OnAlloc/OnFree holding the
-  // mutex. Returns false when the lock was unavailable (provenance then reads
-  // "unavailable" in the report); sets `found`/`record` on success. Does not
-  // allocate.
+  // Signal-context variant: takes the mutex with a bounded try_lock retry
+  // (rounds of kSignalLockSpins spins separated by sched_yield, for at most
+  // kSignalLockBudgetNs), so another thread's holds are waited out even when
+  // that thread is preempted mid-hold, while a faulting thread that itself
+  // holds the mutex (a re-entrant fault, or a crash inside OnAlloc/OnFree)
+  // gives up instead of deadlocking. Returns false when the lock stayed
+  // unavailable (provenance then reads "unavailable" in a crash report);
+  // sets `found`/`record` on success. Does not allocate.
   bool LookupForSignal(uintptr_t addr, bool* found, Record* record) const;
 
   // Signal-context range query: copies up to `max` records overlapping
   // [lo, hi) into `out` and returns how many were written, or -1 when the
-  // mutex was unavailable (held by the interrupted thread). Used by the
-  // fault handler to re-check a single-step window at latch time. Does not
-  // allocate.
+  // mutex stayed unavailable (same bounded retry as LookupForSignal). Used
+  // by the fault handler to re-check a single-step window at latch time.
+  // Does not allocate.
   int RecordsInRangeForSignal(uintptr_t lo, uintptr_t hi, Record* out, int max) const;
 
   // All live objects allocated at `id`, in address order. Not signal-safe
@@ -63,7 +66,12 @@ class ProvenanceTracker {
   size_t live_count() const;
   void Clear();
 
+  static constexpr int kSignalLockSpins = 128;
+  static constexpr uint64_t kSignalLockBudgetNs = 250'000'000;
+
  private:
+  bool TryLockForSignal() const;
+
   mutable std::mutex mutex_;
   IntervalMap<Record> objects_;
 };

@@ -70,13 +70,21 @@ telemetry::Counter* DeniedFaultCounter() {
   return counter;
 }
 
-// Profiling faults that hit trusted memory with no tracked allocation (or
-// whose attribution lost a try_lock race): stepped past without a profile
-// entry. Replaces the old PS_LOG(Warning) on this path, which allocated and
-// locked from signal context.
+// Profiling faults that hit trusted memory with no tracked allocation:
+// stepped past without a profile entry. Replaces the old PS_LOG(Warning) on
+// this path, which allocated and locked from signal context.
 telemetry::Counter* UnattributedFaultCounter() {
   static telemetry::Counter* counter =
       telemetry::MetricsRegistry::Global().GetOrCreateCounter("runtime.fault.unattributed");
+  return counter;
+}
+
+// Faults whose provenance lookup could not take the tracker's mutex within
+// the bounded retry (in practice only a same-thread re-entrant fault, whose
+// interrupted frame holds it): the owning object, if any, is unknown.
+telemetry::Counter* LookupContendedFaultCounter() {
+  static telemetry::Counter* counter =
+      telemetry::MetricsRegistry::Global().GetOrCreateCounter("runtime.fault.lookup_contended");
   return counter;
 }
 
@@ -319,7 +327,11 @@ FaultResolution PkruSafeRuntime::OnMpkFault(const MpkFault& fault) {
   // path must be async-signal-safe: native backends call it from SIGSEGV.
   ProvenanceTracker::Record record;
   bool found = false;
-  if (!provenance_.LookupForSignal(fault.address, &found, &record) || !found) {
+  if (!provenance_.LookupForSignal(fault.address, &found, &record)) {
+    LookupContendedFaultCounter()->Increment();
+    return FaultResolution::kRetryAllowed;
+  }
+  if (!found) {
     UnattributedFaultCounter()->Increment();
     return FaultResolution::kRetryAllowed;
   }
@@ -380,11 +392,15 @@ FaultResolution PkruSafeRuntime::OnSampledEnforcingFault(const MpkFault& fault) 
   SampledFaultCounter()->Increment();
   ProvenanceTracker::Record record;
   bool found = false;
-  if (!provenance_.LookupForSignal(fault.address, &found, &record) || !found) {
+  const bool looked_up = provenance_.LookupForSignal(fault.address, &found, &record);
+  if (!looked_up || !found) {
     // Unattributed (allocator metadata, non-candidate M_T data) or the
-    // provenance lock was contended: enforcement bias — deny. A candidate
+    // provenance lock stayed contended: enforcement bias — deny. A candidate
     // site can lose at most this one access to lock contention; the next
     // fault re-attributes.
+    if (!looked_up) {
+      LookupContendedFaultCounter()->Increment();
+    }
     SampledDeniedStaticCounter()->Increment();
     return FaultResolution::kDeny;
   }

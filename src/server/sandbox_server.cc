@@ -60,6 +60,15 @@ ServerMetrics& Metrics() {
 
 uint64_t NowMsLocal() { return telemetry::NowNs() / 1'000'000; }
 
+// The embedder's bindings, in registration order. The program cache
+// compiles against this list and Vm::Load refuses a program compiled
+// against any other, so the two cannot drift.
+enum HostFunction : size_t { kSecretAddr, kScratchAddr };
+const std::vector<std::string>& HostNames() {
+  static const std::vector<std::string> names = {"secret_addr", "scratch_addr"};
+  return names;
+}
+
 // Tenant names come off the wire and end up in file names (the per-tenant
 // crash report is crash_dir + "/crash-" + tenant + ".json"), so they must be
 // a single safe path component: a name like "../../etc/x" would otherwise
@@ -131,7 +140,7 @@ Result<std::unique_ptr<SandboxServer>> SandboxServer::Create(PkruSafeRuntime* ru
 }
 
 SandboxServer::SandboxServer(PkruSafeRuntime* runtime, SandboxServerOptions options)
-    : runtime_(runtime), options_(std::move(options)) {}
+    : runtime_(runtime), options_(std::move(options)), programs_(HostNames()) {}
 
 SandboxServer::~SandboxServer() {
   Stop();
@@ -399,15 +408,18 @@ SandboxServer::RequestOutcome SandboxServer::RunInTenant(TenantSession* session,
   // lives — finding addresses was never the hard part (§5.4); touching them
   // is what enforcement stops.
   const uintptr_t secret_addr = reinterpret_cast<uintptr_t>(secret_);
-  vm.RegisterHost("secret_addr", [secret_addr](Vm&, const std::vector<Value>&) -> Result<Value> {
-    return Value::Number(static_cast<double>(secret_addr));
-  });
+  vm.RegisterHost(HostNames()[kSecretAddr],
+                  [secret_addr](Vm&, const std::vector<Value>&) -> Result<Value> {
+                    return Value::Number(static_cast<double>(secret_addr));
+                  });
   const uintptr_t scratch_addr = reinterpret_cast<uintptr_t>(session->scratch);
-  vm.RegisterHost("scratch_addr", [scratch_addr](Vm&, const std::vector<Value>&) -> Result<Value> {
-    return Value::Number(static_cast<double>(scratch_addr));
-  });
+  vm.RegisterHost(HostNames()[kScratchAddr],
+                  [scratch_addr](Vm&, const std::vector<Value>&) -> Result<Value> {
+                    return Value::Number(static_cast<double>(scratch_addr));
+                  });
 
-  const Status loaded = vm.Load(script);
+  auto program = programs_.Get(script);
+  const Status loaded = program.ok() ? vm.Load(std::move(*program)) : program.status();
   if (!loaded.ok()) {
     outcome.error = loaded.message();
     outcome.latency_ns = telemetry::NowNs() - start_ns;

@@ -11,9 +11,10 @@
 // compartment manager's extra_deny, so a tenant mask denies the embedder's
 // trusted heap even though the two allocators never share a pool.
 //
-// Request path: accept loop -> worker pool -> per-request jsvm -> the call
-// gate (GateSet::CallUntrusted) -> MultiCompartment::Scope(tenant) ->
-// Vm::Run. A request may carry a working-set hint naming the tenants of an
+// Request path: accept loop -> worker pool -> per-request jsvm, loaded
+// from the compiled-program cache (ProgramCache: a recurring script skips
+// lex/parse/compile) -> the call gate (GateSet::CallUntrusted) ->
+// MultiCompartment::Scope(tenant) -> Vm::Run. A request may carry a working-set hint naming the tenants of an
 // upcoming batch; the server pre-faults their virtual keys so the batch's
 // compartment entries take the resident fast path.
 //
@@ -52,6 +53,7 @@
 
 #include "src/multidomain/multi_compartment.h"
 #include "src/runtime/runtime.h"
+#include "src/server/program_cache.h"
 #include "src/server/tenant_registry.h"
 #include "src/support/status.h"
 
@@ -144,6 +146,7 @@ class SandboxServer {
   const SandboxServerOptions options_;
   std::unique_ptr<MultiCompartment> mc_;
   std::unique_ptr<TenantRegistry> registry_;
+  ProgramCache programs_;
   void* secret_ = nullptr;
 
   int listen_fd_ = -1;

@@ -354,5 +354,36 @@ print(addr > 0);
   EXPECT_EQ(vm.print_output()[0], "true");
 }
 
+// A compiled program's kCallHost indices are only meaningful against the
+// host list it was compiled for: loading it into a Vm with other hosts
+// would call the wrong functions, so Load refuses it.
+TEST_F(VmTest, SharedLoadRefusesAHostNameMismatch) {
+  auto compiled = CompileSource("print(a());", {"a", "b"});
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const auto program = std::make_shared<const CompiledProgram>(std::move(*compiled));
+  const auto host = [](Vm&, const std::vector<Value>&) -> Result<Value> {
+    return Value::Number(7);
+  };
+
+  Vm swapped(runtime_.get());
+  swapped.RegisterHost("b", host);
+  swapped.RegisterHost("a", host);
+  EXPECT_EQ(swapped.Load(program).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(swapped.Run().status().code(), StatusCode::kFailedPrecondition);  // nothing loaded
+
+  Vm missing(runtime_.get());
+  missing.RegisterHost("a", host);
+  EXPECT_EQ(missing.Load(program).code(), StatusCode::kFailedPrecondition);
+
+  Vm matching(runtime_.get());
+  matching.RegisterHost("a", host);
+  matching.RegisterHost("b", host);
+  ASSERT_TRUE(matching.Load(program).ok());
+  ASSERT_TRUE(matching.Run().ok());
+  EXPECT_EQ(matching.print_output(), std::vector<std::string>{"7"});
+  EXPECT_EQ(matching.Load(std::shared_ptr<const CompiledProgram>()).code(),
+            StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace pkrusafe

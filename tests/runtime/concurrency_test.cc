@@ -11,6 +11,7 @@
 
 #include "src/runtime/runtime.h"
 #include "src/support/rng.h"
+#include "src/telemetry/metrics.h"
 
 namespace pkrusafe {
 namespace {
@@ -149,6 +150,12 @@ TEST(ConcurrencyTest, ProfilingFaultsFromManyThreadsAreAllRecorded) {
     objects.push_back(rt->AllocTrusted(AllocId{100, 0, static_cast<uint32_t>(t)}, 64));
   }
 
+  auto& metrics = telemetry::MetricsRegistry::Global();
+  telemetry::Counter* unattributed = metrics.GetOrCreateCounter("runtime.fault.unattributed");
+  telemetry::Counter* contended = metrics.GetOrCreateCounter("runtime.fault.lookup_contended");
+  const uint64_t unattributed_before = unattributed->value();
+  const uint64_t contended_before = contended->value();
+
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -164,6 +171,10 @@ TEST(ConcurrencyTest, ProfilingFaultsFromManyThreadsAreAllRecorded) {
     t.join();
   }
 
+  // Every fault hit a tracked object, and the threads' lookups only contend
+  // with each other (never a re-entrant hold), so every fault is attributed.
+  EXPECT_EQ(unattributed->value() - unattributed_before, 0u);
+  EXPECT_EQ(contended->value() - contended_before, 0u);
   const Profile profile = rt->TakeProfile();
   EXPECT_EQ(profile.site_count(), size_t{kThreads});
   for (int t = 0; t < kThreads; ++t) {

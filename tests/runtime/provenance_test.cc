@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 namespace pkrusafe {
 namespace {
 
@@ -88,6 +92,49 @@ TEST(ProvenanceTest, ClearDropsEverything) {
   ASSERT_TRUE(tracker.OnAlloc(b, 8, kSiteB).ok());
   tracker.Clear();
   EXPECT_EQ(tracker.live_count(), 0u);
+}
+
+// The signal-context lookup must wait out another thread's short holds of
+// the tracker's mutex rather than report the lock unavailable: a profiling
+// fault whose lookup gives up is stepped past with no profile entry.
+TEST(ProvenanceTest, SignalLookupWaitsOutConcurrentChurn) {
+  ProvenanceTracker tracker;
+  char tracked[64] = {};
+  ASSERT_TRUE(tracker.OnAlloc(tracked, sizeof(tracked), kSiteA).ok());
+
+  std::atomic<bool> stop{false};
+  std::thread churn([&] {
+    std::vector<char> others(256);
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (char& other : others) {
+        (void)tracker.OnAlloc(&other, 1, kSiteB);
+      }
+      for (char& other : others) {
+        (void)tracker.OnFree(&other);
+      }
+    }
+  });
+
+  constexpr int kLookups = 100'000;
+  int lost = 0;
+  int found_count = 0;
+  for (int i = 0; i < kLookups; ++i) {
+    bool found = false;
+    ProvenanceTracker::Record record;
+    if (!tracker.LookupForSignal(reinterpret_cast<uintptr_t>(tracked + i % sizeof(tracked)),
+                                 &found, &record)) {
+      ++lost;
+      continue;
+    }
+    if (found && record.id == kSiteA) {
+      ++found_count;
+    }
+  }
+  stop.store(true);
+  churn.join();
+
+  EXPECT_EQ(lost, 0);
+  EXPECT_EQ(found_count, kLookups);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/jsvm/value.h"
 #include "src/mpk/backend_factory.h"
 #include "src/runtime/runtime.h"
 #include "src/server/client.h"
@@ -24,6 +26,7 @@
 #include "src/support/json.h"
 #include "src/telemetry/crash_report.h"
 #include "src/telemetry/export.h"
+#include "src/telemetry/metrics.h"
 #include "tests/golden_file.h"
 
 namespace pkrusafe {
@@ -499,6 +502,124 @@ TEST(SandboxServerTest, HostileStringsRoundTripThroughResponses) {
     EXPECT_FALSE(BoolField(bad, "dead")) << bad_line;
     EXPECT_EQ(bad.GetString("error"), "line 1: unexpected character '" + stray + "'");
   }
+}
+
+std::string RequestLine(const std::string& tenant, const std::string& script) {
+  std::string line;
+  json::Writer w(&line);
+  w.BeginObject().Key("tenant").String(tenant).Key("script").String(script).EndObject();
+  return line;
+}
+
+uint64_t CompileCacheHits() {
+  return telemetry::MetricsRegistry::Global()
+      .GetOrCreateCounter("server.compile_cache.hits")
+      ->value();
+}
+
+// A script's cold run, its second run (which admits it to the compiled-
+// program cache) and its cached runs answer byte for byte alike.
+TEST(SandboxServerTest, CachedScriptsAnswerLikeColdOnes) {
+  auto runtime = MakeSimRuntime();
+  ASSERT_NE(runtime, nullptr);
+  SandboxServerOptions options;
+  auto server = SandboxServer::Create(runtime.get(), options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  const std::vector<std::string> scripts = {
+      "let x = 6 * 7; print(x); print(\"a\\\"b\"); return \"r\";",
+      "fn f(n) { if (n < 2) { return n; } return f(n - 1) + f(n - 2); } print(f(12));",
+      "let v = []; push(v, \"s\"); push(v, 2); print(len(v)); print(v[0]); return v;",
+      "print(scratch_addr() > 0); print(secret_addr() > 0);",
+      "let = ;",
+      "let a = 1; \\",
+  };
+  const uint64_t hits_before = CompileCacheHits();
+  for (const std::string& script : scripts) {
+    const std::string line = RequestLine("alice", script);
+    const std::string cold = Mask((*server)->HandleRequestLine(line), "\"latency_ns\":");
+    for (int run = 0; run < 3; ++run) {
+      EXPECT_EQ(Mask((*server)->HandleRequestLine(line), "\"latency_ns\":"), cold) << script;
+    }
+  }
+  // Four scripts compile; each is admitted on its second run and hit twice.
+  EXPECT_EQ(CompileCacheHits() - hits_before, 8u);
+}
+
+// Interning stays per request: a cached script corrupts its own string
+// constant through the exploit primitive (a poke at the string's length
+// word), and every later run, in any tenant, still starts from the intact
+// constant.
+TEST(SandboxServerTest, CachedStringConstantsStayPerTenant) {
+  auto runtime = MakeSimRuntime();
+  ASSERT_NE(runtime, nullptr);
+  SandboxServerOptions options;
+  options.enable_vulnerability = true;
+  auto server = SandboxServer::Create(runtime.get(), options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  const std::string script = "let s = \"constant\"; print(s); __poke(__addrof(s) + " +
+                             std::to_string(offsetof(StringObject, length)) +
+                             ", 3); print(s); print(__addrof(s));";
+  const uint64_t hits_before = CompileCacheHits();
+  for (const char* tenant : {"alice", "alice", "alice", "bob", "bob", "alice"}) {
+    const std::string line = (*server)->HandleRequestLine(RequestLine(tenant, script));
+    const json::Value response = MustParse(line);
+    ASSERT_TRUE(BoolField(response, "ok")) << line;
+    const auto& prints = response.Find("prints")->AsArray();
+    ASSERT_EQ(prints.size(), 3u) << line;
+    EXPECT_EQ(prints[0].AsString(), "constant") << tenant;
+    EXPECT_EQ(prints[1].AsString(), "con") << tenant;
+  }
+  EXPECT_EQ(CompileCacheHits() - hits_before, 4u);
+}
+
+// Two workers serve concurrent clients whose requests mix texts every
+// client shares (cached after their second sighting) with texts seen once.
+TEST(SandboxServerTest, ConcurrentSharedAndDistinctTextsOnTwoWorkers) {
+  auto runtime = MakeSimRuntime();
+  ASSERT_NE(runtime, nullptr);
+  SandboxServerOptions options;
+  options.workers = 2;
+  auto server = SandboxServer::Create(runtime.get(), options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ASSERT_TRUE((*server)->Start().ok());
+  const uint16_t port = (*server)->port();
+
+  constexpr int kClients = 4;
+  constexpr int kRequestsEach = 40;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kClients; ++t) {
+    threads.emplace_back([&, t] {
+      ServerClient client;
+      if (!client.Connect("127.0.0.1", port).ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      for (int i = 0; i < kRequestsEach; ++i) {
+        // Even requests: one of three shared loops; odd: a text of its own.
+        const int value = i % 2 == 0 ? i % 3 : 1000 * (t + 1) + i;
+        const std::string script =
+            i % 2 == 0 ? "let s = 0; let i = 0; while (i < " + std::to_string(value) +
+                             ") { s = s + 1; i = i + 1; } print(s);"
+                       : "print(" + std::to_string(value) + ");";
+        auto response = client.Call("tenant-" + std::to_string(t), script);
+        if (!response.ok() || !BoolField(*response, "ok") ||
+            response->Find("prints")->AsArray().size() != 1 ||
+            response->Find("prints")->AsArray()[0].AsString() != std::to_string(value)) {
+          failures.fetch_add(1);
+          return;
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  (*server)->Stop();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ((*server)->stats().ok, static_cast<uint64_t>(kClients * kRequestsEach));
 }
 
 }  // namespace

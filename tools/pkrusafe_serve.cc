@@ -27,6 +27,7 @@
 #include "src/runtime/runtime.h"
 #include "src/server/sandbox_server.h"
 #include "src/support/json.h"
+#include "src/telemetry/metrics.h"
 #include "src/telemetry/sampler.h"
 
 namespace {
@@ -175,7 +176,14 @@ int main(int argc, char** argv) {
     w.Key("script_errors").Uint(stats.script_errors).Key("violations").Uint(stats.violations);
     w.Key("rejected").Uint(stats.rejected).Key("tenants_created").Uint(stats.tenants.created);
     w.Key("tenants_released").Uint(stats.tenants.released);
-    w.Key("tenants_killed").Uint(stats.tenants.killed).EndObject();
+    w.Key("tenants_killed").Uint(stats.tenants.killed);
+    // The compiled-program cache counts only in the global registry.
+    auto& registry = telemetry::MetricsRegistry::Global();
+    for (const char* outcome : {"hits", "misses", "admitted", "evictions"}) {
+      const std::string name = std::string("server.compile_cache.") + outcome;
+      w.Key(name).Uint(registry.GetOrCreateCounter(name)->value());
+    }
+    w.EndObject();
     std::printf("%s\n", line.c_str());
   }
   return 0;
