@@ -100,7 +100,7 @@ double AggregateViaFile(const std::vector<AllocId>& sites, Profile* rolling_out)
 // NetSink into a FrameServer, consumed serve-style.
 double AggregateViaSocket(const std::vector<AllocId>& sites, Profile* rolling_out) {
   telemetry::FrameServer server;
-  if (!server.Start({}).ok()) {
+  if (!server.Start().ok()) {
     std::abort();
   }
   telemetry::NetSinkOptions sink_options;
@@ -148,7 +148,7 @@ double MeasureFlushMicros(bool with_net) {
   std::thread drain;
   std::atomic<bool> stop{false};
   if (with_net) {
-    if (!server.Start({}).ok()) {
+    if (!server.Start().ok()) {
       std::abort();
     }
     drain = std::thread([&] {

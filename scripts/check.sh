@@ -15,22 +15,25 @@
 #   scripts/check.sh contprof       # continuous profiling: budget + delta +
 #                                   # aggregator tests under ThreadSanitizer,
 #                                   # then the overhead bench (BENCH_contprof)
-#   scripts/check.sh fleet          # fleet transport: frame codec/server,
-#                                   # net-sink, demotion and artifact tests
-#                                   # under ThreadSanitizer, the socket e2e,
-#                                   # a live serve round trip, then the
-#                                   # transport bench (BENCH_fleet)
+#   scripts/check.sh fleet          # fleet transport: socket loop, frame
+#                                   # codec/server, net-sink, demotion and
+#                                   # artifact tests under ThreadSanitizer,
+#                                   # the socket e2e, a live serve round
+#                                   # trip, then the transport bench
+#                                   # (BENCH_fleet)
 #   scripts/check.sh vpkey          # virtual-pkey cache: multidomain tests
 #                                   # under ThreadSanitizer (pin/evict races),
 #                                   # the 32-tenant sandbox on both backends,
 #                                   # then the transition bench (BENCH_vpkey)
-#   scripts/check.sh server         # multi-tenant sandbox server: server +
-#                                   # e2e tests under ThreadSanitizer (worker
+#   scripts/check.sh server         # multi-tenant sandbox server: socket
+#                                   # loop + server + e2e tests under
+#                                   # ThreadSanitizer (I/O thread vs worker
 #                                   # pool vs sweep vs violator kill), a live
 #                                   # pkrusafe_serve round trip over the
-#                                   # socket, then BENCH_server (1/8/32
-#                                   # tenants, recurring vs unique scripts,
-#                                   # sim/mprotect/hardware)
+#                                   # socket with a starvation probe (two
+#                                   # idle connections), then BENCH_server
+#                                   # (1/8/32 tenants, recurring vs unique
+#                                   # scripts, sim/mprotect/hardware)
 #   scripts/check.sh gateintegrity  # PKRU-flow lints over the corpus (clean
 #                                   # modules prove, seeded violations fail),
 #                                   # SARIF export, link-time check-binary
@@ -161,16 +164,16 @@ run_contprof() {
 run_fleet() {
   echo "== check: fleet (build/check-tsan) =="
   # The fleet telemetry plane: the frame codec against adversarial input, the
-  # poll-based server, the reconnecting non-blocking sink, cold-site demotion
-  # and network-delta validation in the aggregator, provenance-checked
-  # artifacts, and the fork-based socket e2e — all under ThreadSanitizer,
-  # since the sink is locked against a sampler thread and the e2e races a
-  # producer against the serve loop.
+  # socket loop and the frame server on it, the reconnecting non-blocking
+  # sink, cold-site demotion and network-delta validation in the aggregator,
+  # provenance-checked artifacts, and the fork-based socket e2e — all under
+  # ThreadSanitizer, since the sink is locked against a sampler thread and
+  # the e2e races a producer against the serve loop.
   cmake -B build/check-tsan -S . -DPKRUSAFE_SANITIZE=thread
   cmake --build build/check-tsan -j "$(nproc)" \
-    --target telemetry_test aggregator_test runtime_test mpk_test integration_test
+    --target support_test telemetry_test aggregator_test runtime_test mpk_test integration_test
   ctest --test-dir build/check-tsan --output-on-failure \
-    -R 'FrameCodec|FrameServer|NetSink|Aggregator|ProfileArtifact|ProfileDelta|LatchedPageSet|FleetE2e|Sampler'
+    -R 'SocketLoop|FrameCodec|FrameServer|NetSink|Aggregator|ProfileArtifact|ProfileDelta|LatchedPageSet|FleetE2e|Sampler'
 
   cmake -B build -S . -DPKRUSAFE_SANITIZE=""
   cmake --build build -j "$(nproc)" --target pkrusafe_run profile_tool bench_fleet
@@ -240,15 +243,16 @@ run_vpkey() {
 
 run_server() {
   echo "== check: server (build/check-tsan) =="
-  # The multi-tenant sandbox server: the worker pool, the idle sweep, and a
-  # violator's kill all race each other by design, so the server suite and
-  # the fork-based mprotect e2e run under ThreadSanitizer, along with the
-  # multidomain lifecycle (ReleaseLibrary quarantine) they lean on.
+  # The multi-tenant sandbox server: the I/O thread, the worker pool, the
+  # idle sweep, and a violator's kill all race each other by design, so the
+  # socket loop, the server suite and the fork-based mprotect e2e run under
+  # ThreadSanitizer, along with the multidomain lifecycle (ReleaseLibrary
+  # quarantine) they lean on.
   cmake -B build/check-tsan -S . -DPKRUSAFE_SANITIZE=thread
   cmake --build build/check-tsan -j "$(nproc)" \
-    --target server_test multidomain_test integration_test
+    --target support_test server_test multidomain_test integration_test
   ctest --test-dir build/check-tsan --output-on-failure \
-    -R 'SandboxServer|ServerE2e|MultiCompartment'
+    -R 'SocketLoop|SandboxServer|ServerE2e|MultiCompartment'
 
   cmake -B build -S . -DPKRUSAFE_SANITIZE=""
   cmake --build build -j "$(nproc)" --target pkrusafe_serve bench_server
@@ -257,8 +261,8 @@ run_server() {
   trap 'rm -rf "$out"' RETURN
 
   echo "-- server: live round trip (serve -> violate -> survive)"
-  build/tools/pkrusafe_serve --port=0 --duration-ms=4000 --enable-vulnerability \
-    --crash-dir="$out" --stats > "$out/serve.log" 2>&1 &
+  build/tools/pkrusafe_serve --port=0 --workers=2 --duration-ms=4000 \
+    --enable-vulnerability --crash-dir="$out" --stats > "$out/serve.log" 2>&1 &
   local serve_pid=$!
   local port=""
   for _ in $(seq 1 100); do
@@ -271,6 +275,13 @@ run_server() {
     kill "$serve_pid" 2>/dev/null || true
     exit 1
   fi
+  echo "-- server: two idle connections do not starve a third client"
+  exec 4<>"/dev/tcp/127.0.0.1/$port" 5<>"/dev/tcp/127.0.0.1/$port"
+  timeout 2 bash -c 'exec 3<>"/dev/tcp/127.0.0.1/$1"
+    printf "%s\n" "{\"tenant\":\"alice\",\"script\":\"1+2;\"}" >&3
+    IFS= read -r reply <&3
+    [[ "$reply" == *"\"ok\":true"* ]]' _ "$port"
+  exec 4<&- 5<&-
   exec 3<>"/dev/tcp/127.0.0.1/$port"
   printf '%s\n' '{"tenant":"alice","script":"let x = 6 * 7; print(x);"}' >&3
   IFS= read -r reply <&3
@@ -283,7 +294,7 @@ run_server() {
   echo "$reply" | grep -q '"ok":true'
   exec 3<&- 3>&-
   wait "$serve_pid"
-  grep -q '"violations":1' "$out/serve.log"
+  grep -q '"server.violations":1' "$out/serve.log"
   grep -q '"server.compile_cache.hits":' "$out/serve.log"
   grep -q '"kind":"pkru_safe_crash_report"' "$out/crash-evil.json"
 

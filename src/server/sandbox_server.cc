@@ -1,14 +1,6 @@
 #include "src/server/sandbox_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
+#include <algorithm>
 #include <fstream>
 
 #include "src/jsvm/vm.h"
@@ -21,6 +13,9 @@ namespace pkrusafe {
 namespace server {
 
 namespace {
+
+// Longer request lines are refused and their connection closed.
+constexpr size_t kMaxRequestBytes = size_t{1} << 20;
 
 // Registry-backed metrics: the Sampler picks these up like any other
 // counter, so requests/s and request-latency percentiles come out of the
@@ -90,21 +85,6 @@ bool ValidTenantName(std::string_view name) {
   return name != "." && name != "..";
 }
 
-Status WriteAll(int fd, std::string_view bytes) {
-  size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return UnavailableError("send: " + std::string(std::strerror(errno)));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 Result<std::unique_ptr<SandboxServer>> SandboxServer::Create(PkruSafeRuntime* runtime,
@@ -140,7 +120,10 @@ Result<std::unique_ptr<SandboxServer>> SandboxServer::Create(PkruSafeRuntime* ru
 }
 
 SandboxServer::SandboxServer(PkruSafeRuntime* runtime, SandboxServerOptions options)
-    : runtime_(runtime), options_(std::move(options)), programs_(HostNames()) {}
+    : runtime_(runtime),
+      options_(std::move(options)),
+      programs_(HostNames()),
+      loop_(options_.idle_timeout_ms) {}
 
 SandboxServer::~SandboxServer() {
   Stop();
@@ -153,29 +136,9 @@ Status SandboxServer::Start() {
   if (running_.load()) {
     return FailedPreconditionError("SandboxServer already running");
   }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    return UnavailableError("socket: " + std::string(std::strerror(errno)));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(options_.port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, 64) != 0) {
-    const Status status = UnavailableError("bind/listen: " + std::string(std::strerror(errno)));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return status;
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-
+  PS_RETURN_IF_ERROR(loop_.Listen(options_.port));
   running_.store(true);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  io_thread_ = std::thread([this] { IoLoop(); });
   workers_.reserve(options_.workers);
   for (size_t i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -187,130 +150,100 @@ void SandboxServer::Stop() {
   if (!running_.exchange(false)) {
     return;
   }
-  // Wake the accept loop's poll; the fd stays open (and listen_fd_ stays
-  // untouched) until the accept thread has joined — it reads both.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  queue_cv_.notify_all();
-  if (accept_thread_.joinable()) {
-    accept_thread_.join();
+  loop_.Wake();
+  io_thread_.join();
+  {
+    // Under the lock, so a worker between its predicate check and its wait
+    // cannot miss the notify.
+    std::lock_guard lock(queue_mu_);
+    requests_.clear();
   }
+  queue_cv_.notify_all();
   for (std::thread& worker : workers_) {
-    if (worker.joinable()) {
-      worker.join();
-    }
+    worker.join();
   }
   workers_.clear();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  std::lock_guard lock(queue_mu_);
-  for (const int fd : pending_fds_) {
-    ::close(fd);
-  }
-  pending_fds_.clear();
+  responses_.clear();
+  loop_.Shutdown();
 }
 
-void SandboxServer::AcceptLoop() {
+void SandboxServer::IoLoop() {
+  const auto on_input = [this](uint64_t id, std::string& input) { OnInput(id, input); };
   uint64_t last_sweep_ms = NowMsLocal();
   while (running_.load()) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, static_cast<int>(options_.sweep_interval_ms));
-    if (!running_.load()) {
-      break;
+    // Fails only if poll itself does; the next iteration retries.
+    (void)loop_.PollOnce(static_cast<int>(options_.sweep_interval_ms), on_input, nullptr);
+    std::vector<Job> responses;
+    {
+      std::lock_guard lock(queue_mu_);
+      responses.swap(responses_);
+    }
+    for (const Job& response : responses) {
+      // Clearing the mark offers the connection's next line to OnInput. A
+      // connection that broke while its request ran is gone: both no-ops.
+      loop_.SetBusy(response.connection, false);
+      if (!loop_.Send(response.connection, response.text).ok()) {
+        loop_.Close(response.connection);  // the peer stopped reading, or is gone
+      }
     }
     const uint64_t now_ms = NowMsLocal();
     if (now_ms >= last_sweep_ms + options_.sweep_interval_ms) {
       registry_->SweepIdle(now_ms);
       last_sweep_ms = now_ms;
     }
-    if (ready <= 0 || (pfd.revents & POLLIN) == 0) {
-      continue;
+  }
+}
+
+void SandboxServer::OnInput(uint64_t id, std::string& input) {
+  while (true) {
+    const size_t newline = input.find('\n');
+    if (std::min(newline, input.size()) > kMaxRequestBytes) {
+      (void)loop_.Send(id, ErrorResponse("request line too large") + "\n");
+      input.clear();
+      loop_.Close(id);
+      return;
     }
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) {
-      continue;
+    if (newline == std::string::npos) {
+      return;
     }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    {
-      std::lock_guard lock(queue_mu_);
-      pending_fds_.push_back(fd);
+    std::string line = input.substr(0, newline);
+    input.erase(0, newline + 1);
+    if (!StrStrip(line).empty()) {
+      loop_.SetBusy(id, true);
+      {
+        std::lock_guard lock(queue_mu_);
+        requests_.push_back({id, std::move(line)});
+      }
+      queue_cv_.notify_one();
+      return;
     }
-    queue_cv_.notify_one();
   }
 }
 
 void SandboxServer::WorkerLoop() {
   while (true) {
-    int fd = -1;
+    Job request;
     {
       std::unique_lock lock(queue_mu_);
-      queue_cv_.wait(lock, [this] { return !pending_fds_.empty() || !running_.load(); });
-      if (!running_.load() && pending_fds_.empty()) {
+      queue_cv_.wait(lock, [this] { return !requests_.empty() || !running_.load(); });
+      if (!running_.load()) {
         return;
       }
-      fd = pending_fds_.front();
-      pending_fds_.pop_front();
+      request = std::move(requests_.front());
+      requests_.pop_front();
     }
-    ServeConnection(fd);
-    ::close(fd);
-  }
-}
-
-void SandboxServer::ServeConnection(int fd) {
-  std::string buffer;
-  char chunk[4096];
-  while (running_.load()) {
-    const size_t newline = buffer.find('\n');
-    if (newline != std::string::npos) {
-      const std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      if (StrStrip(line).empty()) {
-        continue;
-      }
-      const std::string response = HandleRequestLine(line) + "\n";
-      if (!WriteAll(fd, response).ok()) {
-        return;
-      }
-      continue;
+    Job response{request.connection, HandleRequestLine(request.text) + "\n"};
+    {
+      std::lock_guard lock(queue_mu_);
+      responses_.push_back(std::move(response));
     }
-    if (buffer.size() > options_.max_request_bytes) {
-      (void)WriteAll(fd, ErrorResponse("request line too large") + "\n");
-      return;
-    }
-    // Bounded wait so an idle connection never wedges Stop(): the worker
-    // re-checks running_ every tick instead of blocking in recv forever.
-    pollfd pfd{fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 250);
-    if (ready == 0) {
-      continue;
-    }
-    if (ready < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return;
-    }
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n == 0) {
-      return;  // orderly EOF
-    }
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return;
-    }
-    buffer.append(chunk, static_cast<size_t>(n));
+    loop_.Wake();
   }
 }
 
 std::string SandboxServer::HandleRequestLine(const std::string& line) {
   auto reject = [&](const std::string& error) {
     Metrics().rejected->Increment();
-    {
-      std::lock_guard lock(stats_mu_);
-      ++stats_.rejected;
-    }
     return ErrorResponse(error);
   };
 
@@ -342,10 +275,6 @@ std::string SandboxServer::HandleRequestLine(const std::string& line) {
   auto session = registry_->GetOrCreate(tenant, NowMsLocal());
   if (!session.ok()) {
     Metrics().rejected->Increment();
-    {
-      std::lock_guard lock(stats_mu_);
-      ++stats_.rejected;
-    }
     std::string response;
     json::Writer w(&response);
     w.BeginObject().Key("ok").Bool(false).Key("tenant").String(tenant);
@@ -356,17 +285,6 @@ std::string SandboxServer::HandleRequestLine(const std::string& line) {
   const RequestOutcome outcome = RunInTenant(*session, script);
   Metrics().requests->Increment();
   Metrics().request_ns->Observe(outcome.latency_ns);
-  {
-    std::lock_guard lock(stats_mu_);
-    ++stats_.requests;
-    if (outcome.ok) {
-      ++stats_.ok;
-    } else if (outcome.violation) {
-      ++stats_.violations;
-    } else {
-      ++stats_.script_errors;
-    }
-  }
   std::string response;
   json::Writer w(&response);
   w.BeginObject().Key("ok").Bool(outcome.ok).Key("tenant").String(tenant);
@@ -480,16 +398,6 @@ void SandboxServer::WriteCrashReport(const std::string& tenant, LibraryId librar
   w.Key("tenant").String(tenant).Key("library").Uint(library).Key("error").String(status.message());
   w.Key("ts_ns").Uint(telemetry::NowNs()).EndObject();
   out << report << "\n";
-}
-
-SandboxServer::Stats SandboxServer::stats() const {
-  Stats snapshot;
-  {
-    std::lock_guard lock(stats_mu_);
-    snapshot = stats_;
-  }
-  snapshot.tenants = registry_->stats();
-  return snapshot;
 }
 
 }  // namespace server

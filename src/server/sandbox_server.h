@@ -11,12 +11,17 @@
 // compartment manager's extra_deny, so a tenant mask denies the embedder's
 // trusted heap even though the two allocators never share a pool.
 //
-// Request path: accept loop -> worker pool -> per-request jsvm, loaded
-// from the compiled-program cache (ProgramCache: a recurring script skips
-// lex/parse/compile) -> the call gate (GateSet::CallUntrusted) ->
-// MultiCompartment::Scope(tenant) -> Vm::Run. A request may carry a working-set hint naming the tenants of an
-// upcoming batch; the server pre-faults their virtual keys so the batch's
-// compartment entries take the resident fast path.
+// Request path: the I/O thread's SocketLoop splits connections into lines
+// -> worker pool, one line at a time per connection (responses stay in
+// order) -> per-request jsvm, loaded from the compiled-program cache
+// (ProgramCache: a recurring script skips lex/parse/compile) -> the call
+// gate (GateSet::CallUntrusted) -> MultiCompartment::Scope(tenant) ->
+// Vm::Run -> the response, written by the I/O thread. Workers hold
+// requests, never connections or sockets: an idle or half-sent client costs
+// buffer memory, not a worker. A request may carry a working-set hint
+// naming the tenants of an upcoming batch; the server pre-faults their
+// virtual keys so the batch's compartment entries take the resident fast
+// path.
 //
 // Wire protocol: JSONL over TCP, one request and one response object per
 // line:
@@ -35,13 +40,14 @@
 // flight recorder writes the report) — per-tenant survival there means one
 // process per tenant, which is the deployment the fork-based e2e exercises.
 //
-// Telemetry: requests/s and latency land in the global metrics registry
+// Telemetry: requests/s and latency land only in the global metrics registry
 // (server.requests, server.violations, server.request_ns histogram, ...),
 // so the existing telemetry::Sampler reports throughput and p50/p99 without
 // any server-specific plumbing.
 #ifndef SRC_SERVER_SANDBOX_SERVER_H_
 #define SRC_SERVER_SANDBOX_SERVER_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -55,6 +61,7 @@
 #include "src/runtime/runtime.h"
 #include "src/server/program_cache.h"
 #include "src/server/tenant_registry.h"
+#include "src/support/socket_loop.h"
 #include "src/support/status.h"
 
 namespace pkrusafe {
@@ -63,10 +70,10 @@ namespace server {
 struct SandboxServerOptions {
   uint16_t port = 0;   // 0 = ephemeral; port() reports the bound port
   size_t workers = 2;  // MUST be 1 on backends with process-wide enforcement
-  // Tenant lifecycle (see TenantRegistry).
+  // Tenant lifecycle (see TenantRegistry); idle connections close too.
   uint64_t idle_timeout_ms = 30'000;
   size_t scratch_bytes = 64 * 1024;
-  // How often the accept loop sweeps idle/dead sessions.
+  // How often the I/O thread sweeps idle/dead sessions.
   uint64_t sweep_interval_ms = 250;
   // Compartment pool sizes. Virtual keys make the tenant count unbounded;
   // the pools are per-tenant reservations.
@@ -78,20 +85,10 @@ struct SandboxServerOptions {
   bool enable_vulnerability = false;
   // Directory for per-tenant crash reports ("" = don't write files).
   std::string crash_dir;
-  size_t max_request_bytes = 1 << 20;  // refuse larger request lines
 };
 
 class SandboxServer {
  public:
-  struct Stats {
-    uint64_t requests = 0;    // requests fully processed (any outcome)
-    uint64_t ok = 0;          // scripts that ran to completion
-    uint64_t script_errors = 0;  // parse/compile/runtime errors (not violations)
-    uint64_t violations = 0;  // enforcement violations (tenant killed)
-    uint64_t rejected = 0;    // malformed requests / dead-tenant refusals
-    TenantRegistry::Stats tenants;
-  };
-
   // The runtime is the embedder's: its backend carries the compartments,
   // its M_U feeds the jsvm heaps, its gates count the transitions. It must
   // outlive the server.
@@ -102,15 +99,14 @@ class SandboxServer {
   SandboxServer(const SandboxServer&) = delete;
   SandboxServer& operator=(const SandboxServer&) = delete;
 
-  // Binds, listens, and starts the accept loop + worker pool.
+  // Binds, listens, and starts the I/O thread + worker pool.
   Status Start();
-  // Stops accepting, drains workers, closes every connection. Idempotent.
+  // Stops the threads, drops queued requests, closes every connection.
+  // Idempotent.
   void Stop();
 
-  uint16_t port() const { return port_; }
-  bool running() const { return running_; }
+  uint16_t port() const { return loop_.port(); }
 
-  Stats stats() const;
   MultiCompartment& compartments() { return *mc_; }
   TenantRegistry& registry() { return *registry_; }
 
@@ -121,15 +117,22 @@ class SandboxServer {
 
   // Handles one request line and returns the response line (no trailing
   // newline). Exposed for tests and the bench's in-process mode — identical
-  // to what a connection-serving worker does.
+  // to what a worker does with a line from a connection.
   std::string HandleRequestLine(const std::string& line);
 
  private:
   SandboxServer(PkruSafeRuntime* runtime, SandboxServerOptions options);
 
-  void AcceptLoop();
+  struct Job {  // a request line to a worker, or its response back
+    uint64_t connection = 0;
+    std::string text;
+  };
+
+  void IoLoop();
   void WorkerLoop();
-  void ServeConnection(int fd);
+  // Hands the connection's next complete line to the workers and marks the
+  // connection busy; refuses and closes a line over the size limit.
+  void OnInput(uint64_t id, std::string& input);
   // Runs `script` inside `session`'s compartment. Fills the response fields.
   struct RequestOutcome {
     bool ok = false;
@@ -149,19 +152,17 @@ class SandboxServer {
   ProgramCache programs_;
   void* secret_ = nullptr;
 
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
+  // I/O thread only, but for Wake() (Start/Stop run while it is stopped).
+  SocketLoop loop_;
+
+  std::mutex queue_mu_;  // guards requests_ and responses_
+  std::condition_variable queue_cv_;  // requests_ or Stop
+  std::deque<Job> requests_;
+  std::vector<Job> responses_;
+
   std::atomic<bool> running_{false};
-  std::thread accept_thread_;
+  std::thread io_thread_;
   std::vector<std::thread> workers_;
-
-  // Accepted connections waiting for a worker.
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<int> pending_fds_;
-
-  mutable std::mutex stats_mu_;
-  Stats stats_;
 };
 
 }  // namespace server

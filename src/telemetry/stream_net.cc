@@ -446,199 +446,74 @@ void NetSink::EnforceCapLocked() {
 
 // --- FrameServer ---
 
-FrameServer::~FrameServer() { Stop(); }
+namespace {
 
-Status FrameServer::Start(Options options) {
-  if (listen_fd_ >= 0) {
-    return FailedPreconditionError("frame server already started");
-  }
-  options_ = options;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return InternalError(std::string("frame server: socket: ") + strerror(errno));
-  }
-  int one = 1;
-  (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(options.port);
-  if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return InternalError(std::string("frame server: bind: ") + strerror(errno));
-  }
-  if (::listen(fd, options.backlog) != 0) {
-    ::close(fd);
-    return InternalError(std::string("frame server: listen: ") + strerror(errno));
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &len) != 0) {
-    ::close(fd);
-    return InternalError(std::string("frame server: getsockname: ") + strerror(errno));
-  }
-  SetNonBlocking(fd);
-  listen_fd_ = fd;
-  port_ = ntohs(addr.sin_port);
-  return Status::Ok();
+void AddStats(FrameDecoder::Stats* total, const FrameDecoder::Stats& stats) {
+  total->frames += stats.frames;
+  total->bad_magic += stats.bad_magic;
+  total->bad_version += stats.bad_version;
+  total->bad_type += stats.bad_type;
+  total->oversized += stats.oversized;
+  total->bad_crc += stats.bad_crc;
 }
+
+}  // namespace
+
+Status FrameServer::Start(uint16_t port) { return loop_.Listen(port); }
 
 void FrameServer::Stop() {
-  for (Client& client : clients_) {
-    closed_stats_.frames += client.decoder.stats().frames;
-    closed_stats_.bad_magic += client.decoder.stats().bad_magic;
-    closed_stats_.bad_version += client.decoder.stats().bad_version;
-    closed_stats_.bad_type += client.decoder.stats().bad_type;
-    closed_stats_.oversized += client.decoder.stats().oversized;
-    closed_stats_.bad_crc += client.decoder.stats().bad_crc;
-    ::close(client.fd);
+  for (const auto& [id, decoder] : decoders_) {
+    AddStats(&closed_stats_, decoder.stats());
   }
-  clients_.clear();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
-
-void FrameServer::CloseClient(size_t index, const DisconnectHandler& on_disconnect) {
-  Client& client = clients_[index];
-  const bool torn = client.decoder.mid_frame();
-  if (torn) {
-    // A torn tail is a rejected partial frame, same bucket as CRC garbage.
-    NetRejectedFramesCounter()->Increment();
-  }
-  closed_stats_.frames += client.decoder.stats().frames;
-  closed_stats_.bad_magic += client.decoder.stats().bad_magic;
-  closed_stats_.bad_version += client.decoder.stats().bad_version;
-  closed_stats_.bad_type += client.decoder.stats().bad_type;
-  closed_stats_.oversized += client.decoder.stats().oversized;
-  closed_stats_.bad_crc += client.decoder.stats().bad_crc;
-  ::close(client.fd);
-  const uint64_t id = client.id;
-  clients_.erase(clients_.begin() + static_cast<ptrdiff_t>(index));
-  if (on_disconnect) {
-    on_disconnect(id, torn);
-  }
+  decoders_.clear();
+  loop_.Shutdown();
 }
 
 Result<size_t> FrameServer::PollOnce(int timeout_ms, const FrameHandler& on_frame,
                                      const DisconnectHandler& on_disconnect) {
-  if (listen_fd_ < 0) {
-    return FailedPreconditionError("frame server not started");
-  }
-  std::vector<struct pollfd> fds;
-  fds.reserve(clients_.size() + 1);
-  fds.push_back({listen_fd_, POLLIN, 0});
-  for (const Client& client : clients_) {
-    fds.push_back({client.fd, POLLIN, 0});
-  }
-  const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
-  if (ready < 0) {
-    if (errno == EINTR) {
-      return size_t{0};
-    }
-    return InternalError(std::string("frame server: poll: ") + strerror(errno));
-  }
   size_t dispatched = 0;
-  // Accept first so a fresh client's first frames land in this iteration.
-  if ((fds[0].revents & POLLIN) != 0) {
-    for (;;) {
-      const int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) {
-        break;
-      }
-      if (clients_.size() >= options_.max_clients) {
-        ::close(fd);
-        continue;
-      }
-      SetNonBlocking(fd);
-      int one = 1;
-      (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      Client client;
-      client.id = next_client_id_++;
-      client.fd = fd;
-      clients_.push_back(std::move(client));
-    }
-  }
-  // Read clients back-to-front so CloseClient's erase does not skip anyone.
-  for (size_t i = clients_.size(); i-- > 0;) {
-    // fds[i + 1] only covers clients that existed before the accept pass;
-    // fresh clients get read on the next PollOnce.
-    if (i + 1 >= fds.size()) {
-      continue;
-    }
-    if ((fds[i + 1].revents & (POLLIN | POLLHUP | POLLERR)) == 0) {
-      continue;
-    }
-    Client& client = clients_[i];
-    bool closed = false;
-    char buf[16384];
-    for (;;) {
-      const ssize_t n = ::recv(client.fd, buf, sizeof(buf), MSG_DONTWAIT);
-      if (n > 0) {
-        client.decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
-        continue;
-      }
-      if (n == 0) {
-        closed = true;
-      } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-        closed = true;
-      }
-      break;
-    }
-    while (auto frame = client.decoder.Next()) {
+  const auto on_input = [&](uint64_t id, std::string& input) {
+    FrameDecoder& decoder = decoders_[id];
+    decoder.Feed(input);
+    input.clear();
+    while (auto frame = decoder.Next()) {
       ++dispatched;
       if (on_frame) {
-        on_frame(client.id, std::move(*frame));
+        on_frame(id, std::move(*frame));
       }
     }
-    if (closed) {
-      CloseClient(i, on_disconnect);
+  };
+  const auto on_close = [&](uint64_t id) {
+    bool torn = false;
+    if (const auto it = decoders_.find(id); it != decoders_.end()) {
+      torn = it->second.mid_frame();
+      AddStats(&closed_stats_, it->second.stats());
+      decoders_.erase(it);
     }
-  }
+    if (torn) {
+      // A torn tail is a rejected partial frame, same bucket as CRC garbage.
+      NetRejectedFramesCounter()->Increment();
+    }
+    if (on_disconnect) {
+      on_disconnect(id, torn);
+    }
+  };
+  PS_RETURN_IF_ERROR(loop_.PollOnce(timeout_ms, on_input, on_close));
   return dispatched;
 }
 
 Status FrameServer::SendTo(uint64_t client_id, FrameType type, std::string_view payload) {
-  for (Client& client : clients_) {
-    if (client.id != client_id) {
-      continue;
-    }
-    const std::string frame = EncodeFrame(type, payload);
-    if (frame.empty()) {
-      return InvalidArgumentError("frame server: payload too large");
-    }
-    size_t written = 0;
-    while (written < frame.size()) {
-      const ssize_t n = ::send(client.fd, frame.data() + written, frame.size() - written,
-                               MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) {
-          continue;
-        }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          struct pollfd pfd{client.fd, POLLOUT, 0};
-          (void)::poll(&pfd, 1, 100);
-          continue;
-        }
-        return InternalError(std::string("frame server: send: ") + strerror(errno));
-      }
-      written += static_cast<size_t>(n);
-    }
-    return Status::Ok();
+  const std::string frame = EncodeFrame(type, payload);
+  if (frame.empty()) {
+    return InvalidArgumentError("frame server: payload too large");
   }
-  return NotFoundError("frame server: no such client");
+  return loop_.Send(client_id, frame);
 }
 
 FrameDecoder::Stats FrameServer::decoder_stats() const {
   FrameDecoder::Stats total = closed_stats_;
-  for (const Client& client : clients_) {
-    total.frames += client.decoder.stats().frames;
-    total.bad_magic += client.decoder.stats().bad_magic;
-    total.bad_version += client.decoder.stats().bad_version;
-    total.bad_type += client.decoder.stats().bad_type;
-    total.oversized += client.decoder.stats().oversized;
-    total.bad_crc += client.decoder.stats().bad_crc;
+  for (const auto& [id, decoder] : decoders_) {
+    AddStats(&total, decoder.stats());
   }
   return total;
 }

@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -44,6 +45,7 @@
 #include <vector>
 
 #include "src/support/rng.h"
+#include "src/support/socket_loop.h"
 #include "src/support/status.h"
 
 namespace pkrusafe {
@@ -197,32 +199,26 @@ class NetSink {
 
 // --- Server ---
 
-// Multi-client framed TCP listener driven by a poll loop the caller owns
-// (matching ProfileAggregator's poll-based design: no thread here either).
+// Multi-client framed TCP listener: framing glue over a SocketLoop the
+// caller drives (matching ProfileAggregator's poll-based design: no thread
+// here either). Producers are long-lived streams: none is closed as idle.
 class FrameServer {
  public:
-  struct Options {
-    uint16_t port = 0;  // 0 = ephemeral; port() reports the bound port
-    int backlog = 16;
-    size_t max_clients = 64;
-  };
-
   // (client_id, frame). client_id is stable for the connection's lifetime.
   using FrameHandler = std::function<void(uint64_t, Frame&&)>;
   // Invoked when a connection closes; `mid_frame` reports a torn tail.
   using DisconnectHandler = std::function<void(uint64_t, bool mid_frame)>;
 
   FrameServer() = default;
-  ~FrameServer();
   FrameServer(const FrameServer&) = delete;
   FrameServer& operator=(const FrameServer&) = delete;
 
-  Status Start(Options options);
+  // 0 = ephemeral; port() reports the bound port.
+  Status Start(uint16_t port = 0);
   void Stop();
 
-  uint16_t port() const { return port_; }
-  size_t client_count() const { return clients_.size(); }
-  bool running() const { return listen_fd_ >= 0; }
+  uint16_t port() const { return loop_.port(); }
+  size_t client_count() const { return loop_.connection_count(); }
 
   // One poll iteration: accept new clients, read every readable socket,
   // decode and dispatch frames, reap disconnects. Waits at most `timeout_ms`
@@ -230,28 +226,17 @@ class FrameServer {
   Result<size_t> PollOnce(int timeout_ms, const FrameHandler& on_frame,
                           const DisconnectHandler& on_disconnect = nullptr);
 
-  // Best-effort framed send to one client (policy updates are small; this
-  // writes with a short poll per chunk rather than buffering). Unknown ids
-  // return NotFound.
+  // Framed send to one client; never blocks (PollOnce flushes the queue).
+  // Unknown ids return NotFound; a client that stopped reading and filled
+  // its queue gets ResourceExhausted, and the frame is dropped whole.
   Status SendTo(uint64_t client_id, FrameType type, std::string_view payload);
 
   // Decoder stats summed over all connections, dead and alive.
   FrameDecoder::Stats decoder_stats() const;
 
  private:
-  struct Client {
-    uint64_t id = 0;
-    int fd = -1;
-    FrameDecoder decoder;
-  };
-
-  void CloseClient(size_t index, const DisconnectHandler& on_disconnect);
-
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  Options options_;
-  uint64_t next_client_id_ = 1;
-  std::vector<Client> clients_;
+  SocketLoop loop_{SocketLoop::kNeverIdle};
+  std::map<uint64_t, FrameDecoder> decoders_;  // by client id, from its first byte
   FrameDecoder::Stats closed_stats_;  // summed from reaped connections
 };
 

@@ -208,8 +208,7 @@ std::string PolicyJson(const char* action, const std::vector<telemetry::Promotio
 
 TEST(FleetE2eTest, PromoteThenDemoteOverLiveSocket) {
   telemetry::FrameServer server;
-  telemetry::FrameServer::Options server_options;
-  ASSERT_TRUE(server.Start(server_options).ok());
+  ASSERT_TRUE(server.Start().ok());
   ASSERT_NE(server.port(), 0);
 
   const pid_t pid = fork();

@@ -33,6 +33,7 @@
 #include "src/telemetry/aggregator.h"
 #include "src/telemetry/crash_report.h"
 #include "src/telemetry/flight_recorder.h"
+#include "src/telemetry/metrics.h"
 #include "src/telemetry/stream_net.h"
 #include "src/telemetry/telemetry.h"
 
@@ -212,6 +213,13 @@ bool AwaitPromotion(telemetry::NetSink& sink, AllocId site, std::vector<AllocId>
   if (!server.ok()) {
     _exit(32);
   }
+  // Request outcomes count only in the process-global registry.
+  telemetry::Counter* const ok_count =
+      telemetry::MetricsRegistry::Global().GetOrCreateCounter("server.requests_ok");
+  telemetry::Counter* const violation_count =
+      telemetry::MetricsRegistry::Global().GetOrCreateCounter("server.violations");
+  const uint64_t ok_before = ok_count->value();
+  const uint64_t violations_before = violation_count->value();
 
   // The candidate-site buffer tenant scripts will read.
   void* hot = rt.AllocTrusted(kHotSite, 4 * kPageSize);
@@ -256,8 +264,7 @@ bool AwaitPromotion(telemetry::NetSink& sink, AllocId site, std::vector<AllocId>
   if (rt.stats().sampled_faults != faults_before) {
     _exit(40);  // promoted site faulted again
   }
-  const auto stats = (*server)->stats();
-  if (stats.ok != 2 || stats.violations != 0) {
+  if (ok_count->value() - ok_before != 2 || violation_count->value() != violations_before) {
     _exit(41);
   }
   writer.Close();
@@ -267,8 +274,7 @@ bool AwaitPromotion(telemetry::NetSink& sink, AllocId site, std::vector<AllocId>
 
 TEST(ServerE2eTest, ServingProducerStreamsDeltasAndAppliesPromotionLive) {
   telemetry::FrameServer frame_server;
-  telemetry::FrameServer::Options server_options;
-  ASSERT_TRUE(frame_server.Start(server_options).ok());
+  ASSERT_TRUE(frame_server.Start().ok());
   ASSERT_NE(frame_server.port(), 0);
 
   const pid_t pid = fork();

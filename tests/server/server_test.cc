@@ -1,22 +1,32 @@
 // Multi-tenant sandbox server tests (sim backend): request plumbing,
 // violation containment, concurrent serving with a mid-stream violator, and
-// tenant-churn lifecycle. The concurrency test is the one check.sh runs
-// under TSan — it exercises the accept loop, worker pool, sweep thread, and
-// registry against each other.
+// tenant-churn lifecycle, and connection handling over real sockets (no
+// starvation by idle clients, pipelining order, the connection cap, idle
+// close, the line-size limit). check.sh runs the suite under TSan: the I/O
+// thread, worker pool, sweep and registry race each other by design.
 #include <atomic>
 #include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "src/jsvm/value.h"
 #include "src/mpk/backend_factory.h"
@@ -24,6 +34,7 @@
 #include "src/server/client.h"
 #include "src/server/sandbox_server.h"
 #include "src/support/json.h"
+#include "src/support/socket_loop.h"
 #include "src/telemetry/crash_report.h"
 #include "src/telemetry/export.h"
 #include "src/telemetry/metrics.h"
@@ -46,6 +57,22 @@ bool BoolField(const json::Value& v, std::string_view key) {
   const json::Value* field = v.Find(key);
   return field != nullptr && field->is_bool() && field->AsBool();
 }
+
+// The server counts request outcomes only in the process-global registry,
+// which every test in this binary shares: tests assert deltas taken around
+// their own requests.
+class RegistryDelta {
+ public:
+  RegistryDelta() : before_(telemetry::MetricsRegistry::Global().Snapshot().counters) {}
+  uint64_t operator[](const std::string& name) const {
+    const uint64_t now = telemetry::MetricsRegistry::Global().GetOrCreateCounter(name)->value();
+    const auto it = before_.find(name);
+    return now - (it == before_.end() ? 0 : it->second);
+  }
+
+ private:
+  std::map<std::string, uint64_t> before_;
+};
 
 json::Value MustParse(const std::string& line) {
   auto parsed = json::Parse(line);
@@ -74,6 +101,7 @@ TEST(SandboxServerTest, ServesScriptsAndReportsResults) {
   SandboxServerOptions options;
   auto server = SandboxServer::Create(runtime.get(), options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const RegistryDelta delta;
 
   const json::Value ok_response = MustParse(
       (*server)->HandleRequestLine(R"({"tenant":"alice","script":"let x = 6 * 7; print(x);"})"));
@@ -97,12 +125,12 @@ TEST(SandboxServerTest, ServesScriptsAndReportsResults) {
   EXPECT_FALSE(BoolField(MustParse((*server)->HandleRequestLine("not json")), "ok"));
   EXPECT_FALSE(BoolField(MustParse((*server)->HandleRequestLine(R"({"script":"1;"})")), "ok"));
 
-  const SandboxServer::Stats stats = (*server)->stats();
-  EXPECT_EQ(stats.ok, 2u);
-  EXPECT_EQ(stats.script_errors, 1u);
-  EXPECT_EQ(stats.rejected, 2u);
-  EXPECT_EQ(stats.violations, 0u);
-  EXPECT_EQ(stats.tenants.created, 1u);
+  EXPECT_EQ(delta["server.requests"], 3u);
+  EXPECT_EQ(delta["server.requests_ok"], 2u);
+  EXPECT_EQ(delta["server.script_errors"], 1u);
+  EXPECT_EQ(delta["server.rejected"], 2u);
+  EXPECT_EQ(delta["server.violations"], 0u);
+  EXPECT_EQ((*server)->registry().stats().created, 1u);
 }
 
 TEST(SandboxServerTest, ViolatingTenantDiesWithCrashReportWhileOthersServe) {
@@ -113,6 +141,7 @@ TEST(SandboxServerTest, ViolatingTenantDiesWithCrashReportWhileOthersServe) {
   options.crash_dir = ::testing::TempDir();
   auto server = SandboxServer::Create(runtime.get(), options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const RegistryDelta delta;
 
   EXPECT_TRUE(BoolField(
       MustParse((*server)->HandleRequestLine(
@@ -143,10 +172,9 @@ TEST(SandboxServerTest, ViolatingTenantDiesWithCrashReportWhileOthersServe) {
           R"({"tenant":"alice","script":"let c = 3; print(c);"})")),
       "ok"));
 
-  const SandboxServer::Stats stats = (*server)->stats();
-  EXPECT_EQ(stats.violations, 1u);
-  EXPECT_EQ(stats.tenants.killed, 1u);
-  EXPECT_EQ(stats.ok, 2u);
+  EXPECT_EQ(delta["server.violations"], 1u);
+  EXPECT_EQ((*server)->registry().stats().killed, 1u);
+  EXPECT_EQ(delta["server.requests_ok"], 2u);
 }
 
 // Tenant names become crash-report file names: anything that could steer
@@ -166,15 +194,15 @@ TEST(SandboxServerTest, HostileTenantNamesAreRejected) {
       // 129 chars: over the length cap.
       "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"
       "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"};
+  const RegistryDelta delta;
   for (const char* name : hostile) {
     const std::string line = "{\"tenant\":\"" + telemetry::JsonEscape(name) +
                              "\",\"script\":\"let h = 1;\"}";
     const json::Value response = MustParse((*server)->HandleRequestLine(line));
     EXPECT_FALSE(BoolField(response, "ok")) << name;
   }
-  const SandboxServer::Stats stats = (*server)->stats();
-  EXPECT_EQ(stats.rejected, std::size(hostile));
-  EXPECT_EQ(stats.tenants.created, 0u);  // no session, no crash file possible
+  EXPECT_EQ(delta["server.rejected"], std::size(hostile));
+  EXPECT_EQ((*server)->registry().stats().created, 0u);  // no session, no crash file possible
 }
 
 // A registration whose scratch allocation fails must roll the library back:
@@ -196,7 +224,7 @@ TEST(SandboxServerTest, ScratchAllocFailureDoesNotLeakTheLibrary) {
     EXPECT_EQ((*server)->compartments().live_library_count(), 0u) << attempt;
     EXPECT_EQ((*server)->compartments().vpkey_stats().virtual_keys, 0u) << attempt;
   }
-  EXPECT_EQ((*server)->stats().tenants.created, 0u);
+  EXPECT_EQ((*server)->registry().stats().created, 0u);
 }
 
 // scratch_bytes smaller than a word used to divide by zero in the
@@ -239,7 +267,7 @@ TEST(SandboxServerTest, NameReuseAfterKillGetsAFreshLiveSession) {
   const json::Value reborn = MustParse((*server)->HandleRequestLine(
       R"({"tenant":"phoenix","script":"let p = 2; print(p);"})"));
   EXPECT_TRUE(BoolField(reborn, "ok"));
-  EXPECT_EQ((*server)->stats().tenants.created, 2u);
+  EXPECT_EQ((*server)->registry().stats().created, 2u);
 }
 
 // A tenant peeking at ANOTHER tenant's private pool is a violation too:
@@ -283,6 +311,7 @@ TEST(SandboxServerTest, ConcurrentTenantsSurviveAViolator) {
   options.enable_vulnerability = true;
   auto server = SandboxServer::Create(runtime.get(), options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const RegistryDelta delta;
   ASSERT_TRUE((*server)->Start().ok());
   const uint16_t port = (*server)->port();
 
@@ -339,10 +368,9 @@ TEST(SandboxServerTest, ConcurrentTenantsSurviveAViolator) {
 
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(violator_dead.load(), 1);
-  const SandboxServer::Stats stats = (*server)->stats();
-  EXPECT_EQ(stats.ok, static_cast<uint64_t>(kSurvivors * kRequestsEach + 3));
-  EXPECT_EQ(stats.violations, 1u);
-  EXPECT_EQ(stats.tenants.killed, 1u);
+  EXPECT_EQ(delta["server.requests_ok"], static_cast<uint64_t>(kSurvivors * kRequestsEach + 3));
+  EXPECT_EQ(delta["server.violations"], 1u);
+  EXPECT_EQ((*server)->registry().stats().killed, 1u);
 }
 
 // Tenant churn: many short-lived sessions across more concurrent tenants
@@ -359,6 +387,7 @@ TEST(SandboxServerTest, ChurnReleasesIdleTenantsWithoutKeyGrowth) {
 
   constexpr int kRounds = 3;
   constexpr int kTenantsPerRound = 24;  // > 16 concurrent virtual keys
+  const RegistryDelta delta;
   for (int round = 0; round < kRounds; ++round) {
     for (int i = 0; i < kTenantsPerRound; ++i) {
       const std::string tenant =
@@ -380,15 +409,14 @@ TEST(SandboxServerTest, ChurnReleasesIdleTenantsWithoutKeyGrowth) {
     EXPECT_EQ((*server)->compartments().live_library_count(), 0u);
   }
 
-  const SandboxServer::Stats stats = (*server)->stats();
-  EXPECT_EQ(stats.tenants.created,
-            static_cast<uint64_t>(kRounds * kTenantsPerRound));
-  EXPECT_EQ(stats.tenants.released, stats.tenants.created);
+  const TenantRegistry::Stats tenants = (*server)->registry().stats();
+  EXPECT_EQ(tenants.created, static_cast<uint64_t>(kRounds * kTenantsPerRound));
+  EXPECT_EQ(tenants.released, tenants.created);
   // The virtual-key table tracks LIVE keys only — churn must not grow it.
   const VpkeyStats vpkeys = (*server)->compartments().vpkey_stats();
   EXPECT_EQ(vpkeys.virtual_keys, 0u);
-  EXPECT_EQ(stats.requests, static_cast<uint64_t>(kRounds * kTenantsPerRound));
-  EXPECT_EQ(stats.ok, stats.requests);
+  EXPECT_EQ(delta["server.requests"], static_cast<uint64_t>(kRounds * kTenantsPerRound));
+  EXPECT_EQ(delta["server.requests_ok"], delta["server.requests"]);
 }
 
 // Working-set hints pre-fault the named tenants' keys: the batch that
@@ -511,12 +539,6 @@ std::string RequestLine(const std::string& tenant, const std::string& script) {
   return line;
 }
 
-uint64_t CompileCacheHits() {
-  return telemetry::MetricsRegistry::Global()
-      .GetOrCreateCounter("server.compile_cache.hits")
-      ->value();
-}
-
 // A script's cold run, its second run (which admits it to the compiled-
 // program cache) and its cached runs answer byte for byte alike.
 TEST(SandboxServerTest, CachedScriptsAnswerLikeColdOnes) {
@@ -534,7 +556,7 @@ TEST(SandboxServerTest, CachedScriptsAnswerLikeColdOnes) {
       "let = ;",
       "let a = 1; \\",
   };
-  const uint64_t hits_before = CompileCacheHits();
+  const RegistryDelta delta;
   for (const std::string& script : scripts) {
     const std::string line = RequestLine("alice", script);
     const std::string cold = Mask((*server)->HandleRequestLine(line), "\"latency_ns\":");
@@ -543,7 +565,7 @@ TEST(SandboxServerTest, CachedScriptsAnswerLikeColdOnes) {
     }
   }
   // Four scripts compile; each is admitted on its second run and hit twice.
-  EXPECT_EQ(CompileCacheHits() - hits_before, 8u);
+  EXPECT_EQ(delta["server.compile_cache.hits"], 8u);
 }
 
 // Interning stays per request: a cached script corrupts its own string
@@ -561,7 +583,7 @@ TEST(SandboxServerTest, CachedStringConstantsStayPerTenant) {
   const std::string script = "let s = \"constant\"; print(s); __poke(__addrof(s) + " +
                              std::to_string(offsetof(StringObject, length)) +
                              ", 3); print(s); print(__addrof(s));";
-  const uint64_t hits_before = CompileCacheHits();
+  const RegistryDelta delta;
   for (const char* tenant : {"alice", "alice", "alice", "bob", "bob", "alice"}) {
     const std::string line = (*server)->HandleRequestLine(RequestLine(tenant, script));
     const json::Value response = MustParse(line);
@@ -571,7 +593,7 @@ TEST(SandboxServerTest, CachedStringConstantsStayPerTenant) {
     EXPECT_EQ(prints[0].AsString(), "constant") << tenant;
     EXPECT_EQ(prints[1].AsString(), "con") << tenant;
   }
-  EXPECT_EQ(CompileCacheHits() - hits_before, 4u);
+  EXPECT_EQ(delta["server.compile_cache.hits"], 4u);
 }
 
 // Two workers serve concurrent clients whose requests mix texts every
@@ -583,6 +605,7 @@ TEST(SandboxServerTest, ConcurrentSharedAndDistinctTextsOnTwoWorkers) {
   options.workers = 2;
   auto server = SandboxServer::Create(runtime.get(), options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const RegistryDelta delta;
   ASSERT_TRUE((*server)->Start().ok());
   const uint16_t port = (*server)->port();
 
@@ -619,7 +642,200 @@ TEST(SandboxServerTest, ConcurrentSharedAndDistinctTextsOnTwoWorkers) {
   }
   (*server)->Stop();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ((*server)->stats().ok, static_cast<uint64_t>(kClients * kRequestsEach));
+  EXPECT_EQ(delta["server.requests_ok"], static_cast<uint64_t>(kClients * kRequestsEach));
+}
+
+// --- Connections: the I/O thread over a real socket ---
+
+// A loopback connection for clients ServerClient cannot play: idle,
+// partial-line, pipelining and oversized senders. Every read has a deadline,
+// so a server that never answers fails the test instead of hanging it.
+class RawConnection {
+ public:
+  explicit RawConnection(uint16_t port) : fd_(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0)
+        << std::strerror(errno);
+  }
+  ~RawConnection() { ::close(fd_); }
+  RawConnection(const RawConnection&) = delete;
+  RawConnection& operator=(const RawConnection&) = delete;
+
+  void SendAll(std::string_view bytes) {
+    while (!bytes.empty()) {
+      const ssize_t n = ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+      ASSERT_GT(n, 0) << std::strerror(errno);
+      bytes.remove_prefix(static_cast<size_t>(n));
+    }
+  }
+
+  // The next response line; "" on EOF, error or timeout.
+  std::string ReadLine(int timeout_ms) {
+    size_t newline = 0;
+    while ((newline = buffer_.find('\n')) == std::string::npos) {
+      if (!Fill(timeout_ms)) {
+        return "";
+      }
+    }
+    std::string line = buffer_.substr(0, newline);
+    buffer_.erase(0, newline + 1);
+    return line;
+  }
+
+  // True when the server closes the connection within `timeout_ms`.
+  bool ClosedWithin(int timeout_ms) {
+    while (Fill(timeout_ms)) {
+    }
+    return closed_;
+  }
+
+ private:
+  // Reads what arrives within `timeout_ms`; false on timeout or close.
+  bool Fill(int timeout_ms) {
+    pollfd pfd{fd_, POLLIN, 0};
+    if (::poll(&pfd, 1, timeout_ms) <= 0) {
+      return false;
+    }
+    char chunk[4096];
+    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    if (n <= 0) {
+      closed_ = true;
+      return false;
+    }
+    buffer_.append(chunk, static_cast<size_t>(n));
+    return true;
+  }
+
+  int fd_;
+  std::string buffer_;
+  bool closed_ = false;
+};
+
+std::unique_ptr<SandboxServer> StartServer(PkruSafeRuntime* runtime, SandboxServerOptions options) {
+  auto server = SandboxServer::Create(runtime, std::move(options));
+  EXPECT_TRUE(server.ok()) << server.status().ToString();
+  if (!server.ok() || !(*server)->Start().ok()) {
+    return nullptr;
+  }
+  return std::move(*server);
+}
+
+// Idle sockets and a partial line used to hold a worker each: with two
+// workers, a third client waited until those sockets closed.
+TEST(SandboxServerTest, IdleAndPartialLineClientsDoNotStarveOthers) {
+  auto runtime = MakeSimRuntime();
+  ASSERT_NE(runtime, nullptr);
+  SandboxServerOptions options;
+  options.workers = 2;
+  auto server = StartServer(runtime.get(), options);
+  ASSERT_NE(server, nullptr);
+
+  std::vector<std::unique_ptr<RawConnection>> stalled;
+  for (int i = 0; i < 4; ++i) {
+    stalled.push_back(std::make_unique<RawConnection>(server->port()));
+  }
+  stalled.push_back(std::make_unique<RawConnection>(server->port()));
+  stalled.back()->SendAll(R"({"tenant":"slow","script":"1 +)");
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // let them be accepted
+
+  ServerClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+  auto call = std::async(std::launch::async, [&] { return client.Call("alice", "return 1 + 2;"); });
+  const std::future_status answered = call.wait_for(std::chrono::seconds(1));
+  stalled.clear();  // unblocks a server that gives each connection a worker
+  EXPECT_EQ(answered, std::future_status::ready);
+  auto response = call.get();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_TRUE(BoolField(*response, "ok"));
+  EXPECT_EQ(response->GetString("result"), "3");
+}
+
+TEST(SandboxServerTest, PipelinedLinesAreAnsweredInOrder) {
+  auto runtime = MakeSimRuntime();
+  ASSERT_NE(runtime, nullptr);
+  SandboxServerOptions options;
+  options.workers = 4;
+  auto server = StartServer(runtime.get(), options);
+  ASSERT_NE(server, nullptr);
+
+  RawConnection connection(server->port());
+  connection.SendAll(RequestLine("a", "let s = 0; let i = 0; while (i < 2000) { s = s + i; "
+                                      "i = i + 1; } print(1);") +
+                     "\n" + RequestLine("b", "print(2);") + "\n" +
+                     RequestLine("c", "print(3);") + "\n");
+  for (const char* expected : {"1", "2", "3"}) {
+    const std::string line = connection.ReadLine(5000);
+    const json::Value response = MustParse(line);
+    ASSERT_TRUE(BoolField(response, "ok")) << line;
+    ASSERT_EQ(response.Find("prints")->AsArray().size(), 1u) << line;
+    EXPECT_EQ(response.Find("prints")->AsArray()[0].AsString(), expected);
+  }
+}
+
+TEST(SandboxServerTest, ConnectionPastTheCapIsClosedAndTheRestServe) {
+  auto runtime = MakeSimRuntime();
+  ASSERT_NE(runtime, nullptr);
+  SandboxServerOptions options;
+  options.workers = 2;
+  auto server = StartServer(runtime.get(), options);
+  ASSERT_NE(server, nullptr);
+
+  std::vector<std::unique_ptr<ServerClient>> clients;
+  for (size_t i = 0; i < SocketLoop::kMaxConnections; ++i) {
+    clients.push_back(std::make_unique<ServerClient>());
+    ASSERT_TRUE(clients.back()->Connect("127.0.0.1", server->port()).ok());
+    // Answered, so accepted before the next connection arrives.
+    auto response = clients.back()->Call("t" + std::to_string(i), "1;");
+    ASSERT_TRUE(response.ok() && BoolField(*response, "ok")) << i;
+  }
+  RawConnection over_cap(server->port());
+  EXPECT_TRUE(over_cap.ClosedWithin(5000));
+  for (size_t i = 0; i < clients.size(); ++i) {
+    auto response = clients[i]->Call("t" + std::to_string(i), "2;");
+    ASSERT_TRUE(response.ok() && BoolField(*response, "ok")) << i;
+  }
+}
+
+TEST(SandboxServerTest, IdleConnectionIsClosedAfterIdleTimeout) {
+  auto runtime = MakeSimRuntime();
+  ASSERT_NE(runtime, nullptr);
+  SandboxServerOptions options;
+  options.idle_timeout_ms = 200;
+  auto server = StartServer(runtime.get(), options);
+  ASSERT_NE(server, nullptr);
+
+  RawConnection connection(server->port());
+  connection.SendAll(RequestLine("alice", "1;") + "\n");
+  EXPECT_TRUE(BoolField(MustParse(connection.ReadLine(5000)), "ok"));
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_TRUE(connection.ClosedWithin(5000));
+  EXPECT_GE(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(150));
+}
+
+TEST(SandboxServerTest, OversizedLineIsRefusedAndTheServerKeepsServing) {
+  auto runtime = MakeSimRuntime();
+  ASSERT_NE(runtime, nullptr);
+  auto server = StartServer(runtime.get(), SandboxServerOptions{});
+  ASSERT_NE(server, nullptr);
+
+  RawConnection oversized(server->port());
+  // One byte past the 1 MiB limit and no newline: the server reads it all,
+  // so its close is an orderly FIN and the refusal is readable.
+  const std::string prefix = R"({"tenant":"big","script":")";
+  oversized.SendAll(prefix + std::string((size_t{1} << 20) + 1 - prefix.size(), 'x'));
+  const json::Value refusal = MustParse(oversized.ReadLine(5000));
+  EXPECT_FALSE(BoolField(refusal, "ok"));
+  EXPECT_EQ(refusal.GetString("error"), "request line too large");
+  EXPECT_TRUE(oversized.ClosedWithin(5000));
+
+  ServerClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port()).ok());
+  auto response = client.Call("alice", "print(1);");
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_TRUE(BoolField(*response, "ok"));
 }
 
 }  // namespace

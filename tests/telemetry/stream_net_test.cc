@@ -10,8 +10,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -222,7 +228,7 @@ int RawConnect(uint16_t port) {
 
 TEST(FrameServerTest, RoundtripAndPolicyPushback) {
   FrameServer server;
-  ASSERT_TRUE(server.Start({}).ok());
+  ASSERT_TRUE(server.Start().ok());
   ASSERT_NE(server.port(), 0);
 
   NetSinkOptions options;
@@ -260,7 +266,7 @@ TEST(FrameServerTest, RoundtripAndPolicyPushback) {
 
 TEST(FrameServerTest, MidFrameDisconnectReportedAndSurvived) {
   FrameServer server;
-  ASSERT_TRUE(server.Start({}).ok());
+  ASSERT_TRUE(server.Start().ok());
 
   // A producer dies mid-frame: header promises more bytes than ever arrive.
   const std::string frame = Valid(FrameType::kProfileDelta, "never-finished");
@@ -305,7 +311,7 @@ TEST(FrameServerTest, ReconnectsCountEstablishedConnectionsNotAttempts) {
   // retries) inflated telemetry.net.reconnects unboundedly. A flapping server
   // must produce exactly one reconnect per re-established connection.
   FrameServer server;
-  ASSERT_TRUE(server.Start({}).ok());
+  ASSERT_TRUE(server.Start().ok());
   const uint16_t port = server.port();
 
   NetSinkOptions options;
@@ -337,9 +343,7 @@ TEST(FrameServerTest, ReconnectsCountEstablishedConnectionsNotAttempts) {
       sink.Send(FrameType::kSamplerRow, "down");
       sink.Pump();
     }
-    FrameServer::Options revived_options;
-    revived_options.port = port;
-    ASSERT_TRUE(server.Start(revived_options).ok());
+    ASSERT_TRUE(server.Start(port).ok());
     deliver_one();
     EXPECT_EQ(sink.stats().reconnects, flap + 1);
   }
@@ -349,7 +353,7 @@ TEST(FrameServerTest, ReconnectsCountEstablishedConnectionsNotAttempts) {
 
 TEST(FrameServerTest, ReconnectContinuesAfterServerRestart) {
   FrameServer server;
-  ASSERT_TRUE(server.Start({}).ok());
+  ASSERT_TRUE(server.Start().ok());
   const uint16_t port = server.port();
 
   NetSinkOptions options;
@@ -371,9 +375,7 @@ TEST(FrameServerTest, ReconnectContinuesAfterServerRestart) {
   sink.Pump();
 
   FrameServer revived;
-  FrameServer::Options revived_options;
-  revived_options.port = port;
-  ASSERT_TRUE(revived.Start(revived_options).ok());
+  ASSERT_TRUE(revived.Start(port).ok());
   sink.Send(FrameType::kSamplerRow, "after");
   std::vector<std::string> payloads;
   for (int i = 0; i < 300 && payloads.empty(); ++i) {
@@ -392,6 +394,81 @@ TEST(FrameServerTest, ReconnectContinuesAfterServerRestart) {
   }
   EXPECT_GT(sink.stats().reconnects, 0u);
   revived.Stop();
+}
+
+// Aborts the test binary if the test body outlives `limit`: the failure
+// under test is a hang, and a hung test would otherwise never report.
+class Watchdog {
+ public:
+  explicit Watchdog(std::chrono::seconds limit)
+      : thread_([this, limit] {
+          std::unique_lock lock(mu_);
+          if (!cv_.wait_for(lock, limit, [this] { return done_; })) {
+            std::fprintf(stderr, "watchdog: test still running after %llds\n",
+                         static_cast<long long>(limit.count()));
+            std::abort();
+          }
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard lock(mu_);
+      done_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;
+};
+
+// A client that never reads costs the server queued bytes, not time:
+// SendTo used to spin on EAGAIN forever once the socket buffers filled.
+TEST(FrameServerTest, StalledReaderBlocksNeitherSendToNorOtherClients) {
+  const Watchdog watchdog(std::chrono::seconds(30));
+  FrameServer server;
+  ASSERT_TRUE(server.Start().ok());
+
+  const int stalled = RawConnect(server.port());
+  const std::string hello = Valid(FrameType::kHello, "stalled");
+  ASSERT_EQ(::send(stalled, hello.data(), hello.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(hello.size()));
+  uint64_t stalled_id = 0;
+  for (int i = 0; i < 100 && stalled_id == 0; ++i) {
+    ASSERT_TRUE(server.PollOnce(10, [&](uint64_t id, Frame&&) { stalled_id = id; }).ok());
+  }
+  ASSERT_NE(stalled_id, 0u);
+
+  // Far more policy updates than any socket buffer holds, until the
+  // server's own bounded queue refuses one.
+  const std::string update(64 * 1024, 'u');
+  bool refused = false;
+  for (size_t pushed = 0; pushed < (size_t{256} << 20) && !refused; pushed += update.size()) {
+    const Status status = server.SendTo(stalled_id, FrameType::kPolicyUpdate, update);
+    refused = status.code() == StatusCode::kResourceExhausted;
+    ASSERT_TRUE(status.ok() || refused) << status.ToString();
+  }
+  EXPECT_TRUE(refused);
+
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(server.PollOnce(50, [](uint64_t, Frame&&) {}).ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+
+  const int good = RawConnect(server.port());
+  const std::string frame = Valid(FrameType::kSamplerRow, "alive");
+  ASSERT_EQ(::send(good, frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+  std::string payload;
+  for (int i = 0; i < 100 && payload.empty(); ++i) {
+    ASSERT_TRUE(server.PollOnce(10, [&](uint64_t, Frame&& f) { payload = f.payload; }).ok());
+  }
+  EXPECT_EQ(payload, "alive");
+  ::close(good);
+  ::close(stalled);
+  server.Stop();
 }
 
 }  // namespace

@@ -73,23 +73,24 @@ int main(int argc, char** argv) {
                  ? arg.c_str() + std::strlen(prefix)
                  : nullptr;
     };
-    if (const char* v = value_of("--port=")) {
+    const char* v = nullptr;
+    if ((v = value_of("--port="))) {
       port = static_cast<uint16_t>(std::strtoul(v, nullptr, 10));
-    } else if (const char* v = value_of("--backend=")) {
+    } else if ((v = value_of("--backend="))) {
       backend = v;
-    } else if (const char* v = value_of("--workers=")) {
+    } else if ((v = value_of("--workers="))) {
       workers = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value_of("--idle-timeout-ms=")) {
+    } else if ((v = value_of("--idle-timeout-ms="))) {
       idle_timeout_ms = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value_of("--sweep-interval-ms=")) {
+    } else if ((v = value_of("--sweep-interval-ms="))) {
       sweep_interval_ms = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value_of("--duration-ms=")) {
+    } else if ((v = value_of("--duration-ms="))) {
       duration_ms = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value_of("--metrics=")) {
+    } else if ((v = value_of("--metrics="))) {
       metrics_path = v;
-    } else if (const char* v = value_of("--sample-ms=")) {
+    } else if ((v = value_of("--sample-ms="))) {
       sample_ms = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value_of("--crash-dir=")) {
+    } else if ((v = value_of("--crash-dir="))) {
       crash_dir = v;
     } else if (arg == "--enable-vulnerability") {
       enable_vulnerability = true;
@@ -169,21 +170,21 @@ int main(int argc, char** argv) {
   sampler.Stop();
 
   if (print_stats) {
-    const server::SandboxServer::Stats stats = (*server)->stats();
+    // Request outcomes and the compiled-program cache count only in the
+    // global registry; session lifecycle counts live in the tenant registry.
     std::string line;
     json::Writer w(&line);
-    w.BeginObject().Key("requests").Uint(stats.requests).Key("ok").Uint(stats.ok);
-    w.Key("script_errors").Uint(stats.script_errors).Key("violations").Uint(stats.violations);
-    w.Key("rejected").Uint(stats.rejected).Key("tenants_created").Uint(stats.tenants.created);
-    w.Key("tenants_released").Uint(stats.tenants.released);
-    w.Key("tenants_killed").Uint(stats.tenants.killed);
-    // The compiled-program cache counts only in the global registry.
-    auto& registry = telemetry::MetricsRegistry::Global();
-    for (const char* outcome : {"hits", "misses", "admitted", "evictions"}) {
-      const std::string name = std::string("server.compile_cache.") + outcome;
-      w.Key(name).Uint(registry.GetOrCreateCounter(name)->value());
+    w.BeginObject();
+    auto& metrics = telemetry::MetricsRegistry::Global();
+    for (const char* name :
+         {"server.requests", "server.requests_ok", "server.script_errors", "server.violations",
+          "server.rejected", "server.compile_cache.hits", "server.compile_cache.misses",
+          "server.compile_cache.admitted", "server.compile_cache.evictions"}) {
+      w.Key(name).Uint(metrics.GetOrCreateCounter(name)->value());
     }
-    w.EndObject();
+    const server::TenantRegistry::Stats tenants = (*server)->registry().stats();
+    w.Key("tenants_created").Uint(tenants.created).Key("tenants_released").Uint(tenants.released);
+    w.Key("tenants_killed").Uint(tenants.killed).EndObject();
     std::printf("%s\n", line.c_str());
   }
   return 0;

@@ -736,9 +736,7 @@ int main(int argc, char** argv) {
     }
 
     telemetry::FrameServer server;
-    telemetry::FrameServer::Options server_options;
-    server_options.port = port;
-    if (auto status = server.Start(server_options); !status.ok()) {
+    if (auto status = server.Start(port); !status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
     }
