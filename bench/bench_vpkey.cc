@@ -16,14 +16,22 @@
 //
 //  3. Does a key miss get slower as a long-lived process releases
 //     libraries (the churn case)? Re-tag µs per miss is measured after 0
-//     and after 20,000 released libraries on every available backend. A
-//     backend re-tag publishes every tagged range in the process, so the
+//     and after 20,000 released libraries on every available backend. The
 //     cost stays flat only while released pools are recycled instead of
 //     accumulating.
 //
+//  4. Does a key miss get slower with the number of live libraries? Re-tag
+//     µs per miss with 64, 256 and 1024 live libraries entered round-robin
+//     past the slots, on every available backend. A miss re-tags two exact
+//     ranges, which updates the page-key map in place, so the cost must not
+//     grow with the range count (scripts/check.sh vpkey gates the
+//     live:1024 / live:64 ratio at 1.5).
+//
 // Writes BENCH_vpkey.json via the shared emitter.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -199,15 +207,18 @@ AblationResult RunAblation(int compartments, EvictionPolicy policy) {
   return result;
 }
 
-constexpr int kChurnLive = 8;  // twice the slots: every entry misses
+constexpr int kChurnLive = 8;
+constexpr int kChurnSlots = 4;  // fewer than any live count: every entry misses
 constexpr int kChurnMisses = 2000;
 constexpr int kChurnReleased = 20000;
+constexpr int kLiveCounts[] = {64, 256, 1024};
+constexpr int kLiveRounds = 5;
 
-// Re-tag µs per key miss among kChurnLive round-robin libraries, after
+// Re-tag µs per key miss among `live_count` round-robin libraries, after
 // `released` libraries were registered, used and released, on a fresh
 // backend named as --backend= takes it. Negative when the backend is
 // unavailable here.
-double MeasureRetagUsPerMiss(const char* backend_name, int released) {
+double MeasureRetagUsPerMiss(const char* backend_name, int released, int live_count) {
   auto backend = CreateMpkBackend(*ParseBackendKind(backend_name));
   if (!backend.ok()) {
     return -1;
@@ -215,7 +226,7 @@ double MeasureRetagUsPerMiss(const char* backend_name, int released) {
   (*backend)->WritePkru(PkruValue::AllowAll());
   MultiCompartmentConfig config = SmallPools(EvictionPolicy::kLru);
   config.library_pool_bytes = size_t{256} << 10;
-  config.max_hw_slots = kChurnLive / 2;
+  config.max_hw_slots = kChurnSlots;
   auto mc = MultiCompartment::Create(backend->get(), config);
   if (!mc.ok()) {
     std::fprintf(stderr, "%s: %s\n", backend_name, mc.status().ToString().c_str());
@@ -229,15 +240,15 @@ double MeasureRetagUsPerMiss(const char* backend_name, int released) {
     }
   }
   std::vector<LibraryId> live;
-  for (int i = 0; i < kChurnLive; ++i) {
+  for (int i = 0; i < live_count; ++i) {
     live.push_back(*(*mc)->RegisterLibrary("live" + std::to_string(i)));
   }
-  for (int i = 0; i < 2 * kChurnLive; ++i) {  // first-touch work out of the timing
-    MultiCompartment::Scope warm(**mc, live[i % kChurnLive]);
+  for (int i = 0; i < 2 * live_count; ++i) {  // first-touch work out of the timing
+    MultiCompartment::Scope warm(**mc, live[i % live_count]);
   }
   const VpkeyStats before = (*mc)->vpkey_stats();
   for (int i = 0; i < kChurnMisses; ++i) {
-    MultiCompartment::Scope scope(**mc, live[i % kChurnLive]);
+    MultiCompartment::Scope scope(**mc, live[i % live_count]);
   }
   const VpkeyStats after = (*mc)->vpkey_stats();
   const uint64_t misses = after.misses - before.misses;
@@ -285,22 +296,49 @@ int main() {
   }
 
   std::printf("\nchurn: re-tag cost per miss, %d live libraries over %d slots\n", kChurnLive,
-              kChurnLive / 2);
+              kChurnSlots);
   std::printf("%10s %16s %16s %8s\n", "backend", "released:0 us",
               ("released:" + std::to_string(kChurnReleased) + " us").c_str(), "ratio");
   for (const char* name : {"sim", "mprotect", "hardware"}) {
-    const double fresh = MeasureRetagUsPerMiss(name, 0);
+    const double fresh = MeasureRetagUsPerMiss(name, 0, kChurnLive);
     if (fresh < 0) {
       std::printf("%10s %16s\n", name, "unavailable");
       continue;
     }
-    const double churned = MeasureRetagUsPerMiss(name, kChurnReleased);
+    const double churned = MeasureRetagUsPerMiss(name, kChurnReleased, kChurnLive);
     std::printf("%10s %16.2f %16.2f %7.2fx\n", name, fresh, churned, churned / fresh);
     const std::string tag = std::string("/backend:") + name;
     out.Add("retag_us_per_miss" + tag + "/released:0", fresh, "us");
     out.Add("retag_us_per_miss" + tag + "/released:" + std::to_string(kChurnReleased), churned,
             "us");
     out.Add("retag_growth_ratio" + tag, churned / fresh, "x");
+  }
+
+  std::printf("\nlive: re-tag cost per miss by live libraries over %d slots, fastest of %d\n",
+              kChurnSlots, kLiveRounds);
+  std::printf("%10s %12s %12s %12s %8s\n", "backend", "live:64 us", "live:256 us", "live:1024 us",
+              "ratio");
+  for (const char* name : {"sim", "mprotect", "hardware"}) {
+    // Rounds interleave the live counts so host drift hits each alike; the
+    // fastest round of each count is the one other load disturbed least.
+    double best[std::size(kLiveCounts)];
+    for (int round = 0; round < kLiveRounds; ++round) {
+      for (size_t i = 0; i < std::size(kLiveCounts); ++i) {
+        const double us = MeasureRetagUsPerMiss(name, 0, kLiveCounts[i]);
+        best[i] = round == 0 ? us : std::min(best[i], us);
+      }
+    }
+    if (best[0] < 0) {
+      std::printf("%10s %12s\n", name, "unavailable");
+      continue;
+    }
+    const std::string tag = std::string("/backend:") + name;
+    for (size_t i = 0; i < std::size(kLiveCounts); ++i) {
+      out.Add("retag_us_per_miss" + tag + "/live:" + std::to_string(kLiveCounts[i]), best[i], "us");
+    }
+    const double growth = best[2] / best[0];
+    std::printf("%10s %12.2f %12.2f %12.2f %7.2fx\n", name, best[0], best[1], best[2], growth);
+    out.Add("retag_live_ratio" + tag, growth, "x");
   }
   out.Write();
   return 0;

@@ -218,26 +218,42 @@ run_vpkey() {
   # the multidomain suite — including the stress tests that hammer pins
   # against forced evictions and release/reuse of library entries — runs
   # under ThreadSanitizer, along with the publication protocol of the
-  # lock-free library table. ctest -R is case-sensitive: the pattern names
-  # the gtest suites, not the binary.
+  # lock-free library table and the page-key map's in-place re-tag racing
+  # its readers. ctest -R is case-sensitive: the pattern names the gtest
+  # suites, not the binary.
   cmake -B build/check-tsan -S . -DPKRUSAFE_SANITIZE=thread
   cmake --build build/check-tsan -j "$(nproc)" \
-    --target multidomain_test support_test multidomain_sandbox
+    --target multidomain_test support_test mpk_test multidomain_sandbox
   ctest --test-dir build/check-tsan --output-on-failure \
-    -R 'Vpkey|Multidomain|MultiCompartment|StableIndexArray|example_multidomain'
+    -R 'Vpkey|Multidomain|MultiCompartment|StableIndexArray|PageKeyMapRetag|example_multidomain'
   echo "-- vpkey: 32 tenants past the 16-key hardware limit"
   build/check-tsan/examples/multidomain_sandbox --libraries=32 --backend=sim
   build/check-tsan/examples/multidomain_sandbox --libraries=32 --backend=mprotect \
     --policy=lfu
   # The resident-key transition bench: entering a cached compartment must
   # stay within 10% of the pre-virtualization (direct hardware key) cost.
+  # A key miss must not get slower with the number of live libraries: the
+  # live:1024 / live:64 re-tag ratio stays at or below 1.5 on every backend.
   cmake -B build -S . -DPKRUSAFE_SANITIZE=""
   cmake --build build -j "$(nproc)" --target bench_vpkey
   local out
   out="$(mktemp -d)"
   trap 'rm -rf "$out"' RETURN
   PKRUSAFE_BENCH_OUT_DIR="$out" build/bench/bench_vpkey
-  grep -q '"bench":"vpkey"' "$out/BENCH_vpkey.json"
+  python3 - "$out/BENCH_vpkey.json" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+assert doc["bench"] == "vpkey", doc["bench"]
+ratios = {r["name"]: r["value"] for r in doc["results"]
+          if r["name"].startswith("retag_live_ratio/")}
+if not ratios:
+    sys.exit("vpkey: no retag_live_ratio rows")
+for name, value in sorted(ratios.items()):
+    print(f"-- {name} = {value:.2f}x (limit 1.5)")
+bad = [name for name, value in ratios.items() if value > 1.5]
+if bad:
+    sys.exit("vpkey: re-tag cost grows with live libraries: " + ", ".join(bad))
+PY
   echo "vpkey check OK"
 }
 

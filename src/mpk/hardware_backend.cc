@@ -114,13 +114,11 @@ Status HardwareMpkBackend::TagRange(uintptr_t addr, size_t length, PkeyId key) {
 }
 
 Status HardwareMpkBackend::UntagRange(uintptr_t addr) {
-  auto interval = page_keys_.AllRanges();
-  for (const auto& range : interval) {
-    if (range.begin == addr) {
-      (void)PkeyMprotect(range.begin, range.end - range.begin, PROT_READ | PROT_WRITE,
-                         kDefaultPkey);
-      break;
-    }
+  // Return the pages to the default key before forgetting the range, so a
+  // fault in between is still classified as ours.
+  if (const auto range = page_keys_.RangeStartingAt(addr)) {
+    (void)PkeyMprotect(range->begin, range->end - range->begin, PROT_READ | PROT_WRITE,
+                       kDefaultPkey);
   }
   return page_keys_.Untag(addr);
 }

@@ -2,6 +2,8 @@
 
 #include <sys/mman.h>
 
+#include <optional>
+
 #include "src/memmap/page.h"
 #include "src/support/logging.h"
 
@@ -47,9 +49,12 @@ int MprotectMpkBackend::ProtFor(PkruValue pkru, PkeyId key) {
 }
 
 Status MprotectMpkBackend::TagRange(uintptr_t addr, size_t length, PkeyId key) {
-  PS_RETURN_IF_ERROR(page_keys_.Tag(addr, length, key));
+  std::optional<PkeyId> replaced;
+  PS_RETURN_IF_ERROR(page_keys_.Tag(addr, length, key, &replaced));
   if (::mprotect(reinterpret_cast<void*>(addr), length, ProtFor(EffectivePkru(), key)) != 0) {
-    (void)page_keys_.Untag(addr);
+    // A failed exact re-tag leaves the range on its previous key: dropping
+    // the range would report key 0 for pages that were tagged.
+    (void)(replaced ? page_keys_.Tag(addr, length, *replaced) : page_keys_.Untag(addr));
     return InternalError("mprotect while tagging range failed");
   }
   return Status::Ok();

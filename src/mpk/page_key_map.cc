@@ -112,6 +112,16 @@ uint64_t MinActiveReaderEpoch() {
   return min_epoch;
 }
 
+// First range whose end is past `addr` (the containing range if tagged,
+// otherwise the nearest range above). A template so it can take the private
+// snapshot entry type.
+template <typename Range>
+PKRUSAFE_AS_SAFE const Range* LowerBoundRange(const std::vector<Range>& ranges, uintptr_t addr) {
+  auto it = std::upper_bound(ranges.begin(), ranges.end(), addr,
+                             [](uintptr_t value, const Range& range) { return value < range.end; });
+  return it == ranges.end() ? nullptr : &*it;
+}
+
 }  // namespace
 
 PageKeyMap::~PageKeyMap() {
@@ -121,12 +131,7 @@ PageKeyMap::~PageKeyMap() {
   }
 }
 
-void PageKeyMap::PublishLocked() {
-  auto fresh = std::make_unique<Snapshot>();
-  fresh->ranges.reserve(ranges_.size());
-  ranges_.ForEach([&](const IntervalMap<PkeyId>::Interval& interval) {
-    fresh->ranges.push_back(TaggedRange{interval.begin, interval.end, interval.value});
-  });
+void PageKeyMap::PublishLocked(std::unique_ptr<Snapshot> fresh) {
   const Snapshot* old = snapshot_.exchange(fresh.release(), std::memory_order_seq_cst);
   if (old != nullptr) {
     const uint64_t retire_epoch = g_epoch.fetch_add(1, std::memory_order_seq_cst);
@@ -142,49 +147,59 @@ void PageKeyMap::PublishLocked() {
   }
 }
 
-Status PageKeyMap::Tag(uintptr_t addr, size_t length, PkeyId key) {
-  if (!IsPageAligned(addr) || !IsPageAligned(length) || length == 0) {
-    return InvalidArgumentError("Tag range must be non-empty and page-aligned");
+Status PageKeyMap::Tag(uintptr_t addr, size_t length, PkeyId key,
+                       std::optional<PkeyId>* replaced) {
+  if (replaced != nullptr) {
+    replaced->reset();
+  }
+  if (!IsPageAligned(addr) || !IsPageAligned(length) || length == 0 || addr + length < addr) {
+    return InvalidArgumentError("Tag range must be non-empty, page-aligned and not wrap");
   }
   if (key >= kNumPkeys) {
     return InvalidArgumentError(StrFormat("pkey %d out of range", key));
   }
   std::lock_guard lock(mutex_);
-  // Allow exact retagging: pkey_mprotect may be called repeatedly on the same
-  // mapping with a different key.
-  auto existing = ranges_.Find(addr);
-  if (existing.has_value() && existing->begin == addr && existing->end == addr + length) {
-    (void)ranges_.Erase(addr);
+  const Snapshot* current = snapshot_.load(std::memory_order_relaxed);
+  const size_t count = current == nullptr ? 0 : current->ranges.size();
+  const Entry* next = current == nullptr ? nullptr : LowerBoundRange(current->ranges, addr);
+  // An exact re-tag (pkey_mprotect on the same mapping with another key)
+  // leaves every bound as it is: swap the key in place, publish nothing.
+  if (next != nullptr && next->begin == addr && next->end == addr + length) {
+    const PkeyId previous = next->key.exchange(key, std::memory_order_acq_rel);
+    if (replaced != nullptr) {
+      *replaced = previous;
+    }
+    return Status::Ok();
   }
-  PS_RETURN_IF_ERROR(ranges_.Insert(addr, addr + length, key));
-  PublishLocked();
+  // `next` is the first range ending past addr; no later one can overlap.
+  if (next != nullptr && next->begin < addr + length) {
+    return AlreadyExistsError("range overlaps an existing tagged range");
+  }
+  const size_t at = next == nullptr ? count : static_cast<size_t>(next - current->ranges.data());
+  auto fresh = std::make_unique<Snapshot>(count + 1);
+  for (size_t i = 0; i < count; ++i) {
+    fresh->ranges[i < at ? i : i + 1].Set(current->ranges[i].Load());
+  }
+  fresh->ranges[at].Set(TaggedRange{addr, addr + length, key});
+  PublishLocked(std::move(fresh));
   return Status::Ok();
 }
 
 Status PageKeyMap::Untag(uintptr_t addr) {
   std::lock_guard lock(mutex_);
-  auto result = ranges_.Erase(addr);
-  if (!result.ok()) {
-    return result.status();
+  const Snapshot* current = snapshot_.load(std::memory_order_relaxed);
+  const Entry* range = current == nullptr ? nullptr : LowerBoundRange(current->ranges, addr);
+  if (range == nullptr || range->begin != addr) {
+    return NotFoundError("no tagged range starts at the given address");
   }
-  PublishLocked();
+  const size_t at = static_cast<size_t>(range - current->ranges.data());
+  auto fresh = std::make_unique<Snapshot>(current->ranges.size() - 1);
+  for (size_t i = 0; i < fresh->ranges.size(); ++i) {
+    fresh->ranges[i].Set(current->ranges[i < at ? i : i + 1].Load());
+  }
+  PublishLocked(std::move(fresh));
   return Status::Ok();
 }
-
-namespace {
-
-// First range whose end is past `addr` (the containing range if tagged,
-// otherwise the nearest range above).
-const PageKeyMap::TaggedRange* LowerBoundRange(const std::vector<PageKeyMap::TaggedRange>& ranges,
-                                               uintptr_t addr) {
-  auto it = std::upper_bound(ranges.begin(), ranges.end(), addr,
-                             [](uintptr_t value, const PageKeyMap::TaggedRange& range) {
-                               return value < range.end;
-                             });
-  return it == ranges.end() ? nullptr : &*it;
-}
-
-}  // namespace
 
 PkeyId PageKeyMap::KeyFor(uintptr_t addr) const {
   EpochReadGuard guard;
@@ -192,8 +207,9 @@ PkeyId PageKeyMap::KeyFor(uintptr_t addr) const {
   if (snap == nullptr) {
     return kDefaultPkey;
   }
-  const TaggedRange* range = LowerBoundRange(snap->ranges, addr);
-  return range != nullptr && range->begin <= addr ? range->key : kDefaultPkey;
+  const Entry* range = LowerBoundRange(snap->ranges, addr);
+  return range != nullptr && range->begin <= addr ? range->key.load(std::memory_order_acquire)
+                                                  : kDefaultPkey;
 }
 
 bool PageKeyMap::IsTagged(uintptr_t addr) const {
@@ -202,8 +218,21 @@ bool PageKeyMap::IsTagged(uintptr_t addr) const {
   if (snap == nullptr) {
     return false;
   }
-  const TaggedRange* range = LowerBoundRange(snap->ranges, addr);
+  const Entry* range = LowerBoundRange(snap->ranges, addr);
   return range != nullptr && range->begin <= addr;
+}
+
+std::optional<PageKeyMap::TaggedRange> PageKeyMap::RangeStartingAt(uintptr_t addr) const {
+  EpochReadGuard guard;
+  const Snapshot* snap = LoadSnapshot();
+  if (snap == nullptr) {
+    return std::nullopt;
+  }
+  const Entry* range = LowerBoundRange(snap->ranges, addr);
+  if (range == nullptr || range->begin != addr) {
+    return std::nullopt;
+  }
+  return range->Load();
 }
 
 size_t PageKeyMap::RangesAround(uintptr_t addr, TaggedRange* out, size_t max) const {
@@ -212,8 +241,8 @@ size_t PageKeyMap::RangesAround(uintptr_t addr, TaggedRange* out, size_t max) co
   if (snap == nullptr || max == 0 || snap->ranges.empty()) {
     return 0;
   }
-  const std::vector<TaggedRange>& ranges = snap->ranges;
-  const TaggedRange* pivot = LowerBoundRange(ranges, addr);
+  const std::vector<Entry>& ranges = snap->ranges;
+  const Entry* pivot = LowerBoundRange(ranges, addr);
   size_t index = pivot == nullptr ? ranges.size() : static_cast<size_t>(pivot - ranges.data());
   // Center the window on the pivot: up to half the budget below it, the rest
   // above (shifted when the address sits near either end of the map).
@@ -223,7 +252,7 @@ size_t PageKeyMap::RangesAround(uintptr_t addr, TaggedRange* out, size_t max) co
   }
   size_t written = 0;
   for (size_t i = begin; i < ranges.size() && written < max; ++i) {
-    out[written++] = ranges[i];
+    out[written++] = ranges[i].Load();
   }
   return written;
 }
@@ -235,18 +264,13 @@ std::vector<PageKeyMap::TaggedRange> PageKeyMap::RangesForKey(PkeyId key) const 
   if (snap == nullptr) {
     return out;
   }
-  for (const TaggedRange& range : snap->ranges) {
+  for (const Entry& entry : snap->ranges) {
+    const TaggedRange range = entry.Load();
     if (range.key == key) {
       out.push_back(range);
     }
   }
   return out;
-}
-
-std::vector<PageKeyMap::TaggedRange> PageKeyMap::AllRanges() const {
-  EpochReadGuard guard;
-  const Snapshot* snap = LoadSnapshot();
-  return snap == nullptr ? std::vector<TaggedRange>() : snap->ranges;
 }
 
 size_t PageKeyMap::range_count() const {

@@ -5,12 +5,21 @@
 // translate PKRU writes into mprotect calls over the affected ranges, and
 // the crash-forensics path queries it from inside SIGSEGV.
 //
-// The read path is lock-free: mutations (Tag/Untag — rare, on region
-// creation/teardown) rebuild an immutable sorted snapshot under a writer
-// mutex and publish it with one release store. Readers load the snapshot
-// pointer (acquire) and binary-search it — no lock, no allocation, so
-// KeyFor/IsTagged/RangesAround are async-signal-safe and cheap on the sim
-// backend's per-access check.
+// The map is one sorted array of ranges, the published snapshot. The read
+// path is lock-free: readers load the snapshot pointer and binary-search it
+// (no lock, no allocation), so KeyFor/IsTagged/RangesAround are
+// async-signal-safe and cheap on the sim backend's per-access check.
+// Writers serialize on a mutex, search the same snapshot, and mutate it one
+// of two ways:
+//
+//  - An exact re-tag (the same range, another key: every vpkey miss makes
+//    two) changes no bounds, so it stores the new key into the published
+//    snapshot in place. Each snapshot range holds its key as an atomic, so a
+//    concurrent reader sees the old key or the new one, the same outcome as
+//    racing the pkey_mprotect that re-tags the pages. Nothing is rebuilt,
+//    published or retired, and the cost does not grow with the range count.
+//  - Inserting or removing a range (region creation/teardown) rebuilds the
+//    sorted snapshot and publishes it with one store.
 //
 // Retired snapshots are reclaimed with a global epoch / grace-period scheme
 // (see page_key_map.cc): every reader stamps the current epoch into a
@@ -29,9 +38,9 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
-#include "src/memmap/interval_map.h"
 #include "src/mpk/pkey.h"
 #include "src/support/async_signal.h"
 #include "src/support/status.h"
@@ -53,8 +62,11 @@ class PageKeyMap {
 
   // Tags [addr, addr+length) with `key`. Both bounds must be page-aligned.
   // Retagging an identical existing range is allowed (pkey_mprotect
-  // semantics); partially overlapping ranges are rejected.
-  Status Tag(uintptr_t addr, size_t length, PkeyId key);
+  // semantics) and updates the key in place without publishing a snapshot;
+  // partially overlapping ranges are rejected. When `replaced` is given, it
+  // receives the key an exact re-tag replaced, or nullopt for a new range.
+  Status Tag(uintptr_t addr, size_t length, PkeyId key,
+             std::optional<PkeyId>* replaced = nullptr);
 
   // Removes the tag for the range starting at `addr` (e.g. on unmap).
   Status Untag(uintptr_t addr);
@@ -65,6 +77,9 @@ class PageKeyMap {
   // Whether `addr` lies in any explicitly tagged range. Lock-free.
   PKRUSAFE_AS_SAFE bool IsTagged(uintptr_t addr) const;
 
+  // The tagged range that begins exactly at `addr`, if any. Lock-free.
+  std::optional<TaggedRange> RangeStartingAt(uintptr_t addr) const;
+
   // Async-signal-safe neighborhood query for the crash reporter: copies up
   // to `max` tagged ranges around `addr` (the containing/nearest range plus
   // its neighbors, in address order) into `out` and returns how many were
@@ -73,9 +88,6 @@ class PageKeyMap {
 
   // Snapshot of all ranges tagged with `key`.
   std::vector<TaggedRange> RangesForKey(PkeyId key) const;
-
-  // Snapshot of every tagged range.
-  std::vector<TaggedRange> AllRanges() const;
 
   PKRUSAFE_AS_SAFE size_t range_count() const;
 
@@ -86,9 +98,28 @@ class PageKeyMap {
   size_t retired_snapshot_count() const;
 
  private:
-  // Immutable once published; `ranges` is sorted by begin.
+  // A published range. Its bounds never change; an exact re-tag stores a
+  // new key while readers may be loading it.
+  struct Entry {
+    uintptr_t begin = 0;
+    uintptr_t end = 0;
+    mutable std::atomic<PkeyId> key{kDefaultPkey};
+
+    PKRUSAFE_AS_SAFE TaggedRange Load() const {
+      return TaggedRange{begin, end, key.load(std::memory_order_acquire)};
+    }
+    // Fills an entry of a snapshot that is not yet published.
+    void Set(const TaggedRange& range) {
+      begin = range.begin;
+      end = range.end;
+      key.store(range.key, std::memory_order_relaxed);
+    }
+  };
+
+  // `ranges` is sorted by begin and never resized once published.
   struct Snapshot {
-    std::vector<TaggedRange> ranges;
+    explicit Snapshot(size_t count) : ranges(count) {}
+    std::vector<Entry> ranges;
   };
 
   struct RetiredSnapshot {
@@ -101,13 +132,13 @@ class PageKeyMap {
   PKRUSAFE_AS_SAFE const Snapshot* LoadSnapshot() const {
     return snapshot_.load(std::memory_order_seq_cst);
   }
-  // Rebuilds and publishes a snapshot from `ranges_`, retiring the old one
-  // and freeing every retired snapshot past its grace period; caller holds
-  // mutex_.
-  void PublishLocked();
+  // Publishes `fresh`, retiring the current snapshot and freeing every
+  // retired snapshot past its grace period; caller holds mutex_.
+  void PublishLocked(std::unique_ptr<Snapshot> fresh);
 
   mutable std::mutex mutex_;  // serializes writers; readers never take it
-  IntervalMap<PkeyId> ranges_;
+  // The one copy of the map: writers read it under mutex_, since only they
+  // replace it.
   std::atomic<const Snapshot*> snapshot_{nullptr};
   std::deque<RetiredSnapshot> retired_;
 };

@@ -8,8 +8,10 @@
 #ifndef SRC_PKALLOC_SPAN_TABLE_H_
 #define SRC_PKALLOC_SPAN_TABLE_H_
 
+#include <bit>
 #include <cstdint>
 
+#include "src/memmap/page.h"
 #include "src/pkalloc/arena.h"
 #include "src/support/logging.h"
 #include "src/support/status.h"
@@ -46,7 +48,9 @@ struct SpanInfo {
 class SpanTable {
  public:
   // Storage comes from `arena`; the table grows by allocating a bigger
-  // chunk and rehashing. The arena must outlive the table.
+  // chunk and rehashing. The first table fits in one page, so a pool with a
+  // handful of spans (a tenant's) touches one page of metadata. The arena
+  // must outlive the table.
   explicit SpanTable(Arena* arena) : arena_(arena) {}
   // Deferred-attach form for arrays of tables (central free-list shards);
   // call set_arena() before the first Insert.
@@ -57,7 +61,9 @@ class SpanTable {
   SpanTable& operator=(const SpanTable&) = delete;
 
   Status Insert(uintptr_t chunk_base, SpanInfo info) {
-    if (slots_ == nullptr || live_ * 4 >= capacity_ * 3) {
+    // Bounding used (live + tombstone) slots keeps an empty slot for Probe
+    // to stop at, however long inserts and erases churn.
+    if (slots_ == nullptr || used_ * 4 >= capacity_ * 3) {
       PS_RETURN_IF_ERROR(Grow());
     }
     Slot* slot = Probe(chunk_base);
@@ -106,6 +112,7 @@ class SpanTable {
   }
 
   size_t size() const { return live_; }
+  size_t capacity() const { return capacity_; }
 
   // Forgets every span without touching the slot storage. Only for an arena
   // that has already dropped its chunks (Arena::DecommitAll): the storage
@@ -126,6 +133,12 @@ class SpanTable {
     SlotState state;
   };
 
+ public:
+  // Slot count of the first table: the largest power of two that fits in
+  // one page.
+  static constexpr size_t kFirstCapacity = std::bit_floor(kPageSize / sizeof(Slot));
+
+ private:
   static uint64_t Hash(uintptr_t key) {
     // Chunk bases share low zero bits; mix before masking.
     uint64_t z = key;
@@ -155,8 +168,11 @@ class SpanTable {
   }
   const Slot* Probe(uintptr_t key) const { return const_cast<SpanTable*>(this)->Probe(key); }
 
+  // Doubles the table once half its slots are live; below that, the used
+  // slots are mostly tombstones and a same-size rehash clears them.
   Status Grow() {
-    const size_t new_capacity = capacity_ == 0 ? 1024 : capacity_ * 2;
+    const size_t new_capacity =
+        capacity_ == 0 ? kFirstCapacity : live_ * 2 >= capacity_ ? capacity_ * 2 : capacity_;
     const size_t bytes = new_capacity * sizeof(Slot);
     auto chunk = arena_->AllocateChunk(bytes);
     if (!chunk.ok()) {

@@ -1,8 +1,11 @@
 #include "src/mpk/mprotect_backend.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <atomic>
+#include <cstdio>
+#include <string>
 
 #include "src/memmap/page.h"
 #include "src/memmap/vm_region.h"
@@ -125,6 +128,72 @@ TEST_F(MprotectBackendTest, ProtectionRestoredAfterSingleStep) {
 TEST_F(MprotectBackendTest, KeyForReportsTag) {
   EXPECT_EQ(backend_.KeyFor(region_.base()), key_);
   EXPECT_EQ(backend_.KeyFor(region_.base() + 4 * kPageSize), kDefaultPkey);
+}
+
+// The r/w/x permission string /proc/self/maps gives the page at `addr`.
+std::string PermsAt(uintptr_t addr) {
+  FILE* maps = std::fopen("/proc/self/maps", "r");
+  if (maps == nullptr) {
+    return "";
+  }
+  char line[512];
+  std::string perms;
+  while (std::fgets(line, sizeof(line), maps) != nullptr) {
+    unsigned long begin = 0;
+    unsigned long end = 0;
+    char mode[5] = {};
+    if (std::sscanf(line, "%lx-%lx %4s", &begin, &end, mode) == 3 && begin <= addr &&
+        addr < end) {
+      perms.assign(mode, 3);
+      break;
+    }
+  }
+  std::fclose(maps);
+  return perms;
+}
+
+// The PKRU sweep protects each range of the key on its own: a range that is
+// no longer mapped must not leave the ranges after it open.
+TEST_F(MprotectBackendTest, SweepClosesEveryMappedRangePastAnUnmappedOne) {
+  auto region = VmRegion::Reserve(8 * kPageSize);
+  ASSERT_TRUE(region.ok());
+  const uintptr_t base = region->base();
+  auto other = backend_.AllocateKey();
+  ASSERT_TRUE(other.ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(backend_.TagRange(base + 2 * i * kPageSize, 2 * kPageSize, key_).ok());
+  }
+  ASSERT_TRUE(backend_.TagRange(base + 6 * kPageSize, 2 * kPageSize, *other).ok());
+  ASSERT_EQ(::munmap(reinterpret_cast<void*>(base + 2 * kPageSize), 2 * kPageSize), 0);
+
+  backend_.WritePkru(PkruValue::AllowAll().WithAccessDisabled(key_));
+  EXPECT_EQ(PermsAt(base), "---");
+  EXPECT_EQ(PermsAt(base + 5 * kPageSize), "---");
+  EXPECT_EQ(PermsAt(base + 6 * kPageSize), "rw-");
+  backend_.WritePkru(PkruValue::AllowAll());
+  EXPECT_EQ(PermsAt(base + 5 * kPageSize), "rw-");
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(backend_.UntagRange(base + 2 * i * kPageSize).ok());
+  }
+}
+
+// A re-tag whose mprotect fails must leave the range on the key it had:
+// untagging it instead would report key 0, open to every compartment.
+TEST_F(MprotectBackendTest, FailedRetagKeepsPreviousKey) {
+  void* raw = ::mmap(nullptr, 2 * kPageSize, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(raw, MAP_FAILED);
+  const auto addr = reinterpret_cast<uintptr_t>(raw);
+  auto other = backend_.AllocateKey();
+  ASSERT_TRUE(other.ok());
+  ASSERT_TRUE(backend_.TagRange(addr, 2 * kPageSize, key_).ok());
+  ASSERT_EQ(::munmap(raw, 2 * kPageSize), 0);
+
+  // mprotect over the unmapped range fails with ENOMEM.
+  EXPECT_FALSE(backend_.TagRange(addr, 2 * kPageSize, *other).ok());
+  EXPECT_EQ(backend_.KeyFor(addr), key_);
+  EXPECT_EQ(backend_.KeyFor(addr + kPageSize), key_);
+  EXPECT_TRUE(backend_.UntagRange(addr).ok());
 }
 
 TEST_F(MprotectBackendTest, CheckAccessIsPassThrough) {

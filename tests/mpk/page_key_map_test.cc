@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -33,6 +34,8 @@ TEST(PageKeyMapTest, RejectsUnalignedRanges) {
   EXPECT_FALSE(map.Tag(kBase + 1, kPageSize, 1).ok());
   EXPECT_FALSE(map.Tag(kBase, kPageSize + 1, 1).ok());
   EXPECT_FALSE(map.Tag(kBase, 0, 1).ok());
+  EXPECT_FALSE(map.Tag(kBase, PageDown(~uintptr_t{0}), 1).ok());
+  EXPECT_EQ(map.range_count(), 0u);
 }
 
 TEST(PageKeyMapTest, RejectsInvalidKey) {
@@ -46,6 +49,44 @@ TEST(PageKeyMapTest, ExactRetagChangesKey) {
   ASSERT_TRUE(map.Tag(kBase, kPageSize, 2).ok());
   EXPECT_EQ(map.KeyFor(kBase), 2);
   EXPECT_EQ(map.range_count(), 1u);
+}
+
+// An exact re-tag is an in-place key update: the range count stays, no
+// snapshot is retired, and readers see the new key at once.
+TEST(PageKeyMapTest, ExactRetagPublishesNoSnapshot) {
+  PageKeyMap map;
+  for (uintptr_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(map.Tag(kBase + 4 * i * kPageSize, 2 * kPageSize, 1).ok());
+  }
+  const size_t ranges = map.range_count();
+  const size_t retired = map.retired_snapshot_count();
+  for (int i = 0; i < 1000; ++i) {
+    const PkeyId key = static_cast<PkeyId>(2 + i % 2);
+    ASSERT_TRUE(map.Tag(kBase + 4 * kPageSize, 2 * kPageSize, key).ok());
+    ASSERT_EQ(map.KeyFor(kBase + 5 * kPageSize), key);
+  }
+  EXPECT_EQ(map.range_count(), ranges);
+  EXPECT_EQ(map.retired_snapshot_count(), retired);
+  EXPECT_EQ(map.KeyFor(kBase), 1);
+  EXPECT_EQ(map.RangesForKey(3).size(), 1u);
+  const auto range = map.RangeStartingAt(kBase + 4 * kPageSize);
+  ASSERT_TRUE(range.has_value());
+  EXPECT_EQ(range->end, kBase + 6 * kPageSize);
+  EXPECT_EQ(range->key, 3);
+  EXPECT_FALSE(map.RangeStartingAt(kBase + kPageSize).has_value());
+}
+
+TEST(PageKeyMapTest, TagReportsTheKeyAnExactRetagReplaced) {
+  PageKeyMap map;
+  std::optional<PkeyId> replaced = 9;
+  ASSERT_TRUE(map.Tag(kBase, 2 * kPageSize, 1, &replaced).ok());
+  EXPECT_FALSE(replaced.has_value());
+  ASSERT_TRUE(map.Tag(kBase, 2 * kPageSize, 2, &replaced).ok());
+  EXPECT_EQ(replaced, std::optional<PkeyId>(1));
+  ASSERT_TRUE(map.Tag(kBase + 2 * kPageSize, kPageSize, 3, &replaced).ok());
+  EXPECT_FALSE(replaced.has_value());
+  EXPECT_FALSE(map.Tag(kBase + kPageSize, 2 * kPageSize, 4, &replaced).ok());
+  EXPECT_FALSE(replaced.has_value());
 }
 
 TEST(PageKeyMapTest, PartialOverlapRejected) {
@@ -78,7 +119,7 @@ TEST(PageKeyMapTest, RangesForKeyFilters) {
   EXPECT_EQ(key2[0].key, 2);
 
   EXPECT_TRUE(map.RangesForKey(5).empty());
-  EXPECT_EQ(map.AllRanges().size(), 3u);
+  EXPECT_EQ(map.range_count(), 3u);
 }
 
 // Regression for unbounded retired-snapshot growth: before epoch-based
@@ -130,6 +171,48 @@ TEST(PageKeyMapTest, ChurnUnderConcurrentReadersStaysBounded) {
   ASSERT_TRUE(map.Untag(page).ok());
   EXPECT_LT(map.retired_snapshot_count(), 16u);
   EXPECT_EQ(map.KeyFor(kBase), 1);
+}
+
+// Readers racing an in-place re-tag see the old key or the new one, never a
+// torn or default key, and the neighbouring ranges never change. No
+// snapshot is retired while they read.
+TEST(PageKeyMapRetagRaceTest, ReadersSeeOldOrNewKey) {
+  PageKeyMap map;
+  ASSERT_TRUE(map.Tag(kBase, kPageSize, 1).ok());
+  ASSERT_TRUE(map.Tag(kBase + kPageSize, kPageSize, 2).ok());
+  ASSERT_TRUE(map.Tag(kBase + 2 * kPageSize, kPageSize, 5).ok());
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&map, &stop, &bad] {
+      PageKeyMap::TaggedRange window[3];
+      while (!stop.load(std::memory_order_acquire)) {
+        const PkeyId key = map.KeyFor(kBase + kPageSize);
+        if (key != 2 && key != 3) {
+          bad.fetch_add(1);
+        }
+        if (map.RangesAround(kBase + kPageSize, window, 3) != 3 || window[0].key != 1 ||
+            (window[1].key != 2 && window[1].key != 3) || window[2].key != 5) {
+          bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  const size_t retired = map.retired_snapshot_count();
+  for (int i = 0; i < 20000; ++i) {
+    ASSERT_TRUE(map.Tag(kBase + kPageSize, kPageSize, static_cast<PkeyId>(3 - i % 2)).ok());
+  }
+  // A rebuild would retire snapshots the spinning readers still pin.
+  EXPECT_EQ(map.retired_snapshot_count(), retired);
+  stop.store(true, std::memory_order_release);
+  for (auto& reader : readers) {
+    reader.join();
+  }
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(map.KeyFor(kBase + kPageSize), 2);
+  EXPECT_EQ(map.range_count(), 3u);
 }
 
 }  // namespace

@@ -134,5 +134,49 @@ TEST(SpanTableTest, SurvivesGrowthAndChurn) {
   }
 }
 
+TEST(SpanTableTest, GrowsFromOnePageStartKeepingEveryEntry) {
+  auto arena_result = Arena::Create(size_t{16} << 20);
+  ASSERT_TRUE(arena_result.ok());
+  auto arena = std::move(*arena_result);
+  SpanTable table(arena.get());
+
+  constexpr size_t kCount = 1500;
+  for (size_t i = 0; i < kCount; ++i) {
+    ASSERT_TRUE(table.Insert(0x100000 + i * 0x10000, SpanInfo{static_cast<uint32_t>(i), i}).ok());
+    if (i == 0) {
+      EXPECT_EQ(table.capacity(), SpanTable::kFirstCapacity);
+    }
+  }
+  EXPECT_GT(table.capacity(), 1024u);
+  EXPECT_EQ(table.size(), kCount);
+  for (size_t i = 0; i < kCount; ++i) {
+    const SpanInfo* info = table.Find(0x100000 + i * 0x10000);
+    ASSERT_NE(info, nullptr) << i;
+    EXPECT_EQ(info->class_index, i);
+    EXPECT_EQ(info->chunk_bytes, i);
+  }
+}
+
+// Erases leave tombstones. With few live spans, churning many distinct
+// bases through a small table must rehash the tombstones away rather than
+// fill every slot (a full table would leave Probe nothing to stop at).
+TEST(SpanTableTest, TombstoneChurnStaysAtFirstCapacity) {
+  auto arena_result = Arena::Create(size_t{16} << 20);
+  ASSERT_TRUE(arena_result.ok());
+  auto arena = std::move(*arena_result);
+  SpanTable table(arena.get());
+
+  ASSERT_TRUE(table.Insert(0x10000, SpanInfo{1, 1}).ok());
+  for (size_t i = 0; i < 20000; ++i) {
+    const uintptr_t base = 0x100000 + i * 0x10000;
+    ASSERT_TRUE(table.Insert(base, SpanInfo{2, i}).ok());
+    ASSERT_NE(table.Find(0x10000), nullptr);
+    ASSERT_TRUE(table.Erase(base).ok());
+  }
+  EXPECT_EQ(table.size(), 1u);
+  EXPECT_EQ(table.capacity(), SpanTable::kFirstCapacity);
+  EXPECT_EQ(table.Find(0x100000), nullptr);
+}
+
 }  // namespace
 }  // namespace pkrusafe

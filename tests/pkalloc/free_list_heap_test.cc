@@ -1,11 +1,13 @@
 #include "src/pkalloc/free_list_heap.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <cstring>
 #include <map>
 #include <vector>
 
+#include "src/memmap/page.h"
 #include "src/support/rng.h"
 
 namespace pkrusafe {
@@ -169,6 +171,39 @@ TEST_F(FreeListHeapTest, ResetAfterDecommitStartsOverAtThePoolBase) {
   EXPECT_EQ(*again, 0u);
   heap_->Free(again);
   EXPECT_EQ(heap_->stats().live_bytes, 0u);
+}
+
+size_t ResidentPages(const Arena& arena) {
+  std::vector<unsigned char> vec(arena.reserved_bytes() / kPageSize);
+  if (::mincore(reinterpret_cast<void*>(arena.base()), arena.reserved_bytes(), vec.data()) != 0) {
+    return ~size_t{0};
+  }
+  size_t resident = 0;
+  for (const unsigned char page : vec) {
+    resident += page & 1;
+  }
+  return resident;
+}
+
+// A tenant pool as the sandbox server uses it: one 64 KiB scratch, touched
+// once per request. Its span directory is a one-page table, so the pool
+// holds the scratch page, the table page and little else; every page here
+// is one more PTE for each vpkey re-tag to rewrite. The pool is smaller
+// than a huge page, so THP cannot inflate the count.
+TEST(FreeListHeapPoolTest, FreshTenantPoolKeepsAFewResidentPages) {
+  auto arena = Arena::Create(size_t{1} << 20);
+  ASSERT_TRUE(arena.ok());
+  FreeListHeap heap(arena->get());
+  for (int round = 0; round < 2; ++round) {
+    auto* scratch = static_cast<uint64_t*>(heap.Allocate(64 * 1024));
+    ASSERT_NE(scratch, nullptr);
+    scratch[0] = 1;
+    EXPECT_LE(ResidentPages(**arena), 3u) << "round " << round;
+    // Recycling the pool (MultiCompartment::ReleaseLibrary) drops every page.
+    ASSERT_TRUE((*arena)->DecommitAll().ok());
+    heap.Reset();
+    EXPECT_EQ(ResidentPages(**arena), 0u);
+  }
 }
 
 using FreeListHeapDeathTest = FreeListHeapTest;

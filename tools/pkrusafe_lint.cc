@@ -115,18 +115,19 @@ int main(int argc, char** argv) {
                  ? arg.c_str() + std::strlen(prefix)
                  : nullptr;
     };
-    if (const char* v = value_of("--profile=")) {
+    const char* v = nullptr;
+    if ((v = value_of("--profile="))) {
       profile_path = v;
-    } else if (const char* v = value_of("--scan=")) {
+    } else if ((v = value_of("--scan="))) {
       scan_paths.push_back(v);
     } else if (arg == "--scan-self") {
       scan_paths.push_back("/proc/self/exe");
-    } else if (const char* v = value_of("--format=")) {
+    } else if ((v = value_of("--format="))) {
       format = v;
       if (format != "text" && format != "json" && format != "sarif") {
         return Usage();
       }
-    } else if (const char* v = value_of("--fail-on=")) {
+    } else if ((v = value_of("--fail-on="))) {
       fail_on = v;
       if (fail_on != "error" && fail_on != "warning" && fail_on != "note") {
         return Usage();

@@ -203,42 +203,43 @@ int main(int argc, char** argv) {
                  ? arg.c_str() + std::strlen(prefix)
                  : nullptr;
     };
-    if (const char* v = value_of("--mode=")) {
+    const char* v = nullptr;
+    if ((v = value_of("--mode="))) {
       mode = v;
-    } else if (const char* v = value_of("--profile=")) {
+    } else if ((v = value_of("--profile="))) {
       profile_path = v;
-    } else if (const char* v = value_of("--emit-profile=")) {
+    } else if ((v = value_of("--emit-profile="))) {
       emit_profile_path = v;
-    } else if (const char* v = value_of("--backend=")) {
+    } else if ((v = value_of("--backend="))) {
       backend = v;
-    } else if (const char* v = value_of("--entry=")) {
+    } else if ((v = value_of("--entry="))) {
       entry = v;
-    } else if (const char* v = value_of("--trace-out=")) {
+    } else if ((v = value_of("--trace-out="))) {
       trace_out = v;
-    } else if (const char* v = value_of("--stats=")) {
+    } else if ((v = value_of("--stats="))) {
       stats_format = v;
       if (stats_format != "json" && stats_format != "text") {
         return Usage();
       }
     } else if (arg == "--stats") {
       stats_format = "text";
-    } else if (const char* v = value_of("--crash-report=")) {
+    } else if ((v = value_of("--crash-report="))) {
       crash_report_path = v;
-    } else if (const char* v = value_of("--sample-out=")) {
+    } else if ((v = value_of("--sample-out="))) {
       sample_out = v;
-    } else if (const char* v = value_of("--sample-ms=")) {
+    } else if ((v = value_of("--sample-ms="))) {
       sample_ms = std::strtoull(v, nullptr, 10);
       if (sample_ms == 0) {
         return Usage();
       }
-    } else if (const char* v = value_of("--site-stats=")) {
+    } else if ((v = value_of("--site-stats="))) {
       site_stats = true;
       site_stats_path = v;
     } else if (arg == "--site-stats") {
       site_stats = true;
     } else if (arg == "--latch-sites") {
       latch_sites = true;
-    } else if (const char* v = value_of("--sampled=")) {
+    } else if ((v = value_of("--sampled="))) {
       sampled = true;
       sampled_fraction = std::strtod(v, nullptr);
       if (sampled_fraction < 0.0 || sampled_fraction > 1.0) {
@@ -246,17 +247,17 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--sampled") {
       sampled = true;
-    } else if (const char* v = value_of("--sample-budget-ns=")) {
+    } else if ((v = value_of("--sample-budget-ns="))) {
       sample_budget_ns = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value_of("--sample-interval-ms=")) {
+    } else if ((v = value_of("--sample-interval-ms="))) {
       sample_interval_ms = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value_of("--profile-stream=")) {
+    } else if ((v = value_of("--profile-stream="))) {
       profile_stream_dests.push_back(v);
-    } else if (const char* v = value_of("--epoch=")) {
+    } else if ((v = value_of("--epoch="))) {
       epoch = v;
-    } else if (const char* v = value_of("--artifact=")) {
+    } else if ((v = value_of("--artifact="))) {
       artifact_path = v;
-    } else if (const char* v = value_of("--expected-epoch=")) {
+    } else if ((v = value_of("--expected-epoch="))) {
       expected_epoch = v;
     } else if (arg == "--static") {
       use_static = true;
