@@ -55,6 +55,7 @@ int Fail(const pkrusafe::Status& status) {
 }  // namespace
 
 int main() {
+  using pkrusafe::AllocId;
   using pkrusafe::Profile;
   using pkrusafe::RuntimeMode;
   using pkrusafe::System;
@@ -93,7 +94,10 @@ int main() {
     profile = (*system)->TakeProfile();
     std::printf("[step 2] profiling run completed; recorded %zu shared allocation site(s):\n",
                 profile.site_count());
-    std::printf("%s\n", profile.Serialize().c_str());
+    for (const AllocId& id : profile.Sites()) {
+      std::printf("  %s %llu fault(s)\n", id.ToString().c_str(),
+                  static_cast<unsigned long long>(profile.CountFor(id)));
+    }
   }
 
   // ---- Step 3: enforcement with the profile ----

@@ -39,9 +39,12 @@
 #                                   # SARIF export, link-time check-binary
 #                                   # over the built tools, and no TEXTREL in
 #                                   # any built tool or bench
+#   scripts/check.sh warnings       # fresh default build (build/check-
+#                                   # warnings); fails on any compiler
+#                                   # `warning:` line
 #   scripts/check.sh matrix         # plain + asan + tsan + lint + crash
 #                                   # + faultstress + contprof + vpkey
-#                                   # + gateintegrity
+#                                   # + gateintegrity + warnings
 #   scripts/check.sh -- -R telemetry   # extra args after -- go to ctest
 #
 # --asan/--tsan are accepted as aliases of asan/tsan.
@@ -62,9 +65,10 @@ while [[ $# -gt 0 ]]; do
     vpkey|--vpkey) mode=vpkey; shift ;;
     server|--server) mode=server; shift ;;
     gateintegrity|--gateintegrity) mode=gateintegrity; shift ;;
+    warnings|--warnings) mode=warnings; shift ;;
     matrix) mode=matrix; shift ;;
     --) shift; break ;;
-    *) echo "usage: $0 [asan|tsan|lint|crash|faultstress|contprof|fleet|vpkey|server|gateintegrity|matrix] [-- <ctest args>]" >&2; exit 2 ;;
+    *) echo "usage: $0 [asan|tsan|lint|crash|faultstress|contprof|fleet|vpkey|server|gateintegrity|warnings|matrix] [-- <ctest args>]" >&2; exit 2 ;;
   esac
 done
 
@@ -204,7 +208,7 @@ run_fleet() {
   [[ -s "$out/fleet.artifact" ]]
   # The exported artifact must load back into an enforcement run.
   build/tools/pkrusafe_run examples/ir/interproc.ir --mode=enforce \
-    --artifact="$out/fleet.artifact" --expected-epoch=check >/dev/null
+    --profile="$out/fleet.artifact" --expected-epoch=check >/dev/null
 
   PKRUSAFE_BENCH_OUT_DIR="$out" build/bench/bench_fleet
   grep -q '"bench":"fleet"' "$out/BENCH_fleet.json"
@@ -365,6 +369,23 @@ run_gateintegrity() {
   echo "gateintegrity check OK"
 }
 
+run_warnings() {
+  echo "== check: warnings (build/check-warnings) =="
+  # From scratch, so every translation unit is compiled (and can warn) again.
+  rm -rf build/check-warnings
+  cmake -B build/check-warnings -S . -DPKRUSAFE_SANITIZE="" > /dev/null
+  local log=build/check-warnings/build.log
+  cmake --build build/check-warnings -j "$(nproc)" 2>&1 | tee "$log"
+  local count
+  count="$(grep -c 'warning:' "$log" || true)"
+  if [[ "$count" -ne 0 ]]; then
+    grep 'warning:' "$log" >&2
+    echo "$count compiler warning line(s)" >&2
+    exit 1
+  fi
+  echo "warnings check OK"
+}
+
 case "$mode" in
   plain) run_one "" build "$@" ;;
   asan)  run_one address build/check-asan "$@" ;;
@@ -377,6 +398,7 @@ case "$mode" in
   vpkey) run_vpkey ;;
   server) run_server ;;
   gateintegrity) run_gateintegrity ;;
+  warnings) run_warnings ;;
   matrix)
     run_one "" build "$@"
     run_one address build/check-asan "$@"
@@ -389,5 +411,6 @@ case "$mode" in
     run_vpkey
     run_server
     run_gateintegrity
+    run_warnings
     ;;
 esac

@@ -164,14 +164,14 @@ void LintProfileDeltaIrHash(const IrModule& module, uint64_t delta_ir_hash,
   finding.severity = Severity::kError;
   finding.rule = "stale-profile-hash";
   finding.message = StrFormat(
-      "profile delta from %.*s was recorded against IR with content hash "
+      "profile data from %.*s was recorded against IR with content hash "
       "0x%016llx, but this module hashes to 0x%016llx",
       static_cast<int>(origin.size()), origin.data(),
       static_cast<unsigned long long>(delta_ir_hash),
       static_cast<unsigned long long>(module_hash));
-  finding.fix_hint = "the stream comes from a different build; rotate the fleet onto this "
-                     "module's epoch (or aggregate against the module the stream was "
-                     "recorded on) before merging counts";
+  finding.fix_hint = "the profile comes from a different build; re-profile against this "
+                     "module (or rotate the fleet onto its epoch) before merging counts or "
+                     "enforcing";
   sink.Report(std::move(finding));
 }
 

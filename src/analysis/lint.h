@@ -10,8 +10,9 @@
 //                               U-reachable object
 //   stale-profile-site error    profile names an AllocId the module does not
 //                               contain (stale/foreign profile)
-//   stale-profile-hash error    profile delta's IR content hash does not match
-//                               the module it is being merged against
+//   stale-profile-hash error    profile delta's or artifact's IR content hash
+//                               does not match the module it is checked
+//                               against
 //   free-across-domain warning  free of a pointer with mixed/U-controlled
 //                               provenance at the IR level
 #ifndef SRC_ANALYSIS_LINT_H_
@@ -31,8 +32,9 @@ void LintRedundantGates(const IrModule& module, const PointsToAnalysis& pts,
                         DiagnosticSink& sink);
 void LintTrustedLeaks(const IrModule& module, const PointsToAnalysis& pts, DiagnosticSink& sink);
 void LintStaleProfileSites(const IrModule& module, const Profile& profile, DiagnosticSink& sink);
-// Checks a profile delta's IR content hash against the module's own
-// (ModuleContentHash). `origin` names the stream/file the delta came from.
+// Checks a profile delta's or artifact's IR content hash against the
+// module's own (ModuleContentHash). `origin` names the stream or file the
+// profile came from.
 void LintProfileDeltaIrHash(const IrModule& module, uint64_t delta_ir_hash,
                             std::string_view origin, DiagnosticSink& sink);
 void LintFreeAcrossDomain(const IrModule& module, const PointsToAnalysis& pts,

@@ -134,7 +134,7 @@ bool PointsToAnalysis::TransferFunction(FunctionState& state) {
           }
           break;
         case Opcode::kCall: {
-          if (const IrFunction* callee = module_->FindFunction(instr.callee)) {
+          if (module_->FindFunction(instr.callee) != nullptr) {
             FunctionState& callee_state = states_.at(instr.callee);
             for (size_t i = 0; i < instr.operands.size() && i < callee_state.regs.size(); ++i) {
               changed |= Merge(callee_state.regs[i], pts_of(instr.operands[i]));

@@ -37,13 +37,10 @@ Result<std::unique_ptr<System>> System::Create(std::string_view ir_source, Syste
   system->gates_inserted_ = gates_ptr->gates_inserted();
   system->instrumented_ir_hash_ = ModuleContentHash(system->module_);
 
-  // Provenance-checked artifact: the committed profile, verified before it
-  // may influence the partition.
+  // Provenance-checked artifact: the recorded profile, verified before it
+  // may influence the partition, then unioned with any in-memory profile
+  // (e.g. statically derived sites).
   if (!config.profile_artifact.empty()) {
-    if (!config.profile.empty()) {
-      return InvalidArgumentError(
-          "SystemConfig: profile and profile_artifact are mutually exclusive");
-    }
     PS_ASSIGN_OR_RETURN(const ProfileArtifact artifact,
                         ProfileArtifact::LoadFromFile(config.profile_artifact));
     if (artifact.ir_hash != system->instrumented_ir_hash_) {
@@ -60,7 +57,7 @@ Result<std::unique_ptr<System>> System::Create(std::string_view ir_source, Syste
                       << "', expected '" << config.expected_epoch
                       << "' — applying it anyway; consider re-exporting";
     }
-    config.profile = artifact.profile;
+    config.profile.Merge(artifact.profile);
   }
 
   // Enforcement builds additionally apply the (now-verified) profile.

@@ -4,8 +4,11 @@
 //   1. developer annotations — `untrusted "lib"` directives in the IR source;
 //   2. instrumented build    — AllocIdPass + GateInsertionPass;
 //   3. profiling runs        — execute under RuntimeMode::kProfiling, then
-//                              TakeProfile();
-//   4. enforcement build     — recreate the System with the profile: the
+//                              TakeProfile() (saved to disk as a
+//                              ProfileArtifact keyed by
+//                              instrumented_ir_hash());
+//   4. enforcement build     — recreate the System with the profile (in
+//                              memory, or as a verified artifact file): the
 //                              ProfileApplyPass moves the recorded sites to
 //                              M_U and the runtime denies everything else.
 //
@@ -42,9 +45,10 @@ struct SystemConfig {
   FaultRateBudgetOptions sampling;
   size_t trusted_pool_bytes = size_t{2} << 30;
   size_t untrusted_pool_bytes = size_t{2} << 30;
-  // Path to a provenance-checked profile artifact (profile_tool
-  // export-artifact). When set, the artifact supplies the enforcement
-  // profile — `profile` must be empty — and Create verifies it at load:
+  // Path to a profile artifact (the only profile file format; see
+  // src/runtime/profile_artifact.h). When set, Create verifies it at load and
+  // merges its sites into `profile` (the union, so a statically derived
+  // profile can ride along):
   //   * checksum failure or malformed content   -> hard error
   //   * artifact ir_hash != this module's instrumented (pre-profile-apply)
   //     content hash                            -> hard error — the site ids

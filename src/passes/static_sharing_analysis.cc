@@ -157,7 +157,7 @@ Result<Profile> StaticSharingAnalysis::RunOneCell() {
               break;
             }
             case Opcode::kCall: {
-              if (const IrFunction* callee = module_->FindFunction(instr.callee)) {
+              if (module_->FindFunction(instr.callee) != nullptr) {
                 FunctionState& callee_state = states.at(instr.callee);
                 for (size_t i = 0; i < instr.operands.size(); ++i) {
                   changed |= Merge(callee_state.regs[i], sites_of(instr.operands[i]));

@@ -1,17 +1,10 @@
 #include "src/runtime/profile.h"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
-#include "src/support/string_util.h"
 #include "src/telemetry/telemetry.h"
 
 namespace pkrusafe {
-
-namespace {
-constexpr std::string_view kHeader = "# pkru-safe profile v1";
-}  // namespace
 
 Status Profile::AddChecked(AllocId id, uint64_t count) {
   uint64_t& existing = counts_[id];
@@ -32,72 +25,19 @@ std::vector<AllocId> Profile::Sites() const {
   return sites;
 }
 
+uint64_t Profile::TotalCount() const {
+  uint64_t total = 0;
+  for (const auto& [id, count] : counts_) {
+    total = count > UINT64_MAX - total ? UINT64_MAX : total + count;
+  }
+  return total;
+}
+
 void Profile::Merge(const Profile& other) {
   for (const auto& [id, count] : other.counts_) {
     uint64_t& existing = counts_[id];
     existing = count > UINT64_MAX - existing ? UINT64_MAX : existing + count;
   }
-}
-
-std::string Profile::Serialize() const {
-  std::ostringstream out;
-  out << kHeader << "\n";
-  for (const AllocId& id : Sites()) {
-    out << id.ToString() << " " << CountFor(id) << "\n";
-  }
-  return out.str();
-}
-
-Result<Profile> Profile::Deserialize(std::string_view text) {
-  Profile profile;
-  bool saw_header = false;
-  for (std::string_view line : StrSplit(text, '\n')) {
-    line = StrStrip(line);
-    if (line.empty()) {
-      continue;
-    }
-    if (line[0] == '#') {
-      if (line == kHeader) {
-        saw_header = true;
-      }
-      continue;
-    }
-    const auto fields = StrSplit(line, ' ');
-    if (fields.size() != 2) {
-      return InvalidArgumentError("malformed profile line: " + std::string(line));
-    }
-    PS_ASSIGN_OR_RETURN(AllocId id, AllocId::Parse(fields[0]));
-    PS_ASSIGN_OR_RETURN(uint64_t count, ParseUint64(fields[1]));
-    // Duplicate lines for a site are legal (concatenated shards) and merge,
-    // but a sum that overflows is corrupt input, not a big profile.
-    PS_RETURN_IF_ERROR(profile.AddChecked(id, count));
-  }
-  if (!saw_header) {
-    return InvalidArgumentError("missing profile header");
-  }
-  return profile;
-}
-
-Status Profile::SaveToFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return InternalError("cannot open profile file for writing: " + path);
-  }
-  out << Serialize();
-  if (!out.flush()) {
-    return InternalError("failed writing profile file: " + path);
-  }
-  return Status::Ok();
-}
-
-Result<Profile> Profile::LoadFromFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return NotFoundError("cannot open profile file: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return Deserialize(buffer.str());
 }
 
 // ---------------------------------------------------------------------------

@@ -2,11 +2,10 @@
 // the compartment boundary, with fault counts.
 //
 // Produced by profiling runs, consumed by the enforcement build (the
-// ProfileApplyPass rewrites exactly these sites to allocate from M_U). The
-// on-disk format is line-oriented text:
-//
-//   # pkru-safe profile v1
-//   <function>:<block>:<site> <fault-count>
+// ProfileApplyPass rewrites exactly these sites to allocate from M_U). This
+// is the in-memory map only; on disk a profile is always a ProfileArtifact
+// (src/runtime/profile_artifact.h), which adds the IR hash the site ids were
+// recorded against, per-epoch provenance and a checksum.
 #ifndef SRC_RUNTIME_PROFILE_H_
 #define SRC_RUNTIME_PROFILE_H_
 
@@ -29,7 +28,8 @@ class Profile {
   void Add(AllocId id, uint64_t count = 1) { counts_[id] += count; }
 
   // Like Add, but fails instead of wrapping when the merged count would
-  // overflow uint64_t. Used by Deserialize/Merge paths fed untrusted input.
+  // overflow uint64_t. Used by the artifact parser, which is fed untrusted
+  // input.
   Status AddChecked(AllocId id, uint64_t count);
 
   bool Contains(AllocId id) const { return counts_.contains(id); }
@@ -42,15 +42,11 @@ class Profile {
 
   // Sites in deterministic (sorted) order.
   std::vector<AllocId> Sites() const;
+  // Sum of every site's count, saturating at UINT64_MAX.
+  uint64_t TotalCount() const;
 
   // Folds `other` into this profile (per-site counts add, saturating).
   void Merge(const Profile& other);
-
-  std::string Serialize() const;
-  static Result<Profile> Deserialize(std::string_view text);
-
-  Status SaveToFile(const std::string& path) const;
-  static Result<Profile> LoadFromFile(const std::string& path);
 
  private:
   std::unordered_map<AllocId, uint64_t, AllocIdHasher> counts_;

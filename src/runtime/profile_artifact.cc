@@ -43,6 +43,19 @@ const std::string& ProfileArtifact::NewestEpoch() const {
   return epochs.empty() ? kEmpty : epochs.back().name;
 }
 
+Status ProfileArtifact::MergeFrom(const ProfileArtifact& other) {
+  if (other.ir_hash != ir_hash) {
+    return FailedPreconditionError(
+        StrFormat("artifact recorded against IR hash 0x%016llx cannot merge into one recorded "
+                  "against 0x%016llx: site ids of different builds name different sites",
+                  static_cast<unsigned long long>(other.ir_hash),
+                  static_cast<unsigned long long>(ir_hash)));
+  }
+  epochs.insert(epochs.end(), other.epochs.begin(), other.epochs.end());
+  profile.Merge(other.profile);
+  return Status::Ok();
+}
+
 std::string ProfileArtifact::Serialize() const {
   std::ostringstream out;
   out << kHeader << "\n";

@@ -1,13 +1,15 @@
-// Provenance-checked profile artifacts.
+// Provenance-checked profile artifacts: the only profile file format.
 //
-// The fleet loop ends in a file a human checks in: `profile_tool
-// export-artifact` freezes the aggregator's rolling profile together with the
-// provenance that produced it — which epochs contributed, how much each one
-// saw, and the content hash of the instrumented IR every stream was recorded
-// against. `System::Create` verifies the artifact at load: an IR hash
-// mismatch is a hard error (the profile's site ids mean nothing against
-// different IR), a stale epoch is a warning (the profile still applies, but
-// the fleet has moved on), and a checksum failure rejects the file outright.
+// Every tool that writes a profile writes one of these (`pkrusafe_run
+// --emit-profile`, `profile_tool merge`, `profile_tool aggregate --out`,
+// `profile_tool serve --artifact`), and every tool that reads one verifies
+// it. An artifact carries the profile together with the provenance that
+// produced it — which epochs contributed, how much each one saw, and the
+// content hash of the instrumented IR every site id was recorded against.
+// `System::Create` verifies the artifact at load: an IR hash mismatch is a
+// hard error (the profile's site ids mean nothing against different IR), a
+// stale epoch is a warning (the profile still applies, but the fleet has
+// moved on), and a checksum failure rejects the file outright.
 //
 // The format is line-oriented text, so artifacts diff and review like code:
 //
@@ -17,7 +19,8 @@
 //                                    aggregation (first-seen) order
 //   promoted <f>:<b>:<s> <count>     sites the aggregator had promoted, with
 //                                    their rolling count at snapshot time —
-//                                    present only in serve-side snapshots,
+//                                    present only in aggregator snapshots
+//                                    (`aggregate --out`, `serve --artifact`),
 //                                    sorted; lets a restarted `profile_tool
 //                                    serve` resume without re-promoting
 //   site <f>:<b>:<s> <count>         the rolling profile, sorted
@@ -49,14 +52,19 @@ struct ProfileArtifact {
   // the newest.
   std::vector<EpochProvenance> epochs;
   // Sites already promoted when the snapshot was taken, with their rolling
-  // counts, sorted by site. Empty for plain exports; the line is omitted
-  // when empty, so artifacts without promotion state stay byte-identical to
-  // the pre-field format.
+  // counts, sorted by site. Empty outside aggregator snapshots; the line is
+  // omitted when empty, so artifacts without promotion state stay
+  // byte-identical to the pre-field format.
   std::vector<std::pair<AllocId, uint64_t>> promoted;
   Profile profile;
 
   // The newest contributing epoch's name, or "" when no epoch contributed.
   const std::string& NewestEpoch() const;
+
+  // Folds `other` in: its epochs append after ours and site counts add
+  // (saturating); promoted lines are not carried over. Refuses an artifact
+  // recorded against a different ir_hash — its site ids name other sites.
+  Status MergeFrom(const ProfileArtifact& other);
 
   // Serializes including the trailing crc32 line.
   std::string Serialize() const;

@@ -92,11 +92,8 @@ class Result {
   bool ok() const { return std::holds_alternative<T>(rep_); }
 
   const Status& status() const {
-    static const Status kOkStatus;
-    if (ok()) {
-      return kOkStatus;
-    }
-    return std::get<Status>(rep_);
+    const Status* error = std::get_if<Status>(&rep_);
+    return error != nullptr ? *error : kOkStatus;
   }
 
   T& value() & { return std::get<T>(rep_); }
@@ -110,6 +107,10 @@ class Result {
   const T* operator->() const { return &value(); }
 
  private:
+  // A class-scope constant rather than a function-local static: no guard
+  // call on the success path, which also lets GCC 12 see that ~Result never
+  // destroys a Status it did not hold (no -Wmaybe-uninitialized).
+  static inline const Status kOkStatus;
   std::variant<T, Status> rep_;
 };
 

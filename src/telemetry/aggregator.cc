@@ -310,10 +310,8 @@ ProfileArtifact ProfileAggregator::ExportArtifact(uint64_t ir_hash) const {
     ProfileArtifact::EpochProvenance epoch;
     epoch.name = name;
     if (const Profile* contribution = EpochProfile(name)) {
-      for (const AllocId& site : contribution->Sites()) {
-        ++epoch.sites;
-        epoch.count += contribution->CountFor(site);
-      }
+      epoch.sites = contribution->site_count();
+      epoch.count = contribution->TotalCount();
     }
     const auto restored = restored_epochs_.find(name);
     if (restored != restored_epochs_.end()) {

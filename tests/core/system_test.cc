@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "src/runtime/profile_artifact.h"
+
 namespace pkrusafe {
 namespace {
 
@@ -105,6 +110,33 @@ TEST(SystemTest, DumpIrShowsInstrumentation) {
   EXPECT_NE(ir.find("alloc_untrusted"), std::string::npos);
   EXPECT_NE(ir.find("; gated"), std::string::npos);
   EXPECT_NE(ir.find("; site 0:0:1"), std::string::npos);
+}
+
+TEST(SystemTest, ArtifactUnionsWithInMemoryProfileAndIsBoundToItsModule) {
+  auto profiled = System::Create(kProgram, {}, MakeExterns());
+  ASSERT_TRUE(profiled.ok());
+  ProfileArtifact artifact;
+  artifact.ir_hash = (*profiled)->instrumented_ir_hash();
+  artifact.profile.Add(AllocId{0, 0, 0});
+  const std::string path = ::testing::TempDir() + "/system_test.artifact";
+  ASSERT_TRUE(artifact.SaveToFile(path).ok());
+
+  // The artifact's site and an in-memory (e.g. static) site both apply.
+  SystemConfig config;
+  config.mode = RuntimeMode::kEnforcing;
+  config.profile.Add(AllocId{0, 0, 1});
+  config.profile_artifact = path;
+  auto system = System::Create(kProgram, config, MakeExterns());
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  EXPECT_EQ((*system)->sites_moved_to_untrusted(), 2u);
+  EXPECT_TRUE((*system)->Call("main").ok());
+
+  // The same file against another module is refused.
+  const std::string other = std::string(kProgram) + "func @extra(0) {\ne:\n  ret 0\n}\n";
+  auto foreign = System::Create(other, config, MakeExterns());
+  ASSERT_FALSE(foreign.ok());
+  EXPECT_EQ(foreign.status().code(), StatusCode::kFailedPrecondition);
+  std::remove(path.c_str());
 }
 
 TEST(SystemTest, RejectsInvalidIr) {

@@ -9,6 +9,7 @@
 #include "src/passes/alloc_id_pass.h"
 #include "src/passes/gate_insertion_pass.h"
 #include "src/passes/pass.h"
+#include "src/runtime/profile_artifact.h"
 
 namespace pkrusafe {
 namespace {
@@ -75,6 +76,19 @@ Profile ProfileUser(const std::vector<int64_t>& features) {
   return (*system)->TakeProfile();
 }
 
+ProfileArtifact UserArtifact(const std::vector<int64_t>& features, const std::string& epoch) {
+  SystemConfig config;
+  config.mode = RuntimeMode::kProfiling;
+  auto system = System::Create(kApp, config, CodecExterns());
+  EXPECT_TRUE(system.ok());
+  ProfileArtifact artifact;
+  artifact.ir_hash = (*system)->instrumented_ir_hash();
+  artifact.profile = ProfileUser(features);
+  artifact.epochs.push_back(
+      {epoch, artifact.profile.site_count(), artifact.profile.TotalCount()});
+  return artifact;
+}
+
 TEST(DeploymentTest, MergedTelemetryCoversTheUnionOfBehaviours) {
   // Three users exercise overlapping feature subsets; nobody uses feature 3.
   Profile merged;
@@ -101,22 +115,42 @@ TEST(DeploymentTest, MergedTelemetryCoversTheUnionOfBehaviours) {
 }
 
 TEST(DeploymentTest, SerializedTelemetryRoundTripsThroughFiles) {
+  // Each user ships an artifact keyed by the instrumented IR hash; the
+  // merged artifact drives the enforcement build.
   const std::string dir = ::testing::TempDir();
-  const std::string a_path = dir + "/user_a.profile";
-  const std::string b_path = dir + "/user_b.profile";
-  ASSERT_TRUE(ProfileUser({0}).SaveToFile(a_path).ok());
-  ASSERT_TRUE(ProfileUser({1, 2}).SaveToFile(b_path).ok());
+  const std::string a_path = dir + "/user_a.artifact";
+  const std::string b_path = dir + "/user_b.artifact";
+  const std::string merged_path = dir + "/merged.artifact";
+  ASSERT_TRUE(UserArtifact({0}, "user-a").SaveToFile(a_path).ok());
+  ASSERT_TRUE(UserArtifact({1, 2}, "user-b").SaveToFile(b_path).ok());
 
-  Profile merged;
-  auto a = Profile::LoadFromFile(a_path);
-  auto b = Profile::LoadFromFile(b_path);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  merged.Merge(*a);
-  merged.Merge(*b);
-  EXPECT_EQ(merged.site_count(), 3u);
+  auto a = ProfileArtifact::LoadFromFile(a_path);
+  auto b = ProfileArtifact::LoadFromFile(b_path);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  ProfileArtifact merged = *a;
+  ASSERT_TRUE(merged.MergeFrom(*b).ok());
+  EXPECT_EQ(merged.profile.site_count(), 3u);
+  ASSERT_EQ(merged.epochs.size(), 2u);
+  EXPECT_EQ(merged.NewestEpoch(), "user-b");
+  ASSERT_TRUE(merged.SaveToFile(merged_path).ok());
+
+  SystemConfig config;
+  config.mode = RuntimeMode::kEnforcing;
+  config.profile_artifact = merged_path;
+  auto system = System::Create(kApp, config, CodecExterns());
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  EXPECT_EQ((*system)->sites_moved_to_untrusted(), 3u);
+
+  // A profile recorded against another build never merges in.
+  ProfileArtifact foreign = *b;
+  foreign.ir_hash ^= 1;
+  EXPECT_EQ(merged.MergeFrom(foreign).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(merged.profile.site_count(), 3u);
+  EXPECT_EQ(merged.epochs.size(), 2u);
   std::remove(a_path.c_str());
   std::remove(b_path.c_str());
+  std::remove(merged_path.c_str());
 }
 
 TEST(DeploymentTest, GateAllExternsPolicyDistrustsTheWholeFfiSurface) {

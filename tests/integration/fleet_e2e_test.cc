@@ -322,7 +322,7 @@ TEST(FleetE2eTest, ExportedArtifactPartitionsAnEnforcementBuild) {
   ASSERT_GT(profile.site_count(), 0u);
   ASSERT_NE(ir_hash, 0u);
 
-  // Export: what `profile_tool export-artifact` writes from its aggregate.
+  // Export: what `profile_tool aggregate --out` writes from its aggregate.
   ProfileArtifact artifact;
   artifact.ir_hash = ir_hash;
   artifact.profile = profile;

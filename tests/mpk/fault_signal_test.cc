@@ -18,7 +18,7 @@ sigjmp_buf g_jump;
 volatile sig_atomic_t g_app_handler_hits = 0;
 
 void AppSegvHandler(int) {
-  ++g_app_handler_hits;
+  g_app_handler_hits = g_app_handler_hits + 1;
   siglongjmp(g_jump, 1);
 }
 

@@ -7,6 +7,8 @@
 #include <string>
 
 #include "gtest/gtest.h"
+#include "src/support/crc32.h"
+#include "src/support/string_util.h"
 
 namespace pkrusafe {
 namespace {
@@ -21,6 +23,14 @@ ProfileArtifact Sample() {
   artifact.profile.Add(AllocId{4, 0, 0}, 25);
   return artifact;
 }
+
+// Seals `body` with its honest crc32 line, so the parser judges the lines
+// themselves rather than stopping at a checksum mismatch.
+std::string WithCrc(const std::string& body) {
+  return body + StrFormat("crc32 0x%08x\n", Crc32(body));
+}
+
+constexpr const char* kHead = "# pkru-safe profile artifact v1\nir_hash 0x0000000000000001\n";
 
 TEST(ProfileArtifactTest, RoundTrips) {
   const ProfileArtifact artifact = Sample();
@@ -149,7 +159,73 @@ TEST(ProfileArtifactTest, EpochNamesWithWhitespaceRefusedAtSave) {
 }
 
 TEST(ProfileArtifactTest, MissingFileIsAnError) {
-  EXPECT_FALSE(ProfileArtifact::LoadFromFile("/nonexistent/artifact").ok());
+  EXPECT_EQ(ProfileArtifact::LoadFromFile("/nonexistent/artifact").status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST(ProfileArtifactTest, SealedBodiesReachTheParser) {
+  // The crc helper itself: a sealed well-formed body loads.
+  auto loaded = ProfileArtifact::Deserialize(WithCrc(std::string(kHead) + "site 1:2:3 4\n"));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->profile.CountFor(AllocId{1, 2, 3}), 4u);
+}
+
+TEST(ProfileArtifactTest, RejectsMissingHeader) {
+  EXPECT_FALSE(
+      ProfileArtifact::Deserialize(WithCrc("ir_hash 0x0000000000000001\nsite 1:2:3 4\n")).ok());
+}
+
+TEST(ProfileArtifactTest, RejectsMalformedSiteLines) {
+  EXPECT_FALSE(ProfileArtifact::Deserialize(WithCrc(std::string(kHead) + "site 1:2:3\n")).ok());
+  EXPECT_FALSE(
+      ProfileArtifact::Deserialize(WithCrc(std::string(kHead) + "site x:y:z 1\n")).ok());
+}
+
+TEST(ProfileArtifactTest, DuplicateSiteLinesRejected) {
+  // Even when their sum would overflow uint64: a duplicate is corrupt input,
+  // never merged and never wrapped.
+  EXPECT_FALSE(ProfileArtifact::Deserialize(WithCrc(std::string(kHead) +
+                                                    "site 1:2:3 18446744073709551615\n"
+                                                    "site 1:2:3 1\n"))
+                   .ok());
+  EXPECT_FALSE(ProfileArtifact::Deserialize(
+                   WithCrc(std::string(kHead) + "site 1:2:3 4\nsite 1:2:3 6\n"))
+                   .ok());
+}
+
+TEST(ProfileArtifactTest, RejectsOverflowingCountLiteral) {
+  auto max = ProfileArtifact::Deserialize(
+      WithCrc(std::string(kHead) + "site 1:2:3 18446744073709551615\n"));
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ(max->profile.CountFor(AllocId{1, 2, 3}), UINT64_MAX);
+  EXPECT_FALSE(ProfileArtifact::Deserialize(
+                   WithCrc(std::string(kHead) + "site 1:2:3 18446744073709551616\n"))
+                   .ok());
+}
+
+TEST(ProfileArtifactTest, FuzzSiteLinesNeverCrash) {
+  // None of these may crash; each must either parse cleanly or fail cleanly.
+  const char* kLines[] = {
+      "1:2:3 -4",
+      "1:2:3 4 5",
+      "1:2:3:4 5",
+      ": : 1",
+      "1:2: 1",
+      "4294967296:1:1 1",  // function id overflows uint32
+      "1:2:3\t4",
+      "0:0:0 0",
+      "1:2:3 0x10",
+      "\x01\x02\x03",
+      "1:2:3 99999999999999999999999999",
+  };
+  for (const char* line : kLines) {
+    auto artifact =
+        ProfileArtifact::Deserialize(WithCrc(std::string(kHead) + "site " + line + "\n"));
+    if (artifact.ok()) {
+      // The only acceptable successes are well-formed lines.
+      EXPECT_LE(artifact->profile.site_count(), 1u) << line;
+    }
+  }
 }
 
 }  // namespace

@@ -14,7 +14,7 @@ constexpr AllocId kSiteB{2, 5, 1};
 
 TEST(ProvenanceTest, RegistersAndLooksUpInteriorAddresses) {
   ProvenanceTracker tracker;
-  char buffer[64];
+  char buffer[64] = {};
   ASSERT_TRUE(tracker.OnAlloc(buffer, sizeof(buffer), kSiteA).ok());
 
   auto record = tracker.Lookup(reinterpret_cast<uintptr_t>(buffer) + 32);
@@ -28,21 +28,21 @@ TEST(ProvenanceTest, RegistersAndLooksUpInteriorAddresses) {
 
 TEST(ProvenanceTest, RejectsOverlappingRegistration) {
   ProvenanceTracker tracker;
-  char buffer[64];
+  char buffer[64] = {};
   ASSERT_TRUE(tracker.OnAlloc(buffer, 64, kSiteA).ok());
   EXPECT_FALSE(tracker.OnAlloc(buffer + 16, 16, kSiteB).ok());
 }
 
 TEST(ProvenanceTest, RejectsNullAndEmpty) {
   ProvenanceTracker tracker;
-  char buffer[8];
+  char buffer[8] = {};
   EXPECT_FALSE(tracker.OnAlloc(nullptr, 8, kSiteA).ok());
   EXPECT_FALSE(tracker.OnAlloc(buffer, 0, kSiteA).ok());
 }
 
 TEST(ProvenanceTest, FreeUnregisters) {
   ProvenanceTracker tracker;
-  char buffer[32];
+  char buffer[32] = {};
   ASSERT_TRUE(tracker.OnAlloc(buffer, 32, kSiteA).ok());
   EXPECT_EQ(tracker.live_count(), 1u);
   ASSERT_TRUE(tracker.OnFree(buffer).ok());
@@ -55,8 +55,8 @@ TEST(ProvenanceTest, ReallocCarriesAllocIdForward) {
   // §4.3.1: reallocation associates the new object with the original
   // object's AllocId, preserving provenance across resizes.
   ProvenanceTracker tracker;
-  char old_buf[32];
-  char new_buf[128];
+  char old_buf[32] = {};
+  char new_buf[128] = {};
   ASSERT_TRUE(tracker.OnAlloc(old_buf, 32, kSiteB).ok());
   ASSERT_TRUE(tracker.OnRealloc(old_buf, new_buf, 128).ok());
 
@@ -69,7 +69,7 @@ TEST(ProvenanceTest, ReallocCarriesAllocIdForward) {
 
 TEST(ProvenanceTest, InPlaceReallocUpdatesSize) {
   ProvenanceTracker tracker;
-  char buffer[128];
+  char buffer[128] = {};
   ASSERT_TRUE(tracker.OnAlloc(buffer, 32, kSiteA).ok());
   ASSERT_TRUE(tracker.OnRealloc(buffer, buffer, 96).ok());
   auto record = tracker.Lookup(reinterpret_cast<uintptr_t>(buffer) + 90);
@@ -80,14 +80,14 @@ TEST(ProvenanceTest, InPlaceReallocUpdatesSize) {
 
 TEST(ProvenanceTest, ReallocOfUnknownPointerFails) {
   ProvenanceTracker tracker;
-  char buffer[8];
+  char buffer[8] = {};
   EXPECT_FALSE(tracker.OnRealloc(buffer, buffer, 8).ok());
 }
 
 TEST(ProvenanceTest, ClearDropsEverything) {
   ProvenanceTracker tracker;
-  char a[8];
-  char b[8];
+  char a[8] = {};
+  char b[8] = {};
   ASSERT_TRUE(tracker.OnAlloc(a, 8, kSiteA).ok());
   ASSERT_TRUE(tracker.OnAlloc(b, 8, kSiteB).ok());
   tracker.Clear();

@@ -4,6 +4,8 @@
 
 #include <cstring>
 
+#include "src/runtime/profile_artifact.h"
+
 namespace pkrusafe {
 namespace {
 
@@ -180,11 +182,15 @@ TEST(RuntimeTest, ProfileSurvivesSaveLoadCycle) {
   rt->Free(p);
 
   const std::string path = ::testing::TempDir() + "/runtime_profile_roundtrip.txt";
-  ASSERT_TRUE(rt->TakeProfile().SaveToFile(path).ok());
-  auto loaded = Profile::LoadFromFile(path);
-  ASSERT_TRUE(loaded.ok());
+  ProfileArtifact artifact;
+  artifact.ir_hash = 1;
+  artifact.profile = rt->TakeProfile();
+  ASSERT_TRUE(artifact.SaveToFile(path).ok());
+  auto loaded = ProfileArtifact::LoadFromFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
-  auto enforcing = MakeRuntime(RuntimeMode::kEnforcing, SitePolicy::FromProfile(*loaded));
+  auto enforcing =
+      MakeRuntime(RuntimeMode::kEnforcing, SitePolicy::FromProfile(loaded->profile));
   void* q = enforcing->AllocTrusted(kSharedSite, 64);
   EXPECT_EQ(*enforcing->allocator().OwnerOf(q), Domain::kUntrusted);
   enforcing->Free(q);

@@ -346,6 +346,38 @@ TEST(AggregatorTest, DemotionDisabledByDefault) {
   EXPECT_TRUE(demotions.empty());
 }
 
+TEST(AggregatorTest, DemotedSiteLeavesTheExportedPromotedSet) {
+  // The artifact's promoted lines are the live set: a site promoted once and
+  // demoted after demote_cold_epochs cold epochs must not be exported as
+  // promoted, or an enforcement build fed the snapshot would share it again.
+  const std::string path = TempStream("demote_export");
+  AggregatorOptions options = BaseOptions();
+  options.promotion_threshold = 2;
+  options.demote_cold_epochs = 2;
+  ProfileAggregator aggregator(std::move(options));
+  aggregator.AddStream(path);
+
+  WriteLines(path, {DeltaLine(kSharedSite, 2, 0, "e1")});
+  std::vector<PromotionCandidate> promotions;
+  std::vector<DemotionCandidate> demotions;
+  ASSERT_TRUE(aggregator.Poll(&promotions, &demotions).ok());
+  ASSERT_EQ(promotions.size(), 1u);
+  ASSERT_EQ(aggregator.ExportArtifact(kIrHash).promoted.size(), 1u);
+
+  AppendLine(path, DeltaLine(kOtherSite, 1, 1, "e2"));
+  AppendLine(path, DeltaLine(kOtherSite, 1, 2, "e3"));
+  ASSERT_TRUE(aggregator.Poll(&promotions, &demotions).ok());
+  ASSERT_EQ(demotions.size(), 1u);
+  ASSERT_EQ(demotions[0].site, kSharedSite);
+
+  const ProfileArtifact artifact = aggregator.ExportArtifact(kIrHash);
+  for (const auto& [site, count] : artifact.promoted) {
+    EXPECT_NE(site, kSharedSite) << "demoted site exported as promoted (count " << count << ")";
+  }
+  // The observation history stays in the rolling profile.
+  EXPECT_EQ(artifact.profile.CountFor(kSharedSite), 2u);
+}
+
 // --- network streams ---
 
 TEST(AggregatorTest, NetworkDeltasValidateExactlyLikeFileLines) {

@@ -2,7 +2,7 @@
 // binaries.
 //
 //   pkrusafe_lint prog.ir                         # instrument + lint
-//   pkrusafe_lint prog.ir --profile=p.profile     # + stale-site check and
+//   pkrusafe_lint prog.ir --profile=p.artifact    # + stale-site check and
 //                                                 #   precision metric
 //   pkrusafe_lint prog.ir --no-gates              # lint the ungated module
 //                                                 #   (missing-gate demo)
@@ -42,6 +42,7 @@
 #include "src/passes/gate_insertion_pass.h"
 #include "src/passes/pass.h"
 #include "src/passes/static_sharing_analysis.h"
+#include "src/runtime/profile_artifact.h"
 #include "src/support/string_util.h"
 
 namespace {
@@ -52,8 +53,9 @@ int Usage() {
   std::fprintf(stderr,
                "usage: pkrusafe_lint [<module.ir>] [options]\n"
                "       pkrusafe_lint check-binary <binary> [<module.ir>...] [options]\n"
-               "  --profile=FILE       check the module against a recorded profile and\n"
-               "                       report the static/dynamic precision ratio\n"
+               "  --profile=FILE       check the module against a recorded profile\n"
+               "                       artifact and report the static/dynamic\n"
+               "                       precision ratio\n"
                "  --no-gates           skip GateInsertionPass before linting (shows\n"
                "                       missing-gate findings on annotated modules)\n"
                "  --scan=BINARY        WRPKRU/XRSTOR gadget-scan a built binary\n"
@@ -201,12 +203,12 @@ int main(int argc, char** argv) {
     Profile profile;
     bool have_profile = false;
     if (!profile_path.empty()) {
-      auto loaded = Profile::LoadFromFile(profile_path);
+      auto loaded = ProfileArtifact::LoadFromFile(profile_path);
       if (!loaded.ok()) {
         std::fprintf(stderr, "profile: %s\n", loaded.status().ToString().c_str());
         return 2;
       }
-      profile = std::move(*loaded);
+      profile = std::move(loaded->profile);
       have_profile = true;
     }
     analysis::RunAllLints(*module, points_to, have_profile ? &profile : nullptr, sink);

@@ -1,10 +1,14 @@
 // pkrusafe_run: the toolchain driver for IR programs.
 //
 //   pkrusafe_run prog.ir                        # baseline (no partitioning)
-//   pkrusafe_run prog.ir --mode=profile --emit-profile=prog.profile
-//   pkrusafe_run prog.ir --mode=enforce --profile=prog.profile
+//   pkrusafe_run prog.ir --mode=profile --emit-profile=prog.artifact
+//   pkrusafe_run prog.ir --mode=enforce --profile=prog.artifact
 //   pkrusafe_run prog.ir --mode=enforce --static    # profile via static analysis
 //   pkrusafe_run prog.ir --dump-ir                  # print instrumented IR
+//
+// Profiles on disk are ProfileArtifacts (src/runtime/profile_artifact.h):
+// --emit-profile stamps the instrumented IR hash, and --profile is refused
+// when the artifact was recorded against a different module.
 //
 // Programs link against a small standard library of externs:
 //   trusted:   @t_print(1)
@@ -25,6 +29,7 @@
 #include "src/passes/pass.h"
 #include "src/passes/static_sharing_analysis.h"
 #include "src/ir/parser.h"
+#include "src/runtime/profile_artifact.h"
 #include "src/runtime/profile_delta.h"
 #include "src/runtime/site_stats.h"
 #include "src/support/json.h"
@@ -126,7 +131,14 @@ int Usage() {
                "         [--site-stats[=FILE]] [--latch-sites]\n"
                "         [--sampled[=FRACTION]] [--sample-budget-ns=N]\n"
                "         [--sample-interval-ms=N] [--profile-stream=DEST] [--epoch=NAME]\n"
-               "         [--artifact=FILE] [--expected-epoch=NAME]\n"
+               "         [--expected-epoch=NAME]\n"
+               "  --profile=FILE    profile artifact supplying the enforcement profile\n"
+               "                    (from --emit-profile or `profile_tool merge|\n"
+               "                    aggregate|serve`); verified against this module's\n"
+               "                    instrumented IR hash at load and unioned with\n"
+               "                    --static when both are given\n"
+               "  --emit-profile=FILE  write the recorded profile as an artifact\n"
+               "                    (IR hash + one --epoch provenance line)\n"
                "  --latch-sites     profiling mode: after a site's first fault,\n"
                "                    downgrade pages it fully covers to the shared\n"
                "                    key (counts become approximate, sites exact;\n"
@@ -155,13 +167,10 @@ int Usage() {
                "                    or tcp://HOST:PORT (a `profile_tool serve`\n"
                "                    endpoint; policy updates pushed back are\n"
                "                    applied live). Repeat for both sinks\n"
-               "  --epoch=NAME      epoch stamp for --profile-stream (default dev)\n"
-               "  --artifact=FILE   provenance-checked profile artifact (from\n"
-               "                    `profile_tool export-artifact`) supplying the\n"
-               "                    enforcement profile; verified against this\n"
-               "                    module's instrumented IR hash at load\n"
-               "  --expected-epoch=NAME  warn when the artifact's newest epoch\n"
-               "                    is not NAME (stale artifact)\n");
+               "  --epoch=NAME      epoch stamp for --profile-stream and\n"
+               "                    --emit-profile (default dev)\n"
+               "  --expected-epoch=NAME  warn when the --profile artifact's newest\n"
+               "                    epoch is not NAME (stale artifact)\n");
   return 2;
 }
 
@@ -193,7 +202,6 @@ int main(int argc, char** argv) {
   uint64_t sample_interval_ms = 100;
   std::vector<std::string> profile_stream_dests;
   std::string epoch = "dev";
-  std::string artifact_path;
   std::string expected_epoch;
 
   for (int i = 1; i < argc; ++i) {
@@ -255,8 +263,6 @@ int main(int argc, char** argv) {
       profile_stream_dests.push_back(v);
     } else if ((v = value_of("--epoch="))) {
       epoch = v;
-    } else if ((v = value_of("--artifact="))) {
-      artifact_path = v;
     } else if ((v = value_of("--expected-epoch="))) {
       expected_epoch = v;
     } else if (arg == "--static") {
@@ -326,15 +332,7 @@ int main(int argc, char** argv) {
     SiteHeapStats::Global().SetEnabled(true);
   }
 
-  if (!profile_path.empty()) {
-    auto loaded = Profile::LoadFromFile(profile_path);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    config.profile = *loaded;
-  }
-  config.profile_artifact = artifact_path;
+  config.profile_artifact = profile_path;
   config.expected_epoch = expected_epoch;
   if (use_static) {
     // Compute the profile at compile time instead of loading one.
@@ -441,12 +439,17 @@ int main(int argc, char** argv) {
   std::printf("@%s returned %lld\n", entry.c_str(), static_cast<long long>(*result));
 
   if (!emit_profile_path.empty()) {
-    const Profile profile = (*system)->TakeProfile();
-    if (auto status = profile.SaveToFile(emit_profile_path); !status.ok()) {
+    ProfileArtifact artifact;
+    artifact.ir_hash = (*system)->instrumented_ir_hash();
+    artifact.profile = (*system)->TakeProfile();
+    artifact.epochs.push_back(
+        {epoch, artifact.profile.site_count(), artifact.profile.TotalCount()});
+    if (auto status = artifact.SaveToFile(emit_profile_path); !status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
     }
-    std::printf("wrote %zu site(s) to %s\n", profile.site_count(), emit_profile_path.c_str());
+    std::printf("wrote %zu site(s) to %s\n", artifact.profile.site_count(),
+                emit_profile_path.c_str());
   }
 
   if (!trace_out.empty()) {

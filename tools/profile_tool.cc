@@ -1,25 +1,31 @@
-// profile_tool: inspect and merge PKRU-Safe profiles.
+// profile_tool: inspect, merge and aggregate PKRU-Safe profiles.
 //
 // The paper's deployment story (§6) merges profiles from many runs/users
 // before the enforcement build ("operating systems and applications often
 // test and profile applications ... using a subset of their installation
 // base"); this tool is that step.
 //
-//   profile_tool show  a.profile [--stats=json|text]
-//   profile_tool merge out.profile a.profile b.profile ...
-//   profile_tool diff  a.profile b.profile
-//   profile_tool check module.ir a.profile
+//   profile_tool show  a.artifact [--stats=json|text]
+//   profile_tool merge out.artifact a.artifact b.artifact ...
+//   profile_tool diff  a.artifact b.artifact
+//   profile_tool check module.ir a.artifact
+//
+// Every profile file is a ProfileArtifact (src/runtime/profile_artifact.h):
+// the tool reads, verifies and writes nothing else.
 //
 // --stats renders the profile's aggregate numbers (site count, fault totals,
 // per-site fault counts) through the telemetry stats formats, so profiling
 // pipelines can consume `show` output the same way they consume
 // `pkrusafe_run --stats=json`.
 //
-// `check` runs the stale/unknown-site lint against a module about to receive
-// the profile in an enforcement build: any profile entry naming an AllocId
-// the module does not contain is reported and the exit code is nonzero
-// (previously stale profiles were silently accepted and their sites simply
-// never matched).
+// `merge` refuses inputs recorded against different IR (their site ids name
+// different allocation sites); the output keeps that ir_hash and every
+// input's epoch lines in argument order.
+//
+// `check` verifies an artifact against the module about to receive it in an
+// enforcement build: an artifact recorded against other IR
+// (stale-profile-hash) or naming an AllocId the module does not contain
+// (stale-profile-site) is reported and the exit code is nonzero.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -57,22 +63,22 @@ using namespace pkrusafe;  // NOLINT: tool brevity
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: profile_tool show <file> [--stats[=json|text]]\n"
+               "usage: profile_tool show <artifact> [--stats[=json|text]]\n"
                "       profile_tool merge <out> <in>...\n"
                "       profile_tool diff <a> <b>\n"
-               "       profile_tool check <module.ir> <profile>\n"
+               "       profile_tool check <module.ir> <artifact>\n"
                "       profile_tool report <crash.json> [--json]\n"
                "       profile_tool sites <sites.json> [--top=N]\n"
                "           [--domain=trusted|untrusted] [--module=FILE]\n"
                "       profile_tool aggregate --module=FILE [--threshold=N]\n"
-               "           [--min-epochs=N] [--out=FILE] [--promotions=FILE]\n"
+               "           [--min-epochs=N] [--out=FILE]\n"
                "           [--follow [--interval-ms=N] [--max-polls=N]] <stream.jsonl>...\n"
                "       profile_tool serve --module=FILE [--port=N] [--threshold=N]\n"
                "           [--min-epochs=N] [--demote-cold-epochs=N] [--baseline=FILE]\n"
-               "           [--out=FILE] [--promotions=FILE] [--artifact=FILE]\n"
+               "           [--artifact=FILE]\n"
                "           [--interval-ms=N] [--max-frames=N] [--idle-exit-polls=N]\n"
-               "       profile_tool export-artifact --module=FILE --out=FILE\n"
-               "           <stream.jsonl>...\n"
+               "  Every profile file is a profile artifact (ir_hash + per-epoch\n"
+               "  provenance + sites + crc32); merge refuses mismatched ir_hash\n"
                "  report  render a flight-recorder crash report for humans\n"
                "          (--json echoes the validated raw JSON instead)\n"
                "  sites   top-K heap-attribution table from a\n"
@@ -83,7 +89,9 @@ int Usage() {
                "  aggregate  tail delta streams into a versioned rolling profile;\n"
                "          promotion candidates are cross-checked against the\n"
                "          static points-to bound of --module (rejections exit 1);\n"
-               "          --follow polls until streams go quiet or --max-polls\n"
+               "          --follow polls until streams go quiet or --max-polls;\n"
+               "          --out=FILE writes the rolling profile, its epochs and\n"
+               "          the live promoted set as an artifact\n"
                "  serve   fleet endpoint: accept framed delta streams over TCP\n"
                "          (pkrusafe_run --profile-stream=tcp://host:port), fold\n"
                "          them through the same validation as aggregate, and\n"
@@ -92,10 +100,9 @@ int Usage() {
                "          (printed on stdout); --max-frames / --idle-exit-polls\n"
                "          bound the loop for scripted runs; --artifact=FILE is\n"
                "          reloaded at startup and snapshotted periodically, so\n"
-               "          the rolling profile and promotions survive restarts\n"
-               "  export-artifact  freeze aggregated streams into a provenance-\n"
-               "          checked artifact (ir_hash + per-epoch provenance +\n"
-               "          rolling profile + crc32) that System::Create verifies\n");
+               "          the rolling profile and promotions survive restarts;\n"
+               "          --baseline=FILE is the artifact the fleet was built with\n"
+               "          (its sites are never demoted)\n");
   return 2;
 }
 
@@ -103,18 +110,16 @@ int Usage() {
 // exporters can render it.
 telemetry::MetricsSnapshot ProfileSnapshot(const Profile& profile) {
   telemetry::MetricsRegistry registry;
-  uint64_t total_faults = 0;
   for (const AllocId& id : profile.Sites()) {
-    const uint64_t count = profile.CountFor(id);
-    total_faults += count;
-    registry.GetOrCreateCounter("profile.site." + id.ToString() + ".faults")->Increment(count);
+    registry.GetOrCreateCounter("profile.site." + id.ToString() + ".faults")
+        ->Increment(profile.CountFor(id));
   }
   registry.GetOrCreateGauge("profile.sites")->Set(static_cast<int64_t>(profile.site_count()));
-  registry.GetOrCreateCounter("profile.faults.total")->Increment(total_faults);
+  registry.GetOrCreateCounter("profile.faults.total")->Increment(profile.TotalCount());
   return registry.Snapshot();
 }
 
-Result<Profile> Load(const char* path) { return Profile::LoadFromFile(path); }
+Result<ProfileArtifact> Load(const char* path) { return ProfileArtifact::LoadFromFile(path); }
 
 Result<std::string> ReadFile(const char* path) {
   std::ifstream in(path);
@@ -165,8 +170,8 @@ Result<std::vector<SiteRow>> ParseSiteStats(std::string_view text) {
   return rows;
 }
 
-// Shared front half of aggregate/serve/export-artifact: parse the module,
-// run the instrumented-build passes (AllocId + gates, no profile apply) and
+// Shared front half of check/sites/aggregate/serve: parse the module, run
+// the instrumented-build passes (AllocId + gates, no profile apply) and
 // compute the static sharing bound. ir_hash is the instrumented pre-apply
 // content hash — the key every stream and artifact must match.
 struct InstrumentedModule {
@@ -199,6 +204,21 @@ Status SaveArtifactAtomically(const ProfileArtifact& artifact, const std::string
     return InternalError("cannot rename artifact snapshot into place: " + path);
   }
   return Status::Ok();
+}
+
+// Final write of an aggregator's state (aggregate --out, serve --artifact).
+bool WriteArtifact(const telemetry::ProfileAggregator& aggregator, uint64_t ir_hash,
+                   const std::string& path) {
+  const ProfileArtifact artifact = aggregator.ExportArtifact(ir_hash);
+  if (auto status = SaveArtifactAtomically(artifact, path); !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return false;
+  }
+  std::printf("wrote artifact (%zu site(s), %zu epoch(s), %zu promoted, ir_hash 0x%016llx) "
+              "to %s\n",
+              artifact.profile.site_count(), artifact.epochs.size(), artifact.promoted.size(),
+              static_cast<unsigned long long>(artifact.ir_hash), path.c_str());
+  return true;
 }
 
 // The kPolicyUpdate frame payload pushed back to producers.
@@ -234,13 +254,14 @@ int main(int argc, char** argv) {
         return Usage();
       }
     }
-    auto profile = Load(argv[2]);
-    if (!profile.ok()) {
-      std::fprintf(stderr, "%s\n", profile.status().ToString().c_str());
+    auto artifact = Load(argv[2]);
+    if (!artifact.ok()) {
+      std::fprintf(stderr, "%s\n", artifact.status().ToString().c_str());
       return 1;
     }
+    const Profile& profile = artifact->profile;
     if (!stats_format.empty()) {
-      const auto snapshot = ProfileSnapshot(*profile);
+      const auto snapshot = ProfileSnapshot(profile);
       if (stats_format == "json") {
         telemetry::WriteStatsJson(std::cout, snapshot);
       } else {
@@ -248,10 +269,13 @@ int main(int argc, char** argv) {
       }
       return 0;
     }
-    std::printf("%zu shared site(s):\n", profile->site_count());
-    for (const AllocId& id : profile->Sites()) {
+    std::printf("ir_hash 0x%016llx, %zu epoch(s), newest '%s'\n",
+                static_cast<unsigned long long>(artifact->ir_hash), artifact->epochs.size(),
+                artifact->NewestEpoch().c_str());
+    std::printf("%zu shared site(s):\n", profile.site_count());
+    for (const AllocId& id : profile.Sites()) {
       std::printf("  %-16s %llu fault(s)\n", id.ToString().c_str(),
-                  static_cast<unsigned long long>(profile->CountFor(id)));
+                  static_cast<unsigned long long>(profile.CountFor(id)));
     }
     return 0;
   }
@@ -260,21 +284,27 @@ int main(int argc, char** argv) {
     if (argc < 4) {
       return Usage();
     }
-    Profile merged;
+    ProfileArtifact merged;
     for (int i = 3; i < argc; ++i) {
-      auto profile = Load(argv[i]);
-      if (!profile.ok()) {
-        std::fprintf(stderr, "%s: %s\n", argv[i], profile.status().ToString().c_str());
+      auto input = Load(argv[i]);
+      if (!input.ok()) {
+        std::fprintf(stderr, "%s: %s\n", argv[i], input.status().ToString().c_str());
         return 1;
       }
-      merged.Merge(*profile);
-      std::printf("merged %s (%zu sites)\n", argv[i], profile->site_count());
+      if (i == 3) {
+        merged.ir_hash = input->ir_hash;
+      }
+      if (auto status = merged.MergeFrom(*input); !status.ok()) {
+        std::fprintf(stderr, "%s: %s\n", argv[i], status.ToString().c_str());
+        return 1;
+      }
+      std::printf("merged %s (%zu sites)\n", argv[i], input->profile.site_count());
     }
-    if (auto status = merged.SaveToFile(argv[2]); !status.ok()) {
+    if (auto status = SaveArtifactAtomically(merged, argv[2]); !status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
     }
-    std::printf("wrote %zu site(s) to %s\n", merged.site_count(), argv[2]);
+    std::printf("wrote %zu site(s) to %s\n", merged.profile.site_count(), argv[2]);
     return 0;
   }
 
@@ -282,12 +312,14 @@ int main(int argc, char** argv) {
     if (argc != 4) {
       return Usage();
     }
-    auto a = Load(argv[2]);
-    auto b = Load(argv[3]);
-    if (!a.ok() || !b.ok()) {
+    auto a_artifact = Load(argv[2]);
+    auto b_artifact = Load(argv[3]);
+    if (!a_artifact.ok() || !b_artifact.ok()) {
       std::fprintf(stderr, "failed to load inputs\n");
       return 1;
     }
+    const Profile* a = &a_artifact->profile;
+    const Profile* b = &b_artifact->profile;
     int only_a = 0;
     int only_b = 0;
     int shifted = 0;
@@ -407,30 +439,12 @@ int main(int argc, char** argv) {
     Profile static_profile;
     bool have_static = false;
     if (!module_path.empty()) {
-      auto module_text = ReadFile(module_path.c_str());
-      if (!module_text.ok()) {
-        std::fprintf(stderr, "%s\n", module_text.status().ToString().c_str());
+      auto instrumented = LoadInstrumented(module_path);
+      if (!instrumented.ok()) {
+        std::fprintf(stderr, "%s\n", instrumented.status().ToString().c_str());
         return 1;
       }
-      auto module = ParseModule(*module_text);
-      if (!module.ok()) {
-        std::fprintf(stderr, "parse: %s\n", module.status().ToString().c_str());
-        return 1;
-      }
-      PassManager pm;
-      pm.Add(std::make_unique<AllocIdPass>());
-      pm.Add(std::make_unique<GateInsertionPass>());
-      if (auto status = pm.Run(*module); !status.ok()) {
-        std::fprintf(stderr, "instrument: %s\n", status.ToString().c_str());
-        return 1;
-      }
-      StaticSharingAnalysis analysis(&*module);
-      auto analyzed = analysis.Run();
-      if (!analyzed.ok()) {
-        std::fprintf(stderr, "analysis: %s\n", analyzed.status().ToString().c_str());
-        return 1;
-      }
-      static_profile = *analyzed;
+      static_profile = std::move(instrumented->static_profile);
       have_static = true;
     }
 
@@ -486,7 +500,6 @@ int main(int argc, char** argv) {
   if (command == "aggregate") {
     std::string module_path;
     std::string out_path;
-    std::string promotions_path;
     uint64_t threshold = 1;
     size_t min_epochs = 1;
     bool follow = false;
@@ -499,8 +512,6 @@ int main(int argc, char** argv) {
         module_path = arg.substr(9);
       } else if (arg.rfind("--out=", 0) == 0) {
         out_path = arg.substr(6);
-      } else if (arg.rfind("--promotions=", 0) == 0) {
-        promotions_path = arg.substr(13);
       } else if (arg.rfind("--threshold=", 0) == 0) {
         threshold = std::strtoull(arg.c_str() + 12, nullptr, 10);
       } else if (arg.rfind("--min-epochs=", 0) == 0) {
@@ -524,35 +535,17 @@ int main(int argc, char** argv) {
     // The static safety bound comes from the same instrumented build the
     // streams were recorded against: instrument, analyze, and check every
     // delta's IR hash against this module.
-    auto module_text = ReadFile(module_path.c_str());
-    if (!module_text.ok()) {
-      std::fprintf(stderr, "%s\n", module_text.status().ToString().c_str());
-      return 1;
-    }
-    auto module = ParseModule(*module_text);
-    if (!module.ok()) {
-      std::fprintf(stderr, "parse: %s\n", module.status().ToString().c_str());
-      return 1;
-    }
-    PassManager pm;
-    pm.Add(std::make_unique<AllocIdPass>());
-    pm.Add(std::make_unique<GateInsertionPass>());
-    if (auto status = pm.Run(*module); !status.ok()) {
-      std::fprintf(stderr, "instrument: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    StaticSharingAnalysis analysis(&*module);
-    auto static_profile = analysis.Run();
-    if (!static_profile.ok()) {
-      std::fprintf(stderr, "analysis: %s\n", static_profile.status().ToString().c_str());
+    auto instrumented = LoadInstrumented(module_path);
+    if (!instrumented.ok()) {
+      std::fprintf(stderr, "%s\n", instrumented.status().ToString().c_str());
       return 1;
     }
 
     telemetry::AggregatorOptions options;
     options.promotion_threshold = threshold;
     options.min_epochs = min_epochs;
-    options.module = &*module;
-    for (const AllocId& id : static_profile->Sites()) {
+    options.module = &instrumented->module;
+    for (const AllocId& id : instrumented->static_profile.Sites()) {
       options.static_shared.insert(id);
     }
     telemetry::ProfileAggregator aggregator(std::move(options));
@@ -606,28 +599,8 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(candidate.count), candidate.epochs);
     }
 
-    if (!out_path.empty()) {
-      if (auto status = aggregator.rolling().SaveToFile(out_path); !status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return 1;
-      }
-      std::printf("wrote rolling profile (%zu site(s)) to %s\n",
-                  aggregator.rolling().site_count(), out_path.c_str());
-    }
-    if (!promotions_path.empty()) {
-      // Promotions land as a profile so the enforcement build can merge them
-      // straight into its input profile (and ApplyPromotions consumers can
-      // load the same file).
-      Profile promoted;
-      for (const auto& candidate : promotions) {
-        promoted.Add(candidate.site, candidate.count);
-      }
-      if (auto status = promoted.SaveToFile(promotions_path); !status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return 1;
-      }
-      std::printf("wrote %zu promotion(s) to %s\n", promoted.site_count(),
-                  promotions_path.c_str());
+    if (!out_path.empty() && !WriteArtifact(aggregator, instrumented->ir_hash, out_path)) {
+      return 1;
     }
     // Rejections and stale streams are error findings: surface them in the
     // exit code so CI pipelines notice poisoned inputs.
@@ -641,8 +614,6 @@ int main(int argc, char** argv) {
 
   if (command == "serve") {
     std::string module_path;
-    std::string out_path;
-    std::string promotions_path;
     std::string artifact_path;
     std::string baseline_path;
     uint64_t threshold = 1;
@@ -656,10 +627,6 @@ int main(int argc, char** argv) {
       const std::string arg = argv[i];
       if (arg.rfind("--module=", 0) == 0) {
         module_path = arg.substr(9);
-      } else if (arg.rfind("--out=", 0) == 0) {
-        out_path = arg.substr(6);
-      } else if (arg.rfind("--promotions=", 0) == 0) {
-        promotions_path = arg.substr(13);
       } else if (arg.rfind("--artifact=", 0) == 0) {
         artifact_path = arg.substr(11);
       } else if (arg.rfind("--baseline=", 0) == 0) {
@@ -706,7 +673,13 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "%s\n", baseline.status().ToString().c_str());
         return 1;
       }
-      for (const AllocId& id : baseline->Sites()) {
+      if (baseline->ir_hash != instrumented->ir_hash) {
+        std::fprintf(stderr, "baseline %s was recorded against IR hash 0x%016llx, not %s\n",
+                     baseline_path.c_str(), static_cast<unsigned long long>(baseline->ir_hash),
+                     module_path.c_str());
+        return 1;
+      }
+      for (const AllocId& id : baseline->profile.Sites()) {
         options.baseline.insert(id);
       }
     }
@@ -746,8 +719,6 @@ int main(int argc, char** argv) {
 
     // Connected producers by client id -> stream name (hello can rename).
     std::map<uint64_t, std::string> producers;
-    std::vector<telemetry::PromotionCandidate> all_promotions;
-    std::vector<telemetry::DemotionCandidate> all_demotions;
     uint64_t frames_total = 0;
     uint64_t sampler_rows = 0;
     uint64_t torn_disconnects = 0;
@@ -819,7 +790,6 @@ int main(int argc, char** argv) {
         for (const auto& [client_id, name] : producers) {
           (void)server.SendTo(client_id, telemetry::FrameType::kPolicyUpdate, payload);
         }
-        all_promotions.insert(all_promotions.end(), promotions.begin(), promotions.end());
         std::fflush(stdout);
       }
       if (!demotions.empty()) {
@@ -833,7 +803,6 @@ int main(int argc, char** argv) {
         for (const auto& [client_id, name] : producers) {
           (void)server.SendTo(client_id, telemetry::FrameType::kPolicyUpdate, payload);
         }
-        all_demotions.insert(all_demotions.end(), demotions.begin(), demotions.end());
         std::fflush(stdout);
       }
 
@@ -904,93 +873,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.demotions_emitted),
                 static_cast<unsigned long long>(stats.demotions_suppressed_baseline));
 
-    if (!out_path.empty()) {
-      if (auto status = aggregator.rolling().SaveToFile(out_path); !status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return 1;
-      }
-      std::printf("wrote rolling profile (%zu site(s)) to %s\n",
-                  aggregator.rolling().site_count(), out_path.c_str());
-    }
-    if (!promotions_path.empty()) {
-      Profile promoted;
-      for (const auto& candidate : all_promotions) {
-        promoted.Add(candidate.site, candidate.count);
-      }
-      if (auto status = promoted.SaveToFile(promotions_path); !status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return 1;
-      }
-      std::printf("wrote %zu promotion(s) to %s\n", promoted.site_count(),
-                  promotions_path.c_str());
-    }
-    if (!artifact_path.empty()) {
-      const ProfileArtifact artifact = aggregator.ExportArtifact(instrumented->ir_hash);
-      if (auto status = SaveArtifactAtomically(artifact, artifact_path); !status.ok()) {
-        std::fprintf(stderr, "%s\n", status.ToString().c_str());
-        return 1;
-      }
-      std::printf("wrote artifact (%zu site(s), %zu epoch(s), ir_hash 0x%016llx) to %s\n",
-                  artifact.profile.site_count(), artifact.epochs.size(),
-                  static_cast<unsigned long long>(artifact.ir_hash), artifact_path.c_str());
-    }
-    for (const auto& finding : aggregator.diagnostics().findings()) {
-      if (finding.severity == analysis::Severity::kError) {
-        return 1;
-      }
-    }
-    return 0;
-  }
-
-  if (command == "export-artifact") {
-    std::string module_path;
-    std::string out_path;
-    std::vector<std::string> stream_paths;
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--module=", 0) == 0) {
-        module_path = arg.substr(9);
-      } else if (arg.rfind("--out=", 0) == 0) {
-        out_path = arg.substr(6);
-      } else if (arg.rfind("--", 0) == 0) {
-        return Usage();
-      } else {
-        stream_paths.push_back(arg);
-      }
-    }
-    if (module_path.empty() || out_path.empty() || stream_paths.empty()) {
-      return Usage();
-    }
-
-    auto instrumented = LoadInstrumented(module_path);
-    if (!instrumented.ok()) {
-      std::fprintf(stderr, "%s\n", instrumented.status().ToString().c_str());
+    if (!artifact_path.empty() &&
+        !WriteArtifact(aggregator, instrumented->ir_hash, artifact_path)) {
       return 1;
     }
-    telemetry::AggregatorOptions options;
-    options.module = &instrumented->module;
-    for (const AllocId& id : instrumented->static_profile.Sites()) {
-      options.static_shared.insert(id);
-    }
-    telemetry::ProfileAggregator aggregator(std::move(options));
-    for (const std::string& stream_path : stream_paths) {
-      aggregator.AddStream(stream_path);
-    }
-    auto applied = aggregator.Poll(nullptr);
-    if (!applied.ok()) {
-      std::fprintf(stderr, "%s\n", applied.status().ToString().c_str());
-      return 1;
-    }
-    analysis::RenderFindingsText(std::cout, aggregator.diagnostics().findings());
-
-    const ProfileArtifact artifact = aggregator.ExportArtifact(instrumented->ir_hash);
-    if (auto status = artifact.SaveToFile(out_path); !status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote artifact (%zu site(s), %zu epoch(s), ir_hash 0x%016llx) to %s\n",
-                artifact.profile.site_count(), artifact.epochs.size(),
-                static_cast<unsigned long long>(artifact.ir_hash), out_path.c_str());
     for (const auto& finding : aggregator.diagnostics().findings()) {
       if (finding.severity == analysis::Severity::kError) {
         return 1;
@@ -1003,36 +889,25 @@ int main(int argc, char** argv) {
     if (argc != 4) {
       return Usage();
     }
-    std::ifstream in(argv[2]);
-    if (!in) {
-      std::fprintf(stderr, "cannot open %s\n", argv[2]);
+    auto instrumented = LoadInstrumented(argv[2]);
+    if (!instrumented.ok()) {
+      std::fprintf(stderr, "%s\n", instrumented.status().ToString().c_str());
       return 1;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    auto module = ParseModule(buffer.str());
-    if (!module.ok()) {
-      std::fprintf(stderr, "parse: %s\n", module.status().ToString().c_str());
-      return 1;
-    }
-    PassManager pm;
-    pm.Add(std::make_unique<AllocIdPass>());
-    if (auto status = pm.Run(*module); !status.ok()) {
-      std::fprintf(stderr, "instrument: %s\n", status.ToString().c_str());
-      return 1;
-    }
-    auto profile = Load(argv[3]);
-    if (!profile.ok()) {
-      std::fprintf(stderr, "%s\n", profile.status().ToString().c_str());
+    auto artifact = Load(argv[3]);
+    if (!artifact.ok()) {
+      std::fprintf(stderr, "%s\n", artifact.status().ToString().c_str());
       return 1;
     }
     analysis::DiagnosticSink sink;
-    analysis::LintStaleProfileSites(*module, *profile, sink);
+    analysis::LintProfileDeltaIrHash(instrumented->module, artifact->ir_hash, argv[3], sink);
+    analysis::LintStaleProfileSites(instrumented->module, artifact->profile, sink);
     analysis::RenderFindingsText(std::cout, sink.findings());
     if (!sink.empty()) {
       return 1;
     }
-    std::printf("all %zu profile site(s) resolve in %s\n", profile->site_count(), argv[2]);
+    std::printf("all %zu profile site(s) resolve in %s\n", artifact->profile.site_count(),
+                argv[2]);
     return 0;
   }
 
