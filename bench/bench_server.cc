@@ -21,6 +21,15 @@
 // cache and every one is compiled. Each row also reports the cache's hit
 // ratio over its timed requests (server.compile_cache.* counters).
 //
+// The jsvm/shape:* rows time Vm::Run alone, without the server around it,
+// for the three script shapes of the repository benchmark's server
+// workloads (loop arithmetic, a called function, an array fill and sum):
+// ns_per_step is a run's time over its executed steps (the median run of
+// the fastest of kShapeRounds rounds), on a hardware-MPK runtime when the
+// CPU has PKU and on sim otherwise. The runs stay in T: no PKRU write
+// happens inside Vm::Run, so a step costs the same on either side of the
+// gate.
+//
 // Writes BENCH_server.json via the shared emitter.
 #include <algorithm>
 #include <chrono>
@@ -29,6 +38,7 @@
 #include <vector>
 
 #include "bench/bench_json.h"
+#include "src/jsvm/vm.h"
 #include "src/mpk/backend_factory.h"
 #include "src/runtime/runtime.h"
 #include "src/server/sandbox_server.h"
@@ -41,6 +51,8 @@ using namespace pkrusafe;  // NOLINT: bench brevity
 
 constexpr int kWarmupPerTenant = 3;
 constexpr int kRequests = 1500;
+constexpr int kShapeRuns = 2000;
+constexpr int kShapeRounds = 5;
 
 // A small but non-trivial script: arithmetic, a loop, locals. The unique
 // variant starts the sum at the request number instead of 0.
@@ -125,10 +137,86 @@ bool RunCase(const char* backend_name, int tenants, bool unique, bench::BenchJso
   return true;
 }
 
+bool RunShapes(bench::BenchJsonWriter* out) {
+  const char* backend = CreateMpkBackend(BackendKind::kHardware).ok() ? "hardware" : "sim";
+  RuntimeConfig config;
+  config.backend = *ParseBackendKind(backend);
+  config.mode = RuntimeMode::kEnforcing;
+  auto runtime = PkruSafeRuntime::Create(std::move(config));
+  if (!runtime.ok()) {
+    std::fprintf(stderr, "%s\n", runtime.status().ToString().c_str());
+    return false;
+  }
+  const struct {
+    const char* name;
+    const char* script;
+  } shapes[] = {
+      {"loop",
+       "let s = 123456; let i = 0; while (i < 40) { s = s + (i * 37) % 97; i = i + 1; } "
+       "print(s);"},
+      {"call",
+       "fn step(x) { return (x * 37 + 7) % 1000003; } let s = 123456; "
+       "for (let i = 0; i < 40; i = i + 1) { s = step(s); } print(s);"},
+      {"array",
+       "let v = []; for (let i = 0; i < 40; i = i + 1) { push(v, i * 37 + 123456); } "
+       "let s = 0; for (let i = 0; i < len(v); i = i + 1) { s = s + v[i]; } print(s);"},
+  };
+  // Rounds interleave the shapes; a row is the fastest round's median, so a
+  // burst of host noise during one round does not set it.
+  std::vector<std::shared_ptr<const CompiledProgram>> programs;
+  for (const auto& shape : shapes) {
+    auto compiled = CompileSource(shape.script);
+    if (!compiled.ok()) {
+      std::fprintf(stderr, "%s\n", compiled.status().ToString().c_str());
+      return false;
+    }
+    programs.push_back(std::make_shared<const CompiledProgram>(std::move(*compiled)));
+  }
+  std::vector<double> best(programs.size(), 1e300);
+  std::vector<uint64_t> steps(programs.size(), 0);
+  std::vector<double> ns_per_step(kShapeRuns);
+  for (int round = 0; round < kShapeRounds; ++round) {
+    for (size_t s = 0; s < programs.size(); ++s) {
+      for (double& ns : ns_per_step) {
+        Vm vm(runtime->get());
+        Result<Value> result = Value::Null();
+        double elapsed_ns = 0;
+        if (const Status loaded = vm.Load(programs[s]); !loaded.ok()) {
+          result = loaded;
+        } else {
+          const double before = NowNs();
+          result = vm.Run();
+          elapsed_ns = NowNs() - before;
+        }
+        if (!result.ok()) {
+          std::fprintf(stderr, "bench_server: %s: %s\n", shapes[s].name,
+                       result.status().ToString().c_str());
+          return false;
+        }
+        steps[s] = vm.steps_executed();
+        ns = elapsed_ns / static_cast<double>(steps[s]);
+      }
+      std::sort(ns_per_step.begin(), ns_per_step.end());
+      best[s] = std::min(best[s], ns_per_step[ns_per_step.size() / 2]);
+    }
+  }
+  for (size_t s = 0; s < programs.size(); ++s) {
+    const std::string prefix = std::string("jsvm/shape:") + shapes[s].name;
+    out->Add(prefix + "/ns_per_step", best[s], "ns");
+    out->Add(prefix + "/steps", static_cast<double>(steps[s]), "steps");
+    std::printf("%-42s %10.2f ns/step   %6llu steps   (%s)\n", prefix.c_str(), best[s],
+                static_cast<unsigned long long>(steps[s]), backend);
+  }
+  return true;
+}
+
 }  // namespace
 
 int main() {
   bench::BenchJsonWriter out("server");
+  if (!RunShapes(&out)) {
+    return 1;
+  }
   for (const char* backend : {"sim", "mprotect", "hardware"}) {
     if (!CreateMpkBackend(*ParseBackendKind(backend)).ok()) {
       std::printf("%-42s unavailable\n", backend);

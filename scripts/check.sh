@@ -31,9 +31,11 @@
 #                                   # pool vs sweep vs violator kill), a live
 #                                   # pkrusafe_serve round trip over the
 #                                   # socket with a starvation probe (two
-#                                   # idle connections), then BENCH_server
+#                                   # idle connections) and a runaway-script
+#                                   # probe (step budget), then BENCH_server
 #                                   # (1/8/32 tenants, recurring vs unique
-#                                   # scripts, sim/mprotect/hardware)
+#                                   # scripts, sim/mprotect/hardware; jsvm
+#                                   # ns per step)
 #   scripts/check.sh gateintegrity  # PKRU-flow lints over the corpus (clean
 #                                   # modules prove, seeded violations fail),
 #                                   # SARIF export, link-time check-binary
@@ -302,6 +304,17 @@ run_server() {
     IFS= read -r reply <&3
     [[ "$reply" == *"\"ok\":true"* ]]' _ "$port"
   exec 4<&- 5<&-
+  echo "-- server: a runaway script ends at the step budget; another client is served"
+  exec 6<>"/dev/tcp/127.0.0.1/$port"
+  printf '%s\n' '{"tenant":"spin","script":"while (true) { }"}' >&6
+  timeout 2 bash -c 'exec 3<>"/dev/tcp/127.0.0.1/$1"
+    printf "%s\n" "{\"tenant\":\"bob\",\"script\":\"print(2 + 2);\"}" >&3
+    IFS= read -r reply <&3
+    [[ "$reply" == *"\"ok\":true"* ]]' _ "$port"
+  timeout 3 bash -c 'IFS= read -r reply <&6
+    [[ "$reply" == *"\"ok\":false"* && "$reply" == *"step budget exceeded"* &&
+       "$reply" == *"\"dead\":false"* ]]'
+  exec 6<&-
   exec 3<>"/dev/tcp/127.0.0.1/$port"
   printf '%s\n' '{"tenant":"alice","script":"let x = 6 * 7; print(x);"}' >&3
   IFS= read -r reply <&3
@@ -321,6 +334,7 @@ run_server() {
   PKRUSAFE_BENCH_OUT_DIR="$out" build/bench/bench_server
   grep -q '"bench":"server"' "$out/BENCH_server.json"
   grep -q 'scripts:recurring/compile_cache_hit_ratio' "$out/BENCH_server.json"
+  grep -q 'jsvm/shape:loop/ns_per_step' "$out/BENCH_server.json"
   echo "server check OK"
 }
 

@@ -6,18 +6,25 @@ namespace pkrusafe {
 
 namespace {
 
-Result<uint32_t> HandleArg(const Value& value) {
-  if (!value.is_number()) {
-    return InvalidArgumentError("expected a node handle");
+// Argument `i` of a host call. Scripts choose the argument count, so a
+// binding reads its arguments only through these checked accessors.
+Result<double> NumberArg(std::span<const Value> args, size_t i, const char* error) {
+  if (i >= args.size() || !args[i].is_number()) {
+    return InvalidArgumentError(error);
   }
-  return static_cast<uint32_t>(value.number);
+  return args[i].number;
 }
 
-Result<std::string> StringArg(Vm& vm, const Value& value) {
-  if (!value.is_string()) {
+Result<uint32_t> HandleArg(std::span<const Value> args, size_t i) {
+  PS_ASSIGN_OR_RETURN(double handle, NumberArg(args, i, "expected a node handle"));
+  return static_cast<uint32_t>(handle);
+}
+
+Result<std::string> StringArg(Vm& vm, std::span<const Value> args, size_t i) {
+  if (i >= args.size() || !args[i].is_string()) {
     return InvalidArgumentError("expected a string");
   }
-  return vm.ToDisplayString(value);
+  return vm.ToDisplayString(args[i]);
 }
 
 }  // namespace
@@ -56,8 +63,8 @@ void DomBindings::Register(Vm* vm) {
   // ---- Trusted entry points (each crosses U -> T through an entry gate) ----
 
   vm->RegisterHost("dom_create_element",
-                   [this](Vm& host_vm, const std::vector<Value>& args) -> Result<Value> {
-                     PS_ASSIGN_OR_RETURN(std::string tag, StringArg(host_vm, args[0]));
+                   [this](Vm& host_vm, std::span<const Value> args) -> Result<Value> {
+                     PS_ASSIGN_OR_RETURN(std::string tag, StringArg(host_vm, args, 0));
                      TrustedScope scope(runtime_->gates());
                      ++trusted_calls_;
                      DomNode* node = document_->CreateElement(tag);
@@ -68,8 +75,8 @@ void DomBindings::Register(Vm* vm) {
                    });
 
   vm->RegisterHost("dom_create_text",
-                   [this](Vm& host_vm, const std::vector<Value>& args) -> Result<Value> {
-                     PS_ASSIGN_OR_RETURN(std::string text, StringArg(host_vm, args[0]));
+                   [this](Vm& host_vm, std::span<const Value> args) -> Result<Value> {
+                     PS_ASSIGN_OR_RETURN(std::string text, StringArg(host_vm, args, 0));
                      TrustedScope scope(runtime_->gates());
                      ++trusted_calls_;
                      DomNode* node = document_->CreateTextNode(text);
@@ -80,9 +87,9 @@ void DomBindings::Register(Vm* vm) {
                    });
 
   vm->RegisterHost("dom_append_child",
-                   [this](Vm&, const std::vector<Value>& args) -> Result<Value> {
-                     PS_ASSIGN_OR_RETURN(uint32_t parent_h, HandleArg(args[0]));
-                     PS_ASSIGN_OR_RETURN(uint32_t child_h, HandleArg(args[1]));
+                   [this](Vm&, std::span<const Value> args) -> Result<Value> {
+                     PS_ASSIGN_OR_RETURN(uint32_t parent_h, HandleArg(args, 0));
+                     PS_ASSIGN_OR_RETURN(uint32_t child_h, HandleArg(args, 1));
                      TrustedScope scope(runtime_->gates());
                      ++trusted_calls_;
                      DomNode* parent = document_->NodeByHandle(parent_h);
@@ -95,8 +102,8 @@ void DomBindings::Register(Vm* vm) {
                    });
 
   vm->RegisterHost("dom_remove",
-                   [this](Vm&, const std::vector<Value>& args) -> Result<Value> {
-                     PS_ASSIGN_OR_RETURN(uint32_t handle, HandleArg(args[0]));
+                   [this](Vm&, std::span<const Value> args) -> Result<Value> {
+                     PS_ASSIGN_OR_RETURN(uint32_t handle, HandleArg(args, 0));
                      TrustedScope scope(runtime_->gates());
                      ++trusted_calls_;
                      DomNode* node = document_->NodeByHandle(handle);
@@ -109,16 +116,16 @@ void DomBindings::Register(Vm* vm) {
                      return Value::Null();
                    });
 
-  vm->RegisterHost("dom_root", [this](Vm&, const std::vector<Value>&) -> Result<Value> {
+  vm->RegisterHost("dom_root", [this](Vm&, std::span<const Value>) -> Result<Value> {
     TrustedScope scope(runtime_->gates());
     ++trusted_calls_;
     return Value::Number(document_->root()->node_id);
   });
 
   vm->RegisterHost("dom_set_id",
-                   [this](Vm& host_vm, const std::vector<Value>& args) -> Result<Value> {
-                     PS_ASSIGN_OR_RETURN(uint32_t handle, HandleArg(args[0]));
-                     PS_ASSIGN_OR_RETURN(std::string id, StringArg(host_vm, args[1]));
+                   [this](Vm& host_vm, std::span<const Value> args) -> Result<Value> {
+                     PS_ASSIGN_OR_RETURN(uint32_t handle, HandleArg(args, 0));
+                     PS_ASSIGN_OR_RETURN(std::string id, StringArg(host_vm, args, 1));
                      TrustedScope scope(runtime_->gates());
                      ++trusted_calls_;
                      DomNode* node = document_->NodeByHandle(handle);
@@ -130,8 +137,8 @@ void DomBindings::Register(Vm* vm) {
                    });
 
   vm->RegisterHost("dom_get_by_id",
-                   [this](Vm& host_vm, const std::vector<Value>& args) -> Result<Value> {
-                     PS_ASSIGN_OR_RETURN(std::string id, StringArg(host_vm, args[0]));
+                   [this](Vm& host_vm, std::span<const Value> args) -> Result<Value> {
+                     PS_ASSIGN_OR_RETURN(std::string id, StringArg(host_vm, args, 0));
                      TrustedScope scope(runtime_->gates());
                      ++trusted_calls_;
                      DomNode* node = document_->GetElementById(id);
@@ -139,9 +146,9 @@ void DomBindings::Register(Vm* vm) {
                    });
 
   vm->RegisterHost("dom_set_text",
-                   [this](Vm& host_vm, const std::vector<Value>& args) -> Result<Value> {
-                     PS_ASSIGN_OR_RETURN(uint32_t handle, HandleArg(args[0]));
-                     PS_ASSIGN_OR_RETURN(std::string text, StringArg(host_vm, args[1]));
+                   [this](Vm& host_vm, std::span<const Value> args) -> Result<Value> {
+                     PS_ASSIGN_OR_RETURN(uint32_t handle, HandleArg(args, 0));
+                     PS_ASSIGN_OR_RETURN(std::string text, StringArg(host_vm, args, 1));
                      TrustedScope scope(runtime_->gates());
                      ++trusted_calls_;
                      DomNode* node = document_->NodeByHandle(handle);
@@ -157,9 +164,9 @@ void DomBindings::Register(Vm* vm) {
                    });
 
   vm->RegisterHost("dom_inner_html",
-                   [this](Vm& host_vm, const std::vector<Value>& args) -> Result<Value> {
-                     PS_ASSIGN_OR_RETURN(uint32_t handle, HandleArg(args[0]));
-                     PS_ASSIGN_OR_RETURN(std::string html, StringArg(host_vm, args[1]));
+                   [this](Vm& host_vm, std::span<const Value> args) -> Result<Value> {
+                     PS_ASSIGN_OR_RETURN(uint32_t handle, HandleArg(args, 0));
+                     PS_ASSIGN_OR_RETURN(std::string html, StringArg(host_vm, args, 1));
                      TrustedScope scope(runtime_->gates());
                      ++trusted_calls_;
                      DomNode* node = document_->NodeByHandle(handle);
@@ -174,25 +181,22 @@ void DomBindings::Register(Vm* vm) {
                    });
 
   vm->RegisterHost("dom_layout",
-                   [this](Vm&, const std::vector<Value>& args) -> Result<Value> {
-                     if (!args[0].is_number()) {
-                       return InvalidArgumentError("viewport width must be a number");
-                     }
+                   [this](Vm&, std::span<const Value> args) -> Result<Value> {
+                     PS_ASSIGN_OR_RETURN(double width, NumberArg(args, 0, "viewport width must be a number"));
                      TrustedScope scope(runtime_->gates());
                      ++trusted_calls_;
-                     return Value::Number(
-                         document_->Layout(static_cast<int32_t>(args[0].number)));
+                     return Value::Number(document_->Layout(static_cast<int32_t>(width)));
                    });
 
-  vm->RegisterHost("dom_node_count", [this](Vm&, const std::vector<Value>&) -> Result<Value> {
+  vm->RegisterHost("dom_node_count", [this](Vm&, std::span<const Value>) -> Result<Value> {
     TrustedScope scope(runtime_->gates());
     ++trusted_calls_;
     return Value::Number(static_cast<double>(document_->node_count()));
   });
 
   vm->RegisterHost("dom_get_text",
-                   [this](Vm& host_vm, const std::vector<Value>& args) -> Result<Value> {
-                     PS_ASSIGN_OR_RETURN(uint32_t handle, HandleArg(args[0]));
+                   [this](Vm& host_vm, std::span<const Value> args) -> Result<Value> {
+                     PS_ASSIGN_OR_RETURN(uint32_t handle, HandleArg(args, 0));
                      std::string copy;
                      {
                        TrustedScope scope(runtime_->gates());
@@ -210,13 +214,11 @@ void DomBindings::Register(Vm* vm) {
   // ---- Untrusted glue: direct engine reads of document text ----
 
   vm->RegisterHost("dom_char_at",
-                   [this](Vm&, const std::vector<Value>& args) -> Result<Value> {
-                     PS_ASSIGN_OR_RETURN(uint32_t handle, HandleArg(args[0]));
-                     if (!args[1].is_number()) {
-                       return InvalidArgumentError("index must be a number");
-                     }
+                   [this](Vm&, std::span<const Value> args) -> Result<Value> {
+                     PS_ASSIGN_OR_RETURN(uint32_t handle, HandleArg(args, 0));
+                     PS_ASSIGN_OR_RETURN(double index_arg, NumberArg(args, 1, "index must be a number"));
                      PS_ASSIGN_OR_RETURN(TextRef ref, RefFor(handle));
-                     const auto index = static_cast<size_t>(args[1].number);
+                     const auto index = static_cast<size_t>(index_arg);
                      if (index >= ref.length) {
                        return OutOfRangeError("dom_char_at index out of range");
                      }
@@ -229,8 +231,8 @@ void DomBindings::Register(Vm* vm) {
                    });
 
   vm->RegisterHost("dom_text_sum",
-                   [this](Vm&, const std::vector<Value>& args) -> Result<Value> {
-                     PS_ASSIGN_OR_RETURN(uint32_t handle, HandleArg(args[0]));
+                   [this](Vm&, std::span<const Value> args) -> Result<Value> {
+                     PS_ASSIGN_OR_RETURN(uint32_t handle, HandleArg(args, 0));
                      PS_ASSIGN_OR_RETURN(TextRef ref, RefFor(handle));
                      uint64_t sum = 0;
                      for (size_t i = 0; i < ref.length; ++i) {
@@ -243,8 +245,8 @@ void DomBindings::Register(Vm* vm) {
                    });
 
   vm->RegisterHost("dom_text_len",
-                   [this](Vm&, const std::vector<Value>& args) -> Result<Value> {
-                     PS_ASSIGN_OR_RETURN(uint32_t handle, HandleArg(args[0]));
+                   [this](Vm&, std::span<const Value> args) -> Result<Value> {
+                     PS_ASSIGN_OR_RETURN(uint32_t handle, HandleArg(args, 0));
                      PS_ASSIGN_OR_RETURN(TextRef ref, RefFor(handle));
                      return Value::Number(static_cast<double>(ref.length));
                    });

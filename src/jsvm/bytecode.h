@@ -5,8 +5,11 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
+
+#include "src/support/status.h"
 
 namespace pkrusafe {
 
@@ -46,6 +49,7 @@ enum class Op : uint8_t {
   kIndexGet,  // pop index, base; push base[index]
   kIndexSet,  // pop value, index, base; push value
 };
+inline constexpr Op kLastOp = Op::kIndexSet;
 
 // Builtins resolved at compile time. The last three form the opt-in
 // "CVE" used by the security evaluation (§5.4): an arbitrary
@@ -96,6 +100,7 @@ struct CompiledFunction {
   std::vector<BcInstr> code;
   std::vector<BcConstant> constants;
   std::vector<int> lines;  // per-instruction source line (diagnostics)
+  uint32_t max_stack = 0;  // deepest operand stack; set by VerifyProgram
 };
 
 struct CompiledProgram {
@@ -103,6 +108,30 @@ struct CompiledProgram {
   std::vector<CompiledFunction> functions;
   std::vector<std::string> global_names;
   std::vector<std::string> host_names;  // index space of kCallHost
+
+  // True once VerifyProgram has accepted the program (and set every
+  // max_stack); Vm::Load runs nothing else. A copy starts unverified, since
+  // it may be edited before it is loaded. A verified program must not be
+  // edited.
+  bool verified() const { return verified_.set; }
+
+ private:
+  friend Status VerifyProgram(CompiledProgram& program);
+  struct Mark {
+    bool set = false;
+    Mark() = default;
+    Mark(const Mark&) {}
+    Mark(Mark&& other) noexcept : set(std::exchange(other.set, false)) {}
+    Mark& operator=(const Mark&) {
+      set = false;
+      return *this;
+    }
+    Mark& operator=(Mark&& other) noexcept {
+      set = std::exchange(other.set, false);
+      return *this;
+    }
+  };
+  Mark verified_;
 };
 
 }  // namespace pkrusafe

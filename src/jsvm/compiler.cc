@@ -1,5 +1,6 @@
 #include "src/jsvm/compiler.h"
 
+#include <algorithm>
 #include <map>
 #include <optional>
 
@@ -63,6 +64,161 @@ int BuiltinArity(BuiltinId id) {
   return -1;
 }
 
+// How many values an instruction takes off the operand stack and how many
+// it leaves. The keep-jumps leave their operand on the jump edge only.
+struct StackEffect {
+  uint32_t pops;
+  uint32_t pushes;
+};
+
+StackEffect EffectOf(const BcInstr& instr) {
+  switch (instr.op) {
+    case Op::kJump:
+      return {0, 0};
+    case Op::kPop:
+    case Op::kJumpIfFalse:
+    case Op::kReturn:
+      return {1, 0};
+    case Op::kStoreLocal:
+    case Op::kStoreGlobal:
+    case Op::kNeg:
+    case Op::kNot:
+    case Op::kJumpIfFalseKeep:
+    case Op::kJumpIfTrueKeep:
+      return {1, 1};
+    case Op::kDup:
+      return {1, 2};
+    case Op::kAdd:
+    case Op::kSub:
+    case Op::kMul:
+    case Op::kDiv:
+    case Op::kMod:
+    case Op::kEq:
+    case Op::kNe:
+    case Op::kLt:
+    case Op::kLe:
+    case Op::kGt:
+    case Op::kGe:
+    case Op::kIndexGet:
+      return {2, 1};
+    case Op::kIndexSet:
+      return {3, 1};
+    case Op::kCall:
+    case Op::kCallHost:
+    case Op::kCallBuiltin:
+      return {instr.b, 1};
+    case Op::kNewArray:
+      return {instr.a, 1};
+    default:  // constants and loads
+      return {0, 1};
+  }
+}
+
+// The rule an operand breaks, or nullptr.
+const char* OperandRule(const CompiledProgram& program, const CompiledFunction& fn,
+                        const BcInstr& instr) {
+  switch (instr.op) {
+    case Op::kConst:
+      return instr.a < fn.constants.size() ? nullptr : "constant index out of range";
+    case Op::kLoadLocal:
+    case Op::kStoreLocal:
+      return instr.a < fn.num_locals ? nullptr : "local slot out of range";
+    case Op::kLoadGlobal:
+    case Op::kStoreGlobal:
+      return instr.a < program.global_names.size() ? nullptr : "global index out of range";
+    case Op::kJump:
+    case Op::kJumpIfFalse:
+    case Op::kJumpIfFalseKeep:
+    case Op::kJumpIfTrueKeep:
+      return instr.a < fn.code.size() ? nullptr : "jump target out of range";
+    case Op::kCall:
+      if (instr.a >= program.functions.size()) {
+        return "function index out of range";
+      }
+      return instr.b == program.functions[instr.a].arity ? nullptr
+                                                         : "argc differs from the callee's arity";
+    case Op::kCallHost:
+      return instr.a < program.host_names.size() ? nullptr : "host index out of range";
+    case Op::kCallBuiltin:
+      if (instr.a >= static_cast<uint32_t>(kNumBuiltins)) {
+        return "builtin id out of range";
+      }
+      return static_cast<int>(instr.b) == BuiltinArity(static_cast<BuiltinId>(instr.a))
+                 ? nullptr
+                 : "argc differs from the builtin's arity";
+    default:
+      return instr.op <= kLastOp ? nullptr : "unknown opcode";
+  }
+}
+
+// Checks one function and sets its max_stack. The flow pass follows every
+// path from instruction 0 with the stack depth it carries; unreachable
+// instructions only get their operands checked.
+Status VerifyFunction(const CompiledProgram& program, CompiledFunction& fn) {
+  auto refuse = [&fn](const char* rule, size_t at) {
+    return InvalidArgumentError(
+        StrFormat("bytecode verifier: %s (in %s, at %zu)", rule, fn.name.c_str(), at));
+  };
+  if (fn.arity > fn.num_locals) {
+    return refuse("more parameters than locals", 0);
+  }
+  for (size_t i = 0; i < fn.code.size(); ++i) {
+    if (const char* rule = OperandRule(program, fn, fn.code[i])) {
+      return refuse(rule, i);
+    }
+  }
+
+  std::vector<int64_t> depth(fn.code.size(), -1);  // -1: not reached yet
+  std::vector<size_t> worklist;
+  int64_t max_depth = 0;
+  auto flow = [&](size_t from, size_t to, int64_t d) -> Status {
+    if (to >= fn.code.size()) {
+      return refuse("falls off the end", from);
+    }
+    if (depth[to] < 0) {
+      depth[to] = d;
+      worklist.push_back(to);
+    } else if (depth[to] != d) {
+      return refuse("stack depth differs between paths", to);
+    }
+    return Status::Ok();
+  };
+  PS_RETURN_IF_ERROR(flow(0, 0, 0));
+  while (!worklist.empty()) {
+    const size_t i = worklist.back();
+    worklist.pop_back();
+    const BcInstr& instr = fn.code[i];
+    const StackEffect effect = EffectOf(instr);
+    const int64_t d = depth[i];
+    if (d < effect.pops) {
+      return refuse("stack underflow", i);
+    }
+    const int64_t after = d - effect.pops + effect.pushes;
+    max_depth = std::max(max_depth, after);
+    switch (instr.op) {
+      case Op::kReturn:
+        break;
+      case Op::kJump:
+        PS_RETURN_IF_ERROR(flow(i, instr.a, after));
+        break;
+      case Op::kJumpIfFalse:
+        PS_RETURN_IF_ERROR(flow(i, instr.a, after));
+        PS_RETURN_IF_ERROR(flow(i, i + 1, after));
+        break;
+      case Op::kJumpIfFalseKeep:
+      case Op::kJumpIfTrueKeep:
+        PS_RETURN_IF_ERROR(flow(i, instr.a, after));
+        PS_RETURN_IF_ERROR(flow(i, i + 1, after - 1));
+        break;
+      default:
+        PS_RETURN_IF_ERROR(flow(i, i + 1, after));
+        break;
+    }
+  }
+  fn.max_stack = static_cast<uint32_t>(max_depth);
+  return Status::Ok();
+}
+
 class Compiler {
  public:
   Compiler(const Program& program, std::vector<std::string> host_names)
@@ -94,6 +250,7 @@ class Compiler {
       PS_RETURN_IF_ERROR(CompileFunction(fn));
     }
     PS_RETURN_IF_ERROR(CompileTopLevel());
+    PS_RETURN_IF_ERROR(VerifyProgram(out_));
     return std::move(out_);
   }
 
@@ -486,6 +643,17 @@ class Compiler {
 };
 
 }  // namespace
+
+Status VerifyProgram(CompiledProgram& program) {
+  if (program.functions.empty()) {
+    return InvalidArgumentError("bytecode verifier: program has no functions");
+  }
+  for (CompiledFunction& fn : program.functions) {
+    PS_RETURN_IF_ERROR(VerifyFunction(program, fn));
+  }
+  program.verified_.set = true;
+  return Status::Ok();
+}
 
 Result<CompiledProgram> CompileProgram(const Program& program,
                                        std::vector<std::string> host_names) {

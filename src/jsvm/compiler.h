@@ -21,6 +21,19 @@ namespace pkrusafe {
 Result<CompiledProgram> CompileProgram(const Program& program,
                                        std::vector<std::string> host_names);
 
+// The bytecode verifier. It proves, once per program, what Vm::Execute
+// would otherwise check at every step, and refuses the program otherwise:
+//   * every jump target is in range and no path falls off a function's end;
+//   * the stack depth is the same on every path into an instruction, and no
+//     instruction pops more than is on the stack;
+//   * every const, local, global, function, host and builtin operand is in
+//     range, and every opcode is known;
+//   * kCall's argc is the callee's arity, kCallBuiltin's the builtin's.
+// On success it sets each function's max_stack and marks the program
+// verified. CompileProgram runs it on everything it emits; Vm::Load runs it
+// on any program not yet verified.
+Status VerifyProgram(CompiledProgram& program);
+
 // Convenience: parse + compile.
 Result<CompiledProgram> CompileSource(std::string_view source,
                                       std::vector<std::string> host_names = {});

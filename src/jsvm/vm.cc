@@ -1,6 +1,8 @@
 #include "src/jsvm/vm.h"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "src/support/string_util.h"
 
@@ -31,6 +33,11 @@ Status Vm::Load(std::shared_ptr<const CompiledProgram> program) {
     return FailedPreconditionError(
         "program was compiled against other host functions than this Vm registers");
   }
+  if (!program->verified()) {
+    CompiledProgram copy = *program;
+    PS_RETURN_IF_ERROR(VerifyProgram(copy));
+    program = std::make_shared<const CompiledProgram>(std::move(copy));
+  }
 
   // Intern constants: numbers stay immediate, strings become heap objects
   // rooted for the program's lifetime.
@@ -51,7 +58,7 @@ Status Vm::Load(std::shared_ptr<const CompiledProgram> program) {
   }
   globals_.assign(program->global_names.size(), Value::Null());
   stack_.clear();
-  locals_.clear();
+  sp_ = 0;
   frames_.clear();
   program_ = std::move(program);
   return Status::Ok();
@@ -123,11 +130,8 @@ std::string Vm::ToDisplayString(const Value& value) {
 }
 
 void Vm::VisitRoots(const std::function<void(const Value&)>& visit) const {
-  for (const Value& v : stack_) {
-    visit(v);
-  }
-  for (const Value& v : locals_) {
-    visit(v);
+  for (size_t i = 0; i < sp_; ++i) {
+    visit(stack_[i]);
   }
   for (const Value& v : globals_) {
     visit(v);
@@ -153,6 +157,21 @@ Status Vm::RuntimeError(const Frame& frame, const std::string& message) const {
       StrFormat("%s (in %s, line %d)", message.c_str(), frame.fn->name.c_str(), line));
 }
 
+void Vm::ReserveStack(size_t slots) {
+  if (sp_ + slots > stack_.size()) {
+    stack_.resize(std::max({sp_ + slots, 2 * stack_.size(), size_t{64}}));
+  }
+}
+
+void Vm::EnterFrame(uint32_t function_index, uint32_t argc) {
+  const CompiledFunction& fn = program_->functions[function_index];
+  const size_t base = sp_ - argc;
+  ReserveStack(fn.num_locals - argc + fn.max_stack);
+  std::fill(stack_.begin() + sp_, stack_.begin() + base + fn.num_locals, Value::Null());
+  sp_ = base + fn.num_locals;
+  frames_.push_back(Frame{&fn, interned_[function_index].data(), 0, base});
+}
+
 namespace {
 
 bool ValuesEqual(const Value& a, const Value& b) {
@@ -174,343 +193,355 @@ bool ValuesEqual(const Value& a, const Value& b) {
   return false;
 }
 
+// Replaces the top two operands a, b with fn(a, b); false if either is not
+// a number.
+template <typename Fn>
+bool ArithTop(Value* sp, Fn fn) {
+  if (!sp[-2].is_number() || !sp[-1].is_number()) {
+    return false;
+  }
+  sp[-2].number = fn(sp[-2].number, sp[-1].number);
+  return true;
+}
+
+// Replaces the top two operands a, b with cmp(a, b); false unless they are
+// two numbers or two strings.
+template <typename Cmp>
+bool CompareTop(Value* sp, Cmp cmp) {
+  const Value& a = sp[-2];
+  const Value& b = sp[-1];
+  bool result = false;
+  if (a.is_number() && b.is_number()) {
+    result = cmp(a.number, b.number);
+  } else if (a.is_string() && b.is_string()) {
+    result = cmp(a.AsString()->view(), b.AsString()->view());
+  } else {
+    return false;
+  }
+  sp[-2] = Value::Bool(result);
+  return true;
+}
+
 }  // namespace
 
-Result<Value> Vm::Execute(uint32_t function_index, const std::vector<Value>& args) {
+Result<Value> Vm::Execute(uint32_t function_index, std::span<const Value> args) {
   const size_t entry_depth = frames_.size();
-  const size_t entry_stack = stack_.size();
-  const size_t entry_locals = locals_.size();
+  const size_t entry_sp = sp_;
+  ReserveStack(args.size());
+  std::copy(args.begin(), args.end(), stack_.begin() + sp_);
+  sp_ += args.size();
+  EnterFrame(function_index, static_cast<uint32_t>(args.size()));
+  MaybeCollect();
 
-  // Set up the frame for the entry function.
-  {
-    const CompiledFunction& fn = program_->functions[function_index];
-    locals_.resize(locals_.size() + fn.num_locals, Value::Null());
-    for (size_t i = 0; i < args.size(); ++i) {
-      locals_[entry_locals + i] = args[i];
+  // The running frame's state, in locals. save() writes it back to the
+  // members, load() reads it from the (possibly moved) stack and the top
+  // frame.
+  const uint64_t max_steps = options_.max_steps;
+  uint64_t steps = steps_;
+  Value* const globals = globals_.data();
+  const BcInstr* code = nullptr;
+  const BcInstr* pc = nullptr;
+  const Value* constants = nullptr;
+  Value* locals = nullptr;
+  Value* sp = nullptr;
+  auto save = [&] {
+    frames_.back().ip = static_cast<size_t>(pc - code);
+    sp_ = static_cast<size_t>(sp - stack_.data());
+    steps_ = steps;
+  };
+  auto load = [&] {
+    const Frame& frame = frames_.back();
+    code = frame.fn->code.data();
+    pc = code + frame.ip;
+    constants = frame.constants;
+    locals = stack_.data() + frame.base;
+    sp = stack_.data() + sp_;
+  };
+  // A GC safepoint, taken after each instruction that may allocate.
+  auto collect_if_due = [&] {
+    if (heap_.ShouldCollect()) {
+      sp_ = static_cast<size_t>(sp - stack_.data());
+      MaybeCollect();
     }
-    frames_.push_back(Frame{&fn, 0, entry_locals});
-  }
-
+  };
   auto fail = [&](Status status) -> Result<Value> {
     // Unwind everything this Execute pushed.
     frames_.resize(entry_depth);
-    stack_.resize(entry_stack);
-    locals_.resize(entry_locals);
+    sp_ = entry_sp;
+    steps_ = steps;
     return status;
   };
+  // A script error located at the current instruction.
+  auto error = [&](const std::string& message) {
+    frames_.back().ip = static_cast<size_t>(pc - code);
+    return fail(RuntimeError(frames_.back(), message));
+  };
+  load();
 
   while (true) {
-    Frame& frame = frames_.back();
-    if (++steps_ > options_.max_steps) {
+    if (++steps > max_steps) {
       return fail(ResourceExhaustedError("script step budget exceeded"));
     }
-    if (frame.ip >= frame.fn->code.size()) {
-      return fail(InternalError("fell off the end of " + frame.fn->name));
-    }
-    MaybeCollect();
-    const BcInstr instr = frame.fn->code[frame.ip++];
+    const BcInstr instr = *pc++;
 
     switch (instr.op) {
-      case Op::kConst: {
-        const size_t fn_index = static_cast<size_t>(frame.fn - program_->functions.data());
-        stack_.push_back(interned_[fn_index][instr.a]);
+      case Op::kConst:
+        *sp++ = constants[instr.a];
         break;
-      }
       case Op::kNull:
-        stack_.push_back(Value::Null());
+        *sp++ = Value::Null();
         break;
       case Op::kTrue:
-        stack_.push_back(Value::Bool(true));
+        *sp++ = Value::Bool(true);
         break;
       case Op::kFalse:
-        stack_.push_back(Value::Bool(false));
+        *sp++ = Value::Bool(false);
         break;
       case Op::kPop:
-        stack_.pop_back();
+        --sp;
         break;
       case Op::kDup:
-        stack_.push_back(stack_.back());
+        *sp = sp[-1];
+        ++sp;
         break;
       case Op::kLoadLocal:
-        stack_.push_back(locals_[frame.base + instr.a]);
+        *sp++ = locals[instr.a];
         break;
       case Op::kStoreLocal:
-        locals_[frame.base + instr.a] = stack_.back();
+        locals[instr.a] = sp[-1];
         break;
       case Op::kLoadGlobal:
-        stack_.push_back(globals_[instr.a]);
+        *sp++ = globals[instr.a];
         break;
       case Op::kStoreGlobal:
-        globals_[instr.a] = stack_.back();
+        globals[instr.a] = sp[-1];
         break;
-      case Op::kNeg: {
-        Value& top = stack_.back();
-        if (!top.is_number()) {
-          return fail(RuntimeError(frame, "operand of '-' must be a number"));
+      case Op::kNeg:
+        if (!sp[-1].is_number()) {
+          return error("operand of '-' must be a number");
         }
-        top.number = -top.number;
+        sp[-1].number = -sp[-1].number;
         break;
-      }
-      case Op::kNot: {
-        Value& top = stack_.back();
-        top = Value::Bool(!top.Truthy());
+      case Op::kNot:
+        sp[-1] = Value::Bool(!sp[-1].Truthy());
         break;
-      }
       case Op::kAdd: {
-        Value b = stack_.back();
-        stack_.pop_back();
-        Value a = stack_.back();
-        stack_.pop_back();
+        const Value a = sp[-2];
+        const Value b = sp[-1];
         if (a.is_number() && b.is_number()) {
-          stack_.push_back(Value::Number(a.number + b.number));
+          sp[-2].number = a.number + b.number;
+          --sp;
         } else if (a.is_string() || b.is_string()) {
-          // Keep operands rooted while the concatenation allocates.
-          stack_.push_back(a);
-          stack_.push_back(b);
-          const std::string text = ToDisplayString(a) + ToDisplayString(b);
-          StringObject* str = heap_.NewString(text);
+          StringObject* str = heap_.NewString(ToDisplayString(a) + ToDisplayString(b));
           if (str == nullptr) {
             return fail(ResourceExhaustedError("M_U exhausted"));
           }
-          stack_.pop_back();
-          stack_.pop_back();
-          stack_.push_back(Value::String(str));
+          sp[-2] = Value::String(str);
+          --sp;
+          collect_if_due();
         } else {
-          return fail(RuntimeError(frame, "invalid operands to '+'"));
+          return error("invalid operands to '+'");
         }
         break;
       }
       case Op::kSub:
+        if (!ArithTop(sp, std::minus<>())) {
+          return error("arithmetic on non-numbers");
+        }
+        --sp;
+        break;
       case Op::kMul:
-      case Op::kDiv:
-      case Op::kMod: {
-        Value b = stack_.back();
-        stack_.pop_back();
-        Value a = stack_.back();
-        stack_.pop_back();
-        if (!a.is_number() || !b.is_number()) {
-          return fail(RuntimeError(frame, "arithmetic on non-numbers"));
+        if (!ArithTop(sp, std::multiplies<>())) {
+          return error("arithmetic on non-numbers");
         }
-        double result = 0;
-        switch (instr.op) {
-          case Op::kSub:
-            result = a.number - b.number;
-            break;
-          case Op::kMul:
-            result = a.number * b.number;
-            break;
-          case Op::kDiv:
-            result = a.number / b.number;  // IEEE semantics: inf/nan allowed
-            break;
-          default:
-            result = std::fmod(a.number, b.number);
-            break;
-        }
-        stack_.push_back(Value::Number(result));
+        --sp;
         break;
-      }
+      case Op::kDiv:  // IEEE semantics: inf/nan allowed
+        if (!ArithTop(sp, std::divides<>())) {
+          return error("arithmetic on non-numbers");
+        }
+        --sp;
+        break;
+      case Op::kMod:
+        if (!ArithTop(sp, [](double x, double y) { return std::fmod(x, y); })) {
+          return error("arithmetic on non-numbers");
+        }
+        --sp;
+        break;
       case Op::kEq:
-      case Op::kNe: {
-        Value b = stack_.back();
-        stack_.pop_back();
-        Value a = stack_.back();
-        stack_.pop_back();
-        const bool eq = ValuesEqual(a, b);
-        stack_.push_back(Value::Bool(instr.op == Op::kEq ? eq : !eq));
+        sp[-2] = Value::Bool(ValuesEqual(sp[-2], sp[-1]));
+        --sp;
         break;
-      }
+      case Op::kNe:
+        sp[-2] = Value::Bool(!ValuesEqual(sp[-2], sp[-1]));
+        --sp;
+        break;
       case Op::kLt:
+        if (!CompareTop(sp, std::less<>())) {
+          return error("comparison on incompatible types");
+        }
+        --sp;
+        break;
       case Op::kLe:
+        if (!CompareTop(sp, std::less_equal<>())) {
+          return error("comparison on incompatible types");
+        }
+        --sp;
+        break;
       case Op::kGt:
-      case Op::kGe: {
-        Value b = stack_.back();
-        stack_.pop_back();
-        Value a = stack_.back();
-        stack_.pop_back();
-        bool result = false;
-        if (a.is_number() && b.is_number()) {
-          switch (instr.op) {
-            case Op::kLt:
-              result = a.number < b.number;
-              break;
-            case Op::kLe:
-              result = a.number <= b.number;
-              break;
-            case Op::kGt:
-              result = a.number > b.number;
-              break;
-            default:
-              result = a.number >= b.number;
-              break;
-          }
-        } else if (a.is_string() && b.is_string()) {
-          const auto av = a.AsString()->view();
-          const auto bv = b.AsString()->view();
-          switch (instr.op) {
-            case Op::kLt:
-              result = av < bv;
-              break;
-            case Op::kLe:
-              result = av <= bv;
-              break;
-            case Op::kGt:
-              result = av > bv;
-              break;
-            default:
-              result = av >= bv;
-              break;
-          }
-        } else {
-          return fail(RuntimeError(frame, "comparison on incompatible types"));
+        if (!CompareTop(sp, std::greater<>())) {
+          return error("comparison on incompatible types");
         }
-        stack_.push_back(Value::Bool(result));
+        --sp;
         break;
-      }
+      case Op::kGe:
+        if (!CompareTop(sp, std::greater_equal<>())) {
+          return error("comparison on incompatible types");
+        }
+        --sp;
+        break;
       case Op::kJump:
-        frame.ip = instr.a;
+        pc = code + instr.a;
         break;
-      case Op::kJumpIfFalse: {
-        const Value cond = stack_.back();
-        stack_.pop_back();
-        if (!cond.Truthy()) {
-          frame.ip = instr.a;
+      case Op::kJumpIfFalse:
+        if (!(--sp)->Truthy()) {
+          pc = code + instr.a;
         }
         break;
-      }
       case Op::kJumpIfFalseKeep:
-        if (!stack_.back().Truthy()) {
-          frame.ip = instr.a;
+        if (!sp[-1].Truthy()) {
+          pc = code + instr.a;
         } else {
-          stack_.pop_back();
+          --sp;
         }
         break;
       case Op::kJumpIfTrueKeep:
-        if (stack_.back().Truthy()) {
-          frame.ip = instr.a;
+        if (sp[-1].Truthy()) {
+          pc = code + instr.a;
         } else {
-          stack_.pop_back();
+          --sp;
         }
         break;
-      case Op::kCall: {
-        const CompiledFunction& callee = program_->functions[instr.a];
-        const size_t base = locals_.size();
-        locals_.resize(base + callee.num_locals, Value::Null());
-        for (uint32_t i = 0; i < instr.b; ++i) {
-          locals_[base + instr.b - 1 - i] = stack_.back();
-          stack_.pop_back();
-        }
-        frames_.push_back(Frame{&callee, 0, base});
+      case Op::kCall:
+        // The arguments on the stack become the callee's first locals.
+        save();
+        EnterFrame(instr.a, instr.b);
+        load();
         break;
-      }
       case Op::kCallHost: {
-        // Arguments stay on the stack (rooted) until the call returns.
-        std::vector<Value> host_args(stack_.end() - instr.b, stack_.end());
-        auto result = host_fns_[instr.a](*this, host_args);
+        // The host may re-enter CallFunction, which runs steps, pushes on the
+        // stack (maybe moving it) and may collect: all of it must see this
+        // frame's state, arguments included.
+        save();
+        auto result = host_fns_[instr.a](*this, std::span<const Value>(sp - instr.b, instr.b));
+        steps = steps_;
         if (!result.ok()) {
           return fail(result.status());
         }
-        stack_.resize(stack_.size() - instr.b);
-        stack_.push_back(*result);
+        load();
+        sp -= instr.b;
+        *sp++ = *result;
+        collect_if_due();
         break;
       }
       case Op::kCallBuiltin: {
-        std::vector<Value> builtin_args(stack_.end() - instr.b, stack_.end());
-        auto result = RunBuiltin(static_cast<BuiltinId>(instr.a), builtin_args);
+        auto result =
+            RunBuiltin(static_cast<BuiltinId>(instr.a), std::span<const Value>(sp - instr.b, instr.b));
         if (!result.ok()) {
           // Add source location but keep the original code: a PermissionDenied
           // from an MPK check must stay PermissionDenied.
-          const Status located = RuntimeError(frame, result.status().message());
+          frames_.back().ip = static_cast<size_t>(pc - code);
+          const Status located = RuntimeError(frames_.back(), result.status().message());
           return fail(Status(result.status().code(), located.message()));
         }
-        stack_.resize(stack_.size() - instr.b);
-        stack_.push_back(*result);
+        sp -= instr.b;
+        *sp++ = *result;
+        collect_if_due();
         break;
       }
       case Op::kReturn: {
-        const Value result = stack_.back();
-        stack_.pop_back();
-        locals_.resize(frames_.back().base);
+        const Value result = sp[-1];
+        sp_ = frames_.back().base;
         frames_.pop_back();
         if (frames_.size() == entry_depth) {
+          steps_ = steps;
           return result;
         }
-        stack_.push_back(result);
+        stack_[sp_++] = result;
+        load();
         break;
       }
       case Op::kNewArray: {
         ArrayObject* array = heap_.NewArray(instr.a);
-        if (array == nullptr) {
+        if (array == nullptr || array->capacity < instr.a) {
           return fail(ResourceExhaustedError("M_U exhausted"));
         }
-        // Elements are still on the stack, so they survive the allocation.
-        for (uint32_t i = 0; i < instr.a; ++i) {
-          array->slots[i] = stack_[stack_.size() - instr.a + i];
-        }
+        sp -= instr.a;
+        std::copy(sp, sp + instr.a, array->slots);
         array->size = instr.a;
-        stack_.resize(stack_.size() - instr.a);
-        stack_.push_back(Value::Array(array));
+        *sp++ = Value::Array(array);
+        collect_if_due();
         break;
       }
       case Op::kIndexGet: {
-        Value index = stack_.back();
-        stack_.pop_back();
-        Value base = stack_.back();
-        stack_.pop_back();
+        const Value base = sp[-2];
+        const Value index = sp[-1];
         if (!index.is_number()) {
-          return fail(RuntimeError(frame, "index must be a number"));
+          return error("index must be a number");
         }
         const auto i = static_cast<int64_t>(index.number);
         if (base.is_array()) {
           const ArrayObject* array = base.AsArray();
           if (i < 0 || static_cast<size_t>(i) >= array->size) {
-            return fail(RuntimeError(frame, StrFormat("array index %lld out of bounds (size %zu)",
-                                                      static_cast<long long>(i), array->size)));
+            return error(StrFormat("array index %lld out of bounds (size %zu)",
+                                   static_cast<long long>(i), array->size));
           }
-          stack_.push_back(array->slots[i]);
+          sp[-2] = array->slots[i];
+          --sp;
         } else if (base.is_string()) {
           const StringObject* str = base.AsString();
           if (i < 0 || static_cast<size_t>(i) >= str->length) {
-            return fail(RuntimeError(frame, "string index out of bounds"));
+            return error("string index out of bounds");
           }
-          stack_.push_back(base);  // keep rooted during allocation
           StringObject* ch = heap_.NewString(std::string_view(str->data + i, 1));
           if (ch == nullptr) {
             return fail(ResourceExhaustedError("M_U exhausted"));
           }
-          stack_.pop_back();
-          stack_.push_back(Value::String(ch));
+          sp[-2] = Value::String(ch);
+          --sp;
+          collect_if_due();
         } else {
-          return fail(RuntimeError(frame, "only arrays and strings are indexable"));
+          return error("only arrays and strings are indexable");
         }
         break;
       }
       case Op::kIndexSet: {
-        Value value = stack_.back();
-        stack_.pop_back();
-        Value index = stack_.back();
-        stack_.pop_back();
-        Value base = stack_.back();
-        stack_.pop_back();
+        const Value base = sp[-3];
+        const Value index = sp[-2];
+        const Value value = sp[-1];
         if (!base.is_array()) {
-          return fail(RuntimeError(frame, "only arrays support indexed assignment"));
+          return error("only arrays support indexed assignment");
         }
         if (!index.is_number()) {
-          return fail(RuntimeError(frame, "index must be a number"));
+          return error("index must be a number");
         }
         const auto i = static_cast<int64_t>(index.number);
         ArrayObject* array = base.AsArray();
         if (i < 0 || static_cast<size_t>(i) >= array->size) {
-          return fail(RuntimeError(frame, "array index out of bounds in assignment"));
+          return error("array index out of bounds in assignment");
         }
         array->slots[i] = value;
-        stack_.push_back(value);
+        sp[-3] = value;
+        sp -= 2;
         break;
       }
+      default:  // VerifyProgram refuses unknown opcodes
+        __builtin_unreachable();
     }
   }
 }
 
-Result<Value> Vm::RunBuiltin(BuiltinId id, std::vector<Value>& args) {
+Result<Value> Vm::RunBuiltin(BuiltinId id, std::span<const Value> args) {
   auto need_number = [&](size_t i) -> Result<double> {
     if (!args[i].is_number()) {
       return InvalidArgumentError("builtin argument must be a number");

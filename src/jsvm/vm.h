@@ -16,7 +16,9 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/jsvm/bytecode.h"
@@ -30,7 +32,10 @@ namespace pkrusafe {
 class Vm;
 
 // A host function: implemented by the embedder, callable from scripts.
-using HostFn = std::function<Result<Value>(Vm&, const std::vector<Value>&)>;
+// `args` views the caller's operand stack, which keeps the arguments rooted
+// for the call. It stays valid until the host function re-enters the Vm
+// (CallFunction may grow that stack and move it), so read it first.
+using HostFn = std::function<Result<Value>(Vm&, std::span<const Value>)>;
 
 struct VmOptions {
   bool enable_vulnerability = false;
@@ -49,6 +54,17 @@ class Vm {
   // name resolution).
   void RegisterHost(const std::string& name, HostFn fn);
 
+  // Registers a host function that takes its arguments as a vector; it
+  // pays a copy of them on every call.
+  template <typename F>
+    requires(!std::is_invocable_v<F&, Vm&, std::span<const Value>> &&
+             std::is_invocable_r_v<Result<Value>, F&, Vm&, const std::vector<Value>&>)
+  void RegisterHost(const std::string& name, F fn) {
+    RegisterHost(name, HostFn([fn = std::move(fn)](Vm& vm, std::span<const Value> args) mutable {
+                   return fn(vm, std::vector<Value>(args.begin(), args.end()));
+                 }));
+  }
+
   // Parses + compiles `source` against the registered host functions, then
   // loads the result as below.
   Status Load(std::string_view source);
@@ -57,7 +73,9 @@ class Vm {
   // the program is immutable, while interned string constants and globals
   // are this Vm's own (its heap, its M_U objects). Refuses a program
   // compiled against host names other than the registered ones, since its
-  // kCallHost indices would then reach the wrong functions.
+  // kCallHost indices would then reach the wrong functions. A program that
+  // has not passed VerifyProgram is verified here (on a copy) and refused if
+  // it fails; a verified one, such as every compiled one, costs nothing.
   Status Load(std::shared_ptr<const CompiledProgram> program);
 
   // Runs the top-level code.
@@ -77,17 +95,27 @@ class Vm {
   const std::vector<std::string>& print_output() const { return print_output_; }
   void ClearPrintOutput() { print_output_.clear(); }
 
+  // Instructions executed so far, each counted against
+  // VmOptions::max_steps.
   uint64_t steps_executed() const { return steps_; }
 
  private:
   struct Frame {
     const CompiledFunction* fn;
+    const Value* constants;  // fn's constants, interned in this Vm
     size_t ip;
-    size_t base;  // first local's index in locals_
+    size_t base;  // fn's first local in stack_; its operands follow its locals
   };
 
-  Result<Value> Execute(uint32_t function_index, const std::vector<Value>& args);
-  Result<Value> RunBuiltin(BuiltinId id, std::vector<Value>& args);
+  // Runs a function to its return. The loop keeps the frame's state in
+  // locals and relies on VerifyProgram for what it does not check.
+  Result<Value> Execute(uint32_t function_index, std::span<const Value> args);
+  // Pushes a frame for the function whose `argc` arguments are the top
+  // values below sp_, with room for its locals and max_stack operands.
+  void EnterFrame(uint32_t function_index, uint32_t argc);
+  // Makes room for `slots` values from sp_ on.
+  void ReserveStack(size_t slots);
+  Result<Value> RunBuiltin(BuiltinId id, std::span<const Value> args);
   Status RuntimeError(const Frame& frame, const std::string& message) const;
   void VisitRoots(const std::function<void(const Value&)>& visit) const;
   void MaybeCollect();
@@ -102,8 +130,11 @@ class Vm {
   // Interned constant values per function (parallel to constants pools).
   std::vector<std::vector<Value>> interned_;
   std::vector<Value> globals_;
+  // Every frame's locals and operands; [0, sp_) is live and GC-rooted. The
+  // members are current only where Execute writes them back: at calls,
+  // returns, host calls, collections and errors.
   std::vector<Value> stack_;
-  std::vector<Value> locals_;
+  size_t sp_ = 0;
   std::vector<Frame> frames_;
   std::vector<std::string> print_output_;
   uint64_t steps_ = 0;

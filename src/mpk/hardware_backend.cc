@@ -86,7 +86,10 @@ bool HardwareMpkBackend::IsSupported() {
 #endif
 }
 
-HardwareMpkBackend::~HardwareMpkBackend() { UninstallSignalHandlers(); }
+HardwareMpkBackend::~HardwareMpkBackend() {
+  UninstallSignalHandlers();
+  SetFaultHandler(nullptr);  // retired handlers are freed with the backend
+}
 
 Result<PkeyId> HardwareMpkBackend::AllocateKey() {
   const long key = PkeyAlloc();

@@ -9,7 +9,10 @@
 
 namespace pkrusafe {
 
-MprotectMpkBackend::~MprotectMpkBackend() { UninstallSignalHandlers(); }
+MprotectMpkBackend::~MprotectMpkBackend() {
+  UninstallSignalHandlers();
+  SetFaultHandler(nullptr);  // retired handlers are freed with the backend
+}
 
 Result<PkeyId> MprotectMpkBackend::AllocateKey() {
   std::lock_guard lock(key_mutex_);

@@ -21,6 +21,8 @@ namespace pkrusafe {
 class SimMpkBackend final : public MpkBackend {
  public:
   SimMpkBackend() = default;
+  // Retires the installed fault handler, so it is freed with the rest.
+  ~SimMpkBackend() override { SetFaultHandler(nullptr); }
 
   std::string_view name() const override { return "sim"; }
   bool enforces_natively() const override { return false; }

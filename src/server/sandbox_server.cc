@@ -321,18 +321,19 @@ SandboxServer::RequestOutcome SandboxServer::RunInTenant(TenantSession* session,
 
   VmOptions vm_options;
   vm_options.enable_vulnerability = options_.enable_vulnerability;
+  vm_options.max_steps = kRequestStepBudget;
   Vm vm(runtime_, vm_options);
   // The embedder's bindings. secret_addr() leaks where the trusted secret
   // lives — finding addresses was never the hard part (§5.4); touching them
   // is what enforcement stops.
   const uintptr_t secret_addr = reinterpret_cast<uintptr_t>(secret_);
   vm.RegisterHost(HostNames()[kSecretAddr],
-                  [secret_addr](Vm&, const std::vector<Value>&) -> Result<Value> {
+                  [secret_addr](Vm&, std::span<const Value>) -> Result<Value> {
                     return Value::Number(static_cast<double>(secret_addr));
                   });
   const uintptr_t scratch_addr = reinterpret_cast<uintptr_t>(session->scratch);
   vm.RegisterHost(HostNames()[kScratchAddr],
-                  [scratch_addr](Vm&, const std::vector<Value>&) -> Result<Value> {
+                  [scratch_addr](Vm&, std::span<const Value>) -> Result<Value> {
                     return Value::Number(static_cast<double>(scratch_addr));
                   });
 

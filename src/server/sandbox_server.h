@@ -89,6 +89,11 @@ struct SandboxServerOptions {
 
 class SandboxServer {
  public:
+  // Bytecode steps one request may run (VmOptions::max_steps). Far above
+  // any real request, yet a `while (true) {}` ends in a fraction of a
+  // second with the script's step-budget error instead of holding a worker.
+  static constexpr uint64_t kRequestStepBudget = 10'000'000;
+
   // The runtime is the embedder's: its backend carries the compartments,
   // its M_U feeds the jsvm heaps, its gates count the transitions. It must
   // outlive the server.

@@ -137,6 +137,19 @@ TEST_F(BindingsTest, ErrorsOnWrongArgumentTypes) {
   EXPECT_FALSE(RunExpectingError("dom_layout(\"wide\");").ok());
 }
 
+// Host calls are not arity-checked at compile time and their arguments are
+// a view of the operand stack: a binding called with too few arguments
+// must refuse, not read past them.
+TEST_F(BindingsTest, ErrorsOnMissingArguments) {
+  EXPECT_EQ(RunExpectingError("dom_create_element();").message(), "expected a string");
+  EXPECT_EQ(RunExpectingError("dom_set_id(dom_root());").message(), "expected a string");
+  EXPECT_EQ(RunExpectingError("dom_append_child(dom_root());").message(),
+            "expected a node handle");
+  EXPECT_EQ(RunExpectingError("dom_layout();").message(), "viewport width must be a number");
+  EXPECT_EQ(RunExpectingError("let t = dom_create_text(\"ab\"); dom_char_at(t);").message(),
+            "index must be a number");
+}
+
 TEST_F(BindingsTest, CharAtBoundsChecked) {
   EXPECT_FALSE(RunExpectingError(R"(
 let t = dom_create_text("ab");

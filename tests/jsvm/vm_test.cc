@@ -277,7 +277,7 @@ TEST_F(VmTest, CallFunctionEntryPoint) {
 TEST_F(VmTest, HostFunctionsBridgeValues) {
   Vm vm(runtime_.get());
   double received = 0;
-  vm.RegisterHost("host_fn", [&](Vm& host_vm, const std::vector<Value>& args) -> Result<Value> {
+  vm.RegisterHost("host_fn", [&](Vm& host_vm, std::span<const Value> args) -> Result<Value> {
     received = args[0].number;
     return host_vm.MakeString("from-host");
   });
@@ -288,9 +288,21 @@ TEST_F(VmTest, HostFunctionsBridgeValues) {
   EXPECT_EQ(vm.print_output()[0], "from-host");
 }
 
+// Host functions written against the older vector signature still
+// register; they get a copy of their arguments.
+TEST_F(VmTest, VectorSignatureHostFunctionsStillWork) {
+  Vm vm(runtime_.get());
+  vm.RegisterHost("sum2", [](Vm&, const std::vector<Value>& args) -> Result<Value> {
+    return Value::Number(args[0].number + args[1].number);
+  });
+  ASSERT_TRUE(vm.Load("print(sum2(40, 2));").ok());
+  ASSERT_TRUE(vm.Run().ok());
+  EXPECT_EQ(vm.print_output(), std::vector<std::string>{"42"});
+}
+
 TEST_F(VmTest, HostErrorsPropagate) {
   Vm vm(runtime_.get());
-  vm.RegisterHost("fail", [](Vm&, const std::vector<Value>&) -> Result<Value> {
+  vm.RegisterHost("fail", [](Vm&, std::span<const Value>) -> Result<Value> {
     return InternalError("host exploded");
   });
   ASSERT_TRUE(vm.Load("fail();").ok());
@@ -354,6 +366,122 @@ print(addr > 0);
   EXPECT_EQ(vm.print_output()[0], "true");
 }
 
+// The three script shapes of the repository benchmark's server workloads
+// (loop arithmetic, a called function, an array fill and sum). The step
+// budget counts every executed instruction, so these counts pin both the
+// bytecode the compiler emits and the budget's accounting.
+TEST_F(VmTest, StepCountsOfTheBenchmarkShapesArePinned) {
+  const struct {
+    const char* script;
+    uint64_t steps;
+  } shapes[] = {
+      {"let s = 123456; let i = 0; while (i < 40) { s = s + (i * 37) % 97; i = i + 1; } "
+       "print(s);",
+       775},
+      {"fn step(x) { return (x * 37 + 7) % 1000003; } let s = 123456; "
+       "for (let i = 0; i < 40; i = i + 1) { s = step(s); } print(s);",
+       895},
+      {"let v = []; for (let i = 0; i < 40; i = i + 1) { push(v, i * 37 + 123456); } "
+       "let s = 0; for (let i = 0; i < len(v); i = i + 1) { s = s + v[i]; } print(s);",
+       1466},
+  };
+  for (const auto& shape : shapes) {
+    Vm vm(runtime_.get());
+    ASSERT_TRUE(vm.Load(shape.script).ok());
+    ASSERT_TRUE(vm.Run().ok());
+    EXPECT_EQ(vm.steps_executed(), shape.steps) << shape.script;
+  }
+}
+
+// The step budget is exact: a script that needs N steps runs with a budget
+// of N and fails with N - 1.
+TEST_F(VmTest, StepBudgetIsExact) {
+  const char* script = "let i = 0; while (i < 10) { i = i + 1; } print(i);";
+  Vm probe(runtime_.get());
+  ASSERT_TRUE(probe.Load(script).ok());
+  ASSERT_TRUE(probe.Run().ok());
+  const uint64_t needed = probe.steps_executed();
+
+  VmOptions exact;
+  exact.max_steps = needed;
+  EXPECT_EQ(RunScript(script, exact), std::vector<std::string>{"10"});
+  VmOptions short_by_one;
+  short_by_one.max_steps = needed - 1;
+  Vm vm(runtime_.get(), short_by_one);
+  ASSERT_TRUE(vm.Load(script).ok());
+  EXPECT_EQ(vm.Run().status().code(), StatusCode::kResourceExhausted);
+}
+
+// Runtime errors name the function and source line of the failing
+// instruction, in and out of nested calls.
+TEST_F(VmTest, RuntimeErrorMessagesKeepTheirLines) {
+  const struct {
+    const char* script;
+    const char* message;
+  } cases[] = {
+      {"let a = [1];\nfn f(x) {\n  return x[5];\n}\nprint(f(a));",
+       "array index 5 out of bounds (size 1) (in f, line 3)"},
+      {"let a = [1];\n\na[-1] = 0;", "array index out of bounds in assignment (in @main, line 3)"},
+      {"fn g() {\n  return 1 < \"x\";\n}\ng();",
+       "comparison on incompatible types (in g, line 2)"},
+      {"print(null + null);", "invalid operands to '+' (in @main, line 1)"},
+      {"let x = 1;\nprint(-\"s\");", "operand of '-' must be a number (in @main, line 2)"},
+      {"let x = 1;\nlet y = x * [];", "arithmetic on non-numbers (in @main, line 2)"},
+      {"let s = \"abc\";\nprint(s[9]);", "string index out of bounds (in @main, line 2)"},
+      {"let a = [1];\nprint(a[\"k\"]);", "index must be a number (in @main, line 2)"},
+      {"print(true[0]);", "only arrays and strings are indexable (in @main, line 1)"},
+      {"let n = 1;\nn[0] = 1;", "only arrays support indexed assignment (in @main, line 2)"},
+      {"fn f() {\n\n  pop([]);\n}\nf();", "pop() from empty array (in f, line 3)"},
+  };
+  for (const auto& c : cases) {
+    const Status status = RunExpectingError(c.script);
+    EXPECT_EQ(status.message(), c.message) << c.script;
+  }
+}
+
+// Collection runs only at instruction boundaries, after instructions that
+// allocate. With a 1-byte threshold it runs after every one of them; the
+// output must not change: string concatenation across nested script calls
+// and a host function that re-enters CallFunction (deep enough to grow the
+// operand stack) while its caller's temporaries are live.
+TEST_F(VmTest, CollectingAtEverySafepointChangesNoOutput) {
+  const char* script = R"(
+fn deep(n) { if (n == 0) { return ""; } return chr(97 + n % 26) + deep(n - 1); }
+fn inner(k) { return "<" + str(k) + ":" + reenter(k * 9) + ">"; }
+fn outer(k) {
+  let acc = "";
+  for (let j = 0; j < k; j = j + 1) { acc = acc + inner(j) + substr("xyz", j % 3, 1); }
+  return acc;
+}
+let keep = [];
+for (let r = 0; r < 12; r = r + 1) { push(keep, [outer(r % 5), "r" + r]); print(keep[r][0]); }
+print(len(keep));
+print(keep[3]);
+)";
+  auto run = [&](size_t threshold, uint64_t* collections) {
+    VmOptions options;
+    options.gc_threshold_bytes = threshold;
+    Vm vm(runtime_.get(), options);
+    vm.RegisterHost("reenter", [](Vm& host_vm, std::span<const Value> args) -> Result<Value> {
+      const Value n = args[0];  // read before re-entering: the stack may move
+      return host_vm.CallFunction("deep", {n});
+    });
+    EXPECT_TRUE(vm.Load(script).ok());
+    auto result = vm.Run();
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    *collections = vm.heap().stats().collections;
+    return vm.print_output();
+  };
+  uint64_t stressed_collections = 0;
+  uint64_t default_collections = 0;
+  const std::vector<std::string> stressed = run(1, &stressed_collections);
+  const std::vector<std::string> relaxed = run(JsHeap::kDefaultGcThreshold, &default_collections);
+  ASSERT_EQ(stressed.size(), 14u);
+  EXPECT_EQ(stressed, relaxed);
+  EXPECT_GT(stressed_collections, 100u);
+  EXPECT_EQ(default_collections, 0u);
+}
+
 // A compiled program's kCallHost indices are only meaningful against the
 // host list it was compiled for: loading it into a Vm with other hosts
 // would call the wrong functions, so Load refuses it.
@@ -361,7 +489,7 @@ TEST_F(VmTest, SharedLoadRefusesAHostNameMismatch) {
   auto compiled = CompileSource("print(a());", {"a", "b"});
   ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
   const auto program = std::make_shared<const CompiledProgram>(std::move(*compiled));
-  const auto host = [](Vm&, const std::vector<Value>&) -> Result<Value> {
+  const auto host = [](Vm&, std::span<const Value>) -> Result<Value> {
     return Value::Number(7);
   };
 

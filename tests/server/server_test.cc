@@ -133,6 +133,29 @@ TEST(SandboxServerTest, ServesScriptsAndReportsResults) {
   EXPECT_EQ((*server)->registry().stats().created, 1u);
 }
 
+// A runaway script stops at the per-request step budget: a script error,
+// not a violation, and the tenant keeps serving.
+TEST(SandboxServerTest, RunawayScriptStopsAtTheStepBudget) {
+  auto runtime = MakeSimRuntime();
+  ASSERT_NE(runtime, nullptr);
+  auto server = SandboxServer::Create(runtime.get(), SandboxServerOptions{});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const RegistryDelta delta;
+
+  const json::Value runaway = MustParse(
+      (*server)->HandleRequestLine(R"({"tenant":"spin","script":"while (true) { }"})"));
+  EXPECT_FALSE(BoolField(runaway, "ok"));
+  EXPECT_FALSE(BoolField(runaway, "dead"));
+  EXPECT_EQ(runaway.GetString("error"), "script step budget exceeded");
+  const json::Value after = MustParse(
+      (*server)->HandleRequestLine(R"({"tenant":"spin","script":"print(1 + 1);"})"));
+  EXPECT_TRUE(BoolField(after, "ok"));
+
+  EXPECT_EQ(delta["server.script_errors"], 1u);
+  EXPECT_EQ(delta["server.violations"], 0u);
+  EXPECT_EQ((*server)->registry().stats().killed, 0u);
+}
+
 TEST(SandboxServerTest, ViolatingTenantDiesWithCrashReportWhileOthersServe) {
   auto runtime = MakeSimRuntime();
   ASSERT_NE(runtime, nullptr);
