@@ -59,34 +59,50 @@ double NowNs() {
 
 MultiCompartmentConfig SmallPools(EvictionPolicy policy) {
   MultiCompartmentConfig config;
-  config.trusted_pool_bytes = size_t{1} << 20;
-  config.shared_pool_bytes = size_t{1} << 20;
   config.library_pool_bytes = size_t{1} << 20;
   config.eviction_policy = policy;
   return config;
+}
+
+// M_T and M_U (the allocator) and the compartments built on them; the
+// allocator is declared first so it outlives the compartments.
+struct Sandbox {
+  std::unique_ptr<PkAllocator> pools;
+  std::unique_ptr<MultiCompartment> mc;
+};
+
+Result<Sandbox> MakeSandbox(MpkBackend* backend, const MultiCompartmentConfig& config) {
+  PkAllocatorConfig pool_config;
+  pool_config.trusted_pool_bytes = size_t{1} << 20;
+  pool_config.untrusted_pool_bytes = size_t{1} << 20;
+  Sandbox sandbox;
+  PS_ASSIGN_OR_RETURN(sandbox.pools, PkAllocator::Create(backend, pool_config));
+  PS_ASSIGN_OR_RETURN(sandbox.mc, MultiCompartment::Create(sandbox.pools.get(), config));
+  return sandbox;
 }
 
 // The virtualized hot path: all 8 libraries resident, every entry a hit.
 double MeasureVpkeyResidentNs() {
   SetCurrentThreadPkru(PkruValue::AllowAll());
   SimMpkBackend backend;
-  auto mc = MultiCompartment::Create(&backend, SmallPools(EvictionPolicy::kLru));
-  if (!mc.ok()) {
-    std::fprintf(stderr, "%s\n", mc.status().ToString().c_str());
+  auto sandbox = MakeSandbox(&backend, SmallPools(EvictionPolicy::kLru));
+  if (!sandbox.ok()) {
+    std::fprintf(stderr, "%s\n", sandbox.status().ToString().c_str());
     return -1;
   }
+  MultiCompartment* mc = sandbox->mc.get();
   for (int i = 0; i < kHotLibraries; ++i) {
-    (void)*(*mc)->RegisterLibrary("lib" + std::to_string(i));
+    (void)*mc->RegisterLibrary("lib" + std::to_string(i));
   }
   for (int i = 0; i < kHotLibraries; ++i) {
-    MultiCompartment::Scope warm(**mc, static_cast<LibraryId>(i + 1));
+    MultiCompartment::Scope warm(*mc, static_cast<LibraryId>(i + 1));
   }
   const double start = NowNs();
   for (int i = 0; i < kEntryPairs; ++i) {
-    MultiCompartment::Scope scope(**mc, static_cast<LibraryId>(i % kHotLibraries + 1));
+    MultiCompartment::Scope scope(*mc, static_cast<LibraryId>(i % kHotLibraries + 1));
   }
   const double ns = (NowNs() - start) / kEntryPairs;
-  const VpkeyStats stats = (*mc)->vpkey_stats();
+  const VpkeyStats stats = mc->vpkey_stats();
   if (stats.evictions != 0) {
     std::fprintf(stderr, "resident measurement polluted by %llu evictions\n",
                  static_cast<unsigned long long>(stats.evictions));
@@ -173,13 +189,14 @@ struct AblationResult {
 AblationResult RunAblation(int compartments, EvictionPolicy policy) {
   SetCurrentThreadPkru(PkruValue::AllowAll());
   SimMpkBackend backend;
-  auto mc = MultiCompartment::Create(&backend, SmallPools(policy));
-  if (!mc.ok()) {
-    std::fprintf(stderr, "%s\n", mc.status().ToString().c_str());
+  auto sandbox = MakeSandbox(&backend, SmallPools(policy));
+  if (!sandbox.ok()) {
+    std::fprintf(stderr, "%s\n", sandbox.status().ToString().c_str());
     return {};
   }
+  MultiCompartment* mc = sandbox->mc.get();
   for (int i = 0; i < compartments; ++i) {
-    (void)*(*mc)->RegisterLibrary("lib" + std::to_string(i));
+    (void)*mc->RegisterLibrary("lib" + std::to_string(i));
   }
   SplitMix64 rng(0xab1a7e);
   int cold_cursor = kHotLibraries;
@@ -194,10 +211,10 @@ AblationResult RunAblation(int compartments, EvictionPolicy policy) {
       cold_cursor = kHotLibraries + (cold_cursor + 1 - kHotLibraries) %
                                         (compartments - kHotLibraries);
     }
-    MultiCompartment::Scope scope(**mc, target);
+    MultiCompartment::Scope scope(*mc, target);
   }
   const double elapsed_ns = NowNs() - start;
-  const VpkeyStats stats = (*mc)->vpkey_stats();
+  const VpkeyStats stats = mc->vpkey_stats();
   AblationResult result;
   result.entries_per_sec = kAblationEntries / (elapsed_ns / 1e9);
   result.hit_rate = static_cast<double>(stats.hits) /
@@ -227,30 +244,31 @@ double MeasureRetagUsPerMiss(const char* backend_name, int released, int live_co
   MultiCompartmentConfig config = SmallPools(EvictionPolicy::kLru);
   config.library_pool_bytes = size_t{256} << 10;
   config.max_hw_slots = kChurnSlots;
-  auto mc = MultiCompartment::Create(backend->get(), config);
-  if (!mc.ok()) {
-    std::fprintf(stderr, "%s: %s\n", backend_name, mc.status().ToString().c_str());
+  auto sandbox = MakeSandbox(backend->get(), config);
+  if (!sandbox.ok()) {
+    std::fprintf(stderr, "%s: %s\n", backend_name, sandbox.status().ToString().c_str());
     return -1;
   }
+  MultiCompartment* mc = sandbox->mc.get();
   for (int i = 0; i < released; ++i) {
-    auto id = (*mc)->RegisterLibrary("released");
-    if (!id.ok() || (*mc)->AllocateIn(*id, 64) == nullptr || !(*mc)->ReleaseLibrary(*id).ok()) {
+    auto id = mc->RegisterLibrary("released");
+    if (!id.ok() || mc->AllocateIn(*id, 64) == nullptr || !mc->ReleaseLibrary(*id).ok()) {
       std::fprintf(stderr, "%s: session %d failed\n", backend_name, i);
       return -1;
     }
   }
   std::vector<LibraryId> live;
   for (int i = 0; i < live_count; ++i) {
-    live.push_back(*(*mc)->RegisterLibrary("live" + std::to_string(i)));
+    live.push_back(*mc->RegisterLibrary("live" + std::to_string(i)));
   }
   for (int i = 0; i < 2 * live_count; ++i) {  // first-touch work out of the timing
-    MultiCompartment::Scope warm(**mc, live[i % live_count]);
+    MultiCompartment::Scope warm(*mc, live[i % live_count]);
   }
-  const VpkeyStats before = (*mc)->vpkey_stats();
+  const VpkeyStats before = mc->vpkey_stats();
   for (int i = 0; i < kChurnMisses; ++i) {
-    MultiCompartment::Scope scope(**mc, live[i % live_count]);
+    MultiCompartment::Scope scope(*mc, live[i % live_count]);
   }
-  const VpkeyStats after = (*mc)->vpkey_stats();
+  const VpkeyStats after = mc->vpkey_stats();
   const uint64_t misses = after.misses - before.misses;
   return misses == 0 ? -1
                      : static_cast<double>(after.retag_ns - before.retag_ns) / 1e3 /

@@ -1,7 +1,8 @@
 // Multi-compartment sandbox (§6 "Number of Compartments"): a browser with
 // TWO untrusted libraries — a codec and a script engine — each locked into
 // its own pool. A compromise of one cannot reach the other's heap, nor the
-// browser's.
+// browser's M_T. The compartments are built on the browser's PkAllocator,
+// which owns M_T and M_U.
 //
 // With --libraries=N the demo scales past the 16 hardware protection keys:
 // every tenant gets a virtual key (src/multidomain/vpkey.h) and the sweep
@@ -64,13 +65,19 @@ int RunScaled(MpkBackend& backend, int libraries, EvictionPolicy policy, size_t 
     });
   }
 
+  PkAllocatorConfig pool_config;
+  pool_config.trusted_pool_bytes = size_t{2} << 20;
+  pool_config.untrusted_pool_bytes = size_t{2} << 20;
+  auto pools = PkAllocator::Create(&backend, pool_config);
+  if (!pools.ok()) {
+    std::fprintf(stderr, "%s\n", pools.status().ToString().c_str());
+    return 1;
+  }
   MultiCompartmentConfig config;
-  config.trusted_pool_bytes = size_t{2} << 20;
-  config.shared_pool_bytes = size_t{2} << 20;
   config.library_pool_bytes = size_t{2} << 20;
   config.eviction_policy = policy;
   config.max_hw_slots = slots;
-  auto mc = MultiCompartment::Create(&backend, config);
+  auto mc = MultiCompartment::Create(pools->get(), config);
   if (!mc.ok()) {
     std::fprintf(stderr, "%s\n", mc.status().ToString().c_str());
     return 1;
@@ -86,8 +93,9 @@ int RunScaled(MpkBackend& backend, int libraries, EvictionPolicy policy, size_t 
     objs.push_back(static_cast<uint64_t*>((*mc)->AllocateIn(*id, sizeof(uint64_t))));
     *objs.back() = static_cast<uint64_t>(i);
   }
-  auto* secret = static_cast<uint64_t*>((*mc)->AllocateTrusted(sizeof(uint64_t)));
-  auto* mailbox = static_cast<uint64_t*>((*mc)->AllocateShared(sizeof(uint64_t)));
+  auto* secret = static_cast<uint64_t*>((*pools)->Allocate(Domain::kTrusted, sizeof(uint64_t)));
+  auto* mailbox =
+      static_cast<uint64_t*>((*pools)->Allocate(Domain::kUntrusted, sizeof(uint64_t)));
   *secret = 42;
   *mailbox = 7;
 
@@ -139,7 +147,12 @@ int RunDemo() {
 
   SetCurrentThreadPkru(PkruValue::AllowAll());
   SimMpkBackend backend;
-  auto mc = MultiCompartment::Create(&backend);
+  auto pools = PkAllocator::Create(&backend);
+  if (!pools.ok()) {
+    std::fprintf(stderr, "%s\n", pools.status().ToString().c_str());
+    return 1;
+  }
+  auto mc = MultiCompartment::Create(pools->get());
   if (!mc.ok()) {
     std::fprintf(stderr, "%s\n", mc.status().ToString().c_str());
     return 1;
@@ -152,12 +165,12 @@ int RunDemo() {
   std::printf("registered libraries: %s (pkey %u), %s (pkey %u); trusted pkey %u\n\n",
               (*mc)->library_name(codec).c_str(), (*mc)->key_of(codec),
               (*mc)->library_name(jsengine).c_str(), (*mc)->key_of(jsengine),
-              (*mc)->trusted_key());
+              (*pools)->trusted_key());
 
-  auto* secret = static_cast<int64_t*>((*mc)->AllocateTrusted(sizeof(int64_t)));
+  auto* secret = static_cast<int64_t*>((*pools)->Allocate(Domain::kTrusted, sizeof(int64_t)));
   auto* frame = static_cast<int64_t*>((*mc)->AllocateIn(codec, sizeof(int64_t)));
   auto* script_obj = static_cast<int64_t*>((*mc)->AllocateIn(jsengine, sizeof(int64_t)));
-  auto* mailbox = static_cast<int64_t*>((*mc)->AllocateShared(sizeof(int64_t)));
+  auto* mailbox = static_cast<int64_t*>((*pools)->Allocate(Domain::kUntrusted, sizeof(int64_t)));
   *secret = 42;
   *frame = 1;
   *script_obj = 2;

@@ -44,6 +44,10 @@
 #   scripts/check.sh warnings       # fresh default build (build/check-
 #                                   # warnings); fails on any compiler
 #                                   # `warning:` line
+#   scripts/check.sh loc [BASE]     # lines added, removed and net in src/ +
+#                                   # tools/ of the working tree against BASE
+#                                   # (default HEAD), from git diff --numstat;
+#                                   # stage new files first so they count
 #   scripts/check.sh matrix         # plain + asan + tsan + lint + crash
 #                                   # + faultstress + contprof + vpkey
 #                                   # + gateintegrity + warnings
@@ -55,6 +59,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 mode=plain
+loc_base=HEAD
 while [[ $# -gt 0 ]]; do
   case "$1" in
     asan|--asan) mode=asan; shift ;;
@@ -68,9 +73,12 @@ while [[ $# -gt 0 ]]; do
     server|--server) mode=server; shift ;;
     gateintegrity|--gateintegrity) mode=gateintegrity; shift ;;
     warnings|--warnings) mode=warnings; shift ;;
+    loc|--loc)
+      mode=loc; shift
+      if [[ $# -gt 0 && "$1" != "--" ]]; then loc_base="$1"; shift; fi ;;
     matrix) mode=matrix; shift ;;
     --) shift; break ;;
-    *) echo "usage: $0 [asan|tsan|lint|crash|faultstress|contprof|fleet|vpkey|server|gateintegrity|warnings|matrix] [-- <ctest args>]" >&2; exit 2 ;;
+    *) echo "usage: $0 [asan|tsan|lint|crash|faultstress|contprof|fleet|vpkey|server|gateintegrity|warnings|loc [BASE]|matrix] [-- <ctest args>]" >&2; exit 2 ;;
   esac
 done
 
@@ -400,6 +408,12 @@ run_warnings() {
   echo "warnings check OK"
 }
 
+run_loc() {
+  git diff --numstat "$1" -- src tools | awk -v base="$1" '
+    { added += $1; removed += $2 }
+    END { printf "src/ + tools/ vs %s: +%d -%d, net %+d\n", base, added, removed, added - removed }'
+}
+
 case "$mode" in
   plain) run_one "" build "$@" ;;
   asan)  run_one address build/check-asan "$@" ;;
@@ -413,6 +427,7 @@ case "$mode" in
   server) run_server ;;
   gateintegrity) run_gateintegrity ;;
   warnings) run_warnings ;;
+  loc) run_loc "$loc_base" ;;
   matrix)
     run_one "" build "$@"
     run_one address build/check-asan "$@"

@@ -26,7 +26,6 @@ constexpr uint64_t kEflagsTrapFlag = 1u << 8;
 
 std::atomic<FaultSignalDelegate*> g_delegate{nullptr};
 std::atomic<uint64_t> g_serviced_faults{0};
-std::atomic<uint8_t> g_step_mode{static_cast<uint8_t>(StepSlotMode::kPerThread)};
 
 // Concurrency accounting: how many threads are mid-single-step right now,
 // the high-water mark, and how many faults were appended to an already
@@ -137,15 +136,6 @@ PKRUSAFE_AS_SAFE ThreadStatSlot* ClaimThreadStatSlot() {
   t_stat_slot = &g_thread_stats_overflow;
   return t_stat_slot;
 }
-
-// --- v1 serialized slot (bench A/B comparison only) --------------------------
-struct SerializedStep {
-  std::atomic<bool> active{false};
-  MpkFault fault;
-  bool latch = false;
-  uint64_t segv_entry_ns = 0;
-};
-SerializedStep g_serialized;
 
 // Re-installs one of the engine's own handlers (used after a chained signal
 // with a recoverable previous disposition returns control to us).
@@ -259,40 +249,25 @@ void SegvHandler(int signo, siginfo_t* info, void* context) {
   }
   const bool latch = resolution == FaultResolution::kRetryAndLatch;
 
-  if (static_cast<StepSlotMode>(g_step_mode.load(std::memory_order_relaxed)) ==
-      StepSlotMode::kSerializedGlobal) {
-    // v1 engine, kept for the bench_fault_mt A/B comparison: one process-wide
-    // in-flight step; everyone else spin-waits (and a same-thread second
-    // fault self-deadlocks — the bug the per-thread slots fix).
-    bool expected = false;
-    while (!g_serialized.active.compare_exchange_weak(expected, true,
-                                                      std::memory_order_acquire)) {
-      expected = false;
-    }
-    g_serialized.fault = *fault;
-    g_serialized.latch = latch;
-    g_serialized.segv_entry_ns = entry_ns;
+  PendingStep& step = t_pending;
+  if (step.count == 0) {
+    step.segv_entry_ns = entry_ns;
+    NoteStepBegin();
   } else {
-    PendingStep& step = t_pending;
-    if (step.count == 0) {
-      step.segv_entry_ns = entry_ns;
-      NoteStepBegin();
-    } else {
-      g_reentrant_faults.fetch_add(1, std::memory_order_relaxed);
-      if (g_metrics.reentrant != nullptr) {
-        g_metrics.reentrant->Increment();
-      }
+    g_reentrant_faults.fetch_add(1, std::memory_order_relaxed);
+    if (g_metrics.reentrant != nullptr) {
+      g_metrics.reentrant->Increment();
     }
-    if (step.count < kMaxStepFaults) {
-      step.faults[step.count].fault = *fault;
-      step.faults[step.count].latch = latch;
-      step.count += 1;
-    } else {
-      // No room to remember this page for re-protection: it stays open until
-      // the run ends. Bounded by the pages one instruction can touch; count
-      // it instead of deadlocking.
-      g_step_overflows.fetch_add(1, std::memory_order_relaxed);
-    }
+  }
+  if (step.count < kMaxStepFaults) {
+    step.faults[step.count].fault = *fault;
+    step.faults[step.count].latch = latch;
+    step.count += 1;
+  } else {
+    // No room to remember this page for re-protection: it stays open until
+    // the run ends. Bounded by the pages one instruction can touch; count
+    // it instead of deadlocking.
+    g_step_overflows.fetch_add(1, std::memory_order_relaxed);
   }
 
   g_serviced_faults.fetch_add(1, std::memory_order_relaxed);
@@ -331,37 +306,23 @@ PKRUSAFE_AS_SAFE void FinishStep(uint64_t entry_ns, uint64_t serviced_in_step) {
 void TrapHandler(int signo, siginfo_t* info, void* context) {
 #if defined(__x86_64__)
   FaultSignalDelegate* delegate = g_delegate.load(std::memory_order_acquire);
-  if (delegate != nullptr) {
-    if (static_cast<StepSlotMode>(g_step_mode.load(std::memory_order_relaxed)) ==
-        StepSlotMode::kSerializedGlobal) {
-      if (g_serialized.active.load(std::memory_order_acquire)) {
-        auto* uc = static_cast<ucontext_t*>(context);
-        if (!g_serialized.latch) {
-          delegate->Reprotect(g_serialized.fault);
-        }
-        FinishStep(g_serialized.segv_entry_ns, 1);
-        uc->uc_mcontext.gregs[REG_EFL] &= ~static_cast<greg_t>(kEflagsTrapFlag);
-        g_serialized.active.store(false, std::memory_order_release);
-        return;
+  if (delegate != nullptr && t_pending.count > 0) {
+    auto* uc = static_cast<ucontext_t*>(context);
+    PendingStep& step = t_pending;
+    // Restore protection for every page this step opened. Latched faults
+    // are left open on purpose; the backend's Reprotect also skips pages
+    // in its latched set, this just avoids the redundant call.
+    for (int i = step.count - 1; i >= 0; --i) {
+      if (!step.faults[i].latch) {
+        delegate->Reprotect(step.faults[i].fault);
       }
-    } else if (t_pending.count > 0) {
-      auto* uc = static_cast<ucontext_t*>(context);
-      PendingStep& step = t_pending;
-      // Restore protection for every page this step opened. Latched faults
-      // are left open on purpose; the backend's Reprotect also skips pages
-      // in its latched set, this just avoids the redundant call.
-      for (int i = step.count - 1; i >= 0; --i) {
-        if (!step.faults[i].latch) {
-          delegate->Reprotect(step.faults[i].fault);
-        }
-      }
-      FinishStep(step.segv_entry_ns, static_cast<uint64_t>(step.count));
-      uc->uc_mcontext.gregs[REG_EFL] &= ~static_cast<greg_t>(kEflagsTrapFlag);
-      step.count = 0;
-      step.segv_entry_ns = 0;
-      g_active_steps.fetch_sub(1, std::memory_order_acq_rel);
-      return;
     }
+    FinishStep(step.segv_entry_ns, static_cast<uint64_t>(step.count));
+    uc->uc_mcontext.gregs[REG_EFL] &= ~static_cast<greg_t>(kEflagsTrapFlag);
+    step.count = 0;
+    step.segv_entry_ns = 0;
+    g_active_steps.fetch_sub(1, std::memory_order_acq_rel);
+    return;
   }
 #endif
   ChainToPrevious(g_prev_trap, signo, info, context);
@@ -433,14 +394,6 @@ bool FaultSignalEngine::installed() { return g_installed; }
 
 uint64_t FaultSignalEngine::serviced_fault_count() {
   return g_serviced_faults.load(std::memory_order_relaxed);
-}
-
-void FaultSignalEngine::SetStepSlotMode(StepSlotMode mode) {
-  g_step_mode.store(static_cast<uint8_t>(mode), std::memory_order_relaxed);
-}
-
-StepSlotMode FaultSignalEngine::step_slot_mode() {
-  return static_cast<StepSlotMode>(g_step_mode.load(std::memory_order_relaxed));
 }
 
 uint64_t FaultSignalEngine::reentrant_fault_count() {

@@ -17,30 +17,17 @@ telemetry::Counter* ForeignFreeCounter() {
 }  // namespace
 
 Result<std::unique_ptr<MultiCompartment>> MultiCompartment::Create(
-    MpkBackend* backend, const MultiCompartmentConfig& config) {
-  if (backend == nullptr) {
-    return InvalidArgumentError("null backend");
+    PkAllocator* pools, const MultiCompartmentConfig& config) {
+  if (pools == nullptr) {
+    return InvalidArgumentError("null allocator");
   }
-  auto mc = std::unique_ptr<MultiCompartment>(new MultiCompartment(backend, config));
-
-  // Any failure below destroys `mc`, whose destructor returns the trusted
-  // key (and the vpkey cache's keys) to the backend.
-  PS_ASSIGN_OR_RETURN(mc->trusted_key_, backend->AllocateKey());
-  PS_ASSIGN_OR_RETURN(mc->trusted_arena_, Arena::Create(config.trusted_pool_bytes));
-  PS_RETURN_IF_ERROR(backend->TagRange(mc->trusted_arena_->base(),
-                                       mc->trusted_arena_->reserved_bytes(), mc->trusted_key_));
-  mc->trusted_heap_ = std::make_unique<FreeListHeap>(mc->trusted_arena_.get());
-
-  // The shared pool stays on the default key: visible to everyone.
-  PS_ASSIGN_OR_RETURN(mc->shared_arena_, Arena::Create(config.shared_pool_bytes));
-  mc->shared_heap_ = std::make_unique<FreeListHeap>(mc->shared_arena_.get());
+  auto mc = std::unique_ptr<MultiCompartment>(new MultiCompartment(pools, config));
 
   VpkeyConfig vpkey_config;
   vpkey_config.policy = config.eviction_policy;
   vpkey_config.max_hw_slots = config.max_hw_slots;
-  vpkey_config.always_deny = config.extra_deny;
-  vpkey_config.always_deny.push_back(mc->trusted_key_);
-  PS_ASSIGN_OR_RETURN(mc->vpkeys_, VirtualPkeyTable::Create(backend, vpkey_config));
+  vpkey_config.always_deny = {pools->trusted_key()};
+  PS_ASSIGN_OR_RETURN(mc->vpkeys_, VirtualPkeyTable::Create(mc->backend_, vpkey_config));
 
   // Make sure the foreign-free counter exists before any crash report could
   // want it, and let an already-configured flight recorder pick it (and the
@@ -48,13 +35,6 @@ Result<std::unique_ptr<MultiCompartment>> MultiCompartment::Create(
   ForeignFreeCounter();
   telemetry::FlightRecorder::Global().RefreshMetricHandles();
   return mc;
-}
-
-MultiCompartment::~MultiCompartment() {
-  vpkeys_.reset();  // returns the evicted key and every slot key
-  if (trusted_key_ != kDefaultPkey) {
-    (void)backend_->FreeKey(trusted_key_);
-  }
 }
 
 Result<LibraryId> MultiCompartment::RegisterLibrary(const std::string& name) {
@@ -158,10 +138,6 @@ Status MultiCompartment::PrefaultWorkingSet(const std::vector<LibraryId>& workin
   return Status::Ok();
 }
 
-void* MultiCompartment::AllocateTrusted(size_t size) { return trusted_heap_->Allocate(size); }
-
-void* MultiCompartment::AllocateShared(size_t size) { return shared_heap_->Allocate(size); }
-
 void* MultiCompartment::AllocateIn(LibraryId library, size_t size) {
   FreeListHeap* heap = LibraryAt(library).live_heap.load(std::memory_order_acquire);
   return heap != nullptr ? heap->Allocate(size) : nullptr;
@@ -171,13 +147,8 @@ void MultiCompartment::Free(void* ptr) {
   if (ptr == nullptr) {
     return;
   }
-  const auto addr = reinterpret_cast<uintptr_t>(ptr);
-  if (trusted_arena_->Contains(addr)) {
-    trusted_heap_->Free(ptr);
-    return;
-  }
-  if (shared_arena_->Contains(addr)) {
-    shared_heap_->Free(ptr);
+  if (pools_->OwnerOf(ptr).has_value()) {
+    pools_->Free(ptr);
     return;
   }
   const size_t library_count = libraries_.size();
@@ -200,14 +171,14 @@ void MultiCompartment::Free(void* ptr) {
   // report's counter table via the flight recorder's SIGABRT hook) and die
   // with the address in the message instead of a bare check failure.
   ForeignFreeCounter()->Increment();
-  PS_LOG(Fatal) << "multidomain: Free of foreign pointer 0x" << std::hex << addr << std::dec
+  PS_LOG(Fatal) << "multidomain: Free of foreign pointer 0x" << std::hex
+                << reinterpret_cast<uintptr_t>(ptr) << std::dec
                 << " owned by no compartment pool (trusted, shared, " << library_count
                 << " libraries)";
 }
 
 std::optional<LibraryId> MultiCompartment::PrivateOwnerOf(const void* ptr) const {
-  const auto addr = reinterpret_cast<uintptr_t>(ptr);
-  if (trusted_arena_->Contains(addr)) {
+  if (pools_->OwnerOf(ptr) == Domain::kTrusted) {
     return kTrustedLibrary;
   }
   const size_t library_count = libraries_.size();
@@ -217,7 +188,7 @@ std::optional<LibraryId> MultiCompartment::PrivateOwnerOf(const void* ptr) const
       continue;
     }
     FreeListHeap* heap = library->live_heap.load(std::memory_order_acquire);
-    if (heap != nullptr && heap->Owns(reinterpret_cast<const void*>(addr))) {
+    if (heap != nullptr && heap->Owns(ptr)) {
       return static_cast<LibraryId>(i + 1);
     }
   }

@@ -5,12 +5,15 @@
 // fundamental issue using a more complicated partitioning scheme that uses
 // more than two domains". This module implements that scheme on top of the
 // same primitives: each registered untrusted library gets its *own*
-// protection key and its own private pool, plus access to the common shared
-// pool (key 0). The policy matrix:
+// protection key and its own private pool, plus access to the shared pool.
+// M_T, M_U and the trusted key are not this module's: they are the
+// PkAllocator's it is built on, so a process has exactly one of each and
+// the compartments add only the per-library pools, virtual keys and Scope.
+// The policy matrix:
 //
 //   * T (no active library) — access to everything;
-//   * library i — access to its own pool and the shared pool only; the
-//     trusted pool and every other library's pool are denied.
+//   * library i — access to its own pool and M_U only; the allocator's M_T
+//     and every other library's pool are denied.
 //
 // So a compromised codec cannot corrupt the JS engine's heap either — a
 // strictly stronger property than the paper's deployment. Library keys are
@@ -65,6 +68,7 @@
 #include "src/multidomain/vpkey.h"
 #include "src/pkalloc/arena.h"
 #include "src/pkalloc/free_list_heap.h"
+#include "src/pkalloc/pkalloc.h"
 #include "src/runtime/call_gate.h"
 #include "src/support/compiler.h"
 #include "src/support/logging.h"
@@ -78,8 +82,6 @@ using LibraryId = uint32_t;
 inline constexpr LibraryId kTrustedLibrary = 0;
 
 struct MultiCompartmentConfig {
-  size_t trusted_pool_bytes = size_t{1} << 30;
-  size_t shared_pool_bytes = size_t{1} << 30;
   size_t library_pool_bytes = size_t{1} << 30;
   // Victim selection when a library must be faulted in and every hardware
   // slot is taken (see vpkey.h).
@@ -87,23 +89,15 @@ struct MultiCompartmentConfig {
   // Hardware key slots backing the virtual keys; 0 = every key the backend
   // can still allocate. Tests set small values to force evictions.
   size_t max_hw_slots = 0;
-  // Extra hardware keys denied in every library's PKRU on top of the trusted
-  // pool's key — an embedder running compartments next to a PkruSafeRuntime
-  // passes the runtime's M_T key here so tenants cannot touch it either.
-  std::vector<PkeyId> extra_deny;
 };
 
 class MultiCompartment {
  public:
-  // Creates the trusted pool (own key), the shared pool (default key) and
-  // the virtual-key cache. The backend must outlive the compartment manager.
+  // Creates the virtual-key cache over `pools`' backend; every library mask
+  // denies `pools`' trusted key. The allocator must outlive the compartment
+  // manager.
   static Result<std::unique_ptr<MultiCompartment>> Create(
-      MpkBackend* backend, const MultiCompartmentConfig& config = {});
-
-  // Returns every hardware key (trusted + the vpkey cache's) to the backend.
-  // Runs on Create's error paths too, so a failed registration of the pools
-  // can never strand a key — the original RegisterLibrary leak class.
-  ~MultiCompartment();
+      PkAllocator* pools, const MultiCompartmentConfig& config = {});
 
   MultiCompartment(const MultiCompartment&) = delete;
   MultiCompartment& operator=(const MultiCompartment&) = delete;
@@ -136,22 +130,22 @@ class MultiCompartment {
   Status PrefaultWorkingSet(const std::vector<LibraryId>& working_set);
 
   // --- allocation ---
-  // From M_T (trusted-private), the common shared pool, or a library's
-  // private pool respectively. Returns nullptr on exhaustion.
-  void* AllocateTrusted(size_t size);
-  void* AllocateShared(size_t size);
+  // From a library's private pool; nullptr on exhaustion. M_T and M_U come
+  // from the PkAllocator directly.
   void* AllocateIn(LibraryId library, size_t size);
+  // Frees a pointer of the allocator's pools or of a live library's pool;
+  // any other pointer is a fatal error (multidomain.free.foreign).
   void Free(void* ptr);
 
   // Which compartment's pool owns `ptr`: kTrustedLibrary for M_T, the
-  // library id for a private pool, nullopt for the shared pool or foreign
-  // pointers (shared memory belongs to everyone).
+  // library id for a private pool, nullopt for M_U or foreign pointers
+  // (shared memory belongs to everyone).
   std::optional<LibraryId> PrivateOwnerOf(const void* ptr) const;
 
   // --- transitions ---
   // Enters `library`'s compartment: faults its virtual key in if evicted,
-  // pins it for the scope, and installs a PKRU that allows only key 0 and
-  // the library's hardware slot. Balanced by ExitLibrary; nesting across
+  // pins it for the scope, and installs a PKRU that allows only key 0 (M_U)
+  // and the library's hardware slot. Balanced by ExitLibrary; nesting across
   // different libraries is allowed (each level holds a pin, so nesting
   // depth across distinct libraries is bounded by the hardware slot count)
   // and restores exactly.
@@ -181,7 +175,6 @@ class MultiCompartment {
   // Registered minus released.
   size_t live_library_count() const;
   std::string library_name(LibraryId id) const;
-  PkeyId trusted_key() const { return trusted_key_; }
   // The hardware key currently tagging the library's pool: its slot key when
   // resident, the shared evicted key otherwise.
   PkeyId key_of(LibraryId id) const;
@@ -206,8 +199,8 @@ class MultiCompartment {
     std::atomic<FreeListHeap*> live_heap{nullptr};
   };
 
-  MultiCompartment(MpkBackend* backend, MultiCompartmentConfig config)
-      : backend_(backend), config_(config) {}
+  MultiCompartment(PkAllocator* pools, MultiCompartmentConfig config)
+      : pools_(pools), backend_(&pools->backend()), config_(config) {}
 
   // Lock-free: published entries are never moved or freed.
   PS_ALWAYS_INLINE Library& LibraryAt(LibraryId id) {
@@ -220,13 +213,9 @@ class MultiCompartment {
     return const_cast<MultiCompartment*>(this)->LibraryAt(id);
   }
 
+  PkAllocator* pools_;  // M_T and M_U
   MpkBackend* backend_;
   MultiCompartmentConfig config_;
-  PkeyId trusted_key_ = 0;
-  std::unique_ptr<Arena> trusted_arena_;
-  std::unique_ptr<FreeListHeap> trusted_heap_;
-  std::unique_ptr<Arena> shared_arena_;
-  std::unique_ptr<FreeListHeap> shared_heap_;
 
   // Guards registration (the libraries_ writer side), free_ids_ and every
   // vpkeys_ mutation: fault-in, eviction, release, stats. Lock-free reads of

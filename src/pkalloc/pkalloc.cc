@@ -64,15 +64,13 @@ PkAllocator::PkAllocator(MpkBackend* backend, std::unique_ptr<Arena> trusted_are
   } else {
     untrusted_heap_ = std::make_unique<BoundaryTagHeap>(untrusted_arena_.get());
   }
-  if (config.thread_cache) {
-    central_[0] = std::make_unique<CentralFreeListSet>(trusted_arena_.get());
-    central_[0]->SetTrafficCounters(Metrics().trusted.alloc_calls, Metrics().trusted.alloc_bytes,
-                                    Metrics().trusted.free_calls);
-    central_[1] = std::make_unique<CentralFreeListSet>(untrusted_arena_.get());
-    central_[1]->SetTrafficCounters(Metrics().untrusted.alloc_calls,
-                                    Metrics().untrusted.alloc_bytes,
-                                    Metrics().untrusted.free_calls);
-  }
+  central_[0] = std::make_unique<CentralFreeListSet>(trusted_arena_.get());
+  central_[0]->SetTrafficCounters(Metrics().trusted.alloc_calls, Metrics().trusted.alloc_bytes,
+                                  Metrics().trusted.free_calls);
+  central_[1] = std::make_unique<CentralFreeListSet>(untrusted_arena_.get());
+  central_[1]->SetTrafficCounters(Metrics().untrusted.alloc_calls,
+                                  Metrics().untrusted.alloc_bytes,
+                                  Metrics().untrusted.free_calls);
 }
 
 Result<std::unique_ptr<PkAllocator>> PkAllocator::Create(MpkBackend* backend,
@@ -132,7 +130,7 @@ void* PkAllocator::Allocate(Domain domain, size_t size) {
 
 void* PkAllocator::AllocateInternal(Domain domain, size_t size) {
   const int index = DomainIndex(domain);
-  if (central_[index] != nullptr && size <= kMaxSmallSize) {
+  if (size <= kMaxSmallSize) {
     // The thread cache does its own (thread-local) telemetry accounting.
     const size_t class_index = SizeClassIndex(size == 0 ? 1 : size);
     return ThreadCache::Get(central_[index].get())->Allocate(class_index);
@@ -181,17 +179,15 @@ void PkAllocator::Free(void* ptr) {
   }
   const auto owner = OwnerOf(ptr);
   PS_CHECK(owner.has_value()) << "Free of foreign pointer";
-  const int index = DomainIndex(*owner);
-  if (central_[index] != nullptr) {
-    const uintptr_t chunk_base = ChunkBaseOf(ptr);
-    const uint8_t class_index = central_[index]->ClassOfChunk(chunk_base);
-    if (class_index != CentralFreeListSet::kNoClass) {
-      const size_t block_size = ClassSize(class_index);
-      const uintptr_t offset = reinterpret_cast<uintptr_t>(ptr) - chunk_base;
-      PS_CHECK_EQ(offset % block_size, 0u) << "Free of interior pointer";
-      ThreadCache::Get(central_[index].get())->Free(class_index, ptr);
-      return;
-    }
+  CentralFreeListSet* central = central_[DomainIndex(*owner)].get();
+  const uintptr_t chunk_base = ChunkBaseOf(ptr);
+  const uint8_t class_index = central->ClassOfChunk(chunk_base);
+  if (class_index != CentralFreeListSet::kNoClass) {
+    const size_t block_size = ClassSize(class_index);
+    const uintptr_t offset = reinterpret_cast<uintptr_t>(ptr) - chunk_base;
+    PS_CHECK_EQ(offset % block_size, 0u) << "Free of interior pointer";
+    ThreadCache::Get(central)->Free(class_index, ptr);
+    return;
   }
   MetricsFor(*owner).free_calls->Increment();
   if (*owner == Domain::kTrusted) {
@@ -206,12 +202,9 @@ void PkAllocator::Free(void* ptr) {
 size_t PkAllocator::UsableSize(const void* ptr) const {
   const auto owner = OwnerOf(ptr);
   PS_CHECK(owner.has_value()) << "UsableSize of foreign pointer";
-  const int index = DomainIndex(*owner);
-  if (central_[index] != nullptr) {
-    const uint8_t class_index = central_[index]->ClassOfChunk(ChunkBaseOf(ptr));
-    if (class_index != CentralFreeListSet::kNoClass) {
-      return ClassSize(class_index);
-    }
+  const uint8_t class_index = central_[DomainIndex(*owner)]->ClassOfChunk(ChunkBaseOf(ptr));
+  if (class_index != CentralFreeListSet::kNoClass) {
+    return ClassSize(class_index);
   }
   if (*owner == Domain::kTrusted) {
     return trusted_heap_->UsableSize(ptr);
@@ -233,17 +226,12 @@ std::optional<Domain> PkAllocator::OwnerOf(const void* ptr) const {
 
 void PkAllocator::FlushThisThreadCache() {
   for (auto& central : central_) {
-    if (central != nullptr) {
-      ThreadCache::Get(central.get())->FlushAll();
-    }
+    ThreadCache::Get(central.get())->FlushAll();
   }
 }
 
 HeapStats PkAllocator::StatsFor(int index, HeapStats stats) const {
   CentralFreeListSet* central = central_[index].get();
-  if (central == nullptr) {
-    return stats;
-  }
   CachedTraffic traffic = central->traffic_totals();
   // Fold in the calling thread's unpublished traffic so a thread always
   // sees its own allocations reflected.

@@ -12,10 +12,8 @@
 // per-thread size-class caches backed by sharded central free lists — one
 // cache line-up per domain, both over the domain's own arena — so the hot
 // path takes no lock at all and the compartment split stops being the
-// scaling bottleneck under multithreaded traffic. Large allocations and
-// cache-disabled configurations go straight to the per-pool heaps behind
-// their single mutex (the pre-cache behaviour, kept as the benchmark
-// baseline via PkAllocatorConfig::thread_cache).
+// scaling bottleneck under multithreaded traffic. Large allocations go
+// straight to the per-pool heaps behind their single mutex.
 //
 // Invariants (tested as properties):
 //   * no page is ever owned by both pools, and pages never migrate;
@@ -45,9 +43,6 @@ struct PkAllocatorConfig {
   // the allocator ablation from §5.3: swapping the slower shared-pool
   // allocator for the fast one removed all detectable allocator overhead.
   bool fast_untrusted_heap = false;
-  // Thread-caching front end for small allocations (both domains). Off is
-  // the global-mutex baseline used by bench_alloc_mt.
-  bool thread_cache = true;
 };
 
 class PkAllocator {
@@ -88,22 +83,24 @@ class PkAllocator {
 
   // The protection key tagging M_T.
   PkeyId trusted_key() const { return trusted_key_; }
+  // The backend that tagged M_T and enforces its key.
+  MpkBackend& backend() const { return *backend_; }
 
-  // Pool stats. With the thread cache enabled these merge the per-pool heap
-  // stats with the cached-front-end traffic. Cached traffic is accumulated
-  // thread-locally and published at batch boundaries, so a reader always
-  // sees its own thread's traffic exactly but may lag other threads by up
-  // to one batch (call FlushThisThreadCache on those threads, or let them
-  // exit, for a fully settled view); peak_bytes for cached traffic is
-  // sampled at stats() reads rather than tracked per allocation.
+  // Pool stats: the per-pool heap stats merged with the cached-front-end
+  // traffic. Cached traffic is accumulated thread-locally and published at
+  // batch boundaries, so a reader always sees its own thread's traffic
+  // exactly but may lag other threads by up to one batch (call
+  // FlushThisThreadCache on those threads, or let them exit, for a fully
+  // settled view); peak_bytes for cached traffic is sampled at stats()
+  // reads rather than tracked per allocation.
   HeapStats trusted_stats() const;
   HeapStats untrusted_stats() const;
 
   const Arena& trusted_arena() const { return *trusted_arena_; }
   const Arena& untrusted_arena() const { return *untrusted_arena_; }
 
-  // The central free lists of `domain`, or nullptr when the thread cache is
-  // disabled. Exposed for tests and introspection tools.
+  // The central free lists of `domain`. Exposed for tests and
+  // introspection tools.
   const CentralFreeListSet* central_lists(Domain domain) const {
     return central_[DomainIndex(domain)].get();
   }
@@ -130,7 +127,7 @@ class PkAllocator {
   // Exactly one of the two untrusted heaps is active (ablation switch).
   std::unique_ptr<BoundaryTagHeap> untrusted_heap_;
   std::unique_ptr<FreeListHeap> fast_untrusted_heap_;
-  // Cached front end, indexed by DomainIndex(); null when disabled.
+  // Cached front end, indexed by DomainIndex().
   // Declared after the heaps/arenas so it is destroyed first (it detaches
   // live thread caches before the arenas unmap).
   std::unique_ptr<CentralFreeListSet> central_[2];

@@ -98,13 +98,8 @@ Result<std::unique_ptr<SandboxServer>> SandboxServer::Create(PkruSafeRuntime* ru
   std::unique_ptr<SandboxServer> server(new SandboxServer(runtime, std::move(options)));
 
   MultiCompartmentConfig config;
-  config.trusted_pool_bytes = server->options_.trusted_pool_bytes;
-  config.shared_pool_bytes = server->options_.shared_pool_bytes;
   config.library_pool_bytes = server->options_.tenant_pool_bytes;
-  // Tenant masks must deny the embedder runtime's M_T too, not just the
-  // compartment manager's own trusted pool.
-  config.extra_deny = {runtime->trusted_key()};
-  PS_ASSIGN_OR_RETURN(server->mc_, MultiCompartment::Create(&runtime->backend(), config));
+  PS_ASSIGN_OR_RETURN(server->mc_, MultiCompartment::Create(&runtime->allocator(), config));
   server->registry_ = std::make_unique<TenantRegistry>(
       server->mc_.get(),
       TenantRegistryOptions{server->options_.idle_timeout_ms, server->options_.scratch_bytes});

@@ -7,9 +7,9 @@
 // as always; on top of that each tenant session holds one MultiCompartment
 // library — a virtual protection key and a private pool — so tenants are
 // isolated from EACH OTHER as well as from the embedder (§6 "Number of
-// Compartments" at server scale). The runtime's own M_T key rides in the
-// compartment manager's extra_deny, so a tenant mask denies the embedder's
-// trusted heap even though the two allocators never share a pool.
+// Compartments" at server scale). The compartments are built on the
+// runtime's PkAllocator, so there is one M_T and one M_U per process and
+// every tenant mask denies the runtime's M_T key.
 //
 // Request path: the I/O thread's SocketLoop splits connections into lines
 // -> worker pool, one line at a time per connection (responses stay in
@@ -75,11 +75,9 @@ struct SandboxServerOptions {
   size_t scratch_bytes = 64 * 1024;
   // How often the I/O thread sweeps idle/dead sessions.
   uint64_t sweep_interval_ms = 250;
-  // Compartment pool sizes. Virtual keys make the tenant count unbounded;
-  // the pools are per-tenant reservations.
+  // Per-tenant pool reservation. Virtual keys make the tenant count
+  // unbounded; M_T and M_U are the runtime allocator's.
   size_t tenant_pool_bytes = size_t{8} << 20;
-  size_t shared_pool_bytes = size_t{32} << 20;
-  size_t trusted_pool_bytes = size_t{8} << 20;
   // Expose the __addrof/__peek/__poke builtins to scripts (the §5.4
   // exploit primitive) — used by tests and demos to prove containment.
   bool enable_vulnerability = false;

@@ -19,11 +19,15 @@ class MultiCompartmentTest : public ::testing::Test {
  protected:
   void SetUp() override {
     SetCurrentThreadPkru(PkruValue::AllowAll());
+    PkAllocatorConfig pool_config;
+    pool_config.trusted_pool_bytes = size_t{256} << 20;
+    pool_config.untrusted_pool_bytes = size_t{256} << 20;
+    auto pools = PkAllocator::Create(&backend_, pool_config);
+    ASSERT_TRUE(pools.ok()) << pools.status().ToString();
+    pools_ = std::move(*pools);
     MultiCompartmentConfig config;
-    config.trusted_pool_bytes = size_t{256} << 20;
-    config.shared_pool_bytes = size_t{256} << 20;
     config.library_pool_bytes = size_t{256} << 20;
-    auto mc = MultiCompartment::Create(&backend_, config);
+    auto mc = MultiCompartment::Create(pools_.get(), config);
     ASSERT_TRUE(mc.ok()) << mc.status().ToString();
     mc_ = std::move(*mc);
     codec_ = *mc_->RegisterLibrary("codec");
@@ -36,7 +40,11 @@ class MultiCompartmentTest : public ::testing::Test {
     return backend_.CheckAccess(reinterpret_cast<uintptr_t>(ptr), AccessKind::kRead);
   }
 
+  void* AllocMt(size_t size) { return pools_->Allocate(Domain::kTrusted, size); }
+  void* AllocMu(size_t size) { return pools_->Allocate(Domain::kUntrusted, size); }
+
   SimMpkBackend backend_;
+  std::unique_ptr<PkAllocator> pools_;
   std::unique_ptr<MultiCompartment> mc_;
   LibraryId codec_ = 0;
   LibraryId jsengine_ = 0;
@@ -54,15 +62,15 @@ TEST_F(MultiCompartmentTest, RegistrationAssignsDistinctKeys) {
   (void)mc_->PolicyFor(jsengine_);
   EXPECT_TRUE(mc_->library_resident(codec_));
   EXPECT_NE(mc_->key_of(codec_), mc_->key_of(jsengine_));
-  EXPECT_NE(mc_->key_of(codec_), mc_->trusted_key());
+  EXPECT_NE(mc_->key_of(codec_), pools_->trusted_key());
   EXPECT_NE(mc_->key_of(codec_), kDefaultPkey);
 }
 
 TEST_F(MultiCompartmentTest, PoolsAreKeyTagged) {
-  void* trusted = mc_->AllocateTrusted(64);
-  void* shared = mc_->AllocateShared(64);
+  void* trusted = AllocMt(64);
+  void* shared = AllocMu(64);
   void* in_codec = mc_->AllocateIn(codec_, 64);
-  EXPECT_EQ(backend_.KeyFor(reinterpret_cast<uintptr_t>(trusted)), mc_->trusted_key());
+  EXPECT_EQ(backend_.KeyFor(reinterpret_cast<uintptr_t>(trusted)), pools_->trusted_key());
   EXPECT_EQ(backend_.KeyFor(reinterpret_cast<uintptr_t>(shared)), kDefaultPkey);
   EXPECT_EQ(backend_.KeyFor(reinterpret_cast<uintptr_t>(in_codec)), mc_->key_of(codec_));
   mc_->Free(trusted);
@@ -71,8 +79,8 @@ TEST_F(MultiCompartmentTest, PoolsAreKeyTagged) {
 }
 
 TEST_F(MultiCompartmentTest, PrivateOwnerReportsPools) {
-  void* trusted = mc_->AllocateTrusted(32);
-  void* shared = mc_->AllocateShared(32);
+  void* trusted = AllocMt(32);
+  void* shared = AllocMu(32);
   void* in_js = mc_->AllocateIn(jsengine_, 32);
   int local = 0;
   EXPECT_EQ(*mc_->PrivateOwnerOf(trusted), kTrustedLibrary);
@@ -87,8 +95,8 @@ TEST_F(MultiCompartmentTest, PrivateOwnerReportsPools) {
 TEST_F(MultiCompartmentTest, PairwiseIsolationMatrix) {
   // The central property: inside library i, exactly {shared, pool_i} are
   // accessible; M_T and every other library's pool are denied.
-  void* trusted = mc_->AllocateTrusted(64);
-  void* shared = mc_->AllocateShared(64);
+  void* trusted = AllocMt(64);
+  void* shared = AllocMu(64);
   void* codec_obj = mc_->AllocateIn(codec_, 64);
   void* js_obj = mc_->AllocateIn(jsengine_, 64);
 
@@ -139,7 +147,7 @@ TEST_F(MultiCompartmentTest, PolicyForMatchesMatrix) {
   const PkruValue codec_policy = mc_->PolicyFor(codec_);
   EXPECT_TRUE(codec_policy.allows_read(kDefaultPkey));
   EXPECT_TRUE(codec_policy.allows_read(mc_->key_of(codec_)));
-  EXPECT_FALSE(codec_policy.allows_read(mc_->trusted_key()));
+  EXPECT_FALSE(codec_policy.allows_read(pools_->trusted_key()));
   EXPECT_FALSE(codec_policy.allows_read(mc_->key_of(jsengine_)));
   EXPECT_EQ(mc_->PolicyFor(kTrustedLibrary), PkruValue::AllowAll());
 }
@@ -157,7 +165,7 @@ TEST_F(MultiCompartmentTest, RegistrationScalesBeyondHardwareKeys) {
   EXPECT_LE(stats.resident, stats.hw_slots);
   // Every library is enterable, resident or not, with the full matrix
   // intact: own pool plus shared visible, trusted denied.
-  void* shared = mc_->AllocateShared(32);
+  void* shared = AllocMu(32);
   for (LibraryId id = 1; id <= 40; ++id) {
     void* own = mc_->AllocateIn(id, 32);
     MultiCompartment::Scope scope(*mc_, id);
@@ -207,26 +215,34 @@ TEST_F(MultiCompartmentTest, ReleaseRefusedWhilePinned) {
 }
 
 TEST(MultiCompartmentExtraDenyTest, ExtraDenyKeysAreDeniedInEveryLibrary) {
-  // An embedder's own trusted key (e.g. a PkruSafeRuntime's M_T next door)
-  // must be deniable in tenant masks without sharing a compartment manager.
-  // Fresh backend: the key must be allocated BEFORE the compartment manager
-  // soaks up the remaining slots for its virtual-key cache.
+  // The compartments take M_T's key from the allocator they are built on:
+  // every tenant mask denies it, and the manager mints no trusted key of its
+  // own — the allocator's key plus the vpkey cache's are every key in use.
   SimMpkBackend backend;
-  auto embedder_key = backend.AllocateKey();
-  ASSERT_TRUE(embedder_key.ok()) << embedder_key.status().ToString();
+  PkAllocatorConfig pool_config;
+  pool_config.trusted_pool_bytes = size_t{32} << 20;
+  pool_config.untrusted_pool_bytes = size_t{32} << 20;
+  auto pools = PkAllocator::Create(&backend, pool_config);
+  ASSERT_TRUE(pools.ok()) << pools.status().ToString();
+  const PkeyId trusted_key = (*pools)->trusted_key();
   MultiCompartmentConfig config;
-  config.trusted_pool_bytes = size_t{32} << 20;
-  config.shared_pool_bytes = size_t{32} << 20;
   config.library_pool_bytes = size_t{32} << 20;
-  config.extra_deny = {*embedder_key};
-  auto mc = MultiCompartment::Create(&backend, config);
+  auto mc = MultiCompartment::Create(pools->get(), config);
   ASSERT_TRUE(mc.ok()) << mc.status().ToString();
   const LibraryId tenant = *(*mc)->RegisterLibrary("tenant");
   const PkruValue policy = (*mc)->PolicyFor(tenant);
-  EXPECT_FALSE(policy.allows_read(*embedder_key));
+  EXPECT_FALSE(policy.allows_read(trusted_key));
+  EXPECT_FALSE(policy.allows_write(trusted_key));
   EXPECT_TRUE(policy.allows_read(kDefaultPkey));
-  mc->reset();
-  ASSERT_TRUE(backend.FreeKey(*embedder_key).ok());
+  EXPECT_NE((*mc)->key_of(tenant), trusted_key);
+  // Backend keys 1..15: one for M_T, one evicted key, the rest slots.
+  EXPECT_EQ((*mc)->vpkey_stats().hw_slots, 13u);
+  // M_T objects report as trusted-private and are freed through the
+  // allocator.
+  void* secret = (*pools)->Allocate(Domain::kTrusted, 64);
+  EXPECT_EQ(*(*mc)->PrivateOwnerOf(secret), kTrustedLibrary);
+  (*mc)->Free(secret);
+  EXPECT_EQ((*pools)->trusted_stats().live_bytes, 0u);
 }
 
 size_t ReadRssBytes() {
@@ -249,11 +265,14 @@ TEST(MultiCompartmentChurnTest, SessionChurnLeaksNoKeysOrPages) {
   // leaked a virtual key and its touched pool pages forever.
   SetCurrentThreadPkru(PkruValue::AllowAll());
   SimMpkBackend backend;
+  PkAllocatorConfig pool_config;
+  pool_config.trusted_pool_bytes = size_t{16} << 20;
+  pool_config.untrusted_pool_bytes = size_t{16} << 20;
+  auto pools = PkAllocator::Create(&backend, pool_config);
+  ASSERT_TRUE(pools.ok()) << pools.status().ToString();
   MultiCompartmentConfig config;
-  config.trusted_pool_bytes = size_t{16} << 20;
-  config.shared_pool_bytes = size_t{16} << 20;
   config.library_pool_bytes = size_t{8} << 20;
-  auto created = MultiCompartment::Create(&backend, config);
+  auto created = MultiCompartment::Create(pools->get(), config);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   MultiCompartment& mc = **created;
 
@@ -321,7 +340,7 @@ TEST(MultiCompartmentChurnTest, SessionChurnLeaksNoKeysOrPages) {
 
 TEST_F(MultiCompartmentTest, SharedDataFlowsBetweenLibraries) {
   // The supported cross-library channel: shared-pool objects.
-  auto* mailbox = static_cast<int64_t*>(mc_->AllocateShared(sizeof(int64_t)));
+  auto* mailbox = static_cast<int64_t*>(AllocMu(sizeof(int64_t)));
   {
     MultiCompartment::Scope scope(*mc_, codec_);
     ASSERT_TRUE(Check(mailbox).ok());

@@ -1,9 +1,15 @@
-// Multi-compartment on the mprotect backend: >16 registered libraries with
-// real OS enforcement. Entry to a library whose key was evicted must re-tag
-// (pkey_mprotect-style) transparently; cross-library and trusted-pool
-// accesses inside a scope are genuine SIGSEGVs, exercised as death tests.
+// Multi-compartment with native enforcement. On the mprotect backend: >16
+// registered libraries with real OS enforcement. Entry to a library whose key
+// was evicted must re-tag (pkey_mprotect-style) transparently; cross-library
+// and trusted-pool accesses inside a scope are genuine SIGSEGVs, exercised as
+// death tests. On the hardware backend (skipped without PKU): the same
+// isolation matrix under real protection keys and WRPKRU, with M_T and M_U
+// from the PkAllocator the compartments are built on.
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
 
+#include "src/mpk/hardware_backend.h"
 #include "src/mpk/mprotect_backend.h"
 #include "src/multidomain/multi_compartment.h"
 
@@ -16,11 +22,15 @@ class MprotectMultidomainTest : public ::testing::Test {
  protected:
   void SetUp() override {
     backend_.WritePkru(PkruValue::AllowAll());
+    PkAllocatorConfig pool_config;
+    pool_config.trusted_pool_bytes = size_t{2} << 20;
+    pool_config.untrusted_pool_bytes = size_t{2} << 20;
+    auto pools = PkAllocator::Create(&backend_, pool_config);
+    ASSERT_TRUE(pools.ok()) << pools.status().ToString();
+    pools_ = std::move(*pools);
     MultiCompartmentConfig config;
-    config.trusted_pool_bytes = size_t{2} << 20;
-    config.shared_pool_bytes = size_t{2} << 20;
     config.library_pool_bytes = size_t{2} << 20;
-    auto mc = MultiCompartment::Create(&backend_, config);
+    auto mc = MultiCompartment::Create(pools_.get(), config);
     ASSERT_TRUE(mc.ok()) << mc.status().ToString();
     mc_ = std::move(*mc);
     for (int i = 0; i < kLibraries; ++i) {
@@ -29,18 +39,20 @@ class MprotectMultidomainTest : public ::testing::Test {
       objs_.push_back(static_cast<uint64_t*>(mc_->AllocateIn(*id, sizeof(uint64_t))));
       ASSERT_NE(objs_.back(), nullptr);
     }
-    trusted_obj_ = static_cast<uint64_t*>(mc_->AllocateTrusted(sizeof(uint64_t)));
-    shared_obj_ = static_cast<uint64_t*>(mc_->AllocateShared(sizeof(uint64_t)));
+    trusted_obj_ = static_cast<uint64_t*>(pools_->Allocate(Domain::kTrusted, sizeof(uint64_t)));
+    shared_obj_ = static_cast<uint64_t*>(pools_->Allocate(Domain::kUntrusted, sizeof(uint64_t)));
     *shared_obj_ = 7;
   }
 
   void TearDown() override {
     mc_.reset();
+    pools_.reset();
     backend_.WritePkru(PkruValue::AllowAll());
     backend_.UninstallSignalHandlers();
   }
 
   MprotectMpkBackend backend_;
+  std::unique_ptr<PkAllocator> pools_;
   std::unique_ptr<MultiCompartment> mc_;
   std::vector<uint64_t*> objs_;
   uint64_t* trusted_obj_ = nullptr;
@@ -112,6 +124,118 @@ TEST_F(MprotectMultidomainTest, TrustedPoolDeniedInsideScope) {
         *trusted_obj_ = 99;
       },
       "");
+}
+
+// A denied load dies of SIGSEGV. Under AddressSanitizer or ThreadSanitizer
+// the sanitizer's SEGV handler reports the fault and exits nonzero instead.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr char kSegvMessage[] = "Sanitizer: SEGV";
+bool DiedOfSegv(int status) { return WIFEXITED(status) && WEXITSTATUS(status) != 0; }
+#else
+constexpr char kSegvMessage[] = "";
+bool DiedOfSegv(int status) { return WIFSIGNALED(status) && WTERMSIG(status) == SIGSEGV; }
+#endif
+
+class HardwareMultidomainTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!HardwareMpkBackend::IsSupported()) {
+      GTEST_SKIP() << "CPU/kernel does not support Intel MPK";
+    }
+    backend_ = std::make_unique<HardwareMpkBackend>();
+    backend_->WritePkru(PkruValue::AllowAll());
+    PkAllocatorConfig pool_config;
+    pool_config.trusted_pool_bytes = size_t{2} << 20;
+    pool_config.untrusted_pool_bytes = size_t{2} << 20;
+    auto pools = PkAllocator::Create(backend_.get(), pool_config);
+    ASSERT_TRUE(pools.ok()) << pools.status().ToString();
+    pools_ = std::move(*pools);
+    MultiCompartmentConfig config;
+    config.library_pool_bytes = size_t{2} << 20;
+    auto mc = MultiCompartment::Create(pools_.get(), config);
+    ASSERT_TRUE(mc.ok()) << mc.status().ToString();
+    mc_ = std::move(*mc);
+    codec_ = *mc_->RegisterLibrary("codec");
+    script_ = *mc_->RegisterLibrary("script");
+    codec_obj_ = static_cast<uint64_t*>(mc_->AllocateIn(codec_, sizeof(uint64_t)));
+    script_obj_ = static_cast<uint64_t*>(mc_->AllocateIn(script_, sizeof(uint64_t)));
+    trusted_obj_ = static_cast<uint64_t*>(pools_->Allocate(Domain::kTrusted, sizeof(uint64_t)));
+    shared_obj_ = static_cast<uint64_t*>(pools_->Allocate(Domain::kUntrusted, sizeof(uint64_t)));
+    ASSERT_NE(codec_obj_, nullptr);
+    ASSERT_NE(script_obj_, nullptr);
+    ASSERT_NE(trusted_obj_, nullptr);
+    ASSERT_NE(shared_obj_, nullptr);
+    *codec_obj_ = 1;
+    *script_obj_ = 2;
+    *trusted_obj_ = 0x5ec2e7;
+    *shared_obj_ = 7;
+    // Both libraries resident: the other library's pool carries its own
+    // slot key, not the evicted key, so the denial below is pairwise.
+    { MultiCompartment::Scope scope(*mc_, script_); }
+    { MultiCompartment::Scope scope(*mc_, codec_); }
+    ASSERT_TRUE(mc_->library_resident(codec_));
+    ASSERT_TRUE(mc_->library_resident(script_));
+  }
+
+  void TearDown() override {
+    mc_.reset();
+    pools_.reset();
+    if (backend_ != nullptr) {
+      backend_->WritePkru(PkruValue::AllowAll());
+    }
+  }
+
+  std::unique_ptr<HardwareMpkBackend> backend_;
+  std::unique_ptr<PkAllocator> pools_;
+  std::unique_ptr<MultiCompartment> mc_;
+  LibraryId codec_ = 0;
+  LibraryId script_ = 0;
+  uint64_t* codec_obj_ = nullptr;
+  uint64_t* script_obj_ = nullptr;
+  uint64_t* trusted_obj_ = nullptr;
+  uint64_t* shared_obj_ = nullptr;
+};
+
+TEST_F(HardwareMultidomainTest, SharedAndOwnPoolsReadAndWriteInsideScope) {
+  {
+    MultiCompartment::Scope scope(*mc_, codec_);
+    EXPECT_EQ(*shared_obj_, 7u);
+    *shared_obj_ = 8;
+    EXPECT_EQ(*codec_obj_, 1u);
+    *codec_obj_ = 10;
+  }
+  {
+    MultiCompartment::Scope scope(*mc_, script_);
+    EXPECT_EQ(*shared_obj_, 8u);  // M_U carries data between libraries
+    EXPECT_EQ(*script_obj_, 2u);
+    *script_obj_ = 20;
+  }
+  // Back in T: every pool is accessible again.
+  EXPECT_EQ(*codec_obj_, 10u);
+  EXPECT_EQ(*script_obj_, 20u);
+  EXPECT_EQ(*trusted_obj_, 0x5ec2e7u);
+}
+
+TEST_F(HardwareMultidomainTest, TrustedObjectLoadDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        MultiCompartment::Scope scope(*mc_, codec_);
+        volatile uint64_t v = *trusted_obj_;  // the allocator's M_T
+        (void)v;
+      },
+      DiedOfSegv, kSegvMessage);
+}
+
+TEST_F(HardwareMultidomainTest, OtherLibraryLoadDies) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        MultiCompartment::Scope scope(*mc_, codec_);
+        volatile uint64_t v = *script_obj_;  // the script library's pool
+        (void)v;
+      },
+      DiedOfSegv, kSegvMessage);
 }
 
 }  // namespace

@@ -20,14 +20,17 @@ namespace {
 TEST(MultidomainStressTest, ConcurrentTransitionsEvictionsAndRegistration) {
   SetCurrentThreadPkru(PkruValue::AllowAll());
   SimMpkBackend backend;
+  PkAllocatorConfig pool_config;
+  pool_config.trusted_pool_bytes = size_t{8} << 20;
+  pool_config.untrusted_pool_bytes = size_t{8} << 20;
+  auto pools = PkAllocator::Create(&backend, pool_config);
+  ASSERT_TRUE(pools.ok()) << pools.status().ToString();
   MultiCompartmentConfig config;
-  config.trusted_pool_bytes = size_t{8} << 20;
-  config.shared_pool_bytes = size_t{8} << 20;
   config.library_pool_bytes = size_t{1} << 20;
   // 6 slots, 4 worker pins + 1 transient PolicyFor pin: a victim always
   // exists, so no Enter can hit the all-slots-pinned error.
   config.max_hw_slots = 6;
-  auto created = MultiCompartment::Create(&backend, config);
+  auto created = MultiCompartment::Create(pools->get(), config);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   MultiCompartment& mc = **created;
 
@@ -43,7 +46,7 @@ TEST(MultidomainStressTest, ConcurrentTransitionsEvictionsAndRegistration) {
     objs.push_back(mc.AllocateIn(*id, 64));
     ASSERT_NE(objs.back(), nullptr);
   }
-  void* trusted_obj = mc.AllocateTrusted(64);
+  void* trusted_obj = (*pools)->Allocate(Domain::kTrusted, 64);
 
   std::atomic<bool> failed{false};
   std::vector<std::thread> threads;
@@ -98,7 +101,7 @@ TEST(MultidomainStressTest, ConcurrentTransitionsEvictionsAndRegistration) {
       const size_t count = mc.library_count();
       const auto lib = static_cast<LibraryId>(1 + rng.NextBelow(count));
       const PkruValue mask = mc.PolicyFor(lib);
-      if (mask.allows_read(mc.trusted_key())) {
+      if (mask.allows_read((*pools)->trusted_key())) {
         failed.store(true);
       }
       (void)mc.key_of(lib);
@@ -130,14 +133,17 @@ TEST(MultidomainStressTest, ReleaseAndReuseRaceScansPinsPrefaultAndStats) {
   // released); everyone else must keep seeing a consistent table.
   SetCurrentThreadPkru(PkruValue::AllowAll());
   SimMpkBackend backend;
+  PkAllocatorConfig pool_config;
+  pool_config.trusted_pool_bytes = size_t{8} << 20;
+  pool_config.untrusted_pool_bytes = size_t{8} << 20;
+  auto pools = PkAllocator::Create(&backend, pool_config);
+  ASSERT_TRUE(pools.ok()) << pools.status().ToString();
   MultiCompartmentConfig config;
-  config.trusted_pool_bytes = size_t{8} << 20;
-  config.shared_pool_bytes = size_t{8} << 20;
   config.library_pool_bytes = size_t{1} << 20;
   // At most 4 pins at once (2 pinners, the churner, one prefault): a victim
   // always exists.
   config.max_hw_slots = 6;
-  auto created = MultiCompartment::Create(&backend, config);
+  auto created = MultiCompartment::Create(pools->get(), config);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   MultiCompartment& mc = **created;
 

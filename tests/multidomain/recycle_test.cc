@@ -20,10 +20,15 @@
 namespace pkrusafe {
 namespace {
 
+Result<std::unique_ptr<PkAllocator>> SmallAllocator(MpkBackend* backend) {
+  PkAllocatorConfig config;
+  config.trusted_pool_bytes = size_t{1} << 20;
+  config.untrusted_pool_bytes = size_t{1} << 20;
+  return PkAllocator::Create(backend, config);
+}
+
 MultiCompartmentConfig SmallPools() {
   MultiCompartmentConfig config;
-  config.trusted_pool_bytes = size_t{1} << 20;
-  config.shared_pool_bytes = size_t{1} << 20;
   config.library_pool_bytes = size_t{256} << 10;
   return config;
 }
@@ -34,7 +39,9 @@ TEST(MultiCompartmentRecycleTest, MoreSessionsThanTheTableHolds) {
   // reservation. Recycled, they share a handful of entries.
   SetCurrentThreadPkru(PkruValue::AllowAll());
   SimMpkBackend backend;
-  auto created = MultiCompartment::Create(&backend, SmallPools());
+  auto pools = SmallAllocator(&backend);
+  ASSERT_TRUE(pools.ok()) << pools.status().ToString();
+  auto created = MultiCompartment::Create(pools->get(), SmallPools());
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   MultiCompartment& mc = **created;
 
@@ -72,19 +79,24 @@ class MultiCompartmentRecycledPoolTest : public ::testing::TestWithParam<const c
     ASSERT_TRUE(backend.ok()) << backend.status().ToString();
     backend_ = std::move(*backend);
     backend_->WritePkru(PkruValue::AllowAll());
-    auto mc = MultiCompartment::Create(backend_.get(), SmallPools());
+    auto pools = SmallAllocator(backend_.get());
+    ASSERT_TRUE(pools.ok()) << pools.status().ToString();
+    pools_ = std::move(*pools);
+    auto mc = MultiCompartment::Create(pools_.get(), SmallPools());
     ASSERT_TRUE(mc.ok()) << mc.status().ToString();
     mc_ = std::move(*mc);
   }
 
   void TearDown() override {
     mc_.reset();
+    pools_.reset();
     if (backend_ != nullptr) {
       backend_->WritePkru(PkruValue::AllowAll());
     }
   }
 
   std::unique_ptr<MpkBackend> backend_;
+  std::unique_ptr<PkAllocator> pools_;
   std::unique_ptr<MultiCompartment> mc_;
 };
 
@@ -125,7 +137,7 @@ TEST_P(MultiCompartmentRecycledPoolTest, RecycledPoolIsZeroedOwnedAndIsolated) {
     const PkruValue installed = backend_->ReadPkru();
     EXPECT_TRUE(installed.allows_write(backend_->KeyFor(reinterpret_cast<uintptr_t>(obj))));
     EXPECT_EQ(*obj, 0u) << "the next holder reads the previous tenant's data";
-    EXPECT_FALSE(installed.allows_read(mc_->trusted_key()));
+    EXPECT_FALSE(installed.allows_read(pools_->trusted_key()));
     for (size_t i = 0; i < bystanders.size(); ++i) {
       const PkeyId key = backend_->KeyFor(reinterpret_cast<uintptr_t>(bystander_objs[i]));
       EXPECT_NE(key, kDefaultPkey);
@@ -151,7 +163,11 @@ TEST(MultiCompartmentHardwareTest, DestroyedRuntimesReturnTheirTrustedKey) {
   }
   auto slots_now = [] {
     HardwareMpkBackend backend;
-    auto mc = MultiCompartment::Create(&backend, SmallPools());
+    auto pools = SmallAllocator(&backend);
+    if (!pools.ok()) {
+      return size_t{0};
+    }
+    auto mc = MultiCompartment::Create(pools->get(), SmallPools());
     return mc.ok() ? (*mc)->vpkey_stats().hw_slots : size_t{0};
   };
   const size_t first = slots_now();

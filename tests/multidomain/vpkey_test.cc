@@ -238,11 +238,16 @@ TEST_F(VpkeyTableTest, ReleaseOfPinnedKeyFails) {
 
 // --- MultiCompartment-level regression tests -------------------------------
 
+Result<std::unique_ptr<PkAllocator>> SmallAllocator(MpkBackend* backend) {
+  PkAllocatorConfig config;
+  config.trusted_pool_bytes = size_t{4} << 20;
+  config.untrusted_pool_bytes = size_t{4} << 20;
+  return PkAllocator::Create(backend, config);
+}
+
 MultiCompartmentConfig SmallConfig(size_t slots,
                                    EvictionPolicy policy = EvictionPolicy::kLru) {
   MultiCompartmentConfig config;
-  config.trusted_pool_bytes = size_t{4} << 20;
-  config.shared_pool_bytes = size_t{4} << 20;
   config.library_pool_bytes = size_t{4} << 20;
   config.max_hw_slots = slots;
   config.eviction_policy = policy;
@@ -256,7 +261,9 @@ MultiCompartmentConfig SmallConfig(size_t slots,
 TEST(VpkeyRegressionTest, RegisterLibraryReleasesKeyWhenTaggingFails) {
   SetCurrentThreadPkru(PkruValue::AllowAll());
   FailingTagBackend backend;
-  auto mc = MultiCompartment::Create(&backend, SmallConfig(2));
+  auto pools = SmallAllocator(&backend);
+  ASSERT_TRUE(pools.ok()) << pools.status().ToString();
+  auto mc = MultiCompartment::Create(pools->get(), SmallConfig(2));
   ASSERT_TRUE(mc.ok()) << mc.status().ToString();
 
   ASSERT_TRUE((*mc)->RegisterLibrary("first").ok());
@@ -287,7 +294,10 @@ class VpkeyEvictionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     SetCurrentThreadPkru(PkruValue::AllowAll());
-    auto mc = MultiCompartment::Create(&backend_, SmallConfig(2));
+    auto pools = SmallAllocator(&backend_);
+    ASSERT_TRUE(pools.ok()) << pools.status().ToString();
+    pools_ = std::move(*pools);
+    auto mc = MultiCompartment::Create(pools_.get(), SmallConfig(2));
     ASSERT_TRUE(mc.ok()) << mc.status().ToString();
     mc_ = std::move(*mc);
     a_ = *mc_->RegisterLibrary("a");
@@ -305,6 +315,7 @@ class VpkeyEvictionTest : public ::testing::Test {
   }
 
   SimMpkBackend backend_;
+  std::unique_ptr<PkAllocator> pools_;
   std::unique_ptr<MultiCompartment> mc_;
   LibraryId a_ = 0, b_ = 0, c_ = 0;
   void* a_obj_ = nullptr;

@@ -133,6 +133,29 @@ TEST(SandboxServerTest, ServesScriptsAndReportsResults) {
   EXPECT_EQ((*server)->registry().stats().created, 1u);
 }
 
+// The compartments are built on the runtime's allocator: one M_T key for
+// the process, so the vpkey cache gets 15 keys minus M_T's and the evicted
+// key. The embedder secret lives in that same M_T and every tenant mask
+// denies its key.
+TEST(SandboxServerTest, CompartmentsShareTheRuntimesTrustedKey) {
+  auto runtime = MakeSimRuntime();
+  ASSERT_NE(runtime, nullptr);
+  auto server = SandboxServer::Create(runtime.get(), SandboxServerOptions{});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  MultiCompartment& mc = (*server)->compartments();
+  EXPECT_EQ(mc.vpkey_stats().hw_slots, 13u);
+  EXPECT_EQ(runtime->allocator().OwnerOf((*server)->secret_address()), Domain::kTrusted);
+  EXPECT_EQ(mc.PrivateOwnerOf((*server)->secret_address()), kTrustedLibrary);
+
+  const json::Value ok_response = MustParse(
+      (*server)->HandleRequestLine(R"({"tenant":"alice","script":"print(1);"})"));
+  ASSERT_TRUE(BoolField(ok_response, "ok"));
+  const LibraryId alice = 1;  // the first tenant registers the first library
+  const PkruValue mask = mc.PolicyFor(alice);
+  EXPECT_FALSE(mask.allows_read(runtime->trusted_key()));
+  EXPECT_NE(mc.key_of(alice), runtime->trusted_key());
+}
+
 // A runaway script stops at the per-request step budget: a script error,
 // not a violation, and the tenant keeps serving.
 TEST(SandboxServerTest, RunawayScriptStopsAtTheStepBudget) {
