@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/memmap/page.h"
 #include "src/support/async_signal.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/metrics.h"
@@ -165,9 +166,10 @@ void ChainToPrevious(const struct sigaction& prev, int signo, siginfo_t* info, v
       fatal.has_fault_address = true;
       fatal.fault_address = reinterpret_cast<uint64_t>(info->si_addr);
     }
-    const PkruValue pkru = CurrentThreadPkru();
-    fatal.has_pkru = true;
-    fatal.pkru = pkru.raw();
+    if (FaultSignalDelegate* delegate = g_delegate.load(std::memory_order_acquire)) {
+      fatal.has_pkru = true;
+      fatal.pkru = delegate->ReadPkru().raw();
+    }
     telemetry::FlightRecorder::Global().WriteFatalReport(fatal);
   }
   // Deliver through the previous disposition instead of clobbering ours with
@@ -441,6 +443,45 @@ void FaultSignalEngine::ResetCountersForTest() {
   }
   g_thread_stats_overflow.serviced.store(0, std::memory_order_relaxed);
   g_thread_stats_overflow.service_ns.store(0, std::memory_order_relaxed);
+}
+
+Status NativeMpkBackend::InstallSignalHandlers() { return FaultSignalEngine::Install(this); }
+
+void NativeMpkBackend::UninstallSignalHandlers() {
+  if (FaultSignalEngine::installed()) {
+    FaultSignalEngine::Uninstall();
+  }
+}
+
+std::optional<MpkFault> NativeMpkBackend::Classify(uintptr_t addr, bool is_write) {
+  if (!page_keys_.IsTagged(addr)) {
+    return std::nullopt;
+  }
+  const PkeyId key = page_keys_.KeyFor(addr);
+  const PkruValue pkru = EnforcedPkru();
+  const AccessKind kind = is_write ? AccessKind::kWrite : AccessKind::kRead;
+  if (pkru.Allows(key, kind)) {
+    return std::nullopt;
+  }
+  return MpkFault{addr, kind, key, pkru};
+}
+
+void NativeMpkBackend::AllowOnce(const MpkFault& fault) {
+  const uintptr_t page = PageDown(fault.address);
+  for (uintptr_t p = page; p <= page + kPageSize; p += kPageSize) {
+    if (page_keys_.IsTagged(p)) {
+      OpenPage(p);
+    }
+  }
+}
+
+void NativeMpkBackend::Reprotect(const MpkFault& fault) {
+  const uintptr_t page = PageDown(fault.address);
+  for (uintptr_t p = page; p <= page + kPageSize; p += kPageSize) {
+    if (page_keys_.IsTagged(p) && !latched_.Contains(p)) {
+      RestorePage(p, page_keys_.KeyFor(p));
+    }
+  }
 }
 
 }  // namespace pkrusafe

@@ -52,6 +52,44 @@ class FaultSignalDelegate {
   // support latching skip re-protecting latched pages inside Reprotect.
   virtual void AllowOnce(const MpkFault& fault) = 0;
   virtual void Reprotect(const MpkFault& fault) = 0;
+
+  // The interrupted thread's PKRU, for the fatal-SEGV crash report.
+  virtual PkruValue ReadPkru() const = 0;
+};
+
+// The MpkBackend half the two natively enforcing backends share: the
+// engine's delegate, written once over MpkBackend's page hooks. The mprotect
+// and hardware backends differ only in how a page is opened and restored
+// (OpenPage/RestorePage) and in which PKRU the MMU enforces (EnforcedPkru).
+class NativeMpkBackend : public MpkBackend, public FaultSignalDelegate {
+ public:
+  ~NativeMpkBackend() override { UninstallSignalHandlers(); }
+
+  bool enforces_natively() const final { return true; }
+
+  // Registers the SIGSEGV/SIGTRAP handlers (chaining any existing ones).
+  // Must be called before violations are expected; idempotent.
+  Status PrepareNativeEnforcement() final { return InstallSignalHandlers(); }
+  Status InstallSignalHandlers();
+  void UninstallSignalHandlers();
+
+  PkruValue ReadPkru() const override = 0;
+
+  // FaultSignalDelegate:
+  // A fault on an untagged page, or one the PKRU permits, is not ours and is
+  // chained to the application's handler.
+  std::optional<MpkFault> Classify(uintptr_t addr, bool is_write) final;
+  FaultResolution OnFault(const MpkFault& fault) final { return MpkBackend::OnFault(fault); }
+  // One instruction may touch at most two pages (an unaligned access that
+  // straddles a boundary): AllowOnce opens whichever of the two are tagged,
+  // Reprotect restores each by its own key, leaving latched pages open.
+  // Untagged neighbours are left alone; they may be unrelated mappings.
+  void AllowOnce(const MpkFault& fault) final;
+  void Reprotect(const MpkFault& fault) final;
+
+ protected:
+  // The PKRU the MMU enforces for the calling thread.
+  virtual PkruValue EnforcedPkru() const { return ReadPkru(); }
 };
 
 // Per-thread fault-service totals, exported for --stats and tests.

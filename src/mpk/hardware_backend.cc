@@ -86,11 +86,6 @@ bool HardwareMpkBackend::IsSupported() {
 #endif
 }
 
-HardwareMpkBackend::~HardwareMpkBackend() {
-  UninstallSignalHandlers();
-  SetFaultHandler(nullptr);  // retired handlers are freed with the backend
-}
-
 Result<PkeyId> HardwareMpkBackend::AllocateKey() {
   const long key = PkeyAlloc();
   if (key < 0) {
@@ -116,124 +111,16 @@ Status HardwareMpkBackend::TagRange(uintptr_t addr, size_t length, PkeyId key) {
   return page_keys_.Tag(addr, length, key);
 }
 
-Status HardwareMpkBackend::UntagRange(uintptr_t addr) {
-  // Return the pages to the default key before forgetting the range, so a
-  // fault in between is still classified as ours.
-  if (const auto range = page_keys_.RangeStartingAt(addr)) {
-    (void)PkeyMprotect(range->begin, range->end - range->begin, PROT_READ | PROT_WRITE,
-                       kDefaultPkey);
-  }
-  return page_keys_.Untag(addr);
-}
-
-PkeyId HardwareMpkBackend::KeyFor(uintptr_t addr) const { return page_keys_.KeyFor(addr); }
-
-size_t HardwareMpkBackend::TaggedRangesNear(uintptr_t addr, TaggedRangeInfo* out,
-                                            size_t max) const {
-  constexpr size_t kMaxWindow = 64;
-  PageKeyMap::TaggedRange buffer[kMaxWindow];
-  const size_t n = page_keys_.RangesAround(addr, buffer, max < kMaxWindow ? max : kMaxWindow);
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = TaggedRangeInfo{buffer[i].begin, buffer[i].end, buffer[i].key};
-  }
-  return n;
-}
-
 PkruValue HardwareMpkBackend::ReadPkru() const { return PkruValue(RdPkru()); }
 
-void HardwareMpkBackend::WritePkru(PkruValue value) {
-  // Keep the software mirror in sync so code that consults CurrentThreadPkru
-  // (stats, assertions) agrees with the hardware.
-  SetCurrentThreadPkru(value);
-  WrPkru(value.raw());
+void HardwareMpkBackend::WritePkru(PkruValue value) { WrPkru(value.raw()); }
+
+void HardwareMpkBackend::OpenPage(uintptr_t page) {
+  (void)PkeyMprotect(page, kPageSize, PROT_READ | PROT_WRITE, kDefaultPkey);
 }
 
-Status HardwareMpkBackend::CheckAccess(uintptr_t addr, AccessKind kind) {
-  (void)addr;
-  (void)kind;
-  return Status::Ok();  // the MMU enforces
-}
-
-void HardwareMpkBackend::SetFaultHandler(FaultHandlerFn handler) {
-  std::lock_guard lock(handler_mutex_);
-  FaultHandlerFn* fresh = handler ? new FaultHandlerFn(std::move(handler)) : nullptr;
-  FaultHandlerFn* old = handler_.exchange(fresh, std::memory_order_acq_rel);
-  if (old != nullptr) {
-    retired_handlers_.emplace_back(old);
-  }
-}
-
-void HardwareMpkBackend::NoteLatchedRange(uintptr_t begin, uintptr_t end) {
-  for (uintptr_t page = PageDown(begin); page < end; page += kPageSize) {
-    if (!latched_.Insert(page)) {
-      break;  // set saturated: the pages keep single-stepping instead
-    }
-    // Downgrade to the always-accessible default key now; Reprotect will
-    // skip the page from here on. pkey_mprotect is a plain syscall, safe
-    // from the SIGSEGV handler.
-    (void)PkeyMprotect(page, kPageSize, PROT_READ | PROT_WRITE, kDefaultPkey);
-  }
-}
-
-void HardwareMpkBackend::UnlatchRange(uintptr_t begin, uintptr_t end) {
-  // User-context only (ApplyDemotions). Re-tag each page with its recorded
-  // key so the hardware enforces the PKRU on it again.
-  for (uintptr_t page = PageDown(begin); page < end; page += kPageSize) {
-    if (!latched_.Erase(page)) {
-      continue;  // never latched: still carries its key
-    }
-    if (page_keys_.IsTagged(page)) {
-      (void)PkeyMprotect(page, kPageSize, PROT_READ | PROT_WRITE, page_keys_.KeyFor(page));
-    }
-  }
-}
-
-Status HardwareMpkBackend::InstallSignalHandlers() { return FaultSignalEngine::Install(this); }
-
-void HardwareMpkBackend::UninstallSignalHandlers() {
-  if (FaultSignalEngine::installed()) {
-    FaultSignalEngine::Uninstall();
-  }
-}
-
-std::optional<MpkFault> HardwareMpkBackend::Classify(uintptr_t addr, bool is_write) {
-  if (!page_keys_.IsTagged(addr)) {
-    return std::nullopt;
-  }
-  const PkeyId key = page_keys_.KeyFor(addr);
-  const PkruValue pkru = ReadPkru();
-  const AccessKind kind = is_write ? AccessKind::kWrite : AccessKind::kRead;
-  const bool allowed = kind == AccessKind::kRead ? pkru.allows_read(key) : pkru.allows_write(key);
-  if (allowed) {
-    return std::nullopt;
-  }
-  return MpkFault{addr, kind, key, pkru};
-}
-
-FaultResolution HardwareMpkBackend::OnFault(const MpkFault& fault) {
-  FaultHandlerFn* handler = handler_.load(std::memory_order_acquire);
-  return handler != nullptr && *handler ? (*handler)(fault) : FaultResolution::kDeny;
-}
-
-void HardwareMpkBackend::AllowOnce(const MpkFault& fault) {
-  const uintptr_t page = PageDown(fault.address);
-  for (int i = 0; i < 2; ++i) {
-    const uintptr_t p = page + static_cast<uintptr_t>(i) * kPageSize;
-    if (page_keys_.IsTagged(p)) {
-      (void)PkeyMprotect(p, kPageSize, PROT_READ | PROT_WRITE, kDefaultPkey);
-    }
-  }
-}
-
-void HardwareMpkBackend::Reprotect(const MpkFault& fault) {
-  const uintptr_t page = PageDown(fault.address);
-  for (int i = 0; i < 2; ++i) {
-    const uintptr_t p = page + static_cast<uintptr_t>(i) * kPageSize;
-    if (page_keys_.IsTagged(p) && !latched_.Contains(p)) {
-      const PkeyId key = page_keys_.KeyFor(p);
-      (void)PkeyMprotect(p, kPageSize, PROT_READ | PROT_WRITE, key);
-    }
-  }
+void HardwareMpkBackend::RestorePage(uintptr_t page, PkeyId key) {
+  (void)PkeyMprotect(page, kPageSize, PROT_READ | PROT_WRITE, key);
 }
 
 }  // namespace pkrusafe

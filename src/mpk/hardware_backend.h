@@ -4,80 +4,36 @@
 // reads/writes are the RDPKRU/WRPKRU instructions. Single-step resume
 // temporarily re-tags the faulting page with the default key (pkey 0) rather
 // than editing the PKRU slot of the signal frame's XSAVE area, which keeps the
-// signal path identical to the mprotect backend.
+// signal path identical to the mprotect backend. Page tags are process-wide
+// (only the PKRU is per-thread), so that single-step window is visible to
+// every thread, as with mprotect.
 #ifndef SRC_MPK_HARDWARE_BACKEND_H_
 #define SRC_MPK_HARDWARE_BACKEND_H_
 
-#include <atomic>
-#include <memory>
-#include <mutex>
-#include <vector>
-
-#include "src/mpk/backend.h"
 #include "src/mpk/fault_signal.h"
-#include "src/mpk/latched_page_set.h"
-#include "src/mpk/page_key_map.h"
 
 namespace pkrusafe {
 
-class HardwareMpkBackend final : public MpkBackend, public FaultSignalDelegate {
+class HardwareMpkBackend final : public NativeMpkBackend {
  public:
   // True when pkey_alloc succeeds on this machine (CPU + kernel support).
   static bool IsSupported();
 
-  HardwareMpkBackend() = default;
-  ~HardwareMpkBackend() override;
-
   std::string_view name() const override { return "hardware"; }
-  bool enforces_natively() const override { return true; }
 
   Result<PkeyId> AllocateKey() override;
   Status FreeKey(PkeyId key) override;
   Status TagRange(uintptr_t addr, size_t length, PkeyId key) override;
-  Status UntagRange(uintptr_t addr) override;
-  PkeyId KeyFor(uintptr_t addr) const override;
-  size_t TaggedRangesNear(uintptr_t addr, TaggedRangeInfo* out, size_t max) const override;
 
+  // RDPKRU / WRPKRU: the real per-thread register, with no software copy.
   PkruValue ReadPkru() const override;
   void WritePkru(PkruValue value) override;
 
-  Status CheckAccess(uintptr_t addr, AccessKind kind) override;
-  void SetFaultHandler(FaultHandlerFn handler) override;
-
-  // First-fault latching: latched pages are re-tagged to the default key
-  // (pkey 0, always accessible) for the rest of the run.
-  void NoteLatchedRange(uintptr_t begin, uintptr_t end) override;
-  void UnlatchRange(uintptr_t begin, uintptr_t end) override;
-  bool IsLatched(uintptr_t addr) const override { return latched_.Contains(addr); }
-  size_t latched_page_count() const override { return latched_.size(); }
-  // Page tags are process-wide (only the PKRU is per-thread), so the
-  // single-step window is visible to every thread, like mprotect's.
-  bool has_process_wide_step_window() const override { return true; }
-
-  Status PrepareNativeEnforcement() override { return InstallSignalHandlers(); }
-
-  Status InstallSignalHandlers();
-  void UninstallSignalHandlers();
-
-  // FaultSignalDelegate:
-  std::optional<MpkFault> Classify(uintptr_t addr, bool is_write) override;
-  FaultResolution OnFault(const MpkFault& fault) override;
-  void AllowOnce(const MpkFault& fault) override;
-  void Reprotect(const MpkFault& fault) override;
-
  private:
-  // Mirror of the kernel's tags so faults can be attributed without parsing
-  // /proc/self/smaps.
-  PageKeyMap page_keys_;
-
-  // Same atomic-pointer scheme as the mprotect backend: OnFault runs inside
-  // SIGSEGV and must not copy a std::function (allocation) or block on a
-  // mutex held by the interrupted thread.
-  std::mutex handler_mutex_;
-  std::atomic<FaultHandlerFn*> handler_{nullptr};
-  std::vector<std::unique_ptr<FaultHandlerFn>> retired_handlers_;
-
-  LatchedPageSet latched_;
+  // Latching and the step window re-tag the page to the default key
+  // (pkey 0, always accessible) and back to its recorded key.
+  void OpenPage(uintptr_t page) override;
+  void RestorePage(uintptr_t page, PkeyId key) override;
 };
 
 }  // namespace pkrusafe

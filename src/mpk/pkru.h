@@ -14,6 +14,12 @@
 
 namespace pkrusafe {
 
+enum class AccessKind : uint8_t { kRead, kWrite };
+
+inline const char* AccessKindName(AccessKind kind) {
+  return kind == AccessKind::kRead ? "read" : "write";
+}
+
 class PkruValue {
  public:
   constexpr PkruValue() = default;
@@ -37,6 +43,9 @@ class PkruValue {
   constexpr bool allows_write(PkeyId key) const {
     return !access_disabled(key) && !write_disabled(key);
   }
+  constexpr bool Allows(PkeyId key, AccessKind kind) const {
+    return kind == AccessKind::kRead ? allows_read(key) : allows_write(key);
+  }
 
   // Functional updates (the register is tiny; copies are free).
   constexpr PkruValue WithAccessDisabled(PkeyId key) const {
@@ -59,8 +68,10 @@ class PkruValue {
   uint32_t raw_ = 0;
 };
 
-// The emulated per-thread PKRU register shared by the software backends.
-// The hardware backend bypasses this and reads/writes the real register.
+// The software PKRU register: one per thread, shared by the sim and mprotect
+// backends (their ReadPkru/WritePkru). The hardware backend never touches it;
+// its PKRU is the real register. Outside those two backends, read the PKRU
+// through MpkBackend::ReadPkru, never here.
 PkruValue CurrentThreadPkru();
 void SetCurrentThreadPkru(PkruValue value);
 

@@ -4,56 +4,10 @@
 
 namespace pkrusafe {
 
-Result<PkeyId> SimMpkBackend::AllocateKey() {
-  std::lock_guard lock(key_mutex_);
-  if (!free_keys_.empty()) {
-    const PkeyId key = free_keys_.back();
-    free_keys_.pop_back();
-    return key;
-  }
-  if (next_key_ >= kNumPkeys) {
-    return ResourceExhaustedError("out of protection keys");
-  }
-  return static_cast<PkeyId>(next_key_++);
-}
-
-Status SimMpkBackend::FreeKey(PkeyId key) {
-  std::lock_guard lock(key_mutex_);
-  if (key == kDefaultPkey || key >= next_key_) {
-    return InvalidArgumentError("FreeKey of key that was never allocated");
-  }
-  for (const PkeyId free_key : free_keys_) {
-    if (free_key == key) {
-      return InvalidArgumentError("double FreeKey");
-    }
-  }
-  free_keys_.push_back(key);
-  return Status::Ok();
-}
-
-Status SimMpkBackend::TagRange(uintptr_t addr, size_t length, PkeyId key) {
-  return page_keys_.Tag(addr, length, key);
-}
-
-Status SimMpkBackend::UntagRange(uintptr_t addr) { return page_keys_.Untag(addr); }
-
-PkeyId SimMpkBackend::KeyFor(uintptr_t addr) const { return page_keys_.KeyFor(addr); }
-
-size_t SimMpkBackend::TaggedRangesNear(uintptr_t addr, TaggedRangeInfo* out, size_t max) const {
-  constexpr size_t kMaxWindow = 64;
-  PageKeyMap::TaggedRange buffer[kMaxWindow];
-  const size_t n = page_keys_.RangesAround(addr, buffer, max < kMaxWindow ? max : kMaxWindow);
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = TaggedRangeInfo{buffer[i].begin, buffer[i].end, buffer[i].key};
-  }
-  return n;
-}
-
 Status SimMpkBackend::CheckAccess(uintptr_t addr, AccessKind kind) {
   const PkeyId key = page_keys_.KeyFor(addr);
   const PkruValue pkru = CurrentThreadPkru();
-  const bool allowed = kind == AccessKind::kRead ? pkru.allows_read(key) : pkru.allows_write(key);
-  if (allowed) {
+  if (pkru.Allows(key, kind)) {
     return Status::Ok();
   }
   if (latched_.size() != 0 && latched_.Contains(addr)) {
@@ -63,46 +17,15 @@ Status SimMpkBackend::CheckAccess(uintptr_t addr, AccessKind kind) {
   }
 
   fault_count_.fetch_add(1, std::memory_order_relaxed);
-  const MpkFault fault{addr, kind, key, pkru};
-
-  FaultHandlerFn* handler = handler_.load(std::memory_order_acquire);
-  if (handler != nullptr && *handler) {
-    const FaultResolution resolution = (*handler)(fault);
-    if (resolution != FaultResolution::kDeny) {
-      // Single-step semantics: exactly this access succeeds; the thread PKRU
-      // is untouched, so the next denied access faults again (unless the
-      // handler latched the page via NoteLatchedRange).
-      return Status::Ok();
-    }
+  if (OnFault(MpkFault{addr, kind, key, pkru}) != FaultResolution::kDeny) {
+    // Single-step semantics: exactly this access succeeds; the thread PKRU
+    // is untouched, so the next denied access faults again (unless the
+    // handler latched the page via NoteLatchedRange).
+    return Status::Ok();
   }
   return PermissionDeniedError(StrFormat("MPK violation: %s of 0x%zx (pkey %u) denied by %s",
                                          AccessKindName(kind), addr, key,
                                          pkru.ToString().c_str()));
-}
-
-void SimMpkBackend::SetFaultHandler(FaultHandlerFn handler) {
-  std::lock_guard lock(handler_mutex_);
-  FaultHandlerFn* fresh = handler ? new FaultHandlerFn(std::move(handler)) : nullptr;
-  FaultHandlerFn* old = handler_.exchange(fresh, std::memory_order_acq_rel);
-  if (old != nullptr) {
-    retired_handlers_.emplace_back(old);
-  }
-}
-
-void SimMpkBackend::NoteLatchedRange(uintptr_t begin, uintptr_t end) {
-  for (uintptr_t page = PageDown(begin); page < end; page += kPageSize) {
-    if (!latched_.Insert(page)) {
-      break;  // set saturated: the pages keep faulting instead
-    }
-  }
-}
-
-void SimMpkBackend::UnlatchRange(uintptr_t begin, uintptr_t end) {
-  // The model is the latched set itself: removing a page makes CheckAccess
-  // consult the PKRU again, i.e. the page traps on touch.
-  for (uintptr_t page = PageDown(begin); page < end; page += kPageSize) {
-    (void)latched_.Erase(page);
-  }
 }
 
 }  // namespace pkrusafe

@@ -51,8 +51,7 @@ void CrashProvenanceResolver(void* ctx, uint64_t addr, telemetry::CrashProvenanc
 }
 
 uint32_t CrashPkruReader(void* ctx) {
-  (void)ctx;
-  return CurrentThreadPkru().raw();
+  return static_cast<const MpkBackend*>(ctx)->ReadPkru().raw();
 }
 
 // Fault-outcome counters, shared across runtimes (one chokepoint for every
@@ -244,7 +243,7 @@ PkruSafeRuntime::PkruSafeRuntime(RuntimeConfig config, std::unique_ptr<MpkBacken
   recorder.SetBackendName(backend_->name().data());
   recorder.SetRangeResolver(&CrashRangeResolver, backend_.get());
   recorder.SetProvenanceResolver(&CrashProvenanceResolver, &provenance_);
-  recorder.SetPkruReader(&CrashPkruReader, this);
+  recorder.SetPkruReader(&CrashPkruReader, backend_.get());
 }
 
 Result<std::unique_ptr<PkruSafeRuntime>> PkruSafeRuntime::Create(RuntimeConfig config) {
@@ -277,7 +276,6 @@ PkruSafeRuntime::~PkruSafeRuntime() {
   auto& recorder = telemetry::FlightRecorder::Global();
   recorder.ClearResolversFor(backend_.get());
   recorder.ClearResolversFor(&provenance_);
-  recorder.ClearResolversFor(this);
   telemetry::MetricsRegistry::Global().RemoveCallbackGauges(this);
 }
 
@@ -362,12 +360,12 @@ bool PkruSafeRuntime::LatchCoveredPage(
   if (fault_page < covered_lo || fault_page + kPageSize > covered_hi) {
     return false;
   }
-  // Backends whose single-step window is process-wide (mprotect re-opens the
-  // page for every thread; hardware page tags are global) let concurrent
-  // accesses to the window slip through unrecorded. The page is about to stop
-  // faulting forever, so re-check the window now and re-record any co-located
-  // tracked sites that would otherwise be missed.
-  if (backend_->has_process_wide_step_window()) {
+  // On the native backends the single-step window is process-wide (mprotect
+  // re-opens the page for every thread; hardware page tags are global), so
+  // concurrent accesses to the window slip through unrecorded. The page is
+  // about to stop faulting forever, so re-check the window now and re-record
+  // any co-located tracked sites that would otherwise be missed.
+  if (backend_->enforces_natively()) {
     constexpr int kMaxWindowRecords = 16;
     ProvenanceTracker::Record window[kMaxWindowRecords];
     const int n = provenance_.RecordsInRangeForSignal(fault_page, fault_page + 2 * kPageSize,

@@ -177,6 +177,7 @@ class BarrierDelegate : public FaultSignalDelegate {
     backend_->AllowOnce(fault);
   }
   void Reprotect(const MpkFault& fault) override { backend_->Reprotect(fault); }
+  PkruValue ReadPkru() const override { return backend_->ReadPkru(); }
 
   std::atomic<int> arrived{0};
 

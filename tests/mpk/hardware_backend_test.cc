@@ -9,6 +9,8 @@
 #include "src/memmap/page.h"
 #include "src/memmap/vm_region.h"
 #include "src/mpk/backend_factory.h"
+#include "src/mpk/mprotect_backend.h"
+#include "src/mpk/sim_backend.h"
 
 namespace pkrusafe {
 namespace {
@@ -90,6 +92,26 @@ TEST(HardwareBackendTest, SingleStepProfilingOnSilicon) {
 
   EXPECT_EQ(faults, 1);
   EXPECT_EQ(bytes[0], 77);
+}
+
+// The hardware backend's PKRU is the real register only. Restoring the
+// value RDPKRU saved (which denies every key the process has not allocated)
+// must not leak into the software register the sim and mprotect backends
+// read on the same thread.
+TEST(HardwareBackendTest, WritesDoNotReachTheSoftwareRegister) {
+  SKIP_WITHOUT_MPK();
+  SimMpkBackend().WritePkru(PkruValue::AllowAll());
+  {
+    HardwareMpkBackend backend;
+    auto key = backend.AllocateKey();
+    ASSERT_TRUE(key.ok());
+    const PkruValue saved = backend.ReadPkru();
+    backend.WritePkru(PkruValue::DenyAllButDefault());
+    backend.WritePkru(saved);
+    ASSERT_TRUE(backend.FreeKey(*key).ok());
+  }
+  EXPECT_EQ(SimMpkBackend().ReadPkru(), PkruValue::AllowAll());
+  EXPECT_EQ(MprotectMpkBackend().ReadPkru(), PkruValue::AllowAll());
 }
 
 TEST(HardwareBackendTest, FactoryAutoPrefersHardware) {

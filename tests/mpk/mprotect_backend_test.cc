@@ -172,9 +172,6 @@ TEST_F(MprotectBackendTest, SweepClosesEveryMappedRangePastAnUnmappedOne) {
   EXPECT_EQ(PermsAt(base + 6 * kPageSize), "rw-");
   backend_.WritePkru(PkruValue::AllowAll());
   EXPECT_EQ(PermsAt(base + 5 * kPageSize), "rw-");
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(backend_.UntagRange(base + 2 * i * kPageSize).ok());
-  }
 }
 
 // A re-tag whose mprotect fails must leave the range on the key it had:
@@ -193,7 +190,6 @@ TEST_F(MprotectBackendTest, FailedRetagKeepsPreviousKey) {
   EXPECT_FALSE(backend_.TagRange(addr, 2 * kPageSize, *other).ok());
   EXPECT_EQ(backend_.KeyFor(addr), key_);
   EXPECT_EQ(backend_.KeyFor(addr + kPageSize), key_);
-  EXPECT_TRUE(backend_.UntagRange(addr).ok());
 }
 
 TEST_F(MprotectBackendTest, CheckAccessIsPassThrough) {

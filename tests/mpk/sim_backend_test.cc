@@ -129,16 +129,5 @@ TEST_F(SimBackendTest, PkruIsPerThread) {
   EXPECT_TRUE(other_status.ok());
 }
 
-TEST_F(SimBackendTest, UntagRestoresDefaultKey) {
-  auto key = backend_.AllocateKey();
-  ASSERT_TRUE(key.ok());
-  ASSERT_TRUE(backend_.TagRange(kBase, kPageSize, *key).ok());
-  backend_.WritePkru(PkruValue::AllowAll().WithAccessDisabled(*key));
-  ASSERT_FALSE(backend_.CheckAccess(kBase, AccessKind::kRead).ok());
-
-  ASSERT_TRUE(backend_.UntagRange(kBase).ok());
-  EXPECT_TRUE(backend_.CheckAccess(kBase, AccessKind::kRead).ok());
-}
-
 }  // namespace
 }  // namespace pkrusafe

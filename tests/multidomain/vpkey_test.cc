@@ -13,39 +13,21 @@
 namespace pkrusafe {
 namespace {
 
-// A backend wrapper that fails TagRange on demand — used to drive
-// RegisterLibrary's error path deterministically. Everything else delegates.
-class FailingTagBackend : public MpkBackend {
+// A sim backend that fails TagRange on demand — used to drive
+// RegisterLibrary's error path deterministically.
+class FailingTagBackend : public SimMpkBackend {
  public:
-  std::string_view name() const override { return "failing-tag"; }
-  bool enforces_natively() const override { return inner_.enforces_natively(); }
-  Result<PkeyId> AllocateKey() override { return inner_.AllocateKey(); }
-  Status FreeKey(PkeyId key) override { return inner_.FreeKey(key); }
   Status TagRange(uintptr_t addr, size_t length, PkeyId key) override {
     if (fail_tags_ > 0) {
       --fail_tags_;
       return InternalError("injected TagRange failure");
     }
-    return inner_.TagRange(addr, length, key);
-  }
-  Status UntagRange(uintptr_t addr) override { return inner_.UntagRange(addr); }
-  PkeyId KeyFor(uintptr_t addr) const override { return inner_.KeyFor(addr); }
-  size_t TaggedRangesNear(uintptr_t addr, TaggedRangeInfo* out, size_t max) const override {
-    return inner_.TaggedRangesNear(addr, out, max);
-  }
-  PkruValue ReadPkru() const override { return inner_.ReadPkru(); }
-  void WritePkru(PkruValue value) override { inner_.WritePkru(value); }
-  Status CheckAccess(uintptr_t addr, AccessKind kind) override {
-    return inner_.CheckAccess(addr, kind);
-  }
-  void SetFaultHandler(FaultHandlerFn handler) override {
-    inner_.SetFaultHandler(std::move(handler));
+    return SimMpkBackend::TagRange(addr, length, key);
   }
 
   void FailNextTags(int n) { fail_tags_ = n; }
 
  private:
-  SimMpkBackend inner_;
   int fail_tags_ = 0;
 };
 

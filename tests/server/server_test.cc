@@ -419,6 +419,41 @@ TEST(SandboxServerTest, ConcurrentTenantsSurviveAViolator) {
   EXPECT_EQ((*server)->registry().stats().killed, 1u);
 }
 
+// A hardware runtime's gate writes the real PKRU only. A later mprotect
+// server on the same thread must still start from its own allow-all
+// register: when the hardware gate's restore leaked into it, the mprotect
+// PKRU denied every tenant pool key and T's first write to a pool died.
+TEST(SandboxServerTest, MprotectServerServesAfterAHardwareRuntimeCrossedAGate) {
+  if (!CreateMpkBackend(BackendKind::kHardware).ok()) {
+    GTEST_SKIP() << "CPU/kernel does not support Intel MPK";
+  }
+  {
+    RuntimeConfig config;
+    config.backend = BackendKind::kHardware;
+    config.mode = RuntimeMode::kEnforcing;
+    auto hardware = PkruSafeRuntime::Create(std::move(config));
+    ASSERT_TRUE(hardware.ok()) << hardware.status().ToString();
+    EXPECT_EQ((*hardware)->gates().CallUntrusted([] { return 7; }), 7);
+  }
+
+  RuntimeConfig config;
+  config.backend = BackendKind::kMprotect;
+  config.mode = RuntimeMode::kEnforcing;
+  auto runtime = PkruSafeRuntime::Create(std::move(config));
+  ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+  auto server = SandboxServer::Create(runtime->get(), SandboxServerOptions{});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  for (int round = 0; round < 2; ++round) {
+    for (int t = 0; t < 8; ++t) {
+      const std::string line = R"({"tenant":"t)" + std::to_string(t) +
+                               R"(","script":"let v = []; push(v, 6); print(v[0] * )" +
+                               std::to_string(t) + R"();"})";
+      const json::Value response = MustParse((*server)->HandleRequestLine(line));
+      EXPECT_TRUE(BoolField(response, "ok")) << line;
+    }
+  }
+}
+
 // Tenant churn: many short-lived sessions across more concurrent tenants
 // than the backend has hardware keys. Idle sweeps must release sessions and
 // return their virtual keys — neither the live-library count nor the
