@@ -11,7 +11,6 @@
 //
 //   --libraries=N          scaled mode with N tenants (N > 16 is the point)
 //   --backend=sim|mprotect enforcement substrate (default sim)
-//   --policy=lru|lfu       eviction policy for the key cache (default lru)
 //   --slots=K              hardware slots to claim, 0 = all (default 0)
 //
 // Exit status is nonzero if any cell of the matrix comes out wrong, so the
@@ -49,7 +48,7 @@ bool ProbeDenied(MpkBackend& backend, const void* what) {
   return g_faults.load() != before;
 }
 
-int RunScaled(MpkBackend& backend, int libraries, EvictionPolicy policy, size_t slots) {
+int RunScaled(MpkBackend& backend, int libraries, size_t slots) {
   std::printf("== Multi-compartment sandbox: %d tenants on backend '%s' ==\n\n", libraries,
               std::string(backend.name()).c_str());
   SetCurrentThreadPkru(PkruValue::AllowAll());
@@ -75,7 +74,6 @@ int RunScaled(MpkBackend& backend, int libraries, EvictionPolicy policy, size_t 
   }
   MultiCompartmentConfig config;
   config.library_pool_bytes = size_t{2} << 20;
-  config.eviction_policy = policy;
   config.max_hw_slots = slots;
   auto mc = MultiCompartment::Create(pools->get(), config);
   if (!mc.ok()) {
@@ -100,8 +98,8 @@ int RunScaled(MpkBackend& backend, int libraries, EvictionPolicy policy, size_t 
   *mailbox = 7;
 
   const VpkeyStats registered = (*mc)->vpkey_stats();
-  std::printf("virtual keys: %zu over %zu hardware slots (policy %s)\n\n",
-              registered.virtual_keys, registered.hw_slots, EvictionPolicyName(policy));
+  std::printf("virtual keys: %zu over %zu hardware slots\n\n", registered.virtual_keys,
+              registered.hw_slots);
 
   // Sweep: inside tenant i, exactly {own pool, shared pool} are readable;
   // the trusted pool and the previous tenant's pool are not.
@@ -227,7 +225,6 @@ int RunDemo() {
 int main(int argc, char** argv) {
   int libraries = 0;
   std::string backend_name = "sim";
-  EvictionPolicy policy = EvictionPolicy::kLru;
   size_t slots = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -235,14 +232,11 @@ int main(int argc, char** argv) {
       libraries = std::atoi(arg.c_str() + 12);
     } else if (arg.rfind("--backend=", 0) == 0) {
       backend_name = arg.substr(10);
-    } else if (arg.rfind("--policy=", 0) == 0) {
-      policy = arg.substr(9) == "lfu" ? EvictionPolicy::kLfu : EvictionPolicy::kLru;
     } else if (arg.rfind("--slots=", 0) == 0) {
       slots = static_cast<size_t>(std::atoi(arg.c_str() + 8));
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--libraries=N] [--backend=sim|mprotect] "
-                   "[--policy=lru|lfu] [--slots=K]\n",
+                   "usage: %s [--libraries=N] [--backend=sim|mprotect] [--slots=K]\n",
                    argv[0]);
       return 2;
     }
@@ -252,11 +246,11 @@ int main(int argc, char** argv) {
   }
   if (backend_name == "mprotect") {
     MprotectMpkBackend backend;
-    const int rc = RunScaled(backend, libraries, policy, slots);
+    const int rc = RunScaled(backend, libraries, slots);
     backend.WritePkru(PkruValue::AllowAll());
     backend.UninstallSignalHandlers();
     return rc;
   }
   SimMpkBackend backend;
-  return RunScaled(backend, libraries, policy, slots);
+  return RunScaled(backend, libraries, slots);
 }

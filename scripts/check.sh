@@ -242,8 +242,7 @@ run_vpkey() {
     -R 'Vpkey|Multidomain|MultiCompartment|StableIndexArray|PageKeyMapRetag|example_multidomain'
   echo "-- vpkey: 32 tenants past the 16-key hardware limit"
   build/check-tsan/examples/multidomain_sandbox --libraries=32 --backend=sim
-  build/check-tsan/examples/multidomain_sandbox --libraries=32 --backend=mprotect \
-    --policy=lfu
+  build/check-tsan/examples/multidomain_sandbox --libraries=32 --backend=mprotect
   # The resident-key transition bench: entering a cached compartment must
   # stay within 10% of the pre-virtualization (direct hardware key) cost.
   # A key miss must not get slower with the number of live libraries: the

@@ -24,7 +24,6 @@ Result<std::unique_ptr<MultiCompartment>> MultiCompartment::Create(
   auto mc = std::unique_ptr<MultiCompartment>(new MultiCompartment(pools, config));
 
   VpkeyConfig vpkey_config;
-  vpkey_config.policy = config.eviction_policy;
   vpkey_config.max_hw_slots = config.max_hw_slots;
   vpkey_config.always_deny = {pools->trusted_key()};
   PS_ASSIGN_OR_RETURN(mc->vpkeys_, VirtualPkeyTable::Create(mc->backend_, vpkey_config));

@@ -83,9 +83,6 @@ inline constexpr LibraryId kTrustedLibrary = 0;
 
 struct MultiCompartmentConfig {
   size_t library_pool_bytes = size_t{1} << 30;
-  // Victim selection when a library must be faulted in and every hardware
-  // slot is taken (see vpkey.h).
-  EvictionPolicy eviction_policy = EvictionPolicy::kLru;
   // Hardware key slots backing the virtual keys; 0 = every key the backend
   // can still allocate. Tests set small values to force evictions.
   size_t max_hw_slots = 0;

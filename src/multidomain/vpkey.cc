@@ -298,7 +298,6 @@ Status VirtualPkeyTable::MakeNonResident(VirtualKeyId vkey, VKeyState& state) {
 
 size_t VirtualPkeyTable::PickVictimSlot(const std::vector<bool>& excluded) const {
   size_t best = slots_.size();
-  uint64_t best_uses = 0;
   uint64_t best_last_use = 0;
   for (size_t i = 0; i < slots_.size(); ++i) {
     if (excluded[i] || slots_[i].holder == kNoHolder) {
@@ -308,19 +307,9 @@ size_t VirtualPkeyTable::PickVictimSlot(const std::vector<bool>& excluded) const
     if (holder == nullptr || ActiveAnywhere(slots_[i].holder)) {
       continue;  // pinned residents back a live PKRU mask somewhere
     }
-    const uint64_t uses = holder->uses.load(std::memory_order_relaxed);
     const uint64_t last_use = holder->last_use.load(std::memory_order_relaxed);
-    bool better;
-    if (best == slots_.size()) {
-      better = true;
-    } else if (config_.policy == EvictionPolicy::kLfu) {
-      better = uses < best_uses || (uses == best_uses && last_use < best_last_use);
-    } else {
-      better = last_use < best_last_use;
-    }
-    if (better) {
+    if (best == slots_.size() || last_use < best_last_use) {
       best = i;
-      best_uses = uses;
       best_last_use = last_use;
     }
   }
@@ -339,7 +328,7 @@ Status VirtualPkeyTable::FaultIn(VirtualKeyId vkey, VKeyState& state) {
     }
   }
   if (slot_index == slots_.size()) {
-    // Evict. The policy pick is advisory (the pin scan it does is racy); the
+    // Evict. The victim pick is advisory (the pin scan it does is racy); the
     // authoritative pinned-check is MakeNonResident's barrier + rescan, so a
     // candidate that turns out pinned is excluded and the pick retried.
     std::vector<bool> excluded(slots_.size(), false);

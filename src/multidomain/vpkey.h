@@ -15,8 +15,7 @@
 //                 not just unreachable — ERIM-style key discipline holds.
 //
 // Entering an evicted compartment faults its key back in: a victim slot is
-// chosen (LRU or LFU over unpinned residents — selectable, for the eviction
-// ablation in bench_vpkey), the victim's pages are re-tagged to the evicted
+// chosen (the least-recently-entered unpinned resident), the victim's pages are re-tagged to the evicted
 // key, and the entrant's pages are re-tagged to the slot's hardware key.
 // Residents in active use are pinned and never victimized, so a thread's
 // installed PKRU can never refer to a slot that was re-bound underneath it.
@@ -43,7 +42,7 @@
 // the locked slow path. Pin/unpin are LIFO per thread for UnpinFast;
 // Unpin(vkey) tolerates out-of-order release by punching holes.
 //
-// The LRU/LFU clocks and the hit statistic are maintained with relaxed
+// The LRU clock, the use counts and the hit statistic are maintained with relaxed
 // plain load+store on the fast path and may undercount under heavy
 // concurrency; they are exact single-threaded. misses/evictions/retag
 // counters are exact (locked path only).
@@ -76,17 +75,7 @@ inline std::atomic<bool> g_membarrier_ready{false};
 // ReleaseVirtualKey, and bounded only by the table capacity (64Ki).
 using VirtualKeyId = uint32_t;
 
-// Victim selection when an evicted key must be faulted in and no slot is
-// free. kLru evicts the least-recently-entered resident, kLfu the
-// least-frequently-entered one (ties broken LRU).
-enum class EvictionPolicy : uint8_t { kLru, kLfu };
-
-inline const char* EvictionPolicyName(EvictionPolicy policy) {
-  return policy == EvictionPolicy::kLru ? "lru" : "lfu";
-}
-
 struct VpkeyConfig {
-  EvictionPolicy policy = EvictionPolicy::kLru;
   // Hardware slots to claim from the backend. 0 = every key the backend will
   // give (beyond the one reserved as the evicted key). Tests set small values
   // to force evictions and to leave keys for other backend users.
@@ -174,7 +163,6 @@ class VirtualPkeyTable {
 
   PkeyId evicted_key() const { return evicted_key_; }
   size_t hw_slot_count() const { return slots_.size(); }
-  EvictionPolicy policy() const { return config_.policy; }
 
   // Snapshot of the cache counters. Externally synchronized (it reconciles
   // the lazily-maintained hit statistic into telemetry).
@@ -200,7 +188,8 @@ class VirtualPkeyTable {
     // index publishes `mask` (and the page re-tags) to fast pinners.
     std::atomic<uint8_t> slot{kNoSlot};
     std::atomic<uint32_t> mask{0};  // PKRU raw for the current slot
-    // Lossy clocks for victim selection (relaxed load+store, see header).
+    // Lossy LRU clock for victim selection and use count for the hit
+    // statistic (relaxed load+store, see header).
     std::atomic<uint64_t> last_use{0};
     std::atomic<uint64_t> uses{0};
     // Owner-lock-guarded.
@@ -217,7 +206,7 @@ class VirtualPkeyTable {
   VKeyState* FindAlive(VirtualKeyId vkey);
   const VKeyState* FindAlive(VirtualKeyId vkey) const;
 
-  // Bumps the lossy LRU/LFU clocks for a successful pin.
+  // Bumps the lossy LRU clock and use count for a successful pin.
   PS_ALWAYS_INLINE void TouchClocks(VKeyState& state);
 
   // Scans every thread's pin record for a live pin of (this, vkey). Only
@@ -232,7 +221,7 @@ class VirtualPkeyTable {
   // fails kUnavailable when a concurrent fast pin won the race.
   Status MakeNonResident(VirtualKeyId vkey, VKeyState& state);
 
-  // Victim slot per the configured policy among unpinned residents not in
+  // The least-recently-entered slot among unpinned residents not in
   // `excluded`; slots_.size() when none qualifies.
   size_t PickVictimSlot(const std::vector<bool>& excluded) const;
 

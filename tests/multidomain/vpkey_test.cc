@@ -1,5 +1,5 @@
 // Tests for the virtual-pkey layer (src/multidomain/vpkey.h): eviction-cache
-// behavior of the hardware key slots (LRU/LFU victim choice, pinning),
+// behavior of the hardware key slots (LRU victim choice, pinning),
 // lazy re-tagging on eviction and fault-in, and the registration error paths
 // that used to leak hardware keys before virtualization.
 #include "src/multidomain/vpkey.h"
@@ -37,10 +37,9 @@ uintptr_t FakePool(int i) { return 0x10000000 + static_cast<uintptr_t>(i) * 0x10
 
 class VpkeyTableTest : public ::testing::Test {
  protected:
-  std::unique_ptr<VirtualPkeyTable> MakeTable(size_t slots, EvictionPolicy policy) {
+  std::unique_ptr<VirtualPkeyTable> MakeTable(size_t slots) {
     VpkeyConfig config;
     config.max_hw_slots = slots;
-    config.policy = policy;
     auto table = VirtualPkeyTable::Create(&backend_, config);
     EXPECT_TRUE(table.ok()) << table.status().ToString();
     return std::move(*table);
@@ -54,7 +53,7 @@ class VpkeyTableTest : public ::testing::Test {
     return *vkey;
   }
 
-  // Enter-and-leave: pin then immediately unpin, touching the LRU/LFU clocks.
+  // Enter-and-leave: pin then immediately unpin, touching the LRU clock.
   void Touch(VirtualPkeyTable& table, VirtualKeyId vkey) {
     auto mask = table.PinResident(vkey);
     ASSERT_TRUE(mask.ok()) << mask.status().ToString();
@@ -65,7 +64,7 @@ class VpkeyTableTest : public ::testing::Test {
 };
 
 TEST_F(VpkeyTableTest, CreateClaimsRequestedSlots) {
-  auto table = MakeTable(4, EvictionPolicy::kLru);
+  auto table = MakeTable(4);
   EXPECT_EQ(table->hw_slot_count(), 4u);
   EXPECT_NE(table->evicted_key(), kDefaultPkey);
   EXPECT_EQ(table->stats().hw_slots, 4u);
@@ -75,13 +74,13 @@ TEST_F(VpkeyTableTest, CreateClaimsRequestedSlots) {
 TEST_F(VpkeyTableTest, DestructorReturnsKeysToBackend) {
   // Claim every key the backend has, destroy the table, then claim again:
   // without FreeKey in the destructor the second table could not exist.
-  { auto table = MakeTable(0, EvictionPolicy::kLru); }
-  auto again = MakeTable(0, EvictionPolicy::kLru);
+  { auto table = MakeTable(0); }
+  auto again = MakeTable(0);
   EXPECT_GE(again->hw_slot_count(), 2u);
 }
 
 TEST_F(VpkeyTableTest, NewKeysStartEvictedAndFaultIn) {
-  auto table = MakeTable(2, EvictionPolicy::kLru);
+  auto table = MakeTable(2);
   const VirtualKeyId a = MakeKey(*table, 0);
   EXPECT_FALSE(table->IsResident(a));
   EXPECT_EQ(table->CurrentHardwareKey(a), table->evicted_key());
@@ -97,7 +96,7 @@ TEST_F(VpkeyTableTest, NewKeysStartEvictedAndFaultIn) {
 }
 
 TEST_F(VpkeyTableTest, LruEvictsLeastRecentlyUsed) {
-  auto table = MakeTable(2, EvictionPolicy::kLru);
+  auto table = MakeTable(2);
   const VirtualKeyId a = MakeKey(*table, 0);
   const VirtualKeyId b = MakeKey(*table, 1);
   const VirtualKeyId c = MakeKey(*table, 2);
@@ -112,23 +111,8 @@ TEST_F(VpkeyTableTest, LruEvictsLeastRecentlyUsed) {
   EXPECT_EQ(table->stats().evictions, 1u);
 }
 
-TEST_F(VpkeyTableTest, LfuEvictsLeastFrequentlyUsed) {
-  auto table = MakeTable(2, EvictionPolicy::kLfu);
-  const VirtualKeyId a = MakeKey(*table, 0);
-  const VirtualKeyId b = MakeKey(*table, 1);
-  const VirtualKeyId c = MakeKey(*table, 2);
-  Touch(*table, a);
-  Touch(*table, a);
-  Touch(*table, a);  // a: 3 uses
-  Touch(*table, b);  // b: 1 use, but more recent than a's last touch
-  Touch(*table, c);  // LFU evicts b (fewest uses); LRU would evict a
-  EXPECT_TRUE(table->IsResident(a));
-  EXPECT_FALSE(table->IsResident(b));
-  EXPECT_TRUE(table->IsResident(c));
-}
-
 TEST_F(VpkeyTableTest, PinnedResidentsAreNeverVictims) {
-  auto table = MakeTable(2, EvictionPolicy::kLru);
+  auto table = MakeTable(2);
   const VirtualKeyId a = MakeKey(*table, 0);
   const VirtualKeyId b = MakeKey(*table, 1);
   const VirtualKeyId c = MakeKey(*table, 2);
@@ -141,7 +125,7 @@ TEST_F(VpkeyTableTest, PinnedResidentsAreNeverVictims) {
 }
 
 TEST_F(VpkeyTableTest, AllSlotsPinnedIsResourceExhausted) {
-  auto table = MakeTable(2, EvictionPolicy::kLru);
+  auto table = MakeTable(2);
   const VirtualKeyId a = MakeKey(*table, 0);
   const VirtualKeyId b = MakeKey(*table, 1);
   const VirtualKeyId c = MakeKey(*table, 2);
@@ -157,7 +141,7 @@ TEST_F(VpkeyTableTest, AllSlotsPinnedIsResourceExhausted) {
 }
 
 TEST_F(VpkeyTableTest, MaskAllowsOwnSlotAndSharedOnly) {
-  auto table = MakeTable(3, EvictionPolicy::kLru);
+  auto table = MakeTable(3);
   const VirtualKeyId a = MakeKey(*table, 0);
   const VirtualKeyId b = MakeKey(*table, 1);
   auto mask_a = table->PinResident(a);
@@ -191,7 +175,7 @@ TEST_F(VpkeyTableTest, AlwaysDenyKeysStayDenied) {
 }
 
 TEST_F(VpkeyTableTest, ReleaseRetagsPagesAndRecyclesIdAndSlot) {
-  auto table = MakeTable(1, EvictionPolicy::kLru);
+  auto table = MakeTable(1);
   const VirtualKeyId a = MakeKey(*table, 0);
   Touch(*table, a);
   ASSERT_TRUE(table->IsResident(a));
@@ -210,7 +194,7 @@ TEST_F(VpkeyTableTest, ReleaseRetagsPagesAndRecyclesIdAndSlot) {
 }
 
 TEST_F(VpkeyTableTest, ReleaseOfPinnedKeyFails) {
-  auto table = MakeTable(2, EvictionPolicy::kLru);
+  auto table = MakeTable(2);
   const VirtualKeyId a = MakeKey(*table, 0);
   ASSERT_TRUE(table->PinResident(a).ok());
   EXPECT_EQ(table->ReleaseVirtualKey(a).code(), StatusCode::kFailedPrecondition);
@@ -227,12 +211,10 @@ Result<std::unique_ptr<PkAllocator>> SmallAllocator(MpkBackend* backend) {
   return PkAllocator::Create(backend, config);
 }
 
-MultiCompartmentConfig SmallConfig(size_t slots,
-                                   EvictionPolicy policy = EvictionPolicy::kLru) {
+MultiCompartmentConfig SmallConfig(size_t slots) {
   MultiCompartmentConfig config;
   config.library_pool_bytes = size_t{4} << 20;
   config.max_hw_slots = slots;
-  config.eviction_policy = policy;
   return config;
 }
 
