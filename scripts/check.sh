@@ -41,9 +41,10 @@
 #                                   # SARIF export, link-time check-binary
 #                                   # over the built tools, and no TEXTREL in
 #                                   # any built tool or bench
-#   scripts/check.sh warnings       # fresh default build (build/check-
-#                                   # warnings); fails on any compiler
-#                                   # `warning:` line
+#   scripts/check.sh warnings       # fresh default (RelWithDebInfo) and
+#                                   # Release builds (build/check-warnings,
+#                                   # build/check-warnings-release); fails
+#                                   # on any compiler `warning:` line
 #   scripts/check.sh loc [BASE]     # lines added, removed and net in src/ +
 #                                   # tools/ of the working tree against BASE
 #                                   # (default HEAD), from git diff --numstat;
@@ -391,19 +392,24 @@ run_gateintegrity() {
 }
 
 run_warnings() {
-  echo "== check: warnings (build/check-warnings) =="
-  # From scratch, so every translation unit is compiled (and can warn) again.
-  rm -rf build/check-warnings
-  cmake -B build/check-warnings -S . -DPKRUSAFE_SANITIZE="" > /dev/null
-  local log=build/check-warnings/build.log
-  cmake --build build/check-warnings -j "$(nproc)" 2>&1 | tee "$log"
-  local count
-  count="$(grep -c 'warning:' "$log" || true)"
-  if [[ "$count" -ne 0 ]]; then
-    grep 'warning:' "$log" >&2
-    echo "$count compiler warning line(s)" >&2
-    exit 1
-  fi
+  # Both optimisation levels: GCC's flow-based warnings (-Wrestrict,
+  # -Wmaybe-uninitialized) fire at -O3 on code the default level passes.
+  local type dir count
+  for type in RelWithDebInfo Release; do
+    dir=build/check-warnings
+    [[ "$type" == Release ]] && dir=build/check-warnings-release
+    echo "== check: warnings, $type ($dir) =="
+    # From scratch, so every translation unit is compiled (and can warn) again.
+    rm -rf "$dir"
+    cmake -B "$dir" -S . -DPKRUSAFE_SANITIZE="" -DCMAKE_BUILD_TYPE="$type" > /dev/null
+    cmake --build "$dir" -j "$(nproc)" 2>&1 | tee "$dir/build.log"
+    count="$(grep -c 'warning:' "$dir/build.log" || true)"
+    if [[ "$count" -ne 0 ]]; then
+      grep 'warning:' "$dir/build.log" >&2
+      echo "$count compiler warning line(s) at $type" >&2
+      exit 1
+    fi
+  done
   echo "warnings check OK"
 }
 

@@ -235,7 +235,8 @@ std::string Document::Serialize(const DomNode* node) const {
   if (node->kind == DomNodeKind::kText) {
     return std::string(node->text_view());
   }
-  std::string out = "<" + std::string(node->tag_view());
+  std::string out = "<";
+  out += node->tag_view();
   if (node->id_attr[0] != '\0') {
     out += " id=\"" + std::string(node->id_view()) + "\"";
   }

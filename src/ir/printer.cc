@@ -45,7 +45,8 @@ std::string PrintInstruction(const Instruction& instr) {
       break;
     default:
       if (!instr.operands.empty()) {
-        out += " " + PrintOperandList(instr.operands);
+        out += ' ';
+        out += PrintOperandList(instr.operands);
       }
       break;
   }

@@ -132,9 +132,9 @@ class MpkBackend {
   void SetFaultHandler(FaultHandlerFn handler);
 
   // Asks the installed handler how to resolve `fault`; kDeny when none is
-  // installed. Async-signal-safe: the handler is reached through one atomic
-  // pointer load, never copied.
-  PKRUSAFE_AS_SAFE FaultResolution OnFault(const MpkFault& fault) const;
+  // installed. Safe from SIGSEGV as long as the handler is: it is reached
+  // through one atomic pointer load, never copied.
+  FaultResolution OnFault(const MpkFault& fault) const;
 
   // --- First-fault latching (profiling mode) ---
 

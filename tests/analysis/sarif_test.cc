@@ -8,6 +8,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/analysis/diagnostics.h"
 #include "src/analysis/lint.h"
@@ -68,18 +69,16 @@ TEST(SarifTest, FindingMapsToResultWithRuleLevelAndLocation) {
 }
 
 TEST(SarifTest, RulesAreDeduplicatedAndSorted) {
-  Finding a;
-  a.rule = "zeta-rule";
-  a.message = "m1";
-  Finding b;
-  b.rule = "alpha-rule";
-  b.message = "m2";
-  Finding c;
-  c.rule = "zeta-rule";
-  c.message = "m3";
+  std::vector<Finding> findings(3);
+  findings[0].rule = "zeta-rule";
+  findings[0].message = "m1";
+  findings[1].rule = "alpha-rule";
+  findings[1].message = "m2";
+  findings[2].rule = "zeta-rule";
+  findings[2].message = "m3";
 
   std::ostringstream out;
-  RenderFindingsSarif(out, {a, b, c});
+  RenderFindingsSarif(out, findings);
   const std::string sarif = out.str();
   const size_t alpha = sarif.find("{\"id\":\"alpha-rule\"}");
   const size_t zeta = sarif.find("{\"id\":\"zeta-rule\"}");

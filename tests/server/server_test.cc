@@ -35,6 +35,7 @@
 #include "src/server/sandbox_server.h"
 #include "src/support/json.h"
 #include "src/support/socket_loop.h"
+#include "src/support/string_util.h"
 #include "src/telemetry/crash_report.h"
 #include "src/telemetry/export.h"
 #include "src/telemetry/metrics.h"
@@ -90,7 +91,7 @@ std::string Mask(std::string text, const std::string& prefix) {
     while (end < text.size() && std::isxdigit(static_cast<unsigned char>(text[end]))) {
       ++end;
     }
-    text.replace(begin, end - begin, "N");
+    text.replace(begin, end - begin, 1, 'N');
   }
   return text;
 }
@@ -471,8 +472,7 @@ TEST(SandboxServerTest, ChurnReleasesIdleTenantsWithoutKeyGrowth) {
   const RegistryDelta delta;
   for (int round = 0; round < kRounds; ++round) {
     for (int i = 0; i < kTenantsPerRound; ++i) {
-      const std::string tenant =
-          "r" + std::to_string(round) + "-t" + std::to_string(i);
+      const std::string tenant = StrFormat("r%d-t%d", round, i);
       const json::Value response = MustParse((*server)->HandleRequestLine(
           R"({"tenant":")" + tenant + R"(","script":"let k = 1; print(k);"})"));
       ASSERT_TRUE(BoolField(response, "ok")) << tenant;
@@ -869,13 +869,13 @@ TEST(SandboxServerTest, ConnectionPastTheCapIsClosedAndTheRestServe) {
     clients.push_back(std::make_unique<ServerClient>());
     ASSERT_TRUE(clients.back()->Connect("127.0.0.1", server->port()).ok());
     // Answered, so accepted before the next connection arrives.
-    auto response = clients.back()->Call("t" + std::to_string(i), "1;");
+    auto response = clients.back()->Call(StrFormat("t%zu", i), "1;");
     ASSERT_TRUE(response.ok() && BoolField(*response, "ok")) << i;
   }
   RawConnection over_cap(server->port());
   EXPECT_TRUE(over_cap.ClosedWithin(5000));
   for (size_t i = 0; i < clients.size(); ++i) {
-    auto response = clients[i]->Call("t" + std::to_string(i), "2;");
+    auto response = clients[i]->Call(StrFormat("t%zu", i), "2;");
     ASSERT_TRUE(response.ok() && BoolField(*response, "ok")) << i;
   }
 }

@@ -145,7 +145,7 @@ TEST(JsonWriterTest, HostileStringsRoundTripThroughTheParser) {
   std::vector<std::string> table;
   for (int c = 0x01; c <= 0x1f; ++c) {
     table.emplace_back(1, static_cast<char>(c));
-    table.push_back("a" + std::string(1, static_cast<char>(c)) + "b");
+    table.push_back({'a', static_cast<char>(c), 'b'});
   }
   for (const char* s : {"\"", "\\", "/", "\x7f", "\\\"", "\"\\\"\\", "\\u0041", "</script>",
                         "caf\xc3\xa9", "\xe6\x97\xa5\xe6\x9c\xac", "\xf0\x9f\x94\x91",

@@ -9,6 +9,7 @@
 
 #include "gtest/gtest.h"
 #include "src/runtime/profile_delta.h"
+#include "src/support/string_util.h"
 
 namespace pkrusafe {
 namespace telemetry {
@@ -322,7 +323,7 @@ TEST(AggregatorTest, BaselineSitesAreNeverDemoted) {
   ASSERT_TRUE(aggregator.Poll(nullptr, &demotions).ok());
   for (int e = 2; e <= 4; ++e) {
     AppendLine(path, DeltaLine(kOtherSite, 1, static_cast<uint64_t>(e - 1),
-                               "e" + std::to_string(e)));
+                               StrFormat("e%d", e)));
     ASSERT_TRUE(aggregator.Poll(nullptr, &demotions).ok());
   }
   EXPECT_TRUE(demotions.empty());
@@ -340,7 +341,7 @@ TEST(AggregatorTest, DemotionDisabledByDefault) {
   ASSERT_TRUE(aggregator.Poll(nullptr, &demotions).ok());
   for (int e = 2; e <= 6; ++e) {
     AppendLine(path, DeltaLine(kOtherSite, 1, static_cast<uint64_t>(e - 1),
-                               "e" + std::to_string(e)));
+                               StrFormat("e%d", e)));
     ASSERT_TRUE(aggregator.Poll(nullptr, &demotions).ok());
   }
   EXPECT_TRUE(demotions.empty());
