@@ -53,7 +53,8 @@ class FaultSignalDelegate {
   virtual void AllowOnce(const MpkFault& fault) = 0;
   virtual void Reprotect(const MpkFault& fault) = 0;
 
-  // The interrupted thread's PKRU, for the fatal-SEGV crash report.
+  // The calling thread's PKRU as the backend reads it, for the fatal-SEGV
+  // crash report. On hardware that is RDPKRU inside the handler.
   virtual PkruValue ReadPkru() const = 0;
 };
 

@@ -8,7 +8,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "src/analysis/diagnostics.h"
 #include "src/analysis/lint.h"
@@ -69,16 +68,15 @@ TEST(SarifTest, FindingMapsToResultWithRuleLevelAndLocation) {
 }
 
 TEST(SarifTest, RulesAreDeduplicatedAndSorted) {
-  std::vector<Finding> findings(3);
-  findings[0].rule = "zeta-rule";
-  findings[0].message = "m1";
-  findings[1].rule = "alpha-rule";
-  findings[1].message = "m2";
-  findings[2].rule = "zeta-rule";
-  findings[2].message = "m3";
-
+  const auto finding = [](const char* rule, const char* message) {
+    Finding f;
+    f.rule = rule;
+    f.message = message;
+    return f;
+  };
   std::ostringstream out;
-  RenderFindingsSarif(out, findings);
+  RenderFindingsSarif(out, {finding("zeta-rule", "m1"), finding("alpha-rule", "m2"),
+                            finding("zeta-rule", "m3")});
   const std::string sarif = out.str();
   const size_t alpha = sarif.find("{\"id\":\"alpha-rule\"}");
   const size_t zeta = sarif.find("{\"id\":\"zeta-rule\"}");
