@@ -30,19 +30,27 @@
 // GateSet::CallUntrusted as in the server; the timed span is Vm::Run alone,
 // so the two gate crossings are not in it.
 //
+// The jsvm/compile:* rows time the script front end (lex, parse, compile)
+// per script for the same three shapes, each script text distinct.
+//
 // Writes BENCH_server.json via the shared emitter.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "bench/bench_json.h"
+#include "src/jsvm/compiler.h"
+#include "src/jsvm/lexer.h"
+#include "src/jsvm/parser.h"
 #include "src/jsvm/vm.h"
 #include "src/mpk/backend_factory.h"
 #include "src/runtime/runtime.h"
 #include "src/server/sandbox_server.h"
 #include "src/support/json.h"
+#include "src/support/string_util.h"
 #include "src/telemetry/metrics.h"
 
 namespace {
@@ -69,6 +77,111 @@ double NowNs() {
 
 uint64_t CounterValue(const char* name) {
   return telemetry::MetricsRegistry::Global().GetOrCreateCounter(name)->value();
+}
+
+// The three script shapes of the repository benchmark's server workloads
+// (perfbench/serve.cc), with their seeded constants: `a` a six-digit start,
+// `b` a two-digit multiplier.
+constexpr const char* kShapeNames[] = {"loop", "call", "array"};
+
+std::string ShapeScript(size_t shape, long long a, long long b) {
+  switch (shape) {
+    case 0:
+      return StrFormat(
+          "let s = %lld; let i = 0; while (i < 40) { s = s + (i * %lld) %% 97; i = i + 1; } "
+          "print(s);",
+          a, b);
+    case 1:
+      return StrFormat(
+          "fn step(x) { return (x * %lld + 7) %% 1000003; } let s = %lld; "
+          "for (let i = 0; i < 40; i = i + 1) { s = step(s); } print(s);",
+          b, a);
+    default:
+      return StrFormat(
+          "let v = []; for (let i = 0; i < 40; i = i + 1) { push(v, i * %lld + %lld); } "
+          "let s = 0; for (let i = 0; i < len(v); i = i + 1) { s = s + v[i]; } print(s);",
+          b, a);
+  }
+}
+
+// jsvm/compile:<shape> rows: the front end's three layers, ns per script,
+// over kCompileScripts distinct texts of one shape (as serve_churn sends
+// them: every text new). lex_ns is Tokenize; parse_ns is ParseProgram
+// (which lexes) minus lex_ns; compile_ns is CompileProgram on the parsed
+// tree, bytecode verification included. Each row is the median of
+// kCompileRepeats repeats, the shapes interleaved within a repeat.
+constexpr int kCompileScripts = 256;
+constexpr int kCompilePasses = 8;
+constexpr int kCompileRepeats = 7;
+
+template <typename Fn>
+double NsPerScript(const std::vector<std::string>& texts, Fn&& fn) {
+  const double before = NowNs();
+  for (int pass = 0; pass < kCompilePasses; ++pass) {
+    for (const std::string& text : texts) {
+      fn(text);
+    }
+  }
+  return (NowNs() - before) / (kCompilePasses * static_cast<double>(texts.size()));
+}
+
+bool RunCompileLayers(bench::BenchJsonWriter* out) {
+  constexpr size_t kShapes = std::size(kShapeNames);
+  std::vector<std::vector<std::string>> texts(kShapes);
+  for (size_t s = 0; s < kShapes; ++s) {
+    for (int i = 0; i < kCompileScripts; ++i) {
+      texts[s].push_back(ShapeScript(s, 100'000 + 3'517LL * i, 10 + i % 90));
+    }
+  }
+  // Every text must get through the whole front end before anything is timed.
+  for (const auto& shape_texts : texts) {
+    for (const std::string& text : shape_texts) {
+      if (auto compiled = CompileSource(text); !compiled.ok()) {
+        std::fprintf(stderr, "bench_server: %s\n", compiled.status().ToString().c_str());
+        return false;
+      }
+    }
+  }
+  std::vector<std::vector<double>> lex(kShapes), parse(kShapes), compile(kShapes);
+  size_t sink = 0;
+  for (int repeat = 0; repeat < kCompileRepeats; ++repeat) {
+    for (size_t s = 0; s < kShapes; ++s) {
+      std::vector<Program> trees(texts[s].size());
+      const double lex_ns = NsPerScript(texts[s], [&](const std::string& text) {
+        sink += Tokenize(text)->size();
+      });
+      const double lex_parse_ns = NsPerScript(texts[s], [&](const std::string& text) {
+        sink += ParseProgram(text)->top_level.size();
+      });
+      size_t next = 0;
+      for (const std::string& text : texts[s]) {
+        trees[next++] = std::move(*ParseProgram(text));
+      }
+      next = 0;
+      const double compile_ns = NsPerScript(texts[s], [&](const std::string&) {
+        sink += CompileProgram(trees[next++ % trees.size()], {})->functions.size();
+      });
+      lex[s].push_back(lex_ns);
+      parse[s].push_back(lex_parse_ns - lex_ns);
+      compile[s].push_back(compile_ns);
+    }
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  for (size_t s = 0; s < kShapes; ++s) {
+    const std::string prefix = std::string("jsvm/compile:") + kShapeNames[s];
+    const double l = median(lex[s]);
+    const double p = median(parse[s]);
+    const double c = median(compile[s]);
+    out->Add(prefix + "/lex_ns", l, "ns");
+    out->Add(prefix + "/parse_ns", p, "ns");
+    out->Add(prefix + "/compile_ns", c, "ns");
+    std::printf("%-42s lex %7.0f ns   parse %7.0f ns   compile %7.0f ns   total %7.0f ns\n",
+                prefix.c_str(), l, p, c, l + p + c);
+  }
+  return sink != 0;
 }
 
 bool RunCase(const char* backend_name, int tenants, bool unique, bench::BenchJsonWriter* out) {
@@ -147,25 +260,11 @@ bool RunShapes(bench::BenchJsonWriter* out) {
     std::fprintf(stderr, "%s\n", runtime.status().ToString().c_str());
     return false;
   }
-  const struct {
-    const char* name;
-    const char* script;
-  } shapes[] = {
-      {"loop",
-       "let s = 123456; let i = 0; while (i < 40) { s = s + (i * 37) % 97; i = i + 1; } "
-       "print(s);"},
-      {"call",
-       "fn step(x) { return (x * 37 + 7) % 1000003; } let s = 123456; "
-       "for (let i = 0; i < 40; i = i + 1) { s = step(s); } print(s);"},
-      {"array",
-       "let v = []; for (let i = 0; i < 40; i = i + 1) { push(v, i * 37 + 123456); } "
-       "let s = 0; for (let i = 0; i < len(v); i = i + 1) { s = s + v[i]; } print(s);"},
-  };
   // Rounds interleave the shapes; a row is the fastest round's median, so a
   // burst of host noise during one round does not set it.
   std::vector<std::shared_ptr<const CompiledProgram>> programs;
-  for (const auto& shape : shapes) {
-    auto compiled = CompileSource(shape.script);
+  for (size_t s = 0; s < std::size(kShapeNames); ++s) {
+    auto compiled = CompileSource(ShapeScript(s, 123456, 37));
     if (!compiled.ok()) {
       std::fprintf(stderr, "%s\n", compiled.status().ToString().c_str());
       return false;
@@ -192,7 +291,7 @@ bool RunShapes(bench::BenchJsonWriter* out) {
           });
         }
         if (!result.ok()) {
-          std::fprintf(stderr, "bench_server: %s: %s\n", shapes[s].name,
+          std::fprintf(stderr, "bench_server: %s: %s\n", kShapeNames[s],
                        result.status().ToString().c_str());
           return false;
         }
@@ -204,7 +303,7 @@ bool RunShapes(bench::BenchJsonWriter* out) {
     }
   }
   for (size_t s = 0; s < programs.size(); ++s) {
-    const std::string prefix = std::string("jsvm/shape:") + shapes[s].name;
+    const std::string prefix = std::string("jsvm/shape:") + kShapeNames[s];
     out->Add(prefix + "/ns_per_step", best[s], "ns");
     out->Add(prefix + "/steps", static_cast<double>(steps[s]), "steps");
     std::printf("%-42s %10.2f ns/step   %6llu steps   (%s)\n", prefix.c_str(), best[s],
@@ -219,7 +318,7 @@ int main() {
   // Line-buffered, so rows already printed survive a later crash.
   std::setvbuf(stdout, nullptr, _IOLBF, 0);
   bench::BenchJsonWriter out("server");
-  if (!RunShapes(&out)) {
+  if (!RunShapes(&out) || !RunCompileLayers(&out)) {
     return 1;
   }
   for (const char* backend : {"sim", "mprotect", "hardware"}) {

@@ -1,6 +1,6 @@
 // Virtual-pkey overhead, eviction hit rate and re-tag cost (bench_vpkey).
 //
-// Two questions, mirroring the acceptance bar for key virtualization:
+// Five questions, the first two the acceptance bar for key virtualization:
 //
 //  1. What does the vpkey layer cost on the hot path? A resident-key entry
 //     (cache hit) must stay within ~10% of the pre-virtualization
@@ -30,6 +30,16 @@
 //     grow with the range count (scripts/check.sh vpkey gates the
 //     live:1024 / live:64 ratio at 1.5).
 //
+//  5. What does a key miss cost in the sandbox server's shape, and how much
+//     of it is the re-tag span? 256 adjacent 8 MiB pools with 2 or 16 pages
+//     populated, 13 slot keys plus an evicted key, entered round-robin so
+//     every entry misses. A miss is the server's two re-tags, issued through
+//     the backend's TagRange: the LRU victim's span to the evicted key and
+//     the entered pool's span to the freed slot key. The span is the whole
+//     pool (what a miss re-tags today) or the first 128 KiB (a pool that
+//     re-tags only what it has committed). Each row is the fastest of 3
+//     interleaved rounds.
+//
 // Writes BENCH_vpkey.json via the shared emitter.
 #include <algorithm>
 #include <chrono>
@@ -40,6 +50,8 @@
 #include <vector>
 
 #include "bench/bench_json.h"
+#include "src/memmap/page.h"
+#include "src/memmap/vm_region.h"
 #include "src/mpk/backend_factory.h"
 #include "src/mpk/sim_backend.h"
 #include "src/multidomain/multi_compartment.h"
@@ -277,6 +289,67 @@ double MeasureRetagUsPerMiss(const char* backend_name, int released, int live_co
                            static_cast<double>(misses);
 }
 
+constexpr int kServerPools = 256;
+constexpr size_t kServerPoolBytes = size_t{8} << 20;
+constexpr size_t kCommittedSpan = size_t{128} << 10;
+constexpr int kServerSlots = 13;
+constexpr int kServerMisses = 10000;
+constexpr int kServerRounds = 3;
+constexpr int kPopulatedPages[] = {2, 16};
+
+// Re-tag µs per key miss in the server's shape (see 5. above); negative
+// when the backend or its keys are unavailable here.
+double MeasureServerShapeUsPerMiss(const char* backend_name, int populated_pages, size_t span) {
+  auto created = CreateMpkBackend(*ParseBackendKind(backend_name));
+  if (!created.ok()) {
+    return -1;
+  }
+  MpkBackend& backend = **created;
+  backend.WritePkru(PkruValue::AllowAll());
+  std::vector<PkeyId> keys;  // kServerSlots slot keys, then the evicted key
+  double us = -1;
+  for (int i = 0; i <= kServerSlots; ++i) {
+    auto key = backend.AllocateKey();
+    if (!key.ok()) {
+      break;
+    }
+    keys.push_back(*key);
+  }
+  if (keys.size() == kServerSlots + 1) {
+    const PkeyId evicted = keys.back();
+    auto region = VmRegion::Reserve(kServerPools * kServerPoolBytes);
+    bool ok = region.ok();
+    const auto pool = [&](int p) { return region->base() + p * kServerPoolBytes; };
+    for (int p = 0; ok && p < kServerPools; ++p) {
+      for (int page = 0; page < populated_pages; ++page) {
+        *reinterpret_cast<volatile char*>(pool(p) + page * kPageSize) = 1;
+      }
+      ok = backend.TagRange(pool(p), span, evicted).ok();
+    }
+    // Round-robin entries make the LRU victim the slot filled longest ago.
+    std::vector<int> slot_pool(kServerSlots, -1);
+    double start = 0;
+    for (int i = 0; ok && i < kServerSlots + kServerMisses; ++i) {
+      if (i == kServerSlots) {
+        start = NowNs();  // every slot is full: each miss from here re-tags twice
+      }
+      const int slot = i % kServerSlots;
+      if (slot_pool[slot] >= 0) {
+        ok = backend.TagRange(pool(slot_pool[slot]), span, evicted).ok();
+      }
+      ok = ok && backend.TagRange(pool(i % kServerPools), span, keys[slot]).ok();
+      slot_pool[slot] = i % kServerPools;
+    }
+    if (ok) {
+      us = (NowNs() - start) / 1e3 / kServerMisses;
+    }
+  }
+  for (const PkeyId key : keys) {
+    (void)backend.FreeKey(key);
+  }
+  return us;
+}
+
 }  // namespace
 
 int main() {
@@ -354,6 +427,34 @@ int main() {
     const double growth = best[2] / best[0];
     std::printf("%10s %12.2f %12.2f %12.2f %7.2fx\n", name, best[0], best[1], best[2], growth);
     out.Add("retag_live_ratio" + tag, growth, "x");
+  }
+
+  std::printf("\nserver shape: re-tag cost per miss, %d x 8 MiB pools over %d slots, "
+              "fastest of %d\n",
+              kServerPools, kServerSlots, kServerRounds);
+  std::printf("%10s %10s %14s %14s\n", "backend", "populated", "span:pool us", "span:128KiB us");
+  for (const char* name : {"sim", "mprotect", "hardware"}) {
+    double best[std::size(kPopulatedPages)][2];
+    for (int round = 0; round < kServerRounds; ++round) {
+      for (size_t i = 0; i < std::size(kPopulatedPages); ++i) {
+        for (size_t s = 0; s < 2; ++s) {
+          const double us = MeasureServerShapeUsPerMiss(
+              name, kPopulatedPages[i], s == 0 ? kServerPoolBytes : kCommittedSpan);
+          best[i][s] = round == 0 ? us : std::min(best[i][s], us);
+        }
+      }
+    }
+    if (best[0][0] < 0) {
+      std::printf("%10s %10s\n", name, "unavailable");
+      continue;
+    }
+    for (size_t i = 0; i < std::size(kPopulatedPages); ++i) {
+      const std::string tag = std::string("/backend:") + name +
+                              "/pool:8MiB/populated:" + std::to_string(kPopulatedPages[i]);
+      out.Add("server_retag_us_per_miss" + tag + "/span:pool", best[i][0], "us");
+      out.Add("server_retag_us_per_miss" + tag + "/span:128KiB", best[i][1], "us");
+      std::printf("%10s %10d %14.2f %14.2f\n", name, kPopulatedPages[i], best[i][0], best[i][1]);
+    }
   }
   out.Write();
   return 0;

@@ -1,8 +1,13 @@
 #include "src/jsvm/compiler.h"
 
 #include <algorithm>
-#include <map>
+#include <cstdint>
+#include <iterator>
 #include <optional>
+#include <span>
+#include <string_view>
+#include <utility>
+#include <variant>
 
 #include "src/jsvm/parser.h"
 #include "src/support/string_util.h"
@@ -11,24 +16,34 @@ namespace pkrusafe {
 
 namespace {
 
-const std::map<std::string_view, BuiltinId>& Builtins() {
-  static const auto* builtins = new std::map<std::string_view, BuiltinId>{
-      {"print", BuiltinId::kPrint},   {"len", BuiltinId::kLen},
-      {"push", BuiltinId::kPush},     {"pop", BuiltinId::kPop},
-      {"sqrt", BuiltinId::kSqrt},     {"sin", BuiltinId::kSin},
-      {"cos", BuiltinId::kCos},       {"floor", BuiltinId::kFloor},
-      {"pow", BuiltinId::kPow},       {"abs", BuiltinId::kAbs},
-      {"min", BuiltinId::kMin},       {"max", BuiltinId::kMax},
-      {"substr", BuiltinId::kSubstr}, {"ord", BuiltinId::kOrd},
-      {"chr", BuiltinId::kChr},       {"str", BuiltinId::kStr},
-      {"band", BuiltinId::kBand},     {"bor", BuiltinId::kBor},
-      {"bxor", BuiltinId::kBxor},     {"shl", BuiltinId::kShlB},
-      {"shr", BuiltinId::kShrB},
-      {"__addrof", BuiltinId::kAddrOf},
-      {"__peek", BuiltinId::kPeek},
-      {"__poke", BuiltinId::kPoke},
-  };
-  return *builtins;
+// Builtin names, sorted for binary search.
+constexpr std::pair<std::string_view, BuiltinId> kBuiltins[] = {
+    {"__addrof", BuiltinId::kAddrOf}, {"__peek", BuiltinId::kPeek},
+    {"__poke", BuiltinId::kPoke},     {"abs", BuiltinId::kAbs},
+    {"band", BuiltinId::kBand},       {"bor", BuiltinId::kBor},
+    {"bxor", BuiltinId::kBxor},       {"chr", BuiltinId::kChr},
+    {"cos", BuiltinId::kCos},         {"floor", BuiltinId::kFloor},
+    {"len", BuiltinId::kLen},         {"max", BuiltinId::kMax},
+    {"min", BuiltinId::kMin},         {"ord", BuiltinId::kOrd},
+    {"pop", BuiltinId::kPop},         {"pow", BuiltinId::kPow},
+    {"print", BuiltinId::kPrint},     {"push", BuiltinId::kPush},
+    {"shl", BuiltinId::kShlB},        {"shr", BuiltinId::kShrB},
+    {"sin", BuiltinId::kSin},         {"sqrt", BuiltinId::kSqrt},
+    {"str", BuiltinId::kStr},         {"substr", BuiltinId::kSubstr},
+};
+static_assert(std::size(kBuiltins) == kNumBuiltins);
+static_assert(std::is_sorted(std::begin(kBuiltins), std::end(kBuiltins)));
+
+std::optional<BuiltinId> FindBuiltin(std::string_view name) {
+  const auto* it = std::lower_bound(
+      std::begin(kBuiltins), std::end(kBuiltins), name,
+      [](const std::pair<std::string_view, BuiltinId>& entry, std::string_view key) {
+        return entry.first < key;
+      });
+  if (it == std::end(kBuiltins) || it->first != name) {
+    return std::nullopt;
+  }
+  return it->second;
 }
 
 int BuiltinArity(BuiltinId id) {
@@ -154,7 +169,9 @@ const char* OperandRule(const CompiledProgram& program, const CompiledFunction& 
 // Checks one function and sets its max_stack. The flow pass follows every
 // path from instruction 0 with the stack depth it carries; unreachable
 // instructions only get their operands checked.
-Status VerifyFunction(const CompiledProgram& program, CompiledFunction& fn) {
+// `depth` and `worklist` are scratch, reused across a program's functions.
+Status VerifyFunction(const CompiledProgram& program, CompiledFunction& fn,
+                      std::vector<int64_t>& depth, std::vector<size_t>& worklist) {
   auto refuse = [&fn](const char* rule, size_t at) {
     return InvalidArgumentError(
         StrFormat("bytecode verifier: %s (in %s, at %zu)", rule, fn.name.c_str(), at));
@@ -168,23 +185,26 @@ Status VerifyFunction(const CompiledProgram& program, CompiledFunction& fn) {
     }
   }
 
-  std::vector<int64_t> depth(fn.code.size(), -1);  // -1: not reached yet
-  std::vector<size_t> worklist;
+  depth.assign(fn.code.size(), -1);  // -1: not reached yet
+  worklist.clear();
   int64_t max_depth = 0;
-  auto flow = [&](size_t from, size_t to, int64_t d) -> Status {
+  const char* broken = nullptr;  // the rule the first bad edge breaks
+  size_t broken_at = 0;
+  auto flow = [&](size_t from, size_t to, int64_t d) {
     if (to >= fn.code.size()) {
-      return refuse("falls off the end", from);
-    }
-    if (depth[to] < 0) {
+      broken = "falls off the end";
+      broken_at = from;
+    } else if (depth[to] < 0) {
       depth[to] = d;
       worklist.push_back(to);
     } else if (depth[to] != d) {
-      return refuse("stack depth differs between paths", to);
+      broken = "stack depth differs between paths";
+      broken_at = to;
     }
-    return Status::Ok();
+    return broken == nullptr;
   };
-  PS_RETURN_IF_ERROR(flow(0, 0, 0));
-  while (!worklist.empty()) {
+  flow(0, 0, 0);
+  while (broken == nullptr && !worklist.empty()) {
     const size_t i = worklist.back();
     worklist.pop_back();
     const BcInstr& instr = fn.code[i];
@@ -199,55 +219,116 @@ Status VerifyFunction(const CompiledProgram& program, CompiledFunction& fn) {
       case Op::kReturn:
         break;
       case Op::kJump:
-        PS_RETURN_IF_ERROR(flow(i, instr.a, after));
+        flow(i, instr.a, after);
         break;
       case Op::kJumpIfFalse:
-        PS_RETURN_IF_ERROR(flow(i, instr.a, after));
-        PS_RETURN_IF_ERROR(flow(i, i + 1, after));
+        if (flow(i, instr.a, after)) {
+          flow(i, i + 1, after);
+        }
         break;
       case Op::kJumpIfFalseKeep:
       case Op::kJumpIfTrueKeep:
-        PS_RETURN_IF_ERROR(flow(i, instr.a, after));
-        PS_RETURN_IF_ERROR(flow(i, i + 1, after - 1));
+        if (flow(i, instr.a, after)) {
+          flow(i, i + 1, after - 1);
+        }
         break;
       default:
-        PS_RETURN_IF_ERROR(flow(i, i + 1, after));
+        flow(i, i + 1, after);
         break;
     }
+  }
+  if (broken != nullptr) {
+    return refuse(broken, broken_at);
   }
   fn.max_stack = static_cast<uint32_t>(max_depth);
   return Status::Ok();
 }
 
+// Name -> dense index, open-addressed in one flat array: a lookup costs a
+// hash and a probe or two, a new name allocates nothing until the table
+// doubles, and a script with thousands of names still compiles in linear
+// time. The names view the AST, which outlives the table.
+class NameTable {
+ public:
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+
+  uint32_t Find(std::string_view name) const {
+    if (slots_.empty()) {
+      return kAbsent;
+    }
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Hash(name) & mask;; i = (i + 1) & mask) {
+      if (slots_[i].index == kAbsent || slots_[i].name == name) {
+        return slots_[i].index;
+      }
+    }
+  }
+
+  // `name` must not be in the table yet.
+  void Insert(std::string_view name, uint32_t index) {
+    if (2 * (count_ + 1) > slots_.size()) {
+      const size_t size = std::max<size_t>(16, 2 * slots_.size());
+      std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(size));
+      count_ = 0;
+      for (const Slot& slot : old) {
+        if (slot.index != kAbsent) {
+          Insert(slot.name, slot.index);
+        }
+      }
+    }
+    const size_t mask = slots_.size() - 1;
+    size_t i = Hash(name) & mask;
+    while (slots_[i].index != kAbsent) {
+      i = (i + 1) & mask;
+    }
+    slots_[i] = Slot{name, index};
+    ++count_;
+  }
+
+ private:
+  struct Slot {
+    std::string_view name;
+    uint32_t index = kAbsent;
+  };
+
+  static size_t Hash(std::string_view name) {  // FNV-1a
+    uint64_t hash = 14695981039346656037ull;
+    for (const char c : name) {
+      hash = (hash ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+    }
+    return static_cast<size_t>(hash);
+  }
+
+  std::vector<Slot> slots_;  // a power of two long, at most half full
+  size_t count_ = 0;
+};
+
 class Compiler {
  public:
-  Compiler(const Program& program, std::vector<std::string> host_names)
-      : program_(program) {
-    for (size_t i = 0; i < host_names.size(); ++i) {
-      host_index_[host_names[i]] = static_cast<uint32_t>(i);
-    }
+  Compiler(const Program& program, std::vector<std::string> host_names) : program_(program) {
     out_.host_names = std::move(host_names);
   }
 
   Result<CompiledProgram> Run() {
     // Pass 1: register all script functions (top-level is function 0).
+    out_.functions.reserve(1 + program_.functions.size());
     out_.functions.emplace_back();
     out_.functions[0].name = "@main";
-    function_index_["@main"] = 0;
     for (const FunctionDecl& fn : program_.functions) {
-      if (function_index_.contains(fn.name)) {
-        return InvalidArgumentError("duplicate function " + fn.name);
+      if (functions_.Find(fn.name) != NameTable::kAbsent) {
+        return InvalidArgumentError(StrFormat("duplicate function %.*s",
+                                              static_cast<int>(fn.name.size()), fn.name.data()));
       }
       const auto index = static_cast<uint32_t>(out_.functions.size());
-      function_index_[fn.name] = index;
-      out_.functions.emplace_back();
-      out_.functions[index].name = fn.name;
-      out_.functions[index].arity = static_cast<uint32_t>(fn.params.size());
+      functions_.Insert(fn.name, index);
+      CompiledFunction& compiled = out_.functions.emplace_back();
+      compiled.name = fn.name;
+      compiled.arity = static_cast<uint32_t>(fn.params.size());
     }
 
     // Pass 2: compile bodies.
-    for (const FunctionDecl& fn : program_.functions) {
-      PS_RETURN_IF_ERROR(CompileFunction(fn));
+    for (size_t i = 0; i < program_.functions.size(); ++i) {
+      PS_RETURN_IF_ERROR(CompileFunction(program_.functions[i], out_.functions[i + 1]));
     }
     PS_RETURN_IF_ERROR(CompileTopLevel());
     PS_RETURN_IF_ERROR(VerifyProgram(out_));
@@ -256,7 +337,7 @@ class Compiler {
 
  private:
   struct LocalVar {
-    std::string name;
+    std::string_view name;
     uint32_t slot;
     int depth;
   };
@@ -267,15 +348,30 @@ class Compiler {
     int scope_depth = 0;
     uint32_t next_slot = 0;
     bool top_level = false;  // lets become globals
-    // Patch lists for break/continue in the innermost loop.
-    std::vector<std::vector<size_t>>* break_patches = nullptr;
-    std::vector<size_t>* continue_targets = nullptr;
   };
 
-  Status CompileFunction(const FunctionDecl& decl) {
+  // The innermost loops' patch lists live in break_sites_ and
+  // continue_sites_ above these marks.
+  struct LoopCtx {
+    size_t break_mark;
+    size_t continue_mark;
+    size_t continue_target;  // while: the head; for: unused (sites are patched at the step)
+    bool continue_deferred;  // for loops
+  };
+
+  // Sizes a function's code for its AST: about one and a half instructions
+  // per node, plus the implicit return.
+  static void ReserveCode(CompiledFunction& fn, uint32_t node_count) {
+    const size_t estimate = node_count + node_count / 2 + 2;
+    fn.code.reserve(estimate);
+    fn.lines.reserve(estimate);
+  }
+
+  Status CompileFunction(const FunctionDecl& decl, CompiledFunction& fn) {
     FunctionCtx ctx;
-    ctx.fn = &out_.functions[function_index_[decl.name]];
-    for (const std::string& param : decl.params) {
+    ctx.fn = &fn;
+    ReserveCode(fn, decl.node_count);
+    for (const std::string_view param : decl.params) {
       ctx.locals.push_back({param, ctx.next_slot++, 0});
     }
     PS_RETURN_IF_ERROR(CompileBody(ctx, decl.body));
@@ -290,6 +386,7 @@ class Compiler {
     FunctionCtx ctx;
     ctx.fn = &out_.functions[0];
     ctx.top_level = true;
+    ReserveCode(*ctx.fn, program_.top_level_node_count);
     PS_RETURN_IF_ERROR(CompileBody(ctx, program_.top_level));
     Emit(ctx, Op::kNull, 0, 0, 0);
     Emit(ctx, Op::kReturn, 0, 0, 0);
@@ -297,8 +394,8 @@ class Compiler {
     return Status::Ok();
   }
 
-  Status CompileBody(FunctionCtx& ctx, const std::vector<StmtPtr>& body) {
-    for (const StmtPtr& stmt : body) {
+  Status CompileBody(FunctionCtx& ctx, std::span<Stmt* const> body) {
+    for (const Stmt* stmt : body) {
       PS_RETURN_IF_ERROR(CompileStmt(ctx, *stmt));
     }
     return Status::Ok();
@@ -310,17 +407,38 @@ class Compiler {
     return ctx.fn->code.size() - 1;
   }
 
-  uint32_t AddConstant(FunctionCtx& ctx, BcConstant constant) {
-    for (size_t i = 0; i < ctx.fn->constants.size(); ++i) {
-      if (ctx.fn->constants[i] == constant) {
+  // Constants are deduplicated per function. A constant pool or the global
+  // names start with room for a small script's handful, not the doubling
+  // steps up to it.
+  static constexpr size_t kFirstPoolSize = 8;
+
+  uint32_t AddNumber(FunctionCtx& ctx, double number) {
+    std::vector<BcConstant>& constants = ctx.fn->constants;
+    constants.reserve(kFirstPoolSize);
+    for (size_t i = 0; i < constants.size(); ++i) {
+      if (const double* existing = std::get_if<double>(&constants[i]);
+          existing != nullptr && *existing == number) {
         return static_cast<uint32_t>(i);
       }
     }
-    ctx.fn->constants.push_back(std::move(constant));
-    return static_cast<uint32_t>(ctx.fn->constants.size() - 1);
+    constants.emplace_back(number);
+    return static_cast<uint32_t>(constants.size() - 1);
   }
 
-  std::optional<uint32_t> ResolveLocal(const FunctionCtx& ctx, const std::string& name) const {
+  uint32_t AddString(FunctionCtx& ctx, std::string_view text) {
+    std::vector<BcConstant>& constants = ctx.fn->constants;
+    constants.reserve(kFirstPoolSize);
+    for (size_t i = 0; i < constants.size(); ++i) {
+      if (const std::string* existing = std::get_if<std::string>(&constants[i]);
+          existing != nullptr && *existing == text) {
+        return static_cast<uint32_t>(i);
+      }
+    }
+    constants.emplace_back(std::in_place_type<std::string>, text);
+    return static_cast<uint32_t>(constants.size() - 1);
+  }
+
+  std::optional<uint32_t> ResolveLocal(const FunctionCtx& ctx, std::string_view name) const {
     for (auto it = ctx.locals.rbegin(); it != ctx.locals.rend(); ++it) {
       if (it->name == name) {
         return it->slot;
@@ -329,14 +447,14 @@ class Compiler {
     return std::nullopt;
   }
 
-  uint32_t ResolveGlobal(const std::string& name) {
-    auto it = global_index_.find(name);
-    if (it != global_index_.end()) {
-      return it->second;
+  uint32_t ResolveGlobal(std::string_view name) {
+    uint32_t index = globals_.Find(name);
+    if (index == NameTable::kAbsent) {
+      index = static_cast<uint32_t>(out_.global_names.size());
+      out_.global_names.reserve(kFirstPoolSize);
+      out_.global_names.emplace_back(name);
+      globals_.Insert(name, index);
     }
-    const auto index = static_cast<uint32_t>(out_.global_names.size());
-    out_.global_names.push_back(name);
-    global_index_[name] = index;
     return index;
   }
 
@@ -384,7 +502,7 @@ class Compiler {
         const size_t head = ctx.fn->code.size();
         PS_RETURN_IF_ERROR(CompileExpr(ctx, *stmt.expr));
         const size_t jump_out = Emit(ctx, Op::kJumpIfFalse, 0, 0, stmt.line);
-        PS_RETURN_IF_ERROR(CompileLoopBody(ctx, stmt.body, head));
+        PS_RETURN_IF_ERROR(CompileLoopBody(ctx, stmt.body, head, false));
         Emit(ctx, Op::kJump, static_cast<uint32_t>(head), 0, stmt.line);
         Patch(ctx, jump_out);
         PatchBreaks(ctx);
@@ -403,12 +521,12 @@ class Compiler {
           jump_out = Emit(ctx, Op::kJumpIfFalse, 0, 0, stmt.line);
         }
         // Body; continue jumps to the step expression.
-        std::vector<size_t> continue_sites;
-        PS_RETURN_IF_ERROR(CompileLoopBodyForFor(ctx, stmt.body, &continue_sites));
+        PS_RETURN_IF_ERROR(CompileLoopBody(ctx, stmt.body, 0, true));
         const size_t step_at = ctx.fn->code.size();
-        for (size_t site : continue_sites) {
-          ctx.fn->code[site].a = static_cast<uint32_t>(step_at);
+        for (size_t i = loops_.back().continue_mark; i < continue_sites_.size(); ++i) {
+          ctx.fn->code[continue_sites_[i]].a = static_cast<uint32_t>(step_at);
         }
+        continue_sites_.resize(loops_.back().continue_mark);
         if (stmt.step != nullptr) {
           PS_RETURN_IF_ERROR(CompileExpr(ctx, *stmt.step));
           Emit(ctx, Op::kPop, 0, 0, stmt.line);
@@ -425,20 +543,20 @@ class Compiler {
       case StmtKind::kBlock:
         return CompileScopedBody(ctx, stmt.body);
       case StmtKind::kBreak: {
-        if (break_stack_.empty()) {
+        if (loops_.empty()) {
           return InvalidArgumentError(StrFormat("line %d: break outside loop", stmt.line));
         }
-        break_stack_.back().push_back(Emit(ctx, Op::kJump, 0, 0, stmt.line));
+        break_sites_.push_back(Emit(ctx, Op::kJump, 0, 0, stmt.line));
         return Status::Ok();
       }
       case StmtKind::kContinue: {
-        if (continue_stack_.empty()) {
+        if (loops_.empty()) {
           return InvalidArgumentError(StrFormat("line %d: continue outside loop", stmt.line));
         }
-        if (continue_stack_.back().deferred != nullptr) {
-          continue_stack_.back().deferred->push_back(Emit(ctx, Op::kJump, 0, 0, stmt.line));
+        if (loops_.back().continue_deferred) {
+          continue_sites_.push_back(Emit(ctx, Op::kJump, 0, 0, stmt.line));
         } else {
-          Emit(ctx, Op::kJump, static_cast<uint32_t>(continue_stack_.back().target), 0,
+          Emit(ctx, Op::kJump, static_cast<uint32_t>(loops_.back().continue_target), 0,
                stmt.line);
         }
         return Status::Ok();
@@ -447,7 +565,7 @@ class Compiler {
     return InternalError("unhandled statement kind");
   }
 
-  Status CompileScopedBody(FunctionCtx& ctx, const std::vector<StmtPtr>& body) {
+  Status CompileScopedBody(FunctionCtx& ctx, std::span<Stmt* const> body) {
     ++ctx.scope_depth;
     const size_t saved = ctx.locals.size();
     const Status status = CompileBody(ctx, body);
@@ -456,41 +574,35 @@ class Compiler {
     return status;
   }
 
-  Status CompileLoopBody(FunctionCtx& ctx, const std::vector<StmtPtr>& body, size_t head) {
-    break_stack_.emplace_back();
-    continue_stack_.push_back({head, nullptr});
-    const Status status = CompileScopedBody(ctx, body);
-    continue_stack_.pop_back();
-    return status;
-  }
-
-  Status CompileLoopBodyForFor(FunctionCtx& ctx, const std::vector<StmtPtr>& body,
-                               std::vector<size_t>* continue_sites) {
-    break_stack_.emplace_back();
-    continue_stack_.push_back({0, continue_sites});
-    const Status status = CompileScopedBody(ctx, body);
-    continue_stack_.pop_back();
-    return status;
+  // Opens a loop (closed by PatchBreaks) and compiles its body.
+  Status CompileLoopBody(FunctionCtx& ctx, std::span<Stmt* const> body, size_t continue_target,
+                         bool continue_deferred) {
+    loops_.push_back(LoopCtx{break_sites_.size(), continue_sites_.size(), continue_target,
+                             continue_deferred});
+    return CompileScopedBody(ctx, body);
   }
 
   void Patch(FunctionCtx& ctx, size_t site) {
     ctx.fn->code[site].a = static_cast<uint32_t>(ctx.fn->code.size());
   }
 
+  // Points the innermost loop's breaks here and closes the loop.
   void PatchBreaks(FunctionCtx& ctx) {
-    for (size_t site : break_stack_.back()) {
-      Patch(ctx, site);
+    const size_t mark = loops_.back().break_mark;
+    for (size_t i = mark; i < break_sites_.size(); ++i) {
+      Patch(ctx, break_sites_[i]);
     }
-    break_stack_.pop_back();
+    break_sites_.resize(mark);
+    loops_.pop_back();
   }
 
   Status CompileExpr(FunctionCtx& ctx, const Expr& expr) {
     switch (expr.kind) {
       case ExprKind::kNumber:
-        Emit(ctx, Op::kConst, AddConstant(ctx, expr.number), 0, expr.line);
+        Emit(ctx, Op::kConst, AddNumber(ctx, expr.number), 0, expr.line);
         return Status::Ok();
       case ExprKind::kString:
-        Emit(ctx, Op::kConst, AddConstant(ctx, expr.text), 0, expr.line);
+        Emit(ctx, Op::kConst, AddString(ctx, expr.text), 0, expr.line);
         return Status::Ok();
       case ExprKind::kBool:
         Emit(ctx, expr.boolean ? Op::kTrue : Op::kFalse, 0, 0, expr.line);
@@ -582,35 +694,40 @@ class Compiler {
         return Status::Ok();
       }
       case ExprKind::kCall: {
-        for (const ExprPtr& arg : expr.args) {
+        for (const Expr* arg : expr.args) {
           PS_RETURN_IF_ERROR(CompileExpr(ctx, *arg));
         }
         const auto argc = static_cast<uint32_t>(expr.args.size());
-        if (auto it = function_index_.find(expr.text); it != function_index_.end()) {
-          const CompiledFunction& callee = out_.functions[it->second];
+        const auto name_length = static_cast<int>(expr.text.size());
+        if (const uint32_t index = functions_.Find(expr.text); index != NameTable::kAbsent) {
+          const CompiledFunction& callee = out_.functions[index];
           if (callee.arity != argc) {
-            return InvalidArgumentError(StrFormat("line %d: %s expects %u args, got %u",
-                                                  expr.line, expr.text.c_str(), callee.arity,
-                                                  argc));
+            return InvalidArgumentError(StrFormat("line %d: %.*s expects %u args, got %u",
+                                                  expr.line, name_length, expr.text.data(),
+                                                  callee.arity, argc));
           }
-          Emit(ctx, Op::kCall, it->second, argc, expr.line);
+          Emit(ctx, Op::kCall, index, argc, expr.line);
           return Status::Ok();
         }
-        if (auto it = Builtins().find(expr.text); it != Builtins().end()) {
-          const int arity = BuiltinArity(it->second);
+        if (const std::optional<BuiltinId> builtin = FindBuiltin(expr.text)) {
+          const int arity = BuiltinArity(*builtin);
           if (static_cast<uint32_t>(arity) != argc) {
-            return InvalidArgumentError(StrFormat("line %d: %s expects %d args, got %u",
-                                                  expr.line, expr.text.c_str(), arity, argc));
+            return InvalidArgumentError(StrFormat("line %d: %.*s expects %d args, got %u",
+                                                  expr.line, name_length, expr.text.data(),
+                                                  arity, argc));
           }
-          Emit(ctx, Op::kCallBuiltin, static_cast<uint32_t>(it->second), argc, expr.line);
+          Emit(ctx, Op::kCallBuiltin, static_cast<uint32_t>(*builtin), argc, expr.line);
           return Status::Ok();
         }
-        if (auto it = host_index_.find(expr.text); it != host_index_.end()) {
-          Emit(ctx, Op::kCallHost, it->second, argc, expr.line);
-          return Status::Ok();
+        // The last registration of a host name wins.
+        for (size_t i = out_.host_names.size(); i-- > 0;) {
+          if (out_.host_names[i] == expr.text) {
+            Emit(ctx, Op::kCallHost, static_cast<uint32_t>(i), argc, expr.line);
+            return Status::Ok();
+          }
         }
-        return InvalidArgumentError(
-            StrFormat("line %d: unknown function '%s'", expr.line, expr.text.c_str()));
+        return InvalidArgumentError(StrFormat("line %d: unknown function '%.*s'", expr.line,
+                                              name_length, expr.text.data()));
       }
       case ExprKind::kIndex:
         PS_RETURN_IF_ERROR(CompileExpr(ctx, *expr.lhs));
@@ -618,7 +735,7 @@ class Compiler {
         Emit(ctx, Op::kIndexGet, 0, 0, expr.line);
         return Status::Ok();
       case ExprKind::kArrayLit: {
-        for (const ExprPtr& element : expr.args) {
+        for (const Expr* element : expr.args) {
           PS_RETURN_IF_ERROR(CompileExpr(ctx, *element));
         }
         Emit(ctx, Op::kNewArray, static_cast<uint32_t>(expr.args.size()), 0, expr.line);
@@ -628,18 +745,13 @@ class Compiler {
     return InternalError("unhandled expression kind");
   }
 
-  struct ContinueCtx {
-    size_t target;                     // while: jump target
-    std::vector<size_t>* deferred;     // for: patch sites resolved at step
-  };
-
   const Program& program_;
   CompiledProgram out_;
-  std::map<std::string, uint32_t> function_index_;
-  std::map<std::string, uint32_t> global_index_;
-  std::map<std::string, uint32_t> host_index_;
-  std::vector<std::vector<size_t>> break_stack_;
-  std::vector<ContinueCtx> continue_stack_;
+  NameTable functions_;  // script functions by name; "@main" is not callable
+  NameTable globals_;    // index into out_.global_names
+  std::vector<LoopCtx> loops_;
+  std::vector<size_t> break_sites_;
+  std::vector<size_t> continue_sites_;  // for loops' continues, patched at the step
 };
 
 }  // namespace
@@ -648,8 +760,10 @@ Status VerifyProgram(CompiledProgram& program) {
   if (program.functions.empty()) {
     return InvalidArgumentError("bytecode verifier: program has no functions");
   }
+  std::vector<int64_t> depth;
+  std::vector<size_t> worklist;
   for (CompiledFunction& fn : program.functions) {
-    PS_RETURN_IF_ERROR(VerifyFunction(program, fn));
+    PS_RETURN_IF_ERROR(VerifyFunction(program, fn, depth, worklist));
   }
   program.verified_.set = true;
   return Status::Ok();

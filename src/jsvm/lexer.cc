@@ -1,8 +1,8 @@
 #include "src/jsvm/lexer.h"
 
-#include <cctype>
+#include <charconv>
 #include <cstdlib>
-#include <map>
+#include <string>
 
 #include "src/support/string_util.h"
 
@@ -94,32 +94,58 @@ const char* TokenTypeName(TokenType type) {
 
 namespace {
 
-const std::map<std::string_view, TokenType>& Keywords() {
-  static const auto* keywords = new std::map<std::string_view, TokenType>{
-      {"fn", TokenType::kFn},         {"let", TokenType::kLet},
-      {"return", TokenType::kReturn}, {"if", TokenType::kIf},
-      {"else", TokenType::kElse},     {"while", TokenType::kWhile},
-      {"for", TokenType::kFor},       {"break", TokenType::kBreak},
-      {"continue", TokenType::kContinue}, {"true", TokenType::kTrue},
-      {"false", TokenType::kFalse},   {"null", TokenType::kNull},
-  };
-  return *keywords;
+TokenType KeywordOrIdent(std::string_view word) {
+  switch (word.size()) {
+    case 2:
+      if (word == "fn") return TokenType::kFn;
+      if (word == "if") return TokenType::kIf;
+      break;
+    case 3:
+      if (word == "let") return TokenType::kLet;
+      if (word == "for") return TokenType::kFor;
+      break;
+    case 4:
+      if (word == "else") return TokenType::kElse;
+      if (word == "true") return TokenType::kTrue;
+      if (word == "null") return TokenType::kNull;
+      break;
+    case 5:
+      if (word == "while") return TokenType::kWhile;
+      if (word == "break") return TokenType::kBreak;
+      if (word == "false") return TokenType::kFalse;
+      break;
+    case 6:
+      if (word == "return") return TokenType::kReturn;
+      break;
+    case 8:
+      if (word == "continue") return TokenType::kContinue;
+      break;
+    default:
+      break;
+  }
+  return TokenType::kIdent;
 }
 
-bool IsIdentStart(char c) { return std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_'; }
-bool IsIdentChar(char c) { return IsIdentStart(c) || std::isdigit(static_cast<unsigned char>(c)) != 0; }
+// The C locale's classes, without a locale lookup per character.
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }  // \t \n \v \f \r
+bool IsIdentStart(char c) { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_'; }
+bool IsIdentChar(char c) { return IsIdentStart(c) || IsDigit(c); }
 
 }  // namespace
 
-Result<std::vector<Token>> Tokenize(std::string_view source) {
-  std::vector<Token> tokens;
+Result<TokenList> Tokenize(std::string_view source) {
+  TokenList list;
+  std::vector<Token>& tokens = list.tokens;
+  tokens.reserve(source.size() / 2 + 2);
+  size_t unescaped_used = 0;
   size_t pos = 0;
   int line = 1;
 
   auto error = [&](const std::string& message) {
     return InvalidArgumentError(StrFormat("line %d: %s", line, message.c_str()));
   };
-  auto push = [&](TokenType type) { tokens.push_back(Token{type, "", 0, line}); };
+  auto push = [&](TokenType type) { tokens.push_back(Token{type, line, 0, {}}); };
 
   while (pos < source.size()) {
     const char c = source[pos];
@@ -128,7 +154,7 @@ Result<std::vector<Token>> Tokenize(std::string_view source) {
       ++pos;
       continue;
     }
-    if (std::isspace(static_cast<unsigned char>(c)) != 0) {
+    if (IsSpace(c)) {
       ++pos;
       continue;
     }
@@ -138,22 +164,28 @@ Result<std::vector<Token>> Tokenize(std::string_view source) {
       }
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
+    if (IsDigit(c)) {
       size_t end = pos;
       while (end < source.size() &&
-             (std::isdigit(static_cast<unsigned char>(source[end])) != 0 || source[end] == '.' ||
-              source[end] == 'e' || source[end] == 'E' ||
+             (IsDigit(source[end]) || source[end] == '.' || source[end] == 'e' ||
+              source[end] == 'E' ||
               ((source[end] == '+' || source[end] == '-') && end > pos &&
                (source[end - 1] == 'e' || source[end - 1] == 'E')))) {
         ++end;
       }
-      const std::string text(source.substr(pos, end - pos));
-      char* parse_end = nullptr;
-      const double value = std::strtod(text.c_str(), &parse_end);
-      if (parse_end != text.c_str() + text.size()) {
-        return error("malformed number: " + text);
+      const char* first = source.data() + pos;
+      const char* last = source.data() + end;
+      double value = 0;
+      auto [parse_end, ec] = std::from_chars(first, last, value);
+      if (ec == std::errc::result_out_of_range) {
+        // Overflow or underflow: strtod's value (HUGE_VAL, or the underflowed
+        // result), as the language has always read such literals.
+        value = std::strtod(std::string(first, last).c_str(), nullptr);
       }
-      tokens.push_back(Token{TokenType::kNumber, "", value, line});
+      if (parse_end != last) {
+        return error("malformed number: " + std::string(first, last));
+      }
+      tokens.push_back(Token{TokenType::kNumber, line, value, {}});
       pos = end;
       continue;
     }
@@ -163,18 +195,29 @@ Result<std::vector<Token>> Tokenize(std::string_view source) {
         ++end;
       }
       const std::string_view word = source.substr(pos, end - pos);
-      auto it = Keywords().find(word);
-      if (it != Keywords().end()) {
-        push(it->second);
-      } else {
-        tokens.push_back(Token{TokenType::kIdent, std::string(word), 0, line});
-      }
+      tokens.push_back(Token{KeywordOrIdent(word), line, 0, word});
       pos = end;
       continue;
     }
     if (c == '"') {
-      std::string text;
-      ++pos;
+      const size_t start = ++pos;
+      while (pos < source.size() && source[pos] != '"' && source[pos] != '\\' &&
+             source[pos] != '\n') {
+        ++pos;
+      }
+      if (pos < source.size() && source[pos] == '"') {
+        tokens.push_back(Token{TokenType::kString, line, 0, source.substr(start, pos - start)});
+        ++pos;
+        continue;
+      }
+      // An escape, or an error: unescape into the list's buffer, which holds
+      // every literal's text since none is longer than the source.
+      if (list.unescaped == nullptr) {
+        list.unescaped = std::make_unique<char[]>(source.size());
+      }
+      char* const text = list.unescaped.get() + unescaped_used;
+      size_t length = 0;
+      pos = start;
       while (pos < source.size() && source[pos] != '"') {
         char ch = source[pos];
         if (ch == '\\' && pos + 1 < source.size()) {
@@ -198,14 +241,15 @@ Result<std::vector<Token>> Tokenize(std::string_view source) {
         } else if (ch == '\n') {
           return error("unterminated string literal");
         }
-        text.push_back(ch);
+        text[length++] = ch;
         ++pos;
       }
       if (pos >= source.size()) {
         return error("unterminated string literal");
       }
       ++pos;  // closing quote
-      tokens.push_back(Token{TokenType::kString, std::move(text), 0, line});
+      unescaped_used += length;
+      tokens.push_back(Token{TokenType::kString, line, 0, std::string_view(text, length)});
       continue;
     }
 
@@ -305,8 +349,8 @@ Result<std::vector<Token>> Tokenize(std::string_view source) {
     }
     ++pos;
   }
-  tokens.push_back(Token{TokenType::kEof, "", 0, line});
-  return tokens;
+  push(TokenType::kEof);
+  return list;
 }
 
 }  // namespace pkrusafe

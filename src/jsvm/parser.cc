@@ -1,5 +1,9 @@
 #include "src/jsvm/parser.h"
 
+#include <algorithm>
+#include <array>
+#include <utility>
+
 #include "src/jsvm/lexer.h"
 #include "src/support/string_util.h"
 
@@ -7,22 +11,49 @@ namespace pkrusafe {
 
 namespace {
 
+// Binding power of each binary operator, loosest first; 0 for any other
+// token. Every binary operator is left-associative.
+constexpr std::array<uint8_t, static_cast<size_t>(TokenType::kEof) + 1> kBindingPower = [] {
+  std::array<uint8_t, static_cast<size_t>(TokenType::kEof) + 1> power{};
+  auto set = [&power](TokenType type, uint8_t p) { power[static_cast<size_t>(type)] = p; };
+  set(TokenType::kOrOr, 1);
+  set(TokenType::kAndAnd, 2);
+  set(TokenType::kEq, 3);
+  set(TokenType::kNe, 3);
+  set(TokenType::kLt, 4);
+  set(TokenType::kLe, 4);
+  set(TokenType::kGt, 4);
+  set(TokenType::kGe, 4);
+  set(TokenType::kPlus, 5);
+  set(TokenType::kMinus, 5);
+  set(TokenType::kStar, 6);
+  set(TokenType::kSlash, 6);
+  set(TokenType::kPercent, 6);
+  return power;
+}();
+
+// Builds the tree into program->arena. Child lists are gathered on one
+// scratch stack per element type: a list under construction occupies the
+// stack above its mark, nested lists are finished (copied into the arena and
+// popped) before their parent's next element is pushed.
 class ScriptParser {
  public:
-  explicit ScriptParser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  ScriptParser(const TokenList& tokens, Program* program)
+      : tokens_(tokens.tokens.data()), program_(program), arena_(program->arena) {}
 
-  Result<Program> Run() {
-    Program program;
+  Status Run() {
+    const size_t mark = stmt_stack_.size();
     while (!Check(TokenType::kEof)) {
       if (Check(TokenType::kFn)) {
-        PS_ASSIGN_OR_RETURN(FunctionDecl fn, ParseFunction());
-        program.functions.push_back(std::move(fn));
+        PS_RETURN_IF_ERROR(ParseFunction());
       } else {
-        PS_ASSIGN_OR_RETURN(StmtPtr stmt, ParseStatement());
-        program.top_level.push_back(std::move(stmt));
+        PS_ASSIGN_OR_RETURN(Stmt* stmt, ParseStatement());
+        stmt_stack_.push_back(stmt);
       }
     }
-    return program;
+    program_->top_level = FinishStmts(mark);
+    program_->top_level_node_count = nodes_;
+    return Status::Ok();
   }
 
  private:
@@ -49,7 +80,23 @@ class ScriptParser {
     return Status::Ok();
   }
 
-  Result<FunctionDecl> ParseFunction() {
+  std::span<Stmt* const> FinishStmts(size_t mark) {
+    const auto list = arena_.CopyList(
+        std::span<Stmt* const>(stmt_stack_.data() + mark, stmt_stack_.size() - mark));
+    stmt_stack_.resize(mark);
+    return list;
+  }
+
+  std::span<Expr* const> FinishExprs(size_t mark) {
+    const auto list = arena_.CopyList(
+        std::span<Expr* const>(expr_stack_.data() + mark, expr_stack_.size() - mark));
+    expr_stack_.resize(mark);
+    return list;
+  }
+
+  // Parses a function declaration into program_->functions. The nodes of
+  // its body are counted apart from the top level's.
+  Status ParseFunction() {
     FunctionDecl fn;
     fn.line = Peek().line;
     PS_RETURN_IF_ERROR(Expect(TokenType::kFn, "'fn'"));
@@ -58,96 +105,101 @@ class ScriptParser {
     }
     fn.name = Advance().text;
     PS_RETURN_IF_ERROR(Expect(TokenType::kLParen, "'('"));
+    params_.clear();
     if (!Check(TokenType::kRParen)) {
       while (true) {
         if (!Check(TokenType::kIdent)) {
           return Error("expected parameter name");
         }
-        fn.params.push_back(Advance().text);
+        params_.push_back(Advance().text);
         if (!Match(TokenType::kComma)) {
           break;
         }
       }
     }
     PS_RETURN_IF_ERROR(Expect(TokenType::kRParen, "')'"));
+    fn.params = arena_.CopyList(std::span<const std::string_view>(params_));
+    const uint32_t top_level_nodes = std::exchange(nodes_, 0);
     PS_ASSIGN_OR_RETURN(fn.body, ParseBlockBody());
-    return fn;
+    fn.node_count = std::exchange(nodes_, top_level_nodes);
+    program_->functions.push_back(fn);
+    return Status::Ok();
   }
 
-  Result<std::vector<StmtPtr>> ParseBlockBody() {
+  Result<std::span<Stmt* const>> ParseBlockBody() {
     PS_RETURN_IF_ERROR(Expect(TokenType::kLBrace, "'{'"));
-    std::vector<StmtPtr> body;
+    const size_t mark = stmt_stack_.size();
     while (!Check(TokenType::kRBrace)) {
       if (Check(TokenType::kEof)) {
         return Error("unterminated block");
       }
-      PS_ASSIGN_OR_RETURN(StmtPtr stmt, ParseStatement());
-      body.push_back(std::move(stmt));
+      PS_ASSIGN_OR_RETURN(Stmt* stmt, ParseStatement());
+      stmt_stack_.push_back(stmt);
     }
     PS_RETURN_IF_ERROR(Expect(TokenType::kRBrace, "'}'"));
-    return body;
+    return FinishStmts(mark);
   }
 
-  StmtPtr NewStmt(StmtKind kind) {
-    auto stmt = std::make_unique<Stmt>();
+  Stmt* NewStmt(StmtKind kind) {
+    Stmt* stmt = arena_.New<Stmt>();
     stmt->kind = kind;
     stmt->line = Peek().line;
+    ++nodes_;
     return stmt;
   }
 
-  Result<StmtPtr> ParseStatement() {
-    if (Check(TokenType::kLet)) {
-      return ParseLet();
-    }
-    if (Check(TokenType::kReturn)) {
-      auto stmt = NewStmt(StmtKind::kReturn);
-      Advance();
-      if (!Check(TokenType::kSemicolon)) {
-        PS_ASSIGN_OR_RETURN(stmt->expr, ParseExpression());
+  Result<Stmt*> ParseStatement() {
+    switch (Peek().type) {
+      case TokenType::kLet:
+        return ParseLet();
+      case TokenType::kReturn: {
+        Stmt* stmt = NewStmt(StmtKind::kReturn);
+        Advance();
+        if (!Check(TokenType::kSemicolon)) {
+          PS_ASSIGN_OR_RETURN(stmt->expr, ParseExpression());
+        }
+        PS_RETURN_IF_ERROR(Expect(TokenType::kSemicolon, "';'"));
+        return stmt;
       }
-      PS_RETURN_IF_ERROR(Expect(TokenType::kSemicolon, "';'"));
-      return stmt;
+      case TokenType::kIf:
+        return ParseIf();
+      case TokenType::kWhile: {
+        Stmt* stmt = NewStmt(StmtKind::kWhile);
+        Advance();
+        PS_RETURN_IF_ERROR(Expect(TokenType::kLParen, "'('"));
+        PS_ASSIGN_OR_RETURN(stmt->expr, ParseExpression());
+        PS_RETURN_IF_ERROR(Expect(TokenType::kRParen, "')'"));
+        PS_ASSIGN_OR_RETURN(stmt->body, ParseBlockBody());
+        return stmt;
+      }
+      case TokenType::kFor:
+        return ParseFor();
+      case TokenType::kBreak:
+      case TokenType::kContinue: {
+        Stmt* stmt = NewStmt(Check(TokenType::kBreak) ? StmtKind::kBreak : StmtKind::kContinue);
+        Advance();
+        PS_RETURN_IF_ERROR(Expect(TokenType::kSemicolon, "';'"));
+        return stmt;
+      }
+      case TokenType::kLBrace: {
+        Stmt* stmt = NewStmt(StmtKind::kBlock);
+        PS_ASSIGN_OR_RETURN(stmt->body, ParseBlockBody());
+        return stmt;
+      }
+      default:
+        return ParseExpressionStatement();
     }
-    if (Check(TokenType::kIf)) {
-      return ParseIf();
-    }
-    if (Check(TokenType::kWhile)) {
-      auto stmt = NewStmt(StmtKind::kWhile);
-      Advance();
-      PS_RETURN_IF_ERROR(Expect(TokenType::kLParen, "'('"));
-      PS_ASSIGN_OR_RETURN(stmt->expr, ParseExpression());
-      PS_RETURN_IF_ERROR(Expect(TokenType::kRParen, "')'"));
-      PS_ASSIGN_OR_RETURN(stmt->body, ParseBlockBody());
-      return stmt;
-    }
-    if (Check(TokenType::kFor)) {
-      return ParseFor();
-    }
-    if (Check(TokenType::kBreak)) {
-      auto stmt = NewStmt(StmtKind::kBreak);
-      Advance();
-      PS_RETURN_IF_ERROR(Expect(TokenType::kSemicolon, "';'"));
-      return stmt;
-    }
-    if (Check(TokenType::kContinue)) {
-      auto stmt = NewStmt(StmtKind::kContinue);
-      Advance();
-      PS_RETURN_IF_ERROR(Expect(TokenType::kSemicolon, "';'"));
-      return stmt;
-    }
-    if (Check(TokenType::kLBrace)) {
-      auto stmt = NewStmt(StmtKind::kBlock);
-      PS_ASSIGN_OR_RETURN(stmt->body, ParseBlockBody());
-      return stmt;
-    }
-    auto stmt = NewStmt(StmtKind::kExpr);
+  }
+
+  Result<Stmt*> ParseExpressionStatement() {
+    Stmt* stmt = NewStmt(StmtKind::kExpr);
     PS_ASSIGN_OR_RETURN(stmt->expr, ParseExpression());
     PS_RETURN_IF_ERROR(Expect(TokenType::kSemicolon, "';'"));
     return stmt;
   }
 
-  Result<StmtPtr> ParseLet() {
-    auto stmt = NewStmt(StmtKind::kLet);
+  Result<Stmt*> ParseLet() {
+    Stmt* stmt = NewStmt(StmtKind::kLet);
     Advance();  // 'let'
     if (!Check(TokenType::kIdent)) {
       return Error("expected variable name after 'let'");
@@ -159,8 +211,8 @@ class ScriptParser {
     return stmt;
   }
 
-  Result<StmtPtr> ParseIf() {
-    auto stmt = NewStmt(StmtKind::kIf);
+  Result<Stmt*> ParseIf() {
+    Stmt* stmt = NewStmt(StmtKind::kIf);
     Advance();  // 'if'
     PS_RETURN_IF_ERROR(Expect(TokenType::kLParen, "'('"));
     PS_ASSIGN_OR_RETURN(stmt->expr, ParseExpression());
@@ -168,8 +220,10 @@ class ScriptParser {
     PS_ASSIGN_OR_RETURN(stmt->body, ParseBlockBody());
     if (Match(TokenType::kElse)) {
       if (Check(TokenType::kIf)) {
-        PS_ASSIGN_OR_RETURN(StmtPtr nested, ParseIf());
-        stmt->else_body.push_back(std::move(nested));
+        const size_t mark = stmt_stack_.size();
+        PS_ASSIGN_OR_RETURN(Stmt* nested, ParseIf());
+        stmt_stack_.push_back(nested);
+        stmt->else_body = FinishStmts(mark);
       } else {
         PS_ASSIGN_OR_RETURN(stmt->else_body, ParseBlockBody());
       }
@@ -177,18 +231,15 @@ class ScriptParser {
     return stmt;
   }
 
-  Result<StmtPtr> ParseFor() {
-    auto stmt = NewStmt(StmtKind::kFor);
+  Result<Stmt*> ParseFor() {
+    Stmt* stmt = NewStmt(StmtKind::kFor);
     Advance();  // 'for'
     PS_RETURN_IF_ERROR(Expect(TokenType::kLParen, "'('"));
     if (!Match(TokenType::kSemicolon)) {
       if (Check(TokenType::kLet)) {
         PS_ASSIGN_OR_RETURN(stmt->init, ParseLet());
       } else {
-        auto init = NewStmt(StmtKind::kExpr);
-        PS_ASSIGN_OR_RETURN(init->expr, ParseExpression());
-        PS_RETURN_IF_ERROR(Expect(TokenType::kSemicolon, "';'"));
-        stmt->init = std::move(init);
+        PS_ASSIGN_OR_RETURN(stmt->init, ParseExpressionStatement());
       }
     }
     if (!Check(TokenType::kSemicolon)) {
@@ -203,176 +254,164 @@ class ScriptParser {
     return stmt;
   }
 
-  ExprPtr NewExpr(ExprKind kind) {
-    auto expr = std::make_unique<Expr>();
+  Expr* NewExpr(ExprKind kind) {
+    Expr* expr = arena_.New<Expr>();
     expr->kind = kind;
     expr->line = Peek().line;
+    ++nodes_;
     return expr;
   }
 
-  Result<ExprPtr> ParseExpression() { return ParseAssignment(); }
-
-  Result<ExprPtr> ParseAssignment() {
-    PS_ASSIGN_OR_RETURN(ExprPtr lhs, ParseOr());
-    if (Check(TokenType::kAssign)) {
-      if (lhs->kind != ExprKind::kVariable && lhs->kind != ExprKind::kIndex) {
-        return Error("invalid assignment target");
-      }
-      auto assign = NewExpr(ExprKind::kAssign);
-      Advance();
-      PS_ASSIGN_OR_RETURN(ExprPtr value, ParseAssignment());
-      assign->lhs = std::move(lhs);
-      assign->rhs = std::move(value);
-      return assign;
+  // expression := binary ('=' expression)?  — assignment is right-associative.
+  Result<Expr*> ParseExpression() {
+    PS_ASSIGN_OR_RETURN(Expr* lhs, ParseBinary(1));
+    if (!Check(TokenType::kAssign)) {
+      return lhs;
     }
-    return lhs;
+    if (lhs->kind != ExprKind::kVariable && lhs->kind != ExprKind::kIndex) {
+      return Error("invalid assignment target");
+    }
+    Expr* assign = NewExpr(ExprKind::kAssign);
+    Advance();
+    assign->lhs = lhs;
+    PS_ASSIGN_OR_RETURN(assign->rhs, ParseExpression());
+    return assign;
   }
 
-  template <typename Next>
-  Result<ExprPtr> ParseBinaryLevel(Next next, std::initializer_list<TokenType> ops) {
-    PS_ASSIGN_OR_RETURN(ExprPtr lhs, (this->*next)());
+  // Precedence climbing: operands joined by binary operators whose binding
+  // power is at least `min_power` (>= 1, so a non-operator ends the loop).
+  Result<Expr*> ParseBinary(uint8_t min_power) {
+    PS_ASSIGN_OR_RETURN(Expr* lhs, ParseOperand());
     while (true) {
-      bool matched = false;
-      for (TokenType op : ops) {
-        if (Check(op)) {
-          auto expr = NewExpr(ExprKind::kBinary);
-          expr->op = op;
-          Advance();
-          PS_ASSIGN_OR_RETURN(ExprPtr rhs, (this->*next)());
-          expr->lhs = std::move(lhs);
-          expr->rhs = std::move(rhs);
-          lhs = std::move(expr);
-          matched = true;
-          break;
-        }
-      }
-      if (!matched) {
+      const uint8_t power = kBindingPower[static_cast<size_t>(Peek().type)];
+      if (power < min_power) {
         return lhs;
       }
+      Expr* binary = NewExpr(ExprKind::kBinary);
+      binary->op = Advance().type;
+      binary->lhs = lhs;
+      PS_ASSIGN_OR_RETURN(binary->rhs, ParseBinary(power + 1));
+      lhs = binary;
     }
   }
 
-  Result<ExprPtr> ParseOr() {
-    return ParseBinaryLevel(&ScriptParser::ParseAnd, {TokenType::kOrOr});
-  }
-  Result<ExprPtr> ParseAnd() {
-    return ParseBinaryLevel(&ScriptParser::ParseEquality, {TokenType::kAndAnd});
-  }
-  Result<ExprPtr> ParseEquality() {
-    return ParseBinaryLevel(&ScriptParser::ParseComparison, {TokenType::kEq, TokenType::kNe});
-  }
-  Result<ExprPtr> ParseComparison() {
-    return ParseBinaryLevel(&ScriptParser::ParseTerm,
-                            {TokenType::kLt, TokenType::kLe, TokenType::kGt, TokenType::kGe});
-  }
-  Result<ExprPtr> ParseTerm() {
-    return ParseBinaryLevel(&ScriptParser::ParseFactor, {TokenType::kPlus, TokenType::kMinus});
-  }
-  Result<ExprPtr> ParseFactor() {
-    return ParseBinaryLevel(&ScriptParser::ParseUnary,
-                            {TokenType::kStar, TokenType::kSlash, TokenType::kPercent});
-  }
-
-  Result<ExprPtr> ParseUnary() {
-    if (Check(TokenType::kMinus) || Check(TokenType::kBang)) {
-      auto expr = NewExpr(ExprKind::kUnary);
-      expr->op = Advance().type;
-      PS_ASSIGN_OR_RETURN(expr->lhs, ParseUnary());
-      return expr;
+  // operand := ('-' | '!')* primary ('[' expression ']' | '(' args ')')*
+  // The prefix operators apply to the whole postfix chain.
+  Result<Expr*> ParseOperand() {
+    Expr* head = nullptr;
+    Expr** hole = &head;
+    while (Check(TokenType::kMinus) || Check(TokenType::kBang)) {
+      Expr* unary = NewExpr(ExprKind::kUnary);
+      unary->op = Advance().type;
+      *hole = unary;
+      hole = &unary->lhs;
     }
-    return ParsePostfix();
-  }
-
-  Result<ExprPtr> ParsePostfix() {
-    PS_ASSIGN_OR_RETURN(ExprPtr expr, ParsePrimary());
+    PS_ASSIGN_OR_RETURN(Expr* expr, ParsePrimary());
     while (true) {
       if (Check(TokenType::kLBracket)) {
-        auto index = NewExpr(ExprKind::kIndex);
+        Expr* index = NewExpr(ExprKind::kIndex);
         Advance();
+        index->lhs = expr;
         PS_ASSIGN_OR_RETURN(index->rhs, ParseExpression());
         PS_RETURN_IF_ERROR(Expect(TokenType::kRBracket, "']'"));
-        index->lhs = std::move(expr);
-        expr = std::move(index);
+        expr = index;
       } else if (Check(TokenType::kLParen)) {
         if (expr->kind != ExprKind::kVariable) {
           return Error("only named functions can be called");
         }
-        auto call = NewExpr(ExprKind::kCall);
-        call->text = expr->text;
-        Advance();
-        if (!Check(TokenType::kRParen)) {
-          while (true) {
-            PS_ASSIGN_OR_RETURN(ExprPtr arg, ParseExpression());
-            call->args.push_back(std::move(arg));
-            if (!Match(TokenType::kComma)) {
-              break;
-            }
-          }
-        }
-        PS_RETURN_IF_ERROR(Expect(TokenType::kRParen, "')'"));
-        expr = std::move(call);
+        // The callee's variable node becomes the call, at the '(' line.
+        expr->kind = ExprKind::kCall;
+        expr->line = Advance().line;
+        PS_ASSIGN_OR_RETURN(expr->args, ParseList(TokenType::kRParen, "')'"));
       } else {
+        *hole = expr;
+        return head;
+      }
+    }
+  }
+
+  Result<Expr*> ParsePrimary() {
+    const Token& token = Peek();
+    switch (token.type) {
+      case TokenType::kNumber: {
+        Expr* expr = NewExpr(ExprKind::kNumber);
+        expr->number = Advance().number;
         return expr;
       }
+      case TokenType::kString:
+      case TokenType::kIdent: {
+        Expr* expr =
+            NewExpr(token.type == TokenType::kString ? ExprKind::kString : ExprKind::kVariable);
+        expr->text = Advance().text;
+        return expr;
+      }
+      case TokenType::kTrue:
+      case TokenType::kFalse: {
+        Expr* expr = NewExpr(ExprKind::kBool);
+        expr->boolean = Advance().type == TokenType::kTrue;
+        return expr;
+      }
+      case TokenType::kNull:
+        Advance();
+        return NewExpr(ExprKind::kNull);  // at the line of the token after `null`
+      case TokenType::kLParen: {
+        Advance();
+        PS_ASSIGN_OR_RETURN(Expr* expr, ParseExpression());
+        PS_RETURN_IF_ERROR(Expect(TokenType::kRParen, "')'"));
+        return expr;
+      }
+      case TokenType::kLBracket: {
+        Expr* expr = NewExpr(ExprKind::kArrayLit);
+        Advance();
+        PS_ASSIGN_OR_RETURN(expr->args, ParseList(TokenType::kRBracket, "']'"));
+        return expr;
+      }
+      default:
+        return Error("expected expression");
     }
   }
 
-  Result<ExprPtr> ParsePrimary() {
-    if (Check(TokenType::kNumber)) {
-      auto expr = NewExpr(ExprKind::kNumber);
-      expr->number = Advance().number;
-      return expr;
-    }
-    if (Check(TokenType::kString)) {
-      auto expr = NewExpr(ExprKind::kString);
-      expr->text = Advance().text;
-      return expr;
-    }
-    if (Check(TokenType::kTrue) || Check(TokenType::kFalse)) {
-      auto expr = NewExpr(ExprKind::kBool);
-      expr->boolean = Advance().type == TokenType::kTrue;
-      return expr;
-    }
-    if (Match(TokenType::kNull)) {
-      return NewExpr(ExprKind::kNull);
-    }
-    if (Check(TokenType::kIdent)) {
-      auto expr = NewExpr(ExprKind::kVariable);
-      expr->text = Advance().text;
-      return expr;
-    }
-    if (Match(TokenType::kLParen)) {
-      PS_ASSIGN_OR_RETURN(ExprPtr expr, ParseExpression());
-      PS_RETURN_IF_ERROR(Expect(TokenType::kRParen, "')'"));
-      return expr;
-    }
-    if (Check(TokenType::kLBracket)) {
-      auto expr = NewExpr(ExprKind::kArrayLit);
-      Advance();
-      if (!Check(TokenType::kRBracket)) {
-        while (true) {
-          PS_ASSIGN_OR_RETURN(ExprPtr element, ParseExpression());
-          expr->args.push_back(std::move(element));
-          if (!Match(TokenType::kComma)) {
-            break;
-          }
+  // Comma-separated expressions up to `close`, which is consumed; the opening
+  // token has been.
+  Result<std::span<Expr* const>> ParseList(TokenType close, const char* what) {
+    const size_t mark = expr_stack_.size();
+    if (!Check(close)) {
+      while (true) {
+        PS_ASSIGN_OR_RETURN(Expr* element, ParseExpression());
+        expr_stack_.push_back(element);
+        if (!Match(TokenType::kComma)) {
+          break;
         }
       }
-      PS_RETURN_IF_ERROR(Expect(TokenType::kRBracket, "']'"));
-      return expr;
     }
-    return Error("expected expression");
+    PS_RETURN_IF_ERROR(Expect(close, what));
+    return FinishExprs(mark);
   }
 
-  std::vector<Token> tokens_;
+  const Token* tokens_;
   size_t pos_ = 0;
+  Program* program_;
+  AstArena& arena_;
+  uint32_t nodes_ = 0;
+  std::vector<Stmt*> stmt_stack_;
+  std::vector<Expr*> expr_stack_;
+  std::vector<std::string_view> params_;
 };
 
 }  // namespace
 
 Result<Program> ParseProgram(std::string_view source) {
-  PS_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(source));
-  return ScriptParser(std::move(tokens)).Run();
+  Program program;
+  // The tree's names view a copy of the source the program owns, so the
+  // program outlives `source`. Roughly 24 arena bytes per source byte.
+  program.arena.Reserve(std::min<size_t>(source.size() * 24 + 512, size_t{1} << 20));
+  const std::string_view text = program.arena.CopyText(source);
+  PS_ASSIGN_OR_RETURN(TokenList tokens, Tokenize(text));
+  if (tokens.unescaped != nullptr) {
+    program.arena.Adopt(std::move(tokens.unescaped));
+  }
+  PS_RETURN_IF_ERROR(ScriptParser(tokens, &program).Run());
+  return program;
 }
 
 }  // namespace pkrusafe

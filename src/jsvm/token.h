@@ -4,7 +4,7 @@
 #define SRC_JSVM_TOKEN_H_
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace pkrusafe {
 
@@ -57,11 +57,12 @@ enum class TokenType : uint8_t {
 
 const char* TokenTypeName(TokenType type);
 
+// A token views its text; it owns nothing (see Tokenize for what it views).
 struct Token {
   TokenType type = TokenType::kEof;
-  std::string text;    // identifier name or string literal contents
-  double number = 0;   // kNumber payload
   int line = 0;
+  double number = 0;      // kNumber payload
+  std::string_view text;  // kIdent or keyword spelling, kString contents
 };
 
 }  // namespace pkrusafe

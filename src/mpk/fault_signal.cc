@@ -3,6 +3,9 @@
 #include <signal.h>
 #include <string.h>
 #include <ucontext.h>
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
 
 #include <atomic>
 #include <cstdio>
@@ -72,6 +75,76 @@ void ResolveSignalMetrics() {
 struct sigaction g_prev_segv;
 struct sigaction g_prev_trap;
 bool g_installed = false;
+
+// --- The interrupted thread's PKRU -------------------------------------------
+//
+// The kernel enters a signal handler with PKRU reset to its default, so
+// RDPKRU in the handler does not read the register the faulting access ran
+// under. The signal frame's XSAVE image holds that register as state
+// component 9, in the standard (non-compacted) layout.
+
+#if defined(__x86_64__)
+constexpr unsigned kPkruComponent = 9;
+// The FXSAVE image's software-reserved bytes (struct _fpx_sw_bytes): a
+// magic number when an XSAVE header follows, and which components and how
+// many bytes the frame holds.
+constexpr size_t kSwBytesMagic = 464;
+constexpr size_t kSwBytesXfeatures = 472;
+constexpr size_t kSwBytesXstateSize = 480;
+constexpr uint32_t kFpXstateMagic1 = 0x46505853;
+constexpr size_t kXstateBv = 512;  // the XSAVE header's first field
+
+// Offset of PKRU in the standard XSAVE layout (CPUID leaf 0xD, sub-leaf 9,
+// EBX); 0 when the CPU has no PKRU state. Set at Install, before the
+// handler; atomic because a later Install may rewrite it (with the same
+// value) while another thread's handler reads it.
+std::atomic<uint32_t> g_pkru_xsave_offset{0};
+
+void ResolvePkruXsaveOffset() {
+  unsigned eax = 0;
+  unsigned ebx = 0;
+  unsigned ecx = 0;
+  unsigned edx = 0;
+  if (__get_cpuid_max(0, nullptr) < 0xD) {
+    return;
+  }
+  __cpuid_count(0xD, 0, eax, ebx, ecx, edx);
+  if ((eax & (1u << kPkruComponent)) == 0) {
+    return;
+  }
+  __cpuid_count(0xD, kPkruComponent, eax, ebx, ecx, edx);
+  g_pkru_xsave_offset.store(ebx, std::memory_order_relaxed);
+}
+
+template <typename T>
+T LoadAt(const unsigned char* base, size_t offset) {
+  T value;
+  memcpy(&value, base + offset, sizeof(value));
+  return value;
+}
+
+// The PKRU saved in `context`'s XSAVE image, or nullopt if it holds none.
+// A clear XSTATE_BV bit means the component was in its init state (0).
+PKRUSAFE_AS_SAFE std::optional<PkruValue> InterruptedPkru(const void* context) {
+  const uint32_t offset = g_pkru_xsave_offset.load(std::memory_order_relaxed);
+  if (context == nullptr || offset == 0) {
+    return std::nullopt;
+  }
+  const auto* image = reinterpret_cast<const unsigned char*>(
+      static_cast<const ucontext_t*>(context)->uc_mcontext.fpregs);
+  if (image == nullptr || LoadAt<uint32_t>(image, kSwBytesMagic) != kFpXstateMagic1 ||
+      (LoadAt<uint64_t>(image, kSwBytesXfeatures) & (1u << kPkruComponent)) == 0 ||
+      LoadAt<uint32_t>(image, kSwBytesXstateSize) < offset + sizeof(uint32_t)) {
+    return std::nullopt;
+  }
+  if ((LoadAt<uint64_t>(image, kXstateBv) & (1u << kPkruComponent)) == 0) {
+    return PkruValue(0);
+  }
+  return PkruValue(LoadAt<uint32_t>(image, offset));
+}
+#else
+std::optional<PkruValue> InterruptedPkru(const void*) { return std::nullopt; }
+#endif
 
 // --- Per-thread pending step (v2) -------------------------------------------
 //
@@ -168,7 +241,7 @@ void ChainToPrevious(const struct sigaction& prev, int signo, siginfo_t* info, v
     }
     if (FaultSignalDelegate* delegate = g_delegate.load(std::memory_order_acquire)) {
       fatal.has_pkru = true;
-      fatal.pkru = delegate->ReadPkru().raw();
+      fatal.pkru = delegate->FaultPkru(InterruptedPkru(context)).raw();
     }
     telemetry::FlightRecorder::Global().WriteFatalReport(fatal);
   }
@@ -229,7 +302,7 @@ void SegvHandler(int signo, siginfo_t* info, void* context) {
 
   std::optional<MpkFault> fault;
   if (delegate != nullptr) {
-    fault = delegate->Classify(addr, is_write);
+    fault = delegate->Classify(addr, is_write, InterruptedPkru(context));
   }
   if (!fault.has_value()) {
     ChainToPrevious(g_prev_segv, signo, info, context);
@@ -357,6 +430,9 @@ Status FaultSignalEngine::Install(FaultSignalDelegate* delegate) {
   }
 
   ResolveSignalMetrics();
+#if defined(__x86_64__)
+  ResolvePkruXsaveOffset();
+#endif
 
   struct sigaction sa;
   memset(&sa, 0, sizeof(sa));
@@ -393,6 +469,10 @@ void FaultSignalEngine::Uninstall() {
 }
 
 bool FaultSignalEngine::installed() { return g_installed; }
+
+const FaultSignalDelegate* FaultSignalEngine::delegate() {
+  return g_delegate.load(std::memory_order_acquire);
+}
 
 uint64_t FaultSignalEngine::serviced_fault_count() {
   return g_serviced_faults.load(std::memory_order_relaxed);
@@ -448,17 +528,18 @@ void FaultSignalEngine::ResetCountersForTest() {
 Status NativeMpkBackend::InstallSignalHandlers() { return FaultSignalEngine::Install(this); }
 
 void NativeMpkBackend::UninstallSignalHandlers() {
-  if (FaultSignalEngine::installed()) {
+  if (FaultSignalEngine::installed() && FaultSignalEngine::delegate() == this) {
     FaultSignalEngine::Uninstall();
   }
 }
 
-std::optional<MpkFault> NativeMpkBackend::Classify(uintptr_t addr, bool is_write) {
+std::optional<MpkFault> NativeMpkBackend::Classify(uintptr_t addr, bool is_write,
+                                                   std::optional<PkruValue> interrupted_pkru) {
   if (!page_keys_.IsTagged(addr)) {
     return std::nullopt;
   }
   const PkeyId key = page_keys_.KeyFor(addr);
-  const PkruValue pkru = EnforcedPkru();
+  const PkruValue pkru = FaultPkru(interrupted_pkru);
   const AccessKind kind = is_write ? AccessKind::kWrite : AccessKind::kRead;
   if (pkru.Allows(key, kind)) {
     return std::nullopt;

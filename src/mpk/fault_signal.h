@@ -41,7 +41,12 @@ class FaultSignalDelegate {
 
   // Maps a faulting address to an MPK fault, or nullopt if the fault is not
   // a protection-key violation (it will then be chained).
-  virtual std::optional<MpkFault> Classify(uintptr_t addr, bool is_write) = 0;
+  // `interrupted_pkru` is the PKRU register the faulting access ran under,
+  // read from the signal frame's XSAVE area (state component 9); nullopt
+  // when the frame carries none (no PKU). Inside the handler RDPKRU would
+  // read the kernel's signal-entry value instead.
+  virtual std::optional<MpkFault> Classify(uintptr_t addr, bool is_write,
+                                           std::optional<PkruValue> interrupted_pkru) = 0;
 
   // Consulted after Classify; decides deny vs single-step (vs single-step
   // and latch the page open, kRetryAndLatch).
@@ -53,15 +58,16 @@ class FaultSignalDelegate {
   virtual void AllowOnce(const MpkFault& fault) = 0;
   virtual void Reprotect(const MpkFault& fault) = 0;
 
-  // The calling thread's PKRU as the backend reads it, for the fatal-SEGV
-  // crash report. On hardware that is RDPKRU inside the handler.
-  virtual PkruValue ReadPkru() const = 0;
+  // The PKRU the interrupted access ran under, as this backend enforces it:
+  // MpkFault::pkru and the fatal-SEGV crash report carry it.
+  // `interrupted_pkru` is as for Classify.
+  virtual PkruValue FaultPkru(std::optional<PkruValue> interrupted_pkru) const = 0;
 };
 
 // The MpkBackend half the two natively enforcing backends share: the
 // engine's delegate, written once over MpkBackend's page hooks. The mprotect
 // and hardware backends differ only in how a page is opened and restored
-// (OpenPage/RestorePage) and in which PKRU the MMU enforces (EnforcedPkru).
+// (OpenPage/RestorePage) and in which PKRU the MMU enforces (FaultPkru).
 class NativeMpkBackend : public MpkBackend, public FaultSignalDelegate {
  public:
   ~NativeMpkBackend() override { UninstallSignalHandlers(); }
@@ -72,14 +78,15 @@ class NativeMpkBackend : public MpkBackend, public FaultSignalDelegate {
   // Must be called before violations are expected; idempotent.
   Status PrepareNativeEnforcement() final { return InstallSignalHandlers(); }
   Status InstallSignalHandlers();
+  // Uninstalls the engine if this backend is its delegate; an engine another
+  // backend (or a wrapping delegate) installed is left alone.
   void UninstallSignalHandlers();
-
-  PkruValue ReadPkru() const override = 0;
 
   // FaultSignalDelegate:
   // A fault on an untagged page, or one the PKRU permits, is not ours and is
   // chained to the application's handler.
-  std::optional<MpkFault> Classify(uintptr_t addr, bool is_write) final;
+  std::optional<MpkFault> Classify(uintptr_t addr, bool is_write,
+                                   std::optional<PkruValue> interrupted_pkru) final;
   FaultResolution OnFault(const MpkFault& fault) final { return MpkBackend::OnFault(fault); }
   // One instruction may touch at most two pages (an unaligned access that
   // straddles a boundary): AllowOnce opens whichever of the two are tagged,
@@ -87,10 +94,6 @@ class NativeMpkBackend : public MpkBackend, public FaultSignalDelegate {
   // Untagged neighbours are left alone; they may be unrelated mappings.
   void AllowOnce(const MpkFault& fault) final;
   void Reprotect(const MpkFault& fault) final;
-
- protected:
-  // The PKRU the MMU enforces for the calling thread.
-  virtual PkruValue EnforcedPkru() const { return ReadPkru(); }
 };
 
 // Per-thread fault-service totals, exported for --stats and tests.
@@ -111,6 +114,9 @@ class FaultSignalEngine {
   static void Uninstall();
 
   static bool installed();
+
+  // The installed delegate, or nullptr.
+  static const FaultSignalDelegate* delegate();
 
   // Count of MPK faults serviced (single-stepped) since Install.
   static uint64_t serviced_fault_count();

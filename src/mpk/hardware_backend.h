@@ -29,6 +29,12 @@ class HardwareMpkBackend final : public NativeMpkBackend {
   PkruValue ReadPkru() const override;
   void WritePkru(PkruValue value) override;
 
+  // The register the faulting access ran under, from the signal frame;
+  // RDPKRU only when the frame carries none.
+  PkruValue FaultPkru(std::optional<PkruValue> interrupted_pkru) const override {
+    return interrupted_pkru.value_or(ReadPkru());
+  }
+
  private:
   // Latching and the step window re-tag the page to the default key
   // (pkey 0, always accessible) and back to its recorded key.

@@ -35,6 +35,10 @@ class MprotectMpkBackend final : public NativeMpkBackend {
   PkruValue ReadPkru() const override { return CurrentThreadPkru(); }
   void WritePkru(PkruValue value) override;
 
+  // The protections reflect the process-wide effective PKRU, not the
+  // hardware register the signal frame saved.
+  PkruValue FaultPkru(std::optional<PkruValue>) const override { return EnforcedPkru(); }
+
   // Holds the PKRU sweep's lock, so a concurrent WritePkru cannot leave a
   // restored page with the protection of the PKRU it replaced.
   void UnlatchRange(uintptr_t begin, uintptr_t end) override;
@@ -44,7 +48,7 @@ class MprotectMpkBackend final : public NativeMpkBackend {
   // PKRU writes for the rest of the run.
   void OpenPage(uintptr_t page) override;
   void RestorePage(uintptr_t page, PkeyId key) override;
-  PkruValue EnforcedPkru() const override {
+  PkruValue EnforcedPkru() const {
     return PkruValue(effective_pkru_.load(std::memory_order_acquire));
   }
 

@@ -132,5 +132,24 @@ TEST(CompilerTest, DisassembleWholeProgramMentionsEveryFunction) {
   EXPECT_NE(listing.find("fn beta"), std::string::npos);
 }
 
+TEST(CompilerTest, ErrorTextIsExact) {
+  const struct {
+    const char* source;
+    const char* message;
+  } cases[] = {
+      {"let a = 1;\n\nbreak;", "line 3: break outside loop"},
+      {"\ncontinue;", "line 2: continue outside loop"},
+      {"fn f(a) { }\nf(1, 2);", "line 2: f expects 1 args, got 2"},
+      {"len(1, 2);", "line 1: len expects 1 args, got 2"},
+      {"nosuch(1);", "line 1: unknown function 'nosuch'"},
+      {"fn f() { }\nfn f() { }", "duplicate function f"},
+  };
+  for (const auto& c : cases) {
+    auto program = CompileSource(c.source);
+    ASSERT_FALSE(program.ok()) << c.source;
+    EXPECT_EQ(program.status().message(), c.message) << c.source;
+  }
+}
+
 }  // namespace
 }  // namespace pkrusafe

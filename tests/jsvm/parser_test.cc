@@ -135,5 +135,49 @@ TEST(ScriptParserTest, ErrorsCarryLineNumbers) {
   EXPECT_NE(bad.status().message().find("line 2"), std::string::npos);
 }
 
+TEST(ScriptParserTest, ErrorTextIsExact) {
+  const struct {
+    const char* source;
+    const char* message;
+  } cases[] = {
+      {"let a = 1;\nlet b = ;\n", "line 2: expected expression (found ';')"},
+      {"fn (", "line 1: expected function name (found '(')"},
+      {"fn f(1) {}", "line 1: expected parameter name (found 'number')"},
+      {"1 + 2 = 3;", "line 1: invalid assignment target (found '=')"},
+      {"f(1)(2);", "line 1: only named functions can be called (found '(')"},
+      {"{ 1;", "line 1: unterminated block (found '<eof>')"},
+      {"let x 3;", "line 1: expected '=' (found 'number')"},
+      {"let 3;", "line 1: expected variable name after 'let' (found 'number')"},
+      {"\n\nwhile (1) 2;", "line 3: expected '{' (found 'number')"},
+      {"x = [1, 2;", "line 1: expected ']' (found ';')"},
+      {"for (i = 0 i < 1;) {}", "line 1: expected ';' (found 'identifier')"},
+      {"if (a { }", "line 1: expected ')' (found '{')"},
+      {"a[1 = 2;", "line 1: invalid assignment target (found '=')"},
+      {"- - !;", "line 1: expected expression (found ';')"},
+      // The whole text is tokenized first, so a lexical error anywhere wins.
+      {"let = ;\n@", "line 2: unexpected character '@'"},
+  };
+  for (const auto& c : cases) {
+    auto program = ParseProgram(c.source);
+    ASSERT_FALSE(program.ok()) << c.source;
+    EXPECT_EQ(program.status().message(), c.message) << c.source;
+  }
+}
+
+TEST(ScriptParserTest, NodesCarryTheirTokenLine) {
+  Program program = Parse("let r =\n a\n +\n b;");
+  const Stmt& let = *program.top_level[0];
+  EXPECT_EQ(let.line, 1);
+  EXPECT_EQ(let.name, "r");
+  const Expr& sum = *let.expr;
+  EXPECT_EQ(sum.line, 3);  // a binary node takes its operator's line
+  EXPECT_EQ(sum.lhs->line, 2);
+  EXPECT_EQ(sum.rhs->line, 4);
+  // A null literal takes the line of the token after it.
+  Program nulls = Parse("let n =\n null\n ;");
+  EXPECT_EQ(nulls.top_level[0]->expr->kind, ExprKind::kNull);
+  EXPECT_EQ(nulls.top_level[0]->expr->line, 3);
+}
+
 }  // namespace
 }  // namespace pkrusafe

@@ -165,8 +165,9 @@ class BarrierDelegate : public FaultSignalDelegate {
  public:
   explicit BarrierDelegate(MprotectMpkBackend* backend) : backend_(backend) {}
 
-  std::optional<MpkFault> Classify(uintptr_t addr, bool is_write) override {
-    return backend_->Classify(addr, is_write);
+  std::optional<MpkFault> Classify(uintptr_t addr, bool is_write,
+                                   std::optional<PkruValue> interrupted_pkru) override {
+    return backend_->Classify(addr, is_write, interrupted_pkru);
   }
   FaultResolution OnFault(const MpkFault& fault) override { return backend_->OnFault(fault); }
   void AllowOnce(const MpkFault& fault) override {
@@ -177,7 +178,9 @@ class BarrierDelegate : public FaultSignalDelegate {
     backend_->AllowOnce(fault);
   }
   void Reprotect(const MpkFault& fault) override { backend_->Reprotect(fault); }
-  PkruValue ReadPkru() const override { return backend_->ReadPkru(); }
+  PkruValue FaultPkru(std::optional<PkruValue> interrupted_pkru) const override {
+    return backend_->FaultPkru(interrupted_pkru);
+  }
 
   std::atomic<int> arrived{0};
 
@@ -212,6 +215,10 @@ TEST_F(FaultConcurrencyTest, TwoThreadsAreMidStepSimultaneously) {
   a.join();
   b.join();
   backend.WritePkru(PkruValue::AllowAll());
+
+  // The backend uninstalls only an engine it installed itself; the wrapping
+  // delegate's installation is this test's to undo before it goes away.
+  FaultSignalEngine::Uninstall();
 
   EXPECT_EQ(delegate.arrived.load(), 2);
   EXPECT_GE(FaultSignalEngine::max_concurrent_steps(), 2u)

@@ -122,5 +122,42 @@ TEST_F(FaultSignalTest, ServicedFaultCountAdvances) {
   EXPECT_EQ(FaultSignalEngine::serviced_fault_count(), before + 2);
 }
 
+// A backend uninstalls only the engine it installed. Destroying a second
+// backend must leave backend A's installation in place, still servicing
+// A's faults.
+TEST_F(FaultSignalTest, AnotherBackendsDestructorLeavesTheEngineInstalled) {
+  MprotectMpkBackend backend;
+  auto region = VmRegion::Reserve(kPageSize);
+  ASSERT_TRUE(region.ok());
+  auto key = backend.AllocateKey();
+  ASSERT_TRUE(key.ok());
+  ASSERT_TRUE(backend.TagRange(region->base(), kPageSize, *key).ok());
+  ASSERT_TRUE(backend.InstallSignalHandlers().ok());
+  int recorded = 0;
+  backend.SetFaultHandler([&](const MpkFault&) {
+    ++recorded;
+    return FaultResolution::kRetryAllowed;
+  });
+
+  { MprotectMpkBackend other; }
+  ASSERT_TRUE(FaultSignalEngine::installed());  // else the touch below kills the test
+
+  backend.WritePkru(PkruValue::AllowAll().WithAccessDisabled(*key));
+  auto* bytes = reinterpret_cast<volatile unsigned char*>(region->base());
+  bytes[0] = 5;
+  backend.WritePkru(PkruValue::AllowAll());
+  EXPECT_EQ(recorded, 1);
+  EXPECT_EQ(bytes[0], 5);
+}
+
+TEST_F(FaultSignalTest, InstallingBackendsDestructorUninstalls) {
+  {
+    MprotectMpkBackend backend;
+    ASSERT_TRUE(backend.InstallSignalHandlers().ok());
+    EXPECT_TRUE(FaultSignalEngine::installed());
+  }
+  EXPECT_FALSE(FaultSignalEngine::installed());
+}
+
 }  // namespace
 }  // namespace pkrusafe

@@ -94,6 +94,39 @@ TEST(HardwareBackendTest, SingleStepProfilingOnSilicon) {
   EXPECT_EQ(bytes[0], 77);
 }
 
+// The kernel enters the SIGSEGV handler with its default PKRU (every key
+// but 0 denied), so RDPKRU there does not read the register the access ran
+// under. MpkFault::pkru must be the value this thread wrote, from the
+// signal frame's XSAVE area.
+TEST(HardwareBackendTest, FaultCarriesTheInterruptedPkru) {
+  SKIP_WITHOUT_MPK();
+  HardwareMpkBackend backend;
+  auto region = VmRegion::Reserve(kPageSize);
+  ASSERT_TRUE(region.ok());
+  auto key = backend.AllocateKey();
+  ASSERT_TRUE(key.ok());
+  ASSERT_TRUE(backend.TagRange(region->base(), kPageSize, *key).ok());
+  ASSERT_TRUE(backend.InstallSignalHandlers().ok());
+
+  uint32_t recorded = 0;
+  backend.SetFaultHandler([&](const MpkFault& fault) {
+    recorded = fault.pkru.raw();
+    return FaultResolution::kRetryAllowed;
+  });
+
+  const PkruValue original = backend.ReadPkru();
+  // AD for the key alone: 0x00000004 when the key is 1.
+  const PkruValue written = PkruValue::AllowAll().WithAccessDisabled(*key);
+  backend.WritePkru(written);
+  auto* bytes = reinterpret_cast<volatile unsigned char*>(region->base());
+  bytes[0] = 5;
+  backend.WritePkru(original);
+  backend.UninstallSignalHandlers();
+
+  EXPECT_EQ(recorded, written.raw());
+  EXPECT_EQ(bytes[0], 5);
+}
+
 // The hardware backend's PKRU is the real register only. Restoring the
 // value RDPKRU saved (which denies every key the process has not allocated)
 // must not leak into the software register the sim and mprotect backends
