@@ -3,10 +3,12 @@
 // Five questions, the first two the acceptance bar for key virtualization:
 //
 //  1. What does the vpkey layer cost on the hot path? A resident-key entry
-//     (cache hit) must stay within ~10% of the pre-virtualization
+//     (cache hit) plus exit, through MultiCompartment::Scope and the call
+//     gates' one crossing routine. The bar is the pre-virtualization
 //     EnterLibrary, which composed the deny-mask by iterating every
-//     registered library. The legacy loop is reproduced inline here against
-//     the same backend primitives, so the comparison isolates the layer.
+//     registered library: the resident pair must stay within ~10% of it.
+//     That baseline ran inline here until its numbers were committed in
+//     BENCH_vpkey.json (enter_exit_ns/mode:legacy); compare against that row.
 //
 //  2. How does LRU victim selection hold up at 8/32/256 compartments with a
 //     skewed access pattern (80% of entries hit an 8-library hot set, 20%
@@ -55,7 +57,6 @@
 #include "src/mpk/backend_factory.h"
 #include "src/mpk/sim_backend.h"
 #include "src/multidomain/multi_compartment.h"
-#include "src/runtime/call_gate.h"
 #include "src/support/rng.h"
 
 namespace {
@@ -120,75 +121,6 @@ double MeasureVpkeyResidentNs() {
   if (stats.evictions != 0) {
     std::fprintf(stderr, "resident measurement polluted by %llu evictions\n",
                  static_cast<unsigned long long>(stats.evictions));
-  }
-  return ns;
-}
-
-// The pre-virtualization EnterLibrary/ExitLibrary, reproduced faithfully:
-// one hardware key per library held in the same struct layout the old
-// Library table used, deny-mask composed by iterating that table on every
-// entry, backend reached by virtual dispatch, enter/exit out of line — the
-// same code shape the old member functions compiled to.
-struct LegacyLibrary {
-  std::string name;
-  PkeyId key = kDefaultPkey;
-  std::unique_ptr<int> arena_slot;  // stride stand-ins for the old
-  std::unique_ptr<int> heap_slot;   // arena/heap members
-};
-
-struct LegacyCompartment {
-  MpkBackend* backend = nullptr;
-  PkeyId trusted_key = kDefaultPkey;
-  std::vector<LegacyLibrary> libraries;
-  uint64_t transitions = 0;
-};
-
-__attribute__((noinline)) PkruValue LegacyPolicyFor(const LegacyCompartment& mc,
-                                                    LibraryId library) {
-  PS_CHECK_LE(library, mc.libraries.size());
-  PkruValue pkru = PkruValue::AllowAll().WithAccessDisabled(mc.trusted_key);
-  for (size_t i = 0; i < mc.libraries.size(); ++i) {
-    if (static_cast<LibraryId>(i + 1) != library) {
-      pkru = pkru.WithAccessDisabled(mc.libraries[i].key);
-    }
-  }
-  return pkru;
-}
-
-__attribute__((noinline)) void LegacyEnter(LegacyCompartment& mc, LibraryId library) {
-  PS_CHECK_GE(library, 1u);
-  const PkruValue saved = mc.backend->ReadPkru();
-  CompartmentStack::Push({saved, Domain::kUntrusted});
-  ++mc.transitions;
-  mc.backend->WritePkru(LegacyPolicyFor(mc, library));
-}
-
-__attribute__((noinline)) void LegacyExit(LegacyCompartment& mc) {
-  const CompartmentStack::Frame frame = CompartmentStack::Pop();
-  PS_CHECK(frame.entered == Domain::kUntrusted) << "unbalanced library transitions";
-  ++mc.transitions;
-  mc.backend->WritePkru(frame.saved_pkru);
-}
-
-double MeasureLegacyNs() {
-  SetCurrentThreadPkru(PkruValue::AllowAll());
-  SimMpkBackend backend;
-  LegacyCompartment mc;
-  mc.backend = &backend;
-  mc.trusted_key = *backend.AllocateKey();
-  for (int i = 0; i < kHotLibraries; ++i) {
-    mc.libraries.push_back(LegacyLibrary{"lib" + std::to_string(i), *backend.AllocateKey(),
-                                         nullptr, nullptr});
-  }
-  const double start = NowNs();
-  for (int i = 0; i < kEntryPairs; ++i) {
-    LegacyEnter(mc, static_cast<LibraryId>(i % kHotLibraries + 1));
-    LegacyExit(mc);
-  }
-  const double ns = (NowNs() - start) / kEntryPairs;
-  if (mc.transitions != 2ull * kEntryPairs) {
-    std::fprintf(stderr, "legacy transition count off: %llu\n",
-                 static_cast<unsigned long long>(mc.transitions));
   }
   return ns;
 }
@@ -355,19 +287,12 @@ double MeasureServerShapeUsPerMiss(const char* backend_name, int populated_pages
 int main() {
   bench::BenchJsonWriter out("vpkey");
 
-  // Warm both paths once to fault code and allocator state in.
-  (void)MeasureLegacyNs();
+  // Warm the path once to fault code and allocator state in.
   (void)MeasureVpkeyResidentNs();
 
-  const double legacy_ns = MeasureLegacyNs();
   const double resident_ns = MeasureVpkeyResidentNs();
-  const double ratio = resident_ns / legacy_ns;
-  std::printf("enter+exit, legacy (8 libs, mask by iteration): %8.1f ns\n", legacy_ns);
-  std::printf("enter+exit, vpkey resident hit:                 %8.1f ns  (%.2fx)\n",
-              resident_ns, ratio);
-  out.Add("enter_exit_ns/mode:legacy", legacy_ns, "ns");
+  std::printf("enter+exit, vpkey resident hit: %8.1f ns\n", resident_ns);
   out.Add("enter_exit_ns/mode:vpkey_resident", resident_ns, "ns");
-  out.Add("resident_overhead_ratio", ratio, "x");
 
   std::printf("\nLRU: 80%% hot-set(8) / 20%% cold sweep, %d entries\n", kHotSetEntries);
   std::printf("%12s %14s %10s %10s %10s\n", "compartments", "entries/s", "hit%", "evictions",

@@ -244,10 +244,10 @@ run_vpkey() {
   echo "-- vpkey: 32 tenants past the 16-key hardware limit"
   build/check-tsan/examples/multidomain_sandbox --libraries=32 --backend=sim
   build/check-tsan/examples/multidomain_sandbox --libraries=32 --backend=mprotect
-  # The resident-key transition bench: entering a cached compartment must
-  # stay within 10% of the pre-virtualization (direct hardware key) cost.
-  # A key miss must not get slower with the number of live libraries: the
-  # live:1024 / live:64 re-tag ratio stays at or below 1.5 on every backend.
+  # The transition bench. Only its re-tag rows are checked: a key miss must
+  # not get slower with the number of live libraries, so the live:1024 /
+  # live:64 re-tag ratio stays at or below 1.5 on every backend. The
+  # resident enter+exit row is printed and recorded, not checked.
   cmake -B build -S . -DPKRUSAFE_SANITIZE=""
   cmake --build build -j "$(nproc)" --target bench_vpkey
   local out

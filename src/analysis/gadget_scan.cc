@@ -1,7 +1,5 @@
 #include "src/analysis/gadget_scan.h"
 
-#include <elf.h>
-
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -68,21 +66,23 @@ std::vector<GadgetHit> ScanBuffer(const uint8_t* data, size_t size, size_t base_
   return hits;
 }
 
-Result<std::vector<GadgetHit>> ScanFile(const std::string& path) {
+Result<BinaryImage> ReadBinary(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return NotFoundError("cannot open " + path);
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  const std::string bytes = buffer.str();
-  const auto* data = reinterpret_cast<const uint8_t*>(bytes.data());
-  const size_t size = bytes.size();
+  BinaryImage image;
+  image.path = path;
+  image.bytes = buffer.str();
+  const uint8_t* data = image.data();
+  const size_t size = image.bytes.size();
 
-  // Not an ELF64 file: scan everything (raw mode).
+  // Not an ELF64 file: no sections (raw mode).
   if (size < sizeof(Elf64_Ehdr) || std::memcmp(data, ELFMAG, SELFMAG) != 0 ||
       data[EI_CLASS] != ELFCLASS64) {
-    return ScanBuffer(data, size, 0, "(raw)");
+    return image;
   }
 
   Elf64_Ehdr header;
@@ -91,41 +91,49 @@ Result<std::vector<GadgetHit>> ScanFile(const std::string& path) {
       header.e_shoff + static_cast<uint64_t>(header.e_shnum) * header.e_shentsize > size) {
     return InvalidArgumentError(path + ": malformed ELF section table");
   }
+  image.elf = true;
 
-  std::vector<Elf64_Shdr> sections(header.e_shnum);
-  for (size_t i = 0; i < sections.size(); ++i) {
-    std::memcpy(&sections[i], data + header.e_shoff + i * header.e_shentsize,
+  image.sections.resize(header.e_shnum);
+  for (size_t i = 0; i < image.sections.size(); ++i) {
+    std::memcpy(&image.sections[i], data + header.e_shoff + i * header.e_shentsize,
                 sizeof(Elf64_Shdr));
   }
 
   // Section names, if the string table is intact (best effort).
-  const char* shstrtab = nullptr;
-  size_t shstrtab_size = 0;
-  if (header.e_shstrndx < sections.size()) {
-    const Elf64_Shdr& strs = sections[header.e_shstrndx];
+  if (header.e_shstrndx < image.sections.size()) {
+    const Elf64_Shdr& strs = image.sections[header.e_shstrndx];
     if (strs.sh_offset + strs.sh_size <= size) {
-      shstrtab = bytes.data() + strs.sh_offset;
-      shstrtab_size = strs.sh_size;
+      image.names_offset = strs.sh_offset;
+      image.names_size = strs.sh_size;
     }
   }
+  return image;
+}
 
+Result<std::vector<GadgetHit>> ScanImage(const BinaryImage& image) {
+  const size_t size = image.bytes.size();
+  if (!image.elf) {
+    return ScanBuffer(image.data(), size, 0, "(raw)");
+  }
   std::vector<GadgetHit> hits;
-  for (const Elf64_Shdr& section : sections) {
+  for (const Elf64_Shdr& section : image.sections) {
     if ((section.sh_flags & SHF_EXECINSTR) == 0 || section.sh_type == SHT_NOBITS) {
       continue;
     }
     if (section.sh_offset + section.sh_size > size) {
-      return InvalidArgumentError(path + ": executable section extends past end of file");
-    }
-    std::string name = "(exec)";
-    if (shstrtab != nullptr && section.sh_name < shstrtab_size) {
-      name = std::string(shstrtab + section.sh_name);
+      return InvalidArgumentError(image.path + ": executable section extends past end of file");
     }
     auto section_hits =
-        ScanBuffer(data + section.sh_offset, section.sh_size, section.sh_offset, name);
+        ScanBuffer(image.data() + section.sh_offset, section.sh_size, section.sh_offset,
+                   image.SectionName(section).value_or("(exec)"));
     hits.insert(hits.end(), section_hits.begin(), section_hits.end());
   }
   return hits;
+}
+
+Result<std::vector<GadgetHit>> ScanFile(const std::string& path) {
+  PS_ASSIGN_OR_RETURN(const BinaryImage image, ReadBinary(path));
+  return ScanImage(image);
 }
 
 void ReportGadgets(const std::vector<GadgetHit>& hits, const std::string& origin,

@@ -22,8 +22,11 @@
 #ifndef SRC_ANALYSIS_GADGET_SCAN_H_
 #define SRC_ANALYSIS_GADGET_SCAN_H_
 
+#include <elf.h>
+
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,7 +53,35 @@ struct GadgetHit {
 std::vector<GadgetHit> ScanBuffer(const uint8_t* data, size_t size, size_t base_offset,
                                   const std::string& section);
 
-// ELF-aware file scan (see file comment).
+// A binary read and parsed once. For an ELF64 file, `sections` holds its
+// section headers; any other file has none and is scanned whole.
+struct BinaryImage {
+  std::string path;
+  std::string bytes;
+  bool elf = false;
+  std::vector<Elf64_Shdr> sections;
+  // The section-name table's extent in `bytes`; empty when it is missing or
+  // out of range.
+  uint64_t names_offset = 0;
+  uint64_t names_size = 0;
+
+  const uint8_t* data() const { return reinterpret_cast<const uint8_t*>(bytes.data()); }
+  // nullopt when the name table does not reach the section's name.
+  std::optional<std::string> SectionName(const Elf64_Shdr& section) const {
+    if (section.sh_name >= names_size) {
+      return std::nullopt;
+    }
+    return std::string(bytes.data() + names_offset + section.sh_name);
+  }
+};
+
+// Reads `path` and, for ELF64, parses its section table.
+Result<BinaryImage> ReadBinary(const std::string& path);
+
+// Scans an image's executable sections (ELF) or all of it (raw).
+Result<std::vector<GadgetHit>> ScanImage(const BinaryImage& image);
+
+// ReadBinary + ScanImage (see file comment).
 Result<std::vector<GadgetHit>> ScanFile(const std::string& path);
 
 // Converts hits to findings: unsanctioned wrpkru => error "wrpkru-gadget",

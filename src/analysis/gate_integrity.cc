@@ -1,100 +1,40 @@
 #include "src/analysis/gate_integrity.h"
 
-#include <elf.h>
-
-#include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <set>
-#include <sstream>
 
 #include "src/support/string_util.h"
 
 namespace pkrusafe {
 namespace analysis {
 
-namespace {
-
-struct ExecWindow {
-  uint64_t vaddr = 0;
-  uint64_t size = 0;
-  uint64_t offset = 0;
-};
-
-}  // namespace
-
 Result<BinaryGateReport> ScanBinaryGates(const std::string& path) {
   BinaryGateReport report;
   report.path = path;
 
-  PS_ASSIGN_OR_RETURN(report.hits, ScanFile(path));
+  PS_ASSIGN_OR_RETURN(const BinaryImage image, ReadBinary(path));
+  PS_ASSIGN_OR_RETURN(report.hits, ScanImage(image));
+  std::set<size_t> sanctioned_offsets;
   for (const GadgetHit& hit : report.hits) {
-    switch (hit.kind) {
-      case GadgetHit::Kind::kWrpkru:
-        ++(hit.sanctioned ? report.sanctioned : report.unsanctioned);
-        break;
-      case GadgetHit::Kind::kXrstor:
-        ++report.xrstor;
-        break;
+    if (hit.kind == GadgetHit::Kind::kXrstor) {
+      ++report.xrstor;
+    } else if (hit.sanctioned) {
+      ++report.sanctioned;
+      sanctioned_offsets.insert(hit.offset);
+    } else {
+      ++report.unsanctioned;
     }
   }
-
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return NotFoundError("cannot open " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string bytes = buffer.str();
-  const auto* data = reinterpret_cast<const uint8_t*>(bytes.data());
-  const size_t size = bytes.size();
-
-  if (size < sizeof(Elf64_Ehdr) || std::memcmp(data, ELFMAG, SELFMAG) != 0 ||
-      data[EI_CLASS] != ELFCLASS64) {
+  if (!image.elf) {
     return report;  // raw input: no registry to cross-check
-  }
-
-  Elf64_Ehdr header;
-  std::memcpy(&header, data, sizeof(header));
-  if (header.e_shoff == 0 || header.e_shentsize < sizeof(Elf64_Shdr) ||
-      header.e_shoff + static_cast<uint64_t>(header.e_shnum) * header.e_shentsize > size) {
-    return InvalidArgumentError(path + ": malformed ELF section table");
   }
   report.elf = true;
 
-  std::vector<Elf64_Shdr> sections(header.e_shnum);
-  for (size_t i = 0; i < sections.size(); ++i) {
-    std::memcpy(&sections[i], data + header.e_shoff + i * header.e_shentsize,
-                sizeof(Elf64_Shdr));
-  }
-
-  const char* shstrtab = nullptr;
-  size_t shstrtab_size = 0;
-  if (header.e_shstrndx < sections.size()) {
-    const Elf64_Shdr& strs = sections[header.e_shstrndx];
-    if (strs.sh_offset + strs.sh_size <= size) {
-      shstrtab = bytes.data() + strs.sh_offset;
-      shstrtab_size = strs.sh_size;
-    }
-  }
-  auto section_name = [&](const Elf64_Shdr& section) -> std::string {
-    if (shstrtab == nullptr || section.sh_name >= shstrtab_size) {
-      return "";
-    }
-    return std::string(shstrtab + section.sh_name);
-  };
-
-  // Virtual-address -> file-offset windows. Registry entries (`.long 1f - .`)
-  // decode to link-time vaddrs, which for PIE binaries match sh_addr as-is:
-  // both sides are pre-relocation link-time addresses.
-  std::vector<ExecWindow> windows;
   const Elf64_Shdr* registry = nullptr;
-  for (const Elf64_Shdr& section : sections) {
-    if (section.sh_type != SHT_NOBITS && (section.sh_flags & SHF_EXECINSTR) != 0) {
-      windows.push_back({section.sh_addr, section.sh_size, section.sh_offset});
-    }
-    if (registry == nullptr && section_name(section) == kGateRegistrySection) {
+  for (const Elf64_Shdr& section : image.sections) {
+    if (image.SectionName(section) == kGateRegistrySection) {
       registry = &section;
+      break;
     }
   }
   if (registry == nullptr) {
@@ -102,7 +42,8 @@ Result<BinaryGateReport> ScanBinaryGates(const std::string& path) {
   }
   report.has_registry = true;
 
-  if (registry->sh_type == SHT_NOBITS || registry->sh_offset + registry->sh_size > size ||
+  if (registry->sh_type == SHT_NOBITS ||
+      registry->sh_offset + registry->sh_size > image.bytes.size() ||
       registry->sh_size % sizeof(int32_t) != 0) {
     return InvalidArgumentError(path + ": malformed " + std::string(kGateRegistrySection) +
                                 " section");
@@ -113,26 +54,25 @@ Result<BinaryGateReport> ScanBinaryGates(const std::string& path) {
   report.registry_vaddrs.reserve(report.registered);
   for (size_t i = 0; i < report.registered; ++i) {
     int32_t delta = 0;
-    std::memcpy(&delta, data + registry->sh_offset + i * sizeof(int32_t), sizeof(delta));
+    std::memcpy(&delta, image.data() + registry->sh_offset + i * sizeof(int32_t),
+                sizeof(delta));
     report.registry_vaddrs.push_back(registry->sh_addr + i * sizeof(int32_t) +
                                      static_cast<uint64_t>(static_cast<int64_t>(delta)));
   }
 
-  std::set<size_t> sanctioned_offsets;
-  for (const GadgetHit& hit : report.hits) {
-    if (hit.kind == GadgetHit::Kind::kWrpkru && hit.sanctioned) {
-      sanctioned_offsets.insert(hit.offset);
-    }
-  }
-
+  // Each registered vaddr maps to a file offset through the executable
+  // section holding it. Registry entries (`.long 1f - .`) decode to link-time
+  // vaddrs, which for PIE binaries match sh_addr as-is: both sides are
+  // pre-relocation link-time addresses.
   std::set<size_t> claimed;
   for (const uint64_t vaddr : report.registry_vaddrs) {
     bool verified = false;
-    for (const ExecWindow& window : windows) {
-      if (vaddr < window.vaddr || vaddr - window.vaddr >= window.size) {
+    for (const Elf64_Shdr& window : image.sections) {
+      if (window.sh_type == SHT_NOBITS || (window.sh_flags & SHF_EXECINSTR) == 0 ||
+          vaddr < window.sh_addr || vaddr - window.sh_addr >= window.sh_size) {
         continue;
       }
-      const size_t file_offset = static_cast<size_t>(window.offset + (vaddr - window.vaddr));
+      const size_t file_offset = static_cast<size_t>(window.sh_offset + (vaddr - window.sh_addr));
       if (sanctioned_offsets.contains(file_offset)) {
         verified = true;
         claimed.insert(file_offset);

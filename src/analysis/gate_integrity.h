@@ -67,10 +67,11 @@ struct BinaryGateReport {
   std::vector<GadgetHit> hits;
 };
 
-// Scans `path` (ScanFile semantics) and, for ELF64 inputs, reads the gate
-// registry and resolves each registered virtual address to a file offset via
-// the executable sections' sh_addr/sh_offset windows to match it against the
-// scanner's sanctioned hits.
+// Reads `path` once and scans it (ScanFile semantics); for ELF64 inputs it
+// then reads the gate registry from the same parse and resolves each
+// registered virtual address to a file offset via the executable sections'
+// sh_addr/sh_offset windows to match it against the scanner's sanctioned
+// hits.
 Result<BinaryGateReport> ScanBinaryGates(const std::string& path);
 
 // Emits gate-count-mismatch errors (and a sanctioned-site inventory note)

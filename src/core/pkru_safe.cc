@@ -73,7 +73,6 @@ Result<std::unique_ptr<System>> System::Create(std::string_view ir_source, Syste
   RuntimeConfig rc;
   rc.backend = config.backend;
   rc.mode = config.mode;
-  rc.verify_gates = config.verify_gates;
   rc.latch_sites = config.latch_sites;
   rc.allocator.trusted_pool_bytes = config.trusted_pool_bytes;
   rc.allocator.untrusted_pool_bytes = config.untrusted_pool_bytes;

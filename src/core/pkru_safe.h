@@ -33,7 +33,6 @@ struct SystemConfig {
   // Applied by the ProfileApplyPass (IR rewriting) *and* installed as the
   // runtime's site policy, so both mechanisms agree.
   Profile profile;
-  bool verify_gates = true;
   // Profiling-mode first-fault latching (see RuntimeConfig::latch_sites).
   bool latch_sites = false;
   // Always-on sampled profiling in enforce mode: keep observing the

@@ -244,10 +244,13 @@ Status VerifyFunction(const CompiledProgram& program, CompiledFunction& fn,
   return Status::Ok();
 }
 
-// Name -> dense index, open-addressed in one flat array: a lookup costs a
-// hash and a probe or two, a new name allocates nothing until the table
-// doubles, and a script with thousands of names still compiles in linear
-// time. The names view the AST, which outlives the table.
+// Name -> dense index, open-addressed: a lookup costs a hash and a probe or
+// two, and a script with thousands of names or literals still compiles in
+// linear time. The probed array holds only each name's hash and entry
+// number, 8 bytes a slot, so a table of 80k names stays cache-sized; the
+// names live in `entries_` in insertion order and are compared only on a
+// hash match. The names view the AST, which outlives the table (a number
+// literal's key is its double's bytes there).
 class NameTable {
  public:
   static constexpr uint32_t kAbsent = UINT32_MAX;
@@ -256,51 +259,63 @@ class NameTable {
     if (slots_.empty()) {
       return kAbsent;
     }
-    const size_t mask = slots_.size() - 1;
-    for (size_t i = Hash(name) & mask;; i = (i + 1) & mask) {
-      if (slots_[i].index == kAbsent || slots_[i].name == name) {
-        return slots_[i].index;
-      }
-    }
+    const size_t slot = Probe(name, Hash(name));
+    return slots_[slot].entry == kAbsent ? kAbsent : entries_[slots_[slot].entry].index;
   }
 
-  // `name` must not be in the table yet.
-  void Insert(std::string_view name, uint32_t index) {
-    if (2 * (count_ + 1) > slots_.size()) {
-      const size_t size = std::max<size_t>(16, 2 * slots_.size());
-      std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(size));
-      count_ = 0;
-      for (const Slot& slot : old) {
-        if (slot.index != kAbsent) {
-          Insert(slot.name, slot.index);
-        }
+  // Returns `name`'s index, first inserting it with `index` when absent: one
+  // hash and one probe sequence either way.
+  uint32_t FindOrInsert(std::string_view name, uint32_t index) {
+    if (2 * (entries_.size() + 1) > slots_.size()) {
+      slots_.assign(std::max<size_t>(16, 2 * slots_.size()), Slot{});
+      entries_.reserve(slots_.size() / 2);
+      for (uint32_t entry = 0; entry < entries_.size(); ++entry) {
+        const Entry& e = entries_[entry];
+        slots_[Probe(e.name, e.hash)] = Slot{e.hash, entry};
       }
     }
-    const size_t mask = slots_.size() - 1;
-    size_t i = Hash(name) & mask;
-    while (slots_[i].index != kAbsent) {
-      i = (i + 1) & mask;
+    const uint32_t hash = Hash(name);
+    const size_t slot = Probe(name, hash);
+    if (slots_[slot].entry != kAbsent) {
+      return entries_[slots_[slot].entry].index;
     }
-    slots_[i] = Slot{name, index};
-    ++count_;
+    slots_[slot] = Slot{hash, static_cast<uint32_t>(entries_.size())};
+    entries_.push_back(Entry{name, hash, index});
+    return index;
   }
 
  private:
-  struct Slot {
+  struct Entry {
     std::string_view name;
-    uint32_t index = kAbsent;
+    uint32_t hash;
+    uint32_t index;
+  };
+  struct Slot {
+    uint32_t hash = 0;
+    uint32_t entry = kAbsent;
   };
 
-  static size_t Hash(std::string_view name) {  // FNV-1a
+  // The slot holding `name`, or the empty slot that ends its probe sequence.
+  size_t Probe(std::string_view name, uint32_t hash) const {
+    const size_t mask = slots_.size() - 1;
+    size_t i = hash & mask;
+    while (slots_[i].entry != kAbsent &&
+           (slots_[i].hash != hash || entries_[slots_[i].entry].name != name)) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  static uint32_t Hash(std::string_view name) {  // FNV-1a, folded to 32 bits
     uint64_t hash = 14695981039346656037ull;
     for (const char c : name) {
       hash = (hash ^ static_cast<unsigned char>(c)) * 1099511628211ull;
     }
-    return static_cast<size_t>(hash);
+    return static_cast<uint32_t>(hash ^ (hash >> 32));
   }
 
+  std::vector<Entry> entries_;
   std::vector<Slot> slots_;  // a power of two long, at most half full
-  size_t count_ = 0;
 };
 
 class Compiler {
@@ -315,12 +330,11 @@ class Compiler {
     out_.functions.emplace_back();
     out_.functions[0].name = "@main";
     for (const FunctionDecl& fn : program_.functions) {
-      if (functions_.Find(fn.name) != NameTable::kAbsent) {
+      const auto index = static_cast<uint32_t>(out_.functions.size());
+      if (functions_.FindOrInsert(fn.name, index) != index) {
         return InvalidArgumentError(StrFormat("duplicate function %.*s",
                                               static_cast<int>(fn.name.size()), fn.name.data()));
       }
-      const auto index = static_cast<uint32_t>(out_.functions.size());
-      functions_.Insert(fn.name, index);
       CompiledFunction& compiled = out_.functions.emplace_back();
       compiled.name = fn.name;
       compiled.arity = static_cast<uint32_t>(fn.params.size());
@@ -348,6 +362,8 @@ class Compiler {
     int scope_depth = 0;
     uint32_t next_slot = 0;
     bool top_level = false;  // lets become globals
+    NameTable numbers;       // constant index by the literal's bytes in the AST
+    NameTable strings;       // constant index by text
   };
 
   // The innermost loops' patch lists live in break_sites_ and
@@ -407,35 +423,33 @@ class Compiler {
     return ctx.fn->code.size() - 1;
   }
 
-  // Constants are deduplicated per function. A constant pool or the global
-  // names start with room for a small script's handful, not the doubling
-  // steps up to it.
+  // Constants are deduplicated per function, the first occurrence keeping
+  // the index. A constant pool or the global names start with room for a
+  // small script's handful, not the doubling steps up to it.
   static constexpr size_t kFirstPoolSize = 8;
 
-  uint32_t AddNumber(FunctionCtx& ctx, double number) {
+  // Returns the index of the constant equal to `value`, first appending a T
+  // made from it when there is none. The first kFirstPoolSize constants are
+  // scanned, which costs a small function less than a table; later ones are
+  // found through `table`, keyed by `key`.
+  template <typename T, typename Value>
+  static uint32_t AddConstant(FunctionCtx& ctx, NameTable& table, std::string_view key,
+                              Value value) {
     std::vector<BcConstant>& constants = ctx.fn->constants;
-    constants.reserve(kFirstPoolSize);
-    for (size_t i = 0; i < constants.size(); ++i) {
-      if (const double* existing = std::get_if<double>(&constants[i]);
-          existing != nullptr && *existing == number) {
+    const size_t scanned = std::min(constants.size(), kFirstPoolSize);
+    for (size_t i = 0; i < scanned; ++i) {
+      if (const T* existing = std::get_if<T>(&constants[i]);
+          existing != nullptr && *existing == value) {
         return static_cast<uint32_t>(i);
       }
     }
-    constants.emplace_back(number);
-    return static_cast<uint32_t>(constants.size() - 1);
-  }
-
-  uint32_t AddString(FunctionCtx& ctx, std::string_view text) {
-    std::vector<BcConstant>& constants = ctx.fn->constants;
-    constants.reserve(kFirstPoolSize);
-    for (size_t i = 0; i < constants.size(); ++i) {
-      if (const std::string* existing = std::get_if<std::string>(&constants[i]);
-          existing != nullptr && *existing == text) {
-        return static_cast<uint32_t>(i);
-      }
+    const auto next = static_cast<uint32_t>(constants.size());
+    const uint32_t index = next < kFirstPoolSize ? next : table.FindOrInsert(key, next);
+    if (index == next) {
+      constants.reserve(kFirstPoolSize);
+      constants.emplace_back(std::in_place_type<T>, value);
     }
-    constants.emplace_back(std::in_place_type<std::string>, text);
-    return static_cast<uint32_t>(constants.size() - 1);
+    return index;
   }
 
   std::optional<uint32_t> ResolveLocal(const FunctionCtx& ctx, std::string_view name) const {
@@ -448,12 +462,11 @@ class Compiler {
   }
 
   uint32_t ResolveGlobal(std::string_view name) {
-    uint32_t index = globals_.Find(name);
-    if (index == NameTable::kAbsent) {
-      index = static_cast<uint32_t>(out_.global_names.size());
+    const auto next = static_cast<uint32_t>(out_.global_names.size());
+    const uint32_t index = globals_.FindOrInsert(name, next);
+    if (index == next) {
       out_.global_names.reserve(kFirstPoolSize);
       out_.global_names.emplace_back(name);
-      globals_.Insert(name, index);
     }
     return index;
   }
@@ -599,10 +612,17 @@ class Compiler {
   Status CompileExpr(FunctionCtx& ctx, const Expr& expr) {
     switch (expr.kind) {
       case ExprKind::kNumber:
-        Emit(ctx, Op::kConst, AddNumber(ctx, expr.number), 0, expr.line);
+        // Number literals are never negative or NaN (the lexer reads only
+        // digits), so equal bytes are equal values.
+        Emit(ctx, Op::kConst,
+             AddConstant<double>(ctx, ctx.numbers,
+                                 {reinterpret_cast<const char*>(&expr.number), sizeof(double)},
+                                 expr.number),
+             0, expr.line);
         return Status::Ok();
       case ExprKind::kString:
-        Emit(ctx, Op::kConst, AddString(ctx, expr.text), 0, expr.line);
+        Emit(ctx, Op::kConst, AddConstant<std::string>(ctx, ctx.strings, expr.text, expr.text), 0,
+             expr.line);
         return Status::Ok();
       case ExprKind::kBool:
         Emit(ctx, expr.boolean ? Op::kTrue : Op::kFalse, 0, 0, expr.line);

@@ -207,9 +207,9 @@ PkruValue MultiCompartment::PolicyFor(LibraryId library) {
 void MultiCompartment::EnterLibrary(LibraryId library) {
   PS_CHECK_GE(library, 1u);
   const VirtualKeyId vkey = LibraryAt(library).vkey.load(std::memory_order_relaxed);
-  // Resident key: pin with no lock and no RMW — this is the path the
-  // ≤10%-over-legacy acceptance bar measures. Evicted (or racing an
-  // eviction): fall into the locked fault-in.
+  // Resident key: pin with no lock and no RMW — the path bench_vpkey's
+  // resident row measures. Evicted (or racing an eviction): fall into the
+  // locked fault-in.
   std::optional<PkruValue> mask = vpkeys_->TryPinFast(vkey);
   if (!mask.has_value()) {
     std::lock_guard lock(mu_);
@@ -217,21 +217,18 @@ void MultiCompartment::EnterLibrary(LibraryId library) {
     PS_CHECK(pinned.ok()) << "EnterLibrary(" << library << "): " << pinned.status().ToString();
     mask = *pinned;
   }
-  const PkruValue saved = backend_->ReadPkru();
-  CompartmentStack::Push({saved, Domain::kUntrusted});
   transitions_.store(transitions_.load(std::memory_order_relaxed) + 1,
                      std::memory_order_relaxed);
-  backend_->WritePkru(*mask);
+  CompartmentStack::Enter(backend_, Domain::kUntrusted, backend_->ReadPkru(), *mask,
+                          /*verify=*/true);
 }
 
 void MultiCompartment::ExitLibrary() {
-  const CompartmentStack::Frame frame = CompartmentStack::Pop();
-  PS_CHECK(frame.entered == Domain::kUntrusted) << "unbalanced library transitions";
   transitions_.store(transitions_.load(std::memory_order_relaxed) + 1,
                      std::memory_order_relaxed);
   // Restore the caller's rights first, then drop the pin: the key must stay
   // bound to its slot for as long as any installed PKRU can refer to it.
-  backend_->WritePkru(frame.saved_pkru);
+  CompartmentStack::Exit(backend_, Domain::kUntrusted, /*verify=*/true);
   vpkeys_->UnpinFast();
 }
 

@@ -145,7 +145,11 @@ class MultiCompartment {
   // and the library's hardware slot. Balanced by ExitLibrary; nesting across
   // different libraries is allowed (each level holds a pin, so nesting
   // depth across distinct libraries is bounded by the hardware slot count)
-  // and restores exactly.
+  // and restores exactly. Both sides are the call gates' one crossing
+  // (CompartmentStack::Enter/Exit, call_gate.h): the installed PKRU is always
+  // verified, and with tracing on each crossing records the gate trace events
+  // and a gate.crossing_ns sample like any GateSet gate. A library crossing
+  // counts in transition_count() below, not in any GateSet's counters.
   void EnterLibrary(LibraryId library);
   void ExitLibrary();
 
@@ -176,6 +180,7 @@ class MultiCompartment {
   // resident, the shared evicted key otherwise.
   PkeyId key_of(LibraryId id) const;
   bool library_resident(LibraryId id) const;
+  // Library crossings (one per EnterLibrary and one per ExitLibrary).
   uint64_t transition_count() const { return transitions_.load(std::memory_order_relaxed); }
 
   // Virtual-key cache counters (hits/misses/evictions/retag traffic).

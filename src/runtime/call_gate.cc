@@ -1,5 +1,8 @@
 #include "src/runtime/call_gate.h"
 
+#include <cstdlib>
+
+#include "src/support/compiler.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
 
@@ -7,40 +10,59 @@ namespace pkrusafe {
 
 namespace {
 
+// Every member has an initializer, so tls_stack is constant-initialized and
+// a crossing pays no thread_local guard.
+struct Frame {
+  PkruValue saved_pkru;
+  Domain entered = Domain::kTrusted;
+};
+
 struct StackStorage {
-  CompartmentStack::Frame frames[CompartmentStack::kMaxDepth];
+  Frame frames[CompartmentStack::kMaxDepth];
   size_t depth = 0;
 };
 
 thread_local StackStorage tls_stack;
 
-// Per-crossing PKRU-write latency, pooled across every GateSet. Transition
-// *counts* stay in the per-GateSet atomics (the source of truth Tables 1-2
-// read); the runtime mirrors those into the registry as callback gauges.
+// Per-crossing PKRU-write latency, pooled across every crossing. Transition
+// *counts* stay with the callers (GateSet's per-direction atomics are the
+// source of truth Tables 1-2 read); the runtime mirrors those into the
+// registry as callback gauges.
 telemetry::Histogram* CrossingHistogram() {
   static telemetry::Histogram* histogram = telemetry::MetricsRegistry::Global().GetOrCreateHistogram(
       "gate.crossing_ns", telemetry::Histogram::ExponentialBounds(16, 2.0, 20));
   return histogram;
 }
 
-constexpr uint8_t kDirToUntrusted =
-    static_cast<uint8_t>(telemetry::TraceDirection::kTrustedToUntrusted);
-constexpr uint8_t kDirToTrusted =
-    static_cast<uint8_t>(telemetry::TraceDirection::kUntrustedToTrusted);
+uint8_t Direction(bool to_untrusted) {
+  return static_cast<uint8_t>(to_untrusted ? telemetry::TraceDirection::kTrustedToUntrusted
+                                           : telemetry::TraceDirection::kUntrustedToTrusted);
+}
+
+// The failure paths stay out of line, so a crossing is a few loads and
+// stores around the backend's PKRU write and read.
+[[noreturn]] PS_NOINLINE void CrossingFailed(const char* what) {
+  PS_LOG(Fatal) << what;
+  std::abort();
+}
+
+[[noreturn]] PS_NOINLINE void VerificationFailed(PkruValue target, PkruValue actual) {
+  PS_LOG(Fatal) << "call gate PKRU verification failed: wrote " << target.ToString()
+                << " but register holds " << actual.ToString();
+  std::abort();
+}
+
+inline void WriteAndMaybeVerify(MpkBackend* backend, PkruValue target, bool verify) {
+  backend->WritePkru(target);
+  if (verify) {
+    const PkruValue actual = backend->ReadPkru();
+    if (actual != target) [[unlikely]] {
+      VerificationFailed(target, actual);
+    }
+  }
+}
 
 }  // namespace
-
-void CompartmentStack::Push(Frame frame) {
-  StackStorage& stack = tls_stack;
-  PS_CHECK_LT(stack.depth, kMaxDepth) << "compartment stack overflow";
-  stack.frames[stack.depth++] = frame;
-}
-
-CompartmentStack::Frame CompartmentStack::Pop() {
-  StackStorage& stack = tls_stack;
-  PS_CHECK_GT(stack.depth, 0u) << "compartment stack underflow";
-  return stack.frames[--stack.depth];
-}
 
 size_t CompartmentStack::Depth() { return tls_stack.depth; }
 
@@ -49,100 +71,87 @@ Domain CompartmentStack::CurrentDomain() {
   return stack.depth == 0 ? Domain::kTrusted : stack.frames[stack.depth - 1].entered;
 }
 
-void GateSet::WriteAndMaybeVerify(PkruValue target) {
-  backend_->WritePkru(target);
-  if (verify_) {
-    const PkruValue actual = backend_->ReadPkru();
-    PS_CHECK(actual == target) << "call gate PKRU verification failed: wrote "
-                               << target.ToString() << " but register holds "
-                               << actual.ToString();
+// The PKRU-write trace event is recorded in the traced branches, not in
+// WriteAndMaybeVerify, so the untraced path pays exactly one
+// telemetry::Enabled() check per crossing (the cost contract
+// bench_callgate_micro verifies).
+
+void CompartmentStack::Enter(MpkBackend* backend, Domain entered, PkruValue saved,
+                             PkruValue target, bool verify) {
+  StackStorage& stack = tls_stack;
+  if (stack.depth >= kMaxDepth) [[unlikely]] {
+    CrossingFailed("compartment stack overflow");
   }
+  stack.frames[stack.depth++] = Frame{saved, entered};
+  if (!telemetry::Enabled()) [[likely]] {
+    WriteAndMaybeVerify(backend, target, verify);
+    return;
+  }
+  const uint64_t t0 = telemetry::NowNs();
+  telemetry::RecordEventAt(t0, telemetry::TraceEventType::kGateEnter,
+                           Direction(entered == Domain::kUntrusted), stack.depth, target.raw());
+  WriteAndMaybeVerify(backend, target, verify);
+  telemetry::RecordEvent(telemetry::TraceEventType::kPkruWrite, 0, target.raw());
+  CrossingHistogram()->Observe(telemetry::NowNs() - t0);
 }
 
-// The PKRU-write trace event is recorded by the traced branches below, not
-// here, so the disabled path pays exactly one telemetry::Enabled() check per
-// crossing (the cost contract bench_callgate_micro verifies).
+void CompartmentStack::Exit(MpkBackend* backend, Domain entered, bool verify) {
+  StackStorage& stack = tls_stack;
+  if (stack.depth == 0) [[unlikely]] {
+    CrossingFailed("compartment stack underflow");
+  }
+  const Frame frame = stack.frames[--stack.depth];
+  if (frame.entered != entered) [[unlikely]] {
+    CrossingFailed("unbalanced compartment transitions");
+  }
+  if (!telemetry::Enabled()) [[likely]] {
+    WriteAndMaybeVerify(backend, frame.saved_pkru, verify);
+    return;
+  }
+  const uint64_t t0 = telemetry::NowNs();
+  WriteAndMaybeVerify(backend, frame.saved_pkru, verify);
+  const uint64_t t1 = telemetry::NowNs();
+  CrossingHistogram()->Observe(t1 - t0);
+  telemetry::RecordEventAt(t1, telemetry::TraceEventType::kPkruWrite, 0, frame.saved_pkru.raw());
+  telemetry::RecordEventAt(t1, telemetry::TraceEventType::kGateExit,
+                           Direction(entered != Domain::kUntrusted), stack.depth,
+                           frame.saved_pkru.raw());
+}
 
 void GateSet::EnterUntrusted() {
   if (!enabled_) {
     return;
   }
-  const PkruValue saved = backend_->ReadPkru();
-  CompartmentStack::Push({saved, Domain::kUntrusted});
   to_untrusted_.fetch_add(1, std::memory_order_relaxed);
-  const PkruValue target = saved.WithAccessDisabled(trusted_key_);
-  if (telemetry::Enabled()) [[unlikely]] {
-    const uint64_t t0 = telemetry::NowNs();
-    telemetry::RecordEventAt(t0, telemetry::TraceEventType::kGateEnter, kDirToUntrusted,
-                             CompartmentStack::Depth(), target.raw());
-    WriteAndMaybeVerify(target);
-    telemetry::RecordEvent(telemetry::TraceEventType::kPkruWrite, 0, target.raw());
-    CrossingHistogram()->Observe(telemetry::NowNs() - t0);
-  } else {
-    WriteAndMaybeVerify(target);
-  }
+  const PkruValue saved = backend_->ReadPkru();
+  CompartmentStack::Enter(backend_, Domain::kUntrusted, saved,
+                          saved.WithAccessDisabled(trusted_key_), verify_);
 }
 
 void GateSet::ExitUntrusted() {
   if (!enabled_) {
     return;
   }
-  const CompartmentStack::Frame frame = CompartmentStack::Pop();
-  PS_CHECK(frame.entered == Domain::kUntrusted) << "unbalanced compartment transitions";
   to_trusted_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry::Enabled()) [[unlikely]] {
-    const uint64_t t0 = telemetry::NowNs();
-    WriteAndMaybeVerify(frame.saved_pkru);
-    const uint64_t t1 = telemetry::NowNs();
-    CrossingHistogram()->Observe(t1 - t0);
-    telemetry::RecordEventAt(t1, telemetry::TraceEventType::kPkruWrite, 0,
-                             frame.saved_pkru.raw());
-    telemetry::RecordEventAt(t1, telemetry::TraceEventType::kGateExit, kDirToTrusted,
-                             CompartmentStack::Depth(), frame.saved_pkru.raw());
-  } else {
-    WriteAndMaybeVerify(frame.saved_pkru);
-  }
+  CompartmentStack::Exit(backend_, Domain::kUntrusted, verify_);
 }
 
 void GateSet::EnterTrusted() {
   if (!enabled_) {
     return;
   }
-  const PkruValue saved = backend_->ReadPkru();
-  CompartmentStack::Push({saved, Domain::kTrusted});
   to_trusted_.fetch_add(1, std::memory_order_relaxed);
-  const PkruValue target = saved.WithKeyAllowed(trusted_key_);
-  if (telemetry::Enabled()) [[unlikely]] {
-    const uint64_t t0 = telemetry::NowNs();
-    telemetry::RecordEventAt(t0, telemetry::TraceEventType::kGateEnter, kDirToTrusted,
-                             CompartmentStack::Depth(), target.raw());
-    WriteAndMaybeVerify(target);
-    telemetry::RecordEvent(telemetry::TraceEventType::kPkruWrite, 0, target.raw());
-    CrossingHistogram()->Observe(telemetry::NowNs() - t0);
-  } else {
-    WriteAndMaybeVerify(target);
-  }
+  const PkruValue saved = backend_->ReadPkru();
+  CompartmentStack::Enter(backend_, Domain::kTrusted, saved, saved.WithKeyAllowed(trusted_key_),
+                          verify_);
 }
 
 void GateSet::ExitTrusted() {
   if (!enabled_) {
     return;
   }
-  const CompartmentStack::Frame frame = CompartmentStack::Pop();
-  PS_CHECK(frame.entered == Domain::kTrusted) << "unbalanced compartment transitions";
   to_untrusted_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry::Enabled()) [[unlikely]] {
-    const uint64_t t0 = telemetry::NowNs();
-    WriteAndMaybeVerify(frame.saved_pkru);
-    const uint64_t t1 = telemetry::NowNs();
-    CrossingHistogram()->Observe(t1 - t0);
-    telemetry::RecordEventAt(t1, telemetry::TraceEventType::kPkruWrite, 0,
-                             frame.saved_pkru.raw());
-    telemetry::RecordEventAt(t1, telemetry::TraceEventType::kGateExit, kDirToUntrusted,
-                             CompartmentStack::Depth(), frame.saved_pkru.raw());
-  } else {
-    WriteAndMaybeVerify(frame.saved_pkru);
-  }
+  CompartmentStack::Exit(backend_, Domain::kTrusted, verify_);
 }
 
 }  // namespace pkrusafe

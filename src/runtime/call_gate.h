@@ -4,14 +4,17 @@
 // thread first drops its right to access M_T, and restores the previous
 // rights when execution returns. Rights are not assumed — they are kept on a
 // per-thread compartment stack so nested and re-entrant transitions restore
-// exactly what was in force before the call. Each gate verifies that the
-// PKRU value it installed actually took effect and aborts on mismatch,
-// mirroring the paper's WRPKRU call-gate stubs.
+// exactly what was in force before the call.
 //
-// Transitions are counted per direction (T->U and U->T); the evaluation's
-// "Transitions" columns (Tables 1-2) come from these counters, and the
-// telemetry layer mirrors them into the global metrics registry and — when
-// tracing is enabled — emits timestamped gate events per crossing.
+// Every crossing — a GateSet gate and a MultiCompartment library Scope alike
+// — goes through one routine, CompartmentStack::Enter/Exit: push or pop the
+// saved PKRU, write the new value, verify that it took effect (aborting on
+// mismatch, mirroring the paper's WRPKRU call-gate stubs), and, when tracing
+// is enabled, emit the gate trace events and the gate.crossing_ns sample.
+//
+// GateSet counts its transitions per direction (T->U and U->T); the
+// evaluation's "Transitions" columns (Tables 1-2) come from these counters,
+// and the telemetry layer mirrors them into the global metrics registry.
 #ifndef SRC_RUNTIME_CALL_GATE_H_
 #define SRC_RUNTIME_CALL_GATE_H_
 
@@ -31,13 +34,14 @@ class CompartmentStack {
  public:
   static constexpr size_t kMaxDepth = 512;
 
-  struct Frame {
-    PkruValue saved_pkru;
-    Domain entered;
-  };
+  // The one compartment crossing. Enter saves `saved` (the caller's current
+  // PKRU) with the domain `entered`, installs `target` and, when `verify`,
+  // checks that the register holds it. Exit pops the innermost frame, which
+  // must have entered `entered`, and restores its saved PKRU the same way.
+  static void Enter(MpkBackend* backend, Domain entered, PkruValue saved, PkruValue target,
+                    bool verify);
+  static void Exit(MpkBackend* backend, Domain entered, bool verify);
 
-  static void Push(Frame frame);
-  static Frame Pop();
   static size_t Depth();
   static Domain CurrentDomain();  // kTrusted when the stack is empty
 };
@@ -101,8 +105,6 @@ class GateSet {
   PkeyId trusted_key() const { return trusted_key_; }
 
  private:
-  void WriteAndMaybeVerify(PkruValue target);
-
   MpkBackend* backend_;
   PkeyId trusted_key_;
   bool verify_ = true;

@@ -171,7 +171,6 @@ PkruSafeRuntime::PkruSafeRuntime(RuntimeConfig config, std::unique_ptr<MpkBacken
     budget_ = std::make_unique<FaultRateBudget>(config.sampling);
   }
   gates_ = std::make_unique<GateSet>(backend_.get(), allocator_->trusted_key());
-  gates_->set_verify(config.verify_gates);
   // The baseline configuration has no instrumentation: gates become no-ops.
   gates_->set_enabled(mode_ != RuntimeMode::kDisabled);
 
@@ -433,82 +432,83 @@ FaultResolution PkruSafeRuntime::OnSampledEnforcingFault(const MpkFault& fault) 
   return FaultResolution::kRetryAndLatch;
 }
 
-PkruSafeRuntime::PromotionResult PkruSafeRuntime::ApplyPromotions(
-    const std::vector<AllocId>& sites) {
-  PromotionResult result;
+template <typename Edit>
+std::vector<AllocId> PkruSafeRuntime::EditPolicy(const std::vector<AllocId>& sites, Edit edit) {
+  std::vector<AllocId> changed;
   if (sites.empty()) {
-    return result;
+    return changed;
   }
-  std::vector<AllocId> fresh;
-  {
-    std::lock_guard lock(policy_mutex_);
-    const SitePolicy* current = policy_.load(std::memory_order_acquire);
-    auto next = std::make_unique<SitePolicy>(*current);
-    for (const AllocId id : sites) {
-      if (next->IsShared(id)) {
-        ++result.already_shared;
-        continue;
-      }
-      next->MarkShared(id);
-      fresh.push_back(id);
-      ++result.promoted;
-    }
-    if (!fresh.empty()) {
-      policies_.push_back(std::move(next));
-      policy_.store(policies_.back().get(), std::memory_order_release);
+  std::lock_guard lock(policy_mutex_);
+  auto next = std::make_unique<SitePolicy>(*policy_.load(std::memory_order_acquire));
+  for (const AllocId id : sites) {
+    if (edit(*next, id)) {
+      changed.push_back(id);
     }
   }
-  // New allocations at the promoted sites now land in M_U. Live objects are
-  // still in M_T pages: downgrade every page one of them fully covers, so
-  // in-flight data stops faulting without a restart. Partially-covered pages
-  // stay enforced (they may host unpromoted neighbors) — accesses there keep
-  // going through the sampled fault path, which the candidate check admits.
-  for (const AllocId id : fresh) {
+  if (!changed.empty()) {
+    policies_.push_back(std::move(next));
+    policy_.store(policies_.back().get(), std::memory_order_release);
+  }
+  return changed;
+}
+
+size_t PkruSafeRuntime::UpdateCoveredPages(const std::vector<AllocId>& sites,
+                                           void (MpkBackend::*update)(uintptr_t, uintptr_t)) {
+  size_t pages = 0;
+  for (const AllocId id : sites) {
     for (const ProvenanceTracker::Record& record : provenance_.RecordsForSite(id)) {
       const uintptr_t lo = PageUp(record.base);
       const uintptr_t hi = PageDown(record.base + record.size);
       if (lo >= hi) {
         continue;
       }
-      backend_->NoteLatchedRange(lo, hi);
-      result.pages_opened += (hi - lo) / kPageSize;
+      (backend_.get()->*update)(lo, hi);
+      pages += (hi - lo) / kPageSize;
     }
   }
+  return pages;
+}
+
+PkruSafeRuntime::PromotionResult PkruSafeRuntime::ApplyPromotions(
+    const std::vector<AllocId>& sites) {
+  PromotionResult result;
+  const std::vector<AllocId> fresh = EditPolicy(sites, [&](SitePolicy& next, AllocId id) {
+    if (next.IsShared(id)) {
+      ++result.already_shared;
+      return false;
+    }
+    next.MarkShared(id);
+    ++result.promoted;
+    return true;
+  });
+  // New allocations at the promoted sites now land in M_U. Live objects are
+  // still in M_T pages: downgrade every page one of them fully covers, so
+  // in-flight data stops faulting without a restart. Partially-covered pages
+  // stay enforced (they may host unpromoted neighbors) — accesses there keep
+  // going through the sampled fault path, which the candidate check admits.
+  result.pages_opened = UpdateCoveredPages(fresh, &MpkBackend::NoteLatchedRange);
   return result;
 }
 
 PkruSafeRuntime::DemotionResult PkruSafeRuntime::ApplyDemotions(
     const std::vector<AllocId>& sites) {
   DemotionResult result;
-  if (sites.empty()) {
-    return result;
-  }
-  std::vector<AllocId> fresh;
-  {
-    std::lock_guard lock(policy_mutex_);
-    const SitePolicy* current = policy_.load(std::memory_order_acquire);
-    auto next = std::make_unique<SitePolicy>(*current);
-    for (const AllocId id : sites) {
-      // The baseline guard: the profile the build was partitioned with says
-      // this site flows to U — a fleet-observed cold streak must not
-      // contradict it (the fleet may simply not have exercised the path).
-      if (baseline_shared_.contains(id)) {
-        ++result.baseline_kept;
-        continue;
-      }
-      if (!next->IsShared(id)) {
-        ++result.not_shared;
-        continue;
-      }
-      next->UnmarkShared(id);
-      fresh.push_back(id);
-      ++result.demoted;
+  const std::vector<AllocId> fresh = EditPolicy(sites, [&](SitePolicy& next, AllocId id) {
+    // The baseline guard: the profile the build was partitioned with says
+    // this site flows to U — a fleet-observed cold streak must not
+    // contradict it (the fleet may simply not have exercised the path).
+    if (baseline_shared_.contains(id)) {
+      ++result.baseline_kept;
+      return false;
     }
-    if (!fresh.empty()) {
-      policies_.push_back(std::move(next));
-      policy_.store(policies_.back().get(), std::memory_order_release);
+    if (!next.IsShared(id)) {
+      ++result.not_shared;
+      return false;
     }
-  }
+    next.UnmarkShared(id);
+    ++result.demoted;
+    return true;
+  });
   // New allocations at the demoted sites land in M_T from here on. Pages the
   // promotion had latched open for live objects go back to trap-on-touch, so
   // a site that turns hot again is observed (and can re-promote) instead of
@@ -516,28 +516,33 @@ PkruSafeRuntime::DemotionResult PkruSafeRuntime::ApplyDemotions(
   // site's object also fully covers would close it too — but promotion only
   // latches fully-covered pages, so a fully-covered page has exactly one
   // owning object.
-  for (const AllocId id : fresh) {
-    for (const ProvenanceTracker::Record& record : provenance_.RecordsForSite(id)) {
-      const uintptr_t lo = PageUp(record.base);
-      const uintptr_t hi = PageDown(record.base + record.size);
-      if (lo >= hi) {
-        continue;
-      }
-      backend_->UnlatchRange(lo, hi);
-      result.pages_closed += (hi - lo) / kPageSize;
-    }
-  }
+  result.pages_closed = UpdateCoveredPages(fresh, &MpkBackend::UnlatchRange);
   return result;
 }
 
 void* PkruSafeRuntime::AllocTrusted(AllocId site, size_t size) {
+  const Domain domain = mode_ == RuntimeMode::kEnforcing
+                            ? policy_.load(std::memory_order_acquire)->DomainFor(site)
+                            : Domain::kTrusted;
+  return AllocAt(site, domain, size);
+}
+
+void* PkruSafeRuntime::AllocUntrusted(size_t size) {
+  void* ptr = allocator_->Allocate(Domain::kUntrusted, size);
+  if (ptr != nullptr) {
+    RecordAllocEvent(Domain::kUntrusted, size, nullptr);
+  }
+  return ptr;
+}
+
+void* PkruSafeRuntime::AllocUntrusted(AllocId site, size_t size) {
+  return AllocAt(site, Domain::kUntrusted, size);
+}
+
+void* PkruSafeRuntime::AllocAt(AllocId site, Domain domain, size_t size) {
   {
     std::lock_guard lock(sites_mutex_);
     sites_seen_.insert(site);
-  }
-  Domain domain = Domain::kTrusted;
-  if (mode_ == RuntimeMode::kEnforcing) {
-    domain = policy_.load(std::memory_order_acquire)->DomainFor(site);
   }
   void* ptr = allocator_->Allocate(domain, size);
   if (ptr == nullptr) {
@@ -555,37 +560,6 @@ void* PkruSafeRuntime::AllocTrusted(AllocId site, size_t size) {
                            domain == Domain::kUntrusted ? SiteHeapStats::kUntrusted
                                                         : SiteHeapStats::kTrusted,
                            usable);
-    }
-  }
-  return ptr;
-}
-
-void* PkruSafeRuntime::AllocUntrusted(size_t size) {
-  void* ptr = allocator_->Allocate(Domain::kUntrusted, size);
-  if (ptr != nullptr) {
-    RecordAllocEvent(Domain::kUntrusted, size, nullptr);
-  }
-  return ptr;
-}
-
-void* PkruSafeRuntime::AllocUntrusted(AllocId site, size_t size) {
-  {
-    std::lock_guard lock(sites_mutex_);
-    sites_seen_.insert(site);
-  }
-  void* ptr = allocator_->Allocate(Domain::kUntrusted, size);
-  if (ptr == nullptr) {
-    return nullptr;
-  }
-  RecordAllocEvent(Domain::kUntrusted, size, &site);
-  if (TracksProvenance()) {
-    const size_t usable = allocator_->UsableSize(ptr);
-    const Status status = provenance_.OnAlloc(ptr, usable, site);
-    PS_CHECK(status.ok()) << "provenance registration failed: " << status.ToString();
-    provenance_active_.store(true, std::memory_order_relaxed);
-    SiteHeapStats& site_stats = SiteHeapStats::Global();
-    if (site_stats.enabled()) {
-      site_stats.NoteAlloc(site, SiteHeapStats::kUntrusted, usable);
     }
   }
   return ptr;

@@ -53,7 +53,6 @@ struct RuntimeConfig {
   BackendKind backend = BackendKind::kSim;
   RuntimeMode mode = RuntimeMode::kDisabled;
   PkAllocatorConfig allocator;
-  bool verify_gates = true;
   // First-fault site latching (profiling mode): after a (site, page) pair is
   // recorded once, pages fully covered by the faulting object are downgraded
   // to the shared key for the rest of the run, so hot sites stop paying a
@@ -204,6 +203,17 @@ class PkruSafeRuntime {
   bool LatchCoveredPage(uintptr_t fault_page, const ProvenanceTracker::Record& record,
                         const std::unordered_set<AllocId, AllocIdHasher>* window_filter);
 
+  // The sited allocation AllocTrusted and AllocUntrusted both make.
+  void* AllocAt(AllocId site, Domain domain, size_t size);
+  // Publishes, under policy_mutex_, a copy of the policy with `edit(copy,
+  // id)` applied to each of `sites`; returns the sites it changed (true).
+  template <typename Edit>
+  std::vector<AllocId> EditPolicy(const std::vector<AllocId>& sites, Edit edit);
+  // Applies `update` to the pages the tracked objects of `sites` fully
+  // cover; returns their count.
+  size_t UpdateCoveredPages(const std::vector<AllocId>& sites,
+                            void (MpkBackend::*update)(uintptr_t, uintptr_t));
+
   // Whether trusted allocations should register provenance records: always
   // in profiling mode (the paper's pipeline), and additionally whenever the
   // flight recorder or site attribution needs pointer→site resolution in
@@ -213,8 +223,8 @@ class PkruSafeRuntime {
   RuntimeMode mode_;
   bool latch_sites_;
   // Copy-on-write policy: readers (the allocation hot path, fault handlers)
-  // load the pointer lock-free; ApplyPromotions clones, mutates and swaps
-  // under policy_mutex_. Superseded policies park in policies_ until the
+  // load the pointer lock-free; EditPolicy clones, mutates and swaps under
+  // policy_mutex_. Superseded policies park in policies_ until the
   // runtime dies, so a borrowed policy() reference can never dangle.
   std::atomic<const SitePolicy*> policy_;
   std::mutex policy_mutex_;

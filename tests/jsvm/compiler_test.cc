@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <string>
+
 #include "src/jsvm/disassembler.h"
 
 namespace pkrusafe {
@@ -27,6 +31,42 @@ TEST(CompilerTest, ConstantsAreDeduplicated) {
   CompiledProgram program = Compile("let a = 7; let b = 7; let c = \"x\"; let d = \"x\";");
   const CompiledFunction& main_fn = program.functions[0];
   EXPECT_EQ(main_fn.constants.size(), 2u);  // 7 and "x", each once
+}
+
+// Every literal looks its value up in the function's constant table instead
+// of scanning the pool, so compile time grows linearly with the number of
+// distinct literals. Four times the literals must cost well under 16 times
+// the time (a pool scan per literal read about 19x; linear code about 4x).
+TEST(CompilerTest, DistinctLiteralsCompileInLinearTime) {
+  const auto array_of = [](int n) {
+    std::string source = "let a = [0";
+    for (int i = 1; i < n; ++i) {
+      source += ',';
+      source += std::to_string(i);
+    }
+    return source + "];";
+  };
+  const auto compile_ns = [](const std::string& source, size_t literals) {
+    const auto start = std::chrono::steady_clock::now();
+    auto program = CompileSource(source);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_TRUE(program.ok()) << program.status().ToString();
+    if (program.ok()) {
+      EXPECT_EQ(program->functions[0].constants.size(), literals);
+    }
+    return std::chrono::duration<double, std::nano>(elapsed).count();
+  };
+  const std::string small_source = array_of(20000);
+  const std::string large_source = array_of(80000);
+  // The fastest of 3 compiles each, interleaved so host drift hits both.
+  double small = 1e18;
+  double large = 1e18;
+  for (int round = 0; round < 3; ++round) {
+    small = std::min(small, compile_ns(small_source, 20000));
+    large = std::min(large, compile_ns(large_source, 80000));
+  }
+  EXPECT_LE(large / small, 8.0) << "20k literals: " << small / 1e6 << " ms, 80k: " << large / 1e6
+                                << " ms";
 }
 
 TEST(CompilerTest, TopLevelLetsBecomeGlobals) {
