@@ -244,78 +244,64 @@ Status VerifyFunction(const CompiledProgram& program, CompiledFunction& fn,
   return Status::Ok();
 }
 
-// Name -> dense index, open-addressed: a lookup costs a hash and a probe or
-// two, and a script with thousands of names or literals still compiles in
-// linear time. The probed array holds only each name's hash and entry
-// number, 8 bytes a slot, so a table of 80k names stays cache-sized; the
-// names live in `entries_` in insertion order and are compared only on a
-// hash match. The names view the AST, which outlives the table (a number
+// Name -> dense index, open-addressed in one flat array: a lookup costs a
+// hash and a probe or two, a new name allocates nothing until the table
+// doubles, and a script with thousands of names or literals still compiles
+// in linear time. The names view the AST, which outlives the table (a number
 // literal's key is its double's bytes there).
 class NameTable {
  public:
   static constexpr uint32_t kAbsent = UINT32_MAX;
 
   uint32_t Find(std::string_view name) const {
-    if (slots_.empty()) {
-      return kAbsent;
-    }
-    const size_t slot = Probe(name, Hash(name));
-    return slots_[slot].entry == kAbsent ? kAbsent : entries_[slots_[slot].entry].index;
+    return slots_.empty() ? kAbsent : slots_[Probe(name)].index;
   }
 
-  // Returns `name`'s index, first inserting it with `index` when absent: one
-  // hash and one probe sequence either way.
+  // Returns `name`'s index, first inserting it with `index` when absent.
   uint32_t FindOrInsert(std::string_view name, uint32_t index) {
-    if (2 * (entries_.size() + 1) > slots_.size()) {
-      slots_.assign(std::max<size_t>(16, 2 * slots_.size()), Slot{});
-      entries_.reserve(slots_.size() / 2);
-      for (uint32_t entry = 0; entry < entries_.size(); ++entry) {
-        const Entry& e = entries_[entry];
-        slots_[Probe(e.name, e.hash)] = Slot{e.hash, entry};
+    if (2 * (count_ + 1) > slots_.size()) {
+      const size_t size = std::max<size_t>(16, 2 * slots_.size());
+      std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(size));
+      for (const Slot& slot : old) {
+        if (slot.index != kAbsent) {
+          slots_[Probe(slot.name)] = slot;
+        }
       }
     }
-    const uint32_t hash = Hash(name);
-    const size_t slot = Probe(name, hash);
-    if (slots_[slot].entry != kAbsent) {
-      return entries_[slots_[slot].entry].index;
+    Slot& slot = slots_[Probe(name)];
+    if (slot.index == kAbsent) {
+      slot = Slot{name, index};
+      ++count_;
     }
-    slots_[slot] = Slot{hash, static_cast<uint32_t>(entries_.size())};
-    entries_.push_back(Entry{name, hash, index});
-    return index;
+    return slot.index;
   }
 
  private:
-  struct Entry {
-    std::string_view name;
-    uint32_t hash;
-    uint32_t index;
-  };
   struct Slot {
-    uint32_t hash = 0;
-    uint32_t entry = kAbsent;
+    std::string_view name;
+    uint32_t index = kAbsent;
   };
 
   // The slot holding `name`, or the empty slot that ends its probe sequence.
-  size_t Probe(std::string_view name, uint32_t hash) const {
+  size_t Probe(std::string_view name) const {
     const size_t mask = slots_.size() - 1;
-    size_t i = hash & mask;
-    while (slots_[i].entry != kAbsent &&
-           (slots_[i].hash != hash || entries_[slots_[i].entry].name != name)) {
+    size_t i = Hash(name) & mask;
+    while (slots_[i].index != kAbsent && slots_[i].name != name) {
       i = (i + 1) & mask;
     }
     return i;
   }
 
-  static uint32_t Hash(std::string_view name) {  // FNV-1a, folded to 32 bits
+  static size_t Hash(std::string_view name) {  // FNV-1a
     uint64_t hash = 14695981039346656037ull;
     for (const char c : name) {
       hash = (hash ^ static_cast<unsigned char>(c)) * 1099511628211ull;
     }
-    return static_cast<uint32_t>(hash ^ (hash >> 32));
+    return static_cast<size_t>(hash);
   }
 
-  std::vector<Entry> entries_;
   std::vector<Slot> slots_;  // a power of two long, at most half full
+  size_t count_ = 0;
 };
 
 class Compiler {
@@ -428,23 +414,14 @@ class Compiler {
   // small script's handful, not the doubling steps up to it.
   static constexpr size_t kFirstPoolSize = 8;
 
-  // Returns the index of the constant equal to `value`, first appending a T
-  // made from it when there is none. The first kFirstPoolSize constants are
-  // scanned, which costs a small function less than a table; later ones are
-  // found through `table`, keyed by `key`.
+  // Returns the index of the constant `key` names, first appending a T made
+  // from `value` when there is none.
   template <typename T, typename Value>
   static uint32_t AddConstant(FunctionCtx& ctx, NameTable& table, std::string_view key,
                               Value value) {
     std::vector<BcConstant>& constants = ctx.fn->constants;
-    const size_t scanned = std::min(constants.size(), kFirstPoolSize);
-    for (size_t i = 0; i < scanned; ++i) {
-      if (const T* existing = std::get_if<T>(&constants[i]);
-          existing != nullptr && *existing == value) {
-        return static_cast<uint32_t>(i);
-      }
-    }
     const auto next = static_cast<uint32_t>(constants.size());
-    const uint32_t index = next < kFirstPoolSize ? next : table.FindOrInsert(key, next);
+    const uint32_t index = table.FindOrInsert(key, next);
     if (index == next) {
       constants.reserve(kFirstPoolSize);
       constants.emplace_back(std::in_place_type<T>, value);
