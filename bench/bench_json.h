@@ -5,8 +5,13 @@
 // CI scrape numbers from one stable schema instead of parsing stdout:
 //
 //   {"kind":"pkru_safe_bench","version":1,"bench":"alloc_mt",
+//    "env":{"nproc":4,"pku":true,"compiler":"12.2.0","ndebug":true},
 //    "results":[{"name":"cached_ops_per_sec/threads:8",
 //                "value":1.23e7,"unit":"ops/s"},...]}
+//
+// `env` says where the numbers came from: online CPUs, whether the OS has
+// enabled protection keys (CPUID leaf 7, ECX bit 4, OSPKE), the compiler
+// version and whether assertions were compiled out (NDEBUG).
 //
 // Two entry points:
 //   * manual-main benches (bench_alloc_mt):
@@ -27,6 +32,8 @@
 #ifndef BENCH_BENCH_JSON_H_
 #define BENCH_BENCH_JSON_H_
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -34,6 +41,10 @@
 #include <vector>
 
 #include "src/support/json.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
 
 namespace pkrusafe {
 namespace bench {
@@ -59,7 +70,10 @@ class BenchJsonWriter {
     std::string text;
     json::Writer w(&text);
     w.BeginObject().Key("kind").String("pkru_safe_bench").Key("version").Int(1);
-    w.Key("bench").String(name_).Key("results").BeginArray();
+    w.Key("bench").String(name_).Key("env").BeginObject();
+    w.Key("nproc").Int(sysconf(_SC_NPROCESSORS_ONLN)).Key("pku").Bool(OsPkeEnabled());
+    w.Key("compiler").String(__VERSION__).Key("ndebug").Bool(kNdebug).EndObject();
+    w.Key("results").BeginArray();
     for (const Result& r : results_) {
       char value[32];
       std::snprintf(value, sizeof(value), "%.17g", r.value);
@@ -81,6 +95,21 @@ class BenchJsonWriter {
     double value = 0.0;
     std::string unit;
   };
+
+#ifdef NDEBUG
+  static constexpr bool kNdebug = true;
+#else
+  static constexpr bool kNdebug = false;
+#endif
+
+  static bool OsPkeEnabled() {
+#if defined(__x86_64__) || defined(__i386__)
+    unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+    return __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0 && (ecx & (1u << 4)) != 0;
+#else
+    return false;
+#endif
+  }
 
   std::string OutputPath() const {
     const char* dir = std::getenv("PKRUSAFE_BENCH_OUT_DIR");

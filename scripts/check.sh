@@ -254,6 +254,8 @@ run_vpkey() {
   out="$(mktemp -d)"
   trap 'rm -rf "$out"' RETURN
   PKRUSAFE_BENCH_OUT_DIR="$out" build/bench/bench_vpkey
+  # Every bench records the machine it ran on (bench/bench_json.h).
+  grep -q '"env":{' "$out/BENCH_vpkey.json"
   python3 - "$out/BENCH_vpkey.json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))

@@ -4,10 +4,6 @@
 
 namespace pkrusafe {
 
-namespace {
-thread_local uint32_t tls_pkru = 0;
-}  // namespace
-
 std::string PkruValue::ToString() const {
   std::string bits;
   for (int key = 0; key < kNumPkeys; ++key) {
@@ -21,9 +17,5 @@ std::string PkruValue::ToString() const {
   }
   return StrFormat("pkru(0x%08x: %s)", raw_, bits.empty() ? "-" : bits.c_str());
 }
-
-PkruValue CurrentThreadPkru() { return PkruValue(tls_pkru); }
-
-void SetCurrentThreadPkru(PkruValue value) { tls_pkru = value.raw(); }
 
 }  // namespace pkrusafe

@@ -71,9 +71,14 @@ class PkruValue {
 // The software PKRU register: one per thread, shared by the sim and mprotect
 // backends (their ReadPkru/WritePkru). The hardware backend never touches it;
 // its PKRU is the real register. Outside those two backends, read the PKRU
-// through MpkBackend::ReadPkru, never here.
-PkruValue CurrentThreadPkru();
-void SetCurrentThreadPkru(PkruValue value);
+// through MpkBackend::ReadPkru, never here. Both accessors are inline over
+// one constant-initialized thread_local, so a read or write is a single TLS
+// access with no wrapper call.
+namespace internal {
+inline constinit thread_local uint32_t software_pkru = 0;
+}  // namespace internal
+inline PkruValue CurrentThreadPkru() { return PkruValue(internal::software_pkru); }
+inline void SetCurrentThreadPkru(PkruValue value) { internal::software_pkru = value.raw(); }
 
 }  // namespace pkrusafe
 

@@ -9,12 +9,6 @@ namespace pkrusafe {
 
 namespace {
 
-telemetry::Counter* SpansReleasedCounter() {
-  static telemetry::Counter* counter =
-      telemetry::MetricsRegistry::Global().GetOrCreateCounter("pkalloc.spans.released");
-  return counter;
-}
-
 std::atomic<uint64_t> g_next_central_id{1};
 
 }  // namespace
@@ -48,66 +42,20 @@ CentralFreeListSet::~CentralFreeListSet() {
   caches_.clear();
 }
 
-uintptr_t CentralFreeListSet::CarveSpanLocked(Shard& shard, size_t class_index) {
-  auto chunk = arena_->AllocateChunk(kArenaChunkGranularity);
-  if (!chunk.ok()) {
-    return 0;
-  }
-  SpanInfo info;
-  info.class_index = static_cast<uint32_t>(class_index);
-  info.chunk_bytes = kArenaChunkGranularity;
-  info.block_count = static_cast<uint32_t>(kArenaChunkGranularity / ClassSize(class_index));
-  if (!shard.spans.Insert(*chunk, info).ok()) {
-    arena_->FreeChunk(*chunk, kArenaChunkGranularity);
-    return 0;
-  }
-  LinkNonempty(shard.spans, &shard.nonempty, *chunk, shard.spans.FindMutable(*chunk));
-  chunk_map_[(*chunk - map_base_) / kArenaChunkGranularity].store(
-      static_cast<uint8_t>(class_index), std::memory_order_release);
-  ++shard.spans_allocated;
-  return *chunk;
-}
-
 size_t CentralFreeListSet::FetchBatch(size_t class_index, FreeNode** out_head, size_t want) {
   Shard& shard = shards_[class_index];
-  const size_t block_size = ClassSize(class_index);
   std::lock_guard lock(shard.mutex);
   FreeNode* head = nullptr;
-  size_t got = 0;
-  while (got < want) {
-    uintptr_t base = shard.nonempty;
-    if (base == 0 && shard.retained != 0) {
-      base = shard.retained;
-      shard.retained = 0;
-      LinkNonempty(shard.spans, &shard.nonempty, base, shard.spans.FindMutable(base));
-    }
-    if (base == 0) {
-      base = CarveSpanLocked(shard, class_index);
-      if (base == 0) {
-        break;  // arena exhausted
-      }
-    }
-    SpanInfo* span = shard.spans.FindMutable(base);
-    while (got < want && span->HasAvailableBlock()) {
-      void* block;
-      if (span->free_head != nullptr) {
-        auto* node = static_cast<FreeNode*>(span->free_head);
-        span->free_head = node->next;
-        --span->free_count;
-        block = node;
-      } else {
-        block = reinterpret_cast<void*>(base + size_t{span->carved} * block_size);
-        ++span->carved;
-      }
-      auto* node = static_cast<FreeNode*>(block);
-      node->next = head;
-      head = node;
-      ++got;
-    }
-    if (!span->HasAvailableBlock()) {
-      UnlinkNonempty(shard.spans, &shard.nonempty, base, span);
-    }
-  }
+  const size_t got = shard.list.Pop(
+      shard.spans, *arena_, class_index, want,
+      [&](FreeNode* block) {
+        // The block moves onto a thread cache's free list, so it carries
+        // the canary there too.
+        block->next = head;
+        SetFreeCanary(block);
+        head = block;
+      },
+      [&](uintptr_t base) { SetChunkClass(base, static_cast<uint8_t>(class_index)); });
   *out_head = head;
   return got;
 }
@@ -116,59 +64,25 @@ void CentralFreeListSet::ReleaseBatch(size_t class_index, FreeNode* head, size_t
   Shard& shard = shards_[class_index];
   std::lock_guard lock(shard.mutex);
   size_t released = 0;
-  while (head != nullptr) {
+  for (; head != nullptr; ++released) {
     FreeNode* next = head->next;
     const uintptr_t base = ChunkBaseOf(head);
     SpanInfo* span = shard.spans.FindMutable(base);
     PS_CHECK(span != nullptr) << "central release of block without a span";
-    const bool was_exhausted = !span->HasAvailableBlock();
-    head->next = static_cast<FreeNode*>(span->free_head);
-    span->free_head = head;
-    ++span->free_count;
-    PS_CHECK_LE(span->free_count, span->carved) << "central list overfull: double free?";
-    if (was_exhausted) {
-      LinkNonempty(shard.spans, &shard.nonempty, base, span);
-    }
-    if (span->FullyFree()) {
-      RetireSpanLocked(shard, class_index, base, span);
-    }
+    // The chunk map forgets a span before the arena can hand its chunk to
+    // another shard, whose carve then writes the new class.
+    shard.list.Push(shard.spans, *arena_, base, span, head,
+                    [&](uintptr_t gone) { SetChunkClass(gone, kNoClass); });
     head = next;
-    ++released;
   }
   PS_CHECK_EQ(released, count);
-}
-
-void CentralFreeListSet::RetireSpanLocked(Shard& shard, size_t class_index, uintptr_t base,
-                                          SpanInfo* span) {
-  UnlinkNonempty(shard.spans, &shard.nonempty, base, span);
-  if (shard.retained == 0) {
-    shard.retained = base;
-    return;
-  }
-  // A fully-free span is already retained for this class: give this one back.
-  chunk_map_[(base - map_base_) / kArenaChunkGranularity].store(kNoClass,
-                                                               std::memory_order_release);
-  PS_CHECK(shard.spans.Erase(base).ok());
-  arena_->FreeChunk(base, kArenaChunkGranularity);
-  ++shard.spans_released;
-  SpansReleasedCounter()->Increment();
-  (void)class_index;
 }
 
 bool CentralFreeListSet::ContainsFreeBlock(size_t class_index, const void* ptr) {
   Shard& shard = shards_[class_index];
   std::lock_guard lock(shard.mutex);
   const SpanInfo* span = shard.spans.Find(ChunkBaseOf(ptr));
-  if (span == nullptr) {
-    return false;
-  }
-  for (const auto* node = static_cast<const FreeNode*>(span->free_head); node != nullptr;
-       node = node->next) {
-    if (node == ptr) {
-      return true;
-    }
-  }
-  return false;
+  return span != nullptr && SpanList::FreeListContains(*span, ptr);
 }
 
 void CentralFreeListSet::SetTrafficCounters(telemetry::Counter* alloc_calls,
@@ -215,20 +129,11 @@ void CentralFreeListSet::UnregisterCache(ThreadCache* cache) {
   }
 }
 
-uint64_t CentralFreeListSet::spans_allocated() const {
-  uint64_t total = 0;
-  for (size_t i = 0; i < kNumSizeClasses; ++i) {
-    std::lock_guard lock(shards_[i].mutex);
-    total += shards_[i].spans_allocated;
-  }
-  return total;
-}
-
 uint64_t CentralFreeListSet::spans_released() const {
   uint64_t total = 0;
   for (size_t i = 0; i < kNumSizeClasses; ++i) {
     std::lock_guard lock(shards_[i].mutex);
-    total += shards_[i].spans_released;
+    total += shards_[i].list.spans_released();
   }
   return total;
 }

@@ -2,8 +2,9 @@
 // allocator front end (one instance per compartment pool).
 //
 // One shard per size class, each with its own mutex, its own span directory
-// and its own nonempty-span list, so refills and flushes of different
-// classes never contend. Thread caches move blocks in batches:
+// and its own SpanList (span_table.h, the engine FreeListHeap also uses), so
+// refills and flushes of different classes never contend. Thread caches
+// move blocks in batches:
 //   * FetchBatch pops up to N blocks, lazily carving fresh 64 KiB spans from
 //     the arena when every span of the class is exhausted;
 //   * ReleaseBatch returns blocks to their spans and hands fully-free spans
@@ -28,7 +29,6 @@
 
 #include "src/pkalloc/arena.h"
 #include "src/pkalloc/size_classes.h"
-#include "src/pkalloc/small_block.h"
 #include "src/pkalloc/span_table.h"
 
 namespace pkrusafe {
@@ -103,24 +103,21 @@ class CentralFreeListSet {
   // caches; callers wanting same-thread exactness add their own pending.
   CachedTraffic traffic_totals() const;
 
-  uint64_t spans_allocated() const;
   uint64_t spans_released() const;
 
  private:
   struct alignas(64) Shard {
     std::mutex mutex;
-    SpanTable spans;          // spans of this class only
-    uintptr_t nonempty = 0;   // spans with available blocks
-    uintptr_t retained = 0;   // one fully-free span kept back
-    uint64_t spans_allocated = 0;
-    uint64_t spans_released = 0;
+    SpanTable spans;  // spans of this class only
+    SpanList list;
   };
 
-  // Carves a fresh span for `class_index`; returns its base or 0 on arena
-  // exhaustion. Shard mutex must be held.
-  uintptr_t CarveSpanLocked(Shard& shard, size_t class_index);
-  // Handles a span that just became fully free. Shard mutex must be held.
-  void RetireSpanLocked(Shard& shard, size_t class_index, uintptr_t base, SpanInfo* span);
+  // Chunk-map entry of the span at `base`. Written under the shard lock when
+  // the engine carves or releases a span.
+  void SetChunkClass(uintptr_t base, uint8_t class_index) {
+    chunk_map_[(base - map_base_) / kArenaChunkGranularity].store(class_index,
+                                                                 std::memory_order_release);
+  }
 
   const uint64_t id_;
   Arena* arena_;
@@ -129,7 +126,9 @@ class CentralFreeListSet {
   std::unique_ptr<std::atomic<uint8_t>[]> chunk_map_;
   std::unique_ptr<Shard[]> shards_;  // kNumSizeClasses entries
 
-  std::atomic<uint64_t> traffic_alloc_calls_{0};
+  // Written by every thread cache's publication: kept off the cache line
+  // of the chunk-map fields that every Free reads.
+  alignas(64) std::atomic<uint64_t> traffic_alloc_calls_{0};
   std::atomic<uint64_t> traffic_free_calls_{0};
   std::atomic<uint64_t> traffic_alloc_bytes_{0};
   std::atomic<uint64_t> traffic_freed_bytes_{0};

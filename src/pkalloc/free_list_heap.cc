@@ -2,45 +2,8 @@
 
 #include "src/memmap/page.h"
 #include "src/support/logging.h"
-#include "src/telemetry/metrics.h"
 
 namespace pkrusafe {
-
-namespace {
-
-telemetry::Counter* SpansReleasedCounter() {
-  static telemetry::Counter* counter =
-      telemetry::MetricsRegistry::Global().GetOrCreateCounter("pkalloc.spans.released");
-  return counter;
-}
-
-// Pops one block from `span`: the free list first, then the lazy-carve bump
-// pointer. The caller must have checked HasAvailableBlock().
-void* PopBlock(SpanInfo* span, uintptr_t chunk_base, size_t block_size) {
-  if (span->free_head != nullptr) {
-    auto* node = static_cast<FreeNode*>(span->free_head);
-    span->free_head = node->next;
-    --span->free_count;
-    ClearFreeCanary(node);
-    return node;
-  }
-  void* block =
-      reinterpret_cast<void*>(chunk_base + size_t{span->carved} * block_size);
-  ++span->carved;
-  return block;
-}
-
-bool SpanFreeListContains(const SpanInfo* span, const void* ptr) {
-  for (const auto* node = static_cast<const FreeNode*>(span->free_head); node != nullptr;
-       node = node->next) {
-    if (node == ptr) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 void* FreeListHeap::Allocate(size_t size) {
   std::lock_guard lock(mutex_);
@@ -48,7 +11,9 @@ void* FreeListHeap::Allocate(size_t size) {
   size_t usable = 0;
   if (size <= kMaxSmallSize) {
     const size_t class_index = SizeClassIndex(size == 0 ? 1 : size);
-    ptr = AllocateSmall(class_index);
+    classes_[class_index].Pop(
+        spans_, *arena_, class_index, 1, [&](FreeNode* block) { ptr = block; },
+        [](uintptr_t) {});
     usable = ClassSize(class_index);
   } else {
     ptr = AllocateLarge(size);
@@ -59,39 +24,6 @@ void* FreeListHeap::Allocate(size_t size) {
     stats_.live_bytes += usable;
     stats_.total_bytes += usable;
     stats_.peak_bytes = std::max(stats_.peak_bytes, stats_.live_bytes);
-  }
-  return ptr;
-}
-
-void* FreeListHeap::AllocateSmall(size_t class_index) {
-  const size_t block_size = ClassSize(class_index);
-  uintptr_t base = nonempty_[class_index];
-  if (base == 0 && retained_[class_index] != 0) {
-    // Reuse the retained fully-free span before touching the arena.
-    base = retained_[class_index];
-    retained_[class_index] = 0;
-    LinkNonempty(spans_, &nonempty_[class_index], base, spans_.FindMutable(base));
-  }
-  if (base == 0) {
-    auto chunk = arena_->AllocateChunk(kArenaChunkGranularity);
-    if (!chunk.ok()) {
-      return nullptr;
-    }
-    SpanInfo info;
-    info.class_index = static_cast<uint32_t>(class_index);
-    info.chunk_bytes = kArenaChunkGranularity;
-    info.block_count = static_cast<uint32_t>(kArenaChunkGranularity / block_size);
-    if (!spans_.Insert(*chunk, info).ok()) {
-      arena_->FreeChunk(*chunk, kArenaChunkGranularity);
-      return nullptr;
-    }
-    base = *chunk;
-    LinkNonempty(spans_, &nonempty_[class_index], base, spans_.FindMutable(base));
-  }
-  SpanInfo* span = spans_.FindMutable(base);
-  void* ptr = PopBlock(span, base, block_size);
-  if (!span->HasAvailableBlock()) {
-    UnlinkNonempty(spans_, &nonempty_[class_index], base, span);
   }
   return ptr;
 }
@@ -129,42 +61,17 @@ void FreeListHeap::Free(void* ptr) {
     stats_.live_bytes -= bytes;
     return;
   }
-  FreeSmall(chunk_base, span, ptr);
-}
-
-void FreeListHeap::FreeSmall(uintptr_t chunk_base, SpanInfo* span, void* ptr) {
-  const size_t class_index = span->class_index;
-  const size_t block_size = ClassSize(class_index);
+  const size_t block_size = ClassSize(span->class_index);
   const uintptr_t offset = reinterpret_cast<uintptr_t>(ptr) - chunk_base;
   PS_CHECK_EQ(offset % block_size, 0u) << "Free of interior pointer";
   PS_CHECK_LT(offset / block_size, span->carved) << "Free of never-allocated block";
-
-  auto* node = static_cast<FreeNode*>(ptr);
-  if (HasFreeCanary(node)) {
+  if (HasFreeCanary(ptr)) {
     // Canary match: either a double free or (astronomically unlikely) user
     // data colliding with it. The free list is authoritative.
-    PS_CHECK(!SpanFreeListContains(span, node)) << "double free of small block";
+    PS_CHECK(!SpanList::FreeListContains(*span, ptr)) << "double free of small block";
   }
-  const bool was_exhausted = !span->HasAvailableBlock();
-  node->next = static_cast<FreeNode*>(span->free_head);
-  span->free_head = node;
-  ++span->free_count;
-  SetFreeCanary(node);
   stats_.live_bytes -= block_size;
-  if (was_exhausted) {
-    LinkNonempty(spans_, &nonempty_[class_index], chunk_base, span);
-  }
-  if (span->FullyFree()) {
-    UnlinkNonempty(spans_, &nonempty_[class_index], chunk_base, span);
-    if (retained_[class_index] == 0) {
-      retained_[class_index] = chunk_base;
-    } else {
-      PS_CHECK(spans_.Erase(chunk_base).ok());
-      arena_->FreeChunk(chunk_base, kArenaChunkGranularity);
-      ++stats_.spans_released;
-      SpansReleasedCounter()->Increment();
-    }
-  }
+  classes_[span->class_index].Push(spans_, *arena_, chunk_base, span, ptr, [](uintptr_t) {});
 }
 
 size_t FreeListHeap::UsableSize(const void* ptr) const {
@@ -179,14 +86,17 @@ size_t FreeListHeap::UsableSize(const void* ptr) const {
 
 HeapStats FreeListHeap::stats() const {
   std::lock_guard lock(mutex_);
-  return stats_;
+  HeapStats stats = stats_;
+  for (const SpanList& list : classes_) {
+    stats.spans_released += list.spans_released();
+  }
+  return stats;
 }
 
 void FreeListHeap::Reset() {
   std::lock_guard lock(mutex_);
   spans_.Reset();
-  nonempty_.fill(0);
-  retained_.fill(0);
+  classes_.fill(SpanList{});
   stats_ = HeapStats{};
 }
 

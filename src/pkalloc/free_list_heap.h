@@ -1,14 +1,20 @@
 // Segregated-fit heap: the stand-in for the paper's modified jemalloc, used
 // for the trusted pool M_T.
 //
+// In PkAllocator it serves only allocations over kMaxSmallSize (M_T's, and
+// M_U's under the §5.3 ablation); smaller ones take the thread caches and
+// central free lists. A compartment pool (MultiCompartment) uses it for
+// every size.
+//
 // Small allocations are served from spans — 64 KiB chunks lazily carved into
-// equal-size blocks, each span keeping its own intrusive free list and
-// occupancy count so a span whose blocks have all come back is returned to
-// the arena (one fully-free span per class is retained as hysteresis).
-// Large allocations map directly to chunks. All metadata (free-list links
-// inside free blocks, the span directory) lives inside the owning arena
-// (§3.4). Double frees of small blocks are detected via the free canary
-// (see small_block.h) and abort.
+// equal-size blocks — through one SpanList per size class (span_table.h, the
+// same engine the central free lists use), so a span whose blocks have all
+// come back is returned to the arena (one fully-free span per class is
+// retained as hysteresis). Large allocations map directly to chunks. All
+// metadata (free-list links inside free blocks, the one span directory
+// shared by every class and large chunk) lives inside the owning arena
+// (§3.4). Frees of interior pointers, never-allocated blocks and (via the
+// free canary, see small_block.h) already-free blocks abort.
 #ifndef SRC_PKALLOC_FREE_LIST_HEAP_H_
 #define SRC_PKALLOC_FREE_LIST_HEAP_H_
 
@@ -18,7 +24,6 @@
 
 #include "src/pkalloc/arena.h"
 #include "src/pkalloc/size_classes.h"
-#include "src/pkalloc/small_block.h"
 #include "src/pkalloc/span_table.h"
 
 namespace pkrusafe {
@@ -65,18 +70,13 @@ class FreeListHeap {
   void Reset();
 
  private:
-  void* AllocateSmall(size_t class_index);
   void* AllocateLarge(size_t size);
-  void FreeSmall(uintptr_t chunk_base, SpanInfo* span, void* ptr);
 
   Arena* arena_;
   mutable std::mutex mutex_;
   SpanTable spans_;
-  // Per class: spans with available blocks, plus one retained fully-free
-  // span so an alloc/free ping-pong does not thrash the arena.
-  std::array<uintptr_t, kNumSizeClasses> nonempty_{};
-  std::array<uintptr_t, kNumSizeClasses> retained_{};
-  HeapStats stats_;
+  std::array<SpanList, kNumSizeClasses> classes_{};
+  HeapStats stats_;  // spans_released is summed from classes_ on read
 };
 
 }  // namespace pkrusafe

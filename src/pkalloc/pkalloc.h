@@ -1,19 +1,20 @@
 // pkalloc: the compartment-aware allocator (paper §4.4).
 //
-// Two disjoint pools back the application heap:
-//   * M_T — the trusted pool: a FreeListHeap (jemalloc stand-in) over an
-//     arena whose pages are tagged with a dedicated protection key, so they
-//     become inaccessible the moment a thread's PKRU drops the key.
-//   * M_U — the shared pool: a BoundaryTagHeap (libc malloc stand-in) over a
-//     disjoint arena left on the default key, accessible from both
-//     compartments.
+// Two disjoint pools back the application heap, each one arena:
+//   * M_T — the trusted pool, whose pages are tagged with a dedicated
+//     protection key, so they become inaccessible the moment a thread's
+//     PKRU drops the key.
+//   * M_U — the shared pool, a disjoint arena left on the default key,
+//     accessible from both compartments.
 //
-// Scalable front end: small allocations (<= kMaxSmallSize) are served from
+// Small allocations (<= kMaxSmallSize) in either pool are served from
 // per-thread size-class caches backed by sharded central free lists — one
 // cache line-up per domain, both over the domain's own arena — so the hot
 // path takes no lock at all and the compartment split stops being the
-// scaling bottleneck under multithreaded traffic. Large allocations go
-// straight to the per-pool heaps behind their single mutex.
+// scaling bottleneck under multithreaded traffic. Large allocations go to
+// the per-pool heaps behind their single mutex: a FreeListHeap (jemalloc
+// stand-in) for M_T, a BoundaryTagHeap (libc malloc stand-in) for M_U, or
+// a FreeListHeap for M_U too under the §5.3 ablation switch.
 //
 // Invariants (tested as properties):
 //   * no page is ever owned by both pools, and pages never migrate;
@@ -39,7 +40,8 @@ struct PkAllocatorConfig {
   // Reservation sizes; on-demand paging means these cost address space only.
   size_t trusted_pool_bytes = size_t{4} << 30;    // 4 GiB
   size_t untrusted_pool_bytes = size_t{4} << 30;  // 4 GiB
-  // When true, M_U allocations are served from a FreeListHeap too. This is
+  // When true, M_U allocations over kMaxSmallSize are served from a
+  // FreeListHeap too (smaller ones always take the cached path). This is
   // the allocator ablation from §5.3: swapping the slower shared-pool
   // allocator for the fast one removed all detectable allocator overhead.
   bool fast_untrusted_heap = false;
@@ -89,7 +91,7 @@ class PkAllocator {
   // Pool stats: the per-pool heap stats merged with the cached-front-end
   // traffic. Cached traffic is accumulated thread-locally and published at
   // batch boundaries, so a reader always sees its own thread's traffic
-  // exactly but may lag other threads by up to one batch (call
+  // exactly but may lag other threads by up to one batch or 256 hits (call
   // FlushThisThreadCache on those threads, or let them exit, for a fully
   // settled view); peak_bytes for cached traffic is sampled at stats()
   // reads rather than tracked per allocation.

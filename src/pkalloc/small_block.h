@@ -1,6 +1,6 @@
-// Layout of a *free* small block, shared by every small-object path
-// (FreeListHeap's per-span lists, the sharded central lists and the
-// per-thread caches).
+// Layout of a *free* small block, shared by every small-object path (the
+// span free lists of SpanList, which FreeListHeap and the central lists
+// share, and the per-thread caches).
 //
 // A free block carries two words:
 //   [0]  FreeNode::next — the intrusive LIFO link

@@ -1,9 +1,13 @@
-// Open-addressing hash table mapping chunk bases to span metadata, with its
-// storage allocated from the owning arena.
+// The small-block span engine shared by every heap that carves 64 KiB spans
+// into size-class blocks (FreeListHeap, the central free lists):
+//   * SpanTable — an open-addressing hash table mapping chunk bases to span
+//     metadata, with its storage allocated from the owning arena;
+//   * SpanList — one size class's spans over such a table: carve, pop,
+//     return and retire, with the retain-one-span policy.
 //
 // The paper requires each compartment's allocator to keep *its own internal
 // data* inside that compartment's memory (§3.4), so other compartments can
-// neither read nor corrupt it. Free-list nodes already live in-pool; this
+// neither read nor corrupt it. Free-list nodes already live in-pool; the
 // table keeps the span directory in-pool too.
 #ifndef SRC_PKALLOC_SPAN_TABLE_H_
 #define SRC_PKALLOC_SPAN_TABLE_H_
@@ -13,8 +17,11 @@
 
 #include "src/memmap/page.h"
 #include "src/pkalloc/arena.h"
+#include "src/pkalloc/size_classes.h"
+#include "src/pkalloc/small_block.h"
 #include "src/support/logging.h"
 #include "src/support/status.h"
+#include "src/telemetry/metrics.h"
 
 namespace pkrusafe {
 
@@ -209,31 +216,167 @@ class SpanTable {
   size_t live_ = 0;
 };
 
-// Nonempty-list maintenance shared by FreeListHeap and the central free
-// lists: spans with available blocks hang off a per-class head, doubly
-// linked through SpanInfo::{next,prev} by chunk base.
-inline void LinkNonempty(SpanTable& table, uintptr_t* head, uintptr_t base, SpanInfo* span) {
-  span->next = *head;
-  span->prev = 0;
-  if (*head != 0) {
-    table.FindMutable(*head)->prev = base;
+// The spans of one size class: the carve / pop / return / retire path of
+// every small-block heap. FreeListHeap keeps one per class over its single
+// table; each central free-list shard keeps one over its own table. The
+// table and arena are the owner's and are passed in, so the list itself is
+// three words and the owner's lock covers it. Spans with available blocks
+// hang off a nonempty list, doubly linked through SpanInfo::{next,prev} by
+// chunk base. One fully-free span is retained so an alloc/free ping-pong
+// does not thrash the arena; any other span that becomes fully free is
+// erased and handed back to the arena.
+class SpanList {
+ public:
+  // Pops up to `want` blocks of `class_index`, passing each to
+  // `on_block(FreeNode*)`: the free lists first, then the retained span,
+  // then a fresh 64 KiB span from `arena`, whose base goes to
+  // `on_carve(base)` before any of its blocks. Returns the number popped,
+  // short only when the arena is exhausted. A block popped from a free list
+  // has its canary cleared; a freshly carved block is not written at all.
+  template <typename OnBlock, typename OnCarve>
+  size_t Pop(SpanTable& table, Arena& arena, size_t class_index, size_t want,
+             OnBlock&& on_block, OnCarve&& on_carve) {
+    const size_t block_size = ClassSize(class_index);
+    size_t got = 0;
+    while (got < want) {
+      if (nonempty_ == 0 && !Unretain(table)) {
+        const uintptr_t carved = Carve(table, arena, class_index);
+        if (carved == 0) {
+          break;  // arena exhausted
+        }
+        on_carve(carved);
+      }
+      const uintptr_t base = nonempty_;
+      SpanInfo* span = table.FindMutable(base);
+      for (; got < want && span->HasAvailableBlock(); ++got) {
+        auto* block = static_cast<FreeNode*>(span->free_head);
+        if (block != nullptr) {
+          span->free_head = block->next;
+          --span->free_count;
+          ClearFreeCanary(block);
+        } else {
+          block = reinterpret_cast<FreeNode*>(base + size_t{span->carved} * block_size);
+          ++span->carved;
+        }
+        on_block(block);
+      }
+      if (!span->HasAvailableBlock()) {
+        Unlink(table, base, span);
+      }
+    }
+    return got;
   }
-  *head = base;
-}
 
-inline void UnlinkNonempty(SpanTable& table, uintptr_t* head, uintptr_t base, SpanInfo* span) {
-  if (span->prev != 0) {
-    table.FindMutable(span->prev)->next = span->next;
-  } else {
-    PS_CHECK_EQ(*head, base);
-    *head = span->next;
+  // Returns `block`, which lies in the small span `span` at `base`, to that
+  // span's free list and sets its free canary. Aborts when the span would
+  // hold more free blocks than it ever carved. A span left fully free is
+  // retained, or, when one already is, handed back to the arena after
+  // `on_release(base)`.
+  template <typename OnRelease>
+  void Push(SpanTable& table, Arena& arena, uintptr_t base, SpanInfo* span, void* block,
+            OnRelease&& on_release) {
+    const bool was_exhausted = !span->HasAvailableBlock();
+    auto* node = static_cast<FreeNode*>(block);
+    node->next = static_cast<FreeNode*>(span->free_head);
+    span->free_head = node;
+    ++span->free_count;
+    PS_CHECK_LE(span->free_count, span->carved) << "span free list overfull: double free?";
+    SetFreeCanary(node);
+    if (was_exhausted) {
+      Link(table, base, span);
+    }
+    if (!span->FullyFree()) {
+      return;
+    }
+    Unlink(table, base, span);
+    if (retained_ == 0) {
+      retained_ = base;
+      return;
+    }
+    on_release(base);
+    PS_CHECK(table.Erase(base).ok());
+    arena.FreeChunk(base, kArenaChunkGranularity);
+    ++spans_released_;
+    SpansReleasedCounter()->Increment();
   }
-  if (span->next != 0) {
-    table.FindMutable(span->next)->prev = span->prev;
+
+  // Whether `ptr` is on `span`'s free list: the authoritative double-free
+  // check behind a free-canary match.
+  static bool FreeListContains(const SpanInfo& span, const void* ptr) {
+    for (auto* node = static_cast<const FreeNode*>(span.free_head); node != nullptr;
+         node = node->next) {
+      if (node == ptr) {
+        return true;
+      }
+    }
+    return false;
   }
-  span->next = 0;
-  span->prev = 0;
-}
+
+  uint64_t spans_released() const { return spans_released_; }
+
+ private:
+  static telemetry::Counter* SpansReleasedCounter() {
+    static telemetry::Counter* counter =
+        telemetry::MetricsRegistry::Global().GetOrCreateCounter("pkalloc.spans.released");
+    return counter;
+  }
+
+  // Moves the retained span back onto the nonempty list; false if none.
+  bool Unretain(SpanTable& table) {
+    if (retained_ == 0) {
+      return false;
+    }
+    Link(table, retained_, table.FindMutable(retained_));
+    retained_ = 0;
+    return true;
+  }
+
+  // Registers a fresh span and links it; returns its base, or 0 when the
+  // arena or the table is out of memory.
+  uintptr_t Carve(SpanTable& table, Arena& arena, size_t class_index) {
+    auto chunk = arena.AllocateChunk(kArenaChunkGranularity);
+    if (!chunk.ok()) {
+      return 0;
+    }
+    SpanInfo info;
+    info.class_index = static_cast<uint32_t>(class_index);
+    info.chunk_bytes = kArenaChunkGranularity;
+    info.block_count = static_cast<uint32_t>(kArenaChunkGranularity / ClassSize(class_index));
+    if (!table.Insert(*chunk, info).ok()) {
+      arena.FreeChunk(*chunk, kArenaChunkGranularity);
+      return 0;
+    }
+    Link(table, *chunk, table.FindMutable(*chunk));
+    return *chunk;
+  }
+
+  void Link(SpanTable& table, uintptr_t base, SpanInfo* span) {
+    span->next = nonempty_;
+    span->prev = 0;
+    if (nonempty_ != 0) {
+      table.FindMutable(nonempty_)->prev = base;
+    }
+    nonempty_ = base;
+  }
+
+  void Unlink(SpanTable& table, uintptr_t base, SpanInfo* span) {
+    if (span->prev != 0) {
+      table.FindMutable(span->prev)->next = span->next;
+    } else {
+      PS_CHECK_EQ(nonempty_, base);
+      nonempty_ = span->next;
+    }
+    if (span->next != 0) {
+      table.FindMutable(span->next)->prev = span->prev;
+    }
+    span->next = 0;
+    span->prev = 0;
+  }
+
+  uintptr_t nonempty_ = 0;  // spans with available blocks
+  uintptr_t retained_ = 0;  // one fully-free span kept back
+  uint64_t spans_released_ = 0;
+};
 
 }  // namespace pkrusafe
 

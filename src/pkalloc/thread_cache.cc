@@ -73,6 +73,14 @@ ThreadCache* ThreadCache::GetSlow(CentralFreeListSet* central) {
 }
 
 void* ThreadCache::AllocateSlow(size_t class_index) {
+  if (classes_[class_index].head != nullptr) {
+    // kPublishOps hits are pending. Publish them alone, one shared write;
+    // the traffic waits for the next batch boundary, since the stats a
+    // thread reads already fold in its own pending traffic.
+    Metrics().hits->Increment(hits_);
+    hits_ = 0;
+    return Allocate(class_index);
+  }
   ++misses_;
   FreeNode* chain = nullptr;
   const size_t got = central_->FetchBatch(class_index, &chain, BatchSize(class_index));

@@ -10,10 +10,12 @@
 //     batch flushes back to the central shard, which is also what returns
 //     blocks freed on a different thread than the one that allocated them.
 //
-// Cache telemetry (pkalloc.cache.{hits,misses,flushes}) accumulates in
-// plain thread-local counters and is published to the global registry at
-// batch boundaries (refill/flush) and when the cache drains, so the hit
-// path never touches a shared cache line.
+// Cache telemetry (pkalloc.cache.{hits,misses,flushes}) and the pending
+// traffic accumulate in plain thread-local counters and are published at
+// batch boundaries (refill/flush) and when the cache drains. Hits are also
+// published on their own every kPublishOps hits, so a steady state that
+// never refills or flushes still shows up, while the hit path touches a
+// shared cache line only once per kPublishOps allocations.
 //
 // Lifetime: a cache registers with its central set. Thread exit flushes and
 // unregisters; destroying the central set invalidates surviving caches
@@ -44,7 +46,7 @@ class ThreadCache {
   void* Allocate(size_t class_index) {
     ClassCache& cls = classes_[class_index];
     FreeNode* node = cls.head;
-    if (node == nullptr) {
+    if (node == nullptr || hits_ >= kPublishOps) {
       return AllocateSlow(class_index);
     }
     ++hits_;
@@ -101,13 +103,16 @@ class ThreadCache {
   struct TlsCaches;
 
   static constexpr size_t kBatchBytes = 8192;
+  // Cache hits between two publications of pkalloc.cache.hits.
+  static constexpr uint64_t kPublishOps = 256;
 
   explicit ThreadCache(CentralFreeListSet* central) : central_(central) {}
 
   // Registry miss: find or create this thread's cache for `central`.
   static ThreadCache* GetSlow(CentralFreeListSet* central);
 
-  // Refill path: fetch a batch from the central shard, keep one block.
+  // Refill path: fetch a batch from the central shard, keep one block. Also
+  // taken, without a refill, to publish hits once kPublishOps are pending.
   void* AllocateSlow(size_t class_index);
   // Overflow path: flush a batch back to the central shard.
   void FreeSlow(size_t class_index);

@@ -9,9 +9,14 @@
 
 #include "src/memmap/page.h"
 #include "src/support/rng.h"
+#include "src/telemetry/metrics.h"
 
 namespace pkrusafe {
 namespace {
+
+telemetry::Counter* SpansReleasedCounter() {
+  return telemetry::MetricsRegistry::Global().GetOrCreateCounter("pkalloc.spans.released");
+}
 
 class FreeListHeapTest : public ::testing::Test {
  protected:
@@ -132,10 +137,13 @@ TEST_F(FreeListHeapTest, EmptySmallSpansReturnToArena) {
   }
   const size_t outstanding_full = arena_->outstanding_bytes();
   const uint64_t released_before = heap_->stats().spans_released;
+  const uint64_t counter_before = SpansReleasedCounter()->value();
   for (void* p : ptrs) {
     heap_->Free(p);
   }
   EXPECT_GE(heap_->stats().spans_released, released_before + 3);
+  EXPECT_EQ(SpansReleasedCounter()->value() - counter_before,
+            heap_->stats().spans_released - released_before);
   // At least three chunks' worth of address space went back (one span stays
   // retained as hysteresis).
   EXPECT_LE(arena_->outstanding_bytes(), outstanding_full - 3 * kArenaChunkGranularity);

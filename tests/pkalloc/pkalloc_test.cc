@@ -242,6 +242,19 @@ TEST_F(PkAllocatorTest, CacheCountersTrackHitsAndMisses) {
   EXPECT_GE(hits->value() - hits0, 1u);
 }
 
+// A steady state that never refills or flushes still publishes its hits:
+// the cache publishes every few hundred hot-path operations, not only at
+// batch boundaries.
+TEST_F(PkAllocatorTest, SteadyStateCacheHitsArePublishedWithoutAFlush) {
+  auto* hits = telemetry::MetricsRegistry::Global().GetOrCreateCounter("pkalloc.cache.hits");
+  alloc_->Free(alloc_->Allocate(Domain::kTrusted, 48));  // warm the class
+  const uint64_t hits0 = hits->value();
+  for (int i = 0; i < 10000; ++i) {
+    alloc_->Free(alloc_->Allocate(Domain::kTrusted, 48));
+  }
+  EXPECT_GE(hits->value() - hits0, 9000u);
+}
+
 TEST_F(PkAllocatorTest, CacheReusesFreedBlockLifo) {
   void* p = alloc_->Allocate(Domain::kTrusted, 64);
   alloc_->Free(p);
@@ -266,8 +279,12 @@ TEST_F(PkAllocatorTest, EmptySpansReturnToArenaThroughCentralLists) {
     alloc_->Free(p);
   }
   alloc_->FlushThisThreadCache();
-  EXPECT_GT(alloc_->central_lists(Domain::kTrusted)->spans_released(), released_before);
+  const uint64_t central_released = alloc_->central_lists(Domain::kTrusted)->spans_released();
+  EXPECT_GT(central_released, released_before);
   EXPECT_LT(alloc_->trusted_arena().outstanding_bytes(), outstanding_before);
+  // No small block reached M_T's FreeListHeap, so the pool's count is the
+  // central lists' count.
+  EXPECT_EQ(alloc_->trusted_stats().spans_released, central_released);
 }
 
 using PkAllocatorDeathTest = PkAllocatorTest;

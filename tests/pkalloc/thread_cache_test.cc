@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/pkalloc/central_free_list.h"
+#include "src/telemetry/metrics.h"
 
 namespace pkrusafe {
 namespace {
@@ -62,8 +63,12 @@ TEST_F(CentralFreeListTest, FullyFreeSpansReturnToArenaBeyondRetained) {
   const size_t got = central_->FetchBatch(class_index, &head, 64);  // 4 spans
   ASSERT_EQ(got, 64u);
   const size_t outstanding_full = arena_->outstanding_bytes();
+  auto* counter =
+      telemetry::MetricsRegistry::Global().GetOrCreateCounter("pkalloc.spans.released");
+  const uint64_t counter_before = counter->value();
   central_->ReleaseBatch(class_index, head, got);
   EXPECT_GE(central_->spans_released(), 3u);
+  EXPECT_EQ(counter->value() - counter_before, central_->spans_released());
   EXPECT_LE(arena_->outstanding_bytes(), outstanding_full - 3 * kArenaChunkGranularity);
 }
 
