@@ -22,7 +22,8 @@
 #                                   # trip, then the transport bench
 #                                   # (BENCH_fleet)
 #   scripts/check.sh vpkey          # virtual-pkey cache: multidomain tests
-#                                   # under ThreadSanitizer (pin/evict races),
+#                                   # and the per-thread counter tests under
+#                                   # ThreadSanitizer (pin/evict races),
 #                                   # the 32-tenant sandbox on both backends,
 #                                   # then the transition bench (BENCH_vpkey)
 #   scripts/check.sh server         # multi-tenant sandbox server: socket
@@ -234,13 +235,18 @@ run_vpkey() {
   # against forced evictions and release/reuse of library entries — runs
   # under ThreadSanitizer, along with the publication protocol of the
   # lock-free library table and the page-key map's in-place re-tag racing
-  # its readers. ctest -R is case-sensitive: the pattern names the gtest
-  # suites, not the binary.
+  # its readers, and the per-thread counters (src/support/per_thread.h)
+  # that crossings, pins and thread-cache traffic are counted in. ctest -R
+  # is case-sensitive: the pattern names the gtest suites, not the binary.
   cmake -B build/check-tsan -S . -DPKRUSAFE_SANITIZE=thread
   cmake --build build/check-tsan -j "$(nproc)" \
-    --target multidomain_test support_test mpk_test multidomain_sandbox
+    --target multidomain_test support_test mpk_test pkalloc_test multidomain_sandbox
   ctest --test-dir build/check-tsan --output-on-failure \
-    -R 'Vpkey|Multidomain|MultiCompartment|StableIndexArray|PageKeyMapRetag|example_multidomain'
+    -R 'Vpkey|Multidomain|MultiCompartment|StableIndexArray|PerThread|OtherThreadsCachedAllocations|PageKeyMapRetag|example_multidomain'
+  # The counting tests race slot writers against readers, and thread exit
+  # against owner destruction: repeat them.
+  ctest --test-dir build/check-tsan --output-on-failure --repeat until-fail:20 \
+    -R 'PerThread|ConcurrentScopesAreCountedExactly|OtherThreadsCachedAllocations'
   echo "-- vpkey: 32 tenants past the 16-key hardware limit"
   build/check-tsan/examples/multidomain_sandbox --libraries=32 --backend=sim
   build/check-tsan/examples/multidomain_sandbox --libraries=32 --backend=mprotect

@@ -217,18 +217,16 @@ void MultiCompartment::EnterLibrary(LibraryId library) {
     PS_CHECK(pinned.ok()) << "EnterLibrary(" << library << "): " << pinned.status().ToString();
     mask = *pinned;
   }
-  transitions_.store(transitions_.load(std::memory_order_relaxed) + 1,
-                     std::memory_order_relaxed);
+  crossings_.Local().Add(0);
   CompartmentStack::Enter(backend_, Domain::kUntrusted, backend_->ReadPkru(), *mask,
                           /*verify=*/true);
 }
 
 void MultiCompartment::ExitLibrary() {
-  transitions_.store(transitions_.load(std::memory_order_relaxed) + 1,
-                     std::memory_order_relaxed);
   // Restore the caller's rights first, then drop the pin: the key must stay
   // bound to its slot for as long as any installed PKRU can refer to it.
   CompartmentStack::Exit(backend_, Domain::kUntrusted, /*verify=*/true);
+  crossings_.Local().Add(0);
   vpkeys_->UnpinFast();
 }
 

@@ -33,8 +33,9 @@
 // in-flight request either blocks the release (retry later) or completed
 // before it; operations on a *released* id afterwards are caller bugs, but
 // racing scans over other libraries stay safe throughout.
-// transition_count() is maintained lossily for the same reason and may
-// undercount under concurrency.
+// transition_count() and the vpkey hit count are kept in per-thread slots
+// (src/support/per_thread.h) and summed at read, so they are exact once the
+// crossing threads are quiescent.
 //
 // Recycling: a released library's id, pool reservation and heap object go
 // on a free list, and the next RegisterLibrary takes them back with a fresh
@@ -72,6 +73,7 @@
 #include "src/runtime/call_gate.h"
 #include "src/support/compiler.h"
 #include "src/support/logging.h"
+#include "src/support/per_thread.h"
 #include "src/support/stable_index_array.h"
 
 namespace pkrusafe {
@@ -181,7 +183,7 @@ class MultiCompartment {
   PkeyId key_of(LibraryId id) const;
   bool library_resident(LibraryId id) const;
   // Library crossings (one per EnterLibrary and one per ExitLibrary).
-  uint64_t transition_count() const { return transitions_.load(std::memory_order_relaxed); }
+  uint64_t transition_count() const { return crossings_.Sum()[0]; }
 
   // Virtual-key cache counters (hits/misses/evictions/retag traffic).
   VpkeyStats vpkey_stats() const;
@@ -228,9 +230,9 @@ class MultiCompartment {
   std::vector<LibraryId> free_ids_;
   std::unique_ptr<VirtualPkeyTable> vpkeys_;
 
-  // Lossy (plain load+store): the transition fast path pays no RMW. Exact
-  // single-threaded; may undercount when transitions race.
-  std::atomic<uint64_t> transitions_{0};
+  // Library crossings, counted on the caller's side: before the PKRU write
+  // on entry, after the restore on exit.
+  PerThread<CounterSlot<MultiCompartment, 1>> crossings_;
 };
 
 }  // namespace pkrusafe

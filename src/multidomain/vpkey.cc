@@ -23,12 +23,6 @@ namespace pkrusafe {
 
 namespace {
 
-telemetry::Counter* HitsCounter() {
-  static auto* counter =
-      telemetry::MetricsRegistry::Global().GetOrCreateCounter("multidomain.vpkey.hits");
-  return counter;
-}
-
 telemetry::Counter* MissesCounter() {
   static auto* counter =
       telemetry::MetricsRegistry::Global().GetOrCreateCounter("multidomain.vpkey.misses");
@@ -146,10 +140,15 @@ Result<std::unique_ptr<VirtualPkeyTable>> VirtualPkeyTable::Create(MpkBackend* b
   // Decide the barrier flavor up front, not during the first eviction: once
   // registration succeeds, fast pins may drop their fallback fence.
   InitHeavyBarrier();
+  // A pull gauge: it reads the pin counts whenever the registry is sampled.
+  telemetry::MetricsRegistry::Global().SetCallbackGauge(
+      "multidomain.vpkey.hits", table.get(),
+      [t = table.get()] { return static_cast<int64_t>(t->hits()); });
   return table;
 }
 
 VirtualPkeyTable::~VirtualPkeyTable() {
+  telemetry::MetricsRegistry::Global().RemoveCallbackGauges(this);
   for (const Slot& slot : slots_) {
     (void)backend_->FreeKey(slot.key);
   }
@@ -205,12 +204,10 @@ Status VirtualPkeyTable::ReleaseVirtualKey(VirtualKeyId vkey) {
     }
     PS_RETURN_IF_ERROR(unbound);
   }
-  retired_uses_ += state->uses.load(std::memory_order_relaxed);
   // Atomics are pinned in place, so the id is reset for reuse field by field
   // (the slot is already kNoSlot).
   state->mask.store(0, std::memory_order_relaxed);
   state->last_use.store(0, std::memory_order_relaxed);
-  state->uses.store(0, std::memory_order_relaxed);
   state->alive = false;
   state->ranges.clear();
   free_ids_.push_back(vkey);
@@ -317,7 +314,7 @@ size_t VirtualPkeyTable::PickVictimSlot(const std::vector<bool>& excluded) const
 }
 
 Status VirtualPkeyTable::FaultIn(VirtualKeyId vkey, VKeyState& state) {
-  ++misses_;
+  misses_.store(misses_.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
   MissesCounter()->Increment();
 
   size_t slot_index = slots_.size();
@@ -388,7 +385,7 @@ Result<PkruValue> VirtualPkeyTable::PinResident(VirtualKeyId vkey) {
   rec->entries[depth].table.store(this, std::memory_order_relaxed);
   rec->entries[depth].vkey.store(vkey, std::memory_order_relaxed);
   rec->depth.store(depth + 1, std::memory_order_release);
-  TouchClocks(*state);
+  NotePin(*state);
   return PkruValue(state->mask.load(std::memory_order_relaxed));
 }
 
@@ -411,32 +408,22 @@ bool VirtualPkeyTable::IsResident(VirtualKeyId vkey) const {
   return resident(*state);
 }
 
+uint64_t VirtualPkeyTable::hits() const {
+  const uint64_t misses = misses_.load(std::memory_order_relaxed);
+  const uint64_t pins = pins_.Sum()[0];
+  return pins > misses ? pins - misses : 0;
+}
+
 VpkeyStats VirtualPkeyTable::stats() const {
   VpkeyStats stats;
-  uint64_t uses = retired_uses_;
-  for (size_t i = 0; i < states_.size(); ++i) {
-    const VKeyState* state = states_.at(i);
-    if (state != nullptr && state->alive) {
-      uses += state->uses.load(std::memory_order_relaxed);
-    }
-  }
-  // Every successful pin bumps `uses`; the locked path counts the misses
-  // exactly, so hits fall out by subtraction (floored: lossy `uses` updates
-  // can transiently lag the miss count under contention).
-  stats.hits = uses > misses_ ? uses - misses_ : 0;
-  stats.misses = misses_;
+  stats.hits = hits();
+  stats.misses = misses_.load(std::memory_order_relaxed);
   stats.evictions = evictions_;
   stats.retag_bytes = retag_bytes_;
   stats.retag_ns = retag_ns_;
   stats.resident = resident_count_;
   stats.virtual_keys = live_keys_;
   stats.hw_slots = slots_.size();
-  // The fast path can't touch telemetry without an RMW; reconcile the hits
-  // counter here instead, monotonically.
-  if (stats.hits > hits_flushed_) {
-    HitsCounter()->Increment(stats.hits - hits_flushed_);
-    hits_flushed_ = stats.hits;
-  }
   return stats;
 }
 

@@ -42,10 +42,10 @@
 // the locked slow path. Pin/unpin are LIFO per thread for UnpinFast;
 // Unpin(vkey) tolerates out-of-order release by punching holes.
 //
-// The LRU clock, the use counts and the hit statistic are maintained with relaxed
-// plain load+store on the fast path and may undercount under heavy
-// concurrency; they are exact single-threaded. misses/evictions/retag
-// counters are exact (locked path only).
+// Pins are counted per thread (src/support/per_thread.h) and hits are pins
+// minus the misses the locked path counts, so every counter is exact once
+// the pinning threads are quiescent. The LRU clock is policy, not a stat:
+// relaxed load+store on the fast path, it may drop ticks when pins race.
 #ifndef SRC_MULTIDOMAIN_VPKEY_H_
 #define SRC_MULTIDOMAIN_VPKEY_H_
 
@@ -59,6 +59,7 @@
 #include "src/multidomain/pin_registry.h"
 #include "src/support/compiler.h"
 #include "src/support/logging.h"
+#include "src/support/per_thread.h"
 #include "src/support/stable_index_array.h"
 
 namespace pkrusafe {
@@ -86,8 +87,7 @@ struct VpkeyConfig {
 };
 
 struct VpkeyStats {
-  uint64_t hits = 0;         // pins served by a resident key (approximate
-                             // under concurrency, exact single-threaded)
+  uint64_t hits = 0;         // pins served by a resident key
   uint64_t misses = 0;       // pins that had to fault in
   uint64_t evictions = 0;    // residents re-tagged out to make room
   uint64_t retag_bytes = 0;  // bytes re-tagged by fault-in + eviction
@@ -164,8 +164,8 @@ class VirtualPkeyTable {
   PkeyId evicted_key() const { return evicted_key_; }
   size_t hw_slot_count() const { return slots_.size(); }
 
-  // Snapshot of the cache counters. Externally synchronized (it reconciles
-  // the lazily-maintained hit statistic into telemetry).
+  // Snapshot of the cache counters. Externally synchronized. The hit count
+  // is also the multidomain.vpkey.hits gauge (of the newest live table).
   VpkeyStats stats() const;
 
  private:
@@ -188,10 +188,8 @@ class VirtualPkeyTable {
     // index publishes `mask` (and the page re-tags) to fast pinners.
     std::atomic<uint8_t> slot{kNoSlot};
     std::atomic<uint32_t> mask{0};  // PKRU raw for the current slot
-    // Lossy LRU clock for victim selection and use count for the hit
-    // statistic (relaxed load+store, see header).
+    // Lossy LRU clock for victim selection (relaxed load+store, see header).
     std::atomic<uint64_t> last_use{0};
-    std::atomic<uint64_t> uses{0};
     // Owner-lock-guarded.
     bool alive = false;
     std::vector<Range> ranges;
@@ -206,8 +204,11 @@ class VirtualPkeyTable {
   VKeyState* FindAlive(VirtualKeyId vkey);
   const VKeyState* FindAlive(VirtualKeyId vkey) const;
 
-  // Bumps the lossy LRU clock and use count for a successful pin.
-  PS_ALWAYS_INLINE void TouchClocks(VKeyState& state);
+  // Counts a successful pin and bumps the lossy LRU clock.
+  PS_ALWAYS_INLINE void NotePin(VKeyState& state);
+
+  // Pins minus misses, floored: a racing read may see a miss before its pin.
+  uint64_t hits() const;
 
   // Scans every thread's pin record for a live pin of (this, vkey). Only
   // authoritative after a HeavyBarrier that followed the slot unbind; may
@@ -242,25 +243,24 @@ class VirtualPkeyTable {
   std::atomic<uint64_t> tick_{0};  // lossy LRU clock
   size_t live_keys_ = 0;
   size_t resident_count_ = 0;
-  uint64_t misses_ = 0;
+  // Written under the owner's lock; atomic for the hits gauge's reads.
+  std::atomic<uint64_t> misses_{0};
   uint64_t evictions_ = 0;
   uint64_t retag_bytes_ = 0;
   uint64_t retag_ns_ = 0;
-  uint64_t retired_uses_ = 0;  // uses of released keys, for hit accounting
-  mutable uint64_t hits_flushed_ = 0;  // telemetry reconciliation watermark
+  PerThread<CounterSlot<VirtualPkeyTable, 1>> pins_;
 };
 
 // --- pin fast path (inline: one compartment entry per call site) ---
 
-inline void VirtualPkeyTable::TouchClocks(VKeyState& state) {
+inline void VirtualPkeyTable::NotePin(VKeyState& state) {
+  pins_.Local().Add(0);
   // Lossy on purpose: plain load+store keeps the pin fast path free of RMWs.
-  // Concurrent pins may drop ticks/uses; victim selection only needs a
-  // rough ordering, and the hit statistic is documented approximate.
+  // Concurrent pins may drop ticks; victim selection only needs a rough
+  // ordering.
   const uint64_t t = tick_.load(std::memory_order_relaxed) + 1;
   tick_.store(t, std::memory_order_relaxed);
   state.last_use.store(t, std::memory_order_relaxed);
-  state.uses.store(state.uses.load(std::memory_order_relaxed) + 1,
-                   std::memory_order_relaxed);
 }
 
 inline std::optional<PkruValue> VirtualPkeyTable::TryPinFast(VirtualKeyId vkey) {
@@ -290,7 +290,7 @@ inline std::optional<PkruValue> VirtualPkeyTable::TryPinFast(VirtualKeyId vkey) 
     rec->depth.store(depth, std::memory_order_release);
     return std::nullopt;
   }
-  TouchClocks(*state);
+  NotePin(*state);
   return PkruValue(state->mask.load(std::memory_order_relaxed));
 }
 

@@ -25,11 +25,13 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "src/pkalloc/arena.h"
 #include "src/pkalloc/size_classes.h"
 #include "src/pkalloc/span_table.h"
+#include "src/pkalloc/thread_cache.h"
+#include "src/support/compiler.h"
+#include "src/support/per_thread.h"
 
 namespace pkrusafe {
 
@@ -37,15 +39,12 @@ namespace telemetry {
 class Counter;
 }  // namespace telemetry
 
-class ThreadCache;
-
-// Cached-front-end traffic, accumulated per thread in plain counters and
-// published to the owning central set at batch boundaries.
-struct CachedTraffic {
-  uint64_t alloc_calls = 0;
-  uint64_t free_calls = 0;
-  uint64_t alloc_bytes = 0;  // usable bytes
-  uint64_t freed_bytes = 0;
+// The registry counters a set's cached traffic is mirrored into (the owning
+// allocator's domain-tagged pkalloc.* counters); all null = not mirrored.
+struct TrafficCounters {
+  telemetry::Counter* alloc_calls = nullptr;
+  telemetry::Counter* alloc_bytes = nullptr;
+  telemetry::Counter* free_calls = nullptr;
 };
 
 class CentralFreeListSet {
@@ -53,19 +52,20 @@ class CentralFreeListSet {
   // Chunk-map value for "not a cached small-object span".
   static constexpr uint8_t kNoClass = 0xFF;
 
-  // The arena must outlive this set. Destroying the set invalidates every
+  // The arena must outlive this set. Destroying the set detaches every
   // thread cache attached to it; no thread may be using the allocator
   // concurrently with destruction (the usual heap-destruction contract).
-  explicit CentralFreeListSet(Arena* arena);
-  ~CentralFreeListSet();
+  explicit CentralFreeListSet(Arena* arena, TrafficCounters traffic_counters = {});
 
   CentralFreeListSet(const CentralFreeListSet&) = delete;
   CentralFreeListSet& operator=(const CentralFreeListSet&) = delete;
 
-  // Process-unique id; thread caches key their TLS slots by it so a new set
+  // Process-unique id (the thread caches' PerThread owner id), so a new set
   // reusing a dead set's address can never alias a stale cache.
-  uint64_t id() const { return id_; }
-  Arena* arena() const { return arena_; }
+  uint64_t id() const { return caches_.id(); }
+
+  // The calling thread's cache for this set, created on first use.
+  PS_ALWAYS_INLINE ThreadCache& LocalCache() { return caches_.Local(this); }
 
   // Pops up to `want` blocks of `class_index`, chained through FreeNode.
   // Returns the number fetched (0 when the arena is exhausted).
@@ -88,20 +88,10 @@ class CentralFreeListSet {
   // its span's central free list. Takes the shard lock.
   bool ContainsFreeBlock(size_t class_index, const void* ptr);
 
-  // Thread-cache registry, used to invalidate caches at destruction.
-  void RegisterCache(ThreadCache* cache);
-  void UnregisterCache(ThreadCache* cache);
-
-  // Telemetry counters the published traffic is mirrored into (the owning
-  // allocator's domain-tagged pkalloc.* counters). Optional.
-  void SetTrafficCounters(telemetry::Counter* alloc_calls, telemetry::Counter* alloc_bytes,
-                          telemetry::Counter* free_calls);
-  // Folds a thread cache's pending traffic into the set-wide totals (and the
-  // mirrored telemetry counters). Called at batch boundaries.
-  void PublishTraffic(const CachedTraffic& traffic);
-  // Set-wide published traffic. Excludes traffic still pending in thread
-  // caches; callers wanting same-thread exactness add their own pending.
-  CachedTraffic traffic_totals() const;
+  const TrafficCounters& traffic_counters() const { return traffic_counters_; }
+  // Every thread cache's traffic (ThreadCache::Counts), summed now: exact
+  // once the allocating threads are quiescent.
+  ThreadCache::Counts traffic() const { return caches_.Sum(); }
 
   uint64_t spans_released() const;
 
@@ -119,25 +109,16 @@ class CentralFreeListSet {
                                                                  std::memory_order_release);
   }
 
-  const uint64_t id_;
   Arena* arena_;
   uintptr_t map_base_;  // first chunk-aligned address of the reservation
   uintptr_t map_end_;
   std::unique_ptr<std::atomic<uint8_t>[]> chunk_map_;
   std::unique_ptr<Shard[]> shards_;  // kNumSizeClasses entries
 
-  // Written by every thread cache's publication: kept off the cache line
-  // of the chunk-map fields that every Free reads.
-  alignas(64) std::atomic<uint64_t> traffic_alloc_calls_{0};
-  std::atomic<uint64_t> traffic_free_calls_{0};
-  std::atomic<uint64_t> traffic_alloc_bytes_{0};
-  std::atomic<uint64_t> traffic_freed_bytes_{0};
-  telemetry::Counter* counter_alloc_calls_ = nullptr;
-  telemetry::Counter* counter_alloc_bytes_ = nullptr;
-  telemetry::Counter* counter_free_calls_ = nullptr;
-
-  std::mutex caches_mutex_;
-  std::vector<ThreadCache*> caches_;
+  const TrafficCounters traffic_counters_;
+  // Declared last, so destroyed first: surviving thread caches are detached
+  // while the shards they would flush to still exist.
+  PerThread<ThreadCache> caches_;
 };
 
 }  // namespace pkrusafe

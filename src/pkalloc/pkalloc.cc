@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "src/pkalloc/thread_cache.h"
 #include "src/support/logging.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
@@ -13,18 +12,13 @@ namespace {
 
 // Pool-level traffic counters (process-wide; the per-runtime view comes from
 // the runtime.heap.* callback gauges). Always live: two relaxed fetch_adds
-// per allocation, the same order of cost as the heap's own bookkeeping.
-// alloc_bytes counts *usable* bytes, matching HeapStats, so the two
-// telemetry views of the same traffic agree.
-struct PoolMetrics {
-  telemetry::Counter* alloc_calls;
-  telemetry::Counter* alloc_bytes;
-  telemetry::Counter* free_calls;
-};
-
+// per heap-path allocation, the same order of cost as the heap's own
+// bookkeeping; the thread caches publish theirs in batches. alloc_bytes
+// counts *usable* bytes, matching HeapStats, so the two telemetry views of
+// the same traffic agree.
 struct AllocMetrics {
-  PoolMetrics trusted;
-  PoolMetrics untrusted;
+  TrafficCounters trusted;
+  TrafficCounters untrusted;
   telemetry::Histogram* alloc_ns;  // observed only while tracing is enabled
 };
 
@@ -45,7 +39,7 @@ const AllocMetrics& Metrics() {
   return metrics;
 }
 
-const PoolMetrics& MetricsFor(Domain domain) {
+const TrafficCounters& MetricsFor(Domain domain) {
   return domain == Domain::kTrusted ? Metrics().trusted : Metrics().untrusted;
 }
 
@@ -64,13 +58,8 @@ PkAllocator::PkAllocator(MpkBackend* backend, std::unique_ptr<Arena> trusted_are
   } else {
     untrusted_heap_ = std::make_unique<BoundaryTagHeap>(untrusted_arena_.get());
   }
-  central_[0] = std::make_unique<CentralFreeListSet>(trusted_arena_.get());
-  central_[0]->SetTrafficCounters(Metrics().trusted.alloc_calls, Metrics().trusted.alloc_bytes,
-                                  Metrics().trusted.free_calls);
-  central_[1] = std::make_unique<CentralFreeListSet>(untrusted_arena_.get());
-  central_[1]->SetTrafficCounters(Metrics().untrusted.alloc_calls,
-                                  Metrics().untrusted.alloc_bytes,
-                                  Metrics().untrusted.free_calls);
+  central_[0] = std::make_unique<CentralFreeListSet>(trusted_arena_.get(), Metrics().trusted);
+  central_[1] = std::make_unique<CentralFreeListSet>(untrusted_arena_.get(), Metrics().untrusted);
 }
 
 Result<std::unique_ptr<PkAllocator>> PkAllocator::Create(MpkBackend* backend,
@@ -133,11 +122,11 @@ void* PkAllocator::AllocateInternal(Domain domain, size_t size) {
   if (size <= kMaxSmallSize) {
     // The thread cache does its own (thread-local) telemetry accounting.
     const size_t class_index = SizeClassIndex(size == 0 ? 1 : size);
-    return ThreadCache::Get(central_[index].get())->Allocate(class_index);
+    return central_[index]->LocalCache().Allocate(class_index);
   }
   void* ptr = AllocateFromPool(domain, size);
   if (ptr != nullptr) {
-    const PoolMetrics& pool = MetricsFor(domain);
+    const TrafficCounters& pool = MetricsFor(domain);
     pool.alloc_calls->Increment();
     pool.alloc_bytes->Increment(UsableSize(ptr));
   }
@@ -186,7 +175,7 @@ void PkAllocator::Free(void* ptr) {
     const size_t block_size = ClassSize(class_index);
     const uintptr_t offset = reinterpret_cast<uintptr_t>(ptr) - chunk_base;
     PS_CHECK_EQ(offset % block_size, 0u) << "Free of interior pointer";
-    ThreadCache::Get(central)->Free(class_index, ptr);
+    central->LocalCache().Free(class_index, ptr);
     return;
   }
   MetricsFor(*owner).free_calls->Increment();
@@ -226,35 +215,28 @@ std::optional<Domain> PkAllocator::OwnerOf(const void* ptr) const {
 
 void PkAllocator::FlushThisThreadCache() {
   for (auto& central : central_) {
-    ThreadCache::Get(central.get())->FlushAll();
+    central->LocalCache().FlushAll();
   }
 }
 
 HeapStats PkAllocator::StatsFor(int index, HeapStats stats) const {
-  CentralFreeListSet* central = central_[index].get();
-  CachedTraffic traffic = central->traffic_totals();
-  // Fold in the calling thread's unpublished traffic so a thread always
-  // sees its own allocations reflected.
-  const CachedTraffic& pending = ThreadCache::Get(central)->pending_traffic();
-  traffic.alloc_calls += pending.alloc_calls;
-  traffic.free_calls += pending.free_calls;
-  traffic.alloc_bytes += pending.alloc_bytes;
-  traffic.freed_bytes += pending.freed_bytes;
-  // freed can transiently lead alloc when a cross-thread free was published
-  // before the allocating thread's batch; clamp rather than wrap.
-  const uint64_t live = traffic.alloc_bytes >= traffic.freed_bytes
-                            ? traffic.alloc_bytes - traffic.freed_bytes
-                            : 0;
+  const CentralFreeListSet& central = *central_[index];
+  const ThreadCache::Counts traffic = central.traffic();
+  const uint64_t alloc_bytes = traffic[ThreadCache::kAllocBytes];
+  const uint64_t freed_bytes = traffic[ThreadCache::kFreedBytes];
+  // A sum racing live threads may see a cross-thread free before the
+  // allocation it pairs with; clamp rather than wrap.
+  const uint64_t live = alloc_bytes >= freed_bytes ? alloc_bytes - freed_bytes : 0;
   uint64_t peak = peak_live_[index].load(std::memory_order_relaxed);
   while (live > peak &&
          !peak_live_[index].compare_exchange_weak(peak, live, std::memory_order_relaxed)) {
   }
-  stats.alloc_calls += traffic.alloc_calls;
-  stats.free_calls += traffic.free_calls;
+  stats.alloc_calls += traffic[ThreadCache::kAllocCalls];
+  stats.free_calls += traffic[ThreadCache::kFreeCalls];
   stats.live_bytes += live;
-  stats.total_bytes += traffic.alloc_bytes;
+  stats.total_bytes += alloc_bytes;
   stats.peak_bytes += std::max(peak, live);
-  stats.spans_released += central->spans_released();
+  stats.spans_released += central.spans_released();
   return stats;
 }
 

@@ -79,8 +79,8 @@ class PkAllocator {
   std::optional<Domain> OwnerOf(const void* ptr) const;
 
   // Returns every block cached by the *calling* thread to the central free
-  // lists (both domains). Use before reading counters that must account for
-  // this thread's traffic, or before parking a thread for a long time.
+  // lists (both domains) and publishes its pkalloc.* registry counters. Use
+  // before parking a thread for a long time.
   void FlushThisThreadCache();
 
   // The protection key tagging M_T.
@@ -89,11 +89,9 @@ class PkAllocator {
   MpkBackend& backend() const { return *backend_; }
 
   // Pool stats: the per-pool heap stats merged with the cached-front-end
-  // traffic. Cached traffic is accumulated thread-locally and published at
-  // batch boundaries, so a reader always sees its own thread's traffic
-  // exactly but may lag other threads by up to one batch or 256 hits (call
-  // FlushThisThreadCache on those threads, or let them exit, for a fully
-  // settled view); peak_bytes for cached traffic is sampled at stats()
+  // traffic. Cached traffic is counted per thread and summed at every read,
+  // so the counts are exact once the allocating threads are quiescent, with
+  // no flush needed; peak_bytes for cached traffic is sampled at stats()
   // reads rather than tracked per allocation.
   HeapStats trusted_stats() const;
   HeapStats untrusted_stats() const;
@@ -131,7 +129,7 @@ class PkAllocator {
   std::unique_ptr<FreeListHeap> fast_untrusted_heap_;
   // Cached front end, indexed by DomainIndex().
   // Declared after the heaps/arenas so it is destroyed first (it detaches
-  // live thread caches before the arenas unmap).
+  // surviving thread caches before the arenas unmap).
   std::unique_ptr<CentralFreeListSet> central_[2];
   // High-water mark of cached live bytes, sampled at stats() reads.
   mutable std::atomic<uint64_t> peak_live_[2]{};

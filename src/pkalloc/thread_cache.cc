@@ -1,8 +1,8 @@
 #include "src/pkalloc/thread_cache.h"
 
 #include <algorithm>
-#include <vector>
 
+#include "src/pkalloc/central_free_list.h"
 #include "src/support/logging.h"
 #include "src/telemetry/metrics.h"
 
@@ -28,55 +28,11 @@ const CacheMetrics& Metrics() {
 
 }  // namespace
 
-thread_local uint64_t ThreadCache::tls_last_id = 0;
-thread_local ThreadCache* ThreadCache::tls_last_cache = nullptr;
-
-// TLS registry: one entry per (thread, central set) pair. Entries for dead
-// sets are left in place (their ids never recur) and reclaimed at thread
-// exit; a thread touches a handful of sets in practice, so the scan is a
-// couple of compares.
-struct ThreadCache::TlsCaches {
-  struct Entry {
-    uint64_t id;
-    ThreadCache* cache;
-  };
-  std::vector<Entry> entries;
-
-  ~TlsCaches() {
-    for (Entry& entry : entries) {
-      entry.cache->Retire();
-      delete entry.cache;
-    }
-    tls_last_id = 0;
-    tls_last_cache = nullptr;
-  }
-};
-
-ThreadCache* ThreadCache::GetSlow(CentralFreeListSet* central) {
-  static thread_local TlsCaches tls;
-  const uint64_t id = central->id();
-  ThreadCache* cache = nullptr;
-  for (const auto& entry : tls.entries) {
-    if (entry.id == id) {
-      cache = entry.cache;
-      break;
-    }
-  }
-  if (cache == nullptr) {
-    cache = new ThreadCache(central);
-    central->RegisterCache(cache);
-    tls.entries.push_back({id, cache});
-  }
-  tls_last_id = id;
-  tls_last_cache = cache;
-  return cache;
-}
-
 void* ThreadCache::AllocateSlow(size_t class_index) {
   if (classes_[class_index].head != nullptr) {
     // kPublishOps hits are pending. Publish them alone, one shared write;
-    // the traffic waits for the next batch boundary, since the stats a
-    // thread reads already fold in its own pending traffic.
+    // the traffic counters wait for the next batch boundary (the allocator's
+    // stats sum this cache's fields directly).
     Metrics().hits->Increment(hits_);
     hits_ = 0;
     return Allocate(class_index);
@@ -88,8 +44,8 @@ void* ThreadCache::AllocateSlow(size_t class_index) {
     PublishCounters();
     return nullptr;
   }
-  ++pending_.alloc_calls;
-  pending_.alloc_bytes += ClassSize(class_index);
+  traffic_.Add(kAllocCalls);
+  traffic_.Add(kAllocBytes, ClassSize(class_index));
   PublishCounters();
   ClassCache& cls = classes_[class_index];
   cls.head = chain->next;
@@ -152,11 +108,14 @@ void ThreadCache::FlushAll() {
 }
 
 void ThreadCache::PublishCounters() {
-  if (central_ != nullptr &&
-      (pending_.alloc_calls | pending_.free_calls | pending_.alloc_bytes |
-       pending_.freed_bytes) != 0) {
-    central_->PublishTraffic(pending_);
-    pending_ = CachedTraffic{};
+  const TrafficCounters& counters = central_->traffic_counters();
+  Counts now{};
+  AddTo(now);
+  if (counters.alloc_calls != nullptr && now != published_) {
+    counters.alloc_calls->Increment(now[kAllocCalls] - published_[kAllocCalls]);
+    counters.alloc_bytes->Increment(now[kAllocBytes] - published_[kAllocBytes]);
+    counters.free_calls->Increment(now[kFreeCalls] - published_[kFreeCalls]);
+    published_ = now;
   }
   if (hits_ == 0 && misses_ == 0 && flushes_ == 0) {
     return;
@@ -166,23 +125,6 @@ void ThreadCache::PublishCounters() {
   m.misses->Increment(misses_);
   m.flushes->Increment(flushes_);
   hits_ = misses_ = flushes_ = 0;
-}
-
-void ThreadCache::Invalidate() {
-  // The arena behind every cached block is being torn down; just forget
-  // them. Telemetry is still safe to publish (global registry).
-  PublishCounters();
-  classes_.fill(ClassCache{});
-  central_ = nullptr;
-}
-
-void ThreadCache::Retire() {
-  if (central_ == nullptr) {
-    return;  // central set died first
-  }
-  FlushAll();
-  central_->UnregisterCache(this);
-  central_ = nullptr;
 }
 
 }  // namespace pkrusafe

@@ -1,8 +1,8 @@
 // Per-thread size-class caches: the zero-lock front of the allocator.
 //
 // Each thread owns one ThreadCache per CentralFreeListSet (i.e. per
-// compartment pool) it allocates from, found through a TLS registry keyed by
-// the set's process-unique id. The hot paths touch only thread-local state
+// compartment pool) it allocates from: the set's PerThread slot
+// (src/support/per_thread.h). The hot paths touch only thread-local state
 // and are inlined here:
 //   * Allocate pops the class's local LIFO; on empty it refills a batch
 //     from the central shard (the only lock on the allocation path).
@@ -10,36 +10,39 @@
 //     batch flushes back to the central shard, which is also what returns
 //     blocks freed on a different thread than the one that allocated them.
 //
-// Cache telemetry (pkalloc.cache.{hits,misses,flushes}) and the pending
-// traffic accumulate in plain thread-local counters and are published at
-// batch boundaries (refill/flush) and when the cache drains. Hits are also
-// published on their own every kPublishOps hits, so a steady state that
-// never refills or flushes still shows up, while the hit path touches a
-// shared cache line only once per kPublishOps allocations.
+// Traffic (calls and bytes) is counted in this cache's own relaxed fields,
+// which the central set sums at every read. The registry counters
+// (pkalloc.cache.{hits,misses,flushes} and the owner's pkalloc.{trusted,
+// untrusted}.* traffic) are published at batch boundaries (refill/flush) and
+// when the cache drains; hits are also published on their own every
+// kPublishOps hits, so a steady state that never refills or flushes still
+// shows up, while the hit path touches a shared cache line only once per
+// kPublishOps allocations.
 //
-// Lifetime: a cache registers with its central set. Thread exit flushes and
-// unregisters; destroying the central set invalidates surviving caches
-// (stale TLS entries are never looked up again because ids are unique).
+// Lifetime (PerThread's): thread exit flushes the cache back to its central
+// set; destroying the central set publishes the counters of the caches that
+// survive it, whose blocks die with the arena.
 #ifndef SRC_PKALLOC_THREAD_CACHE_H_
 #define SRC_PKALLOC_THREAD_CACHE_H_
 
 #include <array>
 #include <cstdint>
 
-#include "src/pkalloc/central_free_list.h"
 #include "src/pkalloc/size_classes.h"
 #include "src/pkalloc/small_block.h"
+#include "src/support/per_thread.h"
 
 namespace pkrusafe {
 
+class CentralFreeListSet;
+
 class ThreadCache {
  public:
-  // The calling thread's cache for `central`, created on first use. The
-  // last-used cache is memoized in plain TLS so the common case (one
-  // allocator, two domains) is an id compare.
-  static ThreadCache* Get(CentralFreeListSet* central) {
-    return tls_last_id == central->id() ? tls_last_cache : GetSlow(central);
-  }
+  // The traffic counts (bytes are usable bytes), indices into Counts.
+  enum : size_t { kAllocCalls, kFreeCalls, kAllocBytes, kFreedBytes };
+  using Counts = std::array<uint64_t, 4>;
+
+  explicit ThreadCache(CentralFreeListSet* central) : central_(central) {}
 
   // Pops a block of `class_index`, refilling from the central list when the
   // local list is empty. Returns nullptr on arena exhaustion.
@@ -50,8 +53,8 @@ class ThreadCache {
       return AllocateSlow(class_index);
     }
     ++hits_;
-    ++pending_.alloc_calls;
-    pending_.alloc_bytes += ClassSize(class_index);
+    traffic_.Add(kAllocCalls);
+    traffic_.Add(kAllocBytes, ClassSize(class_index));
     cls.head = node->next;
     --cls.count;
     ClearFreeCanary(node);
@@ -66,8 +69,8 @@ class ThreadCache {
     if (HasFreeCanary(node)) {
       ConfirmNotDoubleFree(class_index, node);
     }
-    ++pending_.free_calls;
-    pending_.freed_bytes += ClassSize(class_index);
+    traffic_.Add(kFreeCalls);
+    traffic_.Add(kFreedBytes, ClassSize(class_index));
     ClassCache& cls = classes_[class_index];
     node->next = cls.head;
     cls.head = node;
@@ -81,10 +84,11 @@ class ThreadCache {
   // telemetry. The cache stays usable.
   void FlushAll();
 
-  // Traffic this cache has served but not yet published to the central set.
-  // The owning allocator adds this to stats() reads so a thread always sees
-  // its own allocations reflected immediately.
-  const CachedTraffic& pending_traffic() const { return pending_; }
+  // PerThread slot hooks: this cache's traffic (any thread), the exiting
+  // thread's flush, and the central set's destruction.
+  void AddTo(Counts& total) const { traffic_.AddTo(total); }
+  void OnThreadExit() { FlushAll(); }
+  void OnOwnerDestroyed() { PublishCounters(); }
 
   // Batch size for refill/flush of a class (blocks per central round trip):
   // ~8 KiB worth, clamped so tiny classes batch generously and the largest
@@ -99,17 +103,9 @@ class ThreadCache {
   }
 
  private:
-  friend class CentralFreeListSet;
-  struct TlsCaches;
-
   static constexpr size_t kBatchBytes = 8192;
   // Cache hits between two publications of pkalloc.cache.hits.
   static constexpr uint64_t kPublishOps = 256;
-
-  explicit ThreadCache(CentralFreeListSet* central) : central_(central) {}
-
-  // Registry miss: find or create this thread's cache for `central`.
-  static ThreadCache* GetSlow(CentralFreeListSet* central);
 
   // Refill path: fetch a batch from the central shard, keep one block. Also
   // taken, without a refill, to publish hits once kPublishOps are pending.
@@ -120,12 +116,6 @@ class ThreadCache {
   // a confirmed double free (a data-colliding false positive returns).
   void ConfirmNotDoubleFree(size_t class_index, FreeNode* node);
 
-  // Called by the central set's destructor: drop all blocks (the arena is
-  // going away) and detach. Called by the owning thread or after it joined.
-  void Invalidate();
-  // Thread-exit path: flush to the central set (if alive) and unregister.
-  void Retire();
-
   void FlushBatch(size_t class_index);
   void PublishCounters();
   [[noreturn]] void DieOnDoubleFree(size_t class_index, void* ptr);
@@ -135,13 +125,14 @@ class ThreadCache {
     uint32_t count = 0;
   };
 
-  static thread_local uint64_t tls_last_id;
-  static thread_local ThreadCache* tls_last_cache;
-
   std::array<ClassCache, kNumSizeClasses> classes_{};
-  CentralFreeListSet* central_;  // null once invalidated
-  // Locally accumulated telemetry, published at sync points.
-  CachedTraffic pending_;
+  CentralFreeListSet* central_;
+  // Running traffic totals, written by the owning thread and summed by the
+  // central set's readers; `published_` is the part already mirrored into
+  // the registry counters.
+  CounterSlot<ThreadCache, 4> traffic_;
+  Counts published_{};
+  // Cache telemetry not yet published.
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t flushes_ = 0;

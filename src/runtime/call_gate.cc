@@ -25,8 +25,8 @@ struct StackStorage {
 thread_local StackStorage tls_stack;
 
 // Per-crossing PKRU-write latency, pooled across every crossing. Transition
-// *counts* stay with the callers (GateSet's per-direction atomics are the
-// source of truth Tables 1-2 read); the runtime mirrors those into the
+// *counts* stay with the callers (GateSet's per-thread direction counts are
+// the source of truth Tables 1-2 read); the runtime mirrors those into the
 // registry as callback gauges.
 telemetry::Histogram* CrossingHistogram() {
   static telemetry::Histogram* histogram = telemetry::MetricsRegistry::Global().GetOrCreateHistogram(
@@ -122,7 +122,7 @@ void GateSet::EnterUntrusted() {
   if (!enabled_) {
     return;
   }
-  to_untrusted_.fetch_add(1, std::memory_order_relaxed);
+  Count(kToUntrusted);
   const PkruValue saved = backend_->ReadPkru();
   CompartmentStack::Enter(backend_, Domain::kUntrusted, saved,
                           saved.WithAccessDisabled(trusted_key_), verify_);
@@ -132,15 +132,15 @@ void GateSet::ExitUntrusted() {
   if (!enabled_) {
     return;
   }
-  to_trusted_.fetch_add(1, std::memory_order_relaxed);
   CompartmentStack::Exit(backend_, Domain::kUntrusted, verify_);
+  Count(kToTrusted);
 }
 
 void GateSet::EnterTrusted() {
   if (!enabled_) {
     return;
   }
-  to_trusted_.fetch_add(1, std::memory_order_relaxed);
+  Count(kToTrusted);
   const PkruValue saved = backend_->ReadPkru();
   CompartmentStack::Enter(backend_, Domain::kTrusted, saved, saved.WithKeyAllowed(trusted_key_),
                           verify_);
@@ -150,8 +150,8 @@ void GateSet::ExitTrusted() {
   if (!enabled_) {
     return;
   }
-  to_untrusted_.fetch_add(1, std::memory_order_relaxed);
   CompartmentStack::Exit(backend_, Domain::kTrusted, verify_);
+  Count(kToUntrusted);
 }
 
 }  // namespace pkrusafe

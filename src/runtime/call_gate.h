@@ -12,18 +12,19 @@
 // mismatch, mirroring the paper's WRPKRU call-gate stubs), and, when tracing
 // is enabled, emit the gate trace events and the gate.crossing_ns sample.
 //
-// GateSet counts its transitions per direction (T->U and U->T); the
-// evaluation's "Transitions" columns (Tables 1-2) come from these counters,
-// and the telemetry layer mirrors them into the global metrics registry.
+// GateSet counts its transitions per direction (T->U and U->T) in per-thread
+// slots (src/support/per_thread.h), summed at read; the evaluation's
+// "Transitions" columns (Tables 1-2) come from these counts, and the runtime
+// mirrors them into the global metrics registry as callback gauges.
 #ifndef SRC_RUNTIME_CALL_GATE_H_
 #define SRC_RUNTIME_CALL_GATE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <utility>
 
 #include "src/mpk/backend.h"
 #include "src/support/logging.h"
+#include "src/support/per_thread.h"
 
 namespace pkrusafe {
 
@@ -76,20 +77,13 @@ class GateSet {
 
   // Crossings into U (EnterUntrusted + ExitTrusted) and into T
   // (EnterTrusted + ExitUntrusted) — the per-direction "Transitions"
-  // columns of Tables 1-2.
-  uint64_t transitions_to_untrusted() const {
-    return to_untrusted_.load(std::memory_order_relaxed);
-  }
-  uint64_t transitions_to_trusted() const {
-    return to_trusted_.load(std::memory_order_relaxed);
-  }
+  // columns of Tables 1-2. Exact once the crossing threads are quiescent.
+  uint64_t transitions_to_untrusted() const { return crossings_.Sum()[kToUntrusted]; }
+  uint64_t transitions_to_trusted() const { return crossings_.Sum()[kToTrusted]; }
   // Total crossings in both directions (the historical aggregate API).
   uint64_t transition_count() const {
-    return transitions_to_untrusted() + transitions_to_trusted();
-  }
-  void ResetTransitionCount() {
-    to_untrusted_.store(0, std::memory_order_relaxed);
-    to_trusted_.store(0, std::memory_order_relaxed);
+    const auto counts = crossings_.Sum();
+    return counts[kToUntrusted] + counts[kToTrusted];
   }
 
   // Gate-verification ablation (§3.3: gates verify the written PKRU value).
@@ -105,12 +99,17 @@ class GateSet {
   PkeyId trusted_key() const { return trusted_key_; }
 
  private:
+  enum : size_t { kToUntrusted, kToTrusted };
+
+  // Counted on the caller's side of the crossing: before the PKRU write on
+  // entry, after the restore on exit.
+  void Count(size_t direction) { crossings_.Local().Add(direction); }
+
   MpkBackend* backend_;
   PkeyId trusted_key_;
   bool verify_ = true;
   bool enabled_ = true;
-  std::atomic<uint64_t> to_untrusted_{0};
-  std::atomic<uint64_t> to_trusted_{0};
+  PerThread<CounterSlot<GateSet, 2>> crossings_;
 };
 
 // RAII transition guards.

@@ -4,8 +4,8 @@
 // Cost contract (verified by bench_callgate_micro): with telemetry disabled
 // — the default — every Record* helper is a single relaxed atomic load plus
 // a branch. Metrics *counters* are not behind the toggle; they replace
-// counters the hot paths already paid for (GateSet::transitions_ etc.), so
-// they stay live and free-standing. Only the trace path (timestamps + ring
+// counters the hot paths already paid for (the runtime's fault totals,
+// the allocator's pool traffic), so they stay live and free-standing. Only the trace path (timestamps + ring
 // writes + latency histograms) is gated.
 //
 // The record path is async-signal-safe end to end: relaxed atomics, a

@@ -108,7 +108,7 @@ TEST_P(CrossingTest, ExceptionInALibraryScopeUnwindsBothFrames) {
 }
 
 TEST_P(CrossingTest, OneRequestIsOneGateCrossingEachWay) {
-  gates_->ResetTransitionCount();
+  // A fresh gate set per test: its counts start at zero.
   const uint64_t library_crossings = mc_->transition_count();
   gates_->CallUntrusted([&] { MultiCompartment::Scope scope(*mc_, library_); });
   EXPECT_EQ(gates_->transitions_to_untrusted(), 1u);

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "src/mpk/sim_backend.h"
+#include "src/telemetry/metrics.h"
 
 namespace pkrusafe {
 namespace {
@@ -212,6 +213,24 @@ TEST_F(MultiCompartmentTest, ReleaseRefusedWhilePinned) {
   EXPECT_TRUE(Check(obj).ok());  // still enterable/usable mid-quarantine
   mc_->ExitLibrary();
   EXPECT_TRUE(mc_->ReleaseLibrary(codec_).ok());
+}
+
+// multidomain.vpkey.hits is a pull gauge over the vpkey table's per-thread
+// pin counts: a metrics snapshot sees resident entries without anyone
+// calling vpkey_stats() first.
+TEST_F(MultiCompartmentTest, VpkeyHitsGaugeNeedsNoStatsCall) {
+  ASSERT_TRUE(mc_->PrefaultWorkingSet({codec_}).ok());
+  auto hits = [] {
+    const telemetry::MetricsSnapshot snapshot = telemetry::MetricsRegistry::Global().Snapshot();
+    const auto it = snapshot.gauges.find("multidomain.vpkey.hits");
+    return it == snapshot.gauges.end() ? int64_t{0} : it->second;
+  };
+  const int64_t before = hits();
+  constexpr int kEntries = 100;
+  for (int i = 0; i < kEntries; ++i) {
+    MultiCompartment::Scope scope(*mc_, codec_);
+  }
+  EXPECT_EQ(hits() - before, kEntries);
 }
 
 TEST(MultiCompartmentExtraDenyTest, ExtraDenyKeysAreDeniedInEveryLibrary) {

@@ -5,6 +5,7 @@
 // the proof obligation for the vpkey cache's locking — run it under
 // ThreadSanitizer via `scripts/check.sh vpkey` (or tsan).
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -123,6 +124,63 @@ TEST(MultidomainStressTest, ConcurrentTransitionsEvictionsAndRegistration) {
   }
   mc.Free(trusted_obj);
   SetCurrentThreadPkru(PkruValue::AllowAll());
+}
+
+// Every crossing and every pin of racing Scopes is counted: 4 threads x 50k
+// Scope pairs on resident libraries, all threads sharing every key. A plain
+// load+store on a shared word would drop increments here.
+TEST(MultidomainStressTest, ConcurrentScopesAreCountedExactly) {
+  SetCurrentThreadPkru(PkruValue::AllowAll());
+  SimMpkBackend backend;
+  PkAllocatorConfig pool_config;
+  pool_config.trusted_pool_bytes = size_t{8} << 20;
+  pool_config.untrusted_pool_bytes = size_t{8} << 20;
+  auto pools = PkAllocator::Create(&backend, pool_config);
+  ASSERT_TRUE(pools.ok()) << pools.status().ToString();
+  MultiCompartmentConfig config;
+  config.library_pool_bytes = size_t{1} << 20;
+  auto created = MultiCompartment::Create(pools->get(), config);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  MultiCompartment& mc = **created;
+
+  constexpr uint64_t kWorkers = 4;
+  constexpr uint64_t kPairs = 50000;
+  std::vector<LibraryId> libraries;
+  for (uint64_t w = 0; w < kWorkers; ++w) {
+    auto id = mc.RegisterLibrary("lib" + std::to_string(w));
+    ASSERT_TRUE(id.ok());
+    libraries.push_back(*id);
+  }
+  ASSERT_TRUE(mc.PrefaultWorkingSet(libraries).ok());
+  const uint64_t crossings_before = mc.transition_count();
+  const VpkeyStats before = mc.vpkey_stats();
+
+  // Thread start-up here takes about as long as a worker's whole loop: a
+  // start line keeps the loops overlapping.
+  std::atomic<uint64_t> ready{0};
+  std::vector<std::thread> threads;
+  for (uint64_t w = 0; w < kWorkers; ++w) {
+    threads.emplace_back([&] {
+      SetCurrentThreadPkru(PkruValue::AllowAll());
+      ready.fetch_add(1);
+      while (ready.load() < kWorkers) {
+        std::this_thread::yield();
+      }
+      for (uint64_t i = 0; i < kPairs; ++i) {
+        // Every thread walks the libraries in the same order, so threads
+        // running in step enter the same key.
+        MultiCompartment::Scope scope(mc, libraries[i % kWorkers]);
+      }
+    });
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+
+  EXPECT_EQ(mc.transition_count() - crossings_before, 2 * kWorkers * kPairs);
+  const VpkeyStats after = mc.vpkey_stats();
+  EXPECT_EQ(after.hits + after.misses - (before.hits + before.misses), kWorkers * kPairs);
+  EXPECT_EQ(after.misses, before.misses);  // every library stayed resident
 }
 
 TEST(MultidomainStressTest, ReleaseAndReuseRaceScansPinsPrefaultAndStats) {

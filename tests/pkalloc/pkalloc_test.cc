@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "src/memmap/page.h"
@@ -188,6 +191,43 @@ TEST_F(PkAllocatorTest, StatsSeparatePools) {
   EXPECT_EQ(alloc_->trusted_stats().alloc_calls, t0.alloc_calls + 1);
   EXPECT_EQ(alloc_->untrusted_stats().alloc_calls, u0.alloc_calls);
   alloc_->Free(t);
+}
+
+// Another thread's cached small allocations show in this thread's stats at
+// once: the allocator sums every thread cache's own counts at read, so no
+// flush or batch boundary is needed.
+TEST_F(PkAllocatorTest, OtherThreadsCachedAllocationsShowWithoutAFlush) {
+  constexpr uint64_t kAllocs = 10;  // well inside one refill batch
+  const uint64_t before = alloc_->trusted_stats().alloc_calls;
+  std::mutex mu;
+  std::condition_variable cv;
+  int stage = 0;
+  auto reach = [&](int next) {
+    {
+      std::lock_guard lock(mu);
+      stage = next;
+    }
+    cv.notify_all();
+  };
+  auto await = [&](int target) {
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return stage >= target; });
+  };
+  std::thread allocator_thread([&] {
+    std::vector<void*> blocks;
+    for (uint64_t i = 0; i < kAllocs; ++i) {
+      blocks.push_back(alloc_->Allocate(Domain::kTrusted, 64));
+    }
+    reach(1);
+    await(2);  // stay alive (no thread-exit flush) until the read is done
+    for (void* block : blocks) {
+      alloc_->Free(block);
+    }
+  });
+  await(1);
+  EXPECT_EQ(alloc_->trusted_stats().alloc_calls - before, kAllocs);
+  reach(2);
+  allocator_thread.join();
 }
 
 // Regression: the pkalloc.*.alloc_bytes counters used to record the

@@ -88,9 +88,9 @@ TEST_F(CentralFreeListTest, ContainsFreeBlockSeesReleasedBlocks) {
 }
 
 TEST_F(CentralFreeListTest, ThreadCacheRoundTrip) {
-  ThreadCache* cache = ThreadCache::Get(central_.get());
+  ThreadCache* cache = &central_->LocalCache();
   ASSERT_NE(cache, nullptr);
-  EXPECT_EQ(ThreadCache::Get(central_.get()), cache);  // stable per thread
+  EXPECT_EQ(&central_->LocalCache(), cache);  // stable per thread
 
   const size_t class_index = SizeClassIndex(64);
   void* p = cache->Allocate(class_index);
@@ -112,7 +112,7 @@ TEST_F(CentralFreeListTest, DistinctThreadsGetDistinctBlocks) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      ThreadCache* cache = ThreadCache::Get(central_.get());
+      ThreadCache* cache = &central_->LocalCache();
       for (int i = 0; i < kPerThread; ++i) {
         void* p = cache->Allocate(class_index);
         ASSERT_NE(p, nullptr);
@@ -131,7 +131,7 @@ TEST_F(CentralFreeListTest, DistinctThreadsGetDistinctBlocks) {
     }
   }
   // Cross-thread free: this thread returns blocks other threads allocated.
-  ThreadCache* cache = ThreadCache::Get(central_.get());
+  ThreadCache* cache = &central_->LocalCache();
   for (const auto& list : taken) {
     for (void* p : list) {
       cache->Free(class_index, p);
@@ -141,17 +141,17 @@ TEST_F(CentralFreeListTest, DistinctThreadsGetDistinctBlocks) {
 }
 
 TEST_F(CentralFreeListTest, CentralDestructionInvalidatesThreadCaches) {
-  ThreadCache* cache = ThreadCache::Get(central_.get());
+  ThreadCache* cache = &central_->LocalCache();
   void* p = cache->Allocate(SizeClassIndex(64));
   ASSERT_NE(p, nullptr);
   const uint64_t old_id = central_->id();
-  central_.reset();  // invalidates `cache`; its blocks die with the arena
+  central_.reset();  // detaches `cache`; its blocks die with the arena
   // A new set gets a fresh id, so the dead set's TLS entry can never alias.
   auto arena = Arena::Create(size_t{1} << 20);
   ASSERT_TRUE(arena.ok());
   CentralFreeListSet fresh((*arena).get());
   EXPECT_NE(fresh.id(), old_id);
-  ThreadCache* fresh_cache = ThreadCache::Get(&fresh);
+  ThreadCache* fresh_cache = &fresh.LocalCache();
   EXPECT_NE(fresh_cache, cache);
   void* q = fresh_cache->Allocate(SizeClassIndex(64));
   ASSERT_NE(q, nullptr);

@@ -79,7 +79,6 @@ TEST_F(CallGateTest, DeepNestingUnwindsCorrectly) {
 }
 
 TEST_F(CallGateTest, TransitionsAreCounted) {
-  gates_->ResetTransitionCount();
   gates_->EnterUntrusted();
   gates_->ExitUntrusted();
   EXPECT_EQ(gates_->transition_count(), 2u);
@@ -90,7 +89,6 @@ TEST_F(CallGateTest, TransitionsAreCounted) {
 TEST_F(CallGateTest, TransitionsAreCountedPerDirection) {
   // Table 1 in the paper reports T->U and U->T separately; each Enter/Exit
   // pair contributes one crossing in each direction.
-  gates_->ResetTransitionCount();
   gates_->EnterUntrusted();  // T -> U
   EXPECT_EQ(gates_->transitions_to_untrusted(), 1u);
   EXPECT_EQ(gates_->transitions_to_trusted(), 0u);
@@ -106,7 +104,6 @@ TEST_F(CallGateTest, CallUntrustedUnwindsOnException) {
   // A throwing untrusted callable must not leak the untrusted PKRU or a
   // compartment-stack frame: the exception propagates through the gate the
   // same way a return does.
-  gates_->ResetTransitionCount();
   EXPECT_THROW(gates_->CallUntrusted([]() -> int { throw std::runtime_error("boom"); }),
                std::runtime_error);
   EXPECT_EQ(CompartmentStack::Depth(), 0u);
