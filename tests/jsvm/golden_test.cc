@@ -1,17 +1,23 @@
 // Bytecode goldens: the disassembly of each pinned script, plus each
 // function's line table, max_stack and constants, byte for byte. Any change to what the
 // lexer accepts, how the parser shapes the tree or what the compiler emits
-// shows up as a diff against tests/jsvm/golden/.
+// shows up as a diff against tests/jsvm/golden/. What each script prints and
+// how many steps it is charged are pinned too, so a change to the emitted
+// code cannot change what a script does or costs.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <variant>
 #include <vector>
 
+#include "src/dom/bindings.h"
+#include "src/dom/document.h"
 #include "src/jsvm/compiler.h"
 #include "src/jsvm/disassembler.h"
+#include "src/jsvm/vm.h"
 #include "src/support/string_util.h"
 #include "tests/golden_file.h"
 
@@ -68,43 +74,23 @@ std::string ReadScript(const std::string& name) {
   return text.str();
 }
 
-TEST(BytecodeGoldenTest, ExampleFib) { ExpectGolden(ReadScript("fib.ms"), "fib.txt"); }
-
-TEST(BytecodeGoldenTest, ExamplePage) { ExpectGolden(ReadScript("page.ms"), "page.txt"); }
-
-TEST(BytecodeGoldenTest, ExampleSortBench) {
-  ExpectGolden(ReadScript("sort_bench.ms"), "sort_bench.txt");
-}
-
 // The three script shapes of the server benchmark's unique-script workload,
 // with one draw of their seeded constants.
-TEST(BytecodeGoldenTest, ServeShapeLoop) {
-  ExpectGolden(
-      "let s = 482913; let i = 0; while (i < 40) { s = s + (i * 37) % 97; i = i + 1; } "
-      "print(s);",
-      "serve_loop.txt");
-}
-
-TEST(BytecodeGoldenTest, ServeShapeCall) {
-  ExpectGolden(
-      "fn step(x) { return (x * 37 + 7) % 1000003; } let s = 482913; "
-      "for (let i = 0; i < 40; i = i + 1) { s = step(s); } print(s);",
-      "serve_call.txt");
-}
-
-TEST(BytecodeGoldenTest, ServeShapeArray) {
-  ExpectGolden(
-      "let v = []; for (let i = 0; i < 40; i = i + 1) { push(v, i * 37 + 482913); } "
-      "let s = 0; for (let i = 0; i < len(v); i = i + 1) { s = s + v[i]; } print(s);",
-      "serve_array.txt");
-}
+constexpr char kServeLoop[] =
+    "let s = 482913; let i = 0; while (i < 40) { s = s + (i * 37) % 97; i = i + 1; } "
+    "print(s);";
+constexpr char kServeCall[] =
+    "fn step(x) { return (x * 37 + 7) % 1000003; } let s = 482913; "
+    "for (let i = 0; i < 40; i = i + 1) { s = step(s); } print(s);";
+constexpr char kServeArray[] =
+    "let v = []; for (let i = 0; i < 40; i = i + 1) { push(v, i * 37 + 482913); } "
+    "let s = 0; for (let i = 0; i < len(v); i = i + 1) { s = s + v[i]; } print(s);";
 
 // A DOM-bindings script (the jslib kernel's shape): host calls, string
 // constants with escapes, nested loops, && and ||, else branches, break and
 // continue in both loop kinds, a bare block, chained index assignment, a
 // bare return and a called function.
-TEST(BytecodeGoldenTest, DomBindingsScript) {
-  ExpectGolden(R"(
+constexpr char kDomBindings[] = R"(
 let root = dom_root();
 let list = dom_create_element("ul");
 dom_append_child(root, list);
@@ -145,8 +131,62 @@ fn bench(rounds) {
 let h = dom_get_by_id("item3");
 print(bench(3) != null);
 print(h == null || dom_node_count() + dom_layout(640) % 7 > 0);
-)",
-               "dom_bindings.txt");
+)";
+
+TEST(BytecodeGoldenTest, ExampleFib) { ExpectGolden(ReadScript("fib.ms"), "fib.txt"); }
+
+TEST(BytecodeGoldenTest, ExamplePage) { ExpectGolden(ReadScript("page.ms"), "page.txt"); }
+
+TEST(BytecodeGoldenTest, ExampleSortBench) {
+  ExpectGolden(ReadScript("sort_bench.ms"), "sort_bench.txt");
+}
+
+TEST(BytecodeGoldenTest, ServeShapeLoop) { ExpectGolden(kServeLoop, "serve_loop.txt"); }
+
+TEST(BytecodeGoldenTest, ServeShapeCall) { ExpectGolden(kServeCall, "serve_call.txt"); }
+
+TEST(BytecodeGoldenTest, ServeShapeArray) { ExpectGolden(kServeArray, "serve_array.txt"); }
+
+TEST(BytecodeGoldenTest, DomBindingsScript) { ExpectGolden(kDomBindings, "dom_bindings.txt"); }
+
+// Each golden script run on a fresh Vm with the DOM bindings: its print()
+// lines and steps_executed(), pinned.
+TEST(BytecodeGoldenTest, ScriptsPrintAndStepAsPinned) {
+  SetCurrentThreadPkru(PkruValue::AllowAll());
+  RuntimeConfig config;
+  config.backend = BackendKind::kSim;
+  config.mode = RuntimeMode::kDisabled;
+  auto runtime = PkruSafeRuntime::Create(std::move(config));
+  ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+
+  const struct {
+    std::string source;
+    std::vector<std::string> prints;
+    uint64_t steps;
+  } cases[] = {
+      {ReadScript("fib.ms"),
+       {"fib(0) = 0", "fib(1) = 1", "fib(2) = 1", "fib(3) = 2", "fib(4) = 3", "fib(5) = 5",
+        "fib(6) = 8", "fib(7) = 13", "fib(8) = 21", "fib(9) = 34", "fib(10) = 55",
+        "fib(11) = 89", "fib(12) = 144", "fib(13) = 233", "fib(14) = 377"},
+       32019},
+      {ReadScript("page.ms"), {"nodes: 13", "layout height: 96", "text byte sum: 2565"}, 301},
+      {ReadScript("sort_bench.ms"), {"min = 149", "max = 65455", "sorted: true"}, 139612},
+      {kServeLoop, {"484807"}, 775},
+      {kServeCall, {"340784"}, 895},
+      {kServeArray, {"19345380"}, 1466},
+      {kDomBindings, {"true", "true"}, 3066},
+  };
+  for (const auto& c : cases) {
+    Document document(runtime->get());
+    Vm vm(runtime->get());
+    DomBindings bindings(&document, &vm);
+    const Status loaded = vm.Load(c.source);
+    ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+    const auto result = vm.Run();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(vm.print_output(), c.prints) << c.source;
+    EXPECT_EQ(vm.steps_executed(), c.steps) << c.source;
+  }
 }
 
 }  // namespace
