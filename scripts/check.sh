@@ -5,6 +5,9 @@
 #   scripts/check.sh                # plain RelWithDebInfo build + full ctest
 #   scripts/check.sh asan           # AddressSanitizer build (build/check-asan)
 #   scripts/check.sh tsan           # ThreadSanitizer build (build/check-tsan)
+#   scripts/check.sh ubsan          # UndefinedBehaviorSanitizer build, with
+#                                   # float-cast-overflow (build/check-ubsan):
+#                                   # the jsvm, JSON and server suites
 #   scripts/check.sh lint           # pkrusafe_lint over examples/ir/ + WRPKRU
 #                                   # gadget scan of the built tools
 #   scripts/check.sh crash          # end-to-end crash forensics: an enforced
@@ -50,7 +53,7 @@
 #                                   # tools/ of the working tree against BASE
 #                                   # (default HEAD), from git diff --numstat;
 #                                   # stage new files first so they count
-#   scripts/check.sh matrix         # plain + asan + tsan + lint + crash
+#   scripts/check.sh matrix         # plain + asan + tsan + ubsan + lint + crash
 #                                   # + faultstress + contprof + vpkey
 #                                   # + gateintegrity + warnings
 #   scripts/check.sh -- -R telemetry   # extra args after -- go to ctest
@@ -66,6 +69,7 @@ while [[ $# -gt 0 ]]; do
   case "$1" in
     asan|--asan) mode=asan; shift ;;
     tsan|--tsan) mode=tsan; shift ;;
+    ubsan|--ubsan) mode=ubsan; shift ;;
     lint|--lint) mode=lint; shift ;;
     crash|--crash) mode=crash; shift ;;
     faultstress|--faultstress) mode=faultstress; shift ;;
@@ -80,7 +84,7 @@ while [[ $# -gt 0 ]]; do
       if [[ $# -gt 0 && "$1" != "--" ]]; then loc_base="$1"; shift; fi ;;
     matrix) mode=matrix; shift ;;
     --) shift; break ;;
-    *) echo "usage: $0 [asan|tsan|lint|crash|faultstress|contprof|fleet|vpkey|server|gateintegrity|warnings|loc [BASE]|matrix] [-- <ctest args>]" >&2; exit 2 ;;
+    *) echo "usage: $0 [asan|tsan|ubsan|lint|crash|faultstress|contprof|fleet|vpkey|server|gateintegrity|warnings|loc [BASE]|matrix] [-- <ctest args>]" >&2; exit 2 ;;
   esac
 done
 
@@ -91,6 +95,17 @@ run_one() {
   cmake -B "$build_dir" -S . -DPKRUSAFE_SANITIZE="$sanitize"
   cmake --build "$build_dir" -j "$(nproc)"
   ctest --test-dir "$build_dir" --output-on-failure "$@"
+}
+
+run_ubsan() {
+  echo "== check: ubsan (build/check-ubsan) =="
+  # Undefined behavior in the code that does arithmetic on hostile input:
+  # the jsvm (its integer % fast path casts doubles to integers), the JSON
+  # parser and the server that feeds request lines to both.
+  cmake -B build/check-ubsan -S . -DPKRUSAFE_SANITIZE=undefined
+  cmake --build build/check-ubsan -j "$(nproc)" --target jsvm_test support_test server_test
+  ctest --test-dir build/check-ubsan --output-on-failure \
+    -R '^(LexerTest|ScriptParserTest|CompilerTest|JsHeapTest|VmTest|ModNumbersTest|VerifierTest|ExploitTest|BytecodeGoldenTest|JsonTest|JsonWriterTest|SandboxServerProgramCacheTest|SandboxServerTest)\.'
 }
 
 run_lint() {
@@ -431,6 +446,7 @@ case "$mode" in
   plain) run_one "" build "$@" ;;
   asan)  run_one address build/check-asan "$@" ;;
   tsan)  run_one thread build/check-tsan "$@" ;;
+  ubsan) run_ubsan ;;
   lint)  run_lint ;;
   crash) run_crash ;;
   faultstress) run_faultstress ;;
@@ -445,6 +461,7 @@ case "$mode" in
     run_one "" build "$@"
     run_one address build/check-asan "$@"
     run_one thread build/check-tsan "$@"
+    run_ubsan
     run_lint
     run_crash
     run_faultstress

@@ -48,8 +48,31 @@ enum class Op : uint8_t {
   kNewArray,  // pop a elements, push array
   kIndexGet,  // pop index, base; push base[index]
   kIndexSet,  // pop value, index, base; push value
+
+  // Superinstructions: FuseInstructions (compiler.cc) folds each of these
+  // from the two or three instructions named in its comment, and the Vm
+  // charges a step for each of them. In the constant and branch forms, `b`
+  // is a number constant's index and `a` a jump target.
+  kStoreLocalPop,   // store_local a; pop
+  kStoreGlobalPop,  // store_global a; pop
+  kAddConst,        // const b; add
+  kSubConst,        // const b; sub
+  kMulConst,        // const b; mul
+  kModConst,        // const b; mod
+  kLtConst,         // const b; lt
+  kLeConst,         // const b; le
+  kGtConst,         // const b; gt
+  kGeConst,         // const b; ge
+  kJumpNotLt,       // lt; jump_if_false a
+  kJumpNotLe,       // le; jump_if_false a
+  kJumpNotGt,       // gt; jump_if_false a
+  kJumpNotGe,       // ge; jump_if_false a
+  kJumpNotLtConst,  // const b; lt; jump_if_false a
+  kJumpNotLeConst,  // const b; le; jump_if_false a
+  kJumpNotGtConst,  // const b; gt; jump_if_false a
+  kJumpNotGeConst,  // const b; ge; jump_if_false a
 };
-inline constexpr Op kLastOp = Op::kIndexSet;
+inline constexpr Op kLastOp = Op::kJumpNotGeConst;
 
 // Builtins resolved at compile time. The last three form the opt-in
 // "CVE" used by the security evaluation (§5.4): an arbitrary

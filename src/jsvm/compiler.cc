@@ -93,13 +93,32 @@ StackEffect EffectOf(const BcInstr& instr) {
     case Op::kPop:
     case Op::kJumpIfFalse:
     case Op::kReturn:
+    case Op::kStoreLocalPop:
+    case Op::kStoreGlobalPop:
+    case Op::kJumpNotLtConst:
+    case Op::kJumpNotLeConst:
+    case Op::kJumpNotGtConst:
+    case Op::kJumpNotGeConst:
       return {1, 0};
+    case Op::kJumpNotLt:
+    case Op::kJumpNotLe:
+    case Op::kJumpNotGt:
+    case Op::kJumpNotGe:
+      return {2, 0};
     case Op::kStoreLocal:
     case Op::kStoreGlobal:
     case Op::kNeg:
     case Op::kNot:
     case Op::kJumpIfFalseKeep:
     case Op::kJumpIfTrueKeep:
+    case Op::kAddConst:
+    case Op::kSubConst:
+    case Op::kMulConst:
+    case Op::kModConst:
+    case Op::kLtConst:
+    case Op::kLeConst:
+    case Op::kGtConst:
+    case Op::kGeConst:
       return {1, 1};
     case Op::kDup:
       return {1, 2};
@@ -129,23 +148,66 @@ StackEffect EffectOf(const BcInstr& instr) {
   }
 }
 
+bool IsJump(Op op) {
+  switch (op) {
+    case Op::kJump:
+    case Op::kJumpIfFalse:
+    case Op::kJumpIfFalseKeep:
+    case Op::kJumpIfTrueKeep:
+    case Op::kJumpNotLt:
+    case Op::kJumpNotLe:
+    case Op::kJumpNotGt:
+    case Op::kJumpNotGe:
+    case Op::kJumpNotLtConst:
+    case Op::kJumpNotLeConst:
+    case Op::kJumpNotGtConst:
+    case Op::kJumpNotGeConst:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// The rule a superinstruction's constant operand breaks, or nullptr. The Vm
+// reads the constant as a number without a type test.
+const char* NumberConstantRule(const CompiledFunction& fn, uint32_t index) {
+  if (index >= fn.constants.size()) {
+    return "constant index out of range";
+  }
+  return std::holds_alternative<double>(fn.constants[index]) ? nullptr
+                                                             : "constant operand is not a number";
+}
+
 // The rule an operand breaks, or nullptr.
 const char* OperandRule(const CompiledProgram& program, const CompiledFunction& fn,
                         const BcInstr& instr) {
+  if (IsJump(instr.op) && instr.a >= fn.code.size()) {
+    return "jump target out of range";
+  }
   switch (instr.op) {
     case Op::kConst:
       return instr.a < fn.constants.size() ? nullptr : "constant index out of range";
     case Op::kLoadLocal:
     case Op::kStoreLocal:
+    case Op::kStoreLocalPop:
       return instr.a < fn.num_locals ? nullptr : "local slot out of range";
     case Op::kLoadGlobal:
     case Op::kStoreGlobal:
+    case Op::kStoreGlobalPop:
       return instr.a < program.global_names.size() ? nullptr : "global index out of range";
-    case Op::kJump:
-    case Op::kJumpIfFalse:
-    case Op::kJumpIfFalseKeep:
-    case Op::kJumpIfTrueKeep:
-      return instr.a < fn.code.size() ? nullptr : "jump target out of range";
+    case Op::kAddConst:
+    case Op::kSubConst:
+    case Op::kMulConst:
+    case Op::kModConst:
+    case Op::kLtConst:
+    case Op::kLeConst:
+    case Op::kGtConst:
+    case Op::kGeConst:
+    case Op::kJumpNotLtConst:
+    case Op::kJumpNotLeConst:
+    case Op::kJumpNotGtConst:
+    case Op::kJumpNotGeConst:
+      return NumberConstantRule(fn, instr.b);
     case Op::kCall:
       if (instr.a >= program.functions.size()) {
         return "function index out of range";
@@ -222,6 +284,14 @@ Status VerifyFunction(const CompiledProgram& program, CompiledFunction& fn,
         flow(i, instr.a, after);
         break;
       case Op::kJumpIfFalse:
+      case Op::kJumpNotLt:
+      case Op::kJumpNotLe:
+      case Op::kJumpNotGt:
+      case Op::kJumpNotGe:
+      case Op::kJumpNotLtConst:
+      case Op::kJumpNotLeConst:
+      case Op::kJumpNotGtConst:
+      case Op::kJumpNotGeConst:
         if (flow(i, instr.a, after)) {
           flow(i, i + 1, after);
         }
@@ -242,6 +312,111 @@ Status VerifyFunction(const CompiledProgram& program, CompiledFunction& fn,
   }
   fn.max_stack = static_cast<uint32_t>(max_depth);
   return Status::Ok();
+}
+
+// `op` taking a number constant as its right operand, or nullopt.
+std::optional<Op> WithConstant(Op op) {
+  switch (op) {
+    case Op::kAdd:
+      return Op::kAddConst;
+    case Op::kSub:
+      return Op::kSubConst;
+    case Op::kMul:
+      return Op::kMulConst;
+    case Op::kMod:
+      return Op::kModConst;
+    case Op::kLt:
+      return Op::kLtConst;
+    case Op::kLe:
+      return Op::kLeConst;
+    case Op::kGt:
+      return Op::kGtConst;
+    case Op::kGe:
+      return Op::kGeConst;
+    default:
+      return std::nullopt;
+  }
+}
+
+// The compare-and-branch that compare `op` and a jump_if_false fuse into,
+// or nullopt.
+std::optional<Op> WithBranch(Op op) {
+  switch (op) {
+    case Op::kLt:
+      return Op::kJumpNotLt;
+    case Op::kLe:
+      return Op::kJumpNotLe;
+    case Op::kGt:
+      return Op::kJumpNotGt;
+    case Op::kGe:
+      return Op::kJumpNotGe;
+    case Op::kLtConst:
+      return Op::kJumpNotLtConst;
+    case Op::kLeConst:
+      return Op::kJumpNotLeConst;
+    case Op::kGtConst:
+      return Op::kJumpNotGtConst;
+    case Op::kGeConst:
+      return Op::kJumpNotGeConst;
+    default:
+      return std::nullopt;
+  }
+}
+
+// Folds the groups bytecode.h lists into superinstructions, in one linear
+// pass over the code. A group's instructions after its first are never jump
+// targets, so every path into the group runs all of it. Jump targets and
+// the line table are remapped; a fused instruction keeps the line of the
+// instruction in it that can fail, so a runtime error names the same line.
+// `index` is scratch, reused across a program's functions.
+void FuseInstructions(CompiledFunction& fn, std::vector<uint32_t>& index) {
+  std::vector<BcInstr>& code = fn.code;
+  const size_t n = code.size();
+  // index[i] is 1 while i is an unvisited jump target, then i's new index.
+  index.assign(n, 0);
+  for (const BcInstr& instr : code) {
+    if (IsJump(instr.op) && instr.a < n) {
+      index[instr.a] = 1;
+    }
+  }
+  // Whether instruction `i` exists and can join the group before it.
+  auto joins = [&](size_t i) { return i < n && index[i] == 0; };
+  size_t out = 0;
+  for (size_t i = 0; i < n;) {
+    BcInstr fused = code[i];
+    int line = fn.lines[i];
+    size_t length = 1;
+    if (fused.op == Op::kConst && joins(i + 1) && fused.a < fn.constants.size() &&
+        std::holds_alternative<double>(fn.constants[fused.a])) {
+      if (const std::optional<Op> op = WithConstant(code[i + 1].op)) {
+        fused = BcInstr{*op, 0, fused.a};
+        line = fn.lines[i + 1];
+        length = 2;
+      }
+    } else if ((fused.op == Op::kStoreLocal || fused.op == Op::kStoreGlobal) && joins(i + 1) &&
+               code[i + 1].op == Op::kPop) {
+      fused.op = fused.op == Op::kStoreLocal ? Op::kStoreLocalPop : Op::kStoreGlobalPop;
+      length = 2;
+    }
+    if (const std::optional<Op> op = WithBranch(fused.op);
+        op && joins(i + length) && code[i + length].op == Op::kJumpIfFalse) {
+      fused.op = *op;
+      fused.a = code[i + length].a;
+      ++length;
+    }
+    index[i] = static_cast<uint32_t>(out);
+    code[out] = fused;
+    fn.lines[out] = line;
+    ++out;
+    i += length;
+  }
+  code.resize(out);
+  fn.lines.resize(out);
+  for (BcInstr& instr : code) {
+    if (IsJump(instr.op) && instr.a < n) {
+      instr.a = index[instr.a];
+    }
+  }
 }
 
 // Name -> dense index, open-addressed in one flat array: a lookup costs a
@@ -331,6 +506,10 @@ class Compiler {
       PS_RETURN_IF_ERROR(CompileFunction(program_.functions[i], out_.functions[i + 1]));
     }
     PS_RETURN_IF_ERROR(CompileTopLevel());
+    std::vector<uint32_t> scratch;
+    for (CompiledFunction& fn : out_.functions) {
+      FuseInstructions(fn, scratch);
+    }
     PS_RETURN_IF_ERROR(VerifyProgram(out_));
     return std::move(out_);
   }

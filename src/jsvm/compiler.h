@@ -17,7 +17,8 @@
 namespace pkrusafe {
 
 // `host_names` lists the embedder's host functions (e.g. the DOM bindings);
-// calls to them compile to kCallHost with the matching index.
+// calls to them compile to kCallHost with the matching index. The emitted
+// code is fused into the superinstructions bytecode.h lists, then verified.
 Result<CompiledProgram> CompileProgram(const Program& program,
                                        std::vector<std::string> host_names);
 
@@ -28,6 +29,7 @@ Result<CompiledProgram> CompileProgram(const Program& program,
 //     instruction pops more than is on the stack;
 //   * every const, local, global, function, host and builtin operand is in
 //     range, and every opcode is known;
+//   * a superinstruction's constant operand is a number constant;
 //   * kCall's argc is the callee's arity, kCallBuiltin's the builtin's.
 // On success it sets each function's max_stack and marks the program
 // verified. CompileProgram runs it on everything it emits; Vm::Load runs it

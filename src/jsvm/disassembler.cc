@@ -76,6 +76,42 @@ const char* OpName(Op op) {
       return "index_get";
     case Op::kIndexSet:
       return "index_set";
+    case Op::kStoreLocalPop:
+      return "store_local_pop";
+    case Op::kStoreGlobalPop:
+      return "store_global_pop";
+    case Op::kAddConst:
+      return "add_const";
+    case Op::kSubConst:
+      return "sub_const";
+    case Op::kMulConst:
+      return "mul_const";
+    case Op::kModConst:
+      return "mod_const";
+    case Op::kLtConst:
+      return "lt_const";
+    case Op::kLeConst:
+      return "le_const";
+    case Op::kGtConst:
+      return "gt_const";
+    case Op::kGeConst:
+      return "ge_const";
+    case Op::kJumpNotLt:
+      return "jump_not_lt";
+    case Op::kJumpNotLe:
+      return "jump_not_le";
+    case Op::kJumpNotGt:
+      return "jump_not_gt";
+    case Op::kJumpNotGe:
+      return "jump_not_ge";
+    case Op::kJumpNotLtConst:
+      return "jump_not_lt_const";
+    case Op::kJumpNotLeConst:
+      return "jump_not_le_const";
+    case Op::kJumpNotGtConst:
+      return "jump_not_gt_const";
+    case Op::kJumpNotGeConst:
+      return "jump_not_ge_const";
   }
   return "?";
 }
@@ -147,23 +183,48 @@ std::string DisassembleInstruction(const CompiledFunction& fn, const CompiledPro
                                    size_t index) {
   const BcInstr& instr = fn.code[index];
   std::string out = StrFormat("%4zu  %-18s", index, OpName(instr.op));
+  auto constant = [&](uint32_t at) {
+    return StrFormat("#%u  ; %s", at, ConstantToString(fn.constants[at]).c_str());
+  };
   switch (instr.op) {
     case Op::kConst:
-      out += StrFormat("#%u  ; %s", instr.a, ConstantToString(fn.constants[instr.a]).c_str());
+      out += constant(instr.a);
       break;
     case Op::kLoadLocal:
     case Op::kStoreLocal:
+    case Op::kStoreLocalPop:
       out += StrFormat("slot %u", instr.a);
       break;
     case Op::kLoadGlobal:
     case Op::kStoreGlobal:
+    case Op::kStoreGlobalPop:
       out += StrFormat("%u  ; %s", instr.a, program.global_names[instr.a].c_str());
       break;
     case Op::kJump:
     case Op::kJumpIfFalse:
     case Op::kJumpIfFalseKeep:
     case Op::kJumpIfTrueKeep:
+    case Op::kJumpNotLt:
+    case Op::kJumpNotLe:
+    case Op::kJumpNotGt:
+    case Op::kJumpNotGe:
       out += StrFormat("-> %u", instr.a);
+      break;
+    case Op::kAddConst:
+    case Op::kSubConst:
+    case Op::kMulConst:
+    case Op::kModConst:
+    case Op::kLtConst:
+    case Op::kLeConst:
+    case Op::kGtConst:
+    case Op::kGeConst:
+      out += constant(instr.b);
+      break;
+    case Op::kJumpNotLtConst:
+    case Op::kJumpNotLeConst:
+    case Op::kJumpNotGtConst:
+    case Op::kJumpNotGeConst:
+      out += StrFormat("-> %u  ", instr.a) + constant(instr.b);
       break;
     case Op::kCall:
       out += StrFormat("@%s argc=%u", program.functions[instr.a].name.c_str(), instr.b);

@@ -1,7 +1,9 @@
 #include "src/jsvm/vm.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 
 #include "src/support/string_util.h"
@@ -104,7 +106,9 @@ std::string Vm::ToDisplayString(const Value& value) {
     case ValueType::kNumber: {
       const double n = value.number;
       if (std::isfinite(n) && n == std::floor(n) && std::abs(n) < 1e15) {
-        return StrFormat("%lld", static_cast<long long>(n));
+        char digits[24];
+        char* end = std::to_chars(digits, digits + sizeof(digits), static_cast<long long>(n)).ptr;
+        return std::string(digits, end);
       }
       return StrFormat("%g", n);
     }
@@ -193,15 +197,21 @@ bool ValuesEqual(const Value& a, const Value& b) {
   return false;
 }
 
+// Replaces a with fn(a, b); false if a is not a number.
+template <typename Fn>
+bool ArithWith(Value& a, double b, Fn fn) {
+  if (!a.is_number()) {
+    return false;
+  }
+  a.number = fn(a.number, b);
+  return true;
+}
+
 // Replaces the top two operands a, b with fn(a, b); false if either is not
 // a number.
 template <typename Fn>
 bool ArithTop(Value* sp, Fn fn) {
-  if (!sp[-2].is_number() || !sp[-1].is_number()) {
-    return false;
-  }
-  sp[-2].number = fn(sp[-2].number, sp[-1].number);
-  return true;
+  return sp[-1].is_number() && ArithWith(sp[-2], sp[-1].number, fn);
 }
 
 // Replaces the top two operands a, b with cmp(a, b); false unless they are
@@ -222,7 +232,37 @@ bool CompareTop(Value* sp, Cmp cmp) {
   return true;
 }
 
+// Replaces a with cmp(a, b); false if a is not a number.
+template <typename Cmp>
+bool CompareWith(Value& a, double b, Cmp cmp) {
+  if (!a.is_number()) {
+    return false;
+  }
+  a = Value::Bool(cmp(a.number, b));
+  return true;
+}
+
+constexpr char kNonNumbers[] = "arithmetic on non-numbers";
+constexpr char kIncomparable[] = "comparison on incompatible types";
+
 }  // namespace
+
+double ModNumbers(double x, double y) {
+  // Below 2^53 every integer is a double, so the integer remainder is
+  // exact, and fmod returns the same value. The remainder is never
+  // negative; copysign gives a zero remainder the dividend's sign, as fmod
+  // does for -0. The range checks come before the casts: NaN fails them,
+  // and casting an out-of-range double to an integer is undefined.
+  constexpr double kTwoTo53 = 9007199254740992.0;
+  if (x >= 0 && x < kTwoTo53 && y >= 1 && y < kTwoTo53) {
+    const auto dividend = static_cast<uint64_t>(x);
+    const auto divisor = static_cast<uint64_t>(y);
+    if (static_cast<double>(dividend) == x && static_cast<double>(divisor) == y) {
+      return std::copysign(static_cast<double>(dividend % divisor), x);
+    }
+  }
+  return std::fmod(x, y);
+}
 
 Result<Value> Vm::Execute(uint32_t function_index, std::span<const Value> args) {
   const size_t entry_depth = frames_.size();
@@ -271,16 +311,44 @@ Result<Value> Vm::Execute(uint32_t function_index, std::span<const Value> args) 
     steps_ = steps;
     return status;
   };
+  // String `+`: replaces a with a new string of a's and b's display forms;
+  // false if M_U is exhausted.
+  auto concat = [&](Value& a, const Value& b) {
+    StringObject* str = heap_.NewString(ToDisplayString(a) + ToDisplayString(b));
+    if (str == nullptr) {
+      return false;
+    }
+    a = Value::String(str);
+    return true;
+  };
   // A script error located at the current instruction.
   auto error = [&](const std::string& message) {
     frames_.back().ip = static_cast<size_t>(pc - code);
     return fail(RuntimeError(frames_.back(), message));
   };
+  // Charges one instruction's step against the budget; false once it is
+  // spent. A superinstruction charges each instruction it stands for at the
+  // point where that instruction would have run: its first at the loop's
+  // head, the others in its case. So steps_executed() and max_steps mean
+  // what they mean for unfused code, down to the error a run ends with.
+  auto charge = [&] { return ++steps <= max_steps; };
+  auto out_of_steps = [&] { return fail(ResourceExhaustedError("script step budget exceeded")); };
+  // The jump_if_false half of a compare-and-branch: charges its step, pops
+  // the compare's result and jumps to `target` if it is false.
+  auto jump_unless_top = [&](uint32_t target) {
+    if (!charge()) {
+      return false;
+    }
+    if (!(--sp)->boolean) {
+      pc = code + target;
+    }
+    return true;
+  };
   load();
 
   while (true) {
-    if (++steps > max_steps) {
-      return fail(ResourceExhaustedError("script step budget exceeded"));
+    if (!charge()) {
+      return out_of_steps();
     }
     const BcInstr instr = *pc++;
 
@@ -332,11 +400,9 @@ Result<Value> Vm::Execute(uint32_t function_index, std::span<const Value> args) 
           sp[-2].number = a.number + b.number;
           --sp;
         } else if (a.is_string() || b.is_string()) {
-          StringObject* str = heap_.NewString(ToDisplayString(a) + ToDisplayString(b));
-          if (str == nullptr) {
+          if (!concat(sp[-2], b)) {
             return fail(ResourceExhaustedError("M_U exhausted"));
           }
-          sp[-2] = Value::String(str);
           --sp;
           collect_if_due();
         } else {
@@ -346,25 +412,25 @@ Result<Value> Vm::Execute(uint32_t function_index, std::span<const Value> args) 
       }
       case Op::kSub:
         if (!ArithTop(sp, std::minus<>())) {
-          return error("arithmetic on non-numbers");
+          return error(kNonNumbers);
         }
         --sp;
         break;
       case Op::kMul:
         if (!ArithTop(sp, std::multiplies<>())) {
-          return error("arithmetic on non-numbers");
+          return error(kNonNumbers);
         }
         --sp;
         break;
       case Op::kDiv:  // IEEE semantics: inf/nan allowed
         if (!ArithTop(sp, std::divides<>())) {
-          return error("arithmetic on non-numbers");
+          return error(kNonNumbers);
         }
         --sp;
         break;
       case Op::kMod:
-        if (!ArithTop(sp, [](double x, double y) { return std::fmod(x, y); })) {
-          return error("arithmetic on non-numbers");
+        if (!ArithTop(sp, ModNumbers)) {
+          return error(kNonNumbers);
         }
         --sp;
         break;
@@ -378,25 +444,25 @@ Result<Value> Vm::Execute(uint32_t function_index, std::span<const Value> args) 
         break;
       case Op::kLt:
         if (!CompareTop(sp, std::less<>())) {
-          return error("comparison on incompatible types");
+          return error(kIncomparable);
         }
         --sp;
         break;
       case Op::kLe:
         if (!CompareTop(sp, std::less_equal<>())) {
-          return error("comparison on incompatible types");
+          return error(kIncomparable);
         }
         --sp;
         break;
       case Op::kGt:
         if (!CompareTop(sp, std::greater<>())) {
-          return error("comparison on incompatible types");
+          return error(kIncomparable);
         }
         --sp;
         break;
       case Op::kGe:
         if (!CompareTop(sp, std::greater_equal<>())) {
-          return error("comparison on incompatible types");
+          return error(kIncomparable);
         }
         --sp;
         break;
@@ -535,6 +601,173 @@ Result<Value> Vm::Execute(uint32_t function_index, std::span<const Value> args) 
         sp -= 2;
         break;
       }
+      // Superinstructions. VerifyProgram proved that a `b` operand is a
+      // number constant.
+      case Op::kStoreLocalPop:
+        locals[instr.a] = *--sp;
+        if (!charge()) {
+          return out_of_steps();
+        }
+        break;
+      case Op::kStoreGlobalPop:
+        globals[instr.a] = *--sp;
+        if (!charge()) {
+          return out_of_steps();
+        }
+        break;
+      case Op::kAddConst: {
+        if (!charge()) {
+          return out_of_steps();
+        }
+        Value& a = sp[-1];
+        if (a.is_number()) {
+          a.number += constants[instr.b].number;
+        } else if (a.is_string()) {
+          if (!concat(a, constants[instr.b])) {
+            return fail(ResourceExhaustedError("M_U exhausted"));
+          }
+          collect_if_due();
+        } else {
+          return error("invalid operands to '+'");
+        }
+        break;
+      }
+      case Op::kSubConst:
+        if (!charge()) {
+          return out_of_steps();
+        }
+        if (!ArithWith(sp[-1], constants[instr.b].number, std::minus<>())) {
+          return error(kNonNumbers);
+        }
+        break;
+      case Op::kMulConst:
+        if (!charge()) {
+          return out_of_steps();
+        }
+        if (!ArithWith(sp[-1], constants[instr.b].number, std::multiplies<>())) {
+          return error(kNonNumbers);
+        }
+        break;
+      case Op::kModConst:
+        if (!charge()) {
+          return out_of_steps();
+        }
+        if (!ArithWith(sp[-1], constants[instr.b].number, ModNumbers)) {
+          return error(kNonNumbers);
+        }
+        break;
+      case Op::kLtConst:
+        if (!charge()) {
+          return out_of_steps();
+        }
+        if (!CompareWith(sp[-1], constants[instr.b].number, std::less<>())) {
+          return error(kIncomparable);
+        }
+        break;
+      case Op::kLeConst:
+        if (!charge()) {
+          return out_of_steps();
+        }
+        if (!CompareWith(sp[-1], constants[instr.b].number, std::less_equal<>())) {
+          return error(kIncomparable);
+        }
+        break;
+      case Op::kGtConst:
+        if (!charge()) {
+          return out_of_steps();
+        }
+        if (!CompareWith(sp[-1], constants[instr.b].number, std::greater<>())) {
+          return error(kIncomparable);
+        }
+        break;
+      case Op::kGeConst:
+        if (!charge()) {
+          return out_of_steps();
+        }
+        if (!CompareWith(sp[-1], constants[instr.b].number, std::greater_equal<>())) {
+          return error(kIncomparable);
+        }
+        break;
+      case Op::kJumpNotLt:
+        if (!CompareTop(sp, std::less<>())) {
+          return error(kIncomparable);
+        }
+        --sp;
+        if (!jump_unless_top(instr.a)) {
+          return out_of_steps();
+        }
+        break;
+      case Op::kJumpNotLe:
+        if (!CompareTop(sp, std::less_equal<>())) {
+          return error(kIncomparable);
+        }
+        --sp;
+        if (!jump_unless_top(instr.a)) {
+          return out_of_steps();
+        }
+        break;
+      case Op::kJumpNotGt:
+        if (!CompareTop(sp, std::greater<>())) {
+          return error(kIncomparable);
+        }
+        --sp;
+        if (!jump_unless_top(instr.a)) {
+          return out_of_steps();
+        }
+        break;
+      case Op::kJumpNotGe:
+        if (!CompareTop(sp, std::greater_equal<>())) {
+          return error(kIncomparable);
+        }
+        --sp;
+        if (!jump_unless_top(instr.a)) {
+          return out_of_steps();
+        }
+        break;
+      case Op::kJumpNotLtConst:
+        if (!charge()) {
+          return out_of_steps();
+        }
+        if (!CompareWith(sp[-1], constants[instr.b].number, std::less<>())) {
+          return error(kIncomparable);
+        }
+        if (!jump_unless_top(instr.a)) {
+          return out_of_steps();
+        }
+        break;
+      case Op::kJumpNotLeConst:
+        if (!charge()) {
+          return out_of_steps();
+        }
+        if (!CompareWith(sp[-1], constants[instr.b].number, std::less_equal<>())) {
+          return error(kIncomparable);
+        }
+        if (!jump_unless_top(instr.a)) {
+          return out_of_steps();
+        }
+        break;
+      case Op::kJumpNotGtConst:
+        if (!charge()) {
+          return out_of_steps();
+        }
+        if (!CompareWith(sp[-1], constants[instr.b].number, std::greater<>())) {
+          return error(kIncomparable);
+        }
+        if (!jump_unless_top(instr.a)) {
+          return out_of_steps();
+        }
+        break;
+      case Op::kJumpNotGeConst:
+        if (!charge()) {
+          return out_of_steps();
+        }
+        if (!CompareWith(sp[-1], constants[instr.b].number, std::greater_equal<>())) {
+          return error(kIncomparable);
+        }
+        if (!jump_unless_top(instr.a)) {
+          return out_of_steps();
+        }
+        break;
       default:  // VerifyProgram refuses unknown opcodes
         __builtin_unreachable();
     }

@@ -31,6 +31,11 @@ namespace pkrusafe {
 
 class Vm;
 
+// x % y as scripts compute it: std::fmod(x, y), bit for bit, with an
+// integer remainder in place of the fmod call when both operands are
+// integers, x in [0, 2^53) and y in [1, 2^53).
+double ModNumbers(double x, double y);
+
 // A host function: implemented by the embedder, callable from scripts.
 // `args` views the caller's operand stack, which keeps the arguments rooted
 // for the call. It stays valid until the host function re-enters the Vm

@@ -1,6 +1,8 @@
 #include "src/multidomain/vpkey.h"
 
 #include <chrono>
+#include <mutex>
+#include <vector>
 
 #include "src/support/logging.h"
 #include "src/support/string_util.h"
@@ -22,6 +24,31 @@
 namespace pkrusafe {
 
 namespace {
+
+// The live tables. The multidomain.vpkey.hits gauge, registered with the
+// first table, sums their hits. A table leaves first thing in its
+// destructor, so the gauge never reads a dying table.
+struct LiveTables {
+  std::mutex mutex;
+  std::vector<const VirtualPkeyTable*> tables;
+};
+
+LiveTables& Live() {
+  static LiveTables* const live = [] {
+    auto* tables = new LiveTables;
+    telemetry::MetricsRegistry::Global().SetCallbackGauge(
+        "multidomain.vpkey.hits", tables, [tables] {
+          std::lock_guard lock(tables->mutex);
+          int64_t sum = 0;
+          for (const VirtualPkeyTable* table : tables->tables) {
+            sum += static_cast<int64_t>(table->hits());
+          }
+          return sum;
+        });
+    return tables;
+  }();
+  return *live;
+}
 
 telemetry::Counter* MissesCounter() {
   static auto* counter =
@@ -140,15 +167,18 @@ Result<std::unique_ptr<VirtualPkeyTable>> VirtualPkeyTable::Create(MpkBackend* b
   // Decide the barrier flavor up front, not during the first eviction: once
   // registration succeeds, fast pins may drop their fallback fence.
   InitHeavyBarrier();
-  // A pull gauge: it reads the pin counts whenever the registry is sampled.
-  telemetry::MetricsRegistry::Global().SetCallbackGauge(
-      "multidomain.vpkey.hits", table.get(),
-      [t = table.get()] { return static_cast<int64_t>(t->hits()); });
+  LiveTables& live = Live();
+  std::lock_guard lock(live.mutex);
+  live.tables.push_back(table.get());
   return table;
 }
 
 VirtualPkeyTable::~VirtualPkeyTable() {
-  telemetry::MetricsRegistry::Global().RemoveCallbackGauges(this);
+  {
+    LiveTables& live = Live();
+    std::lock_guard lock(live.mutex);
+    std::erase(live.tables, this);
+  }
   for (const Slot& slot : slots_) {
     (void)backend_->FreeKey(slot.key);
   }

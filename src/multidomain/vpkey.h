@@ -164,8 +164,13 @@ class VirtualPkeyTable {
   PkeyId evicted_key() const { return evicted_key_; }
   size_t hw_slot_count() const { return slots_.size(); }
 
+  // Pins minus misses, floored: a racing read may see a miss before its pin.
+  // Safe to call from any thread.
+  uint64_t hits() const;
+
   // Snapshot of the cache counters. Externally synchronized. The hit count
-  // is also the multidomain.vpkey.hits gauge (of the newest live table).
+  // is this table's share of the multidomain.vpkey.hits gauge, which sums
+  // every live table.
   VpkeyStats stats() const;
 
  private:
@@ -206,9 +211,6 @@ class VirtualPkeyTable {
 
   // Counts a successful pin and bumps the lossy LRU clock.
   PS_ALWAYS_INLINE void NotePin(VKeyState& state);
-
-  // Pins minus misses, floored: a racing read may see a miss before its pin.
-  uint64_t hits() const;
 
   // Scans every thread's pin record for a live pin of (this, vkey). Only
   // authoritative after a HeavyBarrier that followed the slot unbind; may

@@ -179,13 +179,18 @@ class Parser {
     PS_RETURN_IF_ERROR(Expect('"'));
     out->clear();
     while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') {
-        return Status::Ok();
+      // The run up to the next quote or backslash is copied in one append.
+      size_t end = pos_;
+      while (end < text_.size() && text_[end] != '"' && text_[end] != '\\') {
+        ++end;
       }
-      if (c != '\\') {
-        *out += c;
-        continue;
+      out->append(text_.data() + pos_, end - pos_);
+      pos_ = end;
+      if (pos_ >= text_.size()) {
+        break;
+      }
+      if (text_[pos_++] == '"') {
+        return Status::Ok();
       }
       if (pos_ >= text_.size()) {
         break;

@@ -141,6 +141,39 @@ TEST_F(VerifierTest, RefusesAConstantIndexOutOfRange) {
   ExpectRefused(Main({{Op::kConst, 0}, {Op::kReturn}}), "constant index out of range");
 }
 
+// A superinstruction's `b` is a number constant: the Vm reads its .number
+// without a type test.
+TEST_F(VerifierTest, RefusesASuperinstructionWhoseConstantIsNotANumber) {
+  CompiledProgram program = Main({{Op::kNull}, {Op::kAddConst, 0, 0}, {Op::kReturn}});
+  program.functions[0].constants = {std::string("x")};
+  ExpectRefused(program, "constant operand is not a number");
+  program.functions[0].code = {{Op::kNull}, {Op::kJumpNotLtConst, 2, 0}, {Op::kNull}, {Op::kReturn}};
+  ExpectRefused(std::move(program), "constant operand is not a number");
+}
+
+TEST_F(VerifierTest, RefusesASuperinstructionConstantIndexOutOfRange) {
+  CompiledProgram program = Main({{Op::kNull}, {Op::kMulConst, 0, 1}, {Op::kReturn}});
+  program.functions[0].constants = {1.0};
+  ExpectRefused(program, "constant index out of range");
+  program.functions[0].code = {{Op::kNull}, {Op::kJumpNotGeConst, 2, 7}, {Op::kNull}, {Op::kReturn}};
+  ExpectRefused(std::move(program), "constant index out of range");
+}
+
+TEST_F(VerifierTest, RefusesACompareAndBranchTargetOutOfRange) {
+  ExpectRefused(Main({{Op::kNull}, {Op::kNull}, {Op::kJumpNotLt, 9}, {Op::kNull}, {Op::kReturn}}),
+                "jump target out of range");
+  CompiledProgram program = Main({{Op::kNull}, {Op::kJumpNotGtConst, 4, 0}, {Op::kNull}, {Op::kReturn}});
+  program.functions[0].constants = {1.0};
+  ExpectRefused(std::move(program), "jump target out of range");
+}
+
+// Each superinstruction pops what its parts popped together.
+TEST_F(VerifierTest, RefusesASuperinstructionThatUnderflows) {
+  ExpectRefused(Main({{Op::kNull}, {Op::kJumpNotLe, 3}, {Op::kNull}, {Op::kReturn}}),
+                "stack underflow");
+  ExpectRefused(Main({{Op::kNull}, {Op::kStoreLocalPop, 0}, {Op::kReturn}}, 1), "stack underflow");
+}
+
 TEST_F(VerifierTest, RefusesALocalSlotOutOfRange) {
   ExpectRefused(Main({{Op::kLoadLocal, 1}, {Op::kReturn}}, 1), "local slot out of range");
   ExpectRefused(Main({{Op::kNull}, {Op::kStoreLocal, 0}, {Op::kReturn}}), "local slot out of range");

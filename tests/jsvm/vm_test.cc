@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+
 namespace pkrusafe {
 namespace {
 
@@ -410,6 +416,101 @@ TEST_F(VmTest, StepBudgetIsExact) {
   Vm vm(runtime_.get(), short_by_one);
   ASSERT_TRUE(vm.Load(script).ok());
   EXPECT_EQ(vm.Run().status().code(), StatusCode::kResourceExhausted);
+}
+
+// A superinstruction charges each instruction it stands for where that
+// instruction would have run. Every budget short of a script's need ends in
+// an exhausted budget one step past it, and a compare that fails inside a
+// compare-and-branch fails before the branch's step is charged.
+TEST_F(VmTest, SuperinstructionsChargeEachPartWhereItRan) {
+  const char* script =
+      "let s = 0; let i = 0; while (i < 10) { s = s + i % 3 * 2 - 1; i = i + 1; } "
+      "let j = 0; while (j <= i) { j = j + 4; } print(s + j);";
+  Vm probe(runtime_.get());
+  ASSERT_TRUE(probe.Load(script).ok());
+  ASSERT_TRUE(probe.Run().ok());
+  EXPECT_EQ(probe.print_output(), std::vector<std::string>{"20"});
+  const uint64_t needed = probe.steps_executed();
+  for (uint64_t budget = 0; budget < needed; ++budget) {
+    VmOptions options;
+    options.max_steps = budget;
+    Vm vm(runtime_.get(), options);
+    ASSERT_TRUE(vm.Load(script).ok());
+    EXPECT_EQ(vm.Run().status().code(), StatusCode::kResourceExhausted) << budget;
+    EXPECT_EQ(vm.steps_executed(), budget + 1);
+  }
+
+  for (const char* failing :
+       {"let x = \"a\"; if (x < 1) { }", "let x = \"a\"; let y = 1; while (x >= y) { }",
+        "let x = null; print(x * 2);"}) {
+    Vm vm(runtime_.get());
+    ASSERT_TRUE(vm.Load(failing).ok());
+    ASSERT_EQ(vm.Run().status().code(), StatusCode::kInvalidArgument) << failing;
+    const uint64_t to_error = vm.steps_executed();
+    VmOptions exact;
+    exact.max_steps = to_error;
+    Vm at_error(runtime_.get(), exact);
+    ASSERT_TRUE(at_error.Load(failing).ok());
+    EXPECT_EQ(at_error.Run().status().code(), StatusCode::kInvalidArgument) << failing;
+    EXPECT_EQ(at_error.steps_executed(), to_error);
+    VmOptions short_by_one;
+    short_by_one.max_steps = to_error - 1;
+    Vm short_vm(runtime_.get(), short_by_one);
+    ASSERT_TRUE(short_vm.Load(failing).ok());
+    EXPECT_EQ(short_vm.Run().status().code(), StatusCode::kResourceExhausted) << failing;
+  }
+}
+
+// The fused forms compute what their parts did, on every operand type.
+TEST_F(VmTest, SuperinstructionsKeepTheirPartsSemantics) {
+  EXPECT_EQ(RunScript("let s = \"n\"; s = s + 1; print(s); print(\"a\" + 2.5);"),
+            (std::vector<std::string>{"n1", "a2.5"}));
+  EXPECT_EQ(RunScript("let x = 7; print(x % 3); print(-x % 3); print(x / 2 % 2); print(x - 1.5);"
+                      "print(x * 1e20); print(0 - x % 1);"),
+            (std::vector<std::string>{"1", "-1", "1.5", "5.5", "7e+20", "0"}));
+  EXPECT_EQ(RunScript("let nan = 0 / 0; let n = 0; if (nan < 1) { n = n + 1; } "
+                      "if (nan >= 1) { n = n + 2; } if (!(nan <= nan)) { n = n + 4; } "
+                      "let b = \"b\"; if (b < \"c\") { n = n + 8; } if (b > \"c\") { n = n + 16; } "
+                      "print(n); print(nan > 1); print(3 <= 3); print(b >= \"b\");"),
+            (std::vector<std::string>{"12", "false", "true", "true"}));
+  EXPECT_EQ(RunScript("fn f(a) { let k = a; k = k * 2; return k; } let g = f(4); print(g);"),
+            std::vector<std::string>{"8"});
+}
+
+// Integral numbers below 1e15 print as integers, -0 as 0; the rest as %g.
+TEST_F(VmTest, NumbersDisplayAsIntegersBelow1e15) {
+  EXPECT_EQ(RunScript("print(-0); print(0 * -1); print(-5); print(999999999999999); "
+                      "print(-999999999999999); print(1000000000000000); print(2.5); "
+                      "print(1 / 0); print(\"n\" + -7);"),
+            (std::vector<std::string>{"0", "0", "-5", "999999999999999", "-999999999999999",
+                                      "1e+15", "2.5", "inf", "n-7"}));
+}
+
+// x % y takes an integer remainder for integer operands in range and
+// std::fmod otherwise; either way its result is fmod's, bit for bit.
+TEST(ModNumbersTest, MatchesFmodBitForBit) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double two53 = 9007199254740992.0;
+  std::vector<double> values = {0.0,       -0.0,      1,           -1,         2,
+                                3,         -3,        7,           97,         1000003,
+                                0.5,       -0.5,      2.5,         -7.25,      1e-300,
+                                123456.75, two53 - 1, -(two53 - 1), two53,     -two53,
+                                two53 + 2, 4294967296.0, 4294967297.0, 1e300, -1e300,
+                                inf,       -inf,      nan,         -nan};
+  std::mt19937_64 rng(20261019);
+  for (int i = 0; i < 64; ++i) {
+    values.push_back(static_cast<double>(rng() % 100000));
+    values.push_back(static_cast<double>(rng() >> 11));  // up to 2^53 - 1
+  }
+  for (const double x : values) {
+    for (const double y : values) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(ModNumbers(x, y)), std::bit_cast<uint64_t>(std::fmod(x, y)))
+          << x << " % " << y;
+    }
+  }
+  EXPECT_TRUE(std::signbit(ModNumbers(-0.0, 5)));
+  EXPECT_FALSE(std::signbit(ModNumbers(0.0, 5)));
 }
 
 // Runtime errors name the function and source line of the failing

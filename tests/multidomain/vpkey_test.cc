@@ -9,6 +9,7 @@
 #include "src/memmap/page.h"
 #include "src/mpk/sim_backend.h"
 #include "src/multidomain/multi_compartment.h"
+#include "src/telemetry/metrics.h"
 
 namespace pkrusafe {
 namespace {
@@ -93,6 +94,33 @@ TEST_F(VpkeyTableTest, NewKeysStartEvictedAndFaultIn) {
   EXPECT_EQ(backend_.KeyFor(FakePool(0)), slot_key);
   EXPECT_EQ(table->stats().misses, 1u);
   EXPECT_EQ(table->stats().hits, 0u);
+}
+
+// The multidomain.vpkey.hits gauge sums every live table: it reads both of
+// two live tables, and the older one's alone once the newer one is gone.
+TEST_F(VpkeyTableTest, HitsGaugeSumsEveryLiveTable) {
+  auto gauge = [] {
+    const telemetry::MetricsSnapshot snapshot = telemetry::MetricsRegistry::Global().Snapshot();
+    const auto it = snapshot.gauges.find("multidomain.vpkey.hits");
+    return it == snapshot.gauges.end() ? int64_t{0} : it->second;
+  };
+  const int64_t before = gauge();
+  auto older = MakeTable(2);
+  const VirtualKeyId a = MakeKey(*older, 0);
+  for (int i = 0; i < 3; ++i) {
+    Touch(*older, a);  // one miss, then hits
+  }
+  ASSERT_EQ(older->stats().hits, 2u);
+  {
+    auto newer = MakeTable(2);
+    const VirtualKeyId b = MakeKey(*newer, 1);
+    for (int i = 0; i < 6; ++i) {
+      Touch(*newer, b);
+    }
+    ASSERT_EQ(newer->stats().hits, 5u);
+    EXPECT_EQ(gauge() - before, 7);
+  }
+  EXPECT_EQ(gauge() - before, 2);
 }
 
 TEST_F(VpkeyTableTest, LruEvictsLeastRecentlyUsed) {

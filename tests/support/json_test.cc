@@ -86,6 +86,28 @@ TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(Parse("nan").ok());
 }
 
+// A string's errors keep their texts and offsets, and the plain runs
+// between escapes come through whole.
+TEST(JsonTest, StringErrorsNameTheirOffsets) {
+  const struct {
+    const char* text;
+    const char* message;
+  } cases[] = {
+      {R"("abc)", "json: unterminated string at offset 4"},
+      {R"("ab\)", "json: unterminated string at offset 4"},
+      {R"("a\q")", "json: invalid escape at offset 4"},
+      {R"("a\u12")", "json: truncated \\u escape at offset 4"},
+      {R"("a\u12zz")", "json: invalid \\u escape at offset 7"},
+      {R"({"k":"v)", "json: unterminated string at offset 7"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(Parse(c.text).status().message(), c.message) << c.text;
+  }
+  auto value = Parse(R"("one run\tand \"another\" run\\")");
+  ASSERT_TRUE(value.ok());
+  EXPECT_EQ(value->AsString(), "one run\tand \"another\" run\\");
+}
+
 TEST(JsonTest, RejectsRunawayNesting) {
   std::string deep(100, '[');
   deep += std::string(100, ']');
