@@ -134,9 +134,11 @@ namespace bench {
 namespace internal {
 
 // Tees to the normal console reporter while collecting every finished run.
+// Colours only a terminal, so piped output carries no ANSI escapes.
 class CapturingReporter : public ::benchmark::ConsoleReporter {
  public:
-  explicit CapturingReporter(BenchJsonWriter* out) : out_(out) {}
+  explicit CapturingReporter(BenchJsonWriter* out)
+      : ConsoleReporter(isatty(STDOUT_FILENO) ? OO_Defaults : OO_Tabular), out_(out) {}
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {

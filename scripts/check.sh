@@ -43,8 +43,8 @@
 #   scripts/check.sh gateintegrity  # PKRU-flow lints over the corpus (clean
 #                                   # modules prove, seeded violations fail),
 #                                   # SARIF export, link-time check-binary
-#                                   # over the built tools, and no TEXTREL in
-#                                   # any built tool or bench
+#                                   # and no TEXTREL in every built tool and
+#                                   # bench
 #   scripts/check.sh warnings       # fresh default (RelWithDebInfo) and
 #                                   # Release builds (build/check-warnings,
 #                                   # build/check-warnings-release); fails
@@ -374,10 +374,11 @@ run_gateintegrity() {
   # The static half: the PKRU-flow abstract interpreter must prove every
   # top-level corpus module gate-balanced (exit 0, even with notes escalated)
   # and reject every seeded violation module. The link-time half: check-binary
-  # must find only sanctioned, registered wrpkru sites in the built tools,
-  # cross-checked against the explicit-gate module's IR inventory, and no
-  # built executable may need text relocations (the gate registry is
-  # read-only and PC-relative). Builds everything so no stale binary is read.
+  # must find only sanctioned, registered wrpkru sites in every executable
+  # under build/tools and build/bench (pkrusafe_run also cross-checked
+  # against the explicit-gate module's IR inventory), and no built
+  # executable may need text relocations (the gate registry is read-only and
+  # PC-relative). Builds everything so no stale binary is read.
   cmake -B build -S . -DPKRUSAFE_SANITIZE=""
   cmake --build build -j "$(nproc)"
   local lint=build/tools/pkrusafe_lint
@@ -394,13 +395,13 @@ run_gateintegrity() {
   done
   echo "-- sarif: explicit_gates.ir"
   "$lint" examples/ir/explicit_gates.ir --format=sarif | grep -q '"version":"2.1.0"'
-  echo "-- check-binary: built tools vs IR gate inventory"
+  echo "-- check-binary: pkrusafe_run vs IR gate inventory"
   "$lint" check-binary build/tools/pkrusafe_run examples/ir/explicit_gates.ir
-  "$lint" check-binary build/tools/msrun
-  echo "-- textrel: executables under build/tools and build/bench"
+  echo "-- check-binary + textrel: executables under build/tools and build/bench"
   local exe textrel=0
   for exe in build/tools/* build/bench/*; do
     [[ -f "$exe" && -x "$exe" ]] || continue
+    "$lint" check-binary "$exe"
     if readelf -d "$exe" | grep -q TEXTREL; then
       echo "text relocations in $exe" >&2
       textrel=1

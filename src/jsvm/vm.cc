@@ -242,6 +242,49 @@ bool CompareWith(Value& a, double b, Cmp cmp) {
   return true;
 }
 
+// A script's number reaches an integer only through these three: casting a
+// double outside the target's range (NaN, ±inf, ±1e300) is undefined.
+
+// The truncation of `x` when it lies in the int64 range.
+bool TruncToInt64(double x, int64_t* out) {
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  if (!(x >= -kTwoTo63 && x < kTwoTo63)) {
+    return false;
+  }
+  *out = static_cast<int64_t>(x);
+  return true;
+}
+
+// The checked index conversion: true, with the truncation of `x`, when that
+// truncation is in [0, size). For finite x, -1 < x < size says exactly
+// that, and NaN fails it, so the check is one compare pair.
+bool ToIndex(double x, size_t size, size_t* index) {
+  if (!(x > -1.0 && x < static_cast<double>(static_cast<int64_t>(size)))) {
+    return false;
+  }
+  *index = static_cast<size_t>(static_cast<int64_t>(x));
+  return true;
+}
+
+// JS ToInt32: truncate and wrap modulo 2^32; NaN and ±inf give 0.
+int32_t ToInt32(double x) {
+  int64_t wide = 0;
+  if (!TruncToInt64(x, &wide)) {
+    if (!std::isfinite(x)) {
+      return 0;
+    }
+    // |x| >= 2^63 is an integer, so the remainder is exact and in range.
+    wide = static_cast<int64_t>(std::fmod(x, 4294967296.0));
+  }
+  return static_cast<int32_t>(static_cast<uint32_t>(wide));
+}
+
+// An index that failed ToIndex, as an error shows it.
+std::string IndexText(double x) {
+  int64_t i = 0;
+  return TruncToInt64(x, &i) ? std::to_string(i) : StrFormat("%g", x);
+}
+
 constexpr char kNonNumbers[] = "arithmetic on non-numbers";
 constexpr char kIncomparable[] = "comparison on incompatible types";
 
@@ -555,18 +598,18 @@ Result<Value> Vm::Execute(uint32_t function_index, std::span<const Value> args) 
         if (!index.is_number()) {
           return error("index must be a number");
         }
-        const auto i = static_cast<int64_t>(index.number);
+        size_t i = 0;
         if (base.is_array()) {
           const ArrayObject* array = base.AsArray();
-          if (i < 0 || static_cast<size_t>(i) >= array->size) {
-            return error(StrFormat("array index %lld out of bounds (size %zu)",
-                                   static_cast<long long>(i), array->size));
+          if (!ToIndex(index.number, array->size, &i)) {
+            return error(StrFormat("array index %s out of bounds (size %zu)",
+                                   IndexText(index.number).c_str(), array->size));
           }
           sp[-2] = array->slots[i];
           --sp;
         } else if (base.is_string()) {
           const StringObject* str = base.AsString();
-          if (i < 0 || static_cast<size_t>(i) >= str->length) {
+          if (!ToIndex(index.number, str->length, &i)) {
             return error("string index out of bounds");
           }
           StringObject* ch = heap_.NewString(std::string_view(str->data + i, 1));
@@ -591,9 +634,9 @@ Result<Value> Vm::Execute(uint32_t function_index, std::span<const Value> args) 
         if (!index.is_number()) {
           return error("index must be a number");
         }
-        const auto i = static_cast<int64_t>(index.number);
         ArrayObject* array = base.AsArray();
-        if (i < 0 || static_cast<size_t>(i) >= array->size) {
+        size_t i = 0;
+        if (!ToIndex(index.number, array->size, &i)) {
           return error("array index out of bounds in assignment");
         }
         array->slots[i] = value;
@@ -854,12 +897,15 @@ Result<Value> Vm::RunBuiltin(BuiltinId id, std::span<const Value> args) {
       PS_ASSIGN_OR_RETURN(double start_d, need_number(1));
       PS_ASSIGN_OR_RETURN(double count_d, need_number(2));
       const StringObject* str = args[0].AsString();
-      const auto start = static_cast<size_t>(std::max(0.0, start_d));
-      if (start > str->length) {
+      // std::max(0.0, NaN) is 0.0: a NaN start or count reads as 0.
+      size_t start = 0;
+      if (!ToIndex(std::max(0.0, start_d), str->length + 1, &start)) {
         return InvalidArgumentError("substr() start out of range");
       }
-      const auto count = std::min(static_cast<size_t>(std::max(0.0, count_d)),
-                                  str->length - start);
+      size_t count = 0;
+      if (!ToIndex(std::max(0.0, count_d), str->length - start, &count)) {
+        count = str->length - start;
+      }
       StringObject* result = heap_.NewString(std::string_view(str->data + start, count));
       if (result == nullptr) {
         return ResourceExhaustedError("M_U exhausted");
@@ -872,15 +918,15 @@ Result<Value> Vm::RunBuiltin(BuiltinId id, std::span<const Value> args) {
       }
       PS_ASSIGN_OR_RETURN(double index_d, need_number(1));
       const StringObject* str = args[0].AsString();
-      const auto index = static_cast<size_t>(index_d);
-      if (index >= str->length) {
+      size_t index = 0;
+      if (!ToIndex(index_d, str->length, &index)) {
         return InvalidArgumentError("ord() index out of range");
       }
       return Value::Number(static_cast<double>(static_cast<unsigned char>(str->data[index])));
     }
     case BuiltinId::kChr: {
       PS_ASSIGN_OR_RETURN(double code, need_number(0));
-      const char c = static_cast<char>(static_cast<int>(code) & 0xFF);
+      const char c = static_cast<char>(ToInt32(code) & 0xFF);
       StringObject* result = heap_.NewString(std::string_view(&c, 1));
       if (result == nullptr) {
         return ResourceExhaustedError("M_U exhausted");
@@ -901,9 +947,8 @@ Result<Value> Vm::RunBuiltin(BuiltinId id, std::span<const Value> args) {
     case BuiltinId::kShrB: {
       PS_ASSIGN_OR_RETURN(double x, need_number(0));
       PS_ASSIGN_OR_RETURN(double y, need_number(1));
-      // JS-style ToInt32 semantics.
-      const auto a32 = static_cast<int32_t>(static_cast<int64_t>(x));
-      const auto b32 = static_cast<int32_t>(static_cast<int64_t>(y));
+      const int32_t a32 = ToInt32(x);
+      const int32_t b32 = ToInt32(y);
       int32_t result = 0;
       switch (id) {
         case BuiltinId::kBand:
@@ -938,9 +983,13 @@ Result<Value> Vm::RunBuiltin(BuiltinId id, std::span<const Value> args) {
         return PermissionDeniedError("__peek is not available in this build");
       }
       PS_ASSIGN_OR_RETURN(double addr_d, need_number(0));
-      const auto addr = static_cast<uintptr_t>(addr_d);
+      int64_t addr = 0;
+      if (!TruncToInt64(addr_d, &addr)) {
+        return InvalidArgumentError("__peek address out of range");
+      }
       // The exploit's arbitrary read: a real load, subject to MPK.
-      PS_RETURN_IF_ERROR(runtime_->backend().CheckAccess(addr, AccessKind::kRead));
+      PS_RETURN_IF_ERROR(
+          runtime_->backend().CheckAccess(static_cast<uintptr_t>(addr), AccessKind::kRead));
       return Value::Number(static_cast<double>(*reinterpret_cast<const int64_t*>(addr)));
     }
     case BuiltinId::kPoke: {
@@ -949,10 +998,15 @@ Result<Value> Vm::RunBuiltin(BuiltinId id, std::span<const Value> args) {
       }
       PS_ASSIGN_OR_RETURN(double addr_d, need_number(0));
       PS_ASSIGN_OR_RETURN(double value_d, need_number(1));
-      const auto addr = static_cast<uintptr_t>(addr_d);
+      int64_t addr = 0;
+      int64_t value = 0;
+      if (!TruncToInt64(addr_d, &addr) || !TruncToInt64(value_d, &value)) {
+        return InvalidArgumentError("__poke address or value out of range");
+      }
       // The exploit's arbitrary write: a real store, subject to MPK.
-      PS_RETURN_IF_ERROR(runtime_->backend().CheckAccess(addr, AccessKind::kWrite));
-      *reinterpret_cast<int64_t*>(addr) = static_cast<int64_t>(value_d);
+      PS_RETURN_IF_ERROR(runtime_->backend().CheckAccess(static_cast<uintptr_t>(addr),
+                                                        AccessKind::kWrite));
+      *reinterpret_cast<int64_t*>(addr) = value;
       return Value::Null();
     }
   }

@@ -5,7 +5,6 @@
 
 #include "src/dom/bindings.h"
 #include "src/dom/document.h"
-#include "src/support/string_util.h"
 
 namespace pkrusafe {
 
@@ -243,26 +242,6 @@ Result<SuiteResult> WorkloadHarness::RunSuite(const SuiteSpec& suite) {
     result.workloads.push_back(std::move(workload));
   }
   return result;
-}
-
-std::string FormatWorkloadRow(const WorkloadResult& w) {
-  return StrFormat("%-36s %10.0f %10.0f %10.0f %8.2f%% %8.2f%% %10llu %7.2f%%", w.name.c_str(),
-                   w.base_ns, w.alloc_ns, w.mpk_ns, w.alloc_overhead() * 100,
-                   w.mpk_overhead() * 100, static_cast<unsigned long long>(w.transitions),
-                   w.untrusted_fraction * 100);
-}
-
-std::string FormatSuiteTable(const SuiteResult& suite) {
-  std::string out = StrFormat("%-36s %10s %10s %10s %9s %9s %10s %8s\n", "benchmark", "base(ns)",
-                              "alloc(ns)", "mpk(ns)", "alloc", "mpk", "trans", "%MU");
-  for (const WorkloadResult& w : suite.workloads) {
-    out += FormatWorkloadRow(w) + "\n";
-  }
-  out += StrFormat("%-36s %32s %8.2f%% %8.2f%% %10llu %7.2f%%\n", ("mean(" + suite.name + ")").c_str(),
-                   "", suite.mean_alloc_overhead() * 100, suite.mean_mpk_overhead() * 100,
-                   static_cast<unsigned long long>(suite.total_transitions()),
-                   suite.mean_untrusted_fraction() * 100);
-  return out;
 }
 
 }  // namespace pkrusafe

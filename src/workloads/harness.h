@@ -79,10 +79,6 @@ class WorkloadHarness {
   HarnessOptions options_;
 };
 
-// Formatting helpers shared by the bench binaries.
-std::string FormatSuiteTable(const SuiteResult& suite);
-std::string FormatWorkloadRow(const WorkloadResult& workload);
-
 }  // namespace pkrusafe
 
 #endif  // SRC_WORKLOADS_HARNESS_H_

@@ -540,6 +540,66 @@ TEST_F(VmTest, RuntimeErrorMessagesKeepTheirLines) {
   }
 }
 
+// Script numbers outside the int64 range (±1e300, NaN, ±inf) reach the
+// index and integer builtins through defined conversions: an index is
+// checked before it is truncated, and the bitwise builtins and chr() take
+// ToInt32 (NaN and ±inf give 0, everything else wraps modulo 2^32).
+// scripts/check.sh ubsan stops on the unchecked casts these replaced.
+TEST_F(VmTest, OutOfRangeNumbersConvertWithoutUndefinedCasts) {
+  const struct {
+    const char* script;
+    const char* message;
+  } cases[] = {
+      {"let a = [1];\nprint(a[1e300]);",
+       "array index 1e+300 out of bounds (size 1) (in @main, line 2)"},
+      {"let a = [1];\nprint(a[-1e300]);",
+       "array index -1e+300 out of bounds (size 1) (in @main, line 2)"},
+      {"let a = [1];\nprint(a[1.5]);", "array index 1 out of bounds (size 1) (in @main, line 2)"},
+      {"let a = [1];\na[1e300] = 0;", "array index out of bounds in assignment (in @main, line 2)"},
+      {"let a = [1];\na[0/0] = 0;", "array index out of bounds in assignment (in @main, line 2)"},
+      {"print(\"abc\"[1e300]);", "string index out of bounds (in @main, line 1)"},
+      {"print(\"abc\"[0/0]);", "string index out of bounds (in @main, line 1)"},
+      {"print(ord(\"a\", 1e300));", "ord() index out of range (in @main, line 1)"},
+      {"print(ord(\"a\", -1));", "ord() index out of range (in @main, line 1)"},
+      {"print(substr(\"abc\", 1e300, 1));", "substr() start out of range (in @main, line 1)"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(RunExpectingError(c.script).message(), c.message) << c.script;
+  }
+  // NaN prints with a platform-dependent sign.
+  const std::string nan_index = RunExpectingError("let a = [1];\nprint(a[0/0]);").message();
+  EXPECT_NE(nan_index.find("nan out of bounds (size 1) (in @main, line 2)"), std::string::npos)
+      << nan_index;
+
+  auto out = RunScript(R"(
+print(band(1e300, 1));
+print(bor(0/0, 5));
+print(bxor(1/0, 3));
+print(shl(-1/0, 2));
+print(band(4294967296 + 7, 15));
+print(bor(-4294967295, 0));
+print(len(chr(1e300)));
+print(ord(chr(1e300), 0));
+print(ord(chr(321), 0));
+print(substr("abc", 1, 1e300));
+print(substr("abc", 0/0, 2));
+print(substr("abc", -1e300, 1));
+print(ord("ab", 1.9));
+)");
+  const std::vector<std::string> expected = {"0", "5",  "3",  "0",  "7", "1", "1",
+                                             "0", "65", "bc", "ab", "a", "98"};
+  EXPECT_EQ(out, expected);
+
+  VmOptions vulnerable;
+  vulnerable.enable_vulnerability = true;
+  for (const char* script : {"__peek(1e300);", "__poke(0/0, 1);", "__poke(8, -1e300);"}) {
+    Vm vm(runtime_.get(), vulnerable);
+    ASSERT_TRUE(vm.Load(script).ok()) << script;
+    const Status status = vm.Run().status();
+    EXPECT_NE(status.message().find("out of range"), std::string::npos) << status.ToString();
+  }
+}
+
 // Collection runs only at instruction boundaries, after instructions that
 // allocate. With a 1-byte threshold it runs after every one of them; the
 // output must not change: string concatenation across nested script calls
