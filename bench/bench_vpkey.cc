@@ -32,15 +32,16 @@
 //     grow with the range count (scripts/check.sh vpkey gates the
 //     live:1024 / live:64 ratio at 1.5).
 //
-//  5. What does a key miss cost in the sandbox server's shape, and how much
-//     of it is the re-tag span? 256 adjacent 8 MiB pools with 2 or 16 pages
-//     populated, 13 slot keys plus an evicted key, entered round-robin so
-//     every entry misses. A miss is the server's two re-tags, issued through
-//     the backend's TagRange: the LRU victim's span to the evicted key and
-//     the entered pool's span to the freed slot key. The span is the whole
-//     pool (what a miss re-tags today) or the first 128 KiB (a pool that
-//     re-tags only what it has committed). Each row is the fastest of 3
-//     interleaved rounds.
+//  5. What does a key miss cost in the sandbox server's shape? 256
+//     libraries whose pools are built the way the server builds its
+//     tenants': RegisterLibrary on an 8 MiB pool, then a 64 KiB scratch
+//     from AllocateIn, touched once inside the library's scope. 13 slots,
+//     entered round-robin so every entry misses. Each miss re-tags two
+//     whole pools: the LRU victim's to the evicted key and the entered
+//     one's to the freed slot key. On hardware its cost follows the span
+//     between a pool's lowest and highest populated page (the kernel
+//     flushes the TLB page by page across it), which FreeListHeap keeps at
+//     two adjacent pages. Each row is the fastest of 5 rounds.
 //
 // Writes BENCH_vpkey.json via the shared emitter.
 #include <algorithm>
@@ -52,8 +53,6 @@
 #include <vector>
 
 #include "bench/bench_json.h"
-#include "src/memmap/page.h"
-#include "src/memmap/vm_region.h"
 #include "src/mpk/backend_factory.h"
 #include "src/mpk/sim_backend.h"
 #include "src/multidomain/multi_compartment.h"
@@ -171,32 +170,48 @@ HotSetResult RunHotSet(int compartments) {
 }
 
 constexpr int kChurnLive = 8;
-constexpr int kChurnSlots = 4;  // fewer than any live count: every entry misses
-constexpr int kChurnMisses = 2000;
 constexpr int kChurnReleased = 20000;
 constexpr int kLiveCounts[] = {64, 256, 1024};
 constexpr int kLiveRounds = 5;
+constexpr int kTimedMisses = 2000;
 
-// Re-tag µs per key miss among `live_count` round-robin libraries, after
-// `released` libraries were registered, used and released, on a fresh
-// backend named as --backend= takes it. Negative when the backend is
-// unavailable here.
-double MeasureRetagUsPerMiss(const char* backend_name, int released, int live_count) {
+// The libraries whose key misses are timed.
+struct MissShape {
+  size_t pool_bytes = size_t{256} << 10;
+  size_t slots = 4;  // fewer than any live count: every entry misses
+  int live = kChurnLive;
+  // Registered, given one 64-byte allocation and released before the live
+  // libraries are registered.
+  int released = 0;
+  // Each live library's first allocation, touched once inside its scope as
+  // a server session's scratch is; 0 leaves the pool untouched.
+  size_t scratch_bytes = 0;
+};
+
+// The sandbox server's tenant population (see 5. above).
+constexpr MissShape kServerShape{
+    .pool_bytes = size_t{8} << 20, .slots = 13, .live = 256, .scratch_bytes = 64 * 1024};
+constexpr int kServerRounds = 5;
+
+// Re-tag µs per key miss among `shape.live` libraries entered round-robin,
+// on a fresh backend named as --backend= takes it. Negative when the
+// backend is unavailable here.
+double MeasureRetagUsPerMiss(const char* backend_name, const MissShape& shape) {
   auto backend = CreateMpkBackend(*ParseBackendKind(backend_name));
   if (!backend.ok()) {
     return -1;
   }
   (*backend)->WritePkru(PkruValue::AllowAll());
-  MultiCompartmentConfig config = SmallPools();
-  config.library_pool_bytes = size_t{256} << 10;
-  config.max_hw_slots = kChurnSlots;
+  MultiCompartmentConfig config;
+  config.library_pool_bytes = shape.pool_bytes;
+  config.max_hw_slots = shape.slots;
   auto sandbox = MakeSandbox(backend->get(), config);
   if (!sandbox.ok()) {
     std::fprintf(stderr, "%s: %s\n", backend_name, sandbox.status().ToString().c_str());
     return -1;
   }
   MultiCompartment* mc = sandbox->mc.get();
-  for (int i = 0; i < released; ++i) {
+  for (int i = 0; i < shape.released; ++i) {
     auto id = mc->RegisterLibrary("released");
     if (!id.ok() || mc->AllocateIn(*id, 64) == nullptr || !mc->ReleaseLibrary(*id).ok()) {
       std::fprintf(stderr, "%s: session %d failed\n", backend_name, i);
@@ -204,82 +219,35 @@ double MeasureRetagUsPerMiss(const char* backend_name, int released, int live_co
     }
   }
   std::vector<LibraryId> live;
-  for (int i = 0; i < live_count; ++i) {
-    live.push_back(*mc->RegisterLibrary("live" + std::to_string(i)));
+  for (int i = 0; i < shape.live; ++i) {
+    auto id = mc->RegisterLibrary("live" + std::to_string(i));
+    if (!id.ok()) {
+      std::fprintf(stderr, "%s: %s\n", backend_name, id.status().ToString().c_str());
+      return -1;
+    }
+    live.push_back(*id);
+    if (shape.scratch_bytes > 0) {
+      auto* scratch = static_cast<volatile char*>(mc->AllocateIn(*id, shape.scratch_bytes));
+      if (scratch == nullptr) {
+        std::fprintf(stderr, "%s: scratch allocation failed\n", backend_name);
+        return -1;
+      }
+      MultiCompartment::Scope scope(*mc, *id);
+      scratch[0] = 1;
+    }
   }
-  for (int i = 0; i < 2 * live_count; ++i) {  // first-touch work out of the timing
-    MultiCompartment::Scope warm(*mc, live[i % live_count]);
+  for (int i = 0; i < 2 * shape.live; ++i) {  // first-touch work out of the timing
+    MultiCompartment::Scope warm(*mc, live[i % shape.live]);
   }
   const VpkeyStats before = mc->vpkey_stats();
-  for (int i = 0; i < kChurnMisses; ++i) {
-    MultiCompartment::Scope scope(*mc, live[i % live_count]);
+  for (int i = 0; i < kTimedMisses; ++i) {
+    MultiCompartment::Scope scope(*mc, live[i % shape.live]);
   }
   const VpkeyStats after = mc->vpkey_stats();
   const uint64_t misses = after.misses - before.misses;
   return misses == 0 ? -1
                      : static_cast<double>(after.retag_ns - before.retag_ns) / 1e3 /
                            static_cast<double>(misses);
-}
-
-constexpr int kServerPools = 256;
-constexpr size_t kServerPoolBytes = size_t{8} << 20;
-constexpr size_t kCommittedSpan = size_t{128} << 10;
-constexpr int kServerSlots = 13;
-constexpr int kServerMisses = 10000;
-constexpr int kServerRounds = 3;
-constexpr int kPopulatedPages[] = {2, 16};
-
-// Re-tag µs per key miss in the server's shape (see 5. above); negative
-// when the backend or its keys are unavailable here.
-double MeasureServerShapeUsPerMiss(const char* backend_name, int populated_pages, size_t span) {
-  auto created = CreateMpkBackend(*ParseBackendKind(backend_name));
-  if (!created.ok()) {
-    return -1;
-  }
-  MpkBackend& backend = **created;
-  backend.WritePkru(PkruValue::AllowAll());
-  std::vector<PkeyId> keys;  // kServerSlots slot keys, then the evicted key
-  double us = -1;
-  for (int i = 0; i <= kServerSlots; ++i) {
-    auto key = backend.AllocateKey();
-    if (!key.ok()) {
-      break;
-    }
-    keys.push_back(*key);
-  }
-  if (keys.size() == kServerSlots + 1) {
-    const PkeyId evicted = keys.back();
-    auto region = VmRegion::Reserve(kServerPools * kServerPoolBytes);
-    bool ok = region.ok();
-    const auto pool = [&](int p) { return region->base() + p * kServerPoolBytes; };
-    for (int p = 0; ok && p < kServerPools; ++p) {
-      for (int page = 0; page < populated_pages; ++page) {
-        *reinterpret_cast<volatile char*>(pool(p) + page * kPageSize) = 1;
-      }
-      ok = backend.TagRange(pool(p), span, evicted).ok();
-    }
-    // Round-robin entries make the LRU victim the slot filled longest ago.
-    std::vector<int> slot_pool(kServerSlots, -1);
-    double start = 0;
-    for (int i = 0; ok && i < kServerSlots + kServerMisses; ++i) {
-      if (i == kServerSlots) {
-        start = NowNs();  // every slot is full: each miss from here re-tags twice
-      }
-      const int slot = i % kServerSlots;
-      if (slot_pool[slot] >= 0) {
-        ok = backend.TagRange(pool(slot_pool[slot]), span, evicted).ok();
-      }
-      ok = ok && backend.TagRange(pool(i % kServerPools), span, keys[slot]).ok();
-      slot_pool[slot] = i % kServerPools;
-    }
-    if (ok) {
-      us = (NowNs() - start) / 1e3 / kServerMisses;
-    }
-  }
-  for (const PkeyId key : keys) {
-    (void)backend.FreeKey(key);
-  }
-  return us;
 }
 
 }  // namespace
@@ -308,17 +276,17 @@ int main() {
     out.Add("retag_mb" + tag, r.retag_mb, "MiB");
   }
 
-  std::printf("\nchurn: re-tag cost per miss, %d live libraries over %d slots\n", kChurnLive,
-              kChurnSlots);
+  std::printf("\nchurn: re-tag cost per miss, %d live libraries over %zu slots\n", kChurnLive,
+              MissShape{}.slots);
   std::printf("%10s %16s %16s %8s\n", "backend", "released:0 us",
               ("released:" + std::to_string(kChurnReleased) + " us").c_str(), "ratio");
   for (const char* name : {"sim", "mprotect", "hardware"}) {
-    const double fresh = MeasureRetagUsPerMiss(name, 0, kChurnLive);
+    const double fresh = MeasureRetagUsPerMiss(name, {});
     if (fresh < 0) {
       std::printf("%10s %16s\n", name, "unavailable");
       continue;
     }
-    const double churned = MeasureRetagUsPerMiss(name, kChurnReleased, kChurnLive);
+    const double churned = MeasureRetagUsPerMiss(name, {.released = kChurnReleased});
     std::printf("%10s %16.2f %16.2f %7.2fx\n", name, fresh, churned, churned / fresh);
     const std::string tag = std::string("/backend:") + name;
     out.Add("retag_us_per_miss" + tag + "/released:0", fresh, "us");
@@ -327,8 +295,8 @@ int main() {
     out.Add("retag_growth_ratio" + tag, churned / fresh, "x");
   }
 
-  std::printf("\nlive: re-tag cost per miss by live libraries over %d slots, fastest of %d\n",
-              kChurnSlots, kLiveRounds);
+  std::printf("\nlive: re-tag cost per miss by live libraries over %zu slots, fastest of %d\n",
+              MissShape{}.slots, kLiveRounds);
   std::printf("%10s %12s %12s %12s %8s\n", "backend", "live:64 us", "live:256 us", "live:1024 us",
               "ratio");
   for (const char* name : {"sim", "mprotect", "hardware"}) {
@@ -337,7 +305,7 @@ int main() {
     double best[std::size(kLiveCounts)];
     for (int round = 0; round < kLiveRounds; ++round) {
       for (size_t i = 0; i < std::size(kLiveCounts); ++i) {
-        const double us = MeasureRetagUsPerMiss(name, 0, kLiveCounts[i]);
+        const double us = MeasureRetagUsPerMiss(name, {.live = kLiveCounts[i]});
         best[i] = round == 0 ? us : std::min(best[i], us);
       }
     }
@@ -354,32 +322,22 @@ int main() {
     out.Add("retag_live_ratio" + tag, growth, "x");
   }
 
-  std::printf("\nserver shape: re-tag cost per miss, %d x 8 MiB pools over %d slots, "
-              "fastest of %d\n",
-              kServerPools, kServerSlots, kServerRounds);
-  std::printf("%10s %10s %14s %14s\n", "backend", "populated", "span:pool us", "span:128KiB us");
+  std::printf("\nserver shape: re-tag cost per miss, %d x 8 MiB tenant pools with a 64 KiB "
+              "scratch over %zu slots, fastest of %d\n",
+              kServerShape.live, kServerShape.slots, kServerRounds);
+  std::printf("%10s %10s\n", "backend", "us");
   for (const char* name : {"sim", "mprotect", "hardware"}) {
-    double best[std::size(kPopulatedPages)][2];
-    for (int round = 0; round < kServerRounds; ++round) {
-      for (size_t i = 0; i < std::size(kPopulatedPages); ++i) {
-        for (size_t s = 0; s < 2; ++s) {
-          const double us = MeasureServerShapeUsPerMiss(
-              name, kPopulatedPages[i], s == 0 ? kServerPoolBytes : kCommittedSpan);
-          best[i][s] = round == 0 ? us : std::min(best[i][s], us);
-        }
-      }
-    }
-    if (best[0][0] < 0) {
+    double best = MeasureRetagUsPerMiss(name, kServerShape);
+    if (best < 0) {
       std::printf("%10s %10s\n", name, "unavailable");
       continue;
     }
-    for (size_t i = 0; i < std::size(kPopulatedPages); ++i) {
-      const std::string tag = std::string("/backend:") + name +
-                              "/pool:8MiB/populated:" + std::to_string(kPopulatedPages[i]);
-      out.Add("server_retag_us_per_miss" + tag + "/span:pool", best[i][0], "us");
-      out.Add("server_retag_us_per_miss" + tag + "/span:128KiB", best[i][1], "us");
-      std::printf("%10s %10d %14.2f %14.2f\n", name, kPopulatedPages[i], best[i][0], best[i][1]);
+    for (int round = 1; round < kServerRounds; ++round) {
+      best = std::min(best, MeasureRetagUsPerMiss(name, kServerShape));
     }
+    std::printf("%10s %10.2f\n", name, best);
+    out.Add(std::string("server_retag_us_per_miss/backend:") + name + "/pool:8MiB/tenants:256",
+            best, "us");
   }
   out.Write();
   return 0;

@@ -5,6 +5,8 @@
 
 namespace pkrusafe {
 
+FreeListHeap::FreeListHeap(Arena* arena) : arena_(arena), spans_(arena) {}
+
 void* FreeListHeap::Allocate(size_t size) {
   std::lock_guard lock(mutex_);
   void* ptr = nullptr;

@@ -13,7 +13,10 @@
 // retained as hysteresis). Large allocations map directly to chunks. All
 // metadata (free-list links inside free blocks, the one span directory
 // shared by every class and large chunk) lives inside the owning arena
-// (§3.4). Frees of interior pointers, never-allocated blocks and (via the
+// (§3.4). The directory's chunk is taken with the heap (and again by
+// Reset), so it is the pool's first chunk, and the table sits at its top,
+// directly below the first data chunk: a tenant pool's table page and first
+// data page are adjacent. Frees of interior pointers, never-allocated blocks and (via the
 // free canary, see small_block.h) already-free blocks abort.
 #ifndef SRC_PKALLOC_FREE_LIST_HEAP_H_
 #define SRC_PKALLOC_FREE_LIST_HEAP_H_
@@ -39,8 +42,9 @@ struct HeapStats {
 
 class FreeListHeap {
  public:
-  // The arena must outlive the heap.
-  explicit FreeListHeap(Arena* arena) : arena_(arena), spans_(arena) {}
+  // The arena must outlive the heap. Takes the arena's next chunk for the
+  // span directory.
+  explicit FreeListHeap(Arena* arena);
 
   FreeListHeap(const FreeListHeap&) = delete;
   FreeListHeap& operator=(const FreeListHeap&) = delete;
@@ -64,9 +68,10 @@ class FreeListHeap {
 
   // Returns the heap to its just-constructed state after the arena dropped
   // every chunk (Arena::DecommitAll): the span table, bins and stats lived in
-  // or described pages that are already gone, so nothing is freed. Pointers
-  // handed out before are dangling. Lets a compartment pool be recycled in
-  // place instead of building a new heap object per tenant.
+  // or described pages that are already gone, so nothing is freed, and a new
+  // span table takes the pool's first chunk again. Pointers handed out before
+  // are dangling. Lets a compartment pool be recycled in place instead of
+  // building a new heap object per tenant.
   void Reset();
 
  private:

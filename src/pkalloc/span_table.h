@@ -14,6 +14,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <utility>
 
 #include "src/memmap/page.h"
 #include "src/pkalloc/arena.h"
@@ -55,10 +56,14 @@ struct SpanInfo {
 class SpanTable {
  public:
   // Storage comes from `arena`; the table grows by allocating a bigger
-  // chunk and rehashing. The first table fits in one page, so a pool with a
-  // handful of spans (a tenant's) touches one page of metadata. The arena
-  // must outlive the table.
-  explicit SpanTable(Arena* arena) : arena_(arena) {}
+  // chunk and rehashing. The slots sit at the top of their chunk. The first
+  // table fits in one page and its chunk is taken here, so over a fresh pool
+  // it is the pool's first chunk and the table's page lies directly below
+  // the next chunk, the owner's first data chunk: a pool with a handful of
+  // spans (a tenant's) keeps its populated pages adjacent, and a key miss's
+  // TLB flush, which covers every page between the lowest and highest
+  // populated one, stays short. The arena must outlive the table.
+  explicit SpanTable(Arena* arena) : arena_(arena) { ReserveFirst(); }
   // Deferred-attach form for arrays of tables (central free-list shards);
   // call set_arena() before the first Insert.
   SpanTable() = default;
@@ -123,12 +128,14 @@ class SpanTable {
 
   // Forgets every span without touching the slot storage. Only for an arena
   // that has already dropped its chunks (Arena::DecommitAll): the storage
-  // chunk went with them, and the next Insert allocates a fresh one.
+  // chunk went with them, and the first table takes the pool's first chunk
+  // again, as at construction.
   void Reset() {
     slots_ = nullptr;
     capacity_ = 0;
     used_ = 0;
     live_ = 0;
+    ReserveFirst();
   }
 
  private:
@@ -175,24 +182,40 @@ class SpanTable {
   }
   const Slot* Probe(uintptr_t key) const { return const_cast<SpanTable*>(this)->Probe(key); }
 
+  // Takes the first table's chunk without writing it: the slots are written
+  // by the first Insert, so a heap that never allocates (a recycled pool
+  // waiting for its next tenant) keeps no page resident. An exhausted arena
+  // leaves nothing reserved, and the first Insert allocates instead.
+  void ReserveFirst() {
+    auto chunk = arena_->AllocateChunk(ChunkBytes(kFirstCapacity));
+    reserved_ = chunk.ok() ? *chunk : 0;
+  }
+
+  // A table of `capacity` slots takes a chunk of ChunkBytes(capacity) and
+  // fills its top, from SlotsOffset(capacity) up.
+  static size_t ChunkBytes(size_t capacity) {
+    return RoundUp(capacity * sizeof(Slot), kArenaChunkGranularity);
+  }
+  static size_t SlotsOffset(size_t capacity) {
+    return ChunkBytes(capacity) - capacity * sizeof(Slot);
+  }
+
   // Doubles the table once half its slots are live; below that, the used
   // slots are mostly tombstones and a same-size rehash clears them.
   Status Grow() {
     const size_t new_capacity =
         capacity_ == 0 ? kFirstCapacity : live_ * 2 >= capacity_ ? capacity_ * 2 : capacity_;
-    const size_t bytes = new_capacity * sizeof(Slot);
-    auto chunk = arena_->AllocateChunk(bytes);
-    if (!chunk.ok()) {
-      return chunk.status();
+    uintptr_t chunk = std::exchange(reserved_, 0);
+    if (chunk == 0) {
+      PS_ASSIGN_OR_RETURN(chunk, arena_->AllocateChunk(ChunkBytes(new_capacity)));
     }
-    auto* new_slots = reinterpret_cast<Slot*>(*chunk);
+    auto* new_slots = reinterpret_cast<Slot*>(chunk + SlotsOffset(new_capacity));
     for (size_t i = 0; i < new_capacity; ++i) {
       new_slots[i].state = kEmpty;
     }
 
     Slot* old_slots = slots_;
     const size_t old_capacity = capacity_;
-    const size_t old_bytes = old_capacity * sizeof(Slot);
 
     slots_ = new_slots;
     capacity_ = new_capacity;
@@ -204,12 +227,14 @@ class SpanTable {
           PS_CHECK(Insert(old_slots[i].key, old_slots[i].info).ok());
         }
       }
-      arena_->FreeChunk(reinterpret_cast<uintptr_t>(old_slots), old_bytes);
+      arena_->FreeChunk(reinterpret_cast<uintptr_t>(old_slots) - SlotsOffset(old_capacity),
+                        ChunkBytes(old_capacity));
     }
     return Status::Ok();
   }
 
   Arena* arena_ = nullptr;
+  uintptr_t reserved_ = 0;  // the first table's chunk, until the first Insert
   Slot* slots_ = nullptr;
   size_t capacity_ = 0;
   size_t used_ = 0;  // live + tombstones
@@ -231,8 +256,10 @@ class SpanList {
   // `on_block(FreeNode*)`: the free lists first, then the retained span,
   // then a fresh 64 KiB span from `arena`, whose base goes to
   // `on_carve(base)` before any of its blocks. Returns the number popped,
-  // short only when the arena is exhausted. A block popped from a free list
-  // has its canary cleared; a freshly carved block is not written at all.
+  // short only when the arena is exhausted. Every popped block has its
+  // canary cleared: a carved block can hold a stale one too, because a
+  // released span's chunk keeps its contents (Arena::FreeChunk does not
+  // decommit) and may be carved again for the same class.
   template <typename OnBlock, typename OnCarve>
   size_t Pop(SpanTable& table, Arena& arena, size_t class_index, size_t want,
              OnBlock&& on_block, OnCarve&& on_carve) {
@@ -253,11 +280,11 @@ class SpanList {
         if (block != nullptr) {
           span->free_head = block->next;
           --span->free_count;
-          ClearFreeCanary(block);
         } else {
           block = reinterpret_cast<FreeNode*>(base + size_t{span->carved} * block_size);
           ++span->carved;
         }
+        ClearFreeCanary(block);
         on_block(block);
       }
       if (!span->HasAvailableBlock()) {

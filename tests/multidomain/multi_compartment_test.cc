@@ -4,12 +4,16 @@
 #include "src/multidomain/multi_compartment.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <deque>
+#include <optional>
 #include <string>
+#include <vector>
 
+#include "src/memmap/page.h"
 #include "src/mpk/sim_backend.h"
 #include "src/telemetry/metrics.h"
 
@@ -355,6 +359,75 @@ TEST(MultiCompartmentChurnTest, SessionChurnLeaksNoKeysOrPages) {
   // Released entries are reused before the table grows: it holds the peak
   // number of live tenants, not every session ever created.
   EXPECT_EQ(mc.library_count(), kLiveTenants);
+}
+
+// The resident pages of the pool holding `inside`, by address. The pool's
+// reservation is found page by page through PrivateOwnerOf.
+std::vector<uintptr_t> ResidentPoolPages(const MultiCompartment& mc, const void* inside) {
+  const std::optional<LibraryId> owner = mc.PrivateOwnerOf(inside);
+  const auto owned = [&](uintptr_t page) {
+    return mc.PrivateOwnerOf(reinterpret_cast<const void*>(page)) == owner;
+  };
+  uintptr_t begin = reinterpret_cast<uintptr_t>(inside) & ~(kPageSize - 1);
+  while (owned(begin - kPageSize)) {
+    begin -= kPageSize;
+  }
+  uintptr_t end = begin;
+  while (owned(end)) {
+    end += kPageSize;
+  }
+  std::vector<unsigned char> vec((end - begin) / kPageSize);
+  std::vector<uintptr_t> resident;
+  if (::mincore(reinterpret_cast<void*>(begin), end - begin, vec.data()) != 0) {
+    return resident;
+  }
+  for (size_t i = 0; i < vec.size(); ++i) {
+    if ((vec[i] & 1) != 0) {
+      resident.push_back(begin + i * kPageSize);
+    }
+  }
+  return resident;
+}
+
+// A tenant pool as the sandbox server builds it: a 64 KiB scratch touched
+// once inside the tenant's scope. The pool then holds two pages, the span
+// table's and the scratch's, and they are adjacent, so a key miss's TLB
+// flush covers 2 pages; with the table in a chunk of its own above the
+// scratch it covered 17. The pool is smaller than a huge page, so THP
+// cannot inflate the count.
+TEST(MultiCompartmentPoolLayoutTest, FreshAndRecycledPoolsPopulateTwoAdjacentPages) {
+  SetCurrentThreadPkru(PkruValue::AllowAll());
+  SimMpkBackend backend;
+  PkAllocatorConfig pool_config;
+  pool_config.trusted_pool_bytes = size_t{1} << 20;
+  pool_config.untrusted_pool_bytes = size_t{1} << 20;
+  auto pools = PkAllocator::Create(&backend, pool_config);
+  ASSERT_TRUE(pools.ok()) << pools.status().ToString();
+  MultiCompartmentConfig config;
+  config.library_pool_bytes = size_t{1} << 20;
+  auto created = MultiCompartment::Create(pools->get(), config);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  MultiCompartment& mc = **created;
+
+  for (const char* pool : {"fresh", "recycled"}) {
+    auto id = mc.RegisterLibrary(pool);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    auto* scratch = static_cast<char*>(mc.AllocateIn(*id, 64 * 1024));
+    ASSERT_NE(scratch, nullptr);
+    {
+      MultiCompartment::Scope scope(mc, *id);
+      scratch[0] = 1;
+    }
+    const auto page = reinterpret_cast<uintptr_t>(scratch);
+    const std::vector<uintptr_t> resident = ResidentPoolPages(mc, scratch);
+    ASSERT_EQ(resident.size(), 2u) << pool;
+    // The lower page is the top of the pool's first chunk, where the span
+    // table sits; the upper one is the scratch, the next chunk's first page.
+    EXPECT_EQ(resident[0], page - kPageSize) << pool;
+    EXPECT_EQ(resident[1], page) << pool;
+    ASSERT_TRUE(mc.ReleaseLibrary(*id).ok());
+  }
+  EXPECT_EQ(mc.library_count(), 1u);  // the second library took the first one's pool
 }
 
 TEST_F(MultiCompartmentTest, SharedDataFlowsBetweenLibraries) {

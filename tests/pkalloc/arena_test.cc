@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "src/memmap/page.h"
 #include "src/pkalloc/span_table.h"
 
 namespace pkrusafe {
@@ -155,6 +159,77 @@ TEST(SpanTableTest, GrowsFromOnePageStartKeepingEveryEntry) {
     EXPECT_EQ(info->class_index, i);
     EXPECT_EQ(info->chunk_bytes, i);
   }
+}
+
+// The first table's chunk is taken when the table is built, so over a fresh
+// arena it is the first chunk. Its slots sit at the chunk's top, so growing
+// past the first page must return that chunk by its base, not by the slots'
+// address.
+TEST(SpanTableTest, GrowthPastTheFirstPageReturnsTheFirstChunk) {
+  auto arena_result = Arena::Create(size_t{16} << 20);
+  ASSERT_TRUE(arena_result.ok());
+  auto arena = std::move(*arena_result);
+  SpanTable table(arena.get());
+  EXPECT_EQ(arena->outstanding_bytes(), kArenaChunkGranularity);
+
+  constexpr size_t kCount = SpanTable::kFirstCapacity;
+  for (size_t i = 0; i < kCount; ++i) {
+    ASSERT_TRUE(table.Insert(0x100000 + i * 0x10000, SpanInfo{static_cast<uint32_t>(i), i}).ok());
+  }
+  ASSERT_GT(table.capacity(), SpanTable::kFirstCapacity);  // past one page
+  for (size_t i = 0; i < kCount; ++i) {
+    const SpanInfo* info = table.Find(0x100000 + i * 0x10000);
+    ASSERT_NE(info, nullptr) << i;
+    EXPECT_EQ(info->class_index, i);
+  }
+  // Only the grown table's chunk is still handed out, and the next chunk
+  // request gets the first one back.
+  EXPECT_EQ(arena->outstanding_bytes(), kArenaChunkGranularity);
+  auto reused = arena->AllocateChunk(kArenaChunkGranularity);
+  ASSERT_TRUE(reused.ok());
+  EXPECT_EQ(*reused, RoundUp(arena->base(), kArenaChunkGranularity));
+}
+
+// A released span's chunk keeps its contents (FreeChunk does not decommit),
+// so when it is carved again for the same class its blocks still hold the
+// free canaries of their last life. A carved block must not carry one: its
+// first free would take the slow free-list scan, and a canary check could
+// not tell it from a freed block.
+TEST(SpanListTest, ReCarvedSpanHandsOutNoStaleCanary) {
+  auto arena_result = Arena::Create(size_t{16} << 20);
+  ASSERT_TRUE(arena_result.ok());
+  auto arena = std::move(*arena_result);
+  SpanTable table(arena.get());
+  SpanList list;
+  const size_t class_index = SizeClassIndex(4096);
+  const size_t per_span = kArenaChunkGranularity / ClassSize(class_index);
+
+  std::vector<FreeNode*> blocks;
+  std::vector<uintptr_t> carved;
+  const auto pop = [&](size_t want) {
+    return list.Pop(
+        table, *arena, class_index, want, [&](FreeNode* block) { blocks.push_back(block); },
+        [&](uintptr_t base) { carved.push_back(base); });
+  };
+  ASSERT_EQ(pop(2 * per_span), 2 * per_span);
+  ASSERT_EQ(carved.size(), 2u);
+  // Free both spans: the first to empty is retained, the second released.
+  for (FreeNode* block : blocks) {
+    const uintptr_t base = ChunkBaseOf(block);
+    list.Push(table, *arena, base, table.FindMutable(base), block, [](uintptr_t) {});
+  }
+  ASSERT_EQ(list.spans_released(), 1u);
+  const uintptr_t released = carved.back();
+
+  // The retained span serves first; the next span is the released one,
+  // carved again.
+  blocks.clear();
+  ASSERT_EQ(pop(2 * per_span), 2 * per_span);
+  ASSERT_EQ(carved.size(), 3u);
+  EXPECT_EQ(carved.back(), released);
+  const auto stale = std::count_if(blocks.begin(), blocks.end(),
+                                   [](const FreeNode* block) { return HasFreeCanary(block); });
+  EXPECT_EQ(stale, 0);
 }
 
 // Erases leave tombstones. With few live spans, churning many distinct
