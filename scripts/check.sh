@@ -7,8 +7,9 @@
 #   scripts/check.sh tsan           # ThreadSanitizer build (build/check-tsan)
 #   scripts/check.sh ubsan          # UndefinedBehaviorSanitizer build, with
 #                                   # float-cast-overflow (build/check-ubsan):
-#                                   # the jsvm, JSON, server, allocator and
-#                                   # compartment suites
+#                                   # the jsvm, JSON, server, allocator,
+#                                   # compartment, IR, passes and analysis
+#                                   # suites
 #   scripts/check.sh lint           # pkrusafe_lint over examples/ir/ + WRPKRU
 #                                   # gadget scan of the built tools
 #   scripts/check.sh crash          # end-to-end crash forensics: an enforced
@@ -106,11 +107,14 @@ run_ubsan() {
   # allocator and compartment pools, whose span tables are placed by chunk
   # arithmetic (a misaligned slot pointer is UB), with the vpkey layer that
   # re-tags those pools. The thread-cache tests are CentralFreeListTest's.
+  # Last, the IR parser, the passes and the static analyses, which take
+  # module text from the command line (pkrusafe_lint, profile_tool check).
   cmake -B build/check-ubsan -S . -DPKRUSAFE_SANITIZE=undefined
   cmake --build build/check-ubsan -j "$(nproc)" \
-    --target jsvm_test support_test server_test pkalloc_test multidomain_test
+    --target jsvm_test support_test server_test pkalloc_test multidomain_test \
+             ir_test analysis_test passes_test corpus_property_test
   ctest --test-dir build/check-ubsan --output-on-failure \
-    -R '^(LexerTest|ScriptParserTest|CompilerTest|JsHeapTest|VmTest|ModNumbersTest|VerifierTest|ExploitTest|BytecodeGoldenTest|JsonTest|JsonWriterTest|SandboxServerProgramCacheTest|SandboxServerTest)\.|^([A-Za-z]+/)?(SpanTableTest|SpanListTest|FreeListHeap[A-Za-z]*Test|ArenaTest|CentralFreeListTest|MultiCompartment[A-Za-z]*Test|Vpkey[A-Za-z]*Test)\.'
+    -R '^(LexerTest|ScriptParserTest|CompilerTest|JsHeapTest|VmTest|ModNumbersTest|VerifierTest|ExploitTest|BytecodeGoldenTest|JsonTest|JsonWriterTest|SandboxServerProgramCacheTest|SandboxServerTest)\.|^([A-Za-z]+/)?(SpanTableTest|SpanListTest|FreeListHeap[A-Za-z]*Test|ArenaTest|CentralFreeListTest|MultiCompartment[A-Za-z]*Test|Vpkey[A-Za-z]*Test)\.|^(ParserTest|CallGraphTest|PointsToTest|LintTest|GadgetScanTest|PkruFlowTest|PkruStateTest|GateIntegrityTest|FindingsGoldenTest|SarifTest|StaticSharingTest|PassManagerTest|AllocIdPassTest|GateInsertionPassTest|ProfileApplyPassTest|GateLoweringPassTest|CorpusPropertyTest)\.'
 }
 
 run_lint() {

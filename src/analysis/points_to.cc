@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/telemetry/metrics.h"
+
 namespace pkrusafe {
 namespace analysis {
 
@@ -99,7 +101,21 @@ Status PointsToAnalysis::Run() {
     }
     changed |= PropagateUReachability();
   }
+  PublishStats();
   return Status::Ok();
+}
+
+void PointsToAnalysis::PublishStats() const {
+  auto& registry = telemetry::MetricsRegistry::Global();
+  registry.GetOrCreateCounter("analysis.static_sharing.runs")->Increment();
+  registry.GetOrCreateCounter("analysis.static_sharing.iterations_total")
+      ->Increment(static_cast<uint64_t>(iterations_));
+  registry.GetOrCreateGauge("analysis.static_sharing.iterations")->Set(iterations_);
+  registry.GetOrCreateGauge("analysis.static_sharing.shared_sites")
+      ->Set(static_cast<int64_t>(SharedSites().size()));
+  registry.GetOrCreateGauge("analysis.points_to.objects")
+      ->Set(static_cast<int64_t>(object_count()));
+  registry.GetOrCreateGauge("analysis.points_to.edges")->Set(static_cast<int64_t>(edge_count()));
 }
 
 bool PointsToAnalysis::TransferFunction(FunctionState& state) {

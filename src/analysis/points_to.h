@@ -1,8 +1,8 @@
-// Andersen-style, field-insensitive, per-allocation-site points-to analysis.
-//
-// This replaces the old one-cell memory abstraction of StaticSharingAnalysis
-// (where one shared store tainted every load in the module) with one abstract
-// object per allocation instruction:
+// Andersen-style, field-insensitive, per-allocation-site points-to analysis:
+// the static sharing analysis, the compile-time alternative to dynamic
+// profiling (paper §4.3 / §6 — "PKRU-Safe supports instrumentation entirely
+// based on static analysis in principle"). It models memory with one
+// abstract object per allocation instruction:
 //
 //   * abstract objects = the module's alloc / alloc_untrusted / stackalloc /
 //     stackalloc_untrusted sites, named by their AllocId, plus one
@@ -25,9 +25,15 @@
 //
 // Soundness (w.r.t. the interpreter): every dynamic profile of the module is
 // a subset of SharedSites() — tested as a property over examples/ir/.
-// Precision: a store into a private object no longer taints unrelated loads,
+// Precision: a store into a private object does not taint unrelated loads,
 // so the static profile shrinks toward the dynamic one (§6's over-sharing
-// gap, narrowed).
+// gap, narrowed; docs/static_analysis.md records the corpus numbers against
+// the retired one-cell model).
+//
+// Each Run() publishes its cost to the telemetry metrics registry
+// (analysis.static_sharing.* and analysis.points_to.*, see
+// docs/static_analysis.md), so `--stats=json` covers analysis cost alongside
+// runtime cost.
 #ifndef SRC_ANALYSIS_POINTS_TO_H_
 #define SRC_ANALYSIS_POINTS_TO_H_
 
@@ -76,6 +82,7 @@ class PointsToAnalysis {
   // untrusted externs count as boundary edges even when unmarked.
   explicit PointsToAnalysis(const IrModule* module) : module_(module) {}
 
+  // Runs to the fixed point and publishes the run's cost metrics.
   Status Run();
 
   const std::vector<AbstractObject>& objects() const { return objects_; }
@@ -93,13 +100,14 @@ class PointsToAnalysis {
   // included).
   ObjectSet ReachableObjects(const ObjectSet& from) const;
 
-  // The analysis result: allocation sites whose objects U may reach. This is
-  // the static sharing profile (modulo Profile packaging).
+  // The analysis result: allocation sites whose objects U may reach, sorted.
+  // This is the static sharing profile; each site counts once (static
+  // analysis has no fault counts).
   std::vector<AllocId> SharedSites() const;
 
   const CallGraph& call_graph() const { return call_graph_; }
 
-  // Cost metrics, surfaced through telemetry by StaticSharingAnalysis.
+  // Cost of the last Run (also published to telemetry).
   int iterations() const { return iterations_; }
   size_t object_count() const { return objects_.size(); }
   // Total size of all register/contents/return points-to sets at the fixed
@@ -116,6 +124,7 @@ class PointsToAnalysis {
   Status BuildObjects();
   bool TransferFunction(FunctionState& state);
   bool PropagateUReachability();
+  void PublishStats() const;
 
   const IrModule* module_;
   CallGraph call_graph_;

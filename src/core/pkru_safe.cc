@@ -1,5 +1,6 @@
 #include "src/core/pkru_safe.h"
 
+#include "src/analysis/points_to.h"
 #include "src/ir/module_hash.h"
 #include "src/ir/parser.h"
 #include "src/ir/printer.h"
@@ -7,7 +8,6 @@
 #include "src/passes/gate_insertion_pass.h"
 #include "src/passes/pass.h"
 #include "src/passes/profile_apply_pass.h"
-#include "src/passes/static_sharing_analysis.h"
 #include "src/runtime/profile_artifact.h"
 #include "src/support/logging.h"
 #include "src/support/string_util.h"
@@ -80,9 +80,9 @@ Result<std::unique_ptr<System>> System::Create(std::string_view ir_source, Syste
     // Sampling candidates = the static points-to envelope minus what the
     // profile already promoted: sites that MAY flow to U but were not
     // observed doing so yet. Those fault-and-record instead of fault-and-die.
-    StaticSharingAnalysis static_sharing(&system->module_);
-    PS_ASSIGN_OR_RETURN(const Profile static_profile, static_sharing.Run());
-    for (const AllocId id : static_profile.Sites()) {
+    analysis::PointsToAnalysis points_to(&system->module_);
+    PS_RETURN_IF_ERROR(points_to.Run());
+    for (const AllocId id : points_to.SharedSites()) {
       if (!config.profile.Contains(id)) {
         rc.sampling_candidates.insert(id);
       }

@@ -38,8 +38,8 @@ struct SystemConfig {
   // Always-on sampled profiling in enforce mode: keep observing the
   // statically-shared-but-unpromoted sites (the points-to envelope minus the
   // loaded profile) while enforcement stays live. The candidate set is
-  // derived here from StaticSharingAnalysis; see RuntimeConfig for the exact
-  // semantics and FaultRateBudgetOptions for the cost knobs.
+  // derived here from analysis::PointsToAnalysis; see RuntimeConfig for the
+  // exact semantics and FaultRateBudgetOptions for the cost knobs.
   bool sampled_profiling = false;
   FaultRateBudgetOptions sampling;
   size_t trusted_pool_bytes = size_t{2} << 30;

@@ -10,15 +10,15 @@ Result<std::unique_ptr<Arena>> Arena::Create(size_t reserve_bytes) {
   if (reserve_bytes < kArenaChunkGranularity) {
     return InvalidArgumentError("arena reservation too small");
   }
-  auto region = VmRegion::Reserve(RoundUp(reserve_bytes, kArenaChunkGranularity));
+  const size_t usable = RoundUp(reserve_bytes, kArenaChunkGranularity);
+  auto region = VmRegion::Reserve(usable);
   if (!region.ok()) {
     return region.status();
   }
   // mmap returns page-aligned memory; chunk alignment needs 64 KiB. Reserve
   // enough slack to align the base upward.
   if ((region->base() & (kArenaChunkGranularity - 1)) != 0) {
-    auto padded = VmRegion::Reserve(RoundUp(reserve_bytes, kArenaChunkGranularity) +
-                                    kArenaChunkGranularity);
+    auto padded = VmRegion::Reserve(usable + kArenaChunkGranularity);
     if (!padded.ok()) {
       return padded.status();
     }
@@ -29,6 +29,7 @@ Result<std::unique_ptr<Arena>> Arena::Create(size_t reserve_bytes) {
   if (misalignment != 0) {
     arena->bump_ = kArenaChunkGranularity - misalignment;
   }
+  arena->limit_ = arena->bump_ + usable;
   return arena;
 }
 
@@ -47,10 +48,9 @@ Result<uintptr_t> Arena::AllocateChunk(size_t bytes) {
     return addr;
   }
 
-  if (bump_ + rounded > region_.size()) {
+  if (bump_ + rounded > limit_) {
     return ResourceExhaustedError(
-        StrFormat("arena exhausted: %zu requested, %zu remaining", rounded,
-                  region_.size() - bump_));
+        StrFormat("arena exhausted: %zu requested, %zu remaining", rounded, limit_ - bump_));
   }
   const uintptr_t addr = region_.base() + bump_;
   bump_ += rounded;

@@ -60,6 +60,9 @@ class Arena {
   VmRegion region_;
   mutable std::mutex mutex_;
   size_t bump_ = 0;  // offset of the next never-used byte
+  // End of the chunk space: the aligned start plus the rounded reservation,
+  // so a padded region's slack never becomes an extra chunk.
+  size_t limit_ = 0;
   size_t outstanding_ = 0;  // chunk bytes handed out and not yet returned
   // Recycled chunks, bucketed by rounded size.
   std::map<size_t, std::vector<uintptr_t>> free_chunks_;

@@ -308,9 +308,6 @@ Status ProfileStreamWriter::DrainPendingLocked() {
     pending_.erase(0, static_cast<size_t>(n));
   }
   front_partially_written_ = false;
-  if (options_.fsync_on_flush) {
-    (void)::fsync(fd_);
-  }
   return Status::Ok();
 }
 

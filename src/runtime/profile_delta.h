@@ -119,9 +119,6 @@ class ProfileStreamWriter {
     int adopt_fd = -1;
     std::string epoch;
     uint64_t ir_hash = 0;
-    // fsync the file after every fully-drained flush (durability over
-    // throughput; default off).
-    bool fsync_on_flush = false;
     // Cap on buffered-but-unwritten file bytes before whole lines drop.
     size_t max_pending_bytes = 1u << 20;
     // Network sink; port 0 = none.

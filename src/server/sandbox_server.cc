@@ -102,7 +102,7 @@ Result<std::unique_ptr<SandboxServer>> SandboxServer::Create(PkruSafeRuntime* ru
   PS_ASSIGN_OR_RETURN(server->mc_, MultiCompartment::Create(&runtime->allocator(), config));
   server->registry_ = std::make_unique<TenantRegistry>(
       server->mc_.get(),
-      TenantRegistryOptions{server->options_.idle_timeout_ms, server->options_.scratch_bytes});
+      TenantRegistryOptions{server->options_.idle_timeout_ms});
 
   // The secret tenants must never reach: a trusted-heap allocation of the
   // embedder runtime (site 9000:0:0 is reserved for the server embedder).
@@ -345,15 +345,9 @@ SandboxServer::RequestOutcome SandboxServer::RunInTenant(TenantSession* session,
     MultiCompartment::Scope scope(*mc_, session->library);
     // Touch the tenant's private scratch from inside its own compartment:
     // every request exercises the tenant's key, and a stale mask would fault
-    // right here rather than deep in a script.
-    // scratch_bytes is word-aligned by TenantRegistry (and >= one word when
-    // scratch exists); the guard keeps the modulus divisor nonzero even if a
-    // future caller hands the session a smaller buffer.
-    if (session->scratch != nullptr && session->scratch_bytes >= sizeof(uint64_t)) {
-      auto* scratch = static_cast<uint64_t*>(session->scratch);
-      const uint64_t n = session->requests.load(std::memory_order_relaxed);
-      scratch[n % (session->scratch_bytes / sizeof(uint64_t))] = n;
-    }
+    // right here rather than deep in a script. Always the same word, so a
+    // long-lived session keeps one scratch page resident.
+    *static_cast<uint64_t*>(session->scratch) = session->requests.load(std::memory_order_relaxed);
     result = vm.Run();
   });
   session->requests.fetch_add(1, std::memory_order_relaxed);

@@ -72,7 +72,6 @@ struct SandboxServerOptions {
   size_t workers = 2;  // MUST be 1 on backends with process-wide enforcement
   // Tenant lifecycle (see TenantRegistry); idle connections close too.
   uint64_t idle_timeout_ms = 30'000;
-  size_t scratch_bytes = 64 * 1024;
   // How often the I/O thread sweeps idle/dead sessions.
   uint64_t sweep_interval_ms = 250;
   // Per-tenant pool reservation. Virtual keys make the tenant count

@@ -6,22 +6,8 @@
 namespace pkrusafe {
 namespace server {
 
-namespace {
-
-TenantRegistryOptions Normalize(TenantRegistryOptions options) {
-  // The per-request touch indexes the scratch as uint64_t words; round a
-  // nonzero size up to a whole word so that index never divides by zero.
-  if (options.scratch_bytes > 0) {
-    options.scratch_bytes =
-        (options.scratch_bytes + sizeof(uint64_t) - 1) & ~(sizeof(uint64_t) - 1);
-  }
-  return options;
-}
-
-}  // namespace
-
 TenantRegistry::TenantRegistry(MultiCompartment* mc, TenantRegistryOptions options)
-    : mc_(mc), options_(Normalize(options)) {}
+    : mc_(mc), options_(options) {}
 
 Result<TenantSession*> TenantRegistry::GetOrCreate(const std::string& name, uint64_t now_ms) {
   std::lock_guard lock(mu_);
@@ -42,18 +28,16 @@ Result<TenantSession*> TenantRegistry::GetOrCreate(const std::string& name, uint
   session->name = name;
   session->library = library;
   session->last_active_ms = now_ms;
-  if (options_.scratch_bytes > 0) {
-    session->scratch = mc_->AllocateIn(library, options_.scratch_bytes);
-    if (session->scratch == nullptr) {
-      // Roll the registration back: the library was never entered (no pins),
-      // so release cannot refuse. Without this every failed creation burned
-      // a virtual key and a pool reservation — the exact leak class
-      // ReleaseLibrary exists to close.
-      (void)mc_->ReleaseLibrary(library);
-      return ResourceExhaustedError("tenant '" + name + "': private pool exhausted");
-    }
-    session->scratch_bytes = options_.scratch_bytes;
+  session->scratch = mc_->AllocateIn(library, kScratchBytes);
+  if (session->scratch == nullptr) {
+    // Roll the registration back: the library was never entered (no pins),
+    // so release cannot refuse. Without this every failed creation burned
+    // a virtual key and a pool reservation — the exact leak class
+    // ReleaseLibrary exists to close.
+    (void)mc_->ReleaseLibrary(library);
+    return ResourceExhaustedError("tenant '" + name + "': private pool exhausted");
   }
+  session->scratch_bytes = kScratchBytes;
   TenantSession* raw = session.get();
   raw->in_flight.fetch_add(1, std::memory_order_relaxed);
   sessions_[name] = std::move(session);
@@ -81,9 +65,6 @@ bool TenantRegistry::ReleaseLocked(TenantSession& session) {
     return false;
   }
   // The scratch lived in the released pool — the pages are gone wholesale.
-  session.scratch = nullptr;
-  session.scratch_bytes = 0;
-  session.released = true;
   ++stats_.released;
   return true;
 }

@@ -46,12 +46,6 @@ struct TenantRegistryOptions {
   // Sessions idle longer than this are released on the next sweep.
   // 0 disables idle eviction (dead tenants are still reaped).
   uint64_t idle_timeout_ms = 30'000;
-  // Per-session scratch allocated from the tenant's private pool; requests
-  // touch it inside the tenant's compartment so every request exercises the
-  // tenant's own key, not just the shared heap. Nonzero values are rounded
-  // up to a whole uint64_t word at registry construction (the per-request
-  // touch indexes the scratch as words).
-  size_t scratch_bytes = 64 * 1024;
 };
 
 // One tenant's live session. Owned by the registry; a pointer handed out by
@@ -61,7 +55,7 @@ struct TenantRegistryOptions {
 struct TenantSession {
   std::string name;
   LibraryId library = 0;
-  // Scratch in the tenant's private pool (nullptr once released).
+  // TenantRegistry::kScratchBytes in the tenant's private pool.
   void* scratch = nullptr;
   size_t scratch_bytes = 0;
   uint64_t last_active_ms = 0;
@@ -78,7 +72,6 @@ struct TenantSession {
   // Set when an enforcement violation killed the tenant: the session stops
   // serving immediately and is released on the next sweep.
   bool dead = false;
-  bool released = false;
 };
 
 class TenantRegistry {
@@ -89,6 +82,13 @@ class TenantRegistry {
     uint64_t release_retries = 0;  // sweeps that found a session still pinned
     uint64_t killed = 0;        // sessions marked dead by a violation
   };
+
+  // Per-session scratch allocated from the tenant's private pool; each
+  // request touches its first word inside the tenant's compartment, so every
+  // request exercises the tenant's own key, not just the shared heap. Only
+  // that one page is ever populated: with the pool's span table on the page
+  // below it, a key miss flushes 2 pages (docs/multidomain.md).
+  static constexpr size_t kScratchBytes = 64 * 1024;
 
   TenantRegistry(MultiCompartment* mc, TenantRegistryOptions options);
 

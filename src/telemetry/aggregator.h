@@ -50,7 +50,7 @@ struct AggregatorOptions {
   // single bad build's stream promoting alone when set > 1).
   size_t min_epochs = 1;
   // The static safety bound: sites the points-to analysis proved may flow to
-  // U (e.g. StaticSharingAnalysis(module).Run()->Sites()). Promotions outside
+  // U (analysis::PointsToAnalysis::SharedSites()). Promotions outside
   // this set are rejected. An EMPTY set rejects every promotion — the caller
   // must supply the bound; there is no unchecked mode.
   std::unordered_set<AllocId, AllocIdHasher> static_shared;

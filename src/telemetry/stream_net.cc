@@ -181,7 +181,7 @@ uint64_t NetSink::BackoffMs(const NetSinkOptions& options, uint64_t attempt,
 }
 
 NetSink::NetSink(NetSinkOptions options)
-    : options_(std::move(options)), jitter_(options_.jitter_seed) {
+    : options_(std::move(options)) {
   (void)NetSentCounter();
   (void)NetDroppedCounter();
   (void)NetReconnectsCounter();

@@ -127,7 +127,6 @@ struct NetSinkOptions {
   // Reconnect schedule: initial * 2^attempt, capped, plus up to 50% jitter.
   uint64_t backoff_initial_ms = 50;
   uint64_t backoff_max_ms = 5000;
-  uint64_t jitter_seed = 1;  // deterministic jitter stream (SplitMix64)
 };
 
 // Non-blocking framed TCP client. Thread-safe; every call is O(buffered
@@ -188,7 +187,7 @@ class NetSink {
   bool ever_connected_ = false;    // a connection has been established before
   uint64_t attempt_ = 0;           // consecutive failed attempts
   uint64_t next_attempt_ms_ = 0;   // earliest time for the next connect
-  SplitMix64 jitter_;
+  SplitMix64 jitter_{1};           // deterministic jitter stream, fixed seed
   std::deque<std::string> queue_;  // encoded frames, FIFO
   size_t queue_bytes_ = 0;
   size_t front_offset_ = 0;        // bytes of queue_.front() already sent

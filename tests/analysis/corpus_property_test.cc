@@ -1,11 +1,13 @@
 // Property tests over the examples/ir/ corpus: for every module,
 //
-//   dynamic profile  ⊆  points-to static profile  ⊆  one-cell static profile
+//   dynamic profile  ⊆  points-to static profile  ⊆  recorded one-cell profile
 //
 // and on at least one module the points-to profile is STRICTLY smaller than
-// the one-cell one (the precision the analyzer rebuild buys). Each module
-// must also run clean under enforcement driven by its points-to profile —
-// i.e. the static profile is usable without any profiling run.
+// the one-cell one (the precision the per-site model buys). The one-cell
+// model (one memory cell for the whole module) is gone; its profiles are
+// the constants below, recorded from it over this corpus. Each module must
+// also run clean under enforcement driven by its points-to profile — i.e.
+// the static profile is usable without any profiling run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,12 +17,12 @@
 #include <string>
 #include <vector>
 
+#include "src/analysis/points_to.h"
 #include "src/core/pkru_safe.h"
 #include "src/ir/parser.h"
 #include "src/passes/alloc_id_pass.h"
 #include "src/passes/gate_insertion_pass.h"
 #include "src/passes/pass.h"
-#include "src/passes/static_sharing_analysis.h"
 
 #ifndef PKRUSAFE_EXAMPLES_IR_DIR
 #error "build must define PKRUSAFE_EXAMPLES_IR_DIR"
@@ -28,6 +30,36 @@
 
 namespace pkrusafe {
 namespace {
+
+// The one-cell model's static profile of each corpus module, as
+// AllocId::ToString() strings (docs/static_analysis.md, "Precision").
+struct RecordedOneCell {
+  const char* module;  // file name under examples/ir/
+  std::vector<std::string> sites;
+};
+
+const std::vector<RecordedOneCell>& RecordedOneCellProfiles() {
+  static const std::vector<RecordedOneCell> recorded = {
+      {"callbacks.ir", {"0:0:0", "1:0:0"}},
+      {"explicit_gates.ir", {"3:0:0"}},
+      {"interproc.ir", {"0:0:0", "2:0:0"}},
+      {"linked_chain.ir", {"0:0:0", "0:0:1", "0:0:2", "0:0:4"}},
+      {"private_workspace.ir", {"0:0:0"}},
+      {"store_load_chains.ir", {"0:0:1", "0:0:2"}},
+      {"telemetry_demo.ir", {"0:0:0"}},
+  };
+  return recorded;
+}
+
+const RecordedOneCell* RecordedOneCellFor(const std::string& path) {
+  const std::string name = std::filesystem::path(path).filename().string();
+  for (const RecordedOneCell& record : RecordedOneCellProfiles()) {
+    if (name == record.module) {
+      return &record;
+    }
+  }
+  return nullptr;
+}
 
 std::vector<std::string> CorpusFiles() {
   std::vector<std::string> files;
@@ -82,17 +114,21 @@ ExternRegistry StandardExterns() {
   return externs;
 }
 
-Profile StaticProfile(const std::string& source, SharingModel model) {
+Profile StaticProfile(const std::string& source) {
   auto module = ParseModule(source);
   EXPECT_TRUE(module.ok()) << module.status().ToString();
   PassManager pm;
   pm.Add(std::make_unique<AllocIdPass>());
   pm.Add(std::make_unique<GateInsertionPass>());
   EXPECT_TRUE(pm.Run(*module).ok());
-  StaticSharingAnalysis analysis(&*module, model);
-  auto profile = analysis.Run();
-  EXPECT_TRUE(profile.ok()) << profile.status().ToString();
-  return std::move(*profile);
+  analysis::PointsToAnalysis analysis(&*module);
+  const Status status = analysis.Run();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  Profile profile;
+  for (const AllocId& id : analysis.SharedSites()) {
+    profile.Add(id);
+  }
+  return profile;
 }
 
 Profile DynamicProfile(const std::string& source) {
@@ -117,6 +153,11 @@ bool IsSubset(const Profile& a, const Profile& b, std::string* missing) {
 
 TEST(CorpusPropertyTest, CorpusIsPresent) {
   EXPECT_GE(CorpusFiles().size(), 4u);
+  for (const RecordedOneCell& record : RecordedOneCellProfiles()) {
+    EXPECT_TRUE(std::filesystem::exists(std::filesystem::path(PKRUSAFE_EXAMPLES_IR_DIR) /
+                                        record.module))
+        << record.module;
+  }
 }
 
 TEST(CorpusPropertyTest, DynamicSubsetOfPointsToSubsetOfOneCell) {
@@ -124,24 +165,27 @@ TEST(CorpusPropertyTest, DynamicSubsetOfPointsToSubsetOfOneCell) {
     SCOPED_TRACE(path);
     const std::string source = ReadFile(path);
     const Profile dynamic = DynamicProfile(source);
-    const Profile points_to = StaticProfile(source, SharingModel::kPointsTo);
-    const Profile one_cell = StaticProfile(source, SharingModel::kOneCell);
+    const Profile points_to = StaticProfile(source);
 
     std::string missing;
     EXPECT_TRUE(IsSubset(dynamic, points_to, &missing))
         << "dynamic site " << missing << " not in points-to profile (soundness bug)";
-    EXPECT_TRUE(IsSubset(points_to, one_cell, &missing))
-        << "points-to site " << missing << " not in one-cell profile";
+    if (const RecordedOneCell* one_cell = RecordedOneCellFor(path)) {
+      for (const AllocId& id : points_to.Sites()) {
+        EXPECT_NE(std::find(one_cell->sites.begin(), one_cell->sites.end(), id.ToString()),
+                  one_cell->sites.end())
+            << "points-to site " << id.ToString() << " not in the recorded one-cell profile";
+      }
+    }
   }
 }
 
 TEST(CorpusPropertyTest, PointsToIsStrictlyTighterSomewhere) {
   size_t strictly_tighter = 0;
-  for (const std::string& path : CorpusFiles()) {
-    const std::string source = ReadFile(path);
-    const Profile points_to = StaticProfile(source, SharingModel::kPointsTo);
-    const Profile one_cell = StaticProfile(source, SharingModel::kOneCell);
-    if (points_to.site_count() < one_cell.site_count()) {
+  for (const RecordedOneCell& record : RecordedOneCellProfiles()) {
+    const std::string source =
+        ReadFile((std::filesystem::path(PKRUSAFE_EXAMPLES_IR_DIR) / record.module).string());
+    if (StaticProfile(source).site_count() < record.sites.size()) {
       ++strictly_tighter;
     }
   }
@@ -154,7 +198,7 @@ TEST(CorpusPropertyTest, StaticProfileDrivesEnforcementOnWholeCorpus) {
     const std::string source = ReadFile(path);
     SystemConfig config;
     config.mode = RuntimeMode::kEnforcing;
-    config.profile = StaticProfile(source, SharingModel::kPointsTo);
+    config.profile = StaticProfile(source);
     auto system = System::Create(source, config, StandardExterns());
     ASSERT_TRUE(system.ok()) << system.status().ToString();
     auto result = (*system)->Call("main");
@@ -177,7 +221,7 @@ TEST(CorpusPropertyTest, BaselineRunMatchesEnforcedRun) {
 
     SystemConfig enforce;
     enforce.mode = RuntimeMode::kEnforcing;
-    enforce.profile = StaticProfile(source, SharingModel::kPointsTo);
+    enforce.profile = StaticProfile(source);
     auto enforced = System::Create(source, enforce, StandardExterns());
     ASSERT_TRUE(enforced.ok());
     auto enforced_result = (*enforced)->Call("main");

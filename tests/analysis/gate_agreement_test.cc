@@ -19,7 +19,6 @@
 #include "src/passes/alloc_id_pass.h"
 #include "src/passes/gate_insertion_pass.h"
 #include "src/passes/pass.h"
-#include "src/passes/static_sharing_analysis.h"
 #include "src/runtime/call_gate.h"
 
 #ifndef PKRUSAFE_EXAMPLES_IR_DIR

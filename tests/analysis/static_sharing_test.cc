@@ -1,16 +1,21 @@
-#include "src/passes/static_sharing_analysis.h"
-
+// The static sharing analysis (PointsToAnalysis::SharedSites()) as the
+// compile-time replacement for a profiling run: what it shares, what it
+// keeps private, that it over-approximates the dynamic profile, and that its
+// answer drives an enforcement build.
 #include <gtest/gtest.h>
 
+#include "src/analysis/points_to.h"
 #include "src/core/pkru_safe.h"
 #include "src/ir/parser.h"
-#include "src/telemetry/metrics.h"
 #include "src/passes/alloc_id_pass.h"
 #include "src/passes/gate_insertion_pass.h"
 #include "src/passes/pass.h"
+#include "src/telemetry/metrics.h"
 
 namespace pkrusafe {
 namespace {
+
+using analysis::PointsToAnalysis;
 
 IrModule Prepare(const char* source) {
   auto module = ParseModule(source);
@@ -22,12 +27,17 @@ IrModule Prepare(const char* source) {
   return std::move(*module);
 }
 
+// The static profile: every shared site, counted once.
 Profile Analyze(const char* source) {
   IrModule module = Prepare(source);
-  StaticSharingAnalysis analysis(&module);
-  auto profile = analysis.Run();
-  EXPECT_TRUE(profile.ok()) << profile.status().ToString();
-  return std::move(*profile);
+  PointsToAnalysis analysis(&module);
+  const Status status = analysis.Run();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  Profile profile;
+  for (const AllocId& id : analysis.SharedSites()) {
+    profile.Add(id);
+  }
+  return profile;
 }
 
 TEST(StaticSharingTest, DirectArgumentIsShared) {
@@ -177,8 +187,8 @@ skip:
 TEST(StaticSharingTest, RequiresAllocIds) {
   auto module = ParseModule("func @f(0) {\ne:\n  %0 = alloc 8\n  ret\n}\n");
   ASSERT_TRUE(module.ok());
-  StaticSharingAnalysis analysis(&*module);
-  EXPECT_EQ(analysis.Run().status().code(), StatusCode::kFailedPrecondition);
+  PointsToAnalysis analysis(&*module);
+  EXPECT_EQ(analysis.Run().code(), StatusCode::kFailedPrecondition);
 }
 
 // The key property: static ⊇ dynamic on the same module, here exercised on a
@@ -221,29 +231,39 @@ done:
 }
 
 TEST(StaticSharingTest, PublishesAnalysisMetricsToTelemetry) {
+  const auto before = telemetry::MetricsRegistry::Global().Snapshot();
+  const auto count = [](const telemetry::MetricsSnapshot& snapshot, const std::string& name) {
+    const auto it = snapshot.counters.find(name);
+    return it == snapshot.counters.end() ? uint64_t{0} : it->second;
+  };
   Analyze(R"(
 untrusted "u"
 extern @sink(1) lib "u"
 func @main(0) {
 e:
   %0 = alloc 8
+  %1 = alloc 8
   call @sink(%0)
   ret
 }
 )");
   const auto snapshot = telemetry::MetricsRegistry::Global().Snapshot();
-  EXPECT_GE(snapshot.counters.at("analysis.static_sharing.runs"), 1u);
-  EXPECT_GE(snapshot.counters.at("analysis.static_sharing.iterations_total"), 1u);
+  EXPECT_EQ(count(snapshot, "analysis.static_sharing.runs"),
+            count(before, "analysis.static_sharing.runs") + 1);
+  EXPECT_GT(count(snapshot, "analysis.static_sharing.iterations_total"),
+            count(before, "analysis.static_sharing.iterations_total"));
   EXPECT_GE(snapshot.gauges.at("analysis.static_sharing.iterations"), 1);
-  EXPECT_GT(snapshot.gauges.at("analysis.points_to.objects"), 0);
+  EXPECT_EQ(snapshot.gauges.at("analysis.static_sharing.shared_sites"), 1);
+  EXPECT_EQ(snapshot.gauges.at("analysis.points_to.objects"), 3);  // 2 sites + external
   EXPECT_GT(snapshot.gauges.at("analysis.points_to.edges"), 0);
 }
 
-TEST(StaticSharingTest, OneCellModelStaysAvailableAsBaseline) {
-  // The pre-points-to abstraction is kept for precision comparisons: it must
-  // still over-approximate (here: sharing the never-stored p because SOME
-  // store put SOME pointer somewhere).
-  const char* source = R"(
+TEST(StaticSharingTest, UnrelatedLoadDoesNotSharePrivateChain) {
+  // A pointer parked in a private object is not loaded back through an
+  // unrelated shared buffer: the load reads the contents of the object it
+  // loads from. (The retired one-cell model, one memory cell for the whole
+  // module, shared the parked pointer here.)
+  Profile profile = Analyze(R"(
 untrusted "u"
 extern @sink(1) lib "u"
 func @main(0) {
@@ -257,22 +277,11 @@ e:
   call @sink(%2)
   ret
 }
-)";
-  IrModule module = Prepare(source);
-  StaticSharingAnalysis one_cell(&module, SharingModel::kOneCell);
-  auto coarse = one_cell.Run();
-  ASSERT_TRUE(coarse.ok());
-  StaticSharingAnalysis points_to(&module, SharingModel::kPointsTo);
-  auto tight = points_to.Run();
-  ASSERT_TRUE(tight.ok());
-  // Both share the boundary-crossing buffer; only one-cell drags in the
-  // private chain through the unrelated load.
-  EXPECT_TRUE(coarse->Contains(AllocId{0, 0, 2}));
-  EXPECT_TRUE(tight->Contains(AllocId{0, 0, 2}));
-  EXPECT_LT(tight->site_count(), coarse->site_count());
-  for (const AllocId& id : tight->Sites()) {
-    EXPECT_TRUE(coarse->Contains(id)) << id.ToString();
-  }
+)");
+  EXPECT_TRUE(profile.Contains(AllocId{0, 0, 2}));
+  EXPECT_FALSE(profile.Contains(AllocId{0, 0, 0}));
+  EXPECT_FALSE(profile.Contains(AllocId{0, 0, 1}));
+  EXPECT_EQ(profile.site_count(), 1u);
 }
 
 TEST(StaticSharingTest, StaticProfileDrivesEnforcementBuild) {

@@ -3,6 +3,7 @@
 // with automatic release on every exit path.
 #include <gtest/gtest.h>
 
+#include "src/analysis/points_to.h"
 #include "src/core/pkru_safe.h"
 #include "src/ir/parser.h"
 #include "src/ir/printer.h"
@@ -10,7 +11,6 @@
 #include "src/passes/alloc_id_pass.h"
 #include "src/passes/gate_insertion_pass.h"
 #include "src/passes/pass.h"
-#include "src/passes/static_sharing_analysis.h"
 
 namespace pkrusafe {
 namespace {
@@ -149,11 +149,9 @@ TEST(StackProtectionTest, StaticAnalysisSeesStackSites) {
   pm.Add(std::make_unique<AllocIdPass>());
   pm.Add(std::make_unique<GateInsertionPass>());
   ASSERT_TRUE(pm.Run(*module).ok());
-  StaticSharingAnalysis analysis(&*module);
-  auto profile = analysis.Run();
-  ASSERT_TRUE(profile.ok());
-  EXPECT_TRUE(profile->Contains(AllocId{0, 0, 0}));
-  EXPECT_FALSE(profile->Contains(AllocId{0, 0, 1}));
+  analysis::PointsToAnalysis analysis(&*module);
+  ASSERT_TRUE(analysis.Run().ok());
+  EXPECT_EQ(analysis.SharedSites(), (std::vector<AllocId>{AllocId{0, 0, 0}}));
 }
 
 TEST(StackProtectionTest, RecursionGetsFreshFrames) {

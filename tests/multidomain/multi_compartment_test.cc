@@ -4,18 +4,17 @@
 #include "src/multidomain/multi_compartment.h"
 
 #include <gtest/gtest.h>
-#include <sys/mman.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <deque>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/memmap/page.h"
 #include "src/mpk/sim_backend.h"
 #include "src/telemetry/metrics.h"
+#include "tests/resident_pages.h"
 
 namespace pkrusafe {
 namespace {
@@ -359,34 +358,6 @@ TEST(MultiCompartmentChurnTest, SessionChurnLeaksNoKeysOrPages) {
   // Released entries are reused before the table grows: it holds the peak
   // number of live tenants, not every session ever created.
   EXPECT_EQ(mc.library_count(), kLiveTenants);
-}
-
-// The resident pages of the pool holding `inside`, by address. The pool's
-// reservation is found page by page through PrivateOwnerOf.
-std::vector<uintptr_t> ResidentPoolPages(const MultiCompartment& mc, const void* inside) {
-  const std::optional<LibraryId> owner = mc.PrivateOwnerOf(inside);
-  const auto owned = [&](uintptr_t page) {
-    return mc.PrivateOwnerOf(reinterpret_cast<const void*>(page)) == owner;
-  };
-  uintptr_t begin = reinterpret_cast<uintptr_t>(inside) & ~(kPageSize - 1);
-  while (owned(begin - kPageSize)) {
-    begin -= kPageSize;
-  }
-  uintptr_t end = begin;
-  while (owned(end)) {
-    end += kPageSize;
-  }
-  std::vector<unsigned char> vec((end - begin) / kPageSize);
-  std::vector<uintptr_t> resident;
-  if (::mincore(reinterpret_cast<void*>(begin), end - begin, vec.data()) != 0) {
-    return resident;
-  }
-  for (size_t i = 0; i < vec.size(); ++i) {
-    if ((vec[i] & 1) != 0) {
-      resident.push_back(begin + i * kPageSize);
-    }
-  }
-  return resident;
 }
 
 // A tenant pool as the sandbox server builds it: a 64 KiB scratch touched

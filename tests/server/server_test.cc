@@ -40,6 +40,7 @@
 #include "src/telemetry/export.h"
 #include "src/telemetry/metrics.h"
 #include "tests/golden_file.h"
+#include "tests/resident_pages.h"
 
 namespace pkrusafe {
 namespace server {
@@ -259,8 +260,9 @@ TEST(SandboxServerTest, ScratchAllocFailureDoesNotLeakTheLibrary) {
   auto runtime = MakeSimRuntime();
   ASSERT_NE(runtime, nullptr);
   SandboxServerOptions options;
-  options.tenant_pool_bytes = 256 * 1024;
-  options.scratch_bytes = 1 << 20;  // cannot fit in the tenant pool
+  // The pool's span table takes the top of its first chunk, so a pool of
+  // exactly the scratch size cannot also hold the scratch.
+  options.tenant_pool_bytes = TenantRegistry::kScratchBytes;
   auto server = SandboxServer::Create(runtime.get(), options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
@@ -272,20 +274,6 @@ TEST(SandboxServerTest, ScratchAllocFailureDoesNotLeakTheLibrary) {
     EXPECT_EQ((*server)->compartments().vpkey_stats().virtual_keys, 0u) << attempt;
   }
   EXPECT_EQ((*server)->registry().stats().created, 0u);
-}
-
-// scratch_bytes smaller than a word used to divide by zero in the
-// per-request scratch touch; the registry now rounds it up to a whole word.
-TEST(SandboxServerTest, TinyScratchBytesAreRoundedUpNotDividedByZero) {
-  auto runtime = MakeSimRuntime();
-  ASSERT_NE(runtime, nullptr);
-  SandboxServerOptions options;
-  options.scratch_bytes = 4;
-  auto server = SandboxServer::Create(runtime.get(), options);
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-  EXPECT_TRUE(BoolField(
-      MustParse((*server)->HandleRequestLine(R"({"tenant":"tiny","script":"let t = 1;"})")),
-      "ok"));
 }
 
 // After a violator is killed and swept, the same name opens a FRESH session
@@ -344,6 +332,34 @@ TEST(SandboxServerTest, TenantsCannotReadEachOthersScratch) {
   EXPECT_TRUE(BoolField(
       MustParse((*server)->HandleRequestLine(R"({"tenant":"bob","script":"let z = 9;"})")),
       "ok"));
+}
+
+// A long-lived session keeps its pool at two resident pages, the span
+// table's and the scratch's first, because every request touches the same
+// scratch word. A touch that walked the scratch one word per request
+// populated a third page after 512 requests, widening each later key miss's
+// TLB flush. The pools are 1 MiB, below a huge page, so THP cannot inflate the
+// count (as in MultiCompartmentPoolLayoutTest).
+TEST(SandboxServerTest, LongSessionKeepsTwoResidentPoolPages) {
+  auto runtime = MakeSimRuntime();
+  ASSERT_NE(runtime, nullptr);
+  SandboxServerOptions options;
+  options.tenant_pool_bytes = size_t{1} << 20;
+  auto server = SandboxServer::Create(runtime.get(), options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  const json::Value first = MustParse((*server)->HandleRequestLine(
+      R"({"tenant":"steady","script":"print(scratch_addr());"})"));
+  ASSERT_TRUE(BoolField(first, "ok"));
+  const auto scratch = reinterpret_cast<const void*>(
+      static_cast<uintptr_t>(std::stoull(first.Find("prints")->AsArray()[0].AsString())));
+  for (int request = 1; request < 600; ++request) {
+    ASSERT_TRUE(BoolField(MustParse((*server)->HandleRequestLine(
+                              R"({"tenant":"steady","script":"let s = 1;"})")),
+                          "ok"))
+        << request;
+  }
+  EXPECT_EQ(ResidentPoolPages((*server)->compartments(), scratch).size(), 2u);
 }
 
 // The TSan target: concurrent clients over real sockets, several worker

@@ -41,7 +41,6 @@
 #include "src/passes/alloc_id_pass.h"
 #include "src/passes/gate_insertion_pass.h"
 #include "src/passes/pass.h"
-#include "src/passes/static_sharing_analysis.h"
 #include "src/runtime/profile_artifact.h"
 #include "src/support/string_util.h"
 

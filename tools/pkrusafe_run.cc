@@ -22,12 +22,12 @@
 #include <iostream>
 #include <sstream>
 
+#include "src/analysis/points_to.h"
 #include "src/core/pkru_safe.h"
 #include "src/mpk/fault_signal.h"
 #include "src/passes/alloc_id_pass.h"
 #include "src/passes/gate_insertion_pass.h"
 #include "src/passes/pass.h"
-#include "src/passes/static_sharing_analysis.h"
 #include "src/ir/parser.h"
 #include "src/runtime/profile_artifact.h"
 #include "src/runtime/profile_delta.h"
@@ -348,15 +348,17 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
     }
-    StaticSharingAnalysis analysis(&*module);
-    auto static_profile = analysis.Run();
-    if (!static_profile.ok()) {
-      std::fprintf(stderr, "%s\n", static_profile.status().ToString().c_str());
+    analysis::PointsToAnalysis points_to(&*module);
+    if (auto status = points_to.Run(); !status.ok()) {
+      std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
     }
-    config.profile.Merge(*static_profile);
-    std::printf("static analysis: %zu shared site(s) in %d iteration(s)\n",
-                static_profile->site_count(), analysis.iterations());
+    const std::vector<AllocId> shared = points_to.SharedSites();
+    for (const AllocId& id : shared) {
+      config.profile.Add(id);
+    }
+    std::printf("static analysis: %zu shared site(s) in %d iteration(s)\n", shared.size(),
+                points_to.iterations());
   }
 
   std::vector<int64_t> prints;

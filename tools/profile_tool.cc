@@ -42,12 +42,12 @@
 
 #include "src/analysis/diagnostics.h"
 #include "src/analysis/lint.h"
+#include "src/analysis/points_to.h"
 #include "src/ir/module_hash.h"
 #include "src/ir/parser.h"
 #include "src/passes/alloc_id_pass.h"
 #include "src/passes/gate_insertion_pass.h"
 #include "src/passes/pass.h"
-#include "src/passes/static_sharing_analysis.h"
 #include "src/runtime/profile.h"
 #include "src/runtime/profile_artifact.h"
 #include "src/support/json.h"
@@ -176,7 +176,7 @@ Result<std::vector<SiteRow>> ParseSiteStats(std::string_view text) {
 // content hash — the key every stream and artifact must match.
 struct InstrumentedModule {
   IrModule module;
-  Profile static_profile;
+  std::vector<AllocId> static_shared;  // PointsToAnalysis::SharedSites(), sorted
   uint64_t ir_hash = 0;
 };
 
@@ -188,8 +188,9 @@ Result<InstrumentedModule> LoadInstrumented(const std::string& path) {
   pm.Add(std::make_unique<AllocIdPass>());
   pm.Add(std::make_unique<GateInsertionPass>());
   PS_RETURN_IF_ERROR(pm.Run(out.module));
-  StaticSharingAnalysis analysis(&out.module);
-  PS_ASSIGN_OR_RETURN(out.static_profile, analysis.Run());
+  analysis::PointsToAnalysis points_to(&out.module);
+  PS_RETURN_IF_ERROR(points_to.Run());
+  out.static_shared = points_to.SharedSites();
   out.ir_hash = ModuleContentHash(out.module);
   return out;
 }
@@ -436,7 +437,7 @@ int main(int argc, char** argv) {
     // sites actually allocated from M_U. Every dynamic M_U site the analyzer
     // missed is unsound (it would fault under enforcement); static-only
     // sites measure over-sharing.
-    Profile static_profile;
+    std::vector<AllocId> static_shared;
     bool have_static = false;
     if (!module_path.empty()) {
       auto instrumented = LoadInstrumented(module_path);
@@ -444,9 +445,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "%s\n", instrumented.status().ToString().c_str());
         return 1;
       }
-      static_profile = std::move(instrumented->static_profile);
+      static_shared = std::move(instrumented->static_shared);
       have_static = true;
     }
+    const auto statically_shared = [&](const AllocId& id) {
+      return std::binary_search(static_shared.begin(), static_shared.end(), id);
+    };
 
     std::printf("top %zu site(s) by %s live bytes (%zu total):\n",
                 std::min(top_k, rows->size()), domain_name.c_str(), rows->size());
@@ -460,7 +464,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(row.total_bytes[d]),
                   static_cast<unsigned long long>(row.total_objects[d]));
       if (have_static) {
-        std::printf("  %s", static_profile.Contains(row.id) ? "shared" : "private");
+        std::printf("  %s", statically_shared(row.id) ? "shared" : "private");
       }
       std::printf("\n");
     }
@@ -471,7 +475,7 @@ int main(int argc, char** argv) {
     int missed = 0;
     int over_shared = 0;
     for (const SiteRow& row : *rows) {
-      if (row.total_bytes[1] > 0 && !static_profile.Contains(row.id)) {
+      if (row.total_bytes[1] > 0 && !statically_shared(row.id)) {
         std::printf("analyzer MISS: site %s allocated %llu byte(s) from M_U but is "
                     "statically private\n",
                     row.id.ToString().c_str(),
@@ -479,7 +483,7 @@ int main(int argc, char** argv) {
         ++missed;
       }
     }
-    for (const AllocId& id : static_profile.Sites()) {
+    for (const AllocId& id : static_shared) {
       bool dynamic_untrusted = false;
       for (const SiteRow& row : *rows) {
         if (row.id == id && row.total_bytes[1] > 0) {
@@ -545,9 +549,8 @@ int main(int argc, char** argv) {
     options.promotion_threshold = threshold;
     options.min_epochs = min_epochs;
     options.module = &instrumented->module;
-    for (const AllocId& id : instrumented->static_profile.Sites()) {
-      options.static_shared.insert(id);
-    }
+    options.static_shared.insert(instrumented->static_shared.begin(),
+                                 instrumented->static_shared.end());
     telemetry::ProfileAggregator aggregator(std::move(options));
     for (const std::string& path : stream_paths) {
       aggregator.AddStream(path);
@@ -664,9 +667,8 @@ int main(int argc, char** argv) {
     options.min_epochs = min_epochs;
     options.demote_cold_epochs = demote_cold_epochs;
     options.module = &instrumented->module;
-    for (const AllocId& id : instrumented->static_profile.Sites()) {
-      options.static_shared.insert(id);
-    }
+    options.static_shared.insert(instrumented->static_shared.begin(),
+                                 instrumented->static_shared.end());
     if (!baseline_path.empty()) {
       auto baseline = Load(baseline_path.c_str());
       if (!baseline.ok()) {
