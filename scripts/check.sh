@@ -24,8 +24,9 @@
 #                                   # codec/server, net-sink, demotion and
 #                                   # artifact tests under ThreadSanitizer,
 #                                   # the socket e2e, a live serve round
-#                                   # trip, then the transport bench
-#                                   # (BENCH_fleet)
+#                                   # trip (a socket producer and a frame
+#                                   # log), then the producer-cost bench
+#                                   # (BENCH_fleet, socket overhead <= 5%)
 #   scripts/check.sh vpkey          # virtual-pkey cache: multidomain tests
 #                                   # and the per-thread counter tests under
 #                                   # ThreadSanitizer (pin/evict races),
@@ -184,7 +185,7 @@ run_faultstress() {
 run_contprof() {
   echo "== check: contprof (build/check-tsan) =="
   # The always-on sampled-profiling path: fault-rate budget admission from
-  # signal context, delta encode/decode, aggregator stream tailing, and the
+  # signal context, delta encode/decode, frame-log ingest, and the
   # fork-based end-to-end loop — all under ThreadSanitizer, since the budget
   # and the policy swap are lock-free fast paths. Then the overhead bench:
   # 1% sampled pages must stay within 10% of latched enforce throughput.
@@ -204,8 +205,9 @@ run_contprof() {
 run_fleet() {
   echo "== check: fleet (build/check-tsan) =="
   # The fleet telemetry plane: the frame codec against adversarial input, the
-  # socket loop and the frame server on it, the reconnecting non-blocking
-  # sink, cold-site demotion and network-delta validation in the aggregator,
+  # bounded frame queue both sinks share, the socket loop and the frame
+  # server on it, the reconnecting non-blocking sink, cold-site demotion and
+  # delta validation in the aggregator,
   # provenance-checked artifacts, and the fork-based socket e2e — all under
   # ThreadSanitizer, since the sink is locked against a sampler thread and
   # the e2e races a producer against the serve loop.
@@ -213,7 +215,7 @@ run_fleet() {
   cmake --build build/check-tsan -j "$(nproc)" \
     --target support_test telemetry_test aggregator_test runtime_test mpk_test integration_test
   ctest --test-dir build/check-tsan --output-on-failure \
-    -R 'SocketLoop|FrameCodec|FrameServer|NetSink|Aggregator|ProfileArtifact|ProfileDelta|LatchedPageSet|FleetE2e|Sampler'
+    -R 'SocketLoop|FrameCodec|FrameQueue|FrameServer|NetSink|Aggregator|ProfileArtifact|ProfileDelta|LatchedPageSet|FleetE2e|Sampler'
 
   cmake -B build -S . -DPKRUSAFE_SANITIZE=""
   cmake --build build -j "$(nproc)" --target pkrusafe_run profile_tool bench_fleet
@@ -222,8 +224,10 @@ run_fleet() {
   trap 'rm -rf "$out"' RETURN
 
   echo "-- fleet: live serve round trip (stream -> promote -> artifact)"
+  # One producer on the socket, one writing a frame log that serve follows:
+  # both are streams of their own, so neither's sequence is a replay.
   build/tools/profile_tool serve --module=examples/ir/interproc.ir --port=0 \
-    --artifact="$out/fleet.artifact" --idle-exit-polls=40 \
+    --artifact="$out/fleet.artifact" --idle-exit-polls=40 "$out/fleet.psf" \
     > "$out/serve.log" 2>&1 &
   local serve_pid=$!
   local port=""
@@ -239,15 +243,25 @@ run_fleet() {
   fi
   build/tools/pkrusafe_run examples/ir/interproc.ir --mode=profile \
     --profile-stream="tcp://127.0.0.1:$port" --epoch=check >/dev/null
+  build/tools/pkrusafe_run examples/ir/interproc.ir --mode=profile \
+    --profile-stream="$out/fleet.psf" --epoch=check >/dev/null
   wait "$serve_pid"
   grep -q '^promote:' "$out/serve.log"
+  grep -q '^ingested 4 frame(s) from 2 stream(s)' "$out/serve.log"
+  grep -q '^rejected: 0 hash, 0 malformed, 0 sequence; frames: 0 resync' "$out/serve.log"
   [[ -s "$out/fleet.artifact" ]]
   # The exported artifact must load back into an enforcement run.
   build/tools/pkrusafe_run examples/ir/interproc.ir --mode=enforce \
     --profile="$out/fleet.artifact" --expected-epoch=check >/dev/null
 
   PKRUSAFE_BENCH_OUT_DIR="$out" build/bench/bench_fleet
-  grep -q '"bench":"fleet"' "$out/BENCH_fleet.json"
+  python3 - "$out/BENCH_fleet.json" <<'PY'
+import json, sys
+bench = json.load(open(sys.argv[1]))
+rows = {row["name"]: row["value"] for row in bench["results"]}
+assert bench["bench"] == "fleet", bench["bench"]
+assert rows["producer_socket_overhead_at_tick"] <= 5.0, rows
+PY
   echo "fleet check OK"
 }
 

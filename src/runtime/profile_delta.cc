@@ -48,41 +48,6 @@ void PutU64Le(std::string* out, uint64_t value) {
   }
 }
 
-std::string HexEncode(std::string_view bytes) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (const char c : bytes) {
-    const uint8_t b = static_cast<uint8_t>(c);
-    out.push_back(kDigits[b >> 4]);
-    out.push_back(kDigits[b & 0xf]);
-  }
-  return out;
-}
-
-Result<std::string> HexDecode(std::string_view hex) {
-  if (hex.size() % 2 != 0) {
-    return InvalidArgumentError("profile delta: odd-length hex payload");
-  }
-  auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
-  };
-  std::string out;
-  out.reserve(hex.size() / 2);
-  for (size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = nibble(hex[i]);
-    const int lo = nibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) {
-      return InvalidArgumentError("profile delta: invalid hex payload");
-    }
-    out.push_back(static_cast<char>((hi << 4) | lo));
-  }
-  return out;
-}
-
 }  // namespace
 
 ProfileDelta ProfileDelta::Between(const Profile& base, const Profile& current,
@@ -197,59 +162,6 @@ Result<ProfileDelta> ProfileDelta::DecodeBinary(std::string_view bytes) {
   return delta;
 }
 
-std::string ProfileDelta::ToJsonLine() const {
-  std::string out;
-  json::Writer w(&out);
-  w.BeginObject().Key("kind").String("pkru_safe_profile_delta").Key("v").Int(1);
-  w.Key("epoch").String(epoch_);
-  w.Key("ir_hash").String(StrFormat("0x%016llx", static_cast<unsigned long long>(ir_hash_)));
-  w.Key("seq").Uint(sequence_).Key("sites").Uint(entries_.size());
-  w.Key("payload").String(HexEncode(EncodeBinary())).EndObject();
-  return out;
-}
-
-Result<ProfileDelta> ProfileDelta::FromJsonLine(std::string_view line) {
-  PS_ASSIGN_OR_RETURN(const json::Value value, json::Parse(line));
-  if (!value.is_object()) {
-    return InvalidArgumentError("profile delta line: not a JSON object");
-  }
-  if (value.GetString("kind") != "pkru_safe_profile_delta") {
-    return InvalidArgumentError("profile delta line: wrong kind");
-  }
-  if (value.GetUint("v") != 1) {
-    return InvalidArgumentError("profile delta line: unsupported version");
-  }
-  const json::Value* payload = value.Find("payload");
-  if (payload == nullptr || !payload->is_string()) {
-    return InvalidArgumentError("profile delta line: missing payload");
-  }
-  PS_ASSIGN_OR_RETURN(const std::string bytes, HexDecode(payload->AsString()));
-  PS_ASSIGN_OR_RETURN(ProfileDelta delta, DecodeBinary(bytes));
-
-  // The header fields exist for humans and grep; they must agree with the
-  // authoritative payload so a hand-edited line cannot smuggle a mismatch.
-  const std::string hash_text = value.GetString("ir_hash");
-  if (!hash_text.empty()) {
-    const std::string expect =
-        StrFormat("0x%016llx", static_cast<unsigned long long>(delta.ir_hash()));
-    if (hash_text != expect) {
-      return InvalidArgumentError(
-          "profile delta line: ir_hash header disagrees with payload");
-    }
-  }
-  if (const json::Value* seq = value.Find("seq");
-      seq != nullptr && seq->AsUint() != delta.sequence()) {
-    return InvalidArgumentError(
-        "profile delta line: seq header disagrees with payload");
-  }
-  if (const json::Value* epoch = value.Find("epoch");
-      epoch != nullptr && epoch->AsString() != delta.epoch()) {
-    return InvalidArgumentError(
-        "profile delta line: epoch header disagrees with payload");
-  }
-  return delta;
-}
-
 ProfileStreamWriter::ProfileStreamWriter(Options options)
     : options_(std::move(options)), epoch_(options_.epoch) {}
 
@@ -257,57 +169,42 @@ ProfileStreamWriter::~ProfileStreamWriter() { Close(); }
 
 Status ProfileStreamWriter::Open() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (options_.adopt_fd >= 0 && fd_ < 0) {
-    fd_ = options_.adopt_fd;
-  } else if (!options_.path.empty() && fd_ < 0) {
-    fd_ = ::open(options_.path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND,
-                 0644);
+  if (options_.path.empty() && options_.net_port == 0) {
+    return InvalidArgumentError("profile stream: no sink configured");
+  }
+  std::string hello;
+  json::Writer w(&hello);
+  w.BeginObject().Key("kind").String("pkru_safe_hello");
+  if (!options_.path.empty()) {
+    w.Key("stream").String(options_.path);
+  }
+  w.Key("epoch").String(epoch_).EndObject();
+  if (!options_.path.empty() && fd_ < 0) {
+    fd_ = ::open(options_.path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_APPEND, 0644);
     if (fd_ < 0) {
       return InternalError(StrFormat("profile stream: open %s: %s",
                                      options_.path.c_str(), strerror(errno)));
     }
+    file_queue_.Push(telemetry::EncodeFrame(telemetry::FrameType::kHello, hello));
+    PS_RETURN_IF_ERROR(WriteFileLocked());
   }
   if (options_.net_port != 0 && net_sink_ == nullptr) {
     telemetry::NetSinkOptions net;
     net.host = options_.net_host;
     net.port = options_.net_port;
     net_sink_ = std::make_unique<telemetry::NetSink>(net);
-    net_sink_->Send(telemetry::FrameType::kHello,
-                    StrFormat(R"({"kind":"pkru_safe_hello","stream":"%s","epoch":"%s"})",
-                              options_.path.empty() ? "net" : options_.path.c_str(),
-                              epoch_.c_str()));
-  }
-  if (fd_ < 0 && options_.net_port == 0) {
-    return InvalidArgumentError("profile stream: no sink configured");
+    net_sink_->Send(telemetry::FrameType::kHello, hello);
   }
   return Status::Ok();
 }
 
-Status ProfileStreamWriter::DrainPendingLocked() {
-  while (!pending_.empty()) {
-    const ssize_t n = ::write(fd_, pending_.data(), pending_.size());
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      // EAGAIN (a non-blocking sink, e.g. a full pipe in tests) and real
-      // errors both defer: the accepted bytes stay pending, so the file
-      // never keeps a torn line — the tail completes on a later flush.
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::Ok();
-      }
-      return InternalError(StrFormat("profile stream: write %s: %s",
-                                     options_.path.c_str(), strerror(errno)));
-    }
-    if (n == 0) {
-      return Status::Ok();  // no progress; try again next flush
-    }
-    // Every accepted record ends in '\n', so the write stopped mid-line
-    // exactly when the last byte out was not a newline.
-    front_partially_written_ = pending_[static_cast<size_t>(n) - 1] != '\n';
-    pending_.erase(0, static_cast<size_t>(n));
+Status ProfileStreamWriter::WriteFileLocked() {
+  const telemetry::FrameQueue::Written written =
+      file_queue_.Write([this](const char* data, size_t size) { return ::write(fd_, data, size); });
+  if (written.error != 0) {
+    return InternalError(StrFormat("profile stream: write %s: %s", options_.path.c_str(),
+                                   strerror(written.error)));
   }
-  front_partially_written_ = false;
   return Status::Ok();
 }
 
@@ -324,45 +221,23 @@ Status ProfileStreamWriter::Flush(const Profile& current) {
     if (net_sink_ != nullptr) {
       net_sink_->Pump();
     }
-    return fd_ >= 0 ? DrainPendingLocked() : Status::Ok();
+    return fd_ >= 0 ? WriteFileLocked() : Status::Ok();
   }
   // The delta is accepted — the baseline and sequence advance — regardless
-  // of sink backpressure; the sinks deliver (or drop whole records) on
-  // their own schedule.
+  // of sink backpressure; the sinks deliver (or drop whole frames) on their
+  // own schedule.
   last_ = current;
   ++next_sequence_;
   ++deltas_written_;
+  const std::string payload = delta.EncodeBinary();
   if (net_sink_ != nullptr) {
-    net_sink_->Send(telemetry::FrameType::kProfileDelta, delta.EncodeBinary());
+    net_sink_->Send(telemetry::FrameType::kProfileDelta, payload);
   }
   if (fd_ < 0) {
     return Status::Ok();
   }
-  std::string line = delta.ToJsonLine();
-  line.push_back('\n');
-  if (pending_.size() + line.size() > options_.max_pending_bytes) {
-    // Overflow: drop whole NOT-YET-STARTED lines from the front. A line
-    // with a prefix already in the file must finish, or the file keeps a
-    // torn line forever (the exact bug this buffer exists to prevent).
-    size_t keep_from = 0;
-    if (front_partially_written_) {
-      const size_t eol = pending_.find('\n');
-      keep_from = eol == std::string::npos ? pending_.size() : eol + 1;
-    }
-    std::string kept = pending_.substr(0, keep_from);
-    size_t drop_pos = keep_from;
-    while (pending_.size() - drop_pos + kept.size() + line.size() >
-               options_.max_pending_bytes &&
-           drop_pos < pending_.size()) {
-      const size_t eol = pending_.find('\n', drop_pos);
-      drop_pos = eol == std::string::npos ? pending_.size() : eol + 1;
-      ++lines_dropped_;
-    }
-    kept.append(pending_, drop_pos, std::string::npos);
-    pending_ = std::move(kept);
-  }
-  pending_ += line;
-  return DrainPendingLocked();
+  file_queue_.Push(telemetry::EncodeFrame(telemetry::FrameType::kProfileDelta, payload));
+  return WriteFileLocked();
 }
 
 void ProfileStreamWriter::SetEpoch(std::string epoch) {
@@ -370,16 +245,11 @@ void ProfileStreamWriter::SetEpoch(std::string epoch) {
   epoch_ = std::move(epoch);
 }
 
-size_t ProfileStreamWriter::pending_bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return pending_.size();
-}
-
 void ProfileStreamWriter::Close() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (fd_ >= 0) {
     // Last chance for a deferred tail; best-effort.
-    (void)DrainPendingLocked();
+    (void)WriteFileLocked();
     ::close(fd_);
     fd_ = -1;
   }

@@ -12,7 +12,7 @@
 //     running — a delta recorded against different IR must never merge, since
 //     site ids are only meaningful relative to their module text;
 //   * a per-stream sequence number, so the aggregator can detect gaps and
-//     replays when tailing a stream.
+//     replays.
 //
 // Wire format (EncodeBinary):
 //
@@ -28,10 +28,9 @@
 //     varint count              (>= 1)
 //
 // Entries with equal function ids must have strictly ascending (block, site);
-// Decode rejects violations, truncation, and zero counts. The JSONL framing
-// (ToJsonLine) wraps the binary payload in hex with the header fields
-// duplicated for grep-ability; FromJsonLine cross-checks them against the
-// payload.
+// Decode rejects violations, truncation, and zero counts. The payload
+// travels in exactly one framing: a kProfileDelta PSF frame
+// (src/telemetry/stream_net.h), whether in a file or on a socket.
 #ifndef SRC_RUNTIME_PROFILE_DELTA_H_
 #define SRC_RUNTIME_PROFILE_DELTA_H_
 
@@ -82,12 +81,6 @@ class ProfileDelta {
   std::string EncodeBinary() const;
   static Result<ProfileDelta> DecodeBinary(std::string_view bytes);
 
-  // One JSONL record:
-  //   {"kind":"pkru_safe_profile_delta","v":1,"epoch":"...",
-  //    "ir_hash":"0x...","seq":N,"sites":N,"payload":"<hex>"}
-  std::string ToJsonLine() const;
-  static Result<ProfileDelta> FromJsonLine(std::string_view line);
-
  private:
   std::string epoch_;
   uint64_t ir_hash_ = 0;
@@ -96,31 +89,25 @@ class ProfileDelta {
   std::vector<std::pair<AllocId, uint64_t>> entries_;
 };
 
-// Flushes the growth of a live profile to a JSONL stream, one delta per
-// flush. The sampler calls Flush on its tick, so deltas land on disk at the
-// same cadence as metrics rows. Thread-safe.
+// Flushes the growth of a live profile as PSF frames, one kProfileDelta
+// frame per flush. The sampler calls Flush on its tick, so deltas ship at
+// the same cadence as metrics rows. Thread-safe.
 //
-// Sinks (either or both):
-//   * a file (`path`): accepted lines go through a bounded pending buffer,
-//     so a short or failed write never leaves a torn JSONL line in the file
-//     — the unwritten tail is retried on the next flush, and when the
-//     buffer overflows, whole not-yet-started lines drop from the front
-//     (the aggregator tolerates sequence gaps; it rejects rewrites).
-//   * a TCP endpoint (`net_host`/`net_port`): each delta is framed as a
-//     kProfileDelta PSD1 frame over the fleet stream protocol
-//     (telemetry::NetSink — non-blocking, bounded, reconnecting).
+// Sinks (either or both) get the same frames: a kHello frame naming the
+// stream (its file path, if any) and epoch, then the deltas.
+//   * a file (`path`): a frame log for `profile_tool aggregate`.
+//   * a TCP endpoint (`net_host`/`net_port`): telemetry::NetSink to a
+//     `profile_tool serve` (non-blocking, reconnecting).
+// Each sink queues frames in a bounded telemetry::FrameQueue, so a short or
+// failed write never leaves a torn frame at rest: the unwritten tail goes
+// out on a later flush, and on overflow whole not-yet-started frames drop
+// (the aggregator tolerates sequence gaps; it rejects rewrites).
 class ProfileStreamWriter {
  public:
   struct Options {
     std::string path;   // file sink; "" = none
-    // Adopt an already-open descriptor as the file sink instead of opening
-    // `path` (ownership transfers; Close closes it). Lets tests drive the
-    // short-write/EAGAIN paths with a non-blocking pipe.
-    int adopt_fd = -1;
     std::string epoch;
     uint64_t ir_hash = 0;
-    // Cap on buffered-but-unwritten file bytes before whole lines drop.
-    size_t max_pending_bytes = 1u << 20;
     // Network sink; port 0 = none.
     std::string net_host = "127.0.0.1";
     uint16_t net_port = 0;
@@ -129,7 +116,8 @@ class ProfileStreamWriter {
   explicit ProfileStreamWriter(Options options);
   ~ProfileStreamWriter();
 
-  // Creates/truncates the stream file and/or starts the network sink.
+  // Creates/truncates the stream file and/or starts the network sink, and
+  // queues the hello frame on each.
   Status Open();
 
   // Writes Between(last flushed, current) if non-empty. Callers pass the full
@@ -144,31 +132,23 @@ class ProfileStreamWriter {
   void Close();
 
   uint64_t deltas_written() const { return deltas_written_; }
-  // Whole lines dropped from the pending buffer (file sink backpressure).
-  uint64_t lines_dropped() const { return lines_dropped_; }
-  // Bytes accepted but not yet written to the file (0 = fully drained).
-  size_t pending_bytes() const;
   // The network sink, or nullptr when none was configured. Callers use it to
   // pump reconnects and to receive policy-update frames.
   telemetry::NetSink* net_sink() { return net_sink_.get(); }
 
  private:
-  // Appends pending_ to the file, tolerating EINTR/EAGAIN/short writes by
-  // keeping the unwritten tail for the next call.
-  Status DrainPendingLocked();
+  // Appends the file queue to the file; a short write or EAGAIN keeps the
+  // unwritten tail queued for the next call.
+  Status WriteFileLocked();
 
   const Options options_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::string epoch_;       // guarded by mutex_
   Profile last_;            // guarded by mutex_
   uint64_t next_sequence_ = 0;  // guarded by mutex_
   uint64_t deltas_written_ = 0;
-  uint64_t lines_dropped_ = 0;
   int fd_ = -1;             // guarded by mutex_
-  std::string pending_;     // accepted, unwritten file bytes; guarded by mutex_
-  // True when a prefix of pending_'s first line is already in the file — that
-  // line must never be dropped, or the file would keep a torn line.
-  bool front_partially_written_ = false;
+  telemetry::FrameQueue file_queue_;  // guarded by mutex_
   std::unique_ptr<telemetry::NetSink> net_sink_;
 };
 

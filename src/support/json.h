@@ -9,7 +9,7 @@
 //
 // Writer appends compact JSON to a caller-owned std::string and places the
 // commas itself, so emitters (findings and SARIF, stats and traces, sampler
-// rows, server responses, profile deltas, bench results) say only what they
+// rows, server responses, stream hellos, bench results) say only what they
 // write. Its string escaper is the only one in the tree; the flight recorder
 // keeps its own allocation-free arena writer because it runs in a signal
 // handler.

@@ -1,9 +1,13 @@
 #include "src/telemetry/aggregator.h"
 
-#include <fstream>
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 
 #include "src/analysis/lint.h"
 #include "src/ir/module_hash.h"
+#include "src/support/json.h"
 #include "src/support/string_util.h"
 #include "src/telemetry/metrics.h"
 
@@ -76,62 +80,6 @@ ProfileAggregator::ProfileAggregator(AggregatorOptions options)
   (void)PromotionsRejectedStaticCounter();
 }
 
-void ProfileAggregator::AddStream(std::string path) {
-  for (const StreamState& existing : streams_) {
-    if (existing.path == path) {
-      return;
-    }
-  }
-  streams_.push_back(StreamState{std::move(path), 0, std::nullopt});
-}
-
-Result<size_t> ProfileAggregator::Poll(std::vector<PromotionCandidate>* promotions,
-                                       std::vector<DemotionCandidate>* demotions) {
-  size_t applied = 0;
-  for (StreamState& stream : streams_) {
-    std::ifstream in(stream.path, std::ios::in | std::ios::binary);
-    if (!in) {
-      continue;  // not written yet — a stream may be registered ahead of its producer
-    }
-    in.seekg(static_cast<std::streamoff>(stream.offset));
-    if (!in) {
-      continue;  // truncated below our offset: wait for it to regrow
-    }
-    std::string line;
-    while (std::getline(in, line)) {
-      if (in.eof()) {
-        // No trailing newline: a writer is mid-append. Leave the fragment for
-        // the next poll rather than parsing half a record.
-        break;
-      }
-      stream.offset += line.size() + 1;
-      if (StrStrip(line).empty()) {
-        continue;
-      }
-      if (ConsumeLine(stream, line, promotions)) {
-        ++applied;
-      }
-    }
-  }
-  CollectDemotions(demotions);
-  return applied;
-}
-
-bool ProfileAggregator::ConsumeNetworkDelta(const std::string& stream_name,
-                                            std::string_view psd1_bytes,
-                                            std::vector<PromotionCandidate>* promotions) {
-  auto [it, inserted] = net_streams_.try_emplace(stream_name);
-  if (inserted) {
-    it->second.path = stream_name;
-  }
-  Result<ProfileDelta> decoded = ProfileDelta::DecodeBinary(psd1_bytes);
-  if (!decoded.ok()) {
-    ReportMalformed(stream_name, decoded.status());
-    return false;
-  }
-  return ConsumeDelta(it->second, *decoded, promotions);
-}
-
 void ProfileAggregator::CollectDemotions(std::vector<DemotionCandidate>* demotions) {
   if (options_.demote_cold_epochs == 0 || epoch_ordinal_.empty()) {
     return;
@@ -190,30 +138,27 @@ void ProfileAggregator::ReportMalformed(const std::string& origin, const Status&
   sink_.Report(std::move(finding));
 }
 
-bool ProfileAggregator::ConsumeLine(StreamState& stream, std::string_view line,
-                                    std::vector<PromotionCandidate>* promotions) {
-  Result<ProfileDelta> decoded = ProfileDelta::FromJsonLine(line);
+bool ProfileAggregator::ConsumeDelta(const std::string& stream_name,
+                                     std::string_view psd1_bytes,
+                                     std::vector<PromotionCandidate>* promotions) {
+  Result<ProfileDelta> decoded = ProfileDelta::DecodeBinary(psd1_bytes);
   if (!decoded.ok()) {
-    ReportMalformed(stream.path, decoded.status());
+    ReportMalformed(stream_name, decoded.status());
     return false;
   }
-  return ConsumeDelta(stream, *decoded, promotions);
-}
-
-bool ProfileAggregator::ConsumeDelta(StreamState& stream, const ProfileDelta& delta,
-                                     std::vector<PromotionCandidate>* promotions) {
+  const ProfileDelta& delta = *decoded;
   if (expected_hash_ != 0 && delta.ir_hash() != expected_hash_) {
     ++stats_.rejected_hash;
     RejectedHashCounter()->Increment();
     if (options_.module != nullptr) {
-      analysis::LintProfileDeltaIrHash(*options_.module, delta.ir_hash(), stream.path, sink_);
+      analysis::LintProfileDeltaIrHash(*options_.module, delta.ir_hash(), stream_name, sink_);
     } else {
       analysis::Finding finding;
       finding.severity = analysis::Severity::kError;
       finding.rule = "stale-profile-hash";
       finding.message = StrFormat(
           "%s: delta recorded against IR hash 0x%016llx, expected 0x%016llx",
-          stream.path.c_str(), static_cast<unsigned long long>(delta.ir_hash()),
+          stream_name.c_str(), static_cast<unsigned long long>(delta.ir_hash()),
           static_cast<unsigned long long>(expected_hash_));
       finding.fix_hint = "the stream comes from a different build; aggregate it against the "
                          "module it was recorded on";
@@ -222,22 +167,25 @@ bool ProfileAggregator::ConsumeDelta(StreamState& stream, const ProfileDelta& de
     return false;
   }
 
-  if (stream.last_sequence.has_value() && delta.sequence() <= *stream.last_sequence) {
-    ++stats_.rejected_sequence;
-    RejectedSequenceCounter()->Increment();
-    analysis::Finding finding;
-    finding.severity = analysis::Severity::kWarning;
-    finding.rule = "replayed-profile-delta";
-    finding.message = StrFormat(
-        "%s: sequence %llu after %llu — replayed or rewritten stream", stream.path.c_str(),
-        static_cast<unsigned long long>(delta.sequence()),
-        static_cast<unsigned long long>(*stream.last_sequence));
-    finding.fix_hint = "each stream file must carry strictly increasing sequence numbers; "
-                       "give every producer its own stream file";
-    sink_.Report(std::move(finding));
-    return false;
+  const auto [last, first] = last_sequence_.try_emplace(stream_name, delta.sequence());
+  if (!first) {
+    if (delta.sequence() <= last->second) {
+      ++stats_.rejected_sequence;
+      RejectedSequenceCounter()->Increment();
+      analysis::Finding finding;
+      finding.severity = analysis::Severity::kWarning;
+      finding.rule = "replayed-profile-delta";
+      finding.message = StrFormat(
+          "%s: sequence %llu after %llu — replayed or rewritten stream", stream_name.c_str(),
+          static_cast<unsigned long long>(delta.sequence()),
+          static_cast<unsigned long long>(last->second));
+      finding.fix_hint = "each stream must carry strictly increasing sequence numbers; "
+                         "give every producer its own --profile-stream file";
+      sink_.Report(std::move(finding));
+      return false;
+    }
+    last->second = delta.sequence();
   }
-  stream.last_sequence = delta.sequence();
 
   delta.ApplyTo(&rolling_);
   delta.ApplyTo(&epochs_[delta.epoch()]);
@@ -375,6 +323,94 @@ std::vector<std::string> ProfileAggregator::EpochNames() const {
 const Profile* ProfileAggregator::EpochProfile(const std::string& epoch) const {
   auto it = epochs_.find(epoch);
   return it == epochs_.end() ? nullptr : &it->second;
+}
+
+void FrameIngest::AddFile(const std::string& path) {
+  for (const FileSource& file : files_) {
+    if (file.path == path) {
+      return;
+    }
+  }
+  files_.push_back(FileSource{path, 0, FrameDecoder()});
+}
+
+size_t FrameIngest::PollFiles(std::vector<PromotionCandidate>* promotions) {
+  size_t handled = 0;
+  for (FileSource& file : files_) {
+    const int fd = ::open(file.path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) {
+      continue;  // not written yet: a source may be registered ahead of its producer
+    }
+    char buffer[64 * 1024];
+    for (;;) {
+      const ssize_t n = ::pread(fd, buffer, sizeof(buffer), static_cast<off_t>(file.offset));
+      if (n < 0 && errno == EINTR) {
+        continue;
+      }
+      if (n <= 0) {
+        break;
+      }
+      file.offset += static_cast<uint64_t>(n);
+      file.decoder.Feed(std::string_view(buffer, static_cast<size_t>(n)));
+      while (auto frame = file.decoder.Next()) {
+        Handle(file.path, std::move(*frame), promotions);
+        ++handled;
+      }
+    }
+    ::close(fd);
+  }
+  return handled;
+}
+
+void FrameIngest::Handle(const std::string& source, Frame&& frame,
+                         std::vector<PromotionCandidate>* promotions) {
+  ++stats_.frames;
+  const auto named = names_.find(source);
+  const std::string& name = named == names_.end() ? source : named->second;
+  switch (frame.type) {
+    case FrameType::kHello: {
+      auto hello = json::Parse(frame.payload);
+      if (hello.ok() && hello->is_object() && hello->GetString("kind") == "pkru_safe_hello") {
+        const std::string stream = hello->GetString("stream");
+        if (!stream.empty()) {
+          names_[source] = stream;
+        }
+      }
+      break;
+    }
+    case FrameType::kProfileDelta:
+      streams_.insert(name);
+      aggregator_->ConsumeDelta(name, frame.payload, promotions);
+      break;
+    case FrameType::kSamplerRow:
+      ++stats_.sampler_rows;
+      break;
+    case FrameType::kPolicyUpdate:
+      break;  // server-to-client only; a client echoing it is ignored
+  }
+}
+
+void FrameIngest::Close(const std::string& source, bool mid_frame) {
+  names_.erase(source);
+  if (mid_frame) {
+    ++stats_.torn;
+  }
+}
+
+FrameIngest::Stats FrameIngest::stats() const {
+  Stats stats = stats_;
+  for (const FileSource& file : files_) {
+    stats.torn += file.decoder.mid_frame() ? 1 : 0;
+  }
+  return stats;
+}
+
+FrameDecoder::Stats FrameIngest::file_decoder_stats() const {
+  FrameDecoder::Stats total;
+  for (const FileSource& file : files_) {
+    total += file.decoder.stats();
+  }
+  return total;
 }
 
 }  // namespace telemetry

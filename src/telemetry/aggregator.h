@@ -1,34 +1,36 @@
 // Incremental profile aggregation service.
 //
 // The fleet-scale loop: processes running with always-on sampled profiling
-// flush ProfileDelta JSONL streams next to their metrics; this aggregator
-// tails any number of those streams, folds validated deltas into a versioned
-// rolling profile with per-epoch provenance, and emits promotion candidates —
-// sites whose observed share count crossed the threshold in enough distinct
-// epochs. Every candidate is cross-checked against the static points-to bound
-// BEFORE it is emitted: a poisoned or stale stream can therefore never widen
-// sharing beyond what the analysis proved may flow to U. Rejections surface
-// both as the aggregator.promotions.rejected_static counter and as a
+// ship ProfileDelta PSF frames (src/telemetry/stream_net.h) to a frame-log
+// file, a `profile_tool serve` socket, or both. This aggregator folds
+// validated deltas from any number of streams into a versioned rolling
+// profile with per-epoch provenance, and emits promotion candidates — sites
+// whose observed share count crossed the threshold in enough distinct
+// epochs. Every candidate is cross-checked against the static points-to
+// bound BEFORE it is emitted: a poisoned or stale stream can therefore never
+// widen sharing beyond what the analysis proved may flow to U. Rejections
+// surface both as the aggregator.promotions.rejected_static counter and as a
 // "promotion-outside-static" lint diagnostic.
 //
 // Deltas are rejected (never partially applied) when:
-//   * the line is not a well-formed delta record        (rejected_malformed)
+//   * the payload is not a well-formed PSD1 delta       (rejected_malformed)
 //   * the IR content hash does not match the module's   (rejected_hash,
 //     plus a "stale-profile-hash" diagnostic)
 //   * the per-stream sequence number did not increase   (rejected_sequence —
 //     a replayed or rewritten stream)
 //
-// Driven by `profile_tool aggregate`, either one-shot (drain what exists) or
-// follow mode (poll in a loop). The class itself is poll-based and owns no
-// thread.
+// FrameIngest feeds frames from frame-log files and socket connections into
+// the aggregator; `profile_tool aggregate` (one drain of its files) and
+// `profile_tool serve` (a poll loop over a socket and files) share it.
+// Nothing here owns a thread.
 #ifndef SRC_TELEMETRY_AGGREGATOR_H_
 #define SRC_TELEMETRY_AGGREGATOR_H_
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -39,6 +41,7 @@
 #include "src/runtime/profile_artifact.h"
 #include "src/runtime/profile_delta.h"
 #include "src/support/status.h"
+#include "src/telemetry/stream_net.h"
 
 namespace pkrusafe {
 namespace telemetry {
@@ -106,28 +109,17 @@ class ProfileAggregator {
 
   explicit ProfileAggregator(AggregatorOptions options);
 
-  // Registers a JSONL delta stream to tail. The file need not exist yet.
-  void AddStream(std::string path);
-
-  // Drains every registered stream to its current end, applying complete
-  // lines (a partially-written trailing line is left for the next poll).
+  // Validates and folds one PSD1-encoded delta (a kProfileDelta frame
+  // payload) from the stream named `stream_name`: malformed, hash, sequence
+  // (tracked per stream name), then the static cross-check on promotion.
   // Newly-crossed, statically-valid promotion candidates are appended to
-  // `promotions` (may be null), and — when demotion is enabled — newly-cold
-  // sites to `demotions`. Returns the number of deltas applied.
-  Result<size_t> Poll(std::vector<PromotionCandidate>* promotions,
-                      std::vector<DemotionCandidate>* demotions = nullptr);
+  // `promotions` (may be null). Returns true when the delta was applied.
+  bool ConsumeDelta(const std::string& stream_name, std::string_view psd1_bytes,
+                    std::vector<PromotionCandidate>* promotions);
 
-  // Feeds one PSD1-encoded delta (a kProfileDelta frame payload) from a
-  // named network stream. Validation is identical to file tailing —
-  // malformed, hash, sequence, then the static cross-check on promotion —
-  // with `stream_name` (e.g. "tcp:<client-id>") standing in for the file
-  // path in diagnostics. Returns true when the delta was applied.
-  bool ConsumeNetworkDelta(const std::string& stream_name, std::string_view psd1_bytes,
-                           std::vector<PromotionCandidate>* promotions);
-
-  // Runs the cold-site sweep immediately (Poll does this itself; the serve
-  // loop calls it after consuming network frames). Appends newly-cold sites
-  // to `demotions` (may be null). No-op unless demote_cold_epochs > 0.
+  // Runs the cold-site sweep (the ingest loop calls it after each round of
+  // frames). Appends newly-cold sites to `demotions` (may be null). No-op
+  // unless demote_cold_epochs > 0.
   void CollectDemotions(std::vector<DemotionCandidate>* demotions);
 
   // The rolling merged profile across all streams and epochs.
@@ -163,27 +155,12 @@ class ProfileAggregator {
   const analysis::DiagnosticSink& diagnostics() const { return sink_; }
 
  private:
-  struct StreamState {
-    std::string path;
-    uint64_t offset = 0;                   // bytes of the file already consumed
-    std::optional<uint64_t> last_sequence; // last accepted seq on this stream
-  };
-
-  // Validates and applies one line from `stream`. Returns true when a delta
-  // was applied.
-  bool ConsumeLine(StreamState& stream, std::string_view line,
-                   std::vector<PromotionCandidate>* promotions);
-  // The shared validate-and-fold tail of ConsumeLine / ConsumeNetworkDelta:
-  // hash check, sequence check, apply, promotion sweep.
-  bool ConsumeDelta(StreamState& stream, const ProfileDelta& delta,
-                    std::vector<PromotionCandidate>* promotions);
   void MaybePromote(AllocId site, std::vector<PromotionCandidate>* promotions);
   void ReportMalformed(const std::string& origin, const Status& status);
 
   const AggregatorOptions options_;
   const uint64_t expected_hash_;  // 0 = unchecked
-  std::vector<StreamState> streams_;
-  std::map<std::string, StreamState> net_streams_;  // name -> per-connection state
+  std::map<std::string, uint64_t> last_sequence_;  // stream name -> last accepted seq
 
   Profile rolling_;
   uint64_t version_ = 0;
@@ -207,6 +184,61 @@ class ProfileAggregator {
 
   Stats stats_;
   analysis::DiagnosticSink sink_;
+};
+
+// Routes PSF frames from their sources into a ProfileAggregator. A source is
+// a frame-log file (its path) or a socket connection ("tcp:<id>"). A
+// kHello's `stream` names its source's stream; without one the source's own
+// name is the stream name. kProfileDelta frames go to ConsumeDelta under
+// that name, kSamplerRow frames are counted, and kPolicyUpdate frames (the
+// server's own direction) are ignored.
+class FrameIngest {
+ public:
+  struct Stats {
+    uint64_t frames = 0;        // frames handled, all sources
+    uint64_t sampler_rows = 0;
+    // Closed connections that ended in the middle of a frame, plus frame
+    // logs that end in one now.
+    uint64_t torn = 0;
+  };
+
+  // `aggregator` must outlive the ingest.
+  explicit FrameIngest(ProfileAggregator* aggregator) : aggregator_(aggregator) {}
+
+  // Registers a frame log to drain. It need not exist yet; a path given
+  // twice is one source.
+  void AddFile(const std::string& path);
+
+  // Reads every frame log to its current end and handles its complete
+  // frames. A torn trailing frame stays pending for the next call; a file
+  // not written yet yields nothing. Returns the number of frames handled.
+  size_t PollFiles(std::vector<PromotionCandidate>* promotions);
+
+  // Handles one frame from `source`.
+  void Handle(const std::string& source, Frame&& frame,
+              std::vector<PromotionCandidate>* promotions);
+
+  // The connection is gone; `mid_frame` reports a torn tail.
+  void Close(const std::string& source, bool mid_frame);
+
+  Stats stats() const;
+  // Decoder counters (resync bytes, bad CRCs, ...) over every frame log.
+  FrameDecoder::Stats file_decoder_stats() const;
+  // Distinct stream names that delivered a delta.
+  size_t stream_count() const { return streams_.size(); }
+
+ private:
+  struct FileSource {
+    std::string path;
+    uint64_t offset = 0;  // bytes of the file already fed to the decoder
+    FrameDecoder decoder;
+  };
+
+  ProfileAggregator* const aggregator_;
+  std::vector<FileSource> files_;
+  std::map<std::string, std::string> names_;  // source -> hello's stream name
+  std::set<std::string> streams_;
+  Stats stats_;  // torn counts closed connections only
 };
 
 }  // namespace telemetry

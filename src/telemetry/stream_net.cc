@@ -162,6 +162,71 @@ std::optional<Frame> FrameDecoder::Next() {
   }
 }
 
+FrameDecoder::Stats& FrameDecoder::Stats::operator+=(const Stats& other) {
+  frames += other.frames;
+  bad_magic += other.bad_magic;
+  bad_version += other.bad_version;
+  bad_type += other.bad_type;
+  oversized += other.oversized;
+  bad_crc += other.bad_crc;
+  return *this;
+}
+
+// --- FrameQueue ---
+
+size_t FrameQueue::Push(std::string frame) {
+  bytes_ += frame.size();
+  frames_.push_back(std::move(frame));
+  size_t dropped = 0;
+  // The oldest frame not yet started; the newest one always stays.
+  const size_t victim = front_offset_ > 0 ? 1 : 0;
+  while (unsent_bytes() > max_bytes_ && victim + 1 < frames_.size()) {
+    bytes_ -= frames_[victim].size();
+    frames_.erase(frames_.begin() + static_cast<ptrdiff_t>(victim));
+    ++dropped;
+  }
+  return dropped;
+}
+
+FrameQueue::Written FrameQueue::Write(const Writer& writer) {
+  Written written;
+  while (!frames_.empty()) {
+    const std::string& frame = frames_.front();
+    const ssize_t n = writer(frame.data() + front_offset_, frame.size() - front_offset_);
+    if (n < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        written.error = errno;
+      }
+      return written;
+    }
+    if (n == 0) {
+      return written;  // no progress; try again on the next call
+    }
+    front_offset_ += static_cast<size_t>(n);
+    written.bytes += static_cast<size_t>(n);
+    if (front_offset_ == frame.size()) {
+      bytes_ -= frame.size();
+      frames_.pop_front();
+      front_offset_ = 0;
+      ++written.frames;
+    }
+  }
+  return written;
+}
+
+bool FrameQueue::DropStarted() {
+  if (front_offset_ == 0) {
+    return false;
+  }
+  bytes_ -= frames_.front().size();
+  frames_.pop_front();
+  front_offset_ = 0;
+  return true;
+}
+
 // --- NetSink ---
 
 uint64_t NetSink::BackoffMs(const NetSinkOptions& options, uint64_t attempt,
@@ -181,7 +246,7 @@ uint64_t NetSink::BackoffMs(const NetSinkOptions& options, uint64_t attempt,
 }
 
 NetSink::NetSink(NetSinkOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)), queue_(options_.max_buffer_bytes) {
   (void)NetSentCounter();
   (void)NetDroppedCounter();
   (void)NetReconnectsCounter();
@@ -204,9 +269,9 @@ void NetSink::Send(FrameType type, std::string_view payload) {
     return;
   }
   std::lock_guard lock(mutex_);
-  queue_bytes_ += encoded.size();
-  queue_.push_back(std::move(encoded));
-  EnforceCapLocked();
+  const size_t dropped = queue_.Push(std::move(encoded));
+  stats_.frames_dropped += dropped;
+  NetDroppedCounter()->Increment(dropped);
   PumpLocked();
 }
 
@@ -261,7 +326,7 @@ bool NetSink::connected() const {
 
 size_t NetSink::buffered_bytes() const {
   std::lock_guard lock(mutex_);
-  return queue_bytes_ - front_offset_;
+  return queue_.unsent_bytes();
 }
 
 NetSink::Stats NetSink::stats() const {
@@ -364,10 +429,7 @@ void NetSink::DisconnectLocked(bool schedule_backoff) {
   // and discard it; resending from the start could double-count if the peer
   // actually received it. Drop it whole and move on — the delta protocol
   // tolerates gaps (sequence numbers only need to increase).
-  if (front_offset_ > 0 && !queue_.empty()) {
-    queue_bytes_ -= queue_.front().size();
-    queue_.pop_front();
-    front_offset_ = 0;
+  if (queue_.DropStarted()) {
     ++stats_.frames_dropped;
     NetDroppedCounter()->Increment();
   }
@@ -379,26 +441,14 @@ void NetSink::DisconnectLocked(bool schedule_backoff) {
 }
 
 void NetSink::FlushLocked() {
-  while (!queue_.empty()) {
-    const std::string& frame = queue_.front();
-    const ssize_t n = ::send(fd_, frame.data() + front_offset_, frame.size() - front_offset_,
-                             MSG_NOSIGNAL | MSG_DONTWAIT);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
-        return;  // socket full: try again on the next pump
-      }
-      DisconnectLocked(/*schedule_backoff=*/true);
-      return;
-    }
-    front_offset_ += static_cast<size_t>(n);
-    stats_.bytes_sent += static_cast<uint64_t>(n);
-    if (front_offset_ == frame.size()) {
-      queue_bytes_ -= frame.size();
-      queue_.pop_front();
-      front_offset_ = 0;
-      ++stats_.frames_sent;
-      NetSentCounter()->Increment();
-    }
+  const FrameQueue::Written written = queue_.Write([this](const char* data, size_t size) {
+    return ::send(fd_, data, size, MSG_NOSIGNAL | MSG_DONTWAIT);
+  });
+  stats_.bytes_sent += written.bytes;
+  stats_.frames_sent += written.frames;
+  NetSentCounter()->Increment(written.frames);
+  if (written.error != 0) {
+    DisconnectLocked(/*schedule_backoff=*/true);
   }
 }
 
@@ -428,42 +478,13 @@ void NetSink::ReadLocked() {
   }
 }
 
-void NetSink::EnforceCapLocked() {
-  // Drop the oldest frames that have not started transmission. The front
-  // frame is kept whenever it is partially sent — dropping it would tear the
-  // stream.
-  while (queue_bytes_ > options_.max_buffer_bytes && queue_.size() > 1) {
-    const size_t victim = front_offset_ > 0 ? 1 : 0;
-    if (victim >= queue_.size()) {
-      break;
-    }
-    queue_bytes_ -= queue_[victim].size();
-    queue_.erase(queue_.begin() + static_cast<ptrdiff_t>(victim));
-    ++stats_.frames_dropped;
-    NetDroppedCounter()->Increment();
-  }
-}
-
 // --- FrameServer ---
-
-namespace {
-
-void AddStats(FrameDecoder::Stats* total, const FrameDecoder::Stats& stats) {
-  total->frames += stats.frames;
-  total->bad_magic += stats.bad_magic;
-  total->bad_version += stats.bad_version;
-  total->bad_type += stats.bad_type;
-  total->oversized += stats.oversized;
-  total->bad_crc += stats.bad_crc;
-}
-
-}  // namespace
 
 Status FrameServer::Start(uint16_t port) { return loop_.Listen(port); }
 
 void FrameServer::Stop() {
   for (const auto& [id, decoder] : decoders_) {
-    AddStats(&closed_stats_, decoder.stats());
+    closed_stats_ += decoder.stats();
   }
   decoders_.clear();
   loop_.Shutdown();
@@ -487,7 +508,7 @@ Result<size_t> FrameServer::PollOnce(int timeout_ms, const FrameHandler& on_fram
     bool torn = false;
     if (const auto it = decoders_.find(id); it != decoders_.end()) {
       torn = it->second.mid_frame();
-      AddStats(&closed_stats_, it->second.stats());
+      closed_stats_ += it->second.stats();
       decoders_.erase(it);
     }
     if (torn) {
@@ -513,7 +534,7 @@ Status FrameServer::SendTo(uint64_t client_id, FrameType type, std::string_view 
 FrameDecoder::Stats FrameServer::decoder_stats() const {
   FrameDecoder::Stats total = closed_stats_;
   for (const auto& [id, decoder] : decoders_) {
-    AddStats(&total, decoder.stats());
+    total += decoder.stats();
   }
   return total;
 }

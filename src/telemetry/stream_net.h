@@ -1,11 +1,10 @@
 // Fleet telemetry transport: a length-prefixed framed stream protocol plus a
 // non-blocking TCP client (NetSink) and a multi-client server (FrameServer).
 //
-// PR 6 made continuous profiling file-bound: producers flush ProfileDelta
-// JSONL next to their metrics and an aggregator tails the files. This module
-// is the fleet half — the same payloads move over a socket, in both
-// directions, so `profile_tool serve` can aggregate a whole fleet live and
-// stream policy updates (promotions/demotions) back to each producer.
+// A PSF frame is the one framing of a profile delta. ProfileStreamWriter
+// writes the same frames to a file (a frame log, which `profile_tool
+// aggregate` drains) and to a socket (which `profile_tool serve` reads live
+// and answers with policy updates: promotions/demotions).
 //
 // Wire format (all integers little-endian):
 //
@@ -25,14 +24,16 @@
 // blocks, or crashes on hostile input — the server feeds frames from
 // arbitrary network peers straight into these paths.
 //
-// The client never blocks the caller: Send enqueues into a bounded buffer
-// and opportunistically pumps the socket. When the peer is down, frames
-// accumulate up to the cap and then drop oldest-first (whole frames only —
-// the protocol never tears a frame on purpose), while reconnect attempts
-// back off exponentially with deterministic jitter. Drop/reconnect behavior
-// is observable via telemetry.net.{sent,dropped,reconnects}.
+// Both sinks queue frames in a FrameQueue: bounded, whole frames only. The
+// client never blocks the caller: Send enqueues and opportunistically pumps
+// the socket. When the peer is down, frames accumulate up to the cap and
+// then drop oldest-first, while reconnect attempts back off exponentially
+// with deterministic jitter. Drop/reconnect behavior is observable via
+// telemetry.net.{sent,dropped,reconnects}.
 #ifndef SRC_TELEMETRY_STREAM_NET_H_
 #define SRC_TELEMETRY_STREAM_NET_H_
+
+#include <sys/types.h>
 
 #include <cstdint>
 #include <deque>
@@ -58,11 +59,12 @@ inline constexpr uint32_t kMaxFramePayload = 4u << 20;  // 4 MiB
 enum class FrameType : uint8_t {
   // Client -> server, optional, first frame: JSON
   // {"kind":"pkru_safe_hello","stream":NAME,"epoch":EPOCH} naming the stream
-  // for provenance/diagnostics (defaults to the peer address).
+  // for provenance/diagnostics (defaults to the file path or "tcp:<id>").
   kHello = 1,
   // Client -> server: one ProfileDelta in PSD1 binary encoding
-  // (ProfileDelta::EncodeBinary). Validated server-side exactly like a file
-  // line: malformed/hash/sequence rejection plus the static cross-check.
+  // (ProfileDelta::EncodeBinary). The aggregator rejects malformed, stale
+  // (hash) and replayed (sequence) deltas and cross-checks promotions
+  // against the static bound.
   kProfileDelta = 2,
   // Client -> server: one Sampler JSONL metrics row (UTF-8 text).
   kSamplerRow = 3,
@@ -96,6 +98,8 @@ class FrameDecoder {
     uint64_t bad_type = 0;     // unknown FrameType / nonzero reserved bits
     uint64_t oversized = 0;    // declared length over kMaxFramePayload
     uint64_t bad_crc = 0;      // payload failed the checksum
+
+    Stats& operator+=(const Stats& other);
   };
 
   // Appends raw bytes from the wire. Buffered data is bounded: a sane
@@ -117,13 +121,58 @@ class FrameDecoder {
   Stats stats_;
 };
 
+// A bounded FIFO of encoded frames on their way to one byte sink: NetSink's
+// socket or ProfileStreamWriter's frame log. Frames leave whole. A short
+// write keeps the rest of the front frame queued and the next Write resumes
+// there. When a Push takes the unsent bytes past the cap, the oldest frames
+// that have not started drop whole (never the newest); the started one
+// never drops, so the sink never holds a torn frame at rest. Not
+// thread-safe: each sink guards its queue with its own lock.
+class FrameQueue {
+ public:
+  static constexpr size_t kDefaultMaxBytes = 4u << 20;
+
+  // Writes up to `size` bytes and returns the count written, or -1 with
+  // errno set: ::write and ::send fit.
+  using Writer = std::function<ssize_t(const char* data, size_t size)>;
+
+  struct Written {
+    size_t frames = 0;  // frames completed
+    size_t bytes = 0;
+    int error = 0;      // errno of a failed write; 0 when the sink only filled
+  };
+
+  explicit FrameQueue(size_t max_bytes = kDefaultMaxBytes) : max_bytes_(max_bytes) {}
+
+  // Appends one encoded frame. Returns how many older frames dropped.
+  size_t Push(std::string frame);
+
+  // Writes until the queue empties or the writer takes no more bytes
+  // (EAGAIN or a zero-byte write). EINTR retries.
+  Written Write(const Writer& writer);
+
+  // Drops the front frame if part of it is written: its sink died
+  // mid-frame, and resending from the start could duplicate it. Returns
+  // whether a frame dropped.
+  bool DropStarted();
+
+  bool empty() const { return frames_.empty(); }
+  size_t unsent_bytes() const { return bytes_ - front_offset_; }
+
+ private:
+  const size_t max_bytes_;
+  std::deque<std::string> frames_;
+  size_t bytes_ = 0;         // all bytes of frames_
+  size_t front_offset_ = 0;  // bytes of frames_.front() already written
+};
+
 // --- Client ---
 
 struct NetSinkOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;
   // Bounded send buffer: beyond this, the oldest unsent whole frames drop.
-  size_t max_buffer_bytes = 4u << 20;
+  size_t max_buffer_bytes = FrameQueue::kDefaultMaxBytes;
   // Reconnect schedule: initial * 2^attempt, capped, plus up to 50% jitter.
   uint64_t backoff_initial_ms = 50;
   uint64_t backoff_max_ms = 5000;
@@ -178,7 +227,6 @@ class NetSink {
   void DisconnectLocked(bool schedule_backoff);
   void FlushLocked();
   void ReadLocked();
-  void EnforceCapLocked();
 
   const NetSinkOptions options_;
   mutable std::mutex mutex_;
@@ -188,9 +236,7 @@ class NetSink {
   uint64_t attempt_ = 0;           // consecutive failed attempts
   uint64_t next_attempt_ms_ = 0;   // earliest time for the next connect
   SplitMix64 jitter_{1};           // deterministic jitter stream, fixed seed
-  std::deque<std::string> queue_;  // encoded frames, FIFO
-  size_t queue_bytes_ = 0;
-  size_t front_offset_ = 0;        // bytes of queue_.front() already sent
+  FrameQueue queue_;               // encoded frames on their way out
   FrameDecoder decoder_;           // server -> client frames
   std::vector<Frame> incoming_;
   Stats stats_;
@@ -199,7 +245,7 @@ class NetSink {
 // --- Server ---
 
 // Multi-client framed TCP listener: framing glue over a SocketLoop the
-// caller drives (matching ProfileAggregator's poll-based design: no thread
+// caller drives (poll-based, like the rest of the ingest path: no thread
 // here either). Producers are long-lived streams: none is closed as idle.
 class FrameServer {
  public:

@@ -1,8 +1,8 @@
 // End-to-end continuous profiling on the real-fault backend: a forked child
 // runs ENFORCING with always-on sampled profiling, services a candidate-site
-// fault via SIGSEGV, ships the observation as a profile delta stream, applies
+// fault via SIGSEGV, ships the observation as a frame log, applies
 // the resulting promotion, and proves the promoted site stops faulting — all
-// without a restart. The parent then aggregates the stream, checks the
+// without a restart. The parent then drains the frame log, checks the
 // promotion passes the static cross-check, and checks a crafted poisoned
 // delta is rejected. A second child proves enforcement stayed live: a
 // non-candidate access still dies with SIGSEGV.
@@ -21,6 +21,7 @@
 #include "src/runtime/profile_delta.h"
 #include "src/runtime/runtime.h"
 #include "src/telemetry/aggregator.h"
+#include "src/telemetry/stream_net.h"
 
 namespace pkrusafe {
 namespace {
@@ -124,8 +125,8 @@ Result<std::unique_ptr<PkruSafeRuntime>> MakeSampledEnforcingRuntime() {
 }
 
 TEST(ContinuousProfilingE2eTest, SampledFaultStreamsAggregatesAndPromotes) {
-  const std::string stream_path = ::testing::TempDir() + "/contprof_e2e_stream.jsonl";
-  const std::string poison_path = ::testing::TempDir() + "/contprof_e2e_poison.jsonl";
+  const std::string stream_path = ::testing::TempDir() + "/contprof_e2e_stream.psf";
+  const std::string poison_path = ::testing::TempDir() + "/contprof_e2e_poison.psf";
   std::remove(stream_path.c_str());
   std::remove(poison_path.c_str());
 
@@ -146,9 +147,9 @@ TEST(ContinuousProfilingE2eTest, SampledFaultStreamsAggregatesAndPromotes) {
     poison.Add(kPoisonSite, 1000);
     std::FILE* out = std::fopen(poison_path.c_str(), "w");
     ASSERT_NE(out, nullptr);
-    const std::string line = poison.ToJsonLine();
-    std::fputs(line.c_str(), out);
-    std::fputc('\n', out);
+    const std::string frame =
+        telemetry::EncodeFrame(telemetry::FrameType::kProfileDelta, poison.EncodeBinary());
+    std::fwrite(frame.data(), 1, frame.size(), out);
     std::fclose(out);
   }
 
@@ -158,13 +159,13 @@ TEST(ContinuousProfilingE2eTest, SampledFaultStreamsAggregatesAndPromotes) {
   options.expected_ir_hash = kIrHash;
   options.static_shared.insert(kCandidateSite);
   telemetry::ProfileAggregator aggregator(std::move(options));
-  aggregator.AddStream(stream_path);
-  aggregator.AddStream(poison_path);
+  telemetry::FrameIngest files(&aggregator);
+  files.AddFile(stream_path);
+  files.AddFile(poison_path);
 
   std::vector<telemetry::PromotionCandidate> promotions;
-  auto applied = aggregator.Poll(&promotions);
-  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
-  EXPECT_EQ(*applied, 2u);  // both deltas decode and fold in
+  EXPECT_EQ(files.PollFiles(&promotions), 3u);  // the child's hello and delta, the poison
+  EXPECT_EQ(aggregator.stats().deltas_applied, 2u);  // both deltas decode and fold in
 
   ASSERT_EQ(promotions.size(), 1u);
   EXPECT_EQ(promotions[0].site, kCandidateSite);

@@ -3,7 +3,7 @@
 // A forked producer runs ENFORCING on the mprotect backend with always-on
 // sampled profiling. Its candidate-site reads take genuine SIGSEGVs, the
 // observations leave the process as PSD1 frames through a live NetSink, the
-// parent aggregates them serve-style (ConsumeNetworkDelta + the demotion
+// parent aggregates them serve-style (ConsumeDelta + the demotion
 // sweep), and policy flows BACK over the same connection: a promote frame
 // the producer applies online (the site stops faulting), then — after the
 // site goes cold for two epochs — a demote frame that returns it to
@@ -239,7 +239,7 @@ TEST(FleetE2eTest, PromoteThenDemoteOverLiveSocket) {
       if (std::find(producers.begin(), producers.end(), client) == producers.end()) {
         producers.push_back(client);
       }
-      aggregator.ConsumeNetworkDelta("tcp:" + std::to_string(client), frame.payload, &promotions);
+      aggregator.ConsumeDelta("tcp:" + std::to_string(client), frame.payload, &promotions);
     });
     ASSERT_TRUE(polled.ok()) << polled.status().ToString();
     frames_seen += *polled;

@@ -301,7 +301,7 @@ TEST(ServerE2eTest, ServingProducerStreamsDeltasAndAppliesPromotionLive) {
       if (std::find(producers.begin(), producers.end(), client) == producers.end()) {
         producers.push_back(client);
       }
-      aggregator.ConsumeNetworkDelta("tcp:" + std::to_string(client), frame.payload, &promotions);
+      aggregator.ConsumeDelta("tcp:" + std::to_string(client), frame.payload, &promotions);
     });
     ASSERT_TRUE(polled.ok()) << polled.status().ToString();
     frames_seen += *polled;

@@ -253,7 +253,8 @@ TEST_F(VerifierTest, MutatedProgramsAreRefusedOrRunToAStatus) {
     const uint32_t value = rng() % 4 == 0 ? static_cast<uint32_t>(rng()) : rng() % 48;
     switch (rng() % 3) {
       case 0:
-        instr.op = static_cast<Op>(value % 40);
+        // Every opcode, fused ones included, plus a few values past kLastOp.
+        instr.op = static_cast<Op>(rng() % (static_cast<uint32_t>(kLastOp) + 1 + 4));
         break;
       case 1:
         instr.a = value;

@@ -1,16 +1,16 @@
 #include "src/runtime/profile_delta.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cstdint>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/runtime/profile.h"
+#include "src/support/json.h"
 #include "src/support/rng.h"
+#include "src/telemetry/stream_net.h"
 #include "tests/golden_file.h"
 
 namespace pkrusafe {
@@ -64,11 +64,15 @@ TEST(ProfileDeltaTest, BinaryRoundTrip) {
   EXPECT_EQ(decoded->entries(), delta.entries());
 }
 
-TEST(ProfileDeltaTest, JsonLineRoundTrip) {
+TEST(ProfileDeltaTest, FrameRoundTrip) {
   const ProfileDelta delta =
       MakeDelta("prod", 0x1234, 7, {{{0, 0, 0}, 1}, {{100, 50, 2}, 12}});
-  const std::string line = delta.ToJsonLine();
-  auto decoded = ProfileDelta::FromJsonLine(line);
+  telemetry::FrameDecoder decoder;
+  decoder.Feed(telemetry::EncodeFrame(telemetry::FrameType::kProfileDelta, delta.EncodeBinary()));
+  auto frame = decoder.Next();
+  ASSERT_TRUE(frame.has_value());
+  EXPECT_EQ(frame->type, telemetry::FrameType::kProfileDelta);
+  auto decoded = ProfileDelta::DecodeBinary(frame->payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->epoch(), "prod");
   EXPECT_EQ(decoded->ir_hash(), 0x1234u);
@@ -76,10 +80,44 @@ TEST(ProfileDeltaTest, JsonLineRoundTrip) {
   EXPECT_EQ(decoded->entries(), delta.entries());
 }
 
-TEST(ProfileDeltaTest, JsonLineMatchesGolden) {
-  const ProfileDelta delta = MakeDelta("canary \"q\" \\ \x01 \xc3\xa9", 0xdeadbeefcafef00dULL, 42,
-                                       {{{0, 0, 0}, 1}, {{100, 50, 2}, 12}});
-  golden::ExpectMatches(delta.ToJsonLine() + "\n", "profile_delta.jsonl");
+// The exact bytes a ProfileStreamWriter's file sink writes: a hello frame
+// naming the stream by its path, then one kProfileDelta frame per flush.
+TEST(ProfileDeltaTest, FrameLogMatchesGolden) {
+  const std::string path = ::testing::TempDir() + "/golden_stream.psf";
+  const std::string epoch = "canary \"q\" \\ \x01 \xc3\xa9";
+  ProfileStreamWriter::Options options;
+  options.path = path;
+  options.epoch = epoch;
+  options.ir_hash = 0xdeadbeefcafef00dULL;
+  ProfileStreamWriter writer(std::move(options));
+  ASSERT_TRUE(writer.Open().ok());
+  Profile profile;
+  profile.Add({0, 0, 0}, 1);
+  profile.Add({100, 50, 2}, 12);
+  ASSERT_TRUE(writer.Flush(profile).ok());
+  profile.Add({100, 50, 2}, 3);
+  ASSERT_TRUE(writer.Flush(profile).ok());
+  writer.Close();
+
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  const std::string log = bytes.str();
+
+  // The hello carries the (machine-dependent) path, so it is checked field by
+  // field; the delta frames after it are pinned byte for byte.
+  telemetry::FrameDecoder decoder;
+  decoder.Feed(log);
+  auto hello = decoder.Next();
+  ASSERT_TRUE(hello.has_value());
+  ASSERT_EQ(hello->type, telemetry::FrameType::kHello);
+  auto fields = json::Parse(hello->payload);
+  ASSERT_TRUE(fields.ok()) << fields.status().ToString();
+  EXPECT_EQ(fields->GetString("kind"), "pkru_safe_hello");
+  EXPECT_EQ(fields->GetString("stream"), path);
+  EXPECT_EQ(fields->GetString("epoch"), epoch);
+  golden::ExpectMatches(log.substr(telemetry::kFrameHeaderSize + hello->payload.size()),
+                        "profile_delta.psf");
 }
 
 TEST(ProfileDeltaTest, FuzzRoundTrip) {
@@ -103,10 +141,11 @@ TEST(ProfileDeltaTest, FuzzRoundTrip) {
     EXPECT_EQ(decoded->sequence(), delta.sequence());
     EXPECT_EQ(decoded->entries(), delta.entries());
 
-    auto from_json = ProfileDelta::FromJsonLine(delta.ToJsonLine());
-    ASSERT_TRUE(from_json.ok())
-        << "round " << round << ": " << from_json.status().ToString();
-    EXPECT_EQ(from_json->entries(), delta.entries());
+    telemetry::FrameDecoder decoder;
+    decoder.Feed(telemetry::EncodeFrame(telemetry::FrameType::kProfileDelta, bytes));
+    auto frame = decoder.Next();
+    ASSERT_TRUE(frame.has_value()) << "round " << round;
+    EXPECT_EQ(frame->payload, bytes);
   }
 }
 
@@ -128,30 +167,6 @@ TEST(ProfileDeltaTest, BadMagicRejected) {
   std::string corrupt = bytes;
   corrupt[0] = 'X';
   EXPECT_FALSE(ProfileDelta::DecodeBinary(corrupt).ok());
-}
-
-TEST(ProfileDeltaTest, JsonHeaderMismatchRejected) {
-  const ProfileDelta delta = MakeDelta("prod", 0x1111, 9, {{{1, 1, 1}, 1}});
-  const std::string line = delta.ToJsonLine();
-
-  // Rewriting the header's seq without re-encoding the payload must fail the
-  // cross-check: an aggregator cannot be fooled by header-only tampering.
-  std::string tampered = line;
-  const size_t pos = tampered.find("\"seq\":9");
-  ASSERT_NE(pos, std::string::npos);
-  tampered.replace(pos, 8, "\"seq\":10");
-  EXPECT_FALSE(ProfileDelta::FromJsonLine(tampered).ok());
-
-  std::string bad_hash = line;
-  const size_t hash_pos = bad_hash.find("0x0000000000001111");
-  ASSERT_NE(hash_pos, std::string::npos);
-  bad_hash.replace(hash_pos, 18, "0x0000000000002222");
-  EXPECT_FALSE(ProfileDelta::FromJsonLine(bad_hash).ok());
-
-  EXPECT_FALSE(ProfileDelta::FromJsonLine("{}").ok());
-  EXPECT_FALSE(ProfileDelta::FromJsonLine("not json at all").ok());
-  EXPECT_FALSE(
-      ProfileDelta::FromJsonLine("{\"kind\":\"something_else\",\"v\":1}").ok());
 }
 
 TEST(ProfileDeltaTest, ApplyMatchesProfileMerge) {
@@ -195,7 +210,7 @@ TEST(ProfileDeltaTest, SaturatingApply) {
 }
 
 TEST(ProfileDeltaStreamWriterTest, FlushWritesGrowthOnly) {
-  const std::string path = ::testing::TempDir() + "/delta_stream.jsonl";
+  const std::string path = ::testing::TempDir() + "/delta_stream.psf";
   ProfileStreamWriter::Options options;
   options.path = path;
   options.epoch = "test";
@@ -214,14 +229,22 @@ TEST(ProfileDeltaStreamWriterTest, FlushWritesGrowthOnly) {
   writer.Close();
   EXPECT_EQ(writer.deltas_written(), 2u);
 
-  std::ifstream in(path);
-  std::string line;
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  telemetry::FrameDecoder decoder;
+  decoder.Feed(bytes.str());
+  auto hello = decoder.Next();
+  ASSERT_TRUE(hello.has_value());
+  EXPECT_EQ(hello->type, telemetry::FrameType::kHello);
   std::vector<ProfileDelta> deltas;
-  while (std::getline(in, line)) {
-    auto decoded = ProfileDelta::FromJsonLine(line);
+  while (auto frame = decoder.Next()) {
+    ASSERT_EQ(frame->type, telemetry::FrameType::kProfileDelta);
+    auto decoded = ProfileDelta::DecodeBinary(frame->payload);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     deltas.push_back(*decoded);
   }
+  EXPECT_FALSE(decoder.mid_frame());
   ASSERT_EQ(deltas.size(), 2u);
   EXPECT_EQ(deltas[0].sequence(), 0u);
   EXPECT_EQ(deltas[1].sequence(), 1u);
@@ -233,164 +256,6 @@ TEST(ProfileDeltaStreamWriterTest, FlushWritesGrowthOnly) {
   }
   EXPECT_EQ(rebuilt.CountFor({1, 0, 0}), 3u);
   EXPECT_EQ(rebuilt.CountFor({2, 0, 0}), 5u);
-}
-
-// --- short-write / backpressure regression ---
-//
-// The sink is a non-blocking pipe the test controls, so writes can be forced
-// short (partial line out) or refused outright (EAGAIN). The writer must
-// never leave a torn JSONL line at rest: a partially-written line's tail
-// stays pending and completes on a later flush, and overflow drops only
-// whole not-yet-started lines.
-
-struct PipePair {
-  int read_fd = -1;
-  int write_fd = -1;
-};
-
-PipePair NonBlockingPipe() {
-  int fds[2] = {-1, -1};
-  EXPECT_EQ(::pipe2(fds, O_NONBLOCK), 0);
-  return {fds[0], fds[1]};
-}
-
-// Fills the pipe to capacity, then frees exactly `slack` bytes.
-void FillPipeLeaving(const PipePair& pipe, size_t slack) {
-  std::string chunk(4096, 'x');
-  while (::write(pipe.write_fd, chunk.data(), chunk.size()) > 0) {
-  }
-  for (char byte = 'x'; ::write(pipe.write_fd, &byte, 1) == 1;) {
-  }
-  std::vector<char> out(slack);
-  size_t freed = 0;
-  while (freed < slack) {
-    const ssize_t n = ::read(pipe.read_fd, out.data(), slack - freed);
-    ASSERT_GT(n, 0);
-    freed += static_cast<size_t>(n);
-  }
-}
-
-std::string DrainPipe(int read_fd) {
-  std::string out;
-  char buffer[4096];
-  ssize_t n;
-  while ((n = ::read(read_fd, buffer, sizeof(buffer))) > 0) {
-    out.append(buffer, static_cast<size_t>(n));
-  }
-  return out;
-}
-
-// A profile big enough that its delta line exceeds PIPE_BUF (4096), so a
-// non-blocking write into a nearly-full pipe is SHORT rather than atomic.
-Profile WideProfile(uint64_t base_count) {
-  Profile profile;
-  for (uint32_t f = 1; f <= 700; ++f) {
-    profile.Add({f, 0, 0}, base_count);
-  }
-  return profile;
-}
-
-TEST(ProfileDeltaStreamWriterTest, ShortWriteNeverLeavesTornLine) {
-  const PipePair pipe = NonBlockingPipe();
-  ProfileStreamWriter::Options options;
-  options.adopt_fd = pipe.write_fd;
-  options.epoch = "torn";
-  options.ir_hash = 0x7;
-  ProfileStreamWriter writer(std::move(options));
-  ASSERT_TRUE(writer.Open().ok());
-
-  // Leave 1000 bytes of room: the first line (~>4 KiB) only partially fits.
-  FillPipeLeaving(pipe, 1000);
-  ASSERT_TRUE(writer.Flush(WideProfile(1)).ok());
-  EXPECT_EQ(writer.deltas_written(), 1u);
-  EXPECT_GT(writer.pending_bytes(), 0u) << "the unwritten tail must stay pending";
-
-  // Drain the filler plus whatever prefix landed; the data at rest ends
-  // mid-line right now — that is fine for a PIPE, the invariant is that the
-  // writer still holds the tail and completes the line.
-  std::string received = DrainPipe(pipe.read_fd);
-
-  // An empty flush drives the deferred tail out.
-  for (int i = 0; i < 10 && writer.pending_bytes() > 0; ++i) {
-    ASSERT_TRUE(writer.Flush(WideProfile(1)).ok());
-    received += DrainPipe(pipe.read_fd);
-  }
-  EXPECT_EQ(writer.pending_bytes(), 0u);
-  EXPECT_EQ(writer.lines_dropped(), 0u);
-
-  // Strip the filler 'x' bytes; everything after must be exactly one
-  // complete, parseable line.
-  const size_t start = received.find_first_not_of('x');
-  ASSERT_NE(start, std::string::npos);
-  std::string lines = received.substr(start);
-  ASSERT_FALSE(lines.empty());
-  ASSERT_EQ(lines.back(), '\n');
-  lines.pop_back();
-  ASSERT_EQ(lines.find('\n'), std::string::npos);
-  auto decoded = ProfileDelta::FromJsonLine(lines);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->site_count(), 700u);
-
-  writer.Close();
-  ::close(pipe.read_fd);
-}
-
-TEST(ProfileDeltaStreamWriterTest, OverflowDropsWholeLinesNeverTheStartedOne) {
-  const PipePair pipe = NonBlockingPipe();
-  ProfileStreamWriter::Options options;
-  options.adopt_fd = pipe.write_fd;
-  options.epoch = "drop";
-  options.ir_hash = 0x7;
-  options.max_pending_bytes = 16 * 1024;  // a few wide lines at most
-  ProfileStreamWriter writer(std::move(options));
-  ASSERT_TRUE(writer.Open().ok());
-
-  // Start a line (short write), then keep flushing growth with the pipe full
-  // so pending overflows and whole lines drop.
-  FillPipeLeaving(pipe, 500);
-  for (uint64_t round = 1; round <= 8; ++round) {
-    ASSERT_TRUE(writer.Flush(WideProfile(round)).ok());
-  }
-  EXPECT_GT(writer.lines_dropped(), 0u);
-  EXPECT_LE(writer.pending_bytes(), 16u * 1024u);
-  EXPECT_EQ(writer.deltas_written(), 8u) << "acceptance is decoupled from delivery";
-
-  std::string received = DrainPipe(pipe.read_fd);
-  for (int i = 0; i < 20 && writer.pending_bytes() > 0; ++i) {
-    ASSERT_TRUE(writer.Flush(WideProfile(8)).ok());
-    received += DrainPipe(pipe.read_fd);
-  }
-  EXPECT_EQ(writer.pending_bytes(), 0u);
-
-  const size_t start = received.find_first_not_of('x');
-  ASSERT_NE(start, std::string::npos);
-  std::string lines = received.substr(start);
-  ASSERT_FALSE(lines.empty());
-  ASSERT_EQ(lines.back(), '\n');
-
-  // Every line at rest parses — in particular the FIRST one, whose prefix
-  // was already in the pipe when the overflow policy ran: dropping it would
-  // have left a torn line forever.
-  size_t pos = 0;
-  size_t parsed = 0;
-  uint64_t last_seq = 0;
-  while (pos < lines.size()) {
-    const size_t eol = lines.find('\n', pos);
-    ASSERT_NE(eol, std::string::npos);
-    auto decoded = ProfileDelta::FromJsonLine(lines.substr(pos, eol - pos));
-    ASSERT_TRUE(decoded.ok()) << "line " << parsed << ": " << decoded.status().ToString();
-    if (parsed > 0) {
-      EXPECT_GT(decoded->sequence(), last_seq) << "gaps allowed, rewrites not";
-    }
-    last_seq = decoded->sequence();
-    ++parsed;
-    pos = eol + 1;
-  }
-  EXPECT_GE(parsed, 1u);
-  EXPECT_LT(parsed, 8u);  // something was genuinely dropped
-
-  writer.Close();
-  ::close(pipe.read_fd);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Incremental aggregation: tail delta streams, fold validated deltas into a
+// Incremental aggregation: drain frame logs, fold validated deltas into a
 // versioned rolling profile, emit statically-cross-checked promotions.
 #include "src/telemetry/aggregator.h"
 
@@ -10,6 +10,7 @@
 #include "gtest/gtest.h"
 #include "src/runtime/profile_delta.h"
 #include "src/support/string_util.h"
+#include "src/telemetry/stream_net.h"
 
 namespace pkrusafe {
 namespace telemetry {
@@ -21,30 +22,39 @@ constexpr AllocId kPoisonSite{66, 6, 6};
 constexpr uint64_t kIrHash = 0xfeedface;
 
 std::string TempStream(const char* name) {
-  return ::testing::TempDir() + "/" + name + ".jsonl";
+  return ::testing::TempDir() + "/" + name + ".psf";
 }
 
-void WriteLines(const std::string& path, const std::vector<std::string>& lines,
-                bool final_newline = true) {
+// Writes a frame log: the concatenated frames, as a producer's file sink
+// writes them.
+void WriteFrames(const std::string& path, const std::vector<std::string>& frames) {
   std::ofstream out(path, std::ios::trunc | std::ios::binary);
-  for (size_t i = 0; i < lines.size(); ++i) {
-    out << lines[i];
-    if (i + 1 < lines.size() || final_newline) {
-      out << '\n';
-    }
+  for (const std::string& frame : frames) {
+    out << frame;
   }
 }
 
-void AppendLine(const std::string& path, const std::string& line) {
+void AppendFrame(const std::string& path, const std::string& frame) {
   std::ofstream out(path, std::ios::app | std::ios::binary);
-  out << line << '\n';
+  out << frame;
 }
 
-std::string DeltaLine(AllocId site, uint64_t count, uint64_t seq,
-                      const std::string& epoch = "e1", uint64_t ir_hash = kIrHash) {
+std::string DeltaFrame(AllocId site, uint64_t count, uint64_t seq,
+                       const std::string& epoch = "e1", uint64_t ir_hash = kIrHash) {
   ProfileDelta delta(epoch, ir_hash, seq);
   delta.Add(site, count);
-  return delta.ToJsonLine();
+  return EncodeFrame(FrameType::kProfileDelta, delta.EncodeBinary());
+}
+
+// One round of the `profile_tool` ingest loop over frame logs: drain what
+// the files gained, then sweep for cold sites. Returns the deltas applied.
+size_t Poll(FrameIngest& files, ProfileAggregator& aggregator,
+            std::vector<PromotionCandidate>* promotions,
+            std::vector<DemotionCandidate>* demotions = nullptr) {
+  const uint64_t before = aggregator.stats().deltas_applied;
+  files.PollFiles(promotions);
+  aggregator.CollectDemotions(demotions);
+  return aggregator.stats().deltas_applied - before;
 }
 
 AggregatorOptions BaseOptions() {
@@ -57,17 +67,17 @@ AggregatorOptions BaseOptions() {
 
 TEST(AggregatorTest, AppliesDeltasAndPromotes) {
   const std::string path = TempStream("apply");
-  WriteLines(path, {DeltaLine(kSharedSite, 2, 0), DeltaLine(kSharedSite, 3, 1)});
+  WriteFrames(path, {DeltaFrame(kSharedSite, 2, 0), DeltaFrame(kSharedSite, 3, 1)});
 
   AggregatorOptions options = BaseOptions();
   options.promotion_threshold = 5;
   ProfileAggregator aggregator(std::move(options));
-  aggregator.AddStream(path);
+  FrameIngest files(&aggregator);
+  files.AddFile(path);
 
   std::vector<PromotionCandidate> promotions;
-  auto applied = aggregator.Poll(&promotions);
-  ASSERT_TRUE(applied.ok());
-  EXPECT_EQ(*applied, 2u);
+  size_t applied = Poll(files, aggregator, &promotions);
+  EXPECT_EQ(applied, 2u);
   EXPECT_EQ(aggregator.rolling().CountFor(kSharedSite), 5u);
   EXPECT_EQ(aggregator.version(), 2u);
   ASSERT_EQ(promotions.size(), 1u);
@@ -76,42 +86,44 @@ TEST(AggregatorTest, AppliesDeltasAndPromotes) {
   EXPECT_EQ(aggregator.stats().promotions_emitted, 1u);
 
   // Promotion fires exactly once per site, even as counts keep growing.
-  AppendLine(path, DeltaLine(kSharedSite, 10, 2));
+  AppendFrame(path, DeltaFrame(kSharedSite, 10, 2));
   promotions.clear();
-  ASSERT_TRUE(aggregator.Poll(&promotions).ok());
+  Poll(files, aggregator, &promotions);
   EXPECT_TRUE(promotions.empty());
   EXPECT_EQ(aggregator.rolling().CountFor(kSharedSite), 15u);
 }
 
 TEST(AggregatorTest, BelowThresholdDoesNotPromote) {
   const std::string path = TempStream("below");
-  WriteLines(path, {DeltaLine(kSharedSite, 4, 0)});
+  WriteFrames(path, {DeltaFrame(kSharedSite, 4, 0)});
   AggregatorOptions options = BaseOptions();
   options.promotion_threshold = 5;
   ProfileAggregator aggregator(std::move(options));
-  aggregator.AddStream(path);
+  FrameIngest files(&aggregator);
+  files.AddFile(path);
   std::vector<PromotionCandidate> promotions;
-  ASSERT_TRUE(aggregator.Poll(&promotions).ok());
+  Poll(files, aggregator, &promotions);
   EXPECT_TRUE(promotions.empty());
 }
 
 TEST(AggregatorTest, MinEpochsGatesPromotion) {
   const std::string a = TempStream("epoch_a");
   const std::string b = TempStream("epoch_b");
-  WriteLines(a, {DeltaLine(kSharedSite, 10, 0, "canary")});
-  WriteLines(b, {DeltaLine(kSharedSite, 10, 0, "prod")});
+  WriteFrames(a, {DeltaFrame(kSharedSite, 10, 0, "canary")});
+  WriteFrames(b, {DeltaFrame(kSharedSite, 10, 0, "prod")});
 
   AggregatorOptions options = BaseOptions();
   options.promotion_threshold = 1;
   options.min_epochs = 2;
   ProfileAggregator aggregator(std::move(options));
-  aggregator.AddStream(a);
+  FrameIngest files(&aggregator);
+  files.AddFile(a);
   std::vector<PromotionCandidate> promotions;
-  ASSERT_TRUE(aggregator.Poll(&promotions).ok());
+  Poll(files, aggregator, &promotions);
   EXPECT_TRUE(promotions.empty());  // one epoch only
 
-  aggregator.AddStream(b);
-  ASSERT_TRUE(aggregator.Poll(&promotions).ok());
+  files.AddFile(b);
+  Poll(files, aggregator, &promotions);
   ASSERT_EQ(promotions.size(), 1u);
   EXPECT_EQ(promotions[0].epochs, 2u);
 
@@ -127,11 +139,12 @@ TEST(AggregatorTest, PoisonedDeltaIsRejectedByStaticBound) {
   // threshold that the points-to analysis never allowed. The aggregator must
   // refuse it, bump rejected_static, and diagnose.
   const std::string path = TempStream("poison");
-  WriteLines(path, {DeltaLine(kPoisonSite, 1000, 0)});
+  WriteFrames(path, {DeltaFrame(kPoisonSite, 1000, 0)});
   ProfileAggregator aggregator(BaseOptions());
-  aggregator.AddStream(path);
+  FrameIngest files(&aggregator);
+  files.AddFile(path);
   std::vector<PromotionCandidate> promotions;
-  ASSERT_TRUE(aggregator.Poll(&promotions).ok());
+  Poll(files, aggregator, &promotions);
   EXPECT_TRUE(promotions.empty());
   EXPECT_GE(aggregator.stats().promotions_rejected_static, 1u);
   bool diagnosed = false;
@@ -147,23 +160,25 @@ TEST(AggregatorTest, PoisonedDeltaIsRejectedByStaticBound) {
 
 TEST(AggregatorTest, EmptyStaticBoundRejectsEverything) {
   const std::string path = TempStream("nobound");
-  WriteLines(path, {DeltaLine(kSharedSite, 10, 0)});
+  WriteFrames(path, {DeltaFrame(kSharedSite, 10, 0)});
   AggregatorOptions options;
   options.expected_ir_hash = kIrHash;  // no static_shared: nothing may promote
   ProfileAggregator aggregator(std::move(options));
-  aggregator.AddStream(path);
+  FrameIngest files(&aggregator);
+  files.AddFile(path);
   std::vector<PromotionCandidate> promotions;
-  ASSERT_TRUE(aggregator.Poll(&promotions).ok());
+  Poll(files, aggregator, &promotions);
   EXPECT_TRUE(promotions.empty());
   EXPECT_EQ(aggregator.stats().promotions_rejected_static, 1u);
 }
 
 TEST(AggregatorTest, StaleIrHashRejected) {
   const std::string path = TempStream("stale");
-  WriteLines(path, {DeltaLine(kSharedSite, 5, 0, "e1", /*ir_hash=*/0xbad)});
+  WriteFrames(path, {DeltaFrame(kSharedSite, 5, 0, "e1", /*ir_hash=*/0xbad)});
   ProfileAggregator aggregator(BaseOptions());
-  aggregator.AddStream(path);
-  ASSERT_TRUE(aggregator.Poll(nullptr).ok());
+  FrameIngest files(&aggregator);
+  files.AddFile(path);
+  Poll(files, aggregator, nullptr);
   EXPECT_EQ(aggregator.stats().deltas_applied, 0u);
   EXPECT_EQ(aggregator.stats().rejected_hash, 1u);
   EXPECT_TRUE(aggregator.rolling().empty());
@@ -177,27 +192,33 @@ TEST(AggregatorTest, StaleIrHashRejected) {
 }
 
 TEST(AggregatorTest, MalformedLinesRejectedOthersStillApply) {
+  // Two well-framed payloads that are not PSD1 deltas are rejected; garbage
+  // between frames is skipped by the decoder's resync. The good delta
+  // applies either way.
   const std::string path = TempStream("malformed");
-  WriteLines(path, {"this is not json", DeltaLine(kSharedSite, 2, 0),
-                    "{\"kind\":\"wrong\"}"});
+  WriteFrames(path, {EncodeFrame(FrameType::kProfileDelta, "this is not psd1"), "garbage",
+                     DeltaFrame(kSharedSite, 2, 0),
+                     EncodeFrame(FrameType::kProfileDelta, "{\"kind\":\"wrong\"}")});
   ProfileAggregator aggregator(BaseOptions());
-  aggregator.AddStream(path);
-  auto applied = aggregator.Poll(nullptr);
-  ASSERT_TRUE(applied.ok());
-  EXPECT_EQ(*applied, 1u);
+  FrameIngest files(&aggregator);
+  files.AddFile(path);
+  size_t applied = Poll(files, aggregator, nullptr);
+  EXPECT_EQ(applied, 1u);
   EXPECT_EQ(aggregator.stats().rejected_malformed, 2u);
   EXPECT_EQ(aggregator.rolling().CountFor(kSharedSite), 2u);
+  EXPECT_EQ(files.file_decoder_stats().bad_magic, 7u);  // "garbage"
+  EXPECT_EQ(files.stats().frames, 3u);
 }
 
 TEST(AggregatorTest, ReplayedSequenceRejected) {
   const std::string path = TempStream("replay");
-  WriteLines(path, {DeltaLine(kSharedSite, 2, 5), DeltaLine(kSharedSite, 2, 5),
-                    DeltaLine(kSharedSite, 2, 4), DeltaLine(kSharedSite, 2, 6)});
+  WriteFrames(path, {DeltaFrame(kSharedSite, 2, 5), DeltaFrame(kSharedSite, 2, 5),
+                    DeltaFrame(kSharedSite, 2, 4), DeltaFrame(kSharedSite, 2, 6)});
   ProfileAggregator aggregator(BaseOptions());
-  aggregator.AddStream(path);
-  auto applied = aggregator.Poll(nullptr);
-  ASSERT_TRUE(applied.ok());
-  EXPECT_EQ(*applied, 2u);  // seq 5 and 6
+  FrameIngest files(&aggregator);
+  files.AddFile(path);
+  size_t applied = Poll(files, aggregator, nullptr);
+  EXPECT_EQ(applied, 2u);  // seq 5 and 6
   EXPECT_EQ(aggregator.stats().rejected_sequence, 2u);
   EXPECT_EQ(aggregator.rolling().CountFor(kSharedSite), 4u);
 }
@@ -205,61 +226,119 @@ TEST(AggregatorTest, ReplayedSequenceRejected) {
 TEST(AggregatorTest, SequenceTrackingIsPerStream) {
   const std::string a = TempStream("perstream_a");
   const std::string b = TempStream("perstream_b");
-  WriteLines(a, {DeltaLine(kSharedSite, 1, 0)});
-  WriteLines(b, {DeltaLine(kOtherSite, 1, 0)});  // same seq, different stream
+  WriteFrames(a, {DeltaFrame(kSharedSite, 1, 0)});
+  WriteFrames(b, {DeltaFrame(kOtherSite, 1, 0)});  // same seq, different stream
   ProfileAggregator aggregator(BaseOptions());
-  aggregator.AddStream(a);
-  aggregator.AddStream(b);
-  auto applied = aggregator.Poll(nullptr);
-  ASSERT_TRUE(applied.ok());
-  EXPECT_EQ(*applied, 2u);
+  FrameIngest files(&aggregator);
+  files.AddFile(a);
+  files.AddFile(b);
+  size_t applied = Poll(files, aggregator, nullptr);
+  EXPECT_EQ(applied, 2u);
   EXPECT_EQ(aggregator.stats().rejected_sequence, 0u);
 }
 
 TEST(AggregatorTest, PartialTrailingLineWaitsForCompletion) {
   const std::string path = TempStream("partial");
-  const std::string full = DeltaLine(kSharedSite, 3, 0);
-  const std::string next = DeltaLine(kSharedSite, 4, 1);
-  // First poll sees one complete line plus half of the next (no newline).
-  WriteLines(path, {full, next.substr(0, next.size() / 2)},
-             /*final_newline=*/false);
+  const std::string full = DeltaFrame(kSharedSite, 3, 0);
+  const std::string next = DeltaFrame(kSharedSite, 4, 1);
+  // First poll sees one complete frame plus half of the next.
+  WriteFrames(path, {full, next.substr(0, next.size() / 2)});
   ProfileAggregator aggregator(BaseOptions());
-  aggregator.AddStream(path);
-  auto applied = aggregator.Poll(nullptr);
-  ASSERT_TRUE(applied.ok());
-  EXPECT_EQ(*applied, 1u);
+  FrameIngest files(&aggregator);
+  files.AddFile(path);
+  size_t applied = Poll(files, aggregator, nullptr);
+  EXPECT_EQ(applied, 1u);
   EXPECT_EQ(aggregator.stats().rejected_malformed, 0u);
+  EXPECT_EQ(files.stats().torn, 1u) << "a frame log ending mid-frame reads as torn";
 
-  // The writer finishes the line; the next poll picks it up from the offset.
-  {
-    std::ofstream out(path, std::ios::app | std::ios::binary);
-    out << next.substr(next.size() / 2) << '\n';
-  }
-  applied = aggregator.Poll(nullptr);
-  ASSERT_TRUE(applied.ok());
-  EXPECT_EQ(*applied, 1u);
+  // The writer finishes the frame; the next poll picks it up from the offset.
+  AppendFrame(path, next.substr(next.size() / 2));
+  applied = Poll(files, aggregator, nullptr);
+  EXPECT_EQ(applied, 1u);
   EXPECT_EQ(aggregator.rolling().CountFor(kSharedSite), 7u);
   EXPECT_EQ(aggregator.stats().rejected_malformed, 0u);
+  EXPECT_EQ(files.stats().torn, 0u);
+  const FrameDecoder::Stats decoder = files.file_decoder_stats();
+  EXPECT_EQ(decoder.bad_magic + decoder.bad_crc, 0u);
 }
 
 TEST(AggregatorTest, MissingStreamIsNotAnError) {
   ProfileAggregator aggregator(BaseOptions());
-  aggregator.AddStream(::testing::TempDir() + "/never_written.jsonl");
-  auto applied = aggregator.Poll(nullptr);
-  ASSERT_TRUE(applied.ok());
-  EXPECT_EQ(*applied, 0u);
+  FrameIngest files(&aggregator);
+  files.AddFile(::testing::TempDir() + "/never_written.psf");
+  size_t applied = Poll(files, aggregator, nullptr);
+  EXPECT_EQ(applied, 0u);
+  EXPECT_EQ(files.stats().frames, 0u);
+  EXPECT_EQ(files.stats().torn, 0u);
 }
 
-TEST(AggregatorTest, DuplicateAddStreamIsIdempotent) {
+TEST(AggregatorTest, DuplicateFileIsOneSource) {
   const std::string path = TempStream("dup");
-  WriteLines(path, {DeltaLine(kSharedSite, 1, 0)});
+  WriteFrames(path, {DeltaFrame(kSharedSite, 1, 0)});
   ProfileAggregator aggregator(BaseOptions());
-  aggregator.AddStream(path);
-  aggregator.AddStream(path);
-  auto applied = aggregator.Poll(nullptr);
-  ASSERT_TRUE(applied.ok());
-  EXPECT_EQ(*applied, 1u);  // not double-counted
+  FrameIngest files(&aggregator);
+  files.AddFile(path);
+  files.AddFile(path);
+  size_t applied = Poll(files, aggregator, nullptr);
+  EXPECT_EQ(applied, 1u);  // not double-counted
   EXPECT_EQ(aggregator.rolling().CountFor(kSharedSite), 1u);
+  EXPECT_EQ(aggregator.stats().rejected_sequence, 0u);
+}
+
+// --- stream naming ---
+
+std::string HelloFrame(const std::string& stream) {
+  std::string payload = R"({"kind":"pkru_safe_hello",)";
+  if (!stream.empty()) {
+    payload += R"("stream":")" + stream + R"(",)";
+  }
+  payload += R"("epoch":"e1"})";
+  return EncodeFrame(FrameType::kHello, payload);
+}
+
+Frame Decoded(const std::string& bytes) {
+  FrameDecoder decoder;
+  decoder.Feed(bytes);
+  return *decoder.Next();
+}
+
+TEST(AggregatorTest, HelloNamesTheStreamForFilesAndSockets) {
+  ProfileAggregator aggregator(BaseOptions());
+  FrameIngest ingest(&aggregator);
+  // A frame log whose hello names it: diagnostics use the hello's name.
+  const std::string path = TempStream("named");
+  WriteFrames(path, {HelloFrame("host-a.psf"), DeltaFrame(kSharedSite, 1, 0, "e1", 0xbad)});
+  ingest.AddFile(path);
+  ingest.PollFiles(nullptr);
+  // A socket without a hello is named by its connection.
+  ingest.Handle("tcp:7", Decoded(DeltaFrame(kSharedSite, 1, 0, "e1", 0xbad)), nullptr);
+  ASSERT_EQ(aggregator.diagnostics().findings().size(), 2u);
+  EXPECT_NE(aggregator.diagnostics().findings()[0].message.find("host-a.psf:"), std::string::npos)
+      << aggregator.diagnostics().findings()[0].message;
+  EXPECT_NE(aggregator.diagnostics().findings()[1].message.find("tcp:7:"), std::string::npos)
+      << aggregator.diagnostics().findings()[1].message;
+  EXPECT_EQ(ingest.stats().frames, 3u);
+}
+
+TEST(AggregatorTest, ProducersWithoutAStreamNameKeepTheirOwnSequences) {
+  // A socket-only producer's hello names no stream, so each connection is its
+  // own stream: two producers that both start at sequence 0 both apply.
+  ProfileAggregator aggregator(BaseOptions());
+  FrameIngest ingest(&aggregator);
+  for (const char* source : {"tcp:1", "tcp:2"}) {
+    ingest.Handle(source, Decoded(HelloFrame("")), nullptr);
+    ingest.Handle(source, Decoded(DeltaFrame(kSharedSite, 1, 0)), nullptr);
+  }
+  EXPECT_EQ(aggregator.stats().deltas_applied, 2u);
+  EXPECT_EQ(aggregator.stats().rejected_sequence, 0u);
+  EXPECT_EQ(ingest.stream_count(), 2u);
+
+  // Sampler rows are counted, and a connection that drops mid-frame is torn.
+  ingest.Handle("tcp:1", Decoded(EncodeFrame(FrameType::kSamplerRow, "{}")), nullptr);
+  ingest.Close("tcp:1", /*mid_frame=*/true);
+  ingest.Close("tcp:2", /*mid_frame=*/false);
+  EXPECT_EQ(ingest.stats().sampler_rows, 1u);
+  EXPECT_EQ(ingest.stats().torn, 1u);
 }
 
 // --- two-way lifecycle: cold-site demotion ---
@@ -270,23 +349,24 @@ TEST(AggregatorTest, ColdPromotedSiteDemotesAndRepromotesPastTheFloor) {
   options.promotion_threshold = 2;
   options.demote_cold_epochs = 2;
   ProfileAggregator aggregator(std::move(options));
-  aggregator.AddStream(path);
+  FrameIngest files(&aggregator);
+  files.AddFile(path);
 
   // Epoch e1 promotes the site (count 2 >= threshold).
-  WriteLines(path, {DeltaLine(kSharedSite, 2, 0, "e1")});
+  WriteFrames(path, {DeltaFrame(kSharedSite, 2, 0, "e1")});
   std::vector<PromotionCandidate> promotions;
   std::vector<DemotionCandidate> demotions;
-  ASSERT_TRUE(aggregator.Poll(&promotions, &demotions).ok());
+  Poll(files, aggregator, &promotions, &demotions);
   ASSERT_EQ(promotions.size(), 1u);
   EXPECT_TRUE(demotions.empty());
 
   // Epochs e2, e3 only see the other site: after two cold epochs, demote.
-  AppendLine(path, DeltaLine(kOtherSite, 1, 1, "e2"));
+  AppendFrame(path, DeltaFrame(kOtherSite, 1, 1, "e2"));
   promotions.clear();
-  ASSERT_TRUE(aggregator.Poll(&promotions, &demotions).ok());
+  Poll(files, aggregator, &promotions, &demotions);
   EXPECT_TRUE(demotions.empty()) << "one cold epoch is not enough";
-  AppendLine(path, DeltaLine(kOtherSite, 1, 2, "e3"));
-  ASSERT_TRUE(aggregator.Poll(&promotions, &demotions).ok());
+  AppendFrame(path, DeltaFrame(kOtherSite, 1, 2, "e3"));
+  Poll(files, aggregator, &promotions, &demotions);
   ASSERT_EQ(demotions.size(), 1u);
   EXPECT_EQ(demotions[0].site, kSharedSite);
   EXPECT_GE(demotions[0].cold_epochs, 2u);
@@ -294,18 +374,18 @@ TEST(AggregatorTest, ColdPromotedSiteDemotesAndRepromotesPastTheFloor) {
 
   // A demotion is emitted once, not every sweep.
   demotions.clear();
-  AppendLine(path, DeltaLine(kOtherSite, 1, 3, "e4"));
-  ASSERT_TRUE(aggregator.Poll(&promotions, &demotions).ok());
+  AppendFrame(path, DeltaFrame(kOtherSite, 1, 3, "e4"));
+  Poll(files, aggregator, &promotions, &demotions);
   EXPECT_TRUE(demotions.empty());
 
   // Hysteresis: the demoted site re-promotes only after ANOTHER threshold's
   // worth of observations past the count it was demoted at (2 + 2 = 4).
   promotions.clear();
-  AppendLine(path, DeltaLine(kSharedSite, 1, 4, "e5"));  // rolling 3 < 4
-  ASSERT_TRUE(aggregator.Poll(&promotions, &demotions).ok());
+  AppendFrame(path, DeltaFrame(kSharedSite, 1, 4, "e5"));  // rolling 3 < 4
+  Poll(files, aggregator, &promotions, &demotions);
   EXPECT_TRUE(promotions.empty()) << "flapping around the threshold";
-  AppendLine(path, DeltaLine(kSharedSite, 1, 5, "e6"));  // rolling 4 >= 4
-  ASSERT_TRUE(aggregator.Poll(&promotions, &demotions).ok());
+  AppendFrame(path, DeltaFrame(kSharedSite, 1, 5, "e6"));  // rolling 4 >= 4
+  Poll(files, aggregator, &promotions, &demotions);
   ASSERT_EQ(promotions.size(), 1u);
   EXPECT_EQ(promotions[0].site, kSharedSite);
 }
@@ -316,15 +396,16 @@ TEST(AggregatorTest, BaselineSitesAreNeverDemoted) {
   options.demote_cold_epochs = 1;
   options.baseline.insert(kSharedSite);
   ProfileAggregator aggregator(std::move(options));
-  aggregator.AddStream(path);
+  FrameIngest files(&aggregator);
+  files.AddFile(path);
 
-  WriteLines(path, {DeltaLine(kSharedSite, 1, 0, "e1")});
+  WriteFrames(path, {DeltaFrame(kSharedSite, 1, 0, "e1")});
   std::vector<DemotionCandidate> demotions;
-  ASSERT_TRUE(aggregator.Poll(nullptr, &demotions).ok());
+  Poll(files, aggregator, nullptr, &demotions);
   for (int e = 2; e <= 4; ++e) {
-    AppendLine(path, DeltaLine(kOtherSite, 1, static_cast<uint64_t>(e - 1),
+    AppendFrame(path, DeltaFrame(kOtherSite, 1, static_cast<uint64_t>(e - 1),
                                StrFormat("e%d", e)));
-    ASSERT_TRUE(aggregator.Poll(nullptr, &demotions).ok());
+    Poll(files, aggregator, nullptr, &demotions);
   }
   EXPECT_TRUE(demotions.empty());
   EXPECT_EQ(aggregator.stats().demotions_emitted, 0u);
@@ -335,14 +416,15 @@ TEST(AggregatorTest, BaselineSitesAreNeverDemoted) {
 TEST(AggregatorTest, DemotionDisabledByDefault) {
   const std::string path = TempStream("nodemote");
   ProfileAggregator aggregator(BaseOptions());
-  aggregator.AddStream(path);
-  WriteLines(path, {DeltaLine(kSharedSite, 1, 0, "e1")});
+  FrameIngest files(&aggregator);
+  files.AddFile(path);
+  WriteFrames(path, {DeltaFrame(kSharedSite, 1, 0, "e1")});
   std::vector<DemotionCandidate> demotions;
-  ASSERT_TRUE(aggregator.Poll(nullptr, &demotions).ok());
+  Poll(files, aggregator, nullptr, &demotions);
   for (int e = 2; e <= 6; ++e) {
-    AppendLine(path, DeltaLine(kOtherSite, 1, static_cast<uint64_t>(e - 1),
+    AppendFrame(path, DeltaFrame(kOtherSite, 1, static_cast<uint64_t>(e - 1),
                                StrFormat("e%d", e)));
-    ASSERT_TRUE(aggregator.Poll(nullptr, &demotions).ok());
+    Poll(files, aggregator, nullptr, &demotions);
   }
   EXPECT_TRUE(demotions.empty());
 }
@@ -356,18 +438,19 @@ TEST(AggregatorTest, DemotedSiteLeavesTheExportedPromotedSet) {
   options.promotion_threshold = 2;
   options.demote_cold_epochs = 2;
   ProfileAggregator aggregator(std::move(options));
-  aggregator.AddStream(path);
+  FrameIngest files(&aggregator);
+  files.AddFile(path);
 
-  WriteLines(path, {DeltaLine(kSharedSite, 2, 0, "e1")});
+  WriteFrames(path, {DeltaFrame(kSharedSite, 2, 0, "e1")});
   std::vector<PromotionCandidate> promotions;
   std::vector<DemotionCandidate> demotions;
-  ASSERT_TRUE(aggregator.Poll(&promotions, &demotions).ok());
+  Poll(files, aggregator, &promotions, &demotions);
   ASSERT_EQ(promotions.size(), 1u);
   ASSERT_EQ(aggregator.ExportArtifact(kIrHash).promoted.size(), 1u);
 
-  AppendLine(path, DeltaLine(kOtherSite, 1, 1, "e2"));
-  AppendLine(path, DeltaLine(kOtherSite, 1, 2, "e3"));
-  ASSERT_TRUE(aggregator.Poll(&promotions, &demotions).ok());
+  AppendFrame(path, DeltaFrame(kOtherSite, 1, 1, "e2"));
+  AppendFrame(path, DeltaFrame(kOtherSite, 1, 2, "e3"));
+  Poll(files, aggregator, &promotions, &demotions);
   ASSERT_EQ(demotions.size(), 1u);
   ASSERT_EQ(demotions[0].site, kSharedSite);
 
@@ -379,33 +462,35 @@ TEST(AggregatorTest, DemotedSiteLeavesTheExportedPromotedSet) {
   EXPECT_EQ(artifact.profile.CountFor(kSharedSite), 2u);
 }
 
-// --- network streams ---
+// --- deltas by stream name ---
 
 TEST(AggregatorTest, NetworkDeltasValidateExactlyLikeFileLines) {
+  // Socket and file sources reach the same ConsumeDelta.
   ProfileAggregator aggregator(BaseOptions());
+  FrameIngest files(&aggregator);
   std::vector<PromotionCandidate> promotions;
 
   ProfileDelta good("e1", kIrHash, 0);
   good.Add(kSharedSite, 3);
-  EXPECT_TRUE(aggregator.ConsumeNetworkDelta("tcp:1", good.EncodeBinary(), &promotions));
+  EXPECT_TRUE(aggregator.ConsumeDelta("tcp:1", good.EncodeBinary(), &promotions));
   EXPECT_EQ(aggregator.rolling().CountFor(kSharedSite), 3u);
   ASSERT_EQ(promotions.size(), 1u);
 
   // Malformed bytes: rejected, no crash, nothing applied.
-  EXPECT_FALSE(aggregator.ConsumeNetworkDelta("tcp:1", "not psd1 at all", &promotions));
+  EXPECT_FALSE(aggregator.ConsumeDelta("tcp:1", "not psd1 at all", &promotions));
   EXPECT_EQ(aggregator.stats().rejected_malformed, 1u);
 
-  // Stale hash: rejected with the same diagnostic path as file tailing.
+  // Stale hash: rejected with a stale-profile-hash diagnostic.
   ProfileDelta stale("e1", kIrHash + 1, 1);
   stale.Add(kSharedSite, 1);
-  EXPECT_FALSE(aggregator.ConsumeNetworkDelta("tcp:1", stale.EncodeBinary(), &promotions));
+  EXPECT_FALSE(aggregator.ConsumeDelta("tcp:1", stale.EncodeBinary(), &promotions));
   EXPECT_EQ(aggregator.stats().rejected_hash, 1u);
 
   // Replayed sequence on the SAME stream: rejected...
-  EXPECT_FALSE(aggregator.ConsumeNetworkDelta("tcp:1", good.EncodeBinary(), &promotions));
+  EXPECT_FALSE(aggregator.ConsumeDelta("tcp:1", good.EncodeBinary(), &promotions));
   EXPECT_EQ(aggregator.stats().rejected_sequence, 1u);
   // ...but a different connection is its own stream, with its own sequence.
-  EXPECT_TRUE(aggregator.ConsumeNetworkDelta("tcp:2", good.EncodeBinary(), &promotions));
+  EXPECT_TRUE(aggregator.ConsumeDelta("tcp:2", good.EncodeBinary(), &promotions));
   EXPECT_EQ(aggregator.rolling().CountFor(kSharedSite), 6u);
 
   bool stale_diagnosed = false;
@@ -419,12 +504,13 @@ TEST(AggregatorTest, NetworkDeltasValidateExactlyLikeFileLines) {
 
 TEST(AggregatorTest, NetworkPromotionsRespectTheStaticBound) {
   ProfileAggregator aggregator(BaseOptions());
+  FrameIngest files(&aggregator);
   std::vector<PromotionCandidate> promotions;
   ProfileDelta poison("e1", kIrHash, 0);
   poison.Add(kPoisonSite, 1000);
   // The delta itself applies (the count is real telemetry) but the promotion
-  // is rejected by the static cross-check — same as file streams.
-  EXPECT_TRUE(aggregator.ConsumeNetworkDelta("tcp:9", poison.EncodeBinary(), &promotions));
+  // is rejected by the static cross-check.
+  EXPECT_TRUE(aggregator.ConsumeDelta("tcp:9", poison.EncodeBinary(), &promotions));
   EXPECT_TRUE(promotions.empty());
   EXPECT_EQ(aggregator.stats().promotions_rejected_static, 1u);
 }
@@ -437,10 +523,11 @@ TEST(AggregatorTest, ExportRestoreRoundTripSurvivesRestart) {
   AggregatorOptions options = BaseOptions();
   options.promotion_threshold = 5;
   ProfileAggregator a(options);
-  a.AddStream(path);
-  WriteLines(path, {DeltaLine(kSharedSite, 6, 0, "e1"), DeltaLine(kOtherSite, 3, 1, "e2")});
+  FrameIngest files_a(&a);
+  files_a.AddFile(path);
+  WriteFrames(path, {DeltaFrame(kSharedSite, 6, 0, "e1"), DeltaFrame(kOtherSite, 3, 1, "e2")});
   std::vector<PromotionCandidate> promotions;
-  ASSERT_TRUE(a.Poll(&promotions).ok());
+  Poll(files_a, a, &promotions);
   ASSERT_EQ(promotions.size(), 1u);
   EXPECT_EQ(promotions[0].site, kSharedSite);
 
@@ -454,6 +541,7 @@ TEST(AggregatorTest, ExportRestoreRoundTripSurvivesRestart) {
   EXPECT_EQ(snapshot.promoted[0].second, 6u);
 
   ProfileAggregator b(options);
+  FrameIngest files_b(&b);
   ASSERT_TRUE(b.RestoreFromArtifact(snapshot).ok());
   EXPECT_EQ(b.rolling().CountFor(kSharedSite), 6u);
   EXPECT_EQ(b.rolling().CountFor(kOtherSite), 3u);
@@ -466,18 +554,18 @@ TEST(AggregatorTest, ExportRestoreRoundTripSurvivesRestart) {
   // The restored promotion is armed but NOT re-emitted: more observations of
   // the already-promoted site produce no new candidate.
   const std::string path_b = TempStream("restart_b");
-  b.AddStream(path_b);
-  WriteLines(path_b, {DeltaLine(kSharedSite, 10, 0, "e1")});
+  files_b.AddFile(path_b);
+  WriteFrames(path_b, {DeltaFrame(kSharedSite, 10, 0, "e1")});
   promotions.clear();
-  ASSERT_TRUE(b.Poll(&promotions).ok());
+  Poll(files_b, b, &promotions);
   EXPECT_TRUE(promotions.empty());
   EXPECT_EQ(b.rolling().CountFor(kSharedSite), 16u);
 
   // History survives: the near-threshold restored count of kOtherSite (3)
   // crosses with two more observations — no restart-induced reset to zero.
-  AppendLine(path_b, DeltaLine(kOtherSite, 2, 1, "e1"));
+  AppendFrame(path_b, DeltaFrame(kOtherSite, 2, 1, "e1"));
   promotions.clear();
-  ASSERT_TRUE(b.Poll(&promotions).ok());
+  Poll(files_b, b, &promotions);
   ASSERT_EQ(promotions.size(), 1u);
   EXPECT_EQ(promotions[0].site, kOtherSite);
   EXPECT_EQ(promotions[0].count, 5u);
@@ -499,27 +587,29 @@ TEST(AggregatorTest, RestoredPromotionColdClockRestartsAtSnapshot) {
   options.promotion_threshold = 1;
   options.demote_cold_epochs = 3;
   ProfileAggregator a(options);
+  FrameIngest files_a(&a);
   const std::string path = TempStream("coldclock_a");
-  a.AddStream(path);
-  WriteLines(path, {DeltaLine(kSharedSite, 5, 0, "e1")});
+  files_a.AddFile(path);
+  WriteFrames(path, {DeltaFrame(kSharedSite, 5, 0, "e1")});
   std::vector<PromotionCandidate> promotions;
-  ASSERT_TRUE(a.Poll(&promotions).ok());
+  Poll(files_a, a, &promotions);
   ASSERT_EQ(promotions.size(), 1u);
 
   ProfileAggregator b(options);
+  FrameIngest files_b(&b);
   ASSERT_TRUE(b.RestoreFromArtifact(a.ExportArtifact(kIrHash)).ok());
   const std::string path_b = TempStream("coldclock_b");
-  b.AddStream(path_b);
+  files_b.AddFile(path_b);
 
   // Two new epochs without the site: still within the cold threshold.
-  WriteLines(path_b, {DeltaLine(kOtherSite, 1, 0, "e2"), DeltaLine(kOtherSite, 1, 1, "e3")});
+  WriteFrames(path_b, {DeltaFrame(kOtherSite, 1, 0, "e2"), DeltaFrame(kOtherSite, 1, 1, "e3")});
   std::vector<DemotionCandidate> demotions;
-  ASSERT_TRUE(b.Poll(nullptr, &demotions).ok());
+  Poll(files_b, b, nullptr, &demotions);
   EXPECT_TRUE(demotions.empty());
 
   // A third cold epoch crosses it: the restored promotion demotes normally.
-  AppendLine(path_b, DeltaLine(kOtherSite, 1, 2, "e4"));
-  ASSERT_TRUE(b.Poll(nullptr, &demotions).ok());
+  AppendFrame(path_b, DeltaFrame(kOtherSite, 1, 2, "e4"));
+  Poll(files_b, b, nullptr, &demotions);
   ASSERT_EQ(demotions.size(), 1u);
   EXPECT_EQ(demotions[0].site, kSharedSite);
   EXPECT_EQ(demotions[0].cold_epochs, 3u);
@@ -535,10 +625,11 @@ TEST(AggregatorTest, RestoreRefusesHashMismatchAndLateRestore) {
 
   // Restore must run before any delta is consumed.
   const std::string path = TempStream("laterestore");
-  WriteLines(path, {DeltaLine(kSharedSite, 1, 0)});
+  WriteFrames(path, {DeltaFrame(kSharedSite, 1, 0)});
   ProfileAggregator late(BaseOptions());
-  late.AddStream(path);
-  ASSERT_TRUE(late.Poll(nullptr).ok());
+  FrameIngest files(&late);
+  files.AddFile(path);
+  Poll(files, late, nullptr);
   artifact.ir_hash = kIrHash;
   EXPECT_EQ(late.RestoreFromArtifact(artifact).code(), StatusCode::kFailedPrecondition);
 }
@@ -546,11 +637,12 @@ TEST(AggregatorTest, RestoreRefusesHashMismatchAndLateRestore) {
 TEST(AggregatorTest, EpochNamesComeBackInFirstSeenOrder) {
   const std::string path = TempStream("epochorder");
   ProfileAggregator aggregator(BaseOptions());
-  aggregator.AddStream(path);
+  FrameIngest files(&aggregator);
+  files.AddFile(path);
   // Alphabetically descending epoch names: first-seen order must win.
-  WriteLines(path, {DeltaLine(kSharedSite, 1, 0, "zeta"), DeltaLine(kSharedSite, 1, 1, "alpha"),
-                    DeltaLine(kSharedSite, 1, 2, "mid")});
-  ASSERT_TRUE(aggregator.Poll(nullptr).ok());
+  WriteFrames(path, {DeltaFrame(kSharedSite, 1, 0, "zeta"), DeltaFrame(kSharedSite, 1, 1, "alpha"),
+                    DeltaFrame(kSharedSite, 1, 2, "mid")});
+  Poll(files, aggregator, nullptr);
   const std::vector<std::string> names = aggregator.EpochNames();
   ASSERT_EQ(names.size(), 3u);
   EXPECT_EQ(names[0], "zeta");

@@ -1,5 +1,6 @@
-// Fleet stream transport: frame codec against adversarial bytes, the
-// reconnect schedule, and a real loopback client/server roundtrip. The
+// Fleet stream transport: frame codec against adversarial bytes, the bounded
+// frame queue both sinks share, the reconnect schedule, and a real loopback
+// client/server roundtrip. The
 // decoder tests are the protocol's safety argument — every malformed shape a
 // hostile or torn producer can emit must be skipped without a crash and
 // without poisoning later frames.
@@ -10,6 +11,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -176,6 +179,109 @@ TEST(FrameCodecTest, RandomBytesNeverCrashAndAlwaysRecover) {
       }
     }
     EXPECT_TRUE(recovered) << "round " << round;
+  }
+}
+
+// --- FrameQueue: short writes and overflow ---
+//
+// A fake writer stands in for the file or socket: it takes `budget` more
+// bytes, then reports EAGAIN. The queue must never leave a torn frame at
+// rest: a partly written frame's tail stays queued and completes on a later
+// Write, and overflow drops only whole frames that have not started.
+
+struct FakeWriter {
+  size_t budget = 0;
+  std::string out;
+
+  FrameQueue::Writer AsWriter() {
+    return [this](const char* data, size_t size) -> ssize_t {
+      if (budget == 0) {
+        errno = EAGAIN;
+        return -1;
+      }
+      const size_t n = std::min(size, budget);
+      out.append(data, n);
+      budget -= n;
+      return static_cast<ssize_t>(n);
+    };
+  }
+};
+
+// A ~5 KiB frame whose payload starts with its sequence number.
+std::string WideFrame(int seq) {
+  std::string payload = "seq=" + std::to_string(seq) + ";";
+  payload.resize(5000, 'p');
+  return Valid(FrameType::kProfileDelta, payload);
+}
+
+TEST(FrameQueueTest, ShortWriteNeverLeavesTornFrame) {
+  FrameQueue queue;
+  const std::string frame = WideFrame(0);
+  EXPECT_EQ(queue.Push(frame), 0u);
+
+  FakeWriter sink;
+  sink.budget = 1000;  // the sink takes a prefix, then would block
+  FrameQueue::Written written = queue.Write(sink.AsWriter());
+  EXPECT_EQ(written.frames, 0u);
+  EXPECT_EQ(written.bytes, 1000u);
+  EXPECT_EQ(written.error, 0);
+  EXPECT_EQ(queue.unsent_bytes(), frame.size() - 1000) << "the unwritten tail must stay queued";
+
+  // A later Write resumes mid-frame and completes exactly that frame.
+  sink.budget = ~size_t{0};
+  written = queue.Write(sink.AsWriter());
+  EXPECT_EQ(written.frames, 1u);
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.unsent_bytes(), 0u);
+  EXPECT_EQ(sink.out, frame);
+
+  FrameDecoder decoder;
+  decoder.Feed(sink.out);
+  auto decoded = decoder.Next();
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->payload.substr(0, 6), "seq=0;");
+  EXPECT_FALSE(decoder.mid_frame());
+}
+
+TEST(FrameQueueTest, OverflowDropsWholeFramesNeverTheStartedOne) {
+  constexpr size_t kCap = 16 * 1024;  // three wide frames at most
+  FrameQueue queue(kCap);
+  FakeWriter sink;
+
+  // Start frame 0 (a short write), then keep pushing with the sink full so
+  // the queue overflows and whole frames drop.
+  queue.Push(WideFrame(0));
+  sink.budget = 500;
+  (void)queue.Write(sink.AsWriter());
+  size_t dropped = 0;
+  for (int seq = 1; seq < 8; ++seq) {
+    dropped += queue.Push(WideFrame(seq));
+    (void)queue.Write(sink.AsWriter());  // the sink takes nothing more
+  }
+  EXPECT_GT(dropped, 0u);
+  EXPECT_LE(queue.unsent_bytes(), kCap);
+
+  sink.budget = ~size_t{0};
+  (void)queue.Write(sink.AsWriter());
+  EXPECT_TRUE(queue.empty());
+
+  // Every frame at rest decodes: in particular the FIRST one, whose prefix
+  // was already out when the overflow policy ran. Dropping it would have
+  // left a torn frame forever. The newest frame always survives.
+  FrameDecoder decoder;
+  decoder.Feed(sink.out);
+  std::vector<int> seqs;
+  while (auto frame = decoder.Next()) {
+    seqs.push_back(std::atoi(frame->payload.c_str() + 4));
+  }
+  EXPECT_FALSE(decoder.mid_frame());
+  EXPECT_EQ(decoder.stats().bad_magic, 0u);
+  EXPECT_EQ(decoder.stats().bad_crc, 0u);
+  ASSERT_EQ(seqs.size() + dropped, 8u);
+  EXPECT_EQ(seqs.front(), 0);
+  EXPECT_EQ(seqs.back(), 7);
+  for (size_t i = 1; i < seqs.size(); ++i) {
+    EXPECT_GT(seqs[i], seqs[i - 1]) << "gaps allowed, reordering not";
   }
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CLI round trip of the profile artifact, the only profile file format:
-# emit -> check -> merge -> enforce (alone and with --static), and refusal of
-# an artifact recorded against a different module.
+# emit -> check -> merge -> enforce (alone and with --static), refusal of an
+# artifact recorded against a different module, and the delta-stream path: a
+# frame log from --profile-stream, drained by `profile_tool aggregate`.
 #
 #   profile_roundtrip.sh <pkrusafe_run> <profile_tool> <examples/ir dir>
 set -euo pipefail
@@ -56,4 +57,23 @@ if "$tool" merge "$out/mixed.artifact" "$out/a.artifact" "$out/foreign.artifact"
   exit 1
 fi
 [[ ! -e "$out/mixed.artifact" ]]
+
+step "stream a frame log, aggregate it into an artifact, check and enforce it"
+"$run" "$ir/interproc.ir" --mode=profile --profile-stream="$out/s.psf" --epoch=check
+"$tool" aggregate --module="$ir/interproc.ir" --out="$out/agg.artifact" "$out/s.psf" \
+  > "$out/aggregate.log"
+grep -q '^promote: 0:0:0 ' "$out/aggregate.log"
+grep -q '^rejected: 0 hash, 0 malformed, 0 sequence; frames: 0 resync' "$out/aggregate.log"
+diff "$out/agg.artifact" - <<'ARTIFACT'
+# pkru-safe profile artifact v1
+ir_hash 0xccde12e9952a3a39
+epoch check 1 1
+promoted 0:0:0 1
+site 0:0:0 1
+crc32 0x68027597
+ARTIFACT
+"$tool" check "$ir/interproc.ir" "$out/agg.artifact"
+"$run" "$ir/interproc.ir" --mode=enforce --profile="$out/agg.artifact" \
+  --expected-epoch=check > "$out/agg-enforce.log"
+grep -q 'moved=1' "$out/agg-enforce.log"
 echo "profile round trip OK"

@@ -163,7 +163,7 @@ int Usage() {
                "  --sample-budget-ns=N  fault-service budget per interval (default 2e6)\n"
                "  --sample-interval-ms=N  budget refill interval (default 100)\n"
                "  --profile-stream=DEST  ship IR-versioned profile deltas. DEST is\n"
-               "                    a JSONL file (feed to `profile_tool aggregate`)\n"
+               "                    a frame-log file (feed to `profile_tool aggregate`)\n"
                "                    or tcp://HOST:PORT (a `profile_tool serve`\n"
                "                    endpoint; policy updates pushed back are\n"
                "                    applied live). Repeat for both sinks\n"
@@ -376,7 +376,7 @@ int main(int argc, char** argv) {
 
   // Delta stream: the continuous-profiling output. Flushed on each sampler
   // tick (when sampling) and once more at exit, so short runs still ship
-  // their observations. Destinations: a JSONL file, a tcp://host:port serve
+  // their observations. Destinations: a frame-log file, a tcp://host:port serve
   // endpoint, or both (one writer, two sinks). Deltas are keyed by the
   // instrumented pre-apply hash, which stays stable across profile
   // iterations where the post-apply module text does not.

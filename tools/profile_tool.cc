@@ -9,6 +9,8 @@
 //   profile_tool merge out.artifact a.artifact b.artifact ...
 //   profile_tool diff  a.artifact b.artifact
 //   profile_tool check module.ir a.artifact
+//   profile_tool aggregate --module=m.ir [--out=a.artifact] a.psf b.psf ...
+//   profile_tool serve --module=m.ir [--port=N] [--artifact=a.artifact] [a.psf ...]
 //
 // Every profile file is a ProfileArtifact (src/runtime/profile_artifact.h):
 // the tool reads, verifies and writes nothing else.
@@ -26,18 +28,21 @@
 // enforcement build: an artifact recorded against other IR
 // (stale-profile-hash) or naming an AllocId the module does not contain
 // (stale-profile-site) is reported and the exit code is nonzero.
+//
+// `aggregate` and `serve` share one ingest loop (telemetry::FrameIngest) and
+// one closing report. Both read profile deltas as PSF frames: `aggregate`
+// drains frame logs once, `serve` also takes producers over TCP and follows
+// its frame logs until --max-frames or --idle-exit-polls.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/analysis/diagnostics.h"
@@ -71,12 +76,12 @@ int Usage() {
                "       profile_tool sites <sites.json> [--top=N]\n"
                "           [--domain=trusted|untrusted] [--module=FILE]\n"
                "       profile_tool aggregate --module=FILE [--threshold=N]\n"
-               "           [--min-epochs=N] [--out=FILE]\n"
-               "           [--follow [--interval-ms=N] [--max-polls=N]] <stream.jsonl>...\n"
+               "           [--min-epochs=N] [--out=FILE] <frame-log>...\n"
                "       profile_tool serve --module=FILE [--port=N] [--threshold=N]\n"
                "           [--min-epochs=N] [--demote-cold-epochs=N] [--baseline=FILE]\n"
                "           [--artifact=FILE]\n"
                "           [--interval-ms=N] [--max-frames=N] [--idle-exit-polls=N]\n"
+               "           [<frame-log>...]\n"
                "  Every profile file is a profile artifact (ir_hash + per-epoch\n"
                "  provenance + sites + crc32); merge refuses mismatched ir_hash\n"
                "  report  render a flight-recorder crash report for humans\n"
@@ -86,16 +91,17 @@ int Usage() {
                "          cross-check each site against the static points-to\n"
                "          sharing analysis (dynamic M_U traffic the analyzer\n"
                "          missed is an error)\n"
-               "  aggregate  tail delta streams into a versioned rolling profile;\n"
-               "          promotion candidates are cross-checked against the\n"
-               "          static points-to bound of --module (rejections exit 1);\n"
-               "          --follow polls until streams go quiet or --max-polls;\n"
-               "          --out=FILE writes the rolling profile, its epochs and\n"
-               "          the live promoted set as an artifact\n"
-               "  serve   fleet endpoint: accept framed delta streams over TCP\n"
-               "          (pkrusafe_run --profile-stream=tcp://host:port), fold\n"
-               "          them through the same validation as aggregate, and\n"
-               "          push promote/demote policy frames back to every\n"
+               "  aggregate  drain frame logs (pkrusafe_run --profile-stream=FILE)\n"
+               "          into a versioned rolling profile; promotion candidates\n"
+               "          are cross-checked against the static points-to bound\n"
+               "          of --module (rejections exit 1); --out=FILE writes the\n"
+               "          rolling profile, its epochs and the live promoted set\n"
+               "          as an artifact\n"
+               "  serve   fleet endpoint: accept delta streams over TCP\n"
+               "          (pkrusafe_run --profile-stream=tcp://host:port) and\n"
+               "          follow any <frame-log> operands, fold them through the\n"
+               "          same ingest loop as aggregate, and push\n"
+               "          promote/demote policy frames back to every\n"
                "          connected producer; --port=0 binds an ephemeral port\n"
                "          (printed on stdout); --max-frames / --idle-exit-polls\n"
                "          bound the loop for scripted runs; --artifact=FILE is\n"
@@ -233,6 +239,274 @@ std::string PolicyUpdateJson(const char* action, const std::vector<AllocId>& sit
   }
   w.EndArray().EndObject();
   return payload;
+}
+
+// `aggregate` and `serve`: one ingest loop over frame sources. `aggregate`
+// drains its frame logs once. `serve` also accepts producers on a socket and
+// loops, following its frame logs and pushing promote/demote policy frames
+// back to every connected producer.
+int Ingest(int argc, char** argv, bool serve) {
+  std::string module_path;
+  std::string artifact_path;  // aggregate --out, serve --artifact
+  std::string baseline_path;
+  uint64_t threshold = 1;
+  size_t min_epochs = 1;
+  size_t demote_cold_epochs = 0;
+  uint16_t port = 0;
+  uint64_t interval_ms = 50;
+  uint64_t max_frames = 0;       // 0 = unbounded
+  uint64_t idle_exit_polls = 0;  // 0 = never idle-exit
+  std::vector<std::string> files;
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    // The value of `--name=VALUE`, or nullptr when `arg` is another flag.
+    const auto value = [&arg](const char* name) -> const char* {
+      const size_t n = std::strlen(name);
+      return arg.compare(0, n, name) == 0 ? arg.c_str() + n : nullptr;
+    };
+    const char* v = nullptr;
+    if ((v = value("--module="))) {
+      module_path = v;
+    } else if ((v = value(serve ? "--artifact=" : "--out="))) {
+      artifact_path = v;
+    } else if ((v = value("--threshold="))) {
+      threshold = std::strtoull(v, nullptr, 10);
+    } else if ((v = value("--min-epochs="))) {
+      min_epochs = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+    } else if (serve && (v = value("--baseline="))) {
+      baseline_path = v;
+    } else if (serve && (v = value("--demote-cold-epochs="))) {
+      demote_cold_epochs = static_cast<size_t>(std::strtoull(v, nullptr, 10));
+    } else if (serve && (v = value("--port="))) {
+      port = static_cast<uint16_t>(std::strtoul(v, nullptr, 10));
+    } else if (serve && (v = value("--interval-ms="))) {
+      interval_ms = std::strtoull(v, nullptr, 10);
+    } else if (serve && (v = value("--max-frames="))) {
+      max_frames = std::strtoull(v, nullptr, 10);
+    } else if (serve && (v = value("--idle-exit-polls="))) {
+      idle_exit_polls = std::strtoull(v, nullptr, 10);
+    } else if (arg.rfind("--", 0) == 0) {
+      return Usage();
+    } else {
+      files.push_back(arg);
+    }
+  }
+  if (module_path.empty() || (!serve && files.empty())) {
+    return Usage();
+  }
+
+  // The static safety bound comes from the same instrumented build the
+  // streams were recorded against: instrument, analyze, and check every
+  // delta's IR hash against this module.
+  auto instrumented = LoadInstrumented(module_path);
+  if (!instrumented.ok()) {
+    std::fprintf(stderr, "%s\n", instrumented.status().ToString().c_str());
+    return 1;
+  }
+  telemetry::AggregatorOptions options;
+  options.promotion_threshold = threshold;
+  options.min_epochs = min_epochs;
+  options.demote_cold_epochs = demote_cold_epochs;
+  options.module = &instrumented->module;
+  options.static_shared.insert(instrumented->static_shared.begin(),
+                               instrumented->static_shared.end());
+  if (!baseline_path.empty()) {
+    auto baseline = Load(baseline_path.c_str());
+    if (!baseline.ok()) {
+      std::fprintf(stderr, "%s\n", baseline.status().ToString().c_str());
+      return 1;
+    }
+    if (baseline->ir_hash != instrumented->ir_hash) {
+      std::fprintf(stderr, "baseline %s was recorded against IR hash 0x%016llx, not %s\n",
+                   baseline_path.c_str(), static_cast<unsigned long long>(baseline->ir_hash),
+                   module_path.c_str());
+      return 1;
+    }
+    for (const AllocId& id : baseline->profile.Sites()) {
+      options.baseline.insert(id);
+    }
+  }
+  telemetry::ProfileAggregator aggregator(std::move(options));
+
+  // serve's --artifact is a two-way file. If a prior serve left a snapshot
+  // there, reload it so the fleet's history — including which sites were
+  // already promoted — survives the restart; a snapshot from a different
+  // build (IR hash mismatch) or a corrupted one is warned about and ignored,
+  // starting fresh.
+  if (serve && !artifact_path.empty()) {
+    auto snapshot = ProfileArtifact::LoadFromFile(artifact_path);
+    if (snapshot.ok()) {
+      if (auto status = aggregator.RestoreFromArtifact(*snapshot); status.ok()) {
+        std::printf("restored %zu site(s), %zu epoch(s), %zu promotion(s) from %s\n",
+                    snapshot->profile.site_count(), snapshot->epochs.size(),
+                    snapshot->promoted.size(), artifact_path.c_str());
+        std::fflush(stdout);
+      } else {
+        std::fprintf(stderr, "warning: ignoring artifact %s: %s\n", artifact_path.c_str(),
+                     status.ToString().c_str());
+      }
+    } else if (snapshot.status().code() != StatusCode::kNotFound) {
+      std::fprintf(stderr, "warning: ignoring artifact %s: %s\n", artifact_path.c_str(),
+                   snapshot.status().ToString().c_str());
+    }
+  }
+
+  telemetry::FrameIngest ingest(&aggregator);
+  for (const std::string& file : files) {
+    ingest.AddFile(file);
+  }
+  telemetry::FrameServer server;
+  if (serve) {
+    if (auto status = server.Start(port); !status.ok()) {
+      std::fprintf(stderr, "%s\n", status.ToString().c_str());
+      return 1;
+    }
+    // Scripts parse this line for the ephemeral port; flush before looping.
+    std::printf("serving on 127.0.0.1:%u\n", server.port());
+    std::fflush(stdout);
+  }
+
+  std::set<uint64_t> producers;  // connected clients, for policy pushes
+  std::vector<telemetry::PromotionCandidate> promotions;  // this iteration
+  const auto on_frame = [&](uint64_t client_id, telemetry::Frame&& frame) {
+    producers.insert(client_id);
+    ingest.Handle("tcp:" + std::to_string(client_id), std::move(frame), &promotions);
+  };
+  const auto on_disconnect = [&](uint64_t client_id, bool mid_frame) {
+    producers.erase(client_id);
+    ingest.Close("tcp:" + std::to_string(client_id), mid_frame);
+  };
+  // Prints a policy change and pushes it to every connected producer.
+  // Delivery is best-effort: a dead client is reaped by the next poll.
+  const auto publish = [&](const char* action, const std::vector<AllocId>& sites) {
+    const std::string payload = PolicyUpdateJson(action, sites);
+    for (const uint64_t client_id : producers) {
+      (void)server.SendTo(client_id, telemetry::FrameType::kPolicyUpdate, payload);
+    }
+    std::fflush(stdout);
+  };
+
+  // Snapshot pacing: write immediately when policy changed hands, else
+  // every ~20 polls while new deltas arrived. Version 0-or-restored is the
+  // baseline so an idle serve never rewrites an unchanged file.
+  uint64_t snapshot_version = aggregator.version();
+  uint64_t polls_since_snapshot = 0;
+  uint64_t idle_polls = 0;
+  for (;;) {
+    promotions.clear();
+    size_t frames = 0;
+    if (serve) {
+      auto dispatched = server.PollOnce(static_cast<int>(interval_ms), on_frame, on_disconnect);
+      if (!dispatched.ok()) {
+        std::fprintf(stderr, "%s\n", dispatched.status().ToString().c_str());
+        return 1;
+      }
+      frames += *dispatched;
+    }
+    frames += ingest.PollFiles(&promotions);
+    std::vector<telemetry::DemotionCandidate> demotions;
+    aggregator.CollectDemotions(&demotions);
+
+    if (!promotions.empty()) {
+      std::vector<AllocId> sites;
+      for (const auto& candidate : promotions) {
+        sites.push_back(candidate.site);
+        std::printf("promote: %s (count %llu over %zu epoch(s))\n",
+                    candidate.site.ToString().c_str(),
+                    static_cast<unsigned long long>(candidate.count), candidate.epochs);
+      }
+      publish("promote", sites);
+    }
+    if (!demotions.empty()) {
+      std::vector<AllocId> sites;
+      for (const auto& candidate : demotions) {
+        sites.push_back(candidate.site);
+        std::printf("demote: %s (cold for %zu epoch(s))\n", candidate.site.ToString().c_str(),
+                    candidate.cold_epochs);
+      }
+      publish("demote", sites);
+    }
+    if (!serve) {
+      break;
+    }
+
+    // Snapshot to --artifact mid-serve, so a crash or kill does not discard
+    // the fleet's history.
+    if (!artifact_path.empty()) {
+      ++polls_since_snapshot;
+      const bool changed = aggregator.version() != snapshot_version;
+      const bool policy_moved = !promotions.empty() || !demotions.empty();
+      if (changed && (policy_moved || polls_since_snapshot >= 20)) {
+        const ProfileArtifact artifact = aggregator.ExportArtifact(instrumented->ir_hash);
+        if (auto status = SaveArtifactAtomically(artifact, artifact_path); status.ok()) {
+          snapshot_version = aggregator.version();
+          polls_since_snapshot = 0;
+        } else {
+          std::fprintf(stderr, "warning: artifact snapshot failed: %s\n",
+                       status.ToString().c_str());
+        }
+      }
+    }
+
+    const uint64_t frames_total = ingest.stats().frames;
+    if (max_frames != 0 && frames_total >= max_frames) {
+      break;
+    }
+    idle_polls = frames == 0 ? idle_polls + 1 : 0;
+    if (idle_exit_polls != 0 && frames_total > 0 && producers.empty() &&
+        idle_polls >= idle_exit_polls) {
+      break;
+    }
+  }
+  server.Stop();
+
+  analysis::RenderFindingsText(std::cout, aggregator.diagnostics().findings());
+  const auto& stats = aggregator.stats();
+  const telemetry::FrameIngest::Stats ingest_stats = ingest.stats();
+  telemetry::FrameDecoder::Stats decoder_stats = server.decoder_stats();
+  decoder_stats += ingest.file_decoder_stats();
+  std::printf("ingested %llu frame(s) from %zu stream(s) (%llu sampler row(s), %llu torn): "
+              "%llu delta(s), %zu site(s), version %llu\n",
+              static_cast<unsigned long long>(ingest_stats.frames), ingest.stream_count(),
+              static_cast<unsigned long long>(ingest_stats.sampler_rows),
+              static_cast<unsigned long long>(ingest_stats.torn),
+              static_cast<unsigned long long>(stats.deltas_applied),
+              aggregator.rolling().site_count(),
+              static_cast<unsigned long long>(aggregator.version()));
+  for (const std::string& epoch : aggregator.EpochNames()) {
+    const Profile* epoch_profile = aggregator.EpochProfile(epoch);
+    std::printf("  epoch %-12s %zu site(s)\n", epoch.c_str(),
+                epoch_profile != nullptr ? epoch_profile->site_count() : 0);
+  }
+  std::printf("rejected: %llu hash, %llu malformed, %llu sequence; frames: %llu resync "
+              "byte(s), %llu bad version, %llu bad type, %llu oversized, %llu bad crc\n",
+              static_cast<unsigned long long>(stats.rejected_hash),
+              static_cast<unsigned long long>(stats.rejected_malformed),
+              static_cast<unsigned long long>(stats.rejected_sequence),
+              static_cast<unsigned long long>(decoder_stats.bad_magic),
+              static_cast<unsigned long long>(decoder_stats.bad_version),
+              static_cast<unsigned long long>(decoder_stats.bad_type),
+              static_cast<unsigned long long>(decoder_stats.oversized),
+              static_cast<unsigned long long>(decoder_stats.bad_crc));
+  std::printf("promotions: %llu emitted, %llu rejected by static bound; demotions: "
+              "%llu emitted, %llu kept by baseline\n",
+              static_cast<unsigned long long>(stats.promotions_emitted),
+              static_cast<unsigned long long>(stats.promotions_rejected_static),
+              static_cast<unsigned long long>(stats.demotions_emitted),
+              static_cast<unsigned long long>(stats.demotions_suppressed_baseline));
+
+  if (!artifact_path.empty() &&
+      !WriteArtifact(aggregator, instrumented->ir_hash, artifact_path)) {
+    return 1;
+  }
+  // Rejections and stale streams are error findings: surface them in the
+  // exit code so CI pipelines notice poisoned inputs.
+  for (const auto& finding : aggregator.diagnostics().findings()) {
+    if (finding.severity == analysis::Severity::kError) {
+      return 1;
+    }
+  }
+  return 0;
 }
 
 }  // namespace
@@ -501,390 +775,8 @@ int main(int argc, char** argv) {
     return missed == 0 ? 0 : 1;
   }
 
-  if (command == "aggregate") {
-    std::string module_path;
-    std::string out_path;
-    uint64_t threshold = 1;
-    size_t min_epochs = 1;
-    bool follow = false;
-    uint64_t interval_ms = 200;
-    uint64_t max_polls = 0;  // 0 = until no stream grows (follow mode only)
-    std::vector<std::string> stream_paths;
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--module=", 0) == 0) {
-        module_path = arg.substr(9);
-      } else if (arg.rfind("--out=", 0) == 0) {
-        out_path = arg.substr(6);
-      } else if (arg.rfind("--threshold=", 0) == 0) {
-        threshold = std::strtoull(arg.c_str() + 12, nullptr, 10);
-      } else if (arg.rfind("--min-epochs=", 0) == 0) {
-        min_epochs = static_cast<size_t>(std::strtoull(arg.c_str() + 13, nullptr, 10));
-      } else if (arg == "--follow") {
-        follow = true;
-      } else if (arg.rfind("--interval-ms=", 0) == 0) {
-        interval_ms = std::strtoull(arg.c_str() + 14, nullptr, 10);
-      } else if (arg.rfind("--max-polls=", 0) == 0) {
-        max_polls = std::strtoull(arg.c_str() + 12, nullptr, 10);
-      } else if (arg.rfind("--", 0) == 0) {
-        return Usage();
-      } else {
-        stream_paths.push_back(arg);
-      }
-    }
-    if (module_path.empty() || stream_paths.empty()) {
-      return Usage();
-    }
-
-    // The static safety bound comes from the same instrumented build the
-    // streams were recorded against: instrument, analyze, and check every
-    // delta's IR hash against this module.
-    auto instrumented = LoadInstrumented(module_path);
-    if (!instrumented.ok()) {
-      std::fprintf(stderr, "%s\n", instrumented.status().ToString().c_str());
-      return 1;
-    }
-
-    telemetry::AggregatorOptions options;
-    options.promotion_threshold = threshold;
-    options.min_epochs = min_epochs;
-    options.module = &instrumented->module;
-    options.static_shared.insert(instrumented->static_shared.begin(),
-                                 instrumented->static_shared.end());
-    telemetry::ProfileAggregator aggregator(std::move(options));
-    for (const std::string& path : stream_paths) {
-      aggregator.AddStream(path);
-    }
-
-    std::vector<telemetry::PromotionCandidate> promotions;
-    uint64_t polls = 0;
-    for (;;) {
-      auto applied = aggregator.Poll(&promotions);
-      if (!applied.ok()) {
-        std::fprintf(stderr, "%s\n", applied.status().ToString().c_str());
-        return 1;
-      }
-      ++polls;
-      if (!follow) {
-        break;
-      }
-      if (max_polls != 0 && polls >= max_polls) {
-        break;
-      }
-      if (max_polls == 0 && *applied == 0 && polls > 1) {
-        break;  // streams have gone quiet
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
-    }
-
-    analysis::RenderFindingsText(std::cout, aggregator.diagnostics().findings());
-    const auto& stats = aggregator.stats();
-    std::printf("aggregated %llu delta(s) from %zu stream(s) over %llu poll(s): "
-                "%zu site(s), version %llu\n",
-                static_cast<unsigned long long>(stats.deltas_applied), stream_paths.size(),
-                static_cast<unsigned long long>(polls), aggregator.rolling().site_count(),
-                static_cast<unsigned long long>(aggregator.version()));
-    for (const std::string& epoch : aggregator.EpochNames()) {
-      const Profile* epoch_profile = aggregator.EpochProfile(epoch);
-      std::printf("  epoch %-12s %zu site(s)\n", epoch.c_str(),
-                  epoch_profile != nullptr ? epoch_profile->site_count() : 0);
-    }
-    std::printf("rejected: %llu hash, %llu malformed, %llu sequence\n",
-                static_cast<unsigned long long>(stats.rejected_hash),
-                static_cast<unsigned long long>(stats.rejected_malformed),
-                static_cast<unsigned long long>(stats.rejected_sequence));
-    std::printf("promotions: %llu emitted, %llu rejected by static bound\n",
-                static_cast<unsigned long long>(stats.promotions_emitted),
-                static_cast<unsigned long long>(stats.promotions_rejected_static));
-    for (const auto& candidate : promotions) {
-      std::printf("promote: %s (count %llu over %zu epoch(s))\n",
-                  candidate.site.ToString().c_str(),
-                  static_cast<unsigned long long>(candidate.count), candidate.epochs);
-    }
-
-    if (!out_path.empty() && !WriteArtifact(aggregator, instrumented->ir_hash, out_path)) {
-      return 1;
-    }
-    // Rejections and stale streams are error findings: surface them in the
-    // exit code so CI pipelines notice poisoned inputs.
-    for (const auto& finding : aggregator.diagnostics().findings()) {
-      if (finding.severity == analysis::Severity::kError) {
-        return 1;
-      }
-    }
-    return 0;
-  }
-
-  if (command == "serve") {
-    std::string module_path;
-    std::string artifact_path;
-    std::string baseline_path;
-    uint64_t threshold = 1;
-    size_t min_epochs = 1;
-    size_t demote_cold_epochs = 0;
-    uint16_t port = 0;
-    uint64_t interval_ms = 50;
-    uint64_t max_frames = 0;       // 0 = unbounded
-    uint64_t idle_exit_polls = 0;  // 0 = never idle-exit
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--module=", 0) == 0) {
-        module_path = arg.substr(9);
-      } else if (arg.rfind("--artifact=", 0) == 0) {
-        artifact_path = arg.substr(11);
-      } else if (arg.rfind("--baseline=", 0) == 0) {
-        baseline_path = arg.substr(11);
-      } else if (arg.rfind("--threshold=", 0) == 0) {
-        threshold = std::strtoull(arg.c_str() + 12, nullptr, 10);
-      } else if (arg.rfind("--min-epochs=", 0) == 0) {
-        min_epochs = static_cast<size_t>(std::strtoull(arg.c_str() + 13, nullptr, 10));
-      } else if (arg.rfind("--demote-cold-epochs=", 0) == 0) {
-        demote_cold_epochs = static_cast<size_t>(std::strtoull(arg.c_str() + 21, nullptr, 10));
-      } else if (arg.rfind("--port=", 0) == 0) {
-        port = static_cast<uint16_t>(std::strtoul(arg.c_str() + 7, nullptr, 10));
-      } else if (arg.rfind("--interval-ms=", 0) == 0) {
-        interval_ms = std::strtoull(arg.c_str() + 14, nullptr, 10);
-      } else if (arg.rfind("--max-frames=", 0) == 0) {
-        max_frames = std::strtoull(arg.c_str() + 13, nullptr, 10);
-      } else if (arg.rfind("--idle-exit-polls=", 0) == 0) {
-        idle_exit_polls = std::strtoull(arg.c_str() + 18, nullptr, 10);
-      } else {
-        return Usage();
-      }
-    }
-    if (module_path.empty()) {
-      return Usage();
-    }
-
-    auto instrumented = LoadInstrumented(module_path);
-    if (!instrumented.ok()) {
-      std::fprintf(stderr, "%s\n", instrumented.status().ToString().c_str());
-      return 1;
-    }
-
-    telemetry::AggregatorOptions options;
-    options.promotion_threshold = threshold;
-    options.min_epochs = min_epochs;
-    options.demote_cold_epochs = demote_cold_epochs;
-    options.module = &instrumented->module;
-    options.static_shared.insert(instrumented->static_shared.begin(),
-                                 instrumented->static_shared.end());
-    if (!baseline_path.empty()) {
-      auto baseline = Load(baseline_path.c_str());
-      if (!baseline.ok()) {
-        std::fprintf(stderr, "%s\n", baseline.status().ToString().c_str());
-        return 1;
-      }
-      if (baseline->ir_hash != instrumented->ir_hash) {
-        std::fprintf(stderr, "baseline %s was recorded against IR hash 0x%016llx, not %s\n",
-                     baseline_path.c_str(), static_cast<unsigned long long>(baseline->ir_hash),
-                     module_path.c_str());
-        return 1;
-      }
-      for (const AllocId& id : baseline->profile.Sites()) {
-        options.baseline.insert(id);
-      }
-    }
-    telemetry::ProfileAggregator aggregator(std::move(options));
-
-    // Serve-side persistence: --artifact is now a two-way file. If a prior
-    // serve left a snapshot there, reload it so the fleet's history —
-    // including which sites were already promoted — survives the restart; a
-    // snapshot from a different build (IR hash mismatch) or a corrupted one
-    // is warned about and ignored, starting fresh.
-    if (!artifact_path.empty()) {
-      auto snapshot = ProfileArtifact::LoadFromFile(artifact_path);
-      if (snapshot.ok()) {
-        if (auto status = aggregator.RestoreFromArtifact(*snapshot); status.ok()) {
-          std::printf("restored %zu site(s), %zu epoch(s), %zu promotion(s) from %s\n",
-                      snapshot->profile.site_count(), snapshot->epochs.size(),
-                      snapshot->promoted.size(), artifact_path.c_str());
-          std::fflush(stdout);
-        } else {
-          std::fprintf(stderr, "warning: ignoring artifact %s: %s\n", artifact_path.c_str(),
-                       status.ToString().c_str());
-        }
-      } else if (snapshot.status().code() != StatusCode::kNotFound) {
-        std::fprintf(stderr, "warning: ignoring artifact %s: %s\n", artifact_path.c_str(),
-                     snapshot.status().ToString().c_str());
-      }
-    }
-
-    telemetry::FrameServer server;
-    if (auto status = server.Start(port); !status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-    // Scripts parse this line for the ephemeral port; flush before looping.
-    std::printf("serving on 127.0.0.1:%u\n", server.port());
-    std::fflush(stdout);
-
-    // Connected producers by client id -> stream name (hello can rename).
-    std::map<uint64_t, std::string> producers;
-    uint64_t frames_total = 0;
-    uint64_t sampler_rows = 0;
-    uint64_t torn_disconnects = 0;
-    uint64_t idle_polls = 0;
-    bool had_producer = false;
-
-    std::vector<telemetry::PromotionCandidate> promotions;  // this iteration
-    // Snapshot pacing: write immediately when policy changed hands, else
-    // every ~20 polls while new deltas arrived. Version 0-or-restored is the
-    // baseline so an idle serve never rewrites an unchanged file.
-    uint64_t snapshot_version = aggregator.version();
-    uint64_t polls_since_snapshot = 0;
-    const auto on_frame = [&](uint64_t client_id, telemetry::Frame&& frame) {
-      ++frames_total;
-      had_producer = true;
-      auto [it, fresh] =
-          producers.try_emplace(client_id, "tcp:" + std::to_string(client_id));
-      switch (frame.type) {
-        case telemetry::FrameType::kHello: {
-          auto hello = json::Parse(frame.payload);
-          if (hello.ok() && hello->is_object() &&
-              hello->GetString("kind") == "pkru_safe_hello") {
-            const std::string name = hello->GetString("stream");
-            if (!name.empty()) {
-              it->second = name;
-            }
-          }
-          break;
-        }
-        case telemetry::FrameType::kProfileDelta:
-          aggregator.ConsumeNetworkDelta(it->second, frame.payload, &promotions);
-          break;
-        case telemetry::FrameType::kSamplerRow:
-          ++sampler_rows;
-          break;
-        case telemetry::FrameType::kPolicyUpdate:
-          break;  // server-to-client only; a client echoing it is ignored
-      }
-      (void)fresh;
-    };
-    const auto on_disconnect = [&](uint64_t client_id, bool mid_frame) {
-      producers.erase(client_id);
-      if (mid_frame) {
-        ++torn_disconnects;
-      }
-    };
-
-    for (;;) {
-      promotions.clear();
-      auto dispatched = server.PollOnce(static_cast<int>(interval_ms), on_frame, on_disconnect);
-      if (!dispatched.ok()) {
-        std::fprintf(stderr, "%s\n", dispatched.status().ToString().c_str());
-        return 1;
-      }
-      std::vector<telemetry::DemotionCandidate> demotions;
-      aggregator.CollectDemotions(&demotions);
-
-      // Push policy updates to every connected producer. Delivery is
-      // best-effort: a dead client is reaped by the next poll.
-      if (!promotions.empty()) {
-        std::vector<AllocId> sites;
-        for (const auto& candidate : promotions) {
-          sites.push_back(candidate.site);
-          std::printf("promote: %s (count %llu over %zu epoch(s))\n",
-                      candidate.site.ToString().c_str(),
-                      static_cast<unsigned long long>(candidate.count), candidate.epochs);
-        }
-        const std::string payload = PolicyUpdateJson("promote", sites);
-        for (const auto& [client_id, name] : producers) {
-          (void)server.SendTo(client_id, telemetry::FrameType::kPolicyUpdate, payload);
-        }
-        std::fflush(stdout);
-      }
-      if (!demotions.empty()) {
-        std::vector<AllocId> sites;
-        for (const auto& candidate : demotions) {
-          sites.push_back(candidate.site);
-          std::printf("demote: %s (cold for %zu epoch(s))\n",
-                      candidate.site.ToString().c_str(), candidate.cold_epochs);
-        }
-        const std::string payload = PolicyUpdateJson("demote", sites);
-        for (const auto& [client_id, name] : producers) {
-          (void)server.SendTo(client_id, telemetry::FrameType::kPolicyUpdate, payload);
-        }
-        std::fflush(stdout);
-      }
-
-      // The restart-survival fix: the rolling profile and promoted set used
-      // to live only in memory until exit, so a crash or kill silently
-      // discarded the fleet's history. Snapshot to --artifact mid-serve.
-      if (!artifact_path.empty()) {
-        ++polls_since_snapshot;
-        const bool changed = aggregator.version() != snapshot_version;
-        const bool policy_moved = !promotions.empty() || !demotions.empty();
-        if (changed && (policy_moved || polls_since_snapshot >= 20)) {
-          const ProfileArtifact artifact = aggregator.ExportArtifact(instrumented->ir_hash);
-          if (auto status = SaveArtifactAtomically(artifact, artifact_path); status.ok()) {
-            snapshot_version = aggregator.version();
-            polls_since_snapshot = 0;
-          } else {
-            std::fprintf(stderr, "warning: artifact snapshot failed: %s\n",
-                         status.ToString().c_str());
-          }
-        }
-      }
-
-      if (max_frames != 0 && frames_total >= max_frames) {
-        break;
-      }
-      if (*dispatched == 0) {
-        ++idle_polls;
-      } else {
-        idle_polls = 0;
-      }
-      if (idle_exit_polls != 0 && had_producer && producers.empty() &&
-          idle_polls >= idle_exit_polls) {
-        break;
-      }
-    }
-    server.Stop();
-
-    analysis::RenderFindingsText(std::cout, aggregator.diagnostics().findings());
-    const auto& stats = aggregator.stats();
-    const auto decoder_stats = server.decoder_stats();
-    std::printf("served %llu frame(s) (%llu sampler row(s), %llu torn disconnect(s)): "
-                "%llu delta(s), %zu site(s), version %llu\n",
-                static_cast<unsigned long long>(frames_total),
-                static_cast<unsigned long long>(sampler_rows),
-                static_cast<unsigned long long>(torn_disconnects),
-                static_cast<unsigned long long>(stats.deltas_applied),
-                aggregator.rolling().site_count(),
-                static_cast<unsigned long long>(aggregator.version()));
-    for (const std::string& epoch : aggregator.EpochNames()) {
-      const Profile* epoch_profile = aggregator.EpochProfile(epoch);
-      std::printf("  epoch %-12s %zu site(s)\n", epoch.c_str(),
-                  epoch_profile != nullptr ? epoch_profile->site_count() : 0);
-    }
-    std::printf("rejected: %llu hash, %llu malformed, %llu sequence; frames: %llu resync "
-                "byte(s), %llu bad version, %llu bad type, %llu oversized, %llu bad crc\n",
-                static_cast<unsigned long long>(stats.rejected_hash),
-                static_cast<unsigned long long>(stats.rejected_malformed),
-                static_cast<unsigned long long>(stats.rejected_sequence),
-                static_cast<unsigned long long>(decoder_stats.bad_magic),
-                static_cast<unsigned long long>(decoder_stats.bad_version),
-                static_cast<unsigned long long>(decoder_stats.bad_type),
-                static_cast<unsigned long long>(decoder_stats.oversized),
-                static_cast<unsigned long long>(decoder_stats.bad_crc));
-    std::printf("promotions: %llu emitted, %llu rejected by static bound; demotions: "
-                "%llu emitted, %llu kept by baseline\n",
-                static_cast<unsigned long long>(stats.promotions_emitted),
-                static_cast<unsigned long long>(stats.promotions_rejected_static),
-                static_cast<unsigned long long>(stats.demotions_emitted),
-                static_cast<unsigned long long>(stats.demotions_suppressed_baseline));
-
-    if (!artifact_path.empty() &&
-        !WriteArtifact(aggregator, instrumented->ir_hash, artifact_path)) {
-      return 1;
-    }
-    for (const auto& finding : aggregator.diagnostics().findings()) {
-      if (finding.severity == analysis::Severity::kError) {
-        return 1;
-      }
-    }
-    return 0;
+  if (command == "aggregate" || command == "serve") {
+    return Ingest(argc, argv, /*serve=*/command == "serve");
   }
 
   if (command == "check") {
