@@ -60,6 +60,8 @@ PkAllocator::PkAllocator(MpkBackend* backend, std::unique_ptr<Arena> trusted_are
   }
   central_[0] = std::make_unique<CentralFreeListSet>(trusted_arena_.get(), Metrics().trusted);
   central_[1] = std::make_unique<CentralFreeListSet>(untrusted_arena_.get(), Metrics().untrusted);
+  tags_[0] = std::make_unique<SiteTagTable>(trusted_arena_.get(), central_[0].get());
+  tags_[1] = std::make_unique<SiteTagTable>(untrusted_arena_.get(), central_[1].get());
 }
 
 Result<std::unique_ptr<PkAllocator>> PkAllocator::Create(MpkBackend* backend,
@@ -95,8 +97,10 @@ Result<std::unique_ptr<PkAllocator>> PkAllocator::Create(MpkBackend* backend,
 }
 
 PkAllocator::~PkAllocator() {
-  // Member destruction order (caches, heaps, pools), run early so the pools
-  // are unmapped before the key is freed.
+  // Member destruction order (tags, caches, heaps, pools), run early so the
+  // pools are unmapped before the key is freed.
+  tags_[0].reset();
+  tags_[1].reset();
   central_[0].reset();
   central_[1].reset();
   fast_untrusted_heap_.reset();
@@ -158,6 +162,11 @@ void* PkAllocator::Reallocate(Domain domain, void* ptr, size_t new_size) {
     return nullptr;
   }
   std::memcpy(fresh, ptr, std::min(old_usable, new_size));
+  // Provenance follows the object across the move (§4.3.1).
+  if (const uint32_t tag = FindTagged(reinterpret_cast<uintptr_t>(ptr)).tag; tag != 0) {
+    const Status tagged = Tag(fresh, tag);
+    PS_CHECK(tagged.ok()) << "site tag of a reallocated block: " << tagged.ToString();
+  }
   Free(ptr);
   return fresh;
 }
@@ -168,9 +177,11 @@ void PkAllocator::Free(void* ptr) {
   }
   const auto owner = OwnerOf(ptr);
   PS_CHECK(owner.has_value()) << "Free of foreign pointer";
-  CentralFreeListSet* central = central_[DomainIndex(*owner)].get();
+  const int index = DomainIndex(*owner);
+  CentralFreeListSet* central = central_[index].get();
   const uintptr_t chunk_base = ChunkBaseOf(ptr);
   const uint8_t class_index = central->ClassOfChunk(chunk_base);
+  tags_[index]->Clear(reinterpret_cast<uintptr_t>(ptr));
   if (class_index != CentralFreeListSet::kNoClass) {
     const size_t block_size = ClassSize(class_index);
     const uintptr_t offset = reinterpret_cast<uintptr_t>(ptr) - chunk_base;
@@ -211,6 +222,21 @@ std::optional<Domain> PkAllocator::OwnerOf(const void* ptr) const {
     return Domain::kUntrusted;
   }
   return std::nullopt;
+}
+
+Status PkAllocator::Tag(const void* ptr, uint32_t tag) {
+  if (tag == 0) {
+    return InvalidArgumentError("site tag 0 means untagged");
+  }
+  const auto owner = OwnerOf(ptr);
+  if (!owner.has_value()) {
+    return InvalidArgumentError("site tag of a pointer outside both pools");
+  }
+  const auto addr = reinterpret_cast<uintptr_t>(ptr);
+  if (FindTagged(addr).tag != 0) {
+    return AlreadyExistsError("block already has a site tag");
+  }
+  return tags_[DomainIndex(*owner)]->Set(addr, UsableSize(ptr), tag);
 }
 
 void PkAllocator::FlushThisThreadCache() {

@@ -20,7 +20,11 @@
 //   * no page is ever owned by both pools, and pages never migrate;
 //   * Reallocate() stays in the pool of its argument regardless of the
 //     requested domain of the site (paper §4.2: __rust_realloc keeps the
-//     original pool so profiling provenance stays valid).
+//     original pool so profiling provenance stays valid), and the new block
+//     inherits the old one's site tag.
+//
+// Allocation provenance is allocator metadata: a block can carry a 4-byte
+// site tag (site_tags.h), and any interior address maps back to it.
 #ifndef SRC_PKALLOC_PKALLOC_H_
 #define SRC_PKALLOC_PKALLOC_H_
 
@@ -33,6 +37,7 @@
 #include "src/pkalloc/boundary_tag_heap.h"
 #include "src/pkalloc/central_free_list.h"
 #include "src/pkalloc/free_list_heap.h"
+#include "src/pkalloc/site_tags.h"
 
 namespace pkrusafe {
 
@@ -77,6 +82,32 @@ class PkAllocator {
 
   // Which pool owns `ptr`, or nullopt for foreign pointers.
   std::optional<Domain> OwnerOf(const void* ptr) const;
+
+  // --- Allocation provenance (site_tags.h) ---
+
+  // Tags the live block at `ptr` (its base) with `tag` != 0 until it is
+  // freed. Refuses tag 0, foreign pointers and any address inside a block
+  // that already has a tag.
+  Status Tag(const void* ptr, uint32_t tag);
+
+  // The tagged block holding `addr` (any interior address) in either pool;
+  // tag 0 if none. Wait-free.
+  PKRUSAFE_AS_SAFE TaggedBlock FindTagged(uintptr_t addr) const {
+    const TaggedBlock block = tags_[0]->Find(addr);
+    return block.tag != 0 ? block : tags_[1]->Find(addr);
+  }
+
+  // Visits the tagged blocks overlapping [lo, hi), pool by pool in address
+  // order, until `fn(const TaggedBlock&)` returns false; returns false iff
+  // it stopped. ForEachTagged visits every tagged block (normal context).
+  template <typename Fn>
+  PKRUSAFE_AS_SAFE bool ForEachTaggedIn(uintptr_t lo, uintptr_t hi, Fn&& fn) const {
+    return tags_[0]->ForEachIn(lo, hi, fn) && tags_[1]->ForEachIn(lo, hi, fn);
+  }
+  template <typename Fn>
+  bool ForEachTagged(Fn&& fn) const {
+    return tags_[0]->ForEach(fn) && tags_[1]->ForEach(fn);
+  }
 
   // Returns every block cached by the *calling* thread to the central free
   // lists (both domains) and publishes its pkalloc.* registry counters. Use
@@ -131,6 +162,8 @@ class PkAllocator {
   // Declared after the heaps/arenas so it is destroyed first (it detaches
   // surviving thread caches before the arenas unmap).
   std::unique_ptr<CentralFreeListSet> central_[2];
+  // Each pool's site tags, indexed by DomainIndex().
+  std::unique_ptr<SiteTagTable> tags_[2];
   // High-water mark of cached live bytes, sampled at stats() reads.
   mutable std::atomic<uint64_t> peak_live_[2]{};
 };

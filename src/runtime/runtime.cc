@@ -1,5 +1,7 @@
 #include "src/runtime/runtime.h"
 
+#include <algorithm>
+
 #include "src/memmap/page.h"
 #include "src/runtime/site_stats.h"
 #include "src/support/logging.h"
@@ -13,8 +15,8 @@ namespace {
 
 // --- Flight-recorder resolver thunks (async-signal-safe) -------------------
 // The recorder lives below the mpk/runtime layers; these C-style callbacks
-// give it crash-time access to the page-key map and the provenance table
-// without a layering inversion.
+// give it crash-time access to the page-key map and the allocator's site
+// tags without a layering inversion.
 
 size_t CrashRangeResolver(void* ctx, uint64_t addr, telemetry::CrashRange* out, size_t max) {
   auto* backend = static_cast<MpkBackend*>(ctx);
@@ -28,26 +30,6 @@ size_t CrashRangeResolver(void* ctx, uint64_t addr, telemetry::CrashRange* out, 
     out[i].key = ranges[i].key;
   }
   return n;
-}
-
-void CrashProvenanceResolver(void* ctx, uint64_t addr, telemetry::CrashProvenance* out) {
-  auto* tracker = static_cast<ProvenanceTracker*>(ctx);
-  ProvenanceTracker::Record record;
-  bool found = false;
-  if (!tracker->LookupForSignal(static_cast<uintptr_t>(addr), &found, &record)) {
-    out->status = 2;  // lock unavailable (held by the dying thread)
-    return;
-  }
-  if (!found) {
-    out->status = 0;
-    return;
-  }
-  out->status = 1;
-  out->base = record.base;
-  out->size = record.size;
-  out->function_id = record.id.function_id;
-  out->block_id = record.id.block_id;
-  out->site_id = record.id.site_id;
 }
 
 uint32_t CrashPkruReader(void* ctx) {
@@ -75,15 +57,6 @@ telemetry::Counter* DeniedFaultCounter() {
 telemetry::Counter* UnattributedFaultCounter() {
   static telemetry::Counter* counter =
       telemetry::MetricsRegistry::Global().GetOrCreateCounter("runtime.fault.unattributed");
-  return counter;
-}
-
-// Faults whose provenance lookup could not take the tracker's mutex within
-// the bounded retry (in practice only a same-thread re-entrant fault, whose
-// interrupted frame holds it): the owning object, if any, is unknown.
-telemetry::Counter* LookupContendedFaultCounter() {
-  static telemetry::Counter* counter =
-      telemetry::MetricsRegistry::Global().GetOrCreateCounter("runtime.fault.lookup_contended");
   return counter;
 }
 
@@ -135,6 +108,10 @@ telemetry::Counter* SampledDeniedStaticCounter() {
   static telemetry::Counter* counter =
       telemetry::MetricsRegistry::Global().GetOrCreateCounter("profile.sampled.denied_static");
   return counter;
+}
+
+int SiteStatsDomain(Domain domain) {
+  return domain == Domain::kUntrusted ? SiteHeapStats::kUntrusted : SiteHeapStats::kTrusted;
 }
 
 uint8_t AllocDetail(Domain domain, bool has_site) {
@@ -237,11 +214,11 @@ PkruSafeRuntime::PkruSafeRuntime(RuntimeConfig config, std::unique_ptr<MpkBacken
   }
 
   // Crash forensics wiring: let the recorder reach the page-key map, the
-  // provenance table and the thread PKRU from signal context.
+  // site tags and the thread PKRU from signal context.
   auto& recorder = telemetry::FlightRecorder::Global();
   recorder.SetBackendName(backend_->name().data());
   recorder.SetRangeResolver(&CrashRangeResolver, backend_.get());
-  recorder.SetProvenanceResolver(&CrashProvenanceResolver, &provenance_);
+  recorder.SetProvenanceResolver(&ResolveCrashProvenance, this);
   recorder.SetPkruReader(&CrashPkruReader, backend_.get());
 }
 
@@ -274,14 +251,30 @@ PkruSafeRuntime::~PkruSafeRuntime() {
   backend_->SetFaultHandler(nullptr);
   auto& recorder = telemetry::FlightRecorder::Global();
   recorder.ClearResolversFor(backend_.get());
-  recorder.ClearResolversFor(&provenance_);
+  recorder.ClearResolversFor(this);
   telemetry::MetricsRegistry::Global().RemoveCallbackGauges(this);
+}
+
+void PkruSafeRuntime::ResolveCrashProvenance(void* ctx, uint64_t addr,
+                                             telemetry::CrashProvenance* out) {
+  const auto* runtime = static_cast<const PkruSafeRuntime*>(ctx);
+  const TaggedBlock block = runtime->allocator_->FindTagged(static_cast<uintptr_t>(addr));
+  out->found = block.tag != 0;
+  if (!out->found) {
+    return;
+  }
+  const AllocId id = runtime->SiteOfTag(block.tag);
+  out->base = block.base;
+  out->size = block.size;
+  out->function_id = id.function_id;
+  out->block_id = id.block_id;
+  out->site_id = id.site_id;
 }
 
 bool PkruSafeRuntime::TracksProvenance() const {
   // Sampled profiling needs pointer→site attribution in enforce mode: both
   // the fault handler (candidate check) and ApplyPromotions (live pages of a
-  // promoted site) resolve through the provenance table.
+  // promoted site) resolve through the site tags.
   return mode_ == RuntimeMode::kProfiling || budget_ != nullptr ||
          telemetry::FlightRecorder::Global().configured() || SiteHeapStats::Global().enabled();
 }
@@ -322,24 +315,19 @@ FaultResolution PkruSafeRuntime::OnMpkFault(const MpkFault& fault) {
   // by a tracked object (e.g. allocator metadata) are stepped past without a
   // profile entry — there is no allocation site to move. Everything on this
   // path must be async-signal-safe: native backends call it from SIGSEGV.
-  ProvenanceTracker::Record record;
-  bool found = false;
-  if (!provenance_.LookupForSignal(fault.address, &found, &record)) {
-    LookupContendedFaultCounter()->Increment();
-    return FaultResolution::kRetryAllowed;
-  }
-  if (!found) {
+  const TaggedBlock block = allocator_->FindTagged(fault.address);
+  if (block.tag == 0) {
     UnattributedFaultCounter()->Increment();
     return FaultResolution::kRetryAllowed;
   }
-  recorder_.RecordFault(record.id);
+  recorder_.RecordFault(SiteOfTag(block.tag));
   if (!latch_sites_) {
     return FaultResolution::kRetryAllowed;
   }
   // First-fault latching: once the (site, page) pair is recorded, downgrade
   // the page to the shared key so the site stops paying a signal round-trip
   // per access.
-  if (!LatchCoveredPage(PageDown(fault.address), record, /*window_filter=*/nullptr)) {
+  if (!LatchCoveredPage(PageDown(fault.address), block, /*window_filter=*/nullptr)) {
     return FaultResolution::kRetryAllowed;
   }
   LatchedFaultCounter()->Increment();
@@ -347,15 +335,15 @@ FaultResolution PkruSafeRuntime::OnMpkFault(const MpkFault& fault) {
 }
 
 bool PkruSafeRuntime::LatchCoveredPage(
-    uintptr_t fault_page, const ProvenanceTracker::Record& record,
+    uintptr_t fault_page, const TaggedBlock& block,
     const std::unordered_set<AllocId, AllocIdHasher>* window_filter) {
   // Only pages FULLY covered by the faulting object may latch — a page
   // shared with a neighboring object must keep faulting, or that neighbor's
   // site could go unrecorded (in profiling, the latched profile's site set
   // would diverge from the unlatched one; in sampling, the neighbor could
   // slip past the candidate check).
-  const uintptr_t covered_lo = PageUp(record.base);
-  const uintptr_t covered_hi = PageDown(record.base + record.size);
+  const uintptr_t covered_lo = PageUp(block.base);
+  const uintptr_t covered_hi = PageDown(block.base + block.size);
   if (fault_page < covered_lo || fault_page + kPageSize > covered_hi) {
     return false;
   }
@@ -365,18 +353,18 @@ bool PkruSafeRuntime::LatchCoveredPage(
   // about to stop faulting forever, so re-check the window now and re-record
   // any co-located tracked sites that would otherwise be missed.
   if (backend_->enforces_natively()) {
-    constexpr int kMaxWindowRecords = 16;
-    ProvenanceTracker::Record window[kMaxWindowRecords];
-    const int n = provenance_.RecordsInRangeForSignal(fault_page, fault_page + 2 * kPageSize,
-                                                      window, kMaxWindowRecords);
-    for (int i = 0; i < n; ++i) {
-      if (window[i].id == record.id ||
-          (window_filter != nullptr && window_filter->find(window[i].id) == window_filter->end())) {
-        continue;
-      }
-      recorder_.RecordFault(window[i].id);
-      StepWindowMissCounter()->Increment();
-    }
+    constexpr int kMaxWindowBlocks = 16;
+    int visited = 0;
+    allocator_->ForEachTaggedIn(
+        fault_page, fault_page + 2 * kPageSize, [&](const TaggedBlock& other) {
+          const AllocId id = SiteOfTag(other.tag);
+          if (other.tag != block.tag &&
+              (window_filter == nullptr || window_filter->find(id) != window_filter->end())) {
+            recorder_.RecordFault(id);
+            StepWindowMissCounter()->Increment();
+          }
+          return ++visited < kMaxWindowBlocks;
+        });
   }
   backend_->NoteLatchedRange(fault_page, fault_page + kPageSize);
   return true;
@@ -387,27 +375,21 @@ FaultResolution PkruSafeRuntime::OnSampledEnforcingFault(const MpkFault& fault) 
   // sampling_candidates_ is immutable after construction, so the read-only
   // hash probe below is safe from signal context.
   SampledFaultCounter()->Increment();
-  ProvenanceTracker::Record record;
-  bool found = false;
-  const bool looked_up = provenance_.LookupForSignal(fault.address, &found, &record);
-  if (!looked_up || !found) {
-    // Unattributed (allocator metadata, non-candidate M_T data) or the
-    // provenance lock stayed contended: enforcement bias — deny. A candidate
-    // site can lose at most this one access to lock contention; the next
-    // fault re-attributes.
-    if (!looked_up) {
-      LookupContendedFaultCounter()->Increment();
-    }
+  const TaggedBlock block = allocator_->FindTagged(fault.address);
+  if (block.tag == 0) {
+    // Unattributed (allocator metadata, untagged M_T data): enforcement
+    // bias — deny.
     SampledDeniedStaticCounter()->Increment();
     return FaultResolution::kDeny;
   }
-  if (sampling_candidates_.find(record.id) == sampling_candidates_.end()) {
+  const AllocId id = SiteOfTag(block.tag);
+  if (sampling_candidates_.find(id) == sampling_candidates_.end()) {
     // Outside the static points-to envelope: sampling never weakens
     // enforcement beyond what the analysis proved may flow to U.
     SampledDeniedStaticCounter()->Increment();
     return FaultResolution::kDeny;
   }
-  recorder_.RecordFault(record.id);
+  recorder_.RecordFault(id);
   SampledRecordedCounter()->Increment();
 
   const uintptr_t fault_page = PageDown(fault.address);
@@ -425,7 +407,7 @@ FaultResolution PkruSafeRuntime::OnSampledEnforcingFault(const MpkFault& fault) 
   // Out of the sample (or over budget): open the page so it stops costing a
   // signal round-trip, if the faulting object fully covers it. Window re-records
   // stay inside the candidate set.
-  if (!LatchCoveredPage(fault_page, record, &sampling_candidates_)) {
+  if (!LatchCoveredPage(fault_page, block, &sampling_candidates_)) {
     return FaultResolution::kRetryAllowed;
   }
   (in_sample ? SampledAutolatchedCounter() : SampledLatchedCounter())->Increment();
@@ -455,17 +437,18 @@ std::vector<AllocId> PkruSafeRuntime::EditPolicy(const std::vector<AllocId>& sit
 size_t PkruSafeRuntime::UpdateCoveredPages(const std::vector<AllocId>& sites,
                                            void (MpkBackend::*update)(uintptr_t, uintptr_t)) {
   size_t pages = 0;
-  for (const AllocId id : sites) {
-    for (const ProvenanceTracker::Record& record : provenance_.RecordsForSite(id)) {
-      const uintptr_t lo = PageUp(record.base);
-      const uintptr_t hi = PageDown(record.base + record.size);
-      if (lo >= hi) {
-        continue;
-      }
+  if (sites.empty()) {
+    return pages;
+  }
+  allocator_->ForEachTagged([&](const TaggedBlock& block) {
+    const uintptr_t lo = PageUp(block.base);
+    const uintptr_t hi = PageDown(block.base + block.size);
+    if (lo < hi && std::find(sites.begin(), sites.end(), SiteOfTag(block.tag)) != sites.end()) {
       (backend_.get()->*update)(lo, hi);
       pages += (hi - lo) / kPageSize;
     }
-  }
+    return true;
+  });
   return pages;
 }
 
@@ -539,27 +522,32 @@ void* PkruSafeRuntime::AllocUntrusted(AllocId site, size_t size) {
   return AllocAt(site, Domain::kUntrusted, size);
 }
 
-void* PkruSafeRuntime::AllocAt(AllocId site, Domain domain, size_t size) {
-  {
-    std::lock_guard lock(sites_mutex_);
-    sites_seen_.insert(site);
+uint32_t PkruSafeRuntime::InternSite(AllocId site) {
+  std::lock_guard lock(sites_mutex_);
+  const auto [it, inserted] = sites_seen_.try_emplace(site, 0);
+  if (inserted) {
+    AllocId* slot = site_ids_.Claim();
+    PS_CHECK(slot != nullptr) << "more than " << site_ids_.capacity() << " allocation sites";
+    *slot = site;
+    site_ids_.Publish();
+    it->second = static_cast<uint32_t>(site_ids_.size());
   }
+  return it->second;
+}
+
+void* PkruSafeRuntime::AllocAt(AllocId site, Domain domain, size_t size) {
+  const uint32_t tag = InternSite(site);
   void* ptr = allocator_->Allocate(domain, size);
   if (ptr == nullptr) {
     return nullptr;
   }
   RecordAllocEvent(domain, size, &site);
   if (TracksProvenance()) {
-    const size_t usable = allocator_->UsableSize(ptr);
-    const Status status = provenance_.OnAlloc(ptr, usable, site);
-    PS_CHECK(status.ok()) << "provenance registration failed: " << status.ToString();
-    provenance_active_.store(true, std::memory_order_relaxed);
+    const Status status = allocator_->Tag(ptr, tag);
+    PS_CHECK(status.ok()) << "site tag failed: " << status.ToString();
     SiteHeapStats& site_stats = SiteHeapStats::Global();
     if (site_stats.enabled()) {
-      site_stats.NoteAlloc(site,
-                           domain == Domain::kUntrusted ? SiteHeapStats::kUntrusted
-                                                        : SiteHeapStats::kTrusted,
-                           usable);
+      site_stats.NoteAlloc(site, SiteStatsDomain(domain), allocator_->UsableSize(ptr));
     }
   }
   return ptr;
@@ -569,27 +557,19 @@ void* PkruSafeRuntime::Realloc(void* ptr, size_t new_size) {
   if (ptr == nullptr) {
     return allocator_->Allocate(Domain::kTrusted, new_size);
   }
-  const auto old_record = provenance_active_.load(std::memory_order_relaxed)
-                              ? provenance_.Lookup(reinterpret_cast<uintptr_t>(ptr))
-                              : std::nullopt;
+  // The allocator carries the site tag to the new block; site attribution
+  // moves the bytes.
+  const TaggedBlock old = allocator_->FindTagged(reinterpret_cast<uintptr_t>(ptr));
   void* fresh = allocator_->Reallocate(Domain::kTrusted, ptr, new_size);
   if (fresh != nullptr) {
     telemetry::RecordEvent(telemetry::TraceEventType::kRealloc, 0, new_size);
   }
-  if (fresh != nullptr && old_record.has_value()) {
-    const size_t usable = allocator_->UsableSize(fresh);
-    const Status status = provenance_.OnRealloc(ptr, fresh, usable);
-    PS_CHECK(status.ok()) << "provenance realloc failed: " << status.ToString();
+  if (fresh != nullptr && old.tag != 0 && SiteHeapStats::Global().enabled()) {
     SiteHeapStats& site_stats = SiteHeapStats::Global();
-    if (site_stats.enabled()) {
-      // Pool (and thus domain) never changes across realloc.
-      const auto owner = allocator_->OwnerOf(fresh);
-      const int domain = owner.has_value() && *owner == Domain::kUntrusted
-                             ? SiteHeapStats::kUntrusted
-                             : SiteHeapStats::kTrusted;
-      site_stats.NoteFree(old_record->id, domain, old_record->size);
-      site_stats.NoteAlloc(old_record->id, domain, usable);
-    }
+    // Pool (and thus domain) never changes across realloc.
+    const int domain = SiteStatsDomain(*allocator_->OwnerOf(fresh));
+    site_stats.NoteFree(SiteOfTag(old.tag), domain, old.size);
+    site_stats.NoteAlloc(SiteOfTag(old.tag), domain, allocator_->UsableSize(fresh));
   }
   return fresh;
 }
@@ -600,22 +580,12 @@ void PkruSafeRuntime::Free(void* ptr) {
   }
   telemetry::RecordEvent(telemetry::TraceEventType::kFree, 0,
                          reinterpret_cast<uintptr_t>(ptr));
-  // provenance_active_ latches once any registration happened, so records
-  // are balanced even when profiling/forensics is toggled off mid-run.
-  if (provenance_active_.load(std::memory_order_relaxed)) {
-    const auto record = provenance_.Lookup(reinterpret_cast<uintptr_t>(ptr));
-    // Untracked pointers (M_U allocations, pre-tracking objects) are fine.
-    if (record.has_value()) {
-      (void)provenance_.OnFree(ptr);
-      SiteHeapStats& site_stats = SiteHeapStats::Global();
-      if (site_stats.enabled()) {
-        const auto owner = allocator_->OwnerOf(ptr);
-        const int domain = owner.has_value() && *owner == Domain::kUntrusted
-                               ? SiteHeapStats::kUntrusted
-                               : SiteHeapStats::kTrusted;
-        site_stats.NoteFree(record->id, domain, record->size);
-      }
-    }
+  // The allocator clears the block's site tag; site attribution needs it
+  // first. Untagged pointers (M_U allocations, pre-tracking objects) are fine.
+  const TaggedBlock block = allocator_->FindTagged(reinterpret_cast<uintptr_t>(ptr));
+  if (block.tag != 0 && SiteHeapStats::Global().enabled()) {
+    SiteHeapStats::Global().NoteFree(SiteOfTag(block.tag),
+                                     SiteStatsDomain(*allocator_->OwnerOf(ptr)), block.size);
   }
   allocator_->Free(ptr);
 }

@@ -1,6 +1,6 @@
 // The PKRU-Safe runtime: one object wiring together the MPK backend, the
-// compartment-aware allocator, provenance tracking, the profiling fault
-// handler and the allocation-site policy.
+// compartment-aware allocator (which keeps allocation provenance as site
+// tags), the profiling fault handler and the allocation-site policy.
 //
 // A runtime is created in one of three modes, matching the three binaries of
 // the paper's artifact experiment E1:
@@ -17,6 +17,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -26,10 +27,14 @@
 #include "src/pkalloc/pkalloc.h"
 #include "src/runtime/call_gate.h"
 #include "src/runtime/profile.h"
-#include "src/runtime/provenance.h"
 #include "src/runtime/site_policy.h"
+#include "src/support/stable_index_array.h"
 
 namespace pkrusafe {
+
+namespace telemetry {
+struct CrashProvenance;
+}  // namespace telemetry
 
 enum class RuntimeMode : uint8_t {
   kDisabled = 0,
@@ -182,7 +187,6 @@ class PkruSafeRuntime {
   // --- Introspection ---
   MpkBackend& backend() { return *backend_; }
   PkAllocator& allocator() { return *allocator_; }
-  ProvenanceTracker& provenance() { return provenance_; }
   PkeyId trusted_key() const { return allocator_->trusted_key(); }
 
   RuntimeStats stats() const;
@@ -196,12 +200,22 @@ class PkruSafeRuntime {
   // kDeny means the fault falls through to the ordinary denial accounting.
   FaultResolution OnSampledEnforcingFault(const MpkFault& fault);
   // The latch step both fault paths share: opens `fault_page` for good when
-  // `record`'s object fully covers it, first re-recording the other tracked
-  // sites in a process-wide step window (only those in `window_filter` when
-  // it is non-null). Returns false, latching nothing, for a partly covered
-  // page. Async-signal-safe.
-  bool LatchCoveredPage(uintptr_t fault_page, const ProvenanceTracker::Record& record,
+  // the faulting `block` fully covers it, first re-recording the other
+  // tracked sites in a process-wide step window (only those in
+  // `window_filter` when it is non-null). Returns false, latching nothing,
+  // for a partly covered page. Async-signal-safe.
+  bool LatchCoveredPage(uintptr_t fault_page, const TaggedBlock& block,
                         const std::unordered_set<AllocId, AllocIdHasher>* window_filter);
+
+  // The flight recorder's provenance resolver (ctx: the runtime).
+  // Async-signal-safe.
+  static void ResolveCrashProvenance(void* ctx, uint64_t addr, telemetry::CrashProvenance* out);
+
+  // The site tag of `site`, interned on first sight (takes sites_mutex_).
+  uint32_t InternSite(AllocId site);
+  // The site a tag names. Lock-free and async-signal-safe; `tag` must come
+  // from InternSite (every tag the allocator hands back does).
+  AllocId SiteOfTag(uint32_t tag) const { return *site_ids_.at(tag - 1); }
 
   // The sited allocation AllocTrusted and AllocUntrusted both make.
   void* AllocAt(AllocId site, Domain domain, size_t size);
@@ -214,9 +228,9 @@ class PkruSafeRuntime {
   size_t UpdateCoveredPages(const std::vector<AllocId>& sites,
                             void (MpkBackend::*update)(uintptr_t, uintptr_t));
 
-  // Whether trusted allocations should register provenance records: always
-  // in profiling mode (the paper's pipeline), and additionally whenever the
-  // flight recorder or site attribution needs pointer→site resolution in
+  // Whether sited allocations should carry site tags: always in profiling
+  // mode (the paper's pipeline), and additionally whenever the flight
+  // recorder or site attribution needs pointer→site resolution in
   // enforcement mode.
   bool TracksProvenance() const;
 
@@ -235,20 +249,20 @@ class PkruSafeRuntime {
   std::unique_ptr<MpkBackend> backend_;
   std::unique_ptr<PkAllocator> allocator_;
   std::unique_ptr<GateSet> gates_;
-  ProvenanceTracker provenance_;
   ProfileRecorder recorder_;
   // Sampled profiling (enforce mode): non-null iff config.sampled_profiling.
   // candidates_ is immutable after construction — the fault handler reads it
   // from signal context.
   std::unique_ptr<FaultRateBudget> budget_;
   const std::unordered_set<AllocId, AllocIdHasher> sampling_candidates_;
-  // Latches true once any provenance record was registered; the free path
-  // then always consults the tracker so records stay balanced even when the
-  // enabling feature (profiling, recorder, site stats) toggles off mid-run.
-  std::atomic<bool> provenance_active_{false};
 
+  // The intern table of every site that allocated: AllocId -> site tag, the
+  // tag being the site's index in site_ids_ plus one (tag 0 is "untagged").
   mutable std::mutex sites_mutex_;
-  std::unordered_set<AllocId, AllocIdHasher> sites_seen_;
+  std::unordered_map<AllocId, uint32_t, AllocIdHasher> sites_seen_;
+  // Tag - 1 -> AllocId, appended under sites_mutex_ and read lock-free by
+  // the fault handlers.
+  StableIndexArray<AllocId, 1024, 64> site_ids_;
 };
 
 }  // namespace pkrusafe

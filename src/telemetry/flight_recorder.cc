@@ -384,7 +384,7 @@ size_t FlightRecorder::WriteFatalReport(const FatalFaultInfo& info) {
     CrashProvenance prov;
     prov_fn(provenance_ctx_.load(std::memory_order_acquire), info.fault_address, &prov);
     w.Key("status");
-    if (prov.status == 1) {
+    if (prov.found) {
       w.Literal("\"found\",");
       w.Key("base");
       w.Uint(prov.base);
@@ -409,8 +409,6 @@ size_t FlightRecorder::WriteFatalReport(const FatalFaultInfo& info) {
       w.Char(',');
       w.Key("site_id");
       w.Uint(prov.site_id);
-    } else if (prov.status == 2) {
-      w.Literal("\"unavailable\"");
     } else {
       w.Literal("\"not_tracked\"");
     }

@@ -16,14 +16,13 @@
 //     bounded itoa/hex helpers — no malloc, no stdio, no locks;
 //   * data owned by upper layers (page-key map, provenance) is reached
 //     through C-style resolver callbacks the runtime registers; each
-//     callback must itself be async-signal-safe (lock-free snapshot reads,
-//     try_lock lookups);
+//     callback must itself be async-signal-safe (lock-free reads only);
 //   * the whole path runs under ScopedAsyncSignalContext, so any
 //     PKRUSAFE_AS_UNSAFE_POINT reached transitively aborts loudly in tests
 //     instead of deadlocking silently in production.
 //
 // Layering: this file lives in telemetry (below mpk/runtime), so it knows
-// nothing about MpkBackend or ProvenanceTracker. The runtime wires those in
+// nothing about MpkBackend or the allocator. The runtime wires those in
 // via the resolver setters; src/mpk/fault_signal.cc calls WriteFatalReport
 // directly from its die paths.
 #ifndef SRC_TELEMETRY_FLIGHT_RECORDER_H_
@@ -64,9 +63,7 @@ struct CrashRange {
 
 // Provenance of the faulting pointer as reported by the provenance resolver.
 struct CrashProvenance {
-  // 0 = address not tracked, 1 = found, 2 = unavailable (owner lock held by
-  // the dying thread — try_lock failed).
-  int status = 0;
+  bool found = false;  // the address lies in a tracked object
   uint64_t base = 0;
   uint64_t size = 0;
   uint32_t function_id = 0;
@@ -75,7 +72,7 @@ struct CrashProvenance {
 };
 
 // Resolver callbacks. Implementations MUST be async-signal-safe: lock-free
-// reads or try_lock only, no allocation.
+// reads only, no allocation.
 using RangeResolverFn = size_t (*)(void* ctx, uint64_t addr, CrashRange* out, size_t max);
 using ProvenanceResolverFn = void (*)(void* ctx, uint64_t addr, CrashProvenance* out);
 using PkruReadFn = uint32_t (*)(void* ctx);

@@ -120,7 +120,12 @@ TEST(StackProtectionTest, FrameAllocationsAreReleasedOnReturn) {
   ASSERT_TRUE(system.ok());
   ASSERT_TRUE((*system)->Call("main").ok());
   // Both @leaf activations allocated two slots each; all must be gone.
-  EXPECT_EQ((*system)->runtime().provenance().live_count(), 0u);
+  size_t tagged = 0;
+  (*system)->runtime().allocator().ForEachTagged([&](const TaggedBlock&) {
+    ++tagged;
+    return true;
+  });
+  EXPECT_EQ(tagged, 0u);
   const HeapStats trusted = (*system)->runtime().allocator().trusted_stats();
   EXPECT_EQ(trusted.live_bytes, 0u);
   EXPECT_EQ(trusted.alloc_calls, trusted.free_calls);

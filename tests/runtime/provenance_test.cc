@@ -1,132 +1,178 @@
-#include "src/runtime/provenance.h"
-
+// Allocation provenance (paper Fig. 2): every tracked block carries its
+// site's tag in the allocator's own metadata, and any interior address maps
+// back to {base, size, tag}. Reallocation carries the tag forward (§4.3.1),
+// so an object keeps its provenance for its whole lifetime.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
+#include "src/mpk/sim_backend.h"
+#include "src/pkalloc/pkalloc.h"
+
 namespace pkrusafe {
 namespace {
 
-constexpr AllocId kSiteA{1, 0, 0};
-constexpr AllocId kSiteB{2, 5, 1};
+constexpr uint32_t kSiteA = 1;
+constexpr uint32_t kSiteB = 2;
 
-TEST(ProvenanceTest, RegistersAndLooksUpInteriorAddresses) {
-  ProvenanceTracker tracker;
-  char buffer[64] = {};
-  ASSERT_TRUE(tracker.OnAlloc(buffer, sizeof(buffer), kSiteA).ok());
+class ProvenanceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    SetCurrentThreadPkru(PkruValue::AllowAll());
+    PkAllocatorConfig config;
+    config.trusted_pool_bytes = size_t{1} << 30;
+    config.untrusted_pool_bytes = size_t{1} << 30;
+    auto allocator = PkAllocator::Create(&backend_, config);
+    ASSERT_TRUE(allocator.ok());
+    allocator_ = std::move(*allocator);
+  }
 
-  auto record = tracker.Lookup(reinterpret_cast<uintptr_t>(buffer) + 32);
-  ASSERT_TRUE(record.has_value());
-  EXPECT_EQ(record->id, kSiteA);
-  EXPECT_EQ(record->size, sizeof(buffer));
-  EXPECT_EQ(record->base, reinterpret_cast<uintptr_t>(buffer));
+  TaggedBlock Find(const void* ptr, size_t offset = 0) const {
+    return allocator_->FindTagged(reinterpret_cast<uintptr_t>(ptr) + offset);
+  }
 
-  EXPECT_FALSE(tracker.Lookup(reinterpret_cast<uintptr_t>(buffer) + 64).has_value());
+  size_t LiveCount() const {
+    size_t count = 0;
+    allocator_->ForEachTagged([&](const TaggedBlock&) {
+      ++count;
+      return true;
+    });
+    return count;
+  }
+
+  SimMpkBackend backend_;
+  std::unique_ptr<PkAllocator> allocator_;
+};
+
+TEST_F(ProvenanceTest, RegistersAndLooksUpInteriorAddresses) {
+  void* block = allocator_->Allocate(Domain::kTrusted, 64);
+  ASSERT_TRUE(allocator_->Tag(block, kSiteA).ok());
+
+  const TaggedBlock found = Find(block, 32);
+  EXPECT_EQ(found.tag, kSiteA);
+  EXPECT_EQ(found.size, 64u);
+  EXPECT_EQ(found.base, reinterpret_cast<uintptr_t>(block));
+
+  EXPECT_EQ(Find(block, 64).tag, 0u);
+  allocator_->Free(block);
 }
 
-TEST(ProvenanceTest, RejectsOverlappingRegistration) {
-  ProvenanceTracker tracker;
-  char buffer[64] = {};
-  ASSERT_TRUE(tracker.OnAlloc(buffer, 64, kSiteA).ok());
-  EXPECT_FALSE(tracker.OnAlloc(buffer + 16, 16, kSiteB).ok());
+// A registration inside an already tagged block overlaps it.
+TEST_F(ProvenanceTest, RejectsOverlappingRegistration) {
+  void* small = allocator_->Allocate(Domain::kTrusted, 64);
+  void* large = allocator_->Allocate(Domain::kUntrusted, 40000);
+  ASSERT_TRUE(allocator_->Tag(small, kSiteA).ok());
+  ASSERT_TRUE(allocator_->Tag(large, kSiteA).ok());
+  EXPECT_FALSE(allocator_->Tag(small, kSiteB).ok());
+  EXPECT_FALSE(allocator_->Tag(static_cast<char*>(small) + 16, kSiteB).ok());
+  EXPECT_FALSE(allocator_->Tag(static_cast<char*>(large) + 20000, kSiteB).ok());
+  EXPECT_EQ(Find(small).tag, kSiteA);
+  EXPECT_EQ(Find(large, 20000).tag, kSiteA);
+  allocator_->Free(small);
+  allocator_->Free(large);
 }
 
-TEST(ProvenanceTest, RejectsNullAndEmpty) {
-  ProvenanceTracker tracker;
-  char buffer[8] = {};
-  EXPECT_FALSE(tracker.OnAlloc(nullptr, 8, kSiteA).ok());
-  EXPECT_FALSE(tracker.OnAlloc(buffer, 0, kSiteA).ok());
+// Null, foreign and empty (tag 0) registrations are refused.
+TEST_F(ProvenanceTest, RejectsNullAndEmpty) {
+  char foreign[8] = {};
+  void* block = allocator_->Allocate(Domain::kTrusted, 8);
+  EXPECT_FALSE(allocator_->Tag(nullptr, kSiteA).ok());
+  EXPECT_FALSE(allocator_->Tag(foreign, kSiteA).ok());
+  EXPECT_FALSE(allocator_->Tag(block, 0).ok());
+  EXPECT_EQ(Find(block).tag, 0u);
+  allocator_->Free(block);
 }
 
-TEST(ProvenanceTest, FreeUnregisters) {
-  ProvenanceTracker tracker;
-  char buffer[32] = {};
-  ASSERT_TRUE(tracker.OnAlloc(buffer, 32, kSiteA).ok());
-  EXPECT_EQ(tracker.live_count(), 1u);
-  ASSERT_TRUE(tracker.OnFree(buffer).ok());
-  EXPECT_EQ(tracker.live_count(), 0u);
-  EXPECT_FALSE(tracker.Lookup(reinterpret_cast<uintptr_t>(buffer)).has_value());
-  EXPECT_FALSE(tracker.OnFree(buffer).ok());
+TEST_F(ProvenanceTest, FreeUnregisters) {
+  void* small = allocator_->Allocate(Domain::kTrusted, 32);
+  void* large = allocator_->Allocate(Domain::kUntrusted, 200000);
+  ASSERT_TRUE(allocator_->Tag(small, kSiteA).ok());
+  ASSERT_TRUE(allocator_->Tag(large, kSiteB).ok());
+  EXPECT_EQ(LiveCount(), 2u);
+  allocator_->Free(small);
+  allocator_->Free(large);
+  EXPECT_EQ(LiveCount(), 0u);
+  EXPECT_EQ(Find(small).tag, 0u);
+  EXPECT_EQ(Find(large, 150000).tag, 0u);
 }
 
-TEST(ProvenanceTest, ReallocCarriesAllocIdForward) {
+TEST_F(ProvenanceTest, ReallocCarriesAllocIdForward) {
   // §4.3.1: reallocation associates the new object with the original
   // object's AllocId, preserving provenance across resizes.
-  ProvenanceTracker tracker;
-  char old_buf[32] = {};
-  char new_buf[128] = {};
-  ASSERT_TRUE(tracker.OnAlloc(old_buf, 32, kSiteB).ok());
-  ASSERT_TRUE(tracker.OnRealloc(old_buf, new_buf, 128).ok());
+  void* old_block = allocator_->Allocate(Domain::kTrusted, 32);
+  ASSERT_TRUE(allocator_->Tag(old_block, kSiteB).ok());
+  void* new_block = allocator_->Reallocate(Domain::kTrusted, old_block, 128);
+  ASSERT_NE(new_block, old_block);
 
-  EXPECT_FALSE(tracker.Lookup(reinterpret_cast<uintptr_t>(old_buf)).has_value());
-  auto record = tracker.Lookup(reinterpret_cast<uintptr_t>(new_buf) + 100);
-  ASSERT_TRUE(record.has_value());
-  EXPECT_EQ(record->id, kSiteB);
-  EXPECT_EQ(record->size, 128u);
+  EXPECT_EQ(Find(old_block).tag, 0u);
+  const TaggedBlock found = Find(new_block, 100);
+  EXPECT_EQ(found.tag, kSiteB);
+  EXPECT_EQ(found.size, 128u);
+
+  // And again into a large block of its own chunks.
+  void* large = allocator_->Reallocate(Domain::kTrusted, new_block, 100000);
+  EXPECT_EQ(Find(large, 99999).tag, kSiteB);
+  EXPECT_EQ(LiveCount(), 1u);
+  allocator_->Free(large);
 }
 
-TEST(ProvenanceTest, InPlaceReallocUpdatesSize) {
-  ProvenanceTracker tracker;
-  char buffer[128] = {};
-  ASSERT_TRUE(tracker.OnAlloc(buffer, 32, kSiteA).ok());
-  ASSERT_TRUE(tracker.OnRealloc(buffer, buffer, 96).ok());
-  auto record = tracker.Lookup(reinterpret_cast<uintptr_t>(buffer) + 90);
-  ASSERT_TRUE(record.has_value());
-  EXPECT_EQ(record->size, 96u);
-  EXPECT_EQ(record->id, kSiteA);
+TEST_F(ProvenanceTest, InPlaceReallocUpdatesSize) {
+  // 90 bytes take the 96-byte class, so growing to 96 stays in place and
+  // the record covers the whole resized object.
+  void* block = allocator_->Allocate(Domain::kTrusted, 90);
+  ASSERT_TRUE(allocator_->Tag(block, kSiteA).ok());
+  ASSERT_EQ(allocator_->Reallocate(Domain::kTrusted, block, 96), block);
+  const TaggedBlock found = Find(block, 95);
+  EXPECT_EQ(found.size, 96u);
+  EXPECT_EQ(found.tag, kSiteA);
+  allocator_->Free(block);
 }
 
-TEST(ProvenanceTest, ReallocOfUnknownPointerFails) {
-  ProvenanceTracker tracker;
-  char buffer[8] = {};
-  EXPECT_FALSE(tracker.OnRealloc(buffer, buffer, 8).ok());
+// A block that never had a tag gets none from being reallocated: provenance
+// is never invented.
+TEST_F(ProvenanceTest, ReallocOfUnknownPointerFails) {
+  void* block = allocator_->Allocate(Domain::kTrusted, 8);
+  void* moved = allocator_->Reallocate(Domain::kTrusted, block, 4096);
+  EXPECT_EQ(Find(moved).tag, 0u);
+  EXPECT_EQ(LiveCount(), 0u);
+  allocator_->Free(moved);
 }
 
-TEST(ProvenanceTest, ClearDropsEverything) {
-  ProvenanceTracker tracker;
-  char a[8] = {};
-  char b[8] = {};
-  ASSERT_TRUE(tracker.OnAlloc(a, 8, kSiteA).ok());
-  ASSERT_TRUE(tracker.OnAlloc(b, 8, kSiteB).ok());
-  tracker.Clear();
-  EXPECT_EQ(tracker.live_count(), 0u);
-}
-
-// The signal-context lookup must wait out another thread's short holds of
-// the tracker's mutex rather than report the lock unavailable: a profiling
-// fault whose lookup gives up is stepped past with no profile entry.
-TEST(ProvenanceTest, SignalLookupWaitsOutConcurrentChurn) {
-  ProvenanceTracker tracker;
-  char tracked[64] = {};
-  ASSERT_TRUE(tracker.OnAlloc(tracked, sizeof(tracked), kSiteA).ok());
+// The lookup a fault handler makes is a fixed number of atomic loads: another
+// thread allocating, tagging and freeing blocks of the same size class (so
+// in the same spans) never makes it miss the tracked block.
+TEST_F(ProvenanceTest, SignalLookupWaitsOutConcurrentChurn) {
+  char* tracked = static_cast<char*>(allocator_->Allocate(Domain::kTrusted, 64));
+  ASSERT_TRUE(allocator_->Tag(tracked, kSiteA).ok());
 
   std::atomic<bool> stop{false};
   std::thread churn([&] {
-    std::vector<char> others(256);
+    SetCurrentThreadPkru(PkruValue::AllowAll());
+    std::vector<void*> others(256);
     while (!stop.load(std::memory_order_relaxed)) {
-      for (char& other : others) {
-        (void)tracker.OnAlloc(&other, 1, kSiteB);
+      for (void*& other : others) {
+        other = allocator_->Allocate(Domain::kTrusted, 64);
+        (void)allocator_->Tag(other, kSiteB);
       }
-      for (char& other : others) {
-        (void)tracker.OnFree(&other);
+      for (void* other : others) {
+        allocator_->Free(other);
       }
     }
+    allocator_->FlushThisThreadCache();
   });
 
   constexpr int kLookups = 100'000;
   int lost = 0;
   int found_count = 0;
   for (int i = 0; i < kLookups; ++i) {
-    bool found = false;
-    ProvenanceTracker::Record record;
-    if (!tracker.LookupForSignal(reinterpret_cast<uintptr_t>(tracked + i % sizeof(tracked)),
-                                 &found, &record)) {
+    const TaggedBlock found = Find(tracked, i % 64);
+    if (found.tag == 0) {
       ++lost;
       continue;
     }
-    if (found && record.id == kSiteA) {
+    if (found.tag == kSiteA && found.base == reinterpret_cast<uintptr_t>(tracked)) {
       ++found_count;
     }
   }
@@ -135,6 +181,7 @@ TEST(ProvenanceTest, SignalLookupWaitsOutConcurrentChurn) {
 
   EXPECT_EQ(lost, 0);
   EXPECT_EQ(found_count, kLookups);
+  allocator_->Free(tracked);
 }
 
 }  // namespace

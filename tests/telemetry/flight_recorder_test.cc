@@ -29,7 +29,7 @@ size_t FakeRanges(void* ctx, uint64_t addr, CrashRange* out, size_t max) {
 
 void FakeProvenance(void* ctx, uint64_t addr, CrashProvenance* out) {
   (void)ctx;
-  out->status = 1;
+  out->found = true;
   out->base = addr;
   out->size = 64;
   out->function_id = 1;
