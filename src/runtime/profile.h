@@ -9,14 +9,12 @@
 #ifndef SRC_RUNTIME_PROFILE_H_
 #define SRC_RUNTIME_PROFILE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/runtime/alloc_id.h"
-#include "src/support/async_signal.h"
 #include "src/support/status.h"
 
 namespace pkrusafe {
@@ -50,54 +48,6 @@ class Profile {
 
  private:
   std::unordered_map<AllocId, uint64_t, AllocIdHasher> counts_;
-};
-
-// Fault sink used by the profiling fault handler, callable from SIGSEGV
-// context on any number of threads at once.
-//
-// The paper records each AllocId once per unique site (§4.3.2); we
-// additionally keep fault counts for diagnostics. The previous implementation
-// guarded a Profile with a std::mutex — taken from the signal handler, which
-// both allocates (unordered_map rehash) and deadlocks if the interrupted
-// thread holds the lock (e.g. a fault landing inside TakeProfile). Recording
-// now writes into fixed-size per-thread hash tables drawn from a static pool:
-// no locks, no allocation, nothing but atomics on the signal path. The
-// tables are flushed (merged into a Profile) outside signal context by
-// TakeProfile.
-//
-// Reset() and the destructor release this recorder's tables back to the pool
-// and must not race RecordFault — quiesce profiling faults first (the runtime
-// uninstalls the fault handler before dropping its recorder).
-class ProfileRecorder {
- public:
-  ProfileRecorder();
-  ~ProfileRecorder();
-  ProfileRecorder(const ProfileRecorder&) = delete;
-  ProfileRecorder& operator=(const ProfileRecorder&) = delete;
-
-  // Async-signal-safe; concurrent callers never contend beyond one CAS per
-  // new site (each thread records into its own table).
-  PKRUSAFE_AS_SAFE void RecordFault(AllocId id);
-
-  // Snapshot of everything recorded so far. Safe to call while other threads
-  // are still faulting (in-flight increments may be missed by the snapshot).
-  Profile TakeProfile() const;
-
-  uint64_t total_faults() const { return total_faults_.load(std::memory_order_relaxed); }
-
-  // Faults that could not be recorded: per-thread table full (too many
-  // distinct sites for one thread) or table pool exhausted (too many
-  // thread × recorder claims). They still count toward total_faults().
-  uint64_t dropped_faults() const { return dropped_faults_.load(std::memory_order_relaxed); }
-
-  void Reset();
-
- private:
-  // Identifies this recorder's claim on pool tables across its lifetime
-  // (pool slots are tagged (serial, tid)).
-  const uint32_t serial_;
-  std::atomic<uint64_t> total_faults_{0};
-  std::atomic<uint64_t> dropped_faults_{0};
 };
 
 }  // namespace pkrusafe

@@ -5,6 +5,7 @@
 #include "src/memmap/page.h"
 #include "src/runtime/site_stats.h"
 #include "src/support/logging.h"
+#include "src/support/string_util.h"
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/telemetry.h"
@@ -137,13 +138,7 @@ PkruSafeRuntime::PkruSafeRuntime(RuntimeConfig config, std::unique_ptr<MpkBacken
     : mode_(config.mode),
       latch_sites_(config.latch_sites),
       backend_(std::move(backend)),
-      allocator_(std::move(allocator)),
-      sampling_candidates_(std::move(config.sampling_candidates)) {
-  policies_.push_back(std::make_unique<const SitePolicy>(std::move(config.policy)));
-  policy_.store(policies_.back().get(), std::memory_order_release);
-  for (const AllocId id : policies_.back()->SharedSites()) {
-    baseline_shared_.insert(id);
-  }
+      allocator_(std::move(allocator)) {
   if (config.sampled_profiling && mode_ == RuntimeMode::kEnforcing) {
     budget_ = std::make_unique<FaultRateBudget>(config.sampling);
   }
@@ -163,14 +158,13 @@ PkruSafeRuntime::PkruSafeRuntime(RuntimeConfig config, std::unique_ptr<MpkBacken
     return static_cast<int64_t>(gates_->transitions_to_trusted());
   });
   registry.SetCallbackGauge("runtime.profile_faults", this, [this] {
-    return static_cast<int64_t>(recorder_.total_faults());
+    return static_cast<int64_t>(TotalFaults());
   });
   registry.SetCallbackGauge("runtime.sites_seen", this, [this] {
-    std::lock_guard lock(sites_mutex_);
-    return static_cast<int64_t>(sites_seen_.size());
+    return static_cast<int64_t>(CountSites(SiteRecord::kAllocated));
   });
   registry.SetCallbackGauge("runtime.sites_shared", this, [this] {
-    return static_cast<int64_t>(policy_.load(std::memory_order_acquire)->shared_site_count());
+    return static_cast<int64_t>(CountSites(SiteRecord::kShared));
   });
   registry.SetCallbackGauge("runtime.heap.trusted_bytes", this, [this] {
     return static_cast<int64_t>(allocator_->trusted_stats().total_bytes);
@@ -226,9 +220,28 @@ Result<std::unique_ptr<PkruSafeRuntime>> PkruSafeRuntime::Create(RuntimeConfig c
   PS_ASSIGN_OR_RETURN(std::unique_ptr<MpkBackend> backend, CreateMpkBackend(config.backend));
   PS_ASSIGN_OR_RETURN(std::unique_ptr<PkAllocator> allocator,
                       PkAllocator::Create(backend.get(), config.allocator));
+  const SitePolicy policy = std::move(config.policy);
+  const auto candidates = std::move(config.sampling_candidates);
 
   auto runtime = std::unique_ptr<PkruSafeRuntime>(
       new PkruSafeRuntime(std::move(config), std::move(backend), std::move(allocator)));
+
+  // Every site the configuration names gets its record up front: the loaded
+  // policy's sites are shared for good, the candidates may fault-and-record.
+  auto mark = [&runtime](const auto& sites, uint8_t flags) -> Status {
+    std::lock_guard lock(runtime->sites_mutex_);
+    for (const AllocId id : sites) {
+      const uint32_t tag = runtime->FindOrAddSiteLocked(id);
+      if (tag == 0) {
+        return ResourceExhaustedError(StrFormat("more than %zu configured allocation sites",
+                                                runtime->sites_.capacity()));
+      }
+      runtime->RecordOf(tag).flags.fetch_or(flags, std::memory_order_release);
+    }
+    return Status::Ok();
+  };
+  PS_RETURN_IF_ERROR(mark(policy.SharedSites(), SiteRecord::kShared | SiteRecord::kBaseline));
+  PS_RETURN_IF_ERROR(mark(candidates, SiteRecord::kCandidate));
 
   // Route protection-key violations into the runtime's mode-dependent
   // handler, and let natively-enforcing backends hook their signals.
@@ -320,23 +333,22 @@ FaultResolution PkruSafeRuntime::OnMpkFault(const MpkFault& fault) {
     UnattributedFaultCounter()->Increment();
     return FaultResolution::kRetryAllowed;
   }
-  recorder_.RecordFault(SiteOfTag(block.tag));
+  RecordOf(block.tag).faults.fetch_add(1, std::memory_order_relaxed);
   if (!latch_sites_) {
     return FaultResolution::kRetryAllowed;
   }
   // First-fault latching: once the (site, page) pair is recorded, downgrade
   // the page to the shared key so the site stops paying a signal round-trip
   // per access.
-  if (!LatchCoveredPage(PageDown(fault.address), block, /*window_filter=*/nullptr)) {
+  if (!LatchCoveredPage(PageDown(fault.address), block, /*candidates_only=*/false)) {
     return FaultResolution::kRetryAllowed;
   }
   LatchedFaultCounter()->Increment();
   return FaultResolution::kRetryAndLatch;
 }
 
-bool PkruSafeRuntime::LatchCoveredPage(
-    uintptr_t fault_page, const TaggedBlock& block,
-    const std::unordered_set<AllocId, AllocIdHasher>* window_filter) {
+bool PkruSafeRuntime::LatchCoveredPage(uintptr_t fault_page, const TaggedBlock& block,
+                                       bool candidates_only) {
   // Only pages FULLY covered by the faulting object may latch — a page
   // shared with a neighboring object must keep faulting, or that neighbor's
   // site could go unrecorded (in profiling, the latched profile's site set
@@ -357,10 +369,10 @@ bool PkruSafeRuntime::LatchCoveredPage(
     int visited = 0;
     allocator_->ForEachTaggedIn(
         fault_page, fault_page + 2 * kPageSize, [&](const TaggedBlock& other) {
-          const AllocId id = SiteOfTag(other.tag);
+          SiteRecord& record = RecordOf(other.tag);
           if (other.tag != block.tag &&
-              (window_filter == nullptr || window_filter->find(id) != window_filter->end())) {
-            recorder_.RecordFault(id);
+              (!candidates_only || record.Has(SiteRecord::kCandidate))) {
+            record.faults.fetch_add(1, std::memory_order_relaxed);
             StepWindowMissCounter()->Increment();
           }
           return ++visited < kMaxWindowBlocks;
@@ -372,8 +384,7 @@ bool PkruSafeRuntime::LatchCoveredPage(
 
 FaultResolution PkruSafeRuntime::OnSampledEnforcingFault(const MpkFault& fault) {
   // Async-signal-safe throughout: native backends call this from SIGSEGV.
-  // sampling_candidates_ is immutable after construction, so the read-only
-  // hash probe below is safe from signal context.
+  // The candidate bits are fixed at Create.
   SampledFaultCounter()->Increment();
   const TaggedBlock block = allocator_->FindTagged(fault.address);
   if (block.tag == 0) {
@@ -382,14 +393,14 @@ FaultResolution PkruSafeRuntime::OnSampledEnforcingFault(const MpkFault& fault) 
     SampledDeniedStaticCounter()->Increment();
     return FaultResolution::kDeny;
   }
-  const AllocId id = SiteOfTag(block.tag);
-  if (sampling_candidates_.find(id) == sampling_candidates_.end()) {
+  SiteRecord& record = RecordOf(block.tag);
+  if (!record.Has(SiteRecord::kCandidate)) {
     // Outside the static points-to envelope: sampling never weakens
     // enforcement beyond what the analysis proved may flow to U.
     SampledDeniedStaticCounter()->Increment();
     return FaultResolution::kDeny;
   }
-  recorder_.RecordFault(id);
+  record.faults.fetch_add(1, std::memory_order_relaxed);
   SampledRecordedCounter()->Increment();
 
   const uintptr_t fault_page = PageDown(fault.address);
@@ -407,31 +418,11 @@ FaultResolution PkruSafeRuntime::OnSampledEnforcingFault(const MpkFault& fault) 
   // Out of the sample (or over budget): open the page so it stops costing a
   // signal round-trip, if the faulting object fully covers it. Window re-records
   // stay inside the candidate set.
-  if (!LatchCoveredPage(fault_page, block, &sampling_candidates_)) {
+  if (!LatchCoveredPage(fault_page, block, /*candidates_only=*/true)) {
     return FaultResolution::kRetryAllowed;
   }
   (in_sample ? SampledAutolatchedCounter() : SampledLatchedCounter())->Increment();
   return FaultResolution::kRetryAndLatch;
-}
-
-template <typename Edit>
-std::vector<AllocId> PkruSafeRuntime::EditPolicy(const std::vector<AllocId>& sites, Edit edit) {
-  std::vector<AllocId> changed;
-  if (sites.empty()) {
-    return changed;
-  }
-  std::lock_guard lock(policy_mutex_);
-  auto next = std::make_unique<SitePolicy>(*policy_.load(std::memory_order_acquire));
-  for (const AllocId id : sites) {
-    if (edit(*next, id)) {
-      changed.push_back(id);
-    }
-  }
-  if (!changed.empty()) {
-    policies_.push_back(std::move(next));
-    policy_.store(policies_.back().get(), std::memory_order_release);
-  }
-  return changed;
 }
 
 size_t PkruSafeRuntime::UpdateCoveredPages(const std::vector<AllocId>& sites,
@@ -455,15 +446,22 @@ size_t PkruSafeRuntime::UpdateCoveredPages(const std::vector<AllocId>& sites,
 PkruSafeRuntime::PromotionResult PkruSafeRuntime::ApplyPromotions(
     const std::vector<AllocId>& sites) {
   PromotionResult result;
-  const std::vector<AllocId> fresh = EditPolicy(sites, [&](SitePolicy& next, AllocId id) {
-    if (next.IsShared(id)) {
-      ++result.already_shared;
-      return false;
+  std::vector<AllocId> fresh;
+  {
+    std::lock_guard lock(sites_mutex_);
+    for (const AllocId id : sites) {
+      const uint32_t tag = FindOrAddSiteLocked(id);
+      PS_CHECK(tag != 0) << "more than " << sites_.capacity() << " allocation sites";
+      SiteRecord& record = RecordOf(tag);
+      if (record.Has(SiteRecord::kShared)) {
+        ++result.already_shared;
+        continue;
+      }
+      record.flags.fetch_or(SiteRecord::kShared, std::memory_order_release);
+      ++result.promoted;
+      fresh.push_back(id);
     }
-    next.MarkShared(id);
-    ++result.promoted;
-    return true;
-  });
+  }
   // New allocations at the promoted sites now land in M_U. Live objects are
   // still in M_T pages: downgrade every page one of them fully covers, so
   // in-flight data stops faulting without a restart. Partially-covered pages
@@ -476,22 +474,29 @@ PkruSafeRuntime::PromotionResult PkruSafeRuntime::ApplyPromotions(
 PkruSafeRuntime::DemotionResult PkruSafeRuntime::ApplyDemotions(
     const std::vector<AllocId>& sites) {
   DemotionResult result;
-  const std::vector<AllocId> fresh = EditPolicy(sites, [&](SitePolicy& next, AllocId id) {
-    // The baseline guard: the profile the build was partitioned with says
-    // this site flows to U — a fleet-observed cold streak must not
-    // contradict it (the fleet may simply not have exercised the path).
-    if (baseline_shared_.contains(id)) {
-      ++result.baseline_kept;
-      return false;
+  std::vector<AllocId> fresh;
+  {
+    std::lock_guard lock(sites_mutex_);
+    for (const AllocId id : sites) {
+      const auto it = site_tags_.find(id);
+      SiteRecord* record = it == site_tags_.end() ? nullptr : &RecordOf(it->second);
+      // The baseline guard: the profile the build was partitioned with says
+      // this site flows to U — a fleet-observed cold streak must not
+      // contradict it (the fleet may simply not have exercised the path).
+      if (record != nullptr && record->Has(SiteRecord::kBaseline)) {
+        ++result.baseline_kept;
+        continue;
+      }
+      if (record == nullptr || !record->Has(SiteRecord::kShared)) {
+        ++result.not_shared;
+        continue;
+      }
+      record->flags.fetch_and(static_cast<uint8_t>(~SiteRecord::kShared),
+                              std::memory_order_release);
+      ++result.demoted;
+      fresh.push_back(id);
     }
-    if (!next.IsShared(id)) {
-      ++result.not_shared;
-      return false;
-    }
-    next.UnmarkShared(id);
-    ++result.demoted;
-    return true;
-  });
+  }
   // New allocations at the demoted sites land in M_T from here on. Pages the
   // promotion had latched open for live objects go back to trap-on-touch, so
   // a site that turns hot again is observed (and can re-promote) instead of
@@ -504,10 +509,10 @@ PkruSafeRuntime::DemotionResult PkruSafeRuntime::ApplyDemotions(
 }
 
 void* PkruSafeRuntime::AllocTrusted(AllocId site, size_t size) {
-  const Domain domain = mode_ == RuntimeMode::kEnforcing
-                            ? policy_.load(std::memory_order_acquire)->DomainFor(site)
-                            : Domain::kTrusted;
-  return AllocAt(site, domain, size);
+  const uint32_t tag = InternSite(site);
+  const bool shared =
+      mode_ == RuntimeMode::kEnforcing && RecordOf(tag).Has(SiteRecord::kShared);
+  return AllocAt(site, tag, shared ? Domain::kUntrusted : Domain::kTrusted, size);
 }
 
 void* PkruSafeRuntime::AllocUntrusted(size_t size) {
@@ -519,24 +524,70 @@ void* PkruSafeRuntime::AllocUntrusted(size_t size) {
 }
 
 void* PkruSafeRuntime::AllocUntrusted(AllocId site, size_t size) {
-  return AllocAt(site, Domain::kUntrusted, size);
+  return AllocAt(site, InternSite(site), Domain::kUntrusted, size);
 }
 
-uint32_t PkruSafeRuntime::InternSite(AllocId site) {
-  std::lock_guard lock(sites_mutex_);
-  const auto [it, inserted] = sites_seen_.try_emplace(site, 0);
+uint32_t PkruSafeRuntime::FindOrAddSiteLocked(AllocId site) {
+  const auto [it, inserted] = site_tags_.try_emplace(site, 0);
   if (inserted) {
-    AllocId* slot = site_ids_.Claim();
-    PS_CHECK(slot != nullptr) << "more than " << site_ids_.capacity() << " allocation sites";
-    *slot = site;
-    site_ids_.Publish();
-    it->second = static_cast<uint32_t>(site_ids_.size());
+    SiteRecord* record = sites_.Claim();
+    if (record == nullptr) {
+      site_tags_.erase(it);
+      return 0;
+    }
+    record->id = site;
+    sites_.Publish();
+    it->second = static_cast<uint32_t>(sites_.size());
   }
   return it->second;
 }
 
-void* PkruSafeRuntime::AllocAt(AllocId site, Domain domain, size_t size) {
-  const uint32_t tag = InternSite(site);
+uint32_t PkruSafeRuntime::InternSite(AllocId site) {
+  std::lock_guard lock(sites_mutex_);
+  const uint32_t tag = FindOrAddSiteLocked(site);
+  PS_CHECK(tag != 0) << "more than " << sites_.capacity() << " allocation sites";
+  SiteRecord& record = RecordOf(tag);
+  if (!record.Has(SiteRecord::kAllocated)) {
+    record.flags.fetch_or(SiteRecord::kAllocated, std::memory_order_release);
+  }
+  return tag;
+}
+
+size_t PkruSafeRuntime::CountSites(SiteRecord::Flag flag) const {
+  size_t count = 0;
+  for (size_t i = 0, n = sites_.size(); i < n; ++i) {
+    count += sites_.at(i)->Has(flag) ? 1 : 0;
+  }
+  return count;
+}
+
+uint64_t PkruSafeRuntime::TotalFaults() const {
+  uint64_t total = 0;
+  for (size_t i = 0, n = sites_.size(); i < n; ++i) {
+    total += sites_.at(i)->faults.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+Profile PkruSafeRuntime::TakeProfile() const {
+  Profile profile;
+  for (size_t i = 0, n = sites_.size(); i < n; ++i) {
+    const SiteRecord& record = *sites_.at(i);
+    const uint64_t faults = record.faults.load(std::memory_order_relaxed);
+    if (faults != 0) {
+      profile.Add(record.id, faults);
+    }
+  }
+  return profile;
+}
+
+bool PkruSafeRuntime::IsShared(AllocId site) const {
+  std::lock_guard lock(sites_mutex_);
+  const auto it = site_tags_.find(site);
+  return it != site_tags_.end() && RecordOf(it->second).Has(SiteRecord::kShared);
+}
+
+void* PkruSafeRuntime::AllocAt(AllocId site, uint32_t tag, Domain domain, size_t size) {
   void* ptr = allocator_->Allocate(domain, size);
   if (ptr == nullptr) {
     return nullptr;
@@ -595,7 +646,7 @@ RuntimeStats PkruSafeRuntime::stats() const {
   stats.transitions_to_untrusted = gates_->transitions_to_untrusted();
   stats.transitions_to_trusted = gates_->transitions_to_trusted();
   stats.transitions = stats.transitions_to_untrusted + stats.transitions_to_trusted;
-  stats.profile_faults = recorder_.total_faults();
+  stats.profile_faults = TotalFaults();
   stats.latched_faults = LatchedFaultCounter()->value();
   stats.step_window_misses = StepWindowMissCounter()->value();
   stats.sampled_faults = SampledFaultCounter()->value();
@@ -604,11 +655,8 @@ RuntimeStats PkruSafeRuntime::stats() const {
   stats.sampled_latched = SampledLatchedCounter()->value();
   stats.sampled_autolatched = SampledAutolatchedCounter()->value();
   stats.sampled_denied_static = SampledDeniedStaticCounter()->value();
-  {
-    std::lock_guard lock(sites_mutex_);
-    stats.sites_seen = sites_seen_.size();
-  }
-  stats.sites_shared = policy_.load(std::memory_order_acquire)->shared_site_count();
+  stats.sites_seen = CountSites(SiteRecord::kAllocated);
+  stats.sites_shared = CountSites(SiteRecord::kShared);
   stats.trusted_bytes = allocator_->trusted_stats().total_bytes;
   stats.untrusted_bytes = allocator_->untrusted_stats().total_bytes;
   return stats;

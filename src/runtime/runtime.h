@@ -141,13 +141,12 @@ class PkruSafeRuntime {
   GateSet& gates() { return *gates_; }
 
   // --- Profiling ---
-  Profile TakeProfile() const { return recorder_.TakeProfile(); }
-  // The current policy. The reference stays valid for the life of the
-  // runtime (superseded policies are retired, not freed), but a caller that
-  // wants to observe later promotions must re-fetch.
-  const SitePolicy& policy() const {
-    return *policy_.load(std::memory_order_acquire);
-  }
+  // Every site that faulted, with its fault count. Safe to call while other
+  // threads are still faulting (in-flight increments may be missed).
+  Profile TakeProfile() const;
+  // Whether allocations at `site` are currently served from M_U (in
+  // enforcing mode): the loaded policy plus online promotions and demotions.
+  bool IsShared(AllocId site) const;
   // The sampling budget, or nullptr when sampled profiling is off.
   const FaultRateBudget* sampling_budget() const { return budget_.get(); }
 
@@ -163,8 +162,8 @@ class PkruSafeRuntime {
   // are downgraded to the shared key so in-flight data stops faulting too.
   // Callers (the aggregation service) must only pass sites inside the static
   // points-to bound — the aggregator cross-checks before calling. Thread-safe
-  // against concurrent allocation and fault handling (policy swaps are
-  // copy-on-write; superseded policies are retired until destruction).
+  // against concurrent allocation and fault handling: each site's shared bit
+  // flips in its site record under the intern table's mutex.
   PromotionResult ApplyPromotions(const std::vector<AllocId>& sites);
 
   struct DemotionResult {
@@ -180,8 +179,8 @@ class PkruSafeRuntime {
   // and re-protected, so stale in-flight data starts faulting (and being
   // re-observed) immediately. Sites in the baseline profile the runtime was
   // configured with are never demoted — a demotion must not contradict the
-  // profile the build was partitioned against. Thread-safe, same
-  // copy-on-write policy swap as ApplyPromotions.
+  // profile the build was partitioned against. Thread-safe, like
+  // ApplyPromotions: the shared bits clear under the intern table's mutex.
   DemotionResult ApplyDemotions(const std::vector<AllocId>& sites);
 
   // --- Introspection ---
@@ -201,28 +200,50 @@ class PkruSafeRuntime {
   FaultResolution OnSampledEnforcingFault(const MpkFault& fault);
   // The latch step both fault paths share: opens `fault_page` for good when
   // the faulting `block` fully covers it, first re-recording the other
-  // tracked sites in a process-wide step window (only those in
-  // `window_filter` when it is non-null). Returns false, latching nothing,
-  // for a partly covered page. Async-signal-safe.
-  bool LatchCoveredPage(uintptr_t fault_page, const TaggedBlock& block,
-                        const std::unordered_set<AllocId, AllocIdHasher>* window_filter);
+  // tracked sites in a process-wide step window (only sampling candidates
+  // when `candidates_only`). Returns false, latching nothing, for a partly
+  // covered page. Async-signal-safe.
+  bool LatchCoveredPage(uintptr_t fault_page, const TaggedBlock& block, bool candidates_only);
 
   // The flight recorder's provenance resolver (ctx: the runtime).
   // Async-signal-safe.
   static void ResolveCrashProvenance(void* ctx, uint64_t addr, telemetry::CrashProvenance* out);
 
-  // The site tag of `site`, interned on first sight (takes sites_mutex_).
+  // What the runtime knows about one allocation site. The record of the
+  // site with tag t is sites_[t - 1]; it lives as long as the runtime.
+  struct SiteRecord {
+    enum Flag : uint8_t {
+      kShared = 1,     // allocations are served from M_U (enforcing mode)
+      kBaseline = 2,   // shared by the configured policy: never demoted
+      kCandidate = 4,  // a sampling candidate (fixed at Create)
+      kAllocated = 8,  // the site has allocated (runtime.sites_seen)
+    };
+    bool Has(Flag flag) const { return (flags.load(std::memory_order_acquire) & flag) != 0; }
+
+    AllocId id;
+    // Written under sites_mutex_, read lock-free.
+    std::atomic<uint8_t> flags{0};
+    // Faults attributed to the site; bumped from signal context.
+    std::atomic<uint64_t> faults{0};
+  };
+
+  // The tag of `site`, its record created without flags on first sight; 0
+  // when the table is full. Caller holds sites_mutex_.
+  uint32_t FindOrAddSiteLocked(AllocId site);
+  // The site tag of `site`, interned on first sight and marked allocated
+  // (takes sites_mutex_).
   uint32_t InternSite(AllocId site);
-  // The site a tag names. Lock-free and async-signal-safe; `tag` must come
+  // The record a tag names. Lock-free and async-signal-safe; `tag` must come
   // from InternSite (every tag the allocator hands back does).
-  AllocId SiteOfTag(uint32_t tag) const { return *site_ids_.at(tag - 1); }
+  SiteRecord& RecordOf(uint32_t tag) const { return *sites_.at(tag - 1); }
+  AllocId SiteOfTag(uint32_t tag) const { return RecordOf(tag).id; }
+  // Sites whose records have `flag` set, and the sum of every site's
+  // faults. Lock-free.
+  size_t CountSites(SiteRecord::Flag flag) const;
+  uint64_t TotalFaults() const;
 
   // The sited allocation AllocTrusted and AllocUntrusted both make.
-  void* AllocAt(AllocId site, Domain domain, size_t size);
-  // Publishes, under policy_mutex_, a copy of the policy with `edit(copy,
-  // id)` applied to each of `sites`; returns the sites it changed (true).
-  template <typename Edit>
-  std::vector<AllocId> EditPolicy(const std::vector<AllocId>& sites, Edit edit);
+  void* AllocAt(AllocId site, uint32_t tag, Domain domain, size_t size);
   // Applies `update` to the pages the tracked objects of `sites` fully
   // cover; returns their count.
   size_t UpdateCoveredPages(const std::vector<AllocId>& sites,
@@ -236,33 +257,20 @@ class PkruSafeRuntime {
 
   RuntimeMode mode_;
   bool latch_sites_;
-  // Copy-on-write policy: readers (the allocation hot path, fault handlers)
-  // load the pointer lock-free; EditPolicy clones, mutates and swaps under
-  // policy_mutex_. Superseded policies park in policies_ until the
-  // runtime dies, so a borrowed policy() reference can never dangle.
-  std::atomic<const SitePolicy*> policy_;
-  std::mutex policy_mutex_;
-  std::vector<std::unique_ptr<const SitePolicy>> policies_;
-  // Shared sites of the policy the runtime was CREATED with (the loaded
-  // baseline profile). ApplyDemotions refuses to demote these.
-  std::unordered_set<AllocId, AllocIdHasher> baseline_shared_;
   std::unique_ptr<MpkBackend> backend_;
   std::unique_ptr<PkAllocator> allocator_;
   std::unique_ptr<GateSet> gates_;
-  ProfileRecorder recorder_;
   // Sampled profiling (enforce mode): non-null iff config.sampled_profiling.
-  // candidates_ is immutable after construction — the fault handler reads it
-  // from signal context.
   std::unique_ptr<FaultRateBudget> budget_;
-  const std::unordered_set<AllocId, AllocIdHasher> sampling_candidates_;
 
-  // The intern table of every site that allocated: AllocId -> site tag, the
-  // tag being the site's index in site_ids_ plus one (tag 0 is "untagged").
+  // The intern table: one record per site the runtime was configured with
+  // or has seen allocate or promote. AllocId -> site tag, the tag being the
+  // record's index in sites_ plus one (tag 0 is "untagged").
   mutable std::mutex sites_mutex_;
-  std::unordered_map<AllocId, uint32_t, AllocIdHasher> sites_seen_;
-  // Tag - 1 -> AllocId, appended under sites_mutex_ and read lock-free by
-  // the fault handlers.
-  StableIndexArray<AllocId, 1024, 64> site_ids_;
+  std::unordered_map<AllocId, uint32_t, AllocIdHasher> site_tags_;
+  // Tag - 1 -> record, appended under sites_mutex_ and read lock-free by
+  // the allocation path, the fault handlers and the stats.
+  mutable StableIndexArray<SiteRecord, 1024, 64> sites_;
 };
 
 }  // namespace pkrusafe

@@ -4,14 +4,14 @@
 // profile were observed flowing into U, so the enforcement build serves them
 // from M_U; everything else stays in M_T (§4.3.1 — "If the profiling corpus
 // does not record an allocation being used by U ... it will reside in M_T").
+// A policy only configures a runtime: PkruSafeRuntime::Create marks these
+// sites shared (and baseline) in its per-site records, where online
+// promotion and demotion change them later.
 #ifndef SRC_RUNTIME_SITE_POLICY_H_
 #define SRC_RUNTIME_SITE_POLICY_H_
 
-#include <algorithm>
-#include <unordered_set>
 #include <vector>
 
-#include "src/mpk/pkey.h"
 #include "src/runtime/alloc_id.h"
 #include "src/runtime/profile.h"
 
@@ -23,36 +23,15 @@ class SitePolicy {
 
   static SitePolicy FromProfile(const Profile& profile) {
     SitePolicy policy;
-    for (const AllocId& id : profile.Sites()) {
-      policy.shared_sites_.insert(id);
-    }
+    policy.shared_sites_ = profile.Sites();
     return policy;
   }
 
-  Domain DomainFor(AllocId id) const {
-    return shared_sites_.contains(id) ? Domain::kUntrusted : Domain::kTrusted;
-  }
-
-  void MarkShared(AllocId id) { shared_sites_.insert(id); }
-
-  // Reverses MarkShared: the site's future allocations return to M_T. Only
-  // meaningful on a policy copy being prepared for a copy-on-write swap
-  // (Runtime::ApplyDemotions); published policies are immutable.
-  void UnmarkShared(AllocId id) { shared_sites_.erase(id); }
-
-  bool IsShared(AllocId id) const { return shared_sites_.contains(id); }
-
-  size_t shared_site_count() const { return shared_sites_.size(); }
-
   // Shared sites in deterministic (sorted) order.
-  std::vector<AllocId> SharedSites() const {
-    std::vector<AllocId> sites(shared_sites_.begin(), shared_sites_.end());
-    std::sort(sites.begin(), sites.end());
-    return sites;
-  }
+  const std::vector<AllocId>& SharedSites() const { return shared_sites_; }
 
  private:
-  std::unordered_set<AllocId, AllocIdHasher> shared_sites_;
+  std::vector<AllocId> shared_sites_;
 };
 
 }  // namespace pkrusafe

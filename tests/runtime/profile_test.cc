@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "src/runtime/profile_artifact.h"
 
@@ -105,95 +103,6 @@ TEST(ProfileTest, TotalCountSaturates) {
   EXPECT_EQ(profile.TotalCount(), 7u);
   profile.Add(kB, UINT64_MAX - 4);
   EXPECT_EQ(profile.TotalCount(), UINT64_MAX);
-}
-
-TEST(ProfileRecorderTest, RecordsUniqueSitesWithCounts) {
-  ProfileRecorder recorder;
-  recorder.RecordFault(kA);
-  recorder.RecordFault(kA);
-  recorder.RecordFault(kB);
-  EXPECT_EQ(recorder.total_faults(), 3u);
-  Profile profile = recorder.TakeProfile();
-  EXPECT_EQ(profile.site_count(), 2u);
-  EXPECT_EQ(profile.CountFor(kA), 2u);
-}
-
-TEST(ProfileRecorderTest, ResetClears) {
-  ProfileRecorder recorder;
-  recorder.RecordFault(kA);
-  recorder.Reset();
-  EXPECT_EQ(recorder.total_faults(), 0u);
-  EXPECT_TRUE(recorder.TakeProfile().empty());
-}
-
-TEST(ProfileRecorderTest, ConcurrentRecordingLosesNoCounts) {
-  constexpr int kThreads = 8;
-  constexpr int kPerThreadSites = 16;
-  constexpr int kHitsPerSite = 500;
-  ProfileRecorder recorder;
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&recorder, t] {
-      for (int hit = 0; hit < kHitsPerSite; ++hit) {
-        for (int s = 0; s < kPerThreadSites; ++s) {
-          // Distinct sites per thread plus one shared hot site everybody hits.
-          recorder.RecordFault(
-              AllocId{static_cast<uint32_t>(t + 1), 0, static_cast<uint32_t>(s)});
-          recorder.RecordFault(kA);
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
-
-  EXPECT_EQ(recorder.dropped_faults(), 0u);
-  EXPECT_EQ(recorder.total_faults(),
-            static_cast<uint64_t>(kThreads) * kPerThreadSites * kHitsPerSite * 2);
-  Profile profile = recorder.TakeProfile();
-  EXPECT_EQ(profile.site_count(),
-            static_cast<size_t>(kThreads) * kPerThreadSites + 1);
-  EXPECT_EQ(profile.CountFor(kA),
-            static_cast<uint64_t>(kThreads) * kPerThreadSites * kHitsPerSite);
-  for (int t = 0; t < kThreads; ++t) {
-    for (int s = 0; s < kPerThreadSites; ++s) {
-      EXPECT_EQ(profile.CountFor(
-                    AllocId{static_cast<uint32_t>(t + 1), 0, static_cast<uint32_t>(s)}),
-                static_cast<uint64_t>(kHitsPerSite));
-    }
-  }
-}
-
-TEST(ProfileRecorderTest, TableExhaustionDropsInsteadOfCorrupting) {
-  ProfileRecorder recorder;
-  // One thread owns one 256-slot table; hammering more distinct sites than
-  // slots must overflow into dropped_faults, never into another table or UB.
-  constexpr int kSites = 400;
-  for (int s = 0; s < kSites; ++s) {
-    recorder.RecordFault(AllocId{7, 7, static_cast<uint32_t>(s)});
-  }
-  EXPECT_EQ(recorder.total_faults(), static_cast<uint64_t>(kSites));
-  EXPECT_GT(recorder.dropped_faults(), 0u);
-  Profile profile = recorder.TakeProfile();
-  EXPECT_LE(profile.site_count(), 256u);
-  EXPECT_EQ(profile.site_count() + recorder.dropped_faults(),
-            static_cast<size_t>(kSites));
-}
-
-TEST(ProfileRecorderTest, IndependentRecordersDoNotBleed) {
-  ProfileRecorder first;
-  first.RecordFault(kA);
-  {
-    ProfileRecorder second;
-    second.RecordFault(kB);
-    EXPECT_EQ(second.TakeProfile().site_count(), 1u);
-    EXPECT_FALSE(second.TakeProfile().Contains(kA));
-  }
-  Profile profile = first.TakeProfile();
-  EXPECT_TRUE(profile.Contains(kA));
-  EXPECT_FALSE(profile.Contains(kB));
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // re-tags a promoted site's live pages without a restart.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "src/memmap/page.h"
@@ -188,13 +190,13 @@ TEST(SampledProfilingTest, ApplyPromotionsStopsFaultingWithoutRestart) {
   const RuntimeStats before = rt->stats();
   EXPECT_TRUE(UntrustedRead(*rt, page).ok());
   EXPECT_EQ(rt->stats().sampled_faults, before.sampled_faults + 1);
-  EXPECT_FALSE(rt->policy().IsShared(kCandidateSite));
+  EXPECT_FALSE(rt->IsShared(kCandidateSite));
 
   const auto result = rt->ApplyPromotions({kCandidateSite});
   EXPECT_EQ(result.promoted, 1u);
   EXPECT_EQ(result.already_shared, 0u);
   EXPECT_GE(result.pages_opened, 3u);  // 4-page object fully covers >= 3 pages
-  EXPECT_TRUE(rt->policy().IsShared(kCandidateSite));
+  EXPECT_TRUE(rt->IsShared(kCandidateSite));
 
   // After promotion: the live object's pages are open — no more faults.
   const RuntimeStats promoted = rt->stats();
@@ -225,6 +227,46 @@ TEST(SampledProfilingTest, PromotionOfUnknownSiteTouchesNothing) {
   const auto result = rt->ApplyPromotions({AllocId{99, 9, 9}});
   EXPECT_EQ(result.promoted, 1u);  // policy learns the site
   EXPECT_EQ(result.pages_opened, 0u);  // no live objects to open
+}
+
+TEST(SampledProfilingTest, PromotionsAndDemotionsRaceAllocationAndFaults) {
+  // Four threads allocate at the candidate site, touch the object from U
+  // (sampled fault in M_T, plain access in M_U or on a promoted page) and
+  // free it, while the main thread flips the site shared and back.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 200;
+  auto rt = MakeSampledRuntime(GenerousBudget(/*fraction=*/1.0));
+  std::atomic<int> denied{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      SetCurrentThreadPkru(PkruValue::AllowAll());
+      for (int i = 0; i < kRounds; ++i) {
+        const size_t size = (i + t) % 4 == 0 ? 4 * kPageSize : 64;
+        void* obj = rt->AllocTrusted(kCandidateSite, size);
+        ASSERT_NE(obj, nullptr);
+        const uintptr_t addr = reinterpret_cast<uintptr_t>(obj);
+        if (!UntrustedRead(*rt, addr).ok() || !UntrustedRead(*rt, addr + size - 1).ok()) {
+          denied.fetch_add(1);
+        }
+        rt->Free(obj);
+      }
+    });
+  }
+  size_t promoted = 0;
+  size_t demoted = 0;
+  for (int i = 0; i < kRounds; ++i) {
+    promoted += rt->ApplyPromotions({kCandidateSite}).promoted;
+    demoted += rt->ApplyDemotions({kCandidateSite}).demoted;
+  }
+  for (auto& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(denied.load(), 0);
+  EXPECT_EQ(promoted, size_t{kRounds});
+  EXPECT_EQ(demoted, size_t{kRounds});
+  EXPECT_FALSE(rt->IsShared(kCandidateSite));
+  EXPECT_EQ(rt->stats().sampled_denied_static, 0u);
 }
 
 }  // namespace
