@@ -8,7 +8,7 @@ namespace pkrusafe {
 CentralFreeListSet::CentralFreeListSet(Arena* arena, TrafficCounters traffic_counters)
     : arena_(arena),
       map_base_(RoundUp(arena->base(), kArenaChunkGranularity)),
-      map_end_(arena->base() + arena->reserved_bytes()),
+      map_end_(ChunkBaseOf(arena->base() + arena->reserved_bytes())),
       shards_(new Shard[kNumSizeClasses]),
       traffic_counters_(traffic_counters) {
   const size_t slots =

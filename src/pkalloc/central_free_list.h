@@ -111,7 +111,7 @@ class CentralFreeListSet {
 
   Arena* arena_;
   uintptr_t map_base_;  // first chunk-aligned address of the reservation
-  uintptr_t map_end_;
+  uintptr_t map_end_;   // end of its last whole chunk
   std::unique_ptr<std::atomic<uint8_t>[]> chunk_map_;
   std::unique_ptr<Shard[]> shards_;  // kNumSizeClasses entries
 

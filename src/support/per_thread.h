@@ -15,7 +15,9 @@
 //   * at t's exit the slot's OnThreadExit() hook runs, if it has one, and its
 //     counts fold into o's retired total;
 //   * destroying o detaches the surviving slots (OnOwnerDestroyed(), if
-//     any), which t frees at exit. Owners are meant to be long-lived.
+//     any); t frees its detached records before it creates its next record,
+//     or at exit, so a thread holds at most one record per live owner plus
+//     the dead owners' records since its last new one.
 // Thread exit and owner destruction serialize on one mutex per slot type.
 //
 // A Slot provides `using Counts = ...` (default-constructible totals) and
@@ -77,6 +79,9 @@ class PerThread {
     return LocalSlow(std::forward<Args>(args)...);
   }
 
+  // Records the calling thread holds of this slot type.
+  static size_t LocalRecordCount() { return tls_slots.records.size(); }
+
   // Exited threads' totals plus every live slot's counts.
   Counts Sum() const {
     std::lock_guard lock(mu_);
@@ -119,11 +124,22 @@ class PerThread {
 
   template <typename... Args>
   PS_NOINLINE Slot& LocalSlow(Args&&... args) {
-    static thread_local ThreadSlots slots;
+    ThreadSlots& slots = tls_slots;
     auto it = std::find_if(slots.records.begin(), slots.records.end(),
                            [&](const Record* record) { return record->id == id_; });
     Record* record = it != slots.records.end() ? *it : nullptr;
     if (record == nullptr) {
+      {
+        // Records whose owner is gone are only waiting to be freed.
+        std::lock_guard detach(detach_mu_);
+        std::erase_if(slots.records, [](Record* dead) {
+          if (dead->owner != nullptr) {
+            return false;
+          }
+          delete dead;
+          return true;
+        });
+      }
       record = new Record(this, std::forward<Args>(args)...);
       std::lock_guard lock(mu_);
       live_.push_back(record);
@@ -145,6 +161,8 @@ class PerThread {
 
   // Constant-initialized: the fast path pays no TLS guard.
   static inline thread_local Memo tls_memo;
+  // Touched only off the fast path.
+  static inline thread_local ThreadSlots tls_slots;
   // Orders thread exits against owner destruction, per slot type.
   static inline std::mutex detach_mu_;
 

@@ -6,6 +6,8 @@
 #include <thread>
 #include <vector>
 
+#include "src/memmap/page.h"
+#include "src/memmap/vm_region.h"
 #include "src/pkalloc/central_free_list.h"
 #include "src/telemetry/metrics.h"
 
@@ -141,21 +143,52 @@ TEST_F(CentralFreeListTest, DistinctThreadsGetDistinctBlocks) {
 }
 
 TEST_F(CentralFreeListTest, CentralDestructionInvalidatesThreadCaches) {
-  ThreadCache* cache = &central_->LocalCache();
-  void* p = cache->Allocate(SizeClassIndex(64));
+  ThreadCache& cache = central_->LocalCache();
+  void* p = cache.Allocate(SizeClassIndex(64));
   ASSERT_NE(p, nullptr);
   const uint64_t old_id = central_->id();
   central_.reset();  // detaches `cache`; its blocks die with the arena
-  // A new set gets a fresh id, so the dead set's TLS entry can never alias.
+  // A new set gets a fresh owner id, so the dead set's TLS entry can never
+  // resolve for it, whatever address the new cache lands at: the new cache
+  // starts with no traffic and serves from the new arena.
   auto arena = Arena::Create(size_t{1} << 20);
   ASSERT_TRUE(arena.ok());
   CentralFreeListSet fresh((*arena).get());
   EXPECT_NE(fresh.id(), old_id);
-  ThreadCache* fresh_cache = &fresh.LocalCache();
-  EXPECT_NE(fresh_cache, cache);
-  void* q = fresh_cache->Allocate(SizeClassIndex(64));
+  ThreadCache& fresh_cache = fresh.LocalCache();
+  EXPECT_EQ(fresh.traffic()[ThreadCache::kAllocCalls], 0u);
+  void* q = fresh_cache.Allocate(SizeClassIndex(64));
   ASSERT_NE(q, nullptr);
-  fresh_cache->Free(SizeClassIndex(64), q);
+  EXPECT_TRUE((*arena)->Contains(reinterpret_cast<uintptr_t>(q)));
+  EXPECT_EQ(fresh.traffic()[ThreadCache::kAllocCalls], 1u);
+  fresh_cache.Free(SizeClassIndex(64), q);
+}
+
+TEST_F(CentralFreeListTest, SlackChunkOfAMisalignedArenaHasNoClass) {
+  // A reservation whose base is not chunk-aligned is padded by one chunk, so
+  // it ends in a partial chunk past the chunk map. Keep aligned arenas alive
+  // and map a page-odd shim after each, so the next arena lands shifted,
+  // until one lands misaligned.
+  std::vector<std::unique_ptr<Arena>> aligned;
+  std::vector<VmRegion> shims;
+  std::unique_ptr<Arena> arena;
+  for (int attempt = 0; attempt < 64; ++attempt) {
+    auto candidate = Arena::Create(size_t{1} << 20);
+    ASSERT_TRUE(candidate.ok());
+    if (((*candidate)->base() & (kArenaChunkGranularity - 1)) != 0) {
+      arena = std::move(*candidate);
+      break;
+    }
+    aligned.push_back(std::move(*candidate));
+    auto shim = VmRegion::Reserve((size_t{1} << 20) + kPageSize);
+    ASSERT_TRUE(shim.ok());
+    shims.push_back(std::move(*shim));
+  }
+  ASSERT_NE(arena, nullptr) << "no misaligned arena in 64 attempts";
+  CentralFreeListSet central(arena.get());
+  const uintptr_t slack = ChunkBaseOf(arena->base() + arena->reserved_bytes() - 1);
+  EXPECT_GE(slack, RoundUp(arena->base(), kArenaChunkGranularity));
+  EXPECT_EQ(central.ClassOfChunk(slack), CentralFreeListSet::kNoClass);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Lifecycle tests for PerThread (src/support/per_thread.h): counts survive
 // thread exit, an owner may die before a thread that holds its slot, two
-// owners of one slot type alternate on a thread, and a new owner at a dead
-// owner's address never resolves to the stale slot. They are part of the
+// owners of one slot type alternate on a thread, a new owner at a dead
+// owner's address never resolves to the stale slot, and a thread does not
+// keep dead owners' records. They are part of the
 // ASan and TSan runs (scripts/check.sh asan, tsan, vpkey).
 #include "src/support/per_thread.h"
 
@@ -139,6 +140,17 @@ TEST(PerThreadTest, NewOwnerAtADeadOwnersAddressNeverSeesItsSlot) {
   second->Local().Add(0);
   EXPECT_EQ(second->Sum()[0], 1u);
   second->~Owner();
+}
+
+TEST(PerThreadTest, AThreadFreesDeadOwnersRecords) {
+  struct Tag;
+  using Owner = PerThread<CounterSlot<Tag, 1>>;
+  for (int i = 0; i < 1000; ++i) {
+    Owner owner;
+    owner.Local().Add(0);
+    EXPECT_EQ(owner.Sum()[0], 1u);
+  }
+  EXPECT_LE(Owner::LocalRecordCount(), 1u);
 }
 
 }  // namespace
