@@ -175,14 +175,14 @@ run_crash() {
 run_faultstress() {
   echo "== check: faultstress (build/check-tsan) =="
   # The concurrency-sensitive fault-engine tests (per-thread single-step,
-  # same-thread re-entrant faults, snapshot reclamation, AS-safe recording)
-  # on the mprotect backend, and the allocator's site tags that every fault
+  # same-thread re-entrant faults, snapshot reclamation, per-site fault
+  # counters) on the mprotect backend, and the allocator's site tags that every fault
   # is attributed through (lock-free lookups racing tag/clear churn), under
   # ThreadSanitizer. See docs/faults.md.
   cmake -B build/check-tsan -S . -DPKRUSAFE_SANITIZE=thread
   cmake --build build/check-tsan -j "$(nproc)" --target mpk_test runtime_test pkalloc_test
   ctest --test-dir build/check-tsan --output-on-failure \
-    -R 'FaultConcurrency|FaultSignal|Churn|ProfileRecorder|ConcurrencyTest|SiteTag|ProvenanceTest'
+    -R 'FaultConcurrency|FaultSignal|Churn|SiteRecord|ConcurrencyTest|SiteTag|ProvenanceTest'
   # Four threads fault at once, each looking its object up in the site tags
   # while the others do: every fault must reach the profile, every time.
   ctest --test-dir build/check-tsan --output-on-failure --repeat until-fail:100 \
@@ -195,8 +195,9 @@ run_contprof() {
   # The always-on sampled-profiling path: fault-rate budget admission from
   # signal context, delta encode/decode, frame-log ingest, and the
   # fork-based end-to-end loop — all under ThreadSanitizer, since the budget
-  # and the policy swap are lock-free fast paths. Then the overhead bench:
-  # 1% sampled pages must stay within 10% of latched enforce throughput.
+  # and the site records' bits are lock-free fast paths. Then the overhead
+  # bench: 1% sampled pages must stay within 10% of latched enforce
+  # throughput.
   cmake -B build/check-tsan -S . -DPKRUSAFE_SANITIZE=thread
   cmake --build build/check-tsan -j "$(nproc)"     --target mpk_test runtime_test aggregator_test telemetry_test integration_test
   ctest --test-dir build/check-tsan --output-on-failure     -R 'FaultRateBudget|ProfileDelta|SampledProfiling|Aggregator|Sampler|ContinuousProfiling'

@@ -53,7 +53,8 @@ class FaultRateBudget {
 
   // Whether the page containing `addr` is in the sampled fraction.
   // Deterministic for the life of the budget (same page always answers the
-  // same), async-signal-safe.
+  // same), async-signal-safe. `addr` may be an offset into a pool, which
+  // makes the choice independent of where the pool is mapped.
   PKRUSAFE_AS_SAFE bool SamplesPage(uintptr_t addr) const;
 
   // Spends `options().fault_cost_ns` from the bucket. True = within budget

@@ -121,7 +121,7 @@ class ProfileStreamWriter {
   Status Open();
 
   // Writes Between(last flushed, current) if non-empty. Callers pass the full
-  // current profile (e.g. ProfileRecorder::TakeProfile()); the writer keeps
+  // current profile (e.g. PkruSafeRuntime::TakeProfile()); the writer keeps
   // the previous snapshot to diff against.
   Status Flush(const Profile& current);
 

@@ -406,8 +406,12 @@ FaultResolution PkruSafeRuntime::OnSampledEnforcingFault(const MpkFault& fault) 
   const uintptr_t fault_page = PageDown(fault.address);
   // Every serviced fault spends budget, whether or not the page is in the
   // sampled fraction — the ceiling bounds total fault-service time, not just
-  // the observable share.
-  const bool in_sample = budget_->SamplesPage(fault_page);
+  // the observable share. Pages are sampled by their offset from the trusted
+  // pool's first whole chunk, so the same pages sample wherever ASLR maps
+  // the pool.
+  const uintptr_t pool_origin =
+      RoundUp(allocator_->trusted_arena().base(), kArenaChunkGranularity);
+  const bool in_sample = budget_->SamplesPage(fault_page - pool_origin);
   const bool within_budget = budget_->Admit();
   if (in_sample && within_budget) {
     // The page stays trap-on-touch: this is the always-on observation the

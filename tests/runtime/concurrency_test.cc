@@ -1,6 +1,6 @@
 // Multithreading tests: the paper supports "multi-threaded mixed-language
 // environments" (§8) — PKRU is per-thread, compartment stacks are
-// thread-local, the allocator and profile recorder are shared and
+// thread-local, the allocator and the per-site fault counters are shared and
 // thread-safe.
 #include <gtest/gtest.h>
 

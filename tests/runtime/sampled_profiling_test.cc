@@ -4,6 +4,7 @@
 // re-tags a promoted site's live pages without a restart.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <thread>
@@ -152,6 +153,45 @@ TEST(SampledProfilingTest, ExhaustedBudgetAutoLatches) {
   rt->Free(big);
 }
 
+TEST(SampledProfilingTest, SampledPagesFollowThePoolOffsetNotTheAddress) {
+  // Two live runtimes have their pools at different addresses; an object at
+  // the same pool offset in each must sample the same pages.
+  constexpr size_t kBytes = 64 * kPageSize;
+  auto first = MakeSampledRuntime(GenerousBudget(/*fraction=*/0.5));
+  auto second = MakeSampledRuntime(GenerousBudget(/*fraction=*/0.5));
+  auto pool_offset = [](PkruSafeRuntime& rt, void* obj) {
+    return reinterpret_cast<uintptr_t>(obj) -
+           RoundUp(rt.allocator().trusted_arena().base(), kArenaChunkGranularity);
+  };
+  // Which fully covered pages of `obj` keep trapping after one touch.
+  auto trapping_pages = [](PkruSafeRuntime& rt, void* obj) {
+    std::vector<bool> trapping;
+    const uintptr_t end = reinterpret_cast<uintptr_t>(obj) + kBytes;
+    for (uintptr_t page = FirstFullyCoveredPage(obj, kBytes); page + kPageSize <= end;
+         page += kPageSize) {
+      const uint64_t before = rt.stats().sampled_trapping;
+      EXPECT_TRUE(UntrustedRead(rt, page).ok());
+      trapping.push_back(rt.stats().sampled_trapping > before);
+    }
+    return trapping;
+  };
+  void* a = first->AllocTrusted(kCandidateSite, kBytes);
+  void* b = second->AllocTrusted(kCandidateSite, kBytes);
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  ASSERT_NE(first->allocator().trusted_arena().base(), second->allocator().trusted_arena().base());
+  ASSERT_EQ(pool_offset(*first, a), pool_offset(*second, b));
+
+  const std::vector<bool> sampled = trapping_pages(*first, a);
+  EXPECT_EQ(trapping_pages(*second, b), sampled);
+  // About half the pages sample, so the two runs are not trivially equal.
+  const auto hits = std::count(sampled.begin(), sampled.end(), true);
+  EXPECT_GT(hits, 0);
+  EXPECT_LT(hits, static_cast<std::ptrdiff_t>(sampled.size()));
+  first->Free(a);
+  second->Free(b);
+}
+
 TEST(SampledProfilingTest, PartiallyCoveredPageNeverLatches) {
   auto rt = MakeSampledRuntime(GenerousBudget(/*fraction=*/0.0));
   void* small = rt->AllocTrusted(kCandidateSite, 64);
@@ -236,6 +276,7 @@ TEST(SampledProfilingTest, PromotionsAndDemotionsRaceAllocationAndFaults) {
   constexpr int kThreads = 4;
   constexpr int kRounds = 200;
   auto rt = MakeSampledRuntime(GenerousBudget(/*fraction=*/1.0));
+  const uint64_t denied_before = rt->stats().sampled_denied_static;
   std::atomic<int> denied{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -266,7 +307,7 @@ TEST(SampledProfilingTest, PromotionsAndDemotionsRaceAllocationAndFaults) {
   EXPECT_EQ(promoted, size_t{kRounds});
   EXPECT_EQ(demoted, size_t{kRounds});
   EXPECT_FALSE(rt->IsShared(kCandidateSite));
-  EXPECT_EQ(rt->stats().sampled_denied_static, 0u);
+  EXPECT_EQ(rt->stats().sampled_denied_static, denied_before);
 }
 
 }  // namespace
