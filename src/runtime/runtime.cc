@@ -560,7 +560,7 @@ uint32_t PkruSafeRuntime::InternSite(AllocId site) {
 size_t PkruSafeRuntime::CountSites(SiteRecord::Flag flag) const {
   size_t count = 0;
   for (size_t i = 0, n = sites_.size(); i < n; ++i) {
-    count += sites_.at(i)->Has(flag) ? 1 : 0;
+    count += sites_[i].Has(flag) ? 1 : 0;
   }
   return count;
 }
@@ -568,7 +568,7 @@ size_t PkruSafeRuntime::CountSites(SiteRecord::Flag flag) const {
 uint64_t PkruSafeRuntime::TotalFaults() const {
   uint64_t total = 0;
   for (size_t i = 0, n = sites_.size(); i < n; ++i) {
-    total += sites_.at(i)->faults.load(std::memory_order_relaxed);
+    total += sites_[i].faults.load(std::memory_order_relaxed);
   }
   return total;
 }
@@ -576,7 +576,7 @@ uint64_t PkruSafeRuntime::TotalFaults() const {
 Profile PkruSafeRuntime::TakeProfile() const {
   Profile profile;
   for (size_t i = 0, n = sites_.size(); i < n; ++i) {
-    const SiteRecord& record = *sites_.at(i);
+    const SiteRecord& record = sites_[i];
     const uint64_t faults = record.faults.load(std::memory_order_relaxed);
     if (faults != 0) {
       profile.Add(record.id, faults);

@@ -235,7 +235,7 @@ class PkruSafeRuntime {
   uint32_t InternSite(AllocId site);
   // The record a tag names. Lock-free and async-signal-safe; `tag` must come
   // from InternSite (every tag the allocator hands back does).
-  SiteRecord& RecordOf(uint32_t tag) const { return *sites_.at(tag - 1); }
+  SiteRecord& RecordOf(uint32_t tag) const { return sites_[tag - 1]; }
   AllocId SiteOfTag(uint32_t tag) const { return RecordOf(tag).id; }
   // Sites whose records have `flag` set, and the sum of every site's
   // faults. Lock-free.

@@ -10,7 +10,8 @@
 // so callers may hold T* across appends.
 //
 // Concurrency contract:
-//   * at()/size() are lock-free and safe against one concurrent writer.
+//   * at()/operator[]/size() are lock-free and safe against one concurrent
+//     writer.
 //   * Claim()/Publish() form the single-writer append protocol and must be
 //     externally serialized (the owner's mutex): Claim() returns the slot
 //     for the next element (already default-constructed), the caller fills
@@ -61,6 +62,12 @@ class StableIndexArray {
   }
   PS_ALWAYS_INLINE const T* at(size_t i) const {
     return const_cast<StableIndexArray*>(this)->at(i);
+  }
+
+  // Element i, which the caller knows is published (i < a size() it read).
+  // Lock-free, no bounds check.
+  PS_ALWAYS_INLINE T& operator[](size_t i) {
+    return (*chunks_[i / kChunkSize].load(std::memory_order_acquire))[i % kChunkSize];
   }
 
   // Writer side (externally serialized). Claim() hands out the slot for

@@ -47,6 +47,7 @@ TEST(StableIndexArrayTest, AddressesAreStableAcrossGrowth) {
   }
   for (uint64_t i = 0; i < 200; ++i) {
     EXPECT_EQ(array.at(i), pointers[i]) << "element " << i << " moved";
+    EXPECT_EQ(&array[i], pointers[i]);
     EXPECT_EQ(*pointers[i], i);
   }
 }
