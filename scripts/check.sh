@@ -194,13 +194,14 @@ run_contprof() {
   echo "== check: contprof (build/check-tsan) =="
   # The always-on sampled-profiling path: fault-rate budget admission from
   # signal context, delta encode/decode, frame-log ingest, and the
-  # fork-based end-to-end loop — all under ThreadSanitizer, since the budget
-  # and the site records' bits are lock-free fast paths. Then the overhead
+  # fork-based end-to-end loop, the site records and per-site attribution —
+  # all under ThreadSanitizer, since the budget and the site records' bits
+  # and counters are lock-free fast paths. Then the overhead
   # bench: 1% sampled pages must stay within 10% of latched enforce
   # throughput.
   cmake -B build/check-tsan -S . -DPKRUSAFE_SANITIZE=thread
   cmake --build build/check-tsan -j "$(nproc)"     --target mpk_test runtime_test aggregator_test telemetry_test integration_test
-  ctest --test-dir build/check-tsan --output-on-failure     -R 'FaultRateBudget|ProfileDelta|SampledProfiling|Aggregator|Sampler|ContinuousProfiling'
+  ctest --test-dir build/check-tsan --output-on-failure     -R 'FaultRateBudget|ProfileDelta|SampledProfiling|SiteRecord|SiteAttribution|Aggregator|Sampler|ContinuousProfiling'
   cmake -B build -S . -DPKRUSAFE_SANITIZE=""
   cmake --build build -j "$(nproc)" --target bench_contprof
   local out

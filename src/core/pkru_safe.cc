@@ -74,8 +74,10 @@ Result<std::unique_ptr<System>> System::Create(std::string_view ir_source, Syste
   rc.backend = config.backend;
   rc.mode = config.mode;
   rc.latch_sites = config.latch_sites;
-  rc.allocator.trusted_pool_bytes = config.trusted_pool_bytes;
-  rc.allocator.untrusted_pool_bytes = config.untrusted_pool_bytes;
+  rc.site_stats = config.site_stats;
+  // 2 GiB of address space per pool; pages are populated on demand.
+  rc.allocator.trusted_pool_bytes = size_t{2} << 30;
+  rc.allocator.untrusted_pool_bytes = size_t{2} << 30;
   if (config.mode == RuntimeMode::kEnforcing && config.sampled_profiling) {
     // Sampling candidates = the static points-to envelope minus what the
     // profile already promoted: sites that MAY flow to U but were not

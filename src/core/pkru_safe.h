@@ -42,8 +42,8 @@ struct SystemConfig {
   // exact semantics and FaultRateBudgetOptions for the cost knobs.
   bool sampled_profiling = false;
   FaultRateBudgetOptions sampling;
-  size_t trusted_pool_bytes = size_t{2} << 30;
-  size_t untrusted_pool_bytes = size_t{2} << 30;
+  // Per-site heap attribution (see RuntimeConfig::site_stats).
+  bool site_stats = false;
   // Path to a profile artifact (the only profile file format; see
   // src/runtime/profile_artifact.h). When set, Create verifies it at load and
   // merges its sites into `profile` (the union, so a statically derived

@@ -53,8 +53,11 @@ bool FaultRateBudget::AdmitAt(uint64_t now_ns, uint64_t cost_ns) {
     // One thread wins the CAS and refills the bucket for the new interval;
     // losers proceed against the refilled bucket. Refill is a store (not an
     // add): unspent tokens do not carry over, keeping the ceiling per-interval.
+    // The first interval keeps the bucket the constructor filled: a store
+    // there would erase what losers already spent from it.
     if (interval_start_ns_.compare_exchange_strong(start, now_ns,
-                                                   std::memory_order_relaxed)) {
+                                                   std::memory_order_relaxed) &&
+        start != 0) {
       tokens_ns_.store(options_.service_ns_per_interval,
                        std::memory_order_relaxed);
     }

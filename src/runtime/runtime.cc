@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/memmap/page.h"
-#include "src/runtime/site_stats.h"
 #include "src/support/logging.h"
 #include "src/support/string_util.h"
 #include "src/telemetry/flight_recorder.h"
@@ -111,10 +110,6 @@ telemetry::Counter* SampledDeniedStaticCounter() {
   return counter;
 }
 
-int SiteStatsDomain(Domain domain) {
-  return domain == Domain::kUntrusted ? SiteHeapStats::kUntrusted : SiteHeapStats::kTrusted;
-}
-
 uint8_t AllocDetail(Domain domain, bool has_site) {
   return static_cast<uint8_t>((domain == Domain::kUntrusted ? 1 : 0) | (has_site ? 2 : 0));
 }
@@ -137,6 +132,7 @@ PkruSafeRuntime::PkruSafeRuntime(RuntimeConfig config, std::unique_ptr<MpkBacken
                                  std::unique_ptr<PkAllocator> allocator)
     : mode_(config.mode),
       latch_sites_(config.latch_sites),
+      site_stats_(config.site_stats),
       backend_(std::move(backend)),
       allocator_(std::move(allocator)) {
   if (config.sampled_profiling && mode_ == RuntimeMode::kEnforcing) {
@@ -289,7 +285,7 @@ bool PkruSafeRuntime::TracksProvenance() const {
   // the fault handler (candidate check) and ApplyPromotions (live pages of a
   // promoted site) resolve through the site tags.
   return mode_ == RuntimeMode::kProfiling || budget_ != nullptr ||
-         telemetry::FlightRecorder::Global().configured() || SiteHeapStats::Global().enabled();
+         telemetry::FlightRecorder::Global().configured() || site_stats_;
 }
 
 FaultResolution PkruSafeRuntime::OnMpkFault(const MpkFault& fault) {
@@ -455,7 +451,10 @@ PkruSafeRuntime::PromotionResult PkruSafeRuntime::ApplyPromotions(
     std::lock_guard lock(sites_mutex_);
     for (const AllocId id : sites) {
       const uint32_t tag = FindOrAddSiteLocked(id);
-      PS_CHECK(tag != 0) << "more than " << sites_.capacity() << " allocation sites";
+      if (tag == 0) {
+        ++result.refused;
+        continue;
+      }
       SiteRecord& record = RecordOf(tag);
       if (record.Has(SiteRecord::kShared)) {
         ++result.already_shared;
@@ -600,31 +599,36 @@ void* PkruSafeRuntime::AllocAt(AllocId site, uint32_t tag, Domain domain, size_t
   if (TracksProvenance()) {
     const Status status = allocator_->Tag(ptr, tag);
     PS_CHECK(status.ok()) << "site tag failed: " << status.ToString();
-    SiteHeapStats& site_stats = SiteHeapStats::Global();
-    if (site_stats.enabled()) {
-      site_stats.NoteAlloc(site, SiteStatsDomain(domain), allocator_->UsableSize(ptr));
+    if (site_stats_) {
+      CountAllocation(tag, domain, allocator_->UsableSize(ptr));
     }
   }
   return ptr;
+}
+
+void PkruSafeRuntime::CountAllocation(uint32_t tag, Domain domain, size_t bytes) {
+  SiteRecord& record = RecordOf(tag);
+  const int d = static_cast<int>(domain);
+  record.total_bytes[d].fetch_add(bytes, std::memory_order_relaxed);
+  record.total_objects[d].fetch_add(1, std::memory_order_relaxed);
 }
 
 void* PkruSafeRuntime::Realloc(void* ptr, size_t new_size) {
   if (ptr == nullptr) {
     return allocator_->Allocate(Domain::kTrusted, new_size);
   }
-  // The allocator carries the site tag to the new block; site attribution
-  // moves the bytes.
-  const TaggedBlock old = allocator_->FindTagged(reinterpret_cast<uintptr_t>(ptr));
   void* fresh = allocator_->Reallocate(Domain::kTrusted, ptr, new_size);
-  if (fresh != nullptr) {
-    telemetry::RecordEvent(telemetry::TraceEventType::kRealloc, 0, new_size);
+  if (fresh == nullptr) {
+    return nullptr;
   }
-  if (fresh != nullptr && old.tag != 0 && SiteHeapStats::Global().enabled()) {
-    SiteHeapStats& site_stats = SiteHeapStats::Global();
-    // Pool (and thus domain) never changes across realloc.
-    const int domain = SiteStatsDomain(*allocator_->OwnerOf(fresh));
-    site_stats.NoteFree(SiteOfTag(old.tag), domain, old.size);
-    site_stats.NoteAlloc(SiteOfTag(old.tag), domain, allocator_->UsableSize(fresh));
+  telemetry::RecordEvent(telemetry::TraceEventType::kRealloc, 0, new_size);
+  if (site_stats_) {
+    // The allocator carries the site tag to a moved block and keeps it on
+    // one shrunk in place; either counts as one allocation of the block.
+    const TaggedBlock block = allocator_->FindTagged(reinterpret_cast<uintptr_t>(fresh));
+    if (block.tag != 0) {
+      CountAllocation(block.tag, *allocator_->OwnerOf(fresh), block.size);
+    }
   }
   return fresh;
 }
@@ -635,14 +639,43 @@ void PkruSafeRuntime::Free(void* ptr) {
   }
   telemetry::RecordEvent(telemetry::TraceEventType::kFree, 0,
                          reinterpret_cast<uintptr_t>(ptr));
-  // The allocator clears the block's site tag; site attribution needs it
-  // first. Untagged pointers (M_U allocations, pre-tracking objects) are fine.
-  const TaggedBlock block = allocator_->FindTagged(reinterpret_cast<uintptr_t>(ptr));
-  if (block.tag != 0 && SiteHeapStats::Global().enabled()) {
-    SiteHeapStats::Global().NoteFree(SiteOfTag(block.tag),
-                                     SiteStatsDomain(*allocator_->OwnerOf(ptr)), block.size);
-  }
   allocator_->Free(ptr);
+}
+
+std::vector<SiteTotals> PkruSafeRuntime::SiteHeapTotals() const {
+  static_assert(static_cast<int>(Domain::kTrusted) == SiteTotals::kTrusted &&
+                static_cast<int>(Domain::kUntrusted) == SiteTotals::kUntrusted);
+  if (!site_stats_) {
+    return {};
+  }
+  std::vector<SiteTotals> sites(sites_.size());
+  for (size_t i = 0; i < sites.size(); ++i) {
+    const SiteRecord& record = sites_[i];
+    sites[i].site = record.id;
+    for (int d = 0; d < 2; ++d) {
+      sites[i].total_bytes[d] = record.total_bytes[d].load(std::memory_order_relaxed);
+      sites[i].total_objects[d] = record.total_objects[d].load(std::memory_order_relaxed);
+    }
+  }
+  // The site tags hold every live tagged block as {base, size, tag}; the
+  // pool holding a block gives its domain.
+  allocator_->ForEachTagged([&](const TaggedBlock& block) {
+    if (block.tag <= sites.size()) {  // else its site was interned after the read above
+      SiteTotals& totals = sites[block.tag - 1];
+      const int d = static_cast<int>(*allocator_->OwnerOf(reinterpret_cast<void*>(block.base)));
+      totals.live_bytes[d] += static_cast<int64_t>(block.size);
+      ++totals.live_objects[d];
+    }
+    return true;
+  });
+  // Sites configured or promoted but never allocated at have no row.
+  std::erase_if(sites, [](const SiteTotals& totals) {
+    return totals.total_objects[SiteTotals::kTrusted] == 0 &&
+           totals.total_objects[SiteTotals::kUntrusted] == 0;
+  });
+  std::sort(sites.begin(), sites.end(),
+            [](const SiteTotals& lhs, const SiteTotals& rhs) { return lhs.site < rhs.site; });
+  return sites;
 }
 
 RuntimeStats PkruSafeRuntime::stats() const {

@@ -28,6 +28,7 @@
 #include "src/runtime/call_gate.h"
 #include "src/runtime/profile.h"
 #include "src/runtime/site_policy.h"
+#include "src/runtime/site_stats.h"
 #include "src/support/stable_index_array.h"
 
 namespace pkrusafe {
@@ -78,6 +79,9 @@ struct RuntimeConfig {
   bool sampled_profiling = false;
   FaultRateBudgetOptions sampling;
   std::unordered_set<AllocId, AllocIdHasher> sampling_candidates;
+  // Per-site heap attribution (SiteHeapTotals), in any mode: every sited
+  // allocation carries its site tag and counts in its site's record.
+  bool site_stats = false;
 };
 
 // Snapshot of the runtime's registry-backed metrics. Every field reads the
@@ -150,18 +154,27 @@ class PkruSafeRuntime {
   // The sampling budget, or nullptr when sampled profiling is off.
   const FaultRateBudget* sampling_budget() const { return budget_.get(); }
 
+  // --- Per-site heap attribution (RuntimeConfig::site_stats) ---
+  // Every site that allocated, sorted by id: its cumulative allocations per
+  // pool from its record, its live blocks per pool from one walk of the
+  // site tags. Exact, with nothing to flush, once the allocating threads
+  // are quiescent. Empty when site_stats is off.
+  std::vector<SiteTotals> SiteHeapTotals() const;
+
   // --- Online re-partitioning ---
   struct PromotionResult {
     size_t promoted = 0;        // sites newly marked shared
     size_t already_shared = 0;  // sites the policy already served from M_U
     size_t pages_opened = 0;    // pages of live objects downgraded to M_U's key
+    size_t refused = 0;         // sites past the site table's capacity
   };
 
   // Marks `sites` as shared without a restart: future allocations at those
   // sites are served from M_U, and pages fully covered by their LIVE objects
   // are downgraded to the shared key so in-flight data stops faulting too.
   // Callers (the aggregation service) must only pass sites inside the static
-  // points-to bound — the aggregator cross-checks before calling. Thread-safe
+  // points-to bound — the aggregator cross-checks before calling. A site
+  // the full site table cannot hold is refused and counted. Thread-safe
   // against concurrent allocation and fault handling: each site's shared bit
   // flips in its site record under the intern table's mutex.
   PromotionResult ApplyPromotions(const std::vector<AllocId>& sites);
@@ -225,6 +238,10 @@ class PkruSafeRuntime {
     std::atomic<uint8_t> flags{0};
     // Faults attributed to the site; bumped from signal context.
     std::atomic<uint64_t> faults{0};
+    // Allocations per pool, indexed by Domain (site_stats only): usable
+    // bytes and blocks, cumulative.
+    std::atomic<uint64_t> total_bytes[2]{};
+    std::atomic<uint64_t> total_objects[2]{};
   };
 
   // The tag of `site`, its record created without flags on first sight; 0
@@ -244,6 +261,8 @@ class PkruSafeRuntime {
 
   // The sited allocation AllocTrusted and AllocUntrusted both make.
   void* AllocAt(AllocId site, uint32_t tag, Domain domain, size_t size);
+  // Counts one allocation of `bytes` in `domain` at the site `tag` names.
+  void CountAllocation(uint32_t tag, Domain domain, size_t bytes);
   // Applies `update` to the pages the tracked objects of `sites` fully
   // cover; returns their count.
   size_t UpdateCoveredPages(const std::vector<AllocId>& sites,
@@ -257,6 +276,7 @@ class PkruSafeRuntime {
 
   RuntimeMode mode_;
   bool latch_sites_;
+  bool site_stats_;
   std::unique_ptr<MpkBackend> backend_;
   std::unique_ptr<PkAllocator> allocator_;
   std::unique_ptr<GateSet> gates_;

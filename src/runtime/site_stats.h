@@ -1,114 +1,54 @@
-// Per-allocation-site heap attribution.
+// Per-allocation-site heap attribution: its one row type and its dump format.
 //
 // Answers "which allocation sites hold how much memory, in which domain" —
-// the table profile_tool prints as "sites that would move to M_U" and the
-// live-bytes breakdown the sampler reports. The paper's evaluation argues
-// about exactly this: what fraction of the heap actually needs to be shared.
+// the table profile_tool prints as "sites that would move to M_U". The
+// paper's evaluation argues about exactly this: what fraction of the heap
+// actually needs to be shared.
 //
-// Hot-path cost contract: when disabled (default), NoteAlloc/NoteFree are a
-// relaxed load and a branch. When enabled, they accumulate into a small
-// per-thread open-addressed delta table — no shared-cacheline RMW, no lock —
-// and the table drains to the global table (one mutex) only when it fills,
-// at the batch threshold, or at thread exit. The same deferred-batching
-// design as the allocator's thread-cache traffic accounting, so enabling
-// attribution does not serialize multithreaded allocation.
-//
-// Consistency: Snapshot() sees a thread's traffic only after that thread
-// drained (FlushThisThread, a batch boundary, or exit). Callers that need a
-// settled view (tests, end-of-run dumps) flush first.
+// The rows come from PkruSafeRuntime::SiteHeapTotals (switched on by
+// RuntimeConfig::site_stats): cumulative traffic from each site's record,
+// live blocks from one walk of the allocator's site tags. This module only
+// ranks, writes and reads them.
 #ifndef SRC_RUNTIME_SITE_STATS_H_
 #define SRC_RUNTIME_SITE_STATS_H_
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <unordered_map>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/runtime/alloc_id.h"
+#include "src/support/status.h"
 
 namespace pkrusafe {
 
-class SiteHeapStats {
- public:
-  // Index into the per-domain arrays below.
-  static constexpr int kTrusted = 0;
-  static constexpr int kUntrusted = 1;
+struct SiteTotals {
+  // Index into the per-domain arrays below (the values of Domain).
+  static constexpr int kTrusted = 0;    // M_T
+  static constexpr int kUntrusted = 1;  // M_U
 
-  struct SiteTotals {
-    AllocId site;
-    // Per domain: [0]=trusted (M_T), [1]=untrusted (M_U).
-    int64_t live_bytes[2] = {0, 0};
-    int64_t live_objects[2] = {0, 0};
-    uint64_t total_bytes[2] = {0, 0};
-    uint64_t total_objects[2] = {0, 0};
-  };
-
-  // Process-wide instance (the runtime feeds it, tools read it).
-  static SiteHeapStats& Global();
-
-  void SetEnabled(bool enabled) { enabled_.store(enabled, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  // Hot-path recording. `domain` is kTrusted/kUntrusted.
-  void NoteAlloc(AllocId site, int domain, size_t bytes);
-  void NoteFree(AllocId site, int domain, size_t bytes);
-
-  // Drains the calling thread's pending deltas into the global table.
-  void FlushThisThread();
-
-  // Merged totals (drained traffic only; flush first for a settled view),
-  // sorted by site id.
-  std::vector<SiteTotals> Snapshot() const;
-
-  // The `k` sites with the largest live bytes in `domain` (ties broken by
-  // site id). Used for the "top sites" tables.
-  std::vector<SiteTotals> TopKByLiveBytes(size_t k, int domain) const;
-
-  // Clears the global table and this thread's pending deltas; other
-  // threads' pending deltas survive and will drain later (test helper —
-  // call when no other thread is recording).
-  void ResetForTesting();
-
- private:
-  SiteHeapStats() = default;
-
-  struct Key {
-    AllocId site;
-    int domain;
-    bool operator==(const Key& other) const {
-      return domain == other.domain && site == other.site;
-    }
-  };
-  struct KeyHasher {
-    size_t operator()(const Key& key) const {
-      return AllocIdHasher{}(key.site) * 31 + static_cast<size_t>(key.domain);
-    }
-  };
-  struct Delta {
-    int64_t bytes = 0;
-    int64_t objects = 0;
-    uint64_t alloc_bytes = 0;  // gross allocation traffic (monotonic)
-    uint64_t alloc_objects = 0;
-  };
-
-  void Note(AllocId site, int domain, int64_t bytes_delta, int64_t objects_delta);
-  void MergeLocked(const Key& key, const Delta& delta);
-
-  std::atomic<bool> enabled_{false};
-
-  mutable std::mutex mutex_;
-  std::unordered_map<Key, Delta, KeyHasher> table_;
+  AllocId site;
+  int64_t live_bytes[2] = {0, 0};
+  int64_t live_objects[2] = {0, 0};
+  uint64_t total_bytes[2] = {0, 0};
+  uint64_t total_objects[2] = {0, 0};
 };
 
-// Renders drained site totals as one JSON object the tools read back
+// The `k` sites with the largest live bytes in `domain`, ties kept in the
+// order of `sites`. Used for the "top sites" tables.
+std::vector<SiteTotals> TopKByLiveBytes(std::vector<SiteTotals> sites, size_t k, int domain);
+
+// Renders site totals as one JSON object the tools read back
 // (`profile_tool sites`):
 //   {"kind":"pkru_safe_site_stats","version":1,"sites":[
 //     {"id":"f:b:s",
 //      "trusted":{"live_bytes":N,"live_objects":N,
 //                 "total_bytes":N,"total_objects":N},
 //      "untrusted":{...}}]}
-std::string SiteStatsToJson(const std::vector<SiteHeapStats::SiteTotals>& sites);
+std::string SiteStatsToJson(const std::vector<SiteTotals>& sites);
+
+// Reads a SiteStatsToJson dump back; a missing domain object reads as zeros.
+Result<std::vector<SiteTotals>> ParseSiteStatsJson(std::string_view text);
 
 }  // namespace pkrusafe
 

@@ -160,5 +160,35 @@ TEST(FaultRateBudgetTest, ConcurrentAdmitsNeverOverspend) {
   EXPECT_EQ(budget.exhausted(), kThreads * kPerThread - 100u);
 }
 
+TEST(FaultRateBudgetTest, FirstIntervalKeepsWhatRacingThreadsSpent) {
+  // The first admit opens the first interval while other threads may
+  // already spend from the bucket the constructor filled; opening it must
+  // not refill that bucket. Threads start together so the window is hit.
+  FaultRateBudgetOptions options;
+  options.service_ns_per_interval = 10'000;
+  options.fault_cost_ns = 1'000;
+  options.interval_ms = 1'000'000;
+  constexpr int kThreads = 4;
+  for (int round = 0; round < 200; ++round) {
+    FaultRateBudget budget(options);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        while (!go.load(std::memory_order_acquire)) {
+        }
+        for (int i = 0; i < 20; ++i) {
+          budget.AdmitAt(1, 1'000);
+        }
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    ASSERT_EQ(budget.admitted(), 10u) << "round " << round;
+  }
+}
+
 }  // namespace
 }  // namespace pkrusafe

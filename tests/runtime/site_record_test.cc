@@ -152,5 +152,27 @@ TEST(SiteRecordTest, CreateRefusesMoreSitesThanTheTableHolds) {
   EXPECT_EQ(runtime.status().code(), StatusCode::kResourceExhausted);
 }
 
+TEST(SiteRecordTest, PromotionsPastTheTableAreRefused) {
+  // A policy update arrives over the network and may name more sites than
+  // the table holds: the runtime refuses the excess and keeps running.
+  RuntimeConfig config;
+  config.backend = BackendKind::kSim;
+  config.mode = RuntimeMode::kEnforcing;
+  auto rt = PkruSafeRuntime::Create(std::move(config));
+  ASSERT_TRUE(rt.ok()) << rt.status().ToString();
+  std::vector<AllocId> sites;
+  for (uint32_t s = 0; s <= 64 * 1024; ++s) {
+    sites.push_back(AllocId{1, s / 1024, s % 1024});
+  }
+  const auto result = (*rt)->ApplyPromotions(sites);
+  EXPECT_EQ(result.promoted + result.refused, sites.size());
+  EXPECT_EQ(result.refused, 1u);
+  EXPECT_TRUE((*rt)->IsShared(sites.front()));
+  EXPECT_FALSE((*rt)->IsShared(sites.back()));
+  void* block = (*rt)->AllocTrusted(sites.front(), 64);
+  EXPECT_EQ((*rt)->allocator().OwnerOf(block), Domain::kUntrusted);
+  (*rt)->Free(block);
+}
+
 }  // namespace
 }  // namespace pkrusafe

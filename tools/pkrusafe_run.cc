@@ -110,8 +110,8 @@ void ApplyPolicyFrames(PkruSafeRuntime& runtime, telemetry::NetSink* sink) {
     const std::string action = update->GetString("action");
     if (action == "promote") {
       const auto applied = runtime.ApplyPromotions(ids);
-      std::printf("policy update: promoted %zu site(s), %zu page(s) opened\n",
-                  applied.promoted, applied.pages_opened);
+      std::printf("policy update: promoted %zu site(s), %zu refused, %zu page(s) opened\n",
+                  applied.promoted, applied.refused, applied.pages_opened);
     } else if (action == "demote") {
       const auto applied = runtime.ApplyDemotions(ids);
       std::printf("policy update: demoted %zu site(s), %zu page(s) closed\n",
@@ -305,6 +305,7 @@ int main(int argc, char** argv) {
     return Usage();
   }
   config.latch_sites = latch_sites;
+  config.site_stats = site_stats;
   if (sampled) {
     if (config.mode != RuntimeMode::kEnforcing) {
       std::fprintf(stderr, "--sampled requires --mode=enforce\n");
@@ -327,9 +328,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
     }
-  }
-  if (site_stats) {
-    SiteHeapStats::Global().SetEnabled(true);
   }
 
   config.profile_artifact = profile_path;
@@ -493,21 +491,19 @@ int main(int argc, char** argv) {
     stream->Close();
   }
   if (site_stats) {
-    SiteHeapStats& stats = SiteHeapStats::Global();
-    stats.FlushThisThread();
-    const auto top = stats.TopKByLiveBytes(10, SiteHeapStats::kUntrusted);
+    const std::vector<SiteTotals> all = (*system)->runtime().SiteHeapTotals();
+    const auto top = TopKByLiveBytes(all, 10, SiteTotals::kUntrusted);
     std::printf("top sites by M_U live bytes:\n");
     std::printf("  %-16s %12s %8s %12s %8s\n", "site", "U bytes", "U objs", "T bytes",
                 "T objs");
     for (const auto& totals : top) {
       std::printf("  %-16s %12lld %8lld %12lld %8lld\n", totals.site.ToString().c_str(),
-                  static_cast<long long>(totals.live_bytes[SiteHeapStats::kUntrusted]),
-                  static_cast<long long>(totals.live_objects[SiteHeapStats::kUntrusted]),
-                  static_cast<long long>(totals.live_bytes[SiteHeapStats::kTrusted]),
-                  static_cast<long long>(totals.live_objects[SiteHeapStats::kTrusted]));
+                  static_cast<long long>(totals.live_bytes[SiteTotals::kUntrusted]),
+                  static_cast<long long>(totals.live_objects[SiteTotals::kUntrusted]),
+                  static_cast<long long>(totals.live_bytes[SiteTotals::kTrusted]),
+                  static_cast<long long>(totals.live_objects[SiteTotals::kTrusted]));
     }
     if (!site_stats_path.empty()) {
-      const auto all = stats.Snapshot();
       std::ofstream site_out(site_stats_path, std::ios::trunc);
       if (!site_out) {
         std::fprintf(stderr, "cannot open %s\n", site_stats_path.c_str());

@@ -55,6 +55,7 @@
 #include "src/passes/pass.h"
 #include "src/runtime/profile.h"
 #include "src/runtime/profile_artifact.h"
+#include "src/runtime/site_stats.h"
 #include "src/support/json.h"
 #include "src/telemetry/aggregator.h"
 #include "src/telemetry/crash_report.h"
@@ -135,45 +136,6 @@ Result<std::string> ReadFile(const char* path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
-}
-
-// One row of a `pkrusafe_run --site-stats=FILE` dump.
-struct SiteRow {
-  AllocId id;
-  int64_t live_bytes[2] = {0, 0};    // [0]=trusted, [1]=untrusted
-  int64_t live_objects[2] = {0, 0};
-  uint64_t total_bytes[2] = {0, 0};
-  uint64_t total_objects[2] = {0, 0};
-};
-
-Result<std::vector<SiteRow>> ParseSiteStats(std::string_view text) {
-  PS_ASSIGN_OR_RETURN(json::Value root, json::Parse(text));
-  if (!root.is_object() || root.GetString("kind") != "pkru_safe_site_stats") {
-    return InvalidArgumentError("not a pkru_safe_site_stats dump");
-  }
-  const json::Value* sites = root.Find("sites");
-  if (sites == nullptr || !sites->is_array()) {
-    return InvalidArgumentError("site stats dump has no sites array");
-  }
-  std::vector<SiteRow> rows;
-  rows.reserve(sites->AsArray().size());
-  for (const json::Value& entry : sites->AsArray()) {
-    SiteRow row;
-    PS_ASSIGN_OR_RETURN(row.id, AllocId::Parse(entry.GetString("id")));
-    static constexpr const char* kDomainNames[2] = {"trusted", "untrusted"};
-    for (int d = 0; d < 2; ++d) {
-      const json::Value* domain = entry.Find(kDomainNames[d]);
-      if (domain == nullptr) {
-        continue;
-      }
-      row.live_bytes[d] = domain->GetInt("live_bytes");
-      row.live_objects[d] = domain->GetInt("live_objects");
-      row.total_bytes[d] = domain->GetUint("total_bytes");
-      row.total_objects[d] = domain->GetUint("total_objects");
-    }
-    rows.push_back(row);
-  }
-  return rows;
 }
 
 // Shared front half of check/sites/aggregate/serve: parse the module, run
@@ -693,13 +655,14 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
       return 1;
     }
-    auto rows = ParseSiteStats(*text);
+    auto rows = ParseSiteStatsJson(*text);
     if (!rows.ok()) {
       std::fprintf(stderr, "%s\n", rows.status().ToString().c_str());
       return 1;
     }
-    const int d = domain_name == "untrusted" ? 1 : 0;
-    std::stable_sort(rows->begin(), rows->end(), [d](const SiteRow& lhs, const SiteRow& rhs) {
+    const int d = domain_name == "untrusted" ? SiteTotals::kUntrusted : SiteTotals::kTrusted;
+    std::stable_sort(rows->begin(), rows->end(), [d](const SiteTotals& lhs,
+                                                     const SiteTotals& rhs) {
       if (lhs.live_bytes[d] != rhs.live_bytes[d]) {
         return lhs.live_bytes[d] > rhs.live_bytes[d];
       }
@@ -731,14 +694,14 @@ int main(int argc, char** argv) {
     std::printf("  %-16s %12s %8s %12s %8s%s\n", "site", "live B", "live #", "total B",
                 "total #", have_static ? "  static" : "");
     for (size_t i = 0; i < rows->size() && i < top_k; ++i) {
-      const SiteRow& row = (*rows)[i];
-      std::printf("  %-16s %12lld %8lld %12llu %8llu", row.id.ToString().c_str(),
+      const SiteTotals& row = (*rows)[i];
+      std::printf("  %-16s %12lld %8lld %12llu %8llu", row.site.ToString().c_str(),
                   static_cast<long long>(row.live_bytes[d]),
                   static_cast<long long>(row.live_objects[d]),
                   static_cast<unsigned long long>(row.total_bytes[d]),
                   static_cast<unsigned long long>(row.total_objects[d]));
       if (have_static) {
-        std::printf("  %s", statically_shared(row.id) ? "shared" : "private");
+        std::printf("  %s", statically_shared(row.site) ? "shared" : "private");
       }
       std::printf("\n");
     }
@@ -748,19 +711,19 @@ int main(int argc, char** argv) {
     }
     int missed = 0;
     int over_shared = 0;
-    for (const SiteRow& row : *rows) {
-      if (row.total_bytes[1] > 0 && !statically_shared(row.id)) {
+    for (const SiteTotals& row : *rows) {
+      if (row.total_bytes[SiteTotals::kUntrusted] > 0 && !statically_shared(row.site)) {
         std::printf("analyzer MISS: site %s allocated %llu byte(s) from M_U but is "
                     "statically private\n",
-                    row.id.ToString().c_str(),
-                    static_cast<unsigned long long>(row.total_bytes[1]));
+                    row.site.ToString().c_str(),
+                    static_cast<unsigned long long>(row.total_bytes[SiteTotals::kUntrusted]));
         ++missed;
       }
     }
     for (const AllocId& id : static_shared) {
       bool dynamic_untrusted = false;
-      for (const SiteRow& row : *rows) {
-        if (row.id == id && row.total_bytes[1] > 0) {
+      for (const SiteTotals& row : *rows) {
+        if (row.site == id && row.total_bytes[SiteTotals::kUntrusted] > 0) {
           dynamic_untrusted = true;
           break;
         }
